@@ -139,7 +139,7 @@ def _cmd_riemann(args) -> int:
     doc = _load_document(args)
     spec, _, _, _ = build_network(doc)
     u0 = _constant_initial(doc, "riemann")
-    rs = riemann_solve(spec, u0, tol=args.tol)
+    rs = riemann_solve(spec, u0)
     sol = rs.solution
     print(f"coupling interval [{_fmt(sol.p_min)}, {_fmt(sol.p_max)}]")
     print(f"total flux {_fmt(sol.total)}")
@@ -374,33 +374,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-volume solver for traffic junctions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *, needs_config=True):
+    # options beyond --config and --out, offered only where they are read
+    options = {
+        "--seed": dict(type=int, default=0,
+                       help="random seed for sampled ensembles"),
+        "--dx": dict(type=float, help="override cell width"),
+        "--t-final": dict(dest="t_final", type=float,
+                          help="override final time"),
+        "--epsilon": dict(type=float, help="override viscosity parameter"),
+        "--tol": dict(type=float, help="override membership tolerance"),
+        "--sample": dict(type=int, default=0,
+                         help="additionally check this many sampled states"),
+    }
+
+    def add(name, handler, help_text, *names, needs_config=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=needs_config,
                        help="path to a network config file")
         p.add_argument("--out", help="output directory (default: .)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="random seed for sampled ensembles")
-        p.add_argument("--dx", type=float, help="override cell width")
-        p.add_argument("--t-final", dest="t_final", type=float,
-                       help="override final time")
-        p.add_argument("--epsilon", type=float,
-                       help="override viscosity parameter")
-        p.add_argument("--tol", type=float,
-                       help="override solver/membership tolerance")
-        return p
+        for opt in names:
+            p.add_argument(opt, **options[opt])
 
-    add("run", _cmd_run, "march a configured network, write CSV output")
+    add("run", _cmd_run, "march a configured network, write CSV output",
+        "--dx", "--t-final")
     add("riemann", _cmd_riemann, "solve one junction Riemann problem")
-    germ = add("germ-check", _cmd_germ_check,
-               "check equilibrium membership via both paths")
-    germ.add_argument("--sample", type=int, default=0,
-                      help="additionally check this many sampled states")
-    add("profile", _cmd_profile, "stationary viscous profile CSV")
-    add("verify", _cmd_verify, "run the bundled audit suite",
+    add("germ-check", _cmd_germ_check,
+        "check equilibrium membership via both paths",
+        "--tol", "--seed", "--sample")
+    add("profile", _cmd_profile, "stationary viscous profile CSV",
+        "--epsilon")
+    add("verify", _cmd_verify, "run the bundled audit suite", "--seed",
         needs_config=False)
-    add("convergence", _cmd_convergence, "grid refinement study")
+    add("convergence", _cmd_convergence, "grid refinement study",
+        "--dx", "--t-final")
     return parser
 
 

@@ -278,35 +278,18 @@ def branch_point(flux: Flux, y: float, branch: str) -> float:
     """Density where f equals y on the requested branch.
 
     branch is "rising" (left of the crest) or "falling" (right of it).
-    Located by bisection to float resolution.
+    Solved per family by ``kernels.branch_point``.
     """
     if not -1e-12 * max(flux.flux_max, 1.0) <= y <= flux.flux_max * (1 + 1e-12):
         raise ValueError("flux value outside [0, flux_max]")
-    y = min(max(y, 0.0), flux.flux_max)
-    if y == flux.flux_max:
-        # the crest itself; bisection would only find the edge of the float
-        # plateau sqrt(ulp) away
-        return flux.rho_crit
     if branch == "rising":
-        a, b = flux.rho_min, flux.rho_crit
-        below = lambda s: flux.eval(s) <= y
+        edge = flux.rho_min
     elif branch == "falling":
-        a, b = flux.rho_crit, flux.rho_max
-        below = lambda s: flux.eval(s) >= y
+        edge = flux.rho_max
     else:
         raise ValueError("branch must be 'rising' or 'falling'")
-    # invariant: predicate true at a, false at b (weakly); bisect to ~ulp
-    tol = 4.0 * np.finfo(float).eps * max(abs(flux.rho_min), abs(flux.rho_max),
-                                          flux.span)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if below(mid):
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return kernels.branch_point(flux.code, flux.params, flux.rho_crit,
+                                flux.flux_max, float(y), edge)
 
 
 def conjugate(flux: Flux, rho: float) -> float:

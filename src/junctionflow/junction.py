@@ -37,8 +37,8 @@ class JunctionSpec:
     """Topology and per-road fluxes of one junction.
 
     ``fluxes`` lists the m incoming roads first, then the n outgoing ones.
-    Packed parameter arrays for the numerical kernels are built once here and
-    shared by every solver call.
+    The per-road kernel arguments (family codes, parameter vectors, crests)
+    are gathered once here and shared by every solver call.
     """
 
     m: int
@@ -58,11 +58,8 @@ class JunctionSpec:
                 raise ValueError("all roads must share one density interval")
         self.rho_min = lo
         self.rho_max = hi
-        width = max(len(f.params) for f in self.fluxes)
         self._codes = np.array([f.code for f in self.fluxes], dtype=np.int64)
-        self._params = np.zeros((self.m + self.n, width))
-        for h, f in enumerate(self.fluxes):
-            self._params[h, :len(f.params)] = f.params
+        self._params = tuple(f.params for f in self.fluxes)
         self._crits = np.array([f.rho_crit for f in self.fluxes])
         self._fcrits = np.array([f.flux_max for f in self.fluxes])
         self.lipschitz_sum = float(sum(f.lipschitz for f in self.fluxes))
@@ -86,6 +83,8 @@ class JunctionSpec:
         if arr.shape != (self.m + self.n,):
             raise ValueError(f"junction state must have shape "
                              f"({self.m + self.n},), got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("junction state must be finite")
         slack = 1e-12 * self.span
         if arr.min() < self.rho_min - slack or arr.max() > self.rho_max + slack:
             raise ValueError(f"junction state outside "
@@ -119,61 +118,27 @@ def phi_out(spec: JunctionSpec, u, p):
     return sum(f.godunov(p, u[spec.m + j]) for j, f in enumerate(spec.outgoing))
 
 
-def solve_junction(spec: JunctionSpec, u, tol: float | None = None,
-                   ftol: float | None = None) -> JunctionSolution:
+def solve_junction(spec: JunctionSpec, u) -> JunctionSolution:
     """Locate the coupling interval and evaluate the junction fluxes.
 
-    ``tol`` bounds the error in the p-argument (default 1e-13 times the
-    density span), ``ftol`` is the flux-residual acceptance level for the
-    balance gap (default a few machine epsilons times the summed flux
-    crests). The internal bisection is tightened beyond ``tol`` whenever
-    needed so the returned fluxes balance to 1e-12 regardless.
+    The interval comes from ``kernels.coupling_interval``, exact up to the
+    rounding of the flux values; the fluxes are evaluated at its midpoint
+    and must balance to 1e-12.
     """
     u = spec.candidate(u)
-    span = spec.span
-    sl = spec.lipschitz_sum
-    eps = np.finfo(float).eps
-    # natural magnitude of the balance gap's terms: the summed flux crests
-    fsc = float(np.abs(spec._fcrits).sum())
-    if tol is None:
-        tol = 1e-13 * span
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if ftol is None:
-        # evaluating the gap rounds each crest-sized term at most twice, so
-        # the true root set carries a deterministic offset below 2*eps*fsc;
-        # accepting at 8*eps*fsc keeps genuine roots while inflating a
-        # tangentially-degenerate interval end by only ~sqrt(4*eps*fsc)
-        ftol = 8 * eps * fsc
-
-    # bisection resolution: never coarser than requested, and always fine
-    # enough that the residual slope sl * xtol stays below the balance budget
-    floor = 4 * eps * max(abs(spec.rho_min), abs(spec.rho_max), span)
-    xtol = max(min(tol, 0.4e-12 / max(sl, 1e-300)), floor)
-    # acceptance level for the balance gap: capped so the 1e-12 balance
-    # invariant holds, floored so rounding noise cannot defeat the bracket
-    fzero = max(min(ftol, 0.4e-12), 4 * eps * fsc)
-
-    p_min, p_max = kernels.p_interval(
+    p_min, p_max = kernels.coupling_interval(
         spec._codes, spec._params, spec._crits, spec._fcrits, spec.m, u,
-        spec.rho_min, spec.rho_max, xtol, fzero, True)
-    if math.isnan(p_min) or math.isnan(p_max):
+        spec.rho_min, spec.rho_max)
+    if math.isnan(p_min):
         d_lo = kernels.balance_gap(spec._codes, spec._params, spec._crits,
                                    spec._fcrits, spec.m, u, spec.rho_min)
         d_hi = kernels.balance_gap(spec._codes, spec._params, spec._crits,
                                    spec._fcrits, spec.m, u, spec.rho_max)
         raise ConsistencyError(
             f"coupling bracket failed: gap(A)={d_lo:.3e}, gap(B)={d_hi:.3e}")
-    if p_min > p_max:
-        # the two independent bisections straddle a point root
-        p_min = p_max = 0.5 * (p_min + p_max)
 
-    # Evaluate the fluxes at the interval midpoint. For a stationary state
-    # the midpoint sits strictly inside the identity interval, where every
-    # demand/supply branch resolves away from its crossover and the fluxes
-    # come out exact -- evaluating at an endpoint would leak the bisection
-    # fuzz into the fluxes and make held equilibria drift. The gap is
-    # monotone in p, so the midpoint's balance is bounded by the endpoints'.
+    # Inside a plateau every road takes its own demand or supply, so the
+    # midpoint gives exact fluxes there and held equilibria do not drift.
     p_eval = p_min + 0.5 * (p_max - p_min)
     fluxes = np.empty(spec.m + spec.n)
     kernels.fill_junction_fluxes(spec._codes, spec._params, spec._crits,
@@ -187,9 +152,9 @@ def solve_junction(spec: JunctionSpec, u, tol: float | None = None,
                             float(total_in))
 
 
-def total_flux(spec: JunctionSpec, u, tol: float | None = None) -> float:
+def total_flux(spec: JunctionSpec, u) -> float:
     """Total flux through the junction for the state u."""
-    return solve_junction(spec, u, tol).total
+    return solve_junction(spec, u).total
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +221,8 @@ def strict_witness(spec: JunctionSpec, k, tol: float = 1e-9) -> float | None:
     dense sample of the interval between k_h and p, excluding k_h itself).
     The search space is the coupling interval cut down by each road's
     analytic admissible window; the exact k_h values are always tried as
-    candidates because a point-sized coupling interval is found by bisection
-    only to within its argument tolerance.
+    candidates because a point-sized coupling interval carries the rounding
+    of the flux inverses that locate it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -372,8 +337,7 @@ class RiemannSolution:
         return self.sample
 
 
-def riemann_solve(spec: JunctionSpec, u0,
-                  tol: float | None = None) -> RiemannSolution:
+def riemann_solve(spec: JunctionSpec, u0) -> RiemannSolution:
     """Solve the junction Riemann problem with constant initial road states.
 
     The junction traces are the argmin/argmax of each road's flux between the
@@ -383,7 +347,7 @@ def riemann_solve(spec: JunctionSpec, u0,
     trace.
     """
     u0 = spec.candidate(u0)
-    sol = solve_junction(spec, u0, tol)
+    sol = solve_junction(spec, u0)
     p = sol.p_min
     traces = np.empty(spec.m + spec.n)
     fans = []

@@ -1,16 +1,11 @@
-"""Low-level numerical kernels with numba acceleration and a pure-numpy fallback.
+"""Low-level numerical kernels, in plain Python and numpy.
 
 The solver's hot paths are (a) Godunov flux sweeps over whole roads and
-(b) scalar bisections for the junction coupling values. Each kernel exists in
-two functionally identical flavours. Scalar kernels are written once and
-wrapped with numba's ``@njit`` when it is active, so both flavours execute the
-same IEEE-754 operation sequence. Array sweeps have a vectorized numpy twin
-assembled from the same per-element expressions, which keeps the two paths
-bitwise identical.
-
-The fallback engages when the environment variable ``JUNCTIONFLOW_NO_NUMBA``
-is set to anything but ``"0"``, or when numba is not importable.
-``NUMBA_ENABLED`` records the active mode.
+(b) the scalar algebra of the junction coupling: the balance gap, the
+inverses of each flux on its two monotone branches, and the exact solve for
+the coupling interval. Scalar kernels have vectorized numpy twins built
+from the same per-element expressions, so the two agree bitwise.
+``NUMBA_ENABLED`` is kept as a constant: numpy is the only backend.
 
 Flux families are passed around as an integer code plus a packed float
 parameter vector:
@@ -23,15 +18,11 @@ symmetric quadratic    1    [h];           f = h*(1 - x*x) on [-1,1]
 polynomial             2    [c0, c1, ...]  ascending coefficients
 tabulated              3    [n, x_1..x_n, y_1..y_n]  piecewise linear
 ====================  ====  =======================================
-
-Packed 2D parameter arrays may be zero-padded on the right; the padding is
-harmless for every family (Horner over leading zero coefficients is exact,
-and the tabulated reader takes its length from ``params[0]``).
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
@@ -40,26 +31,15 @@ FAMILY_SYM_QUAD = 1
 FAMILY_POLY = 2
 FAMILY_TABLE = 3
 
-_flag = os.environ.get("JUNCTIONFLOW_NO_NUMBA", "").strip()
-if _flag in ("", "0"):
-    try:
-        from numba import njit as _njit
+NUMBA_ENABLED = False
 
-        NUMBA_ENABLED = True
-    except ImportError:  # numba missing: silently fall back
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-
-def _jit(fn):
-    return _njit(cache=True)(fn) if NUMBA_ENABLED else fn
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
-# scalar flux evaluation (single source, conditionally jitted)
+# scalar flux evaluation
 
-def _flux_scalar_impl(code, par, x):
+def flux_scalar(code, par, x):
     if code == 0:  # LWR
         return par[0] * x * (1.0 - x / par[1])
     if code == 1:  # symmetric quadratic
@@ -84,38 +64,26 @@ def _flux_scalar_impl(code, par, x):
     return y0 + (x - x0) * ((par[2 + n + lo] - y0) / (par[2 + lo] - x0))
 
 
-flux_scalar = _jit(_flux_scalar_impl)
-
-
-def _demand_scalar_impl(code, par, crit, fcrit, a):
+def demand_scalar(code, par, crit, fcrit, a):
     if a <= crit:
         return flux_scalar(code, par, a)
     return fcrit
 
 
-demand_scalar = _jit(_demand_scalar_impl)
-
-
-def _supply_scalar_impl(code, par, crit, fcrit, b):
+def supply_scalar(code, par, crit, fcrit, b):
     if b >= crit:
         return flux_scalar(code, par, b)
     return fcrit
 
 
-supply_scalar = _jit(_supply_scalar_impl)
-
-
-def _godunov_scalar_impl(code, par, crit, fcrit, a, b):
+def godunov_scalar(code, par, crit, fcrit, a, b):
     d = demand_scalar(code, par, crit, fcrit, a)
     s = supply_scalar(code, par, crit, fcrit, b)
     return d if d <= s else s
 
 
-godunov_scalar = _jit(_godunov_scalar_impl)
-
-
 # ---------------------------------------------------------------------------
-# vectorized numpy twins (same per-element expressions as the scalar kernels)
+# vectorized twins (same per-element expressions as the scalar kernels)
 
 def flux_array(code: int, par: np.ndarray, x: np.ndarray) -> np.ndarray:
     if code == FAMILY_LWR:
@@ -149,30 +117,17 @@ def godunov_array(code, par, crit, fcrit, a, b):
                       supply_array(code, par, crit, fcrit, b))
 
 
-# ---------------------------------------------------------------------------
-# interface flux sweep along one road
-
-if NUMBA_ENABLED:
-
-    @_njit(cache=True)
-    def interface_fluxes(code, par, crit, fcrit, u_ext, out):
-        """Godunov flux at all interfaces of a road; u_ext includes ghost cells."""
-        for k in range(out.shape[0]):
-            out[k] = godunov_scalar(code, par, crit, fcrit, u_ext[k], u_ext[k + 1])
-
-else:
-
-    def interface_fluxes(code, par, crit, fcrit, u_ext, out):
-        """Godunov flux at all interfaces of a road; u_ext includes ghost cells."""
-        d = demand_array(code, par, crit, fcrit, u_ext[:-1])
-        s = supply_array(code, par, crit, fcrit, u_ext[1:])
-        np.minimum(d, s, out=out)
+def interface_fluxes(code, par, crit, fcrit, u_ext, out):
+    """Godunov flux at all interfaces of a road; u_ext includes ghost cells."""
+    d = demand_array(code, par, crit, fcrit, u_ext[:-1])
+    s = supply_array(code, par, crit, fcrit, u_ext[1:])
+    np.minimum(d, s, out=out)
 
 
 # ---------------------------------------------------------------------------
-# junction balance gap and p-interval solve
+# junction balance gap
 
-def _balance_gap_impl(codes, params, crits, fcrits, m, ustar, p):
+def balance_gap(codes, params, crits, fcrits, m, ustar, p):
     total = 0.0
     for i in range(m):
         total += godunov_scalar(codes[i], params[i], crits[i], fcrits[i],
@@ -183,10 +138,7 @@ def _balance_gap_impl(codes, params, crits, fcrits, m, ustar, p):
     return total
 
 
-balance_gap = _jit(_balance_gap_impl)
-
-
-def _fill_junction_fluxes_impl(codes, params, crits, fcrits, m, ustar, p, out):
+def fill_junction_fluxes(codes, params, crits, fcrits, m, ustar, p, out):
     for i in range(m):
         out[i] = godunov_scalar(codes[i], params[i], crits[i], fcrits[i],
                                 ustar[i], p)
@@ -195,87 +147,184 @@ def _fill_junction_fluxes_impl(codes, params, crits, fcrits, m, ustar, p, out):
                                 p, ustar[j])
 
 
-fill_junction_fluxes = _jit(_fill_junction_fluxes_impl)
+# ---------------------------------------------------------------------------
+# polynomial pieces and branch inverses
+
+def _table(par):
+    n = int(par[0])
+    return par[1:1 + n], par[1 + n:1 + 2 * n]
 
 
-def _p_interval_impl(codes, params, crits, fcrits, m, ustar, lo, hi,
-                     xtol, fzero, want_max):
-    # The gap D(p) = phi_in(p) - phi_out(p) is continuous and non-increasing,
-    # so its root set is a closed interval. Each endpoint is located by
-    # predicate bisection (p_min: leftmost p with D <= fzero; p_max: rightmost
-    # with D >= -fzero) with a clipped false-position trial folded in on
-    # alternate rounds. Returns (nan, nan) when the bracket assumptions fail.
-    d_lo = balance_gap(codes, params, crits, fcrits, m, ustar, lo)
-    d_hi = balance_gap(codes, params, crits, fcrits, m, ustar, hi)
-    if d_lo < -fzero or d_hi > fzero:
-        return np.nan, np.nan
-
-    if d_lo <= fzero:
-        p_min = lo
-    else:
-        a = lo
-        fa = d_lo
-        b = hi
-        fb = d_hi
-        it = 0
-        while b - a > xtol and it < 200:
-            t = a + 0.5 * (b - a)
-            if (it & 1) == 1 and fb < fa:
-                u = a + (fzero - fa) * (b - a) / (fb - fa)
-                w = 0.125 * (b - a)
-                if a + w <= u and u <= b - w:
-                    t = u
-            if t <= a or t >= b:
-                break
-            ft = balance_gap(codes, params, crits, fcrits, m, ustar, t)
-            if ft <= fzero:
-                b = t
-                fb = ft
-            else:
-                a = t
-                fa = ft
-            it += 1
-        p_min = b
-
-    if not want_max:
-        return p_min, p_min
-
-    if d_hi >= -fzero:
-        p_max = hi
-    else:
-        a = lo
-        fa = d_lo
-        b = hi
-        fb = d_hi
-        it = 0
-        while b - a > xtol and it < 200:
-            t = a + 0.5 * (b - a)
-            if (it & 1) == 1 and fb < fa:
-                u = a + (-fzero - fa) * (b - a) / (fb - fa)
-                w = 0.125 * (b - a)
-                if a + w <= u and u <= b - w:
-                    t = u
-            if t <= a or t >= b:
-                break
-            ft = balance_gap(codes, params, crits, fcrits, m, ustar, t)
-            if ft >= -fzero:
-                a = t
-                fa = ft
-            else:
-                b = t
-                fb = ft
-            it += 1
-        p_max = a
-    return p_min, p_max
+def _piece_coeffs(code, par, x) -> list[float]:
+    """Ascending coefficients of the polynomial piece of f containing x: the
+    whole flux for the polynomial families, one panel for a tabulated flux."""
+    if code == FAMILY_LWR:
+        return [0.0, float(par[0]), -float(par[0] / par[1])]
+    if code == FAMILY_SYM_QUAD:
+        return [float(par[0]), 0.0, -float(par[0])]
+    if code == FAMILY_POLY:
+        return par.tolist()
+    xs, ys = _table(par)
+    k = min(max(int(np.searchsorted(xs, x, side="right")) - 1, 0),
+            xs.shape[0] - 2)
+    slope = float((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]))
+    return [float(ys[k] - xs[k] * slope), slope]
 
 
-p_interval = _jit(_p_interval_impl)
+def _horner(c: list[float], x: float) -> float:
+    acc = 0.0
+    for coef in reversed(c):
+        acc = acc * x + coef
+    return acc
+
+
+def poly_root(c: list[float], a: float, b: float) -> float:
+    """Root in [a, b] of the polynomial with ascending coefficients c, which
+    is monotone on [a, b] and changes sign there.
+
+    Degree <= 2 uses the cancellation-free quadratic formula with the
+    discriminant clamped at 0, so a root where the polynomial touches zero
+    tangentially comes out exact. Higher degrees bisect on Horner until the
+    bracket is a few ulps of its endpoints wide.
+    """
+    deg = len(c) - 1
+    while deg > 0 and c[deg] == 0.0:
+        deg -= 1
+    if 1 <= deg <= 2:
+        c0, c1 = c[0], c[1]
+        c2 = c[2] if deg == 2 else 0.0
+        if c2 == 0.0:
+            roots = (-c0 / c1,)
+        else:
+            disc = max(c1 * c1 - 4.0 * c2 * c0, 0.0)
+            q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+            roots = (q / c2, c0 / q) if q != 0.0 else (0.0,)
+        # the other root of a quadratic lies outside [a, b], or on its edge
+        r = min(roots, key=lambda t: max(a - t, t - b))
+        return min(max(r, a), b)
+    lo, hi = a, b
+    positive_lo = _horner(c, lo) > 0.0
+    width = 4.0 * _EPS * max(abs(a), abs(b))
+    while hi - lo > width:
+        mid = lo + 0.5 * (hi - lo)
+        if (_horner(c, mid) > 0.0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo + 0.5 * (hi - lo)
+
+
+def branch_point(code, par, crit, fcrit, y, edge):
+    """Density between crit and edge where f equals y.
+
+    ``edge`` is rho_min for the rising branch and rho_max for the falling
+    one; f is monotone between crit and edge. Values at or above the crest
+    map to crit, values at or below 0 to the edge.
+    """
+    if y >= fcrit:
+        return crit
+    if y <= 0.0:
+        return edge
+    lo, hi = (edge, crit) if edge < crit else (crit, edge)
+    if code != FAMILY_TABLE:
+        c = _piece_coeffs(code, par, crit)
+        c[0] -= y
+        return poly_root(c, lo, hi)
+    xs, ys = _table(par)
+    top = int(np.searchsorted(xs, crit))  # the crest node
+    if edge < crit:  # ys rise on nodes 0..top
+        k = int(np.searchsorted(ys[:top + 1], y)) - 1
+    else:  # ys fall on nodes top..n-1
+        k = top + int(np.searchsorted(-ys[top:], -y)) - 1
+    k = min(max(k, 0), xs.shape[0] - 2)
+    x = xs[k] + (y - ys[k]) * ((xs[k + 1] - xs[k]) / (ys[k + 1] - ys[k]))
+    return min(max(float(x), lo), hi)
+
+
+# ---------------------------------------------------------------------------
+# exact coupling interval
+
+def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi):
+    """Zero set [p_min, p_max] of the balance gap over [lo, hi].
+
+    The gap D(p) = sum_in min(d_i, S_i(p)) - sum_out min(D_j(p), s_j) is
+    non-increasing, and each term is either its constant (d_i, s_j) or the
+    road's whole flux. The switch happens at a kink: the falling-branch
+    point of d_i on an incoming road, the rising-branch point of s_j on an
+    outgoing one. D is evaluated at the sorted kinks; between two of them it
+    is one polynomial (one per panel for tabulated fluxes), solved exactly.
+
+    A gap within 4 ulps of the summed crests counts as zero: plateau values
+    are differences of rounded flux values and carry that much noise.
+    Returns (nan, nan) when D does not fall from >= 0 to <= 0 over [lo, hi].
+    """
+    consts = []
+    kinks = []
+    for h in range(ustar.shape[0]):
+        code, par, crit, fcrit = codes[h], params[h], crits[h], fcrits[h]
+        if h < m:
+            c = demand_scalar(code, par, crit, fcrit, ustar[h])
+            kinks.append(branch_point(code, par, crit, fcrit, c, hi))
+        else:
+            c = supply_scalar(code, par, crit, fcrit, ustar[h])
+            kinks.append(branch_point(code, par, crit, fcrit, c, lo))
+        consts.append(c)
+    zero = 4.0 * _EPS * float(np.abs(fcrits).sum())
+
+    def sign(p):
+        g = balance_gap(codes, params, crits, fcrits, m, ustar, p)
+        return 1 if g > zero else (-1 if g < -zero else 0)
+
+    pts = sorted([lo, hi, *kinks])
+    signs = [sign(p) for p in pts]
+    if signs[0] < 0 or signs[-1] > 0:
+        return math.nan, math.nan
+    first = next(t for t, s in enumerate(signs) if s <= 0)
+    if signs[first] < 0:
+        root = _crossing(codes, params, m, consts, kinks, pts[first - 1],
+                         pts[first], sign)
+        return root, root
+    last = max(t for t, s in enumerate(signs) if s >= 0)
+    return pts[first], pts[last]
+
+
+def _crossing(codes, params, m, consts, kinks, a, b, sign):
+    # D > 0 at a and D < 0 at b, with no kink in between: every road
+    # contributes its constant or its whole flux on all of (a, b)
+    whole = [(kinks[h] <= a) if h < m else (kinks[h] >= b)
+             for h in range(len(kinks))]
+    # narrow (a, b) to one panel of every tabulated road in play
+    nodes = []
+    for h, w in enumerate(whole):
+        if w and codes[h] == FAMILY_TABLE:
+            nodes.extend(x for x in _table(params[h])[0].tolist() if a < x < b)
+    nodes.sort()
+    i, j = -1, len(nodes)
+    while j - i > 1:
+        mid = (i + j) // 2
+        s = sign(nodes[mid])
+        if s == 0:
+            return nodes[mid]
+        if s > 0:
+            i = mid
+        else:
+            j = mid
+    a = nodes[i] if i >= 0 else a
+    b = nodes[j] if j < len(nodes) else b
+    c = [0.0]
+    for h, w in enumerate(whole):
+        piece = (_piece_coeffs(codes[h], params[h], 0.5 * (a + b)) if w
+                 else [consts[h]])
+        c.extend([0.0] * (len(piece) - len(c)))
+        for t, v in enumerate(piece):
+            c[t] += v if h < m else -v
+    return poly_root(c, a, b)
 
 
 # ---------------------------------------------------------------------------
 # viscous junction coupling: single value w balancing convective+diffusive flux
 
-def _visc_gap_impl(codes, params, m, ustar, eps2dx, w):
+def visc_gap(codes, params, m, ustar, eps2dx, w):
     total = 0.0
     for i in range(m):
         total += flux_scalar(codes[i], params[i], w) - eps2dx * (w - ustar[i])
@@ -284,10 +333,7 @@ def _visc_gap_impl(codes, params, m, ustar, eps2dx, w):
     return total
 
 
-visc_gap = _jit(_visc_gap_impl)
-
-
-def _solve_visc_w_impl(codes, params, m, ustar, eps2dx, lo, hi, xtol, ftol):
+def solve_visc_w(codes, params, m, ustar, eps2dx, lo, hi, xtol, ftol):
     # R(lo) >= 0 >= R(hi) up to float noise in the endpoint flux values;
     # bisection on the sign keeps a guaranteed bracket. Returns nan when the
     # endpoint signs are genuinely wrong (beyond ftol), which cannot happen
@@ -315,6 +361,3 @@ def _solve_visc_w_impl(codes, params, m, ustar, eps2dx, lo, hi, xtol, ftol):
             b = t
         it += 1
     return a + 0.5 * (b - a)
-
-
-solve_visc_w = _jit(_solve_visc_w_impl)

@@ -167,18 +167,20 @@ def cfl_timestep(mesh: NetworkMesh, cfl_number: float) -> float:
     return cfl_number * mesh.dx / (2.0 * mesh.spec.lipschitz_max)
 
 
+def junction_state(spec: JunctionSpec, values) -> np.ndarray:
+    """The junction state read off the cells adjacent to the node: the last
+    cell of every incoming road, then the first of every outgoing one."""
+    return np.array([v[-1] for v in values[:spec.m]]
+                    + [v[0] for v in values[spec.m:]])
+
+
 def _advance(values: tuple[np.ndarray, ...], mesh: NetworkMesh, dt: float,
              outer_bc: str, dirichlet_values):
     """One conservative update; returns (new values, junction solution,
     per-road outer boundary flux)."""
     spec = mesh.spec
     lam = dt / mesh.dx
-    ustar = np.empty(spec.m + spec.n)
-    for h in range(spec.m):
-        ustar[h] = values[h][-1]
-    for h in range(spec.m, spec.m + spec.n):
-        ustar[h] = values[h][0]
-    sol = solve_junction(spec, ustar, ftol=1e-3 * mesh.dx)
+    sol = solve_junction(spec, junction_state(spec, values))
 
     new_values = []
     boundary = np.empty(spec.m + spec.n)

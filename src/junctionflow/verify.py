@@ -24,7 +24,7 @@ from .errors import ConfigError, ConsistencyError, PreconditionError
 from .fluxes import quadratic_lwr
 from .junction import (JunctionSpec, is_germ_member, is_strict_germ_member,
                        riemann_solve, solve_junction)
-from .scheme import NetworkMesh, RunConfig, Trajectory, run
+from .scheme import NetworkMesh, RunConfig, Trajectory, junction_state, run
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +134,13 @@ def _assemble_audit(mesh: NetworkMesh, values_a, values_b, times, dts,
         if xs[h][0] != x0:
             raise PreconditionError("space profile not flat at the junction")
 
-    ustar_hi = np.empty(spec.m + spec.n)
-    ustar_lo = np.empty(spec.m + spec.n)
     terms = []
     for s in range(1, n_levels - 1):
         dt_s = dts[s]
         va, vb = values_a[s], values_b[s]
-        for h in range(spec.m):
-            ustar_hi[h] = max(va[h][-1], vb[h][-1])
-            ustar_lo[h] = min(va[h][-1], vb[h][-1])
-        for h in range(spec.m, spec.m + spec.n):
-            ustar_hi[h] = max(va[h][0], vb[h][0])
-            ustar_lo[h] = min(va[h][0], vb[h][0])
-        g_hi = solve_junction(spec, ustar_hi).fluxes
-        g_lo = solve_junction(spec, ustar_lo).fluxes
+        ua, ub = junction_state(spec, va), junction_state(spec, vb)
+        g_hi = solve_junction(spec, np.maximum(ua, ub)).fluxes
+        g_lo = solve_junction(spec, np.minimum(ua, ub)).fluxes
 
         for h, flux in enumerate(spec.fluxes):
             a, b = va[h], vb[h]
@@ -386,7 +379,7 @@ def germ_sampler(spec: JunctionSpec, count: int, seed: int,
             raise ConsistencyError("sampler starved; spec admits too few "
                                    "strict equilibria")
         u0 = spec.rho_min + span * rng.random(spec.m + spec.n)
-        k = riemann_solve(spec, u0, tol=4e-15 * span).traces
+        k = riemann_solve(spec, u0).traces
         if strict_only and not is_strict_germ_member(spec, k):
             continue
         out.append(k)

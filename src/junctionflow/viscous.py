@@ -24,7 +24,8 @@ from scipy.integrate import solve_ivp
 from . import kernels
 from .errors import ConfigError, ConsistencyError, PreconditionError
 from .junction import JunctionSpec, _strict_margins_hold, strict_witness
-from .scheme import GridState, NetworkMesh, discretize_initial
+from .scheme import (GridState, NetworkMesh, discretize_initial,
+                     junction_state)
 
 _DECAY_CUTOFF = 1e-12
 
@@ -223,11 +224,7 @@ def parabolic_step(state: ParabolicState, dt: float) -> ParabolicState:
 
 def _junction_value(values, mesh: NetworkMesh, eps: float) -> float:
     spec = mesh.spec
-    ustar = np.empty(spec.m + spec.n)
-    for h in range(spec.m):
-        ustar[h] = values[h][-1]
-    for h in range(spec.m, spec.m + spec.n):
-        ustar[h] = values[h][0]
+    ustar = junction_state(spec, values)
     eps2dx = 2.0 * eps / mesh.dx
     span = spec.rho_max - spec.rho_min
     w = kernels.solve_visc_w(spec._codes, spec._params, spec.m, ustar,

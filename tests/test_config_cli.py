@@ -6,14 +6,23 @@ as a user would see them.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import junctionflow
 from junctionflow import ConfigError
 from junctionflow.config import build_network, parse_config
+
+# the subprocesses run in tmp_path, where a relative PYTHONPATH no longer
+# resolves: put the imported package's own source directory first
+_SRC = str(Path(junctionflow.__file__).resolve().parent.parent)
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
 
 SQ6 = math.sqrt(1.0 / 6.0)
 
@@ -65,7 +74,7 @@ t_final = 0.1
 def _cli(tmp_path, *argv):
     return subprocess.run(
         [sys.executable, "-m", "junctionflow.cli", *argv],
-        capture_output=True, text=True, cwd=tmp_path)
+        capture_output=True, text=True, cwd=tmp_path, env=_ENV)
 
 
 def _write(tmp_path, text, name="net.cfg"):
@@ -441,9 +450,12 @@ def test_cli_verify_default_networks(tmp_path):
 
 
 def test_cli_convergence(tmp_path):
-    # cells = 40 so the coarsest ladder entry 8 * dx = 0.2 tiles the roads
-    text = MINIMAL.replace("cells = 50", "cells = 40")
-    cfg = _write(tmp_path, text + "\n[run]\nt_final = 0.2\n")
+    # cells = 40 so the coarsest ladder entry 8 * dx = 0.2 tiles the roads;
+    # the 0.2 | 0.6 shock moves far enough by t = 0.3 that every refinement
+    # cuts the error by far more than rounding
+    text = MINIMAL.replace("cells = 50", "cells = 40").replace(
+        "initial = 0.3", "initial = 0.2")
+    cfg = _write(tmp_path, text + "\n[run]\nt_final = 0.3\n")
     proc = _cli(tmp_path, "convergence", "--config", cfg)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "errors decreasing: True" in proc.stdout

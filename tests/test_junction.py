@@ -129,6 +129,18 @@ def test_worked_junction_example():
     assert total_flux(SYMQ21, WORKED_U) == pytest.approx(2.5, abs=1e-10)
 
 
+def test_interval_endpoints_are_exact():
+    # the worked example's p_max is a tangential root (the second incoming
+    # road demands its crest value), and the stationary shock's interval
+    # is a plateau of rounding-level gaps; both come out to rounding
+    sol = solve_junction(SYMQ21, WORKED_U)
+    assert abs(sol.p_min - WORKED_P[0]) <= 1e-14
+    assert abs(sol.p_max - WORKED_P[1]) <= 1e-14
+    sol = solve_junction(LWR11, (0.2, 0.8))
+    assert abs(sol.p_min - 0.2) <= 1e-14
+    assert abs(sol.p_max - 0.8) <= 1e-14
+
+
 def test_phi_totals_agree_inside_interval():
     sol = solve_junction(SYMQ21, WORKED_U)
     p = 0.5 * (sol.p_min + sol.p_max)
@@ -141,8 +153,11 @@ def test_solver_rejects_bad_states():
         solve_junction(LWR11, (0.2, 1.4))
     with pytest.raises(ValueError):
         solve_junction(LWR11, (0.2,))
-    with pytest.raises(ValueError):
-        solve_junction(LWR11, (0.2, 0.8), tol=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            solve_junction(SYMQ21, (bad, 0.5, 0.2))
+        with pytest.raises(ValueError):
+            solve_junction(LWR11, (0.2, bad))
 
 
 def test_spec_construction_errors():
