@@ -30,12 +30,13 @@ with ``#`` comments. Example::
 ``initial`` accepts a bare number (constant data), ``constant <number>``,
 or the breakpoints/values pair describing a piecewise-constant profile.
 ``outer_bc`` is ``absorbing`` or ``dirichlet v_1 ... v_k`` with one value
-per road. All range and topology rules are enforced at parse time with
-line-numbered diagnostics.
+per road. Every number must be finite. All range and topology rules are
+enforced at parse time with line-numbered diagnostics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,9 @@ def _floats(text: str, line: int, key: str) -> list[float]:
         except ValueError:
             raise ConfigError(f"{key}: {tok!r} is not a number",
                               kind="syntax", line=line) from None
+        if not math.isfinite(out[-1]):
+            raise ConfigError(f"{key}: {tok!r} is not finite", kind="range",
+                              line=line)
     return out
 
 

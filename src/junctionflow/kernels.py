@@ -3,8 +3,9 @@
 The solver's hot paths are (a) Godunov flux sweeps over whole roads and
 (b) the scalar algebra of the junction coupling: the balance gap, the
 inverses of each flux on its two monotone branches, and the exact solve for
-the coupling interval. Scalar kernels have vectorized numpy twins built
-from the same per-element expressions, so the two agree bitwise.
+the coupling interval, plus (c) the exact sum behind the mass audit.
+Scalar kernels have vectorized numpy twins built from the same per-element
+expressions, so the two agree bitwise.
 ``NUMBA_ENABLED`` is kept as a constant: numpy is the only backend.
 
 Flux families are passed around as an integer code plus a packed float
@@ -319,6 +320,43 @@ def _crossing(codes, params, m, consts, kinks, a, b, sign):
         for t, v in enumerate(piece):
             c[t] += v if h < m else -v
     return poly_root(c, a, b)
+
+
+# ---------------------------------------------------------------------------
+# exact summation
+
+# Above this many terms the extraction passes beat fsum over a list. Measured
+# crossover on a 2-vCPU x86 VM: ~450-500 terms (fsum 13 us against 15 us at
+# 400 terms; 407 us against 103 us at 12,000).
+_TAIL = 512
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of a 1-D float64 array, bit-identical to
+    ``math.fsum(x.tolist())`` (NaN and inf propagate as fsum propagates
+    them).
+
+    Long arrays are first cut down by error-free extraction (Rump, Ogita &
+    Oishi, "Accurate floating-point summation I", SIAM J. Sci. Comput. 31,
+    2008): with sigma a power of two at least (n + 2) * max|x|,
+    q = (sigma + x) - sigma keeps the leading bits of every term on one grid
+    of sigma's ulps, so q.sum() is exact in any order and x - q is the exact
+    remainder. fsum then rounds the exact parts and what remains once.
+    """
+    parts = []
+    while x.shape[0] > _TAIL:
+        top = float(np.abs(x).max())
+        if top == 0.0 or not math.isfinite(top):
+            break
+        e = math.frexp(top)[1] + (x.shape[0] + 1).bit_length()
+        if e > 1023:  # sigma would overflow
+            break
+        sigma = math.ldexp(1.0, e)
+        q = (sigma + x) - sigma
+        parts.append(float(q.sum()))
+        x = x - q
+        x = x[x != 0.0]
+    return math.fsum(parts + x.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ class NetworkMesh:
     cells_per_road: np.ndarray
 
     def __post_init__(self):
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        if not (math.isfinite(self.dx) and self.dx > 0):
+            raise ValueError("dx must be positive and finite")
         counts = np.asarray(self.cells_per_road, dtype=np.int64)
         roads = self.spec.m + self.spec.n
         if counts.shape == ():
@@ -67,8 +67,7 @@ class GridState:
     values: tuple[np.ndarray, ...]
 
     def total_mass(self, dx: float) -> float:
-        cells = [x for v in self.values for x in v.tolist()]
-        return dx * math.fsum(cells)
+        return dx * kernels.exact_sum(np.concatenate(self.values))
 
 
 @dataclass(eq=False)
@@ -85,8 +84,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl_number <= 1.0:
             raise ValueError("cfl_number must lie in (0, 1]")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+        if not (math.isfinite(self.t_final) and self.t_final >= 0):
+            raise ValueError("t_final must be nonnegative and finite")
         if self.outer_bc not in ("absorbing", "dirichlet"):
             raise ValueError(f"unknown outer_bc {self.outer_bc!r}")
         if self.outer_bc == "dirichlet":
@@ -96,6 +95,8 @@ class RunConfig:
                 self.dirichlet_values)
         self.snapshot_times = tuple(sorted(set(float(t)
                                                for t in self.snapshot_times)))
+        if not all(math.isfinite(t) for t in self.snapshot_times):
+            raise ValueError("snapshot_times must be finite")
 
 
 def discretize_initial(mesh: NetworkMesh, data) -> GridState:
@@ -123,6 +124,8 @@ def discretize_initial(mesh: NetworkMesh, data) -> GridState:
             if cells.shape != centers.shape:
                 raise ValueError(f"road {road}: expected "
                                  f"{centers.shape[0]} cell values")
+        if not np.isfinite(cells).all():
+            raise ValueError(f"road {road}: initial data must be finite")
         if (cells.min() < spec.rho_min - slack
                 or cells.max() > spec.rho_max + slack):
             raise ValueError(f"road {road}: initial data outside "
@@ -211,7 +214,7 @@ def _advance(values: tuple[np.ndarray, ...], mesh: NetworkMesh, dt: float,
 def step(state: GridState, mesh: NetworkMesh, dt: float,
          outer_bc: str = "absorbing", dirichlet_values=None) -> GridState:
     """Advance one time level. Raises ConfigError if dt violates the CFL bound."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     limit = mesh.dx / (2.0 * mesh.spec.lipschitz_max)
     if dt > limit * (1.0 + 4e-12):
@@ -325,16 +328,50 @@ class MassLedger:
 
     @property
     def max_abs_defect(self) -> float:
-        return float(np.abs(self.defects).max())
+        """The largest |defect|; inf when any defect is NaN or infinite, so
+        a broken run can never pass a tolerance check."""
+        worst = np.abs(self.defects)
+        return float(worst.max()) if np.isfinite(worst).all() else math.inf
+
+
+def _add_exact(partials: list[float], special: list[float], x: float) -> None:
+    """Add x to the exact running sum held as non-overlapping partials (the
+    msum recipe fsum is built on). NaN and inf go to ``special`` instead,
+    one of each kind, as fsum keeps them apart from its partials."""
+    if not math.isfinite(x):
+        if repr(x) not in map(repr, special):
+            special.append(x)
+        return
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 def mass_ledger(traj: Trajectory) -> MassLedger:
-    """Per-step mass bookkeeping; the junction itself contributes nothing."""
-    n_steps = traj.dts.shape[0]
-    flows = [traj.dts[r] * traj.boundary_net[r] for r in range(n_steps)]
-    outflow = np.array([math.fsum(flows[:s]) for s in range(n_steps + 1)])
-    defects = np.array([
-        math.fsum([traj.masses[s], -traj.masses[0]] + flows[:s])
-        for s in range(n_steps + 1)
-    ])
+    """Per-step mass bookkeeping; the junction itself contributes nothing.
+
+    outflow[s] is the correctly rounded sum of dt * boundary_net over the
+    first s steps, and defects[s] that of mass[s] - mass[0] minus it. One
+    pass carries the running outflow exactly, so every prefix is rounded
+    once from the same exact value that fsum over the prefix would round.
+    """
+    flows = (traj.dts * traj.boundary_net).tolist()
+    masses = traj.masses.tolist()
+    outflow = np.empty(len(flows) + 1)
+    defects = np.empty(len(flows) + 1)
+    partials: list[float] = []
+    special: list[float] = []
+    for s in range(len(flows) + 1):
+        outflow[s] = math.fsum(partials + special)
+        defects[s] = math.fsum([masses[s], -masses[0], *partials, *special])
+        if s < len(flows):
+            _add_exact(partials, special, flows[s])
     return MassLedger(traj.masses.copy(), outflow, defects)

@@ -85,10 +85,10 @@ def road_profile(flux, k_h: float, p: float, epsilon: float, window: float,
     roads distance grows as x decreases, which flips the sign of rho' in
     the balance epsilon * rho'(x) = f(rho) - f(k_h).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if window <= 0:
-        raise ValueError("window must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
+    if not (math.isfinite(window) and window > 0):
+        raise ValueError("window must be positive and finite")
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
     dist = np.linspace(0.0, window, n_samples)
@@ -290,10 +290,10 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial, t_final: float,
     by the hyperbolic discretizer. The last step is shortened to land on
     t_final exactly.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError("t_final must be nonnegative and finite")
     if isinstance(initial, ParabolicState):
         values = initial.values
     elif isinstance(initial, GridState):

@@ -5,6 +5,7 @@ subprocesses so exit codes, stdout, and the CSV files are observed exactly
 as a user would see them.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import junctionflow
-from junctionflow import ConfigError
+from junctionflow import ConfigError, JunctionSpec, cli, quadratic_lwr, scheme
 from junctionflow.config import build_network, parse_config
 
 # the subprocesses run in tmp_path, where a relative PYTHONPATH no longer
@@ -299,10 +300,17 @@ def test_parse_run_range_errors():
     for frag, kind in [("cfl = 1.5", "range"), ("cfl = 0", "range"),
                        ("t_final = -1", "range"),
                        ("snapshots = -0.1 0.2", "range"),
-                       ("outer_bc = periodic", "range")]:
+                       ("outer_bc = periodic", "range"),
+                       ("t_final = nan", "range"),
+                       ("snapshots = 0.1 inf", "range")]:
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + f"\n[run]\n{frag}\n")
         assert err.value.kind == kind, frag
+    # every number of the format is finite, road lengths included
+    for bad in ("nan", "inf"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace("length = 1", f"length = {bad}", 1))
+        assert err.value.kind == "range"
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +358,17 @@ def test_cli_run_writes_snapshots_and_log(tmp_path):
         assert abs(g1 - g2) <= 1e-12
 
 
+# SHA-256 of the run outputs for MINIMAL to t = 0.1, recorded before the
+# snapshot writer went from per-cell rows to per-road batches: a change of
+# format or of any computed digit shows here, not only nondeterminism
+PINNED_RUN = {
+    "snapshots.csv":
+        "fcd71e819ce7041b109633a4ac94ba74bb5ee2a43c656e3ad05cec74ff77bbec",
+    "junction_log.csv":
+        "d2feb25fceb53119960b23c19a223323268366427c2d2c4ef1cb463b67ca8821",
+}
+
+
 def test_cli_run_byte_identical(tmp_path):
     text = MINIMAL + "\n[run]\nt_final = 0.1\nsnapshots = 0.1\n"
     cfg = _write(tmp_path, text)
@@ -359,6 +378,12 @@ def test_cli_run_byte_identical(tmp_path):
     assert proc_a.returncode == 0 and proc_b.returncode == 0
     for name in ("snapshots.csv", "junction_log.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        digest = hashlib.sha256((out_a / name).read_bytes()).hexdigest()
+        assert digest == PINNED_RUN[name], name
+    assert proc_a.stdout.splitlines()[:2] == [
+        "run: 12 steps to t=0.10000000000000001, 2 snapshots",
+        "final mass 0.89700000000000002, "
+        "max conservation defect 8.8416687166192887e-17"]
 
 
 def test_cli_run_dx_override(tmp_path):
@@ -372,6 +397,12 @@ def test_cli_run_dx_override(tmp_path):
     bad = _cli(tmp_path, "run", "--config", cfg, "--dx", "0.3")
     assert bad.returncode == 2
     assert "configuration error" in bad.stderr
+    # non-finite overrides are configuration errors, not tracebacks
+    for option in ("--dx", "--t-final"):
+        for value in ("nan", "inf"):
+            bad = _cli(tmp_path, "run", "--config", cfg, option, value)
+            assert bad.returncode == 2, (option, value, bad.stderr)
+            assert "configuration error" in bad.stderr
 
 
 def test_cli_germ_check(tmp_path):
@@ -410,6 +441,9 @@ def test_cli_profile_and_exit_codes(tmp_path):
     # missing epsilon: configuration error
     cfg_no_eps = _write(tmp_path, text, name="noeps.cfg")
     assert _cli(tmp_path, "profile", "--config", cfg_no_eps).returncode == 2
+    for value in ("nan", "inf"):
+        assert _cli(tmp_path, "profile", "--config", cfg,
+                    "--epsilon", value).returncode == 2
     # non-equilibrium data (0.8 in, 0.2 out): precondition failure
     bad = MINIMAL.replace("initial = 0.3", "initial = 0.8").replace(
         "initial = 0.6", "initial = 0.2")
@@ -447,6 +481,28 @@ def test_cli_verify_default_networks(tmp_path):
         assert f"mass-defect-{label}" in names
     assert all(r[4] == "true" for r in rows)
     assert proc.stdout.count("pass") >= len(rows)
+
+
+def test_verify_rows_fail_on_nan_runs(monkeypatch):
+    # a NaN cell in every run of the suite must fail the audits that read
+    # the runs, not vanish in a max() fold
+    real_run = cli.run
+
+    def poisoned(config, initial, *args, **kwargs):
+        values = [v.copy() for v in
+                  scheme.discretize_initial(config.mesh, initial).values]
+        values[0][0] = math.nan
+        return real_run(config, scheme.GridState(0, 0.0, tuple(values)),
+                        *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", poisoned)
+    spec = JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr(1.5)))
+    passed = {name: ok for name, *_, ok in cli._suite_rows([("1-1", spec)],
+                                                           0)}
+    assert not passed["well-balance-drift-1-1"]
+    assert not passed["kato-form-1-1"]
+    assert not passed["mass-defect-1-1"]
+    assert passed["worked-example-fluxes"]  # runs no trajectory
 
 
 def test_cli_convergence(tmp_path):

@@ -1,9 +1,12 @@
 """Numeric kernels: scalar and vectorized paths agree bitwise, the balance
-gap is monotone, and the polynomial root solver is exact where it must be."""
+gap is monotone, the polynomial root solver is exact where it must be, and
+the exact sum is fsum bit for bit."""
 
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from junctionflow import JunctionSpec, quadratic_lwr, symmetric_quadratic, tabulated
 from junctionflow import kernels
@@ -77,3 +80,55 @@ def test_poly_root_pieces():
            if abs(x.imag) == 0.0 and 0.0 <= x.real <= 1.0 / math.sqrt(3.0)]
     got = kernels.poly_root([-0.3, 1.0, 0.0, -1.0], 0.0, 1.0 / math.sqrt(3.0))
     assert len(ref) == 1 and abs(got - ref[0]) <= 8 * np.finfo(float).eps
+
+
+# ---------------------------------------------------------------------------
+# exact summation: bit-identical to fsum, on both sides of the extraction cut
+
+def _fsum_outcome(fn, x):
+    """The bits of the result (value and sign of zero), or the exception."""
+    try:
+        return fn(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_matches_fsum(x):
+    assert (_fsum_outcome(kernels.exact_sum, x)
+            == _fsum_outcome(lambda a: math.fsum(a.tolist()), x))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.integers(0, 3 * kernels._TAIL), seed=st.integers(0, 2**32 - 1),
+       lo=st.integers(-300, 300), spread=st.integers(0, 600),
+       kind=st.sampled_from(["plain", "cancel", "subnormal", "zeros",
+                             "special"]))
+def test_exact_sum_matches_fsum(n, seed, lo, spread, kind):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(lo, min(lo + spread, 300),
+                                                     n)
+    if kind == "cancel":  # x and -x shuffled: the exact sum is 0
+        x = rng.permutation(np.concatenate([x[:n // 2], -x[:n // 2]]))
+    elif kind == "subnormal":
+        x = np.ldexp(rng.standard_normal(n), rng.integers(-1100, -1000, n))
+    elif kind == "zeros":
+        x = np.copysign(np.zeros(n), rng.standard_normal(n))
+    elif kind == "special" and n:
+        x[rng.integers(n, size=3)] = rng.choice([np.nan, np.inf, -np.inf], 3)
+    _assert_matches_fsum(x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(1, 60))
+def test_exact_sum_matches_fsum_on_tiled_floats(terms, reps):
+    # any doubles, incl. nan, +-inf, -0.0, subnormals and values near the
+    # overflow threshold, repeated past the extraction cut
+    _assert_matches_fsum(np.tile(np.array(terms), reps))
+
+
+def test_exact_sum_edge_cases():
+    big = np.full(2 * kernels._TAIL, 1e308)
+    assert _fsum_outcome(kernels.exact_sum, big) is OverflowError
+    tie = np.concatenate([[1.0, 2.0**-53, 2.0**-106],
+                          np.zeros(2 * kernels._TAIL)])
+    assert kernels.exact_sum(tie) == 1.0 + 2.0**-52  # rounds the exact sum

@@ -1,9 +1,12 @@
 """Network marching: discretization, CFL guard, conservation, monotonicity."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from junctionflow import (
     ConfigError,
@@ -49,6 +52,9 @@ def test_mesh_validation():
         NetworkMesh(LWR11, 0.1, np.array([4]))
     with pytest.raises(ValueError):
         NetworkMesh(LWR11, 0.1, np.array([4, 0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            NetworkMesh(LWR11, bad, np.array([4, 4]))
 
 
 def test_discretize_scalar_and_array():
@@ -93,6 +99,12 @@ def test_discretize_validation():
     with pytest.raises(ValueError):
         discretize_initial(mesh, [(np.array([0.1, 0.0]), np.array([0, 0, 0])),
                                   0.3])  # unsorted breakpoints
+    cells = np.full(8, 0.3)
+    cells[3] = math.nan
+    with pytest.raises(ValueError):
+        discretize_initial(mesh, [cells, 0.3])  # a NaN cell
+    with pytest.raises(ValueError):
+        discretize_initial(mesh, [math.nan, 0.3])
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +127,8 @@ def test_step_rejects_cfl_violation():
     # at the limit it is accepted
     out = step(state, mesh, cfl_timestep(mesh, 1.0))
     assert out.time_step == 1
+    with pytest.raises(ValueError):
+        step(state, mesh, math.nan)
 
 
 def test_step_conserves_mass_with_boundary_accounting():
@@ -206,6 +220,11 @@ def test_dirichlet_requires_values():
         RunConfig(mesh, 0.9, 0.1, outer_bc="reflecting")
     with pytest.raises(ValueError):
         RunConfig(mesh, 1.5, 0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RunConfig(mesh, 0.9, bad)
+        with pytest.raises(ValueError):
+            RunConfig(mesh, 0.9, 0.1, snapshot_times=(bad,))
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +295,62 @@ def test_junction_log_shapes():
     assert traj.totals.shape == (n,)
     balance = traj.junction_fluxes[:, :2].sum(axis=1) - traj.junction_fluxes[:, 2]
     assert np.abs(balance).max() <= 1e-12
+
+
+def test_nan_cell_fails_the_ledger():
+    # a GridState is taken as given; a NaN in it must not read as conserved
+    mesh = small_mesh()
+    values = [np.full(50, 0.3), np.full(50, 0.6)]
+    values[0][0] = math.nan
+    traj = run(RunConfig(mesh, 0.9, 0.1), GridState(0, 0.0, tuple(values)))
+    assert math.isnan(traj.masses[-1])
+    assert mass_ledger(traj).max_abs_defect == math.inf
+
+
+def _ledger_oracle(dts, boundary_net, masses):
+    """The ledger's defining O(steps^2) formula: fsum over every prefix."""
+    n_steps = dts.shape[0]
+    flows = [dts[r] * boundary_net[r] for r in range(n_steps)]
+    outflow = [math.fsum(flows[:s]) for s in range(n_steps + 1)]
+    defects = [math.fsum([masses[s], -masses[0]] + flows[:s])
+               for s in range(n_steps + 1)]
+    return outflow, defects
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n_steps=st.integers(0, 80), seed=st.integers(0, 2**32 - 1),
+       lo=st.integers(-300, 290), spread=st.integers(0, 300),
+       kind=st.sampled_from(["plain", "cancel", "special"]))
+@example(n_steps=0, seed=0, lo=0, spread=0, kind="plain")
+def test_one_pass_ledger_matches_prefix_sums(n_steps, seed, lo, spread, kind):
+    rng = np.random.default_rng(seed)
+    top = min(lo + spread, 290)
+    dts = rng.uniform(0.5, 1.0, n_steps)
+    bnet = rng.standard_normal(n_steps) * 10.0 ** rng.uniform(lo, top,
+                                                              n_steps)
+    masses = rng.standard_normal(n_steps + 1) * 10.0 ** rng.uniform(
+        lo, top, n_steps + 1)
+    if kind == "cancel" and n_steps:  # flows that return what left earlier
+        half = n_steps // 2
+        dts[half:2 * half] = dts[:half]
+        bnet[half:2 * half] = -bnet[:half]
+        masses[1:] = masses[0]
+    elif kind == "special" and n_steps:
+        bnet[rng.integers(n_steps, size=2)] = rng.choice(
+            [np.nan, np.inf, -np.inf], 2)
+        masses[rng.integers(n_steps + 1)] = np.nan
+    traj = SimpleNamespace(dts=dts, boundary_net=bnet, masses=masses)
+    try:
+        want = _ledger_oracle(dts, bnet, masses)
+    except ValueError:  # -inf + inf: fsum refuses, so must the ledger
+        with pytest.raises(ValueError):
+            mass_ledger(traj)
+        return
+    led = mass_ledger(traj)
+    assert _bits(led.boundary_outflow) == _bits(want[0])
+    assert _bits(led.defects) == _bits(want[1])
+    assert _bits(led.masses) == _bits(masses)

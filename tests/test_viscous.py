@@ -1,5 +1,7 @@
 """Viscous layer: standing profiles, the parabolic marcher, data smoothing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,21 @@ def test_explicit_witness_override():
         stationary_profile(LWR11, (0.2, 0.8), epsilon=0.02, window=1.0, p=0.9)
     with pytest.raises(ValueError):
         stationary_profile(LWR11, (0.2, 0.8), epsilon=0.02, window=1.0, p=1.5)
+
+
+def test_non_finite_parameters_rejected():
+    # unless rejected, a NaN epsilon sends the profile integration into an
+    # endless loop
+    mesh = NetworkMesh(LWR11, 0.05, np.array([20, 20]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            stationary_profile(LWR11, (0.2, 0.8), epsilon=bad, window=1.0)
+        with pytest.raises(ValueError):
+            stationary_profile(LWR11, (0.2, 0.8), epsilon=0.02, window=bad)
+        with pytest.raises(ValueError):
+            run_parabolic(mesh, bad, [0.2, 0.8], t_final=0.05)
+        with pytest.raises(ValueError):
+            run_parabolic(mesh, 0.02, [0.2, 0.8], t_final=bad)
 
 
 def test_profiles_require_strict_equilibrium():
