@@ -23,9 +23,9 @@ from .verify import (ContractionReport, ConvergenceReport, KatoReport,
                      RiemannProblem, TestFunction, adapted_entropy_residual,
                      bump_test_function, convergence_study, germ_sampler,
                      kato_audit, l1_contraction_check, nonstrict_germ_sampler)
-from .viscous import (ParabolicState, ParabolicTrajectory, ViscousProfile,
-                      initial_smoothing, parabolic_step, parabolic_timestep,
-                      road_profile, run_parabolic, stationary_profile)
+from .viscous import (ParabolicTrajectory, ViscousProfile, initial_smoothing,
+                      parabolic_step, parabolic_timestep, road_profile,
+                      run_parabolic, stationary_profile)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "RiemannProblem", "TestFunction", "adapted_entropy_residual",
     "bump_test_function", "convergence_study", "germ_sampler",
     "kato_audit", "l1_contraction_check", "nonstrict_germ_sampler",
-    "ParabolicState", "ParabolicTrajectory", "ViscousProfile",
+    "ParabolicTrajectory", "ViscousProfile",
     "initial_smoothing", "parabolic_step", "parabolic_timestep",
     "road_profile", "run_parabolic", "stationary_profile",
     "__version__",

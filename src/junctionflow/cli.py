@@ -58,6 +58,10 @@ def _load_document(args) -> ConfigDocument:
         if not (math.isfinite(args.t_final) and args.t_final >= 0):
             raise ConfigError("--t-final must be nonnegative and finite",
                               kind="range")
+        if any(t > args.t_final for t in doc.snapshots):
+            raise ConfigError(f"--t-final {args.t_final:g} lies before the "
+                              f"snapshot at {max(doc.snapshots):g}",
+                              kind="range")
         doc.t_final = args.t_final
     if getattr(args, "epsilon", None) is not None:
         if not (math.isfinite(args.epsilon) and args.epsilon > 0):

@@ -314,9 +314,9 @@ def _parse_run(doc: ConfigDocument, body: dict[str, tuple[str, int]],
     if "snapshots" in body:
         text, ln = body["snapshots"]
         snaps = _floats(text, ln, "snapshots")
-        if any(t < 0 for t in snaps):
-            raise ConfigError("snapshots must be nonnegative", kind="range",
-                              line=ln)
+        if any(not 0 <= t <= doc.t_final for t in snaps):
+            raise ConfigError(f"snapshots must lie in [0, t_final = "
+                              f"{doc.t_final:g}]", kind="range", line=ln)
         doc.snapshots = tuple(snaps)
     if "outer_bc" in body:
         text, ln = body["outer_bc"]

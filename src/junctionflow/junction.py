@@ -332,10 +332,6 @@ class RiemannSolution:
                 out[mask] = _rarefaction_value(fan.code, fan.params, x[mask])
         return float(out[0]) if scalar else out
 
-    @property
-    def sampler(self):
-        return self.sample
-
 
 def riemann_solve(spec: JunctionSpec, u0) -> RiemannSolution:
     """Solve the junction Riemann problem with constant initial road states.

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError
-from .junction import JunctionSolution, JunctionSpec, solve_junction
+from .errors import ConfigError, ConsistencyError
+from .junction import JunctionSpec, solve_junction
 
 _GAUSS_OFFSET = math.sqrt(0.6) / 2.0
 _GAUSS_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
@@ -95,8 +95,8 @@ class RunConfig:
                 self.dirichlet_values)
         self.snapshot_times = tuple(sorted(set(float(t)
                                                for t in self.snapshot_times)))
-        if not all(math.isfinite(t) for t in self.snapshot_times):
-            raise ValueError("snapshot_times must be finite")
+        if not all(0.0 <= t <= self.t_final for t in self.snapshot_times):
+            raise ValueError("snapshot_times must lie in [0, t_final]")
 
 
 def discretize_initial(mesh: NetworkMesh, data) -> GridState:
@@ -104,8 +104,11 @@ def discretize_initial(mesh: NetworkMesh, data) -> GridState:
 
     Each road's entry may be a constant, a callable density profile, a pair
     ``(breakpoints, values)`` describing a piecewise-constant profile (exact
-    averaging), or a ready-made array of cell averages (used verbatim).
+    averaging), or a ready-made array of cell averages (used verbatim). A
+    GridState counts as its arrays and is validated like them.
     """
+    if isinstance(data, GridState):
+        data = data.values
     spec = mesh.spec
     if len(data) != spec.m + spec.n:
         raise ValueError(f"need initial data for {spec.m + spec.n} roads")
@@ -177,56 +180,115 @@ def junction_state(spec: JunctionSpec, values) -> np.ndarray:
                     + [v[0] for v in values[spec.m:]])
 
 
-def _advance(values: tuple[np.ndarray, ...], mesh: NetworkMesh, dt: float,
-             outer_bc: str, dirichlet_values):
-    """One conservative update; returns (new values, junction solution,
+def _update(values: tuple[np.ndarray, ...], mesh: NetworkMesh, dt: float,
+            gstar, ghosts=None, eps: float = 0.0):
+    """One conservative update of every road: Godunov interface fluxes, less
+    eps times the discrete gradient, the junction fluxes ``gstar`` at x = 0,
+    and at the outer end a ghost cell that copies the end cell (absorbing,
+    ``ghosts`` None) or holds ``ghosts[h]`` (Dirichlet). Returns (new values,
     per-road outer boundary flux)."""
-    spec = mesh.spec
     lam = dt / mesh.dx
-    sol = solve_junction(spec, junction_state(spec, values))
-
     new_values = []
-    boundary = np.empty(spec.m + spec.n)
-    for h, flux in enumerate(spec.fluxes):
+    boundary = np.empty(len(values))
+    for h, flux in enumerate(mesh.spec.fluxes):
         a = values[h]
         cells = a.shape[0]
         fgrid = np.empty(cells + 1)
         u_ext = np.empty(cells + 1)
-        if h < spec.m:
-            u_ext[0] = a[0] if outer_bc == "absorbing" else dirichlet_values[h]
+        if h < mesh.spec.m:
+            u_ext[0] = a[0] if ghosts is None else ghosts[h]
             u_ext[1:] = a
-            kernels.interface_fluxes(flux.code, flux.params, flux.rho_crit,
-                                     flux.flux_max, u_ext, fgrid[:cells])
-            fgrid[cells] = sol.fluxes[h]
-            boundary[h] = fgrid[0]
+            road, node, end = fgrid[:cells], cells, 0
         else:
             u_ext[:cells] = a
-            u_ext[cells] = (a[-1] if outer_bc == "absorbing"
-                            else dirichlet_values[h])
-            kernels.interface_fluxes(flux.code, flux.params, flux.rho_crit,
-                                     flux.flux_max, u_ext, fgrid[1:])
-            fgrid[0] = sol.fluxes[h]
-            boundary[h] = fgrid[cells]
+            u_ext[cells] = a[-1] if ghosts is None else ghosts[h]
+            road, node, end = fgrid[1:], 0, cells
+        kernels.interface_fluxes(flux.code, flux.params, flux.rho_crit,
+                                 flux.flux_max, u_ext, road)
+        if eps > 0:
+            road -= eps * np.diff(u_ext) / mesh.dx
+        fgrid[node] = gstar[h]
+        boundary[h] = fgrid[end]
         new_values.append(a - lam * (fgrid[1:] - fgrid[:-1]))
-    return tuple(new_values), sol, boundary
+    return tuple(new_values), boundary
+
+
+def _advance(values, mesh: NetworkMesh, dt: float, ghosts):
+    """Solve the junction, then update; returns (new values, boundary flux,
+    junction solution)."""
+    sol = solve_junction(mesh.spec, junction_state(mesh.spec, values))
+    return *_update(values, mesh, dt, sol.fluxes, ghosts), sol
+
+
+def _check_timestep(dt: float, limit: float) -> None:
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if dt > limit * (1.0 + 4e-12):
+        raise ConfigError(f"dt={dt} exceeds the stability bound {limit}",
+                          kind="cfl")
 
 
 def step(state: GridState, mesh: NetworkMesh, dt: float,
          outer_bc: str = "absorbing", dirichlet_values=None) -> GridState:
     """Advance one time level. Raises ConfigError if dt violates the CFL bound."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    limit = mesh.dx / (2.0 * mesh.spec.lipschitz_max)
-    if dt > limit * (1.0 + 4e-12):
-        raise ConfigError(f"dt={dt} exceeds the CFL bound {limit}",
-                          kind="cfl")
+    _check_timestep(dt, mesh.dx / (2.0 * mesh.spec.lipschitz_max))
+    ghosts = None
     if outer_bc == "dirichlet":
-        dirichlet_values = mesh.spec.candidate(dirichlet_values)
+        ghosts = mesh.spec.candidate(dirichlet_values)
     elif outer_bc != "absorbing":
         raise ValueError(f"unknown outer_bc {outer_bc!r}")
-    new_values, _, _ = _advance(state.values, mesh, dt, outer_bc,
-                                dirichlet_values)
+    new_values, _, _ = _advance(state.values, mesh, dt, ghosts)
     return GridState(state.time_step + 1, state.time + dt, new_values)
+
+
+def _march(mesh: NetworkMesh, state: GridState, dt0: float, t_final: float,
+           advance, keep_states: bool = True, snapshot_times=()):
+    """The time loop of every run: steps of dt0, the last one shortened to
+    land exactly on t_final. ``advance(values, dt)`` returns (new values,
+    per-road outer boundary flux, junction record). A non-finite mass stops
+    the run with the step that produced it.
+
+    Returns (states, snapshots, times, dts, boundary_net, masses, records);
+    ``states`` keeps the first and last level only unless ``keep_states``,
+    ``snapshots`` the levels nearest 0, t_final and ``snapshot_times``.
+    """
+    m = mesh.spec.m
+    n_steps = 0
+    if t_final > 0:
+        n_steps = max(1, math.ceil(t_final / dt0 - 1e-12))
+
+    # time levels are known up front, so snapshot indices can be too
+    times = np.empty(n_steps + 1)
+    times[0] = 0.0
+    for s in range(n_steps):
+        times[s + 1] = t_final if s == n_steps - 1 else (s + 1) * dt0
+    snap_idx = {int(np.abs(times - t).argmin())
+                for t in (*snapshot_times, 0.0, t_final)}
+
+    states = [state]
+    snapshots = [state]
+    masses = [state.total_mass(mesh.dx)]
+    dts = np.empty(n_steps)
+    bnet = np.empty(n_steps)
+    records = []
+    values = state.values
+    for s in range(n_steps):
+        dt = times[s + 1] - s * dt0 if s == n_steps - 1 else dt0
+        values, boundary, record = advance(values, dt)
+        state = GridState(s + 1, times[s + 1], values)
+        if keep_states or s == n_steps - 1:
+            states.append(state)
+        if s + 1 in snap_idx:
+            snapshots.append(state)
+        mass = state.total_mass(mesh.dx)
+        if not math.isfinite(mass):
+            raise ConsistencyError(f"step {s + 1}: total mass is {mass}")
+        masses.append(mass)
+        dts[s] = dt
+        records.append(record)
+        bnet[s] = (math.fsum(boundary[m:].tolist())
+                   - math.fsum(boundary[:m].tolist()))
+    return states, snapshots, times, dts, bnet, np.array(masses), records
 
 
 @dataclass(eq=False)
@@ -265,56 +327,18 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
     (plus the initial and final states) either way.
     """
     mesh = config.mesh
-    spec = mesh.spec
-    state = (initial if isinstance(initial, GridState)
-             else discretize_initial(mesh, initial))
-    dt0 = cfl_timestep(mesh, config.cfl_number)
-    t_final = config.t_final
-    n_steps = 0
-    if t_final > 0:
-        n_steps = max(1, math.ceil(t_final / dt0 - 1e-12))
-
-    # time levels are known up front, so snapshot indices can be too
-    times = np.empty(n_steps + 1)
-    times[0] = 0.0
-    for s in range(n_steps):
-        times[s + 1] = t_final if s == n_steps - 1 else (s + 1) * dt0
-    wanted = set(config.snapshot_times) | {0.0, t_final}
-    snap_idx = sorted({int(np.abs(times - t).argmin()) for t in wanted})
-
-    states = [state]
-    snapshots = {0: state} if 0 in snap_idx else {}
-    masses = [state.total_mass(mesh.dx)]
-    dts = np.empty(n_steps)
-    p_lo = np.empty(n_steps)
-    p_hi = np.empty(n_steps)
-    gflux = np.empty((n_steps, spec.m + spec.n))
-    totals = np.empty(n_steps)
-    bnet = np.empty(n_steps)
-
-    values = state.values
-    for s in range(n_steps):
-        dt = times[s + 1] - s * dt0 if s == n_steps - 1 else dt0
-        values, sol, boundary = _advance(values, mesh, dt, config.outer_bc,
-                                         config.dirichlet_values)
-        new_state = GridState(s + 1, times[s + 1], values)
-        if keep_states:
-            states.append(new_state)
-        elif s == n_steps - 1:
-            states.append(new_state)
-        if s + 1 in snap_idx:
-            snapshots[s + 1] = new_state
-        masses.append(new_state.total_mass(mesh.dx))
-        dts[s] = dt
-        p_lo[s], p_hi[s] = sol.p_min, sol.p_max
-        gflux[s] = sol.fluxes
-        totals[s] = sol.total
-        bnet[s] = (math.fsum(boundary[spec.m:].tolist())
-                   - math.fsum(boundary[:spec.m].tolist()))
-
-    snapshot_list = [snapshots[i] for i in snap_idx if i in snapshots]
-    return Trajectory(config, states, snapshot_list, times, dts, p_lo, p_hi,
-                      gflux, totals, bnet, np.array(masses))
+    ghosts = config.dirichlet_values if config.outer_bc == "dirichlet" else None
+    states, snapshots, times, dts, bnet, masses, sols = _march(
+        mesh, discretize_initial(mesh, initial),
+        cfl_timestep(mesh, config.cfl_number), config.t_final,
+        lambda values, dt: _advance(values, mesh, dt, ghosts),
+        keep_states, config.snapshot_times)
+    return Trajectory(config, states, snapshots, times, dts,
+                      np.array([sol.p_min for sol in sols]),
+                      np.array([sol.p_max for sol in sols]),
+                      np.array([sol.fluxes for sol in sols]).reshape(
+                          len(sols), mesh.spec.m + mesh.spec.n),
+                      np.array([sol.total for sol in sols]), bnet, masses)
 
 
 @dataclass(frozen=True, eq=False)

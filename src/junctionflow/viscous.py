@@ -8,9 +8,12 @@ hold, and they decay exponentially to k_h away from the junction.
 
 ``parabolic_step`` / ``run_parabolic`` march the epsilon-regularized network
 system (Godunov convection plus centered diffusion) with a single junction
-value w per step chosen so the total convective+diffusive flux balances.
-The parabolic solver is used as a cross-check of the hyperbolic scheme as
-epsilon shrinks, not as a production solver.
+value w per step chosen so the total convective+diffusive flux balances
+(Coclite & Garavello, "Vanishing viscosity for traffic on networks", 2010).
+They share the hyperbolic scheme's time loop, road update and GridState;
+only the junction fluxes differ. The parabolic solver is used as a
+cross-check of the hyperbolic scheme as epsilon shrinks, not as a
+production solver.
 """
 
 from __future__ import annotations
@@ -22,12 +25,17 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import kernels
-from .errors import ConfigError, ConsistencyError, PreconditionError
+from .errors import ConsistencyError, PreconditionError
 from .junction import JunctionSpec, _strict_margins_hold, strict_witness
-from .scheme import (GridState, NetworkMesh, discretize_initial,
-                     junction_state)
+from .scheme import (GridState, NetworkMesh, _check_timestep, _march, _update,
+                     discretize_initial, junction_state)
 
 _DECAY_CUTOFF = 1e-12
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +93,7 @@ def road_profile(flux, k_h: float, p: float, epsilon: float, window: float,
     roads distance grows as x decreases, which flips the sign of rho' in
     the balance epsilon * rho'(x) = f(rho) - f(k_h).
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
+    _check_epsilon(epsilon)
     if not (math.isfinite(window) and window > 0):
         raise ValueError("window must be positive and finite")
     if n_samples < 3:
@@ -180,21 +187,6 @@ def stationary_profile(spec: JunctionSpec, k, epsilon: float, window: float,
 # ---------------------------------------------------------------------------
 # explicit parabolic solver
 
-@dataclass(frozen=True, eq=False)
-class ParabolicState:
-    """Cell averages of the epsilon-regularized system at one time level.
-
-    ``junction_value`` is the common junction density w used by the step
-    that produced this state (None for initial states).
-    """
-
-    epsilon: float
-    mesh: NetworkMesh
-    values: tuple[np.ndarray, ...]
-    junction_value: float | None
-    time: float = 0.0
-
-
 def parabolic_timestep(mesh: NetworkMesh, epsilon: float,
                        safety: float = 0.9) -> float:
     """Monotonicity-safe explicit step: the combined convection+diffusion
@@ -206,20 +198,15 @@ def parabolic_timestep(mesh: NetworkMesh, epsilon: float,
                         1.0 / (2.0 * lmax / dx + 4.0 * epsilon / (dx * dx)))
 
 
-def parabolic_step(state: ParabolicState, dt: float) -> ParabolicState:
+def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
+                   dt: float) -> GridState:
     """One explicit update of the epsilon-regularized network system."""
-    mesh = state.mesh
-    spec = mesh.spec
-    eps = state.epsilon
+    _check_epsilon(epsilon)
     dx = mesh.dx
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    limit = min(dx / (2.0 * spec.lipschitz_max), dx * dx / (4.0 * eps))
-    if dt > limit * (1.0 + 4e-12):
-        raise ConfigError(
-            f"dt={dt} exceeds the parabolic bound {limit}", kind="cfl")
-    new_values, w, _ = _parabolic_advance(state.values, mesh, eps, dt)
-    return ParabolicState(eps, mesh, new_values, w, state.time + dt)
+    _check_timestep(dt, min(dx / (2.0 * mesh.spec.lipschitz_max),
+                            dx * dx / (4.0 * epsilon)))
+    new_values, _, _ = _parabolic_advance(state.values, mesh, epsilon, dt)
+    return GridState(state.time_step + 1, state.time + dt, new_values)
 
 
 def _junction_value(values, mesh: NetworkMesh, eps: float) -> float:
@@ -237,31 +224,19 @@ def _junction_value(values, mesh: NetworkMesh, eps: float) -> float:
 
 
 def _parabolic_advance(values, mesh: NetworkMesh, eps: float, dt: float):
+    """The junction value w, the convective+diffusive junction fluxes it
+    gives every road, then the shared road update with diffusion; returns
+    (new values, boundary flux, w)."""
     spec = mesh.spec
-    dx = mesh.dx
-    lam = dt / dx
     w = _junction_value(values, mesh, eps)
-    eps2dx = 2.0 * eps / dx
-
-    new_values = []
-    boundary = np.empty(spec.m + spec.n)
+    eps2dx = 2.0 * eps / mesh.dx
+    gstar = np.empty(spec.m + spec.n)
     for h, flux in enumerate(spec.fluxes):
         a = values[h]
-        cells = a.shape[0]
-        fgrid = np.empty(cells + 1)
-        inner = flux.godunov(a[:-1], a[1:]) - eps * np.diff(a) / dx
-        if h < spec.m:
-            fgrid[1:cells] = inner
-            fgrid[0] = flux.eval(a[0])  # absorbing: ghost copy, no gradient
-            fgrid[cells] = flux.eval(w) - eps2dx * (w - a[-1])
-            boundary[h] = fgrid[0]
-        else:
-            fgrid[1:cells] = inner
-            fgrid[0] = flux.eval(w) - eps2dx * (a[0] - w)
-            fgrid[cells] = flux.eval(a[-1])
-            boundary[h] = fgrid[cells]
-        new_values.append(a - lam * (fgrid[1:] - fgrid[:-1]))
-    return tuple(new_values), w, boundary
+        flux._check_range(a)  # every cell in [A, B], as Flux.godunov demands
+        gstar[h] = flux.eval(w) - eps2dx * ((w - a[-1]) if h < spec.m
+                                            else (a[0] - w))
+    return *_update(values, mesh, dt, gstar, eps=eps), w
 
 
 @dataclass(eq=False)
@@ -270,7 +245,7 @@ class ParabolicTrajectory:
 
     mesh: NetworkMesh
     epsilon: float
-    states: list[ParabolicState]
+    states: list[GridState]
     times: np.ndarray
     dts: np.ndarray
     junction_values: np.ndarray
@@ -278,56 +253,27 @@ class ParabolicTrajectory:
     masses: np.ndarray
 
     @property
-    def final(self) -> ParabolicState:
+    def final(self) -> GridState:
         return self.states[-1]
 
 
-def run_parabolic(mesh: NetworkMesh, epsilon: float, initial, t_final: float,
-                  safety: float = 0.9) -> ParabolicTrajectory:
+def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
+                  t_final: float) -> ParabolicTrajectory:
     """March the parabolic system to t_final with absorbing outer ends.
 
-    ``initial`` is a ParabolicState, a GridState, or per-road data accepted
-    by the hyperbolic discretizer. The last step is shortened to land on
-    t_final exactly.
+    ``initial`` is a GridState or per-road data accepted by
+    ``discretize_initial``. The time loop is ``scheme.run``'s: the last
+    step is shortened to land on t_final exactly.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
+    _check_epsilon(epsilon)
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError("t_final must be nonnegative and finite")
-    if isinstance(initial, ParabolicState):
-        values = initial.values
-    elif isinstance(initial, GridState):
-        values = initial.values
-    else:
-        values = discretize_initial(mesh, initial).values
-    state = ParabolicState(epsilon, mesh, values, None, 0.0)
-
-    dt0 = parabolic_timestep(mesh, epsilon, safety)
-    n_steps = 0
-    if t_final > 0:
-        n_steps = max(1, math.ceil(t_final / dt0 - 1e-12))
-    states = [state]
-    masses = [GridState(0, 0.0, values).total_mass(mesh.dx)]
-    dts = np.empty(n_steps)
-    wlog = np.empty(n_steps)
-    bnet = np.empty(n_steps)
-    spec = mesh.spec
-    for s in range(n_steps):
-        if s == n_steps - 1:
-            t_next, dt = t_final, t_final - s * dt0
-        else:
-            t_next, dt = (s + 1) * dt0, dt0
-        values, w, boundary = _parabolic_advance(values, mesh, epsilon, dt)
-        state = ParabolicState(epsilon, mesh, values, w, t_next)
-        states.append(state)
-        masses.append(GridState(0, t_next, values).total_mass(mesh.dx))
-        dts[s] = dt
-        wlog[s] = w
-        bnet[s] = (math.fsum(boundary[spec.m:].tolist())
-                   - math.fsum(boundary[:spec.m].tolist()))
-    times = np.array([st.time for st in states])
+    states, _, times, dts, bnet, masses, wlog = _march(
+        mesh, discretize_initial(mesh, initial),
+        parabolic_timestep(mesh, epsilon), t_final,
+        lambda values, dt: _parabolic_advance(values, mesh, epsilon, dt))
     return ParabolicTrajectory(mesh, float(epsilon), states, times, dts,
-                               wlog, bnet, np.array(masses))
+                               np.array(wlog), bnet, masses)
 
 
 def initial_smoothing(data, epsilon: float, dx: float | None = None,

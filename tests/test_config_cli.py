@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import junctionflow
-from junctionflow import ConfigError, JunctionSpec, cli, quadratic_lwr, scheme
+from junctionflow import ConfigError, JunctionSpec, cli, quadratic_lwr
 from junctionflow.config import build_network, parse_config
 
 # the subprocesses run in tmp_path, where a relative PYTHONPATH no longer
@@ -302,7 +302,9 @@ def test_parse_run_range_errors():
                        ("snapshots = -0.1 0.2", "range"),
                        ("outer_bc = periodic", "range"),
                        ("t_final = nan", "range"),
-                       ("snapshots = 0.1 inf", "range")]:
+                       ("snapshots = 0.1 inf", "range"),
+                       ("t_final = 0.1\nsnapshots = 0.05 0.2", "range"),
+                       ("snapshots = 0.05", "range")]:  # t_final = 0
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + f"\n[run]\n{frag}\n")
         assert err.value.kind == kind, frag
@@ -403,6 +405,10 @@ def test_cli_run_dx_override(tmp_path):
             bad = _cli(tmp_path, "run", "--config", cfg, option, value)
             assert bad.returncode == 2, (option, value, bad.stderr)
             assert "configuration error" in bad.stderr
+    # so is a horizon that ends before the configured snapshot at 0.05
+    bad = _cli(tmp_path, "run", "--config", cfg, "--t-final", "0.02")
+    assert bad.returncode == 2, bad.stderr
+    assert "configuration error" in bad.stderr and "snapshot" in bad.stderr
 
 
 def test_cli_germ_check(tmp_path):
@@ -485,15 +491,16 @@ def test_cli_verify_default_networks(tmp_path):
 
 def test_verify_rows_fail_on_nan_runs(monkeypatch):
     # a NaN cell in every run of the suite must fail the audits that read
-    # the runs, not vanish in a max() fold
+    # the runs, not vanish in a max() fold; run rejects NaN input, so the
+    # trajectories it returns are poisoned instead
     real_run = cli.run
 
     def poisoned(config, initial, *args, **kwargs):
-        values = [v.copy() for v in
-                  scheme.discretize_initial(config.mesh, initial).values]
-        values[0][0] = math.nan
-        return real_run(config, scheme.GridState(0, 0.0, tuple(values)),
-                        *args, **kwargs)
+        traj = real_run(config, initial, *args, **kwargs)
+        for state in traj.states:
+            state.values[0][0] = math.nan
+        traj.masses[-1] = math.nan
+        return traj
 
     monkeypatch.setattr(cli, "run", poisoned)
     spec = JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr(1.5)))

@@ -1,5 +1,6 @@
 """Network marching: discretization, CFL guard, conservation, monotonicity."""
 
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from junctionflow import (
     ConfigError,
+    ConsistencyError,
     GridState,
     JunctionSpec,
     NetworkMesh,
@@ -19,9 +21,12 @@ from junctionflow import (
     mass_ledger,
     quadratic_lwr,
     run,
+    run_parabolic,
     step,
     symmetric_quadratic,
 )
+from junctionflow import kernels
+from junctionflow.scheme import Trajectory
 from junctionflow.verify import germ_sampler
 
 RNG = np.random.default_rng(2718)
@@ -225,6 +230,12 @@ def test_dirichlet_requires_values():
             RunConfig(mesh, 0.9, bad)
         with pytest.raises(ValueError):
             RunConfig(mesh, 0.9, 0.1, snapshot_times=(bad,))
+    # outside [0, t_final] a snapshot time would snap to t = 0 or t_final
+    for times in ((-5.0, 7.0), (-1e-3,), (0.1 + 1e-9,)):
+        with pytest.raises(ValueError):
+            RunConfig(mesh, 0.9, 0.1, snapshot_times=times)
+    assert RunConfig(mesh, 0.9, 0.1,
+                     snapshot_times=(0.0, 0.1)).snapshot_times == (0.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +283,19 @@ def test_run_accepts_grid_state():
     state = discretize_initial(mesh, [0.3, 0.6])
     traj = run(RunConfig(mesh, 0.9, 0.05), state)
     assert traj.final.time == pytest.approx(0.05)
+    assert run_parabolic(mesh, 0.02, state, 0.05).final.time == \
+        pytest.approx(0.05)
+    # a GridState is initial data like any other: shape, finiteness, range
+    nan_cell = np.full(50, 0.3)
+    nan_cell[7] = math.nan
+    for values in ((np.full(7, 0.3), np.full(3, 0.6)),
+                   (nan_cell, np.full(50, 0.6)),
+                   (np.full(50, 0.3), np.full(50, 1.2))):
+        bad = GridState(0, 0.0, values)
+        with pytest.raises(ValueError):
+            run(RunConfig(mesh, 0.9, 0.1), bad)
+        with pytest.raises(ValueError):
+            run_parabolic(mesh, 0.02, bad, 0.1)
 
 
 def test_mass_ledger_closes():
@@ -298,13 +322,66 @@ def test_junction_log_shapes():
 
 
 def test_nan_cell_fails_the_ledger():
-    # a GridState is taken as given; a NaN in it must not read as conserved
+    # a NaN cell is rejected where it enters; should a NaN mass reach a
+    # trajectory, it must not read as conserved
     mesh = small_mesh()
     values = [np.full(50, 0.3), np.full(50, 0.6)]
     values[0][0] = math.nan
-    traj = run(RunConfig(mesh, 0.9, 0.1), GridState(0, 0.0, tuple(values)))
-    assert math.isnan(traj.masses[-1])
+    config = RunConfig(mesh, 0.9, 0.1)
+    with pytest.raises(ValueError):
+        run(config, GridState(0, 0.0, tuple(values)))
+    good = run(config, [0.3, 0.6])
+    masses = good.masses.copy()
+    masses[-1] = math.nan
+    traj = Trajectory(config, good.states, good.snapshots, good.times,
+                      good.dts, good.p_min, good.p_max, good.junction_fluxes,
+                      good.totals, good.boundary_net, masses)
     assert mass_ledger(traj).max_abs_defect == math.inf
+
+
+def test_non_finite_mass_stops_the_run(monkeypatch):
+    # a NaN that appears mid-run stops it at the step that produced it,
+    # in the hyperbolic and the parabolic scheme alike
+    mesh = small_mesh()
+    real = kernels.interface_fluxes
+    for march in (lambda: run(RunConfig(mesh, 0.9, 0.1), [0.3, 0.6]),
+                  lambda: run_parabolic(mesh, 0.02, [0.3, 0.6], 0.1)):
+        calls = []
+
+        def poisoned(code, par, crit, fcrit, u_ext, out):
+            real(code, par, crit, fcrit, u_ext, out)
+            calls.append(1)
+            if len(calls) == 2 * 5 - 1:  # road 0 of step 5
+                out[3] = math.nan
+
+        monkeypatch.setattr(kernels, "interface_fluxes", poisoned)
+        with pytest.raises(ConsistencyError, match=r"^step 5: "):
+            march()
+
+
+# SHA-256 of a Dirichlet run's outputs, recorded before the hyperbolic and
+# parabolic schemes came to share one time loop and one road update
+PINNED_DIRICHLET = {
+    "final": "b7dcc9876c0ec5019d6fbb49f08e68569f359fae215567cb1ce7921ab3f48303",
+    "masses": "2292c55997f372b05236017c439fdcd11549ee1e471c4df83565ea11be0009a2",
+    "junction_fluxes":
+        "84293892d5548413bda968e455315d0e1ebce92dd55f3b04cceac56f6afb46cc",
+}
+
+
+def _sha(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=float)
+                          .tobytes()).hexdigest()
+
+
+def test_dirichlet_run_bit_identical():
+    cfg = RunConfig(small_mesh(), 0.9, 0.1, outer_bc="dirichlet",
+                    dirichlet_values=np.array([0.4, 0.1]))
+    traj = run(cfg, [np.where(np.arange(50) < 25, 0.2, 0.7), 0.6])
+    assert len(traj.dts) == 17
+    assert _sha(np.concatenate(traj.final.values)) == PINNED_DIRICHLET["final"]
+    assert _sha(traj.masses) == PINNED_DIRICHLET["masses"]
+    assert _sha(traj.junction_fluxes) == PINNED_DIRICHLET["junction_fluxes"]
 
 
 def _ledger_oracle(dts, boundary_net, masses):

@@ -1,5 +1,6 @@
 """Viscous layer: standing profiles, the parabolic marcher, data smoothing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from junctionflow import (
     ConfigError,
+    GridState,
     JunctionSpec,
     NetworkMesh,
     PreconditionError,
@@ -20,7 +22,6 @@ from junctionflow import (
     symmetric_quadratic,
 )
 from junctionflow.verify import nonstrict_germ_sampler
-from junctionflow.viscous import ParabolicState
 
 RNG = np.random.default_rng(1618)
 
@@ -159,14 +160,20 @@ def test_parabolic_timestep_bounds():
 
 def test_parabolic_step_guards_timestep():
     mesh = NetworkMesh(LWR11, 0.01, np.array([50, 50]))
-    state = ParabolicState(0.02, mesh, (np.full(50, 0.3), np.full(50, 0.6)),
-                           junction_value=None)
+    state = GridState(0, 0.0, (np.full(50, 0.3), np.full(50, 0.6)))
     limit = min(0.01 / 2.0, 0.01**2 / (4 * 0.02))
     with pytest.raises(ConfigError) as err:
-        parabolic_step(state, 1.01 * limit)
+        parabolic_step(state, mesh, 0.02, 1.01 * limit)
     assert err.value.kind == "cfl"
-    out = parabolic_step(state, 0.9 * limit)
+    for bad_dt in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            parabolic_step(state, mesh, 0.02, bad_dt)
+    for bad_eps in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            parabolic_step(state, mesh, bad_eps, 0.9 * limit)
+    out = parabolic_step(state, mesh, 0.02, 0.9 * limit)
     assert out.time == pytest.approx(0.9 * limit)
+    assert out.time_step == 1
 
 
 def test_parabolic_max_principle_and_mass():
@@ -230,6 +237,31 @@ def test_parabolic_equilibrium_junction_value():
     traj = run_parabolic(mesh, eps, init, t_final=0.02)
     w = np.asarray(traj.junction_values)
     assert np.abs(w - 0.5).max() <= 1e-3
+
+
+# SHA-256 of a parabolic run's outputs, recorded before the parabolic scheme
+# came to share the hyperbolic scheme's time loop and road update
+PINNED_PARABOLIC = {
+    "final": "86bf414bf59e97d06723f6ae9764eda7c39c3ac8afbf754cc4223a8728967f4d",
+    "masses": "2f6707652a42af760907eea1ce350bb7761c47ff6951fe6ed730e7ebe520962d",
+    "junction_values":
+        "a19d8c48bdf70ca356f7ad8e3bb228b21651a965eaae4815809808cd4cf043fb",
+}
+
+
+def _sha(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=float)
+                          .tobytes()).hexdigest()
+
+
+def test_parabolic_run_bit_identical():
+    mesh = NetworkMesh(LWR11, 0.02, np.array([50, 50]))
+    init = [np.where(np.arange(50) < 25, 0.2, 0.7), 0.6]
+    traj = run_parabolic(mesh, 0.02, init, t_final=0.05)
+    assert len(traj.dts) == 17
+    assert _sha(np.concatenate(traj.final.values)) == PINNED_PARABOLIC["final"]
+    assert _sha(traj.masses) == PINNED_PARABOLIC["masses"]
+    assert _sha(traj.junction_values) == PINNED_PARABOLIC["junction_values"]
 
 
 # ---------------------------------------------------------------------------
