@@ -71,8 +71,9 @@ class Flux:
         slack = 1e-12 * self.span
         for v in values:
             arr = np.asarray(v, dtype=float)
-            if arr.size and (arr.min() < self.rho_min - slack
-                             or arr.max() > self.rho_max + slack):
+            # written so that NaN, which fails every comparison, is rejected
+            if arr.size and not (arr.min() >= self.rho_min - slack
+                                 and arr.max() <= self.rho_max + slack):
                 raise ValueError(
                     f"density outside [{self.rho_min}, {self.rho_max}]")
 

@@ -38,7 +38,8 @@ class JunctionSpec:
 
     ``fluxes`` lists the m incoming roads first, then the n outgoing ones.
     The per-road kernel arguments (family codes, parameter vectors, crests)
-    are gathered once here and shared by every solver call.
+    are gathered once here, as Python ints, tuples and floats, and shared by
+    every solver call.
     """
 
     m: int
@@ -58,10 +59,10 @@ class JunctionSpec:
                 raise ValueError("all roads must share one density interval")
         self.rho_min = lo
         self.rho_max = hi
-        self._codes = np.array([f.code for f in self.fluxes], dtype=np.int64)
-        self._params = tuple(f.params for f in self.fluxes)
-        self._crits = np.array([f.rho_crit for f in self.fluxes])
-        self._fcrits = np.array([f.flux_max for f in self.fluxes])
+        self._codes = tuple(int(f.code) for f in self.fluxes)
+        self._params = tuple(tuple(f.params.tolist()) for f in self.fluxes)
+        self._crits = tuple(float(f.rho_crit) for f in self.fluxes)
+        self._fcrits = tuple(float(f.flux_max) for f in self.fluxes)
         self.lipschitz_sum = float(sum(f.lipschitz for f in self.fluxes))
         self.lipschitz_max = float(max(f.lipschitz for f in self.fluxes))
 
@@ -125,7 +126,7 @@ def solve_junction(spec: JunctionSpec, u) -> JunctionSolution:
     rounding of the flux values; the fluxes are evaluated at its midpoint
     and must balance to 1e-12.
     """
-    u = spec.candidate(u)
+    u = spec.candidate(u).tolist()
     p_min, p_max = kernels.coupling_interval(
         spec._codes, spec._params, spec._crits, spec._fcrits, spec.m, u,
         spec.rho_min, spec.rho_max)

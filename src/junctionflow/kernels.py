@@ -4,8 +4,11 @@ The solver's hot paths are (a) Godunov flux sweeps over whole roads and
 (b) the scalar algebra of the junction coupling: the balance gap, the
 inverses of each flux on its two monotone branches, and the exact solve for
 the coupling interval, plus (c) the exact sum behind the mass audit.
-Scalar kernels have vectorized numpy twins built from the same per-element
-expressions, so the two agree bitwise.
+Scalar kernels take any sequence: the junction solvers hand them Python
+floats and tuples of floats (``JunctionSpec`` converts each road's
+parameters once), which keeps numpy's per-scalar dispatch out of the
+coupling. The vectorized numpy twins take ``Flux.params`` and are built from
+the same per-element expressions, so the two agree bitwise.
 ``NUMBA_ENABLED`` is kept as a constant: numpy is the only backend.
 
 Flux families are passed around as an integer code plus a packed float
@@ -24,6 +27,7 @@ tabulated              3    [n, x_1..x_n, y_1..y_n]  piecewise linear
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -46,8 +50,8 @@ def flux_scalar(code, par, x):
     if code == 1:  # symmetric quadratic
         return par[0] * (1.0 - x * x)
     if code == 2:  # polynomial, Horner from the top coefficient down
-        acc = par[par.shape[0] - 1]
-        for t in range(par.shape[0] - 2, -1, -1):
+        acc = par[len(par) - 1]
+        for t in range(len(par) - 2, -1, -1):
             acc = acc * x + par[t]
         return acc
     # tabulated: panel search (greatest node <= x, clamped to the last panel)
@@ -119,9 +123,12 @@ def godunov_array(code, par, crit, fcrit, a, b):
 
 
 def interface_fluxes(code, par, crit, fcrit, u_ext, out):
-    """Godunov flux at all interfaces of a road; u_ext includes ghost cells."""
-    d = demand_array(code, par, crit, fcrit, u_ext[:-1])
-    s = supply_array(code, par, crit, fcrit, u_ext[1:])
+    """Godunov flux at all interfaces of a road; u_ext includes ghost cells.
+    The flux is evaluated once per cell and feeds both the demand of the
+    interface to its right and the supply of the one to its left."""
+    f = flux_array(code, par, u_ext)
+    d = np.where(u_ext[:-1] <= crit, f[:-1], fcrit)
+    s = np.where(u_ext[1:] >= crit, f[1:], fcrit)
     np.minimum(d, s, out=out)
 
 
@@ -133,7 +140,7 @@ def balance_gap(codes, params, crits, fcrits, m, ustar, p):
     for i in range(m):
         total += godunov_scalar(codes[i], params[i], crits[i], fcrits[i],
                                 ustar[i], p)
-    for j in range(m, ustar.shape[0]):
+    for j in range(m, len(ustar)):
         total -= godunov_scalar(codes[j], params[j], crits[j], fcrits[j],
                                 p, ustar[j])
     return total
@@ -143,7 +150,7 @@ def fill_junction_fluxes(codes, params, crits, fcrits, m, ustar, p, out):
     for i in range(m):
         out[i] = godunov_scalar(codes[i], params[i], crits[i], fcrits[i],
                                 ustar[i], p)
-    for j in range(m, ustar.shape[0]):
+    for j in range(m, len(ustar)):
         out[j] = godunov_scalar(codes[j], params[j], crits[j], fcrits[j],
                                 p, ustar[j])
 
@@ -164,10 +171,9 @@ def _piece_coeffs(code, par, x) -> list[float]:
     if code == FAMILY_SYM_QUAD:
         return [float(par[0]), 0.0, -float(par[0])]
     if code == FAMILY_POLY:
-        return par.tolist()
+        return [float(c) for c in par]
     xs, ys = _table(par)
-    k = min(max(int(np.searchsorted(xs, x, side="right")) - 1, 0),
-            xs.shape[0] - 2)
+    k = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
     slope = float((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]))
     return [float(ys[k] - xs[k] * slope), slope]
 
@@ -232,12 +238,13 @@ def branch_point(code, par, crit, fcrit, y, edge):
         c[0] -= y
         return poly_root(c, lo, hi)
     xs, ys = _table(par)
-    top = int(np.searchsorted(xs, crit))  # the crest node
+    n = len(xs)
+    top = bisect_left(xs, crit)  # the crest node
     if edge < crit:  # ys rise on nodes 0..top
-        k = int(np.searchsorted(ys[:top + 1], y)) - 1
+        k = bisect_left(ys, y, 0, top + 1) - 1
     else:  # ys fall on nodes top..n-1
-        k = top + int(np.searchsorted(-ys[top:], -y)) - 1
-    k = min(max(k, 0), xs.shape[0] - 2)
+        k = bisect_left(ys, -y, top, n, key=lambda v: -v) - 1
+    k = min(max(k, 0), n - 2)
     x = xs[k] + (y - ys[k]) * ((xs[k + 1] - xs[k]) / (ys[k + 1] - ys[k]))
     return min(max(float(x), lo), hi)
 
@@ -261,7 +268,7 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi):
     """
     consts = []
     kinks = []
-    for h in range(ustar.shape[0]):
+    for h in range(len(ustar)):
         code, par, crit, fcrit = codes[h], params[h], crits[h], fcrits[h]
         if h < m:
             c = demand_scalar(code, par, crit, fcrit, ustar[h])
@@ -298,7 +305,8 @@ def _crossing(codes, params, m, consts, kinks, a, b, sign):
     nodes = []
     for h, w in enumerate(whole):
         if w and codes[h] == FAMILY_TABLE:
-            nodes.extend(x for x in _table(params[h])[0].tolist() if a < x < b)
+            xs = _table(params[h])[0]
+            nodes.extend(xs[bisect_right(xs, a):bisect_left(xs, b)])
     nodes.sort()
     i, j = -1, len(nodes)
     while j - i > 1:
@@ -366,7 +374,7 @@ def visc_gap(codes, params, m, ustar, eps2dx, w):
     total = 0.0
     for i in range(m):
         total += flux_scalar(codes[i], params[i], w) - eps2dx * (w - ustar[i])
-    for j in range(m, ustar.shape[0]):
+    for j in range(m, len(ustar)):
         total -= flux_scalar(codes[j], params[j], w) - eps2dx * (ustar[j] - w)
     return total
 
@@ -379,12 +387,12 @@ def solve_visc_w(codes, params, m, ustar, eps2dx, lo, hi, xtol, ftol):
     ra = visc_gap(codes, params, m, ustar, eps2dx, lo)
     if ra <= 0.0:
         if ra < -ftol:
-            return np.nan
+            return math.nan
         return lo
     rb = visc_gap(codes, params, m, ustar, eps2dx, hi)
     if rb >= 0.0:
         if rb > ftol:
-            return np.nan
+            return math.nan
         return hi
     a = lo
     b = hi

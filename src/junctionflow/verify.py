@@ -180,11 +180,15 @@ def kato_audit(traj_a: Trajectory, traj_b: Trajectory,
     if (len(traj_a.states) != len(traj_a.times)
             or len(traj_b.states) != len(traj_b.times)):
         raise ConfigError("audit needs all time levels recorded")
-    value = _assemble_audit(mesh,
-                            [st.values for st in traj_a.states],
-                            [st.values for st in traj_b.states],
-                            traj_a.times, traj_a.dts, xi)
+    values_a = [st.values for st in traj_a.states]
+    values_b = [st.values for st in traj_b.states]
     tol = 1e-10 * _mass_scale(mesh)
+    # a non-finite cell has no flux to audit: the form fails outright
+    if not all(np.isfinite(v).all() for values in values_a + values_b
+               for v in values):
+        return KatoReport(math.inf, tol, False)
+    value = _assemble_audit(mesh, values_a, values_b, traj_a.times,
+                            traj_a.dts, xi)
     return KatoReport(value, tol, value <= tol)
 
 

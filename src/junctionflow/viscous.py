@@ -211,7 +211,7 @@ def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
 
 def _junction_value(values, mesh: NetworkMesh, eps: float) -> float:
     spec = mesh.spec
-    ustar = junction_state(spec, values)
+    ustar = junction_state(spec, values).tolist()
     eps2dx = 2.0 * eps / mesh.dx
     span = spec.rho_max - spec.rho_min
     w = kernels.solve_visc_w(spec._codes, spec._params, spec.m, ustar,

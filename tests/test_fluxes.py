@@ -189,6 +189,21 @@ def test_branch_point_rejects_bad_requests():
         branch_point(f, 0.1, "sideways")
 
 
+def test_nan_density_rejected(any_flux):
+    # NaN fails every comparison, so a range check written as "min < lo or
+    # max > hi" lets it through (godunov([nan], [0.2]) read the crest)
+    f = any_flux
+    mid = 0.5 * (f.rho_min + f.rho_max)
+    calls = [lambda x: f.eval(x), lambda x: f.demand(x),
+             lambda x: f.supply(x), lambda x: f.derivative(x),
+             lambda x: f.godunov(x, mid), lambda x: f.godunov(mid, x),
+             lambda x: f.entropy_flux(x, mid), lambda x: f.entropy_flux(mid, x)]
+    for call in calls:
+        for bad in (np.nan, np.array([np.nan]), np.array([mid, np.nan, mid])):
+            with pytest.raises(ValueError, match="outside"):
+                call(bad)
+
+
 def test_construction_rejects_bad_parameters():
     with pytest.raises(ValueError):
         quadratic_lwr(v=0.0)

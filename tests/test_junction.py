@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from junctionflow import (
     ConsistencyError,
@@ -27,6 +29,7 @@ from junctionflow import (
     tabulated,
     total_flux,
 )
+from junctionflow import kernels
 from junctionflow.verify import germ_sampler, nonstrict_germ_sampler
 
 RNG = np.random.default_rng(31415)
@@ -146,6 +149,89 @@ def test_phi_totals_agree_inside_interval():
     p = 0.5 * (sol.p_min + sol.p_max)
     assert phi_in(SYMQ21, WORKED_U, p) == pytest.approx(sol.total, abs=1e-10)
     assert phi_out(SYMQ21, WORKED_U, p) == pytest.approx(sol.total, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# solver properties on random junctions of LWR, cubic and tabulated roads
+
+CUBIC = custom_polynomial([0.0, 1.0, 0.0, -1.0], 0.0, 1.0, 1.0 / math.sqrt(3))
+
+
+def random_junction(seed, m, n):
+    """Roads on [0, 1]: LWR of random speed, the cubic, or a random
+    unimodal table; states drawn at random or at a crest, end or node."""
+    rng = np.random.default_rng(seed)
+    fluxes = []
+    for _ in range(m + n):
+        kind = rng.integers(3)
+        if kind == 0:
+            fluxes.append(quadratic_lwr(float(rng.uniform(0.25, 2.0))))
+        elif kind == 1:
+            fluxes.append(CUBIC)
+        else:
+            k = int(rng.integers(3, 12))
+            xs = np.r_[0.0, np.sort(rng.random(k - 2)), 1.0]
+            top = int(rng.integers(1, k - 1))
+            ys = np.zeros(k)
+            ys[top] = rng.uniform(0.1, 1.0)
+            ys[1:top] = ys[top] * np.sort(rng.random(top - 1))
+            ys[top + 1:k - 1] = ys[top] * np.sort(rng.random(k - 2 - top))[::-1]
+            fluxes.append(tabulated(xs, ys))
+    spec = JunctionSpec(m, n, tuple(fluxes))
+    special = [0.0, 1.0, *(f.rho_crit for f in fluxes)]
+    for f in fluxes:
+        if f.code == kernels.FAMILY_TABLE:
+            special.extend(f.params[1:1 + int(f.params[0])].tolist())
+
+    def state():
+        u = rng.random(m + n)
+        pick = rng.random(m + n) < 0.3
+        u[pick] = rng.choice(special, int(pick.sum()))
+        return u
+    return spec, state
+
+
+def _gap(spec, u, p):
+    return kernels.balance_gap(spec._codes, spec._params, spec._crits,
+                               spec._fcrits, spec.m, u.tolist(), p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3))
+def test_interval_is_the_zero_set_of_the_gap(seed, m, n):
+    spec, state = random_junction(seed, m, n)
+    zero = 4.0 * np.finfo(float).eps * sum(spec._fcrits)
+    for _ in range(2):
+        u = state()
+        sol = solve_junction(spec, u)  # never a ConsistencyError
+        grid = np.linspace(0.0, 1.0, 2001).tolist()
+        for p in grid + [sol.p_min, sol.p_max]:
+            g = _gap(spec, u, p)
+            if p < sol.p_min:
+                assert g > -zero
+            elif p > sol.p_max:
+                assert g < zero
+            else:
+                assert abs(g) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3))
+def test_junction_fluxes_are_monotone(seed, m, n):
+    # the scheme is monotone only if raising one road's state never raises
+    # another incoming road's junction flux nor lowers an outgoing one's
+    spec, state = random_junction(seed, m, n)
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(3):
+        u = state()
+        base = solve_junction(spec, u).fluxes
+        for g in range(m + n):
+            up = u.copy()
+            up[g] += rng.random() * (1.0 - up[g])
+            moved = solve_junction(spec, up).fluxes - base
+            others = np.arange(m + n) != g
+            assert (moved[:m][others[:m]] <= 1e-12).all()
+            assert (moved[m:][others[m:]] >= -1e-12).all()
 
 
 def test_solver_rejects_bad_states():

@@ -8,17 +8,27 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from junctionflow import JunctionSpec, quadratic_lwr, symmetric_quadratic, tabulated
+from junctionflow import (JunctionSpec, NetworkMesh, RunConfig, cfl_timestep,
+                          custom_polynomial, quadratic_lwr, run, run_parabolic,
+                          symmetric_quadratic, tabulated)
 from junctionflow import kernels
 
 RNG = np.random.default_rng(99)
 
 
+FAMILIES = ("lwr", "symq", "poly", "table")
+
+
 def _family_args(name):
+    """A flux of the family and the scalar kernels' arguments for it, as a
+    JunctionSpec prepares them (tuples of Python floats)."""
     if name == "lwr":
         f = quadratic_lwr(v=1.3, rho_max=2.0)
     elif name == "symq":
         f = symmetric_quadratic(1.7)
+    elif name == "poly":
+        f = custom_polynomial([0.0, 1.0, 0.0, -1.0], 0.0, 1.0,
+                              1.0 / math.sqrt(3.0))
     else:
         xs = np.linspace(0.0, 1.0, 257)
         f = tabulated(xs, np.sin(np.pi * xs) ** 1.0 * (1.1 - xs))
@@ -28,14 +38,15 @@ def _family_args(name):
 
 
 def test_array_twins_match_scalar_loop():
-    for name in ("lwr", "symq", "table"):
+    # the array twins read Flux.params, the scalar kernels the spec's tuples
+    for name in FAMILIES:
         f, code, par, crit, fcrit = _family_args(name)
         a = f.rho_min + f.span * RNG.random(257)
         b = f.rho_min + f.span * RNG.random(257)
-        fv = kernels.flux_array(code, par, a)
-        dv = kernels.demand_array(code, par, crit, fcrit, a)
-        sv = kernels.supply_array(code, par, crit, fcrit, b)
-        gv = kernels.godunov_array(code, par, crit, fcrit, a, b)
+        fv = kernels.flux_array(code, f.params, a)
+        dv = kernels.demand_array(code, f.params, crit, fcrit, a)
+        sv = kernels.supply_array(code, f.params, crit, fcrit, b)
+        gv = kernels.godunov_array(code, f.params, crit, fcrit, a, b)
         for i in range(a.shape[0]):
             assert fv[i] == kernels.flux_scalar(code, par, a[i])
             assert dv[i] == kernels.demand_scalar(code, par, crit, fcrit, a[i])
@@ -45,13 +56,15 @@ def test_array_twins_match_scalar_loop():
 
 
 def test_interface_sweep_matches_pointwise():
-    f, code, par, crit, fcrit = _family_args("lwr")
-    u_ext = f.rho_min + f.span * RNG.random(130)
-    out = np.empty(129)
-    kernels.interface_fluxes(code, par, crit, fcrit, u_ext, out)
-    for k in range(129):
-        assert out[k] == kernels.godunov_scalar(code, par, crit, fcrit,
-                                                u_ext[k], u_ext[k + 1])
+    for name in FAMILIES:
+        f, code, par, crit, fcrit = _family_args(name)
+        u_ext = f.rho_min + f.span * RNG.random(130)
+        u_ext[::7] = f.rho_crit  # cells at the crest feed both branches
+        out = np.empty(129)
+        kernels.interface_fluxes(code, f.params, crit, fcrit, u_ext, out)
+        for k in range(129):
+            assert out[k] == kernels.godunov_scalar(code, par, crit, fcrit,
+                                                    u_ext[k], u_ext[k + 1])
 
 
 def test_balance_gap_nonincreasing_in_p():
@@ -64,6 +77,118 @@ def test_balance_gap_nonincreasing_in_p():
         gaps = [kernels.balance_gap(spec._codes, spec._params, spec._crits,
                                     spec._fcrits, spec.m, u, p) for p in ps]
         assert (np.diff(gaps) <= 1e-14).all()
+
+
+# The tabulated panel searches as np.searchsorted wrote them on ndarray
+# parameters, kept as the oracle for the bisect searches on tuples
+
+def _oracle_piece_coeffs(code, par, x):
+    if code != kernels.FAMILY_TABLE:
+        return (par.tolist() if code == kernels.FAMILY_POLY
+                else kernels._piece_coeffs(code, par, x))
+    xs, ys = kernels._table(par)
+    k = min(max(int(np.searchsorted(xs, x, side="right")) - 1, 0),
+            xs.shape[0] - 2)
+    slope = float((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]))
+    return [float(ys[k] - xs[k] * slope), slope]
+
+
+def _oracle_branch_point(code, par, crit, fcrit, y, edge):
+    if y >= fcrit:
+        return crit
+    if y <= 0.0:
+        return edge
+    lo, hi = (edge, crit) if edge < crit else (crit, edge)
+    if code != kernels.FAMILY_TABLE:
+        c = _oracle_piece_coeffs(code, par, crit)
+        c[0] -= y
+        return kernels.poly_root(c, lo, hi)
+    xs, ys = kernels._table(par)
+    top = int(np.searchsorted(xs, crit))
+    if edge < crit:
+        k = int(np.searchsorted(ys[:top + 1], y)) - 1
+    else:
+        k = top + int(np.searchsorted(-ys[top:], -y)) - 1
+    k = min(max(k, 0), xs.shape[0] - 2)
+    x = xs[k] + (y - ys[k]) * ((xs[k + 1] - xs[k]) / (ys[k + 1] - ys[k]))
+    return min(max(float(x), lo), hi)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+# a left/right slip at an exact node value moves the result by one rounding
+# in about 1 of 200 node hits, hence the many examples
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+       family=st.sampled_from(FAMILIES))
+def test_panel_searches_match_searchsorted(seed, n, family):
+    rng = np.random.default_rng(seed)
+    if family == "table":  # a random unimodal table on random nodes
+        xs = np.sort(rng.uniform(-1.0, 2.0, n))
+        top = int(rng.integers(1, n - 1))
+        ys = np.zeros(n)
+        ys[top] = rng.uniform(0.1, 2.0)
+        ys[1:top] = ys[top] * np.sort(rng.random(top - 1))
+        ys[top + 1:n - 1] = ys[top] * np.sort(rng.random(n - 2 - top))[::-1]
+        f = tabulated(xs, ys)
+        spec = JunctionSpec(1, 1, (f, f))
+        code, par, crit, fcrit = (spec._codes[0], spec._params[0],
+                                  spec._crits[0], spec._fcrits[0])
+    else:
+        f, code, par, crit, fcrit = _family_args(family)
+        xs = ys = np.empty(0)
+    # node values exactly, where left and right searches part ways
+    x_probe = np.r_[xs, f.rho_min + f.span * rng.random(n), f.rho_crit]
+    y_probe = np.r_[ys, f.flux_max * rng.random(n), 0.0, f.flux_max]
+    for x in x_probe.tolist():
+        want = _oracle_piece_coeffs(code, f.params, x)
+        assert _hexes(kernels._piece_coeffs(code, par, x)) == _hexes(want)
+    for y in y_probe.tolist():
+        for edge in (f.rho_min, f.rho_max):
+            want = _oracle_branch_point(code, f.params, crit, fcrit, y, edge)
+            for p in (par, f.params):  # the junction's tuple, Flux's ndarray
+                got = kernels.branch_point(code, p, crit, fcrit, y, edge)
+                assert float(got).hex() == float(want).hex()
+
+
+def _is_float_tuple(values):
+    return type(values) is tuple and all(type(v) is float for v in values)
+
+
+def test_junction_kernels_get_python_floats(monkeypatch):
+    # numpy scalars in the coupling kernels would pay numpy's dispatch on
+    # every operation without changing a bit of the result
+    seen = set()
+
+    def spy(name, state_at):
+        real = getattr(kernels, name)
+
+        def checked(*args):
+            codes, params = args[:2]
+            assert type(codes) is tuple and all(type(c) is int for c in codes)
+            assert type(params) is tuple and all(map(_is_float_tuple, params))
+            if name != "solve_visc_w":
+                assert _is_float_tuple(args[2]) and _is_float_tuple(args[3])
+            ustar = args[state_at]
+            assert type(ustar) is list and all(type(u) is float for u in ustar)
+            seen.add(name)
+            return real(*args)
+        monkeypatch.setattr(kernels, name, checked)
+
+    spy("coupling_interval", 5)
+    spy("fill_junction_fluxes", 5)
+    spy("solve_visc_w", 3)
+    f = tabulated(np.linspace(0.0, 1.0, 9),
+                  [0.0, 0.22, 0.38, 0.47, 0.5, 0.44, 0.33, 0.18, 0.0])
+    spec = JunctionSpec(1, 2, (quadratic_lwr(), custom_polynomial(
+        [0.0, 1.0, 0.0, -1.0], 0.0, 1.0, 1.0 / math.sqrt(3.0)), f))
+    mesh = NetworkMesh(spec, 0.1, np.full(3, 10))
+    run(RunConfig(mesh, 0.9, 5 * cfl_timestep(mesh, 0.9)), [0.3, 0.6, 0.2])
+    run_parabolic(mesh, 0.05, [0.3, 0.6, 0.2], 0.02)
+    assert seen == {"coupling_interval", "fill_junction_fluxes",
+                    "solve_visc_w"}
 
 
 def test_poly_root_pieces():

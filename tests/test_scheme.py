@@ -17,6 +17,7 @@ from junctionflow import (
     NetworkMesh,
     RunConfig,
     cfl_timestep,
+    custom_polynomial,
     discretize_initial,
     mass_ledger,
     quadratic_lwr,
@@ -24,6 +25,7 @@ from junctionflow import (
     run_parabolic,
     step,
     symmetric_quadratic,
+    tabulated,
 )
 from junctionflow import kernels
 from junctionflow.scheme import Trajectory
@@ -382,6 +384,51 @@ def test_dirichlet_run_bit_identical():
     assert _sha(np.concatenate(traj.final.values)) == PINNED_DIRICHLET["final"]
     assert _sha(traj.masses) == PINNED_DIRICHLET["masses"]
     assert _sha(traj.junction_fluxes) == PINNED_DIRICHLET["junction_fluxes"]
+
+
+# The well-balance ensemble's four topologies: quadratic, polynomial and
+# tabulated fluxes, one to five roads
+MIXED_TOPOLOGIES = {
+    "1-1": JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr())),
+    "2-1-symq": SYMQ21,
+    "2-3": JunctionSpec(2, 3, tuple(quadratic_lwr(v)
+                                    for v in (1.0, 1.5, 1.0, 0.75, 1.25))),
+    "1-2-mixed": JunctionSpec(1, 2, (
+        quadratic_lwr(),
+        custom_polynomial([0.0, 1.0, 0.0, -1.0], 0.0, 1.0, 1 / math.sqrt(3)),
+        tabulated(np.linspace(0.0, 1.0, 9),
+                  [0.0, 0.22, 0.38, 0.47, 0.5, 0.44, 0.33, 0.18, 0.0]))),
+}
+
+# SHA-256 over p_min, p_max, junction fluxes, masses and final values of a
+# 30-step run from seeded random data, recorded before the junction kernels
+# moved from numpy scalars to Python floats
+PINNED_MIXED = {
+    "1-1":
+        "5a7b482ed34b47a26413a6692a7d2b8635a59f8e0d6c6876289b89e82e43f42a",
+    "2-1-symq":
+        "307292922232ae12d52262951dc0b856662909a03c0b1e47ec838b78e0405166",
+    "2-3":
+        "7ab8f2fc768226003af888d8b39b9ad2474e67d62545a1f497b5af92db22beaa",
+    "1-2-mixed":
+        "59c5d2850f6e21e45b647221b5f13932f3e4d0163861a87745827bec8d9b930a",
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_MIXED))
+def test_mixed_family_run_bit_identical(label):
+    spec = MIXED_TOPOLOGIES[label]
+    mesh = small_mesh(spec, dx=0.05, cells=20)
+    rng = np.random.default_rng(sorted(PINNED_MIXED).index(label))
+    traj = run(RunConfig(mesh, 0.9, 30 * cfl_timestep(mesh, 0.9)),
+               [rng.uniform(spec.rho_min, spec.rho_max, 20)
+                for _ in range(spec.m + spec.n)])
+    assert len(traj.dts) == 30
+    digest = hashlib.sha256()
+    for array in (traj.p_min, traj.p_max, traj.junction_fluxes, traj.masses,
+                  *traj.final.values):
+        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    assert digest.hexdigest() == PINNED_MIXED[label]
 
 
 def _ledger_oracle(dts, boundary_net, masses):
