@@ -63,6 +63,9 @@ class JunctionSpec:
         self._params = tuple(tuple(f.params.tolist()) for f in self.fluxes)
         self._crits = tuple(float(f.rho_crit) for f in self.fluxes)
         self._fcrits = tuple(float(f.flux_max) for f in self.fluxes)
+        # numpy's pairwise sum, which a Python sum matches below 8 roads
+        self._zero = 4.0 * kernels._EPS * float(np.abs(self._fcrits).sum())
+        self._bounds = (lo - 1e-12 * (hi - lo), hi + 1e-12 * (hi - lo))
         self.lipschitz_sum = float(sum(f.lipschitz for f in self.fluxes))
         self.lipschitz_max = float(max(f.lipschitz for f in self.fluxes))
 
@@ -84,12 +87,14 @@ class JunctionSpec:
         if arr.shape != (self.m + self.n,):
             raise ValueError(f"junction state must have shape "
                              f"({self.m + self.n},), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("junction state must be finite")
-        slack = 1e-12 * self.span
-        if arr.min() < self.rho_min - slack or arr.max() > self.rho_max + slack:
-            raise ValueError(f"junction state outside "
-                             f"[{self.rho_min}, {self.rho_max}]")
+        vals = arr.tolist()  # on a few entries Python beats numpy
+        lo, hi = self._bounds
+        for v in vals:
+            if not lo <= v <= hi:  # NaN fails this too
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError("junction state must be finite")
+                raise ValueError(f"junction state outside "
+                                 f"[{self.rho_min}, {self.rho_max}]")
         return arr
 
     def road_flux_values(self, u: np.ndarray) -> np.ndarray:
@@ -129,7 +134,7 @@ def solve_junction(spec: JunctionSpec, u) -> JunctionSolution:
     u = spec.candidate(u).tolist()
     p_min, p_max = kernels.coupling_interval(
         spec._codes, spec._params, spec._crits, spec._fcrits, spec.m, u,
-        spec.rho_min, spec.rho_max)
+        spec.rho_min, spec.rho_max, spec._zero)
     if math.isnan(p_min):
         d_lo = kernels.balance_gap(spec._codes, spec._params, spec._crits,
                                    spec._fcrits, spec.m, u, spec.rho_min)

@@ -252,7 +252,7 @@ def branch_point(code, par, crit, fcrit, y, edge):
 # ---------------------------------------------------------------------------
 # exact coupling interval
 
-def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi):
+def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero):
     """Zero set [p_min, p_max] of the balance gap over [lo, hi].
 
     The gap D(p) = sum_in min(d_i, S_i(p)) - sum_out min(D_j(p), s_j) is
@@ -262,8 +262,8 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi):
     outgoing one. D is evaluated at the sorted kinks; between two of them it
     is one polynomial (one per panel for tabulated fluxes), solved exactly.
 
-    A gap within 4 ulps of the summed crests counts as zero: plateau values
-    are differences of rounded flux values and carry that much noise.
+    A gap within ``zero``, 4 ulps of the summed crests, counts as zero:
+    plateau values are differences of rounded flux values, that noisy.
     Returns (nan, nan) when D does not fall from >= 0 to <= 0 over [lo, hi].
     """
     consts = []
@@ -277,7 +277,6 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi):
             c = supply_scalar(code, par, crit, fcrit, ustar[h])
             kinks.append(branch_point(code, par, crit, fcrit, c, lo))
         consts.append(c)
-    zero = 4.0 * _EPS * float(np.abs(fcrits).sum())
 
     def sign(p):
         g = balance_gap(codes, params, crits, fcrits, m, ustar, p)

@@ -1,10 +1,10 @@
 """Viscous counterparts of the junction model.
 
-Two independent tools live here. ``stationary_profile`` integrates the
-steady balance epsilon * rho' = f_h(rho) - f_h(k_h) out of the junction on
-every road, which connects a strict equilibrium state k to its coupling
-value p; these profiles exist exactly when the strict chord inequalities
-hold, and they decay exponentially to k_h away from the junction.
+Two independent tools live here. ``stationary_profile`` solves the steady
+balance epsilon * rho' = f_h(rho) - f_h(k_h) out of the junction on every
+road, which connects a strict equilibrium state k to its coupling value p;
+these profiles exist exactly when the strict chord inequalities hold, and
+decay to k_h away from the junction as inverses of distance integrals.
 
 ``parabolic_step`` / ``run_parabolic`` march the epsilon-regularized network
 system (Godunov convection plus centered diffusion) with a single junction
@@ -19,18 +19,21 @@ production solver.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import kernels
 from .errors import ConsistencyError, PreconditionError
+from .fluxes import conjugate
 from .junction import JunctionSpec, _strict_margins_hold, strict_witness
 from .scheme import (GridState, NetworkMesh, _check_timestep, _march, _update,
                      discretize_initial, junction_state)
 
 _DECAY_CUTOFF = 1e-12
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
+_GRID = 64  # S tabulated at this many points brackets every Newton solve
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -38,24 +41,113 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be positive and finite")
 
 
-@dataclass(frozen=True, eq=False)
-class _RoadProfile:
-    """One road's half of a stationary profile, parametrized by distance
-    from the junction."""
+# ---------------------------------------------------------------------------
+# stationary profiles: at distance s from the junction epsilon * S(rho) = s,
+# S(rho) = sigma * int_p^rho dr / (f(r) - f(k)), sigma = -1 on incoming and
+# +1 on outgoing roads; each family's S comes with dS/dv, v = log|rho - k|.
 
-    k_h: float
-    stop: float
-    dense: object | None  # scipy dense-output interpolant on [0, stop]
+def _deflate(c: list[float], x: float) -> list[float]:
+    """Quotient q of c(r) = (r - x) q(r) + c(x), ascending coefficients."""
+    q = list(c[1:])
+    for t in range(len(q) - 2, -1, -1):
+        q[t] += x * q[t + 1]
+    return q
 
-    def at_distance(self, s):
-        scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.full(s.shape, self.k_h)
-        if self.dense is not None:
-            inside = (s >= 0.0) & (s <= self.stop)
-            if inside.any():
-                out[inside] = self.dense(s[inside])[0]
-        return float(out[0]) if scalar else out
+
+def _pole_log(r: np.ndarray, k: float, kb: float) -> np.ndarray:
+    """log|(r - k)/(r - kb)| / (k - kb) = -(log|1 + x|/x)/(r - kb) with
+    x = (kb - k)/(r - kb); log1p(x) keeps it exact as kb -> k (the crest)."""
+    x = (kb - k) / (r - kb)
+    log = np.log(np.abs((r - k) / (r - kb)))
+    near = np.abs(x) < 0.5
+    log[near] = np.log1p(x[near])
+    return -np.divide(log, x, out=np.ones_like(x), where=x != 0.0) / (r - kb)
+
+
+def _poly_distance(flux, k: float, p: float, sigma: float) -> Callable:
+    """S for a polynomial flux: with kb the conjugate of k, f(r) - f(k) =
+    (r - k)(r - kb) Q(r), and 1/Q = alpha + beta (r - k) + (r - k)(r - kb) H
+    in Newton form. The pole terms integrate in closed form, H by Gauss-
+    Legendre (H = 0 for quadratics). Divided differences of Q are
+    polynomials: nothing cancels, even at the crest, where kb = k."""
+    q1 = _deflate(kernels._piece_coeffs(flux.code, flux.params, k), k)
+    # kb from f(k) is off by sqrt(eps) near the crest, where f is flat; as
+    # the root of Q1 = (f(r) - f(k))/(r - k) it is well conditioned
+    kb = conjugate(flux, k)
+    q = _deflate(q1, kb)
+    if kernels._horner(q, k) == 0.0 or kernels._horner(q, kb) == 0.0:
+        raise PreconditionError(
+            f"f' vanishes to higher order at k_h={k}: no decay rate")
+    kb -= kernels._horner(q1, kb) / kernels._horner(q, kb)  # Q1' = Q at kb
+    q = _deflate(q1, kb)  # drops the rounding of Q1(kb)
+    qk, qkb = kernels._horner(q, k), kernels._horner(q, kb)
+    q_k = _deflate(q, k)  # Q[k, r]
+    dd = kernels._horner(q_k, kb)  # Q[k, kb]
+    beta = -dd / (qk * qkb)
+    # H(r) = (Q[k,kb] Q[kb,r] - Q(kb) Q[k,kb,r]) / (Q(k) Q(kb) Q(r))
+    num = [(dd * a - qkb * b) / (qk * qkb)
+           for a, b in zip(_deflate(q, kb), _deflate(q_k, kb) + [0.0])]
+    pole_p = _pole_log(np.array([p]), k, kb)[0]
+
+    def distance(rho):
+        total = ((_pole_log(rho, k, kb) - pole_p) / qk
+                 + beta * np.log(np.abs((rho - kb) / (p - kb))))
+        if any(num):
+            half = 0.5 * (rho - p)
+            r = p + half[:, None] * (1.0 + _GAUSS_X)
+            total += half * ((kernels._horner(num, r)
+                              / kernels._horner(q, r)) @ _GAUSS_W)
+        return sigma * total, sigma / kernels._horner(q1, rho)
+    return distance
+
+
+def _table_distance(flux, k: float, p: float, sigma: float) -> Callable:
+    """S for a tabulated flux: the nodes between p and k cut the way into
+    segments inside one panel each, where f(r) - f(k) = slope (r - z) and
+    the integral is a log; z = k on the segment that ends at k."""
+    xs, ys = kernels._table(flux.params)
+    toward = 1.0 if k > p else -1.0
+    inner = xs[((xs - p) * toward > 0.0) & ((k - xs) * toward > 0.0)]
+    starts = np.concatenate(([p], inner[::int(toward)]))
+    panel = np.searchsorted(xs, starts, "right" if k > p else "left") - 1
+    slope = (ys[panel + 1] - ys[panel]) / (xs[panel + 1] - xs[panel])
+    zero = xs[panel] + (flux.eval(k) - ys[panel]) / slope
+    zero[-1] = k
+    logs = np.log(np.abs((starts[1:] - zero[:-1]) / (starts - zero)[:-1]))
+    before = np.concatenate(([0.0], np.cumsum(logs / slope[:-1])))
+
+    def distance(rho):
+        seg = np.clip(np.searchsorted(toward * starts, toward * rho, "right")
+                      - 1, 0, starts.shape[0] - 1)
+        z = zero[seg]
+        log = np.log(np.abs((rho - z) / (starts[seg] - z)))
+        return (sigma * (before[seg] + log / slope[seg]),
+                sigma * (rho - k) / (slope[seg] * (rho - z)))
+    return distance
+
+
+def _invert(distance, k, side, grid, at_grid, target):
+    """rho with S(rho) = target: Newton steps in v = log|rho - k| from the
+    secant of the target's grid cell, bisecting where a step leaves the
+    bracket. S is near linear in v (exp(-v) at a crest): a few steps do."""
+    target = np.clip(target, at_grid[0], at_grid[-1])
+    cell = np.clip(np.searchsorted(at_grid, target), 1, _GRID - 1)
+    far, near = grid[cell - 1], grid[cell]
+    v = np.interp(target, at_grid, grid)
+    for _ in range(100):
+        rho = k + side * np.exp(v)
+        dist, slope = distance(rho)
+        far = np.where(dist < target, v, far)
+        near = np.where(dist < target, near, v)
+        new = v - (dist - target) / slope
+        out = ~((new - near) * (new - far) <= 0.0)
+        new[out] = 0.5 * (near[out] + far[out])
+        # done when rho moves by a few ulps, all a density resolves near k
+        done = np.abs(new - v) * np.exp(v) <= 4.0 * kernels._EPS * abs(rho)
+        v = new
+        if done.all():
+            break
+    return k + side * np.exp(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,21 +166,20 @@ class ViscousProfile:
     p: float
     samples: tuple[tuple[np.ndarray, np.ndarray], ...]
     residuals: np.ndarray
-    _roads: tuple[_RoadProfile, ...]
-    _m: int
+    _roads: tuple  # per road: distance from the junction -> density
 
     def evaluate(self, road: int, x):
         """Density at position x (junction at 0); constant k_h beyond the
         sampled decay window."""
-        return self._roads[road].at_distance(np.abs(x))
+        return self._roads[road](np.abs(x))
 
 
 def road_profile(flux, k_h: float, p: float, epsilon: float, window: float,
                  n_samples: int = 257, incoming: bool = True):
-    """Integrate one road's stationary balance away from the junction.
+    """Solve one road's stationary balance away from the junction.
 
-    Returns (distances, densities, residual, road_data): ``distances`` is an
-    ascending grid of distances from the junction starting at 0 where the
+    Returns (distances, densities, residual, at_distance): ``distances`` is
+    an ascending grid of distances from the junction starting at 0 where the
     density equals p; the density relaxes monotonically to k_h. On incoming
     roads distance grows as x decreases, which flips the sign of rho' in
     the balance epsilon * rho'(x) = f(rho) - f(k_h).
@@ -101,48 +192,51 @@ def road_profile(flux, k_h: float, p: float, epsilon: float, window: float,
     dist = np.linspace(0.0, window, n_samples)
     fk = flux.eval(k_h)
     sign = -1.0 if incoming else 1.0
+    side = math.copysign(1.0, p - k_h)
+    table = flux.code == kernels.FAMILY_TABLE
+    stop, distance, grid, at_grid = -1.0, None, None, None  # settled
+    if abs(p - k_h) > _DECAY_CUTOFF:
+        distance = (_table_distance if table else _poly_distance)(
+            flux, k_h, p, sign)
+        grid = np.linspace(math.log(abs(p - k_h)), math.log(_DECAY_CUTOFF),
+                           _GRID)
+        at_grid = distance(k_h + side * np.exp(grid))[0]
+        stop = min(window, epsilon * at_grid[-1])
 
-    if abs(p - k_h) <= _DECAY_CUTOFF:
-        road = _RoadProfile(k_h, -1.0, None)
-        return dist, np.full(n_samples, k_h), 0.0, road
+    def at_distance(s):
+        s = np.asarray(s, dtype=float)
+        out = np.full(s.shape, k_h)
+        inside = (s >= 0.0) & (s <= stop)
+        if inside.any():
+            out[inside] = _invert(distance, k_h, side, grid, at_grid,
+                                  s[inside] / epsilon)
+        return out if out.ndim else float(out)
 
-    def rhs(_, y):
-        return [sign * (flux.eval(float(y[0])) - fk) / epsilon]
-
-    def settled(_, y):
-        return abs(y[0] - k_h) - _DECAY_CUTOFF
-
-    settled.terminal = True
-    # DOP853: its high-order dense output keeps the derivative audit below
-    # the interpolation noise a lower-order interpolant would introduce
-    sol = solve_ivp(rhs, (0.0, window), [p], t_eval=dist, events=settled,
-                    dense_output=True, method="DOP853", rtol=1e-12,
-                    atol=1e-15, max_step=max(epsilon, window / 16.0))
-    if not sol.success:
-        raise ConsistencyError(f"profile integration failed: {sol.message}")
-    stop = window
-    if sol.status == 1 and sol.t_events[0].size:
-        stop = float(sol.t_events[0][0])
-    densities = np.full(n_samples, k_h)
-    densities[:sol.y.shape[1]] = sol.y[0]
-    road = _RoadProfile(k_h, stop, sol.sol)
+    densities = at_distance(dist)
+    if stop < 0.0:
+        return dist, densities, 0.0, at_distance
 
     # residual audit at sample midpoints via a 5-point derivative stencil
     # step size balances the h^4 truncation of the stencil (profile
     # derivatives grow like a power of 1/epsilon inside the boundary layer)
-    # against rounding noise from the interpolant evaluations
-    delta = dist[1] - dist[0]
-    h = min(epsilon / 1024.0, delta / 4.0)
+    # against rounding noise in the evaluated densities
+    h = min(epsilon / 1024.0, (dist[1] - dist[0]) / 4.0)
     mids = 0.5 * (dist[:-1] + dist[1:])
-    r_m2 = road.at_distance(mids - 2 * h)
-    r_m1 = road.at_distance(mids - h)
-    r_p1 = road.at_distance(mids + h)
-    r_p2 = road.at_distance(mids + 2 * h)
-    drho_ds = (r_m2 - 8 * r_m1 + 8 * r_p1 - r_p2) / (12.0 * h)
-    drho_dx = sign * drho_ds
-    residual = float(np.abs(epsilon * drho_dx
-                            - (flux.eval(road.at_distance(mids)) - fk)).max())
-    return dist, densities, residual, road
+    rho = at_distance(mids + h * np.arange(-2.0, 3.0)[:, None])
+    drho_ds = (rho[0] - 8 * rho[1] + 8 * rho[3] - rho[4]) / (12.0 * h)
+    if table:
+        # rho'' jumps where rho crosses a node: a stencil straddling one
+        # becomes one-sided, forward when the node lies behind the midpoint
+        below = np.searchsorted(kernels._table(flux.params)[0], rho)
+        kinked = below[0] != below[4]  # rho is monotone along the stencil
+        step = np.where((below[0] != below[2]) | (mids < 4 * h), h, -h)
+        step = step[kinked]
+        one = at_distance(mids[kinked] + step * np.arange(5.0)[:, None])
+        drho_ds[kinked] = (-25 * one[0] + 48 * one[1] - 36 * one[2]
+                           + 16 * one[3] - 3 * one[4]) / (12.0 * step)
+    residual = float(np.abs(epsilon * sign * drho_ds
+                            - (flux.eval(rho[2]) - fk)).max())
+    return dist, densities, residual, at_distance
 
 
 def stationary_profile(spec: JunctionSpec, k, epsilon: float, window: float,
@@ -181,7 +275,7 @@ def stationary_profile(spec: JunctionSpec, k, epsilon: float, window: float,
         else:
             samples.append((dist, dens))
     return ViscousProfile(float(epsilon), k, float(p), tuple(samples),
-                          residuals, tuple(roads), spec.m)
+                          residuals, tuple(roads))
 
 
 # ---------------------------------------------------------------------------

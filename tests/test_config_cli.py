@@ -428,6 +428,16 @@ def test_cli_germ_check(tmp_path):
     assert "member(flux-identity)=True" in proc.stdout
 
 
+def test_cli_import_loads_no_scipy():
+    # numpy is the only dependency; a heavy import here is paid by every
+    # process that starts the command line
+    code = ("import sys, junctionflow.cli; print(' '.join(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_ENV,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""
+
+
 def test_cli_profile_and_exit_codes(tmp_path):
     text = MINIMAL.replace("initial = 0.3", "initial = 0.2").replace(
         "initial = 0.6", "initial = 0.8")

@@ -246,6 +246,34 @@ def test_solver_rejects_bad_states():
             solve_junction(LWR11, (0.2, bad))
 
 
+def test_solver_and_candidate_share_validation():
+    # solve_junction checks the state on a Python list, candidate on an
+    # array: same inputs accepted, same message for each rejection
+    for good in ((0.2, 0.8), [0.2, 0.8], np.array([0.2, 0.8]),
+                 np.array([0.2, 0.8], dtype=np.float32), np.array([0, 1])):
+        np.testing.assert_array_equal(LWR11.candidate(good),
+                                      np.asarray(good, dtype=float))
+        assert solve_junction(LWR11, good).p_min == solve_junction(
+            LWR11, np.asarray(good, dtype=float)).p_min
+    slack = 1e-12 * LWR11.span  # the range check's own slack is accepted
+    LWR11.candidate((-slack, 1.0 + slack))
+    solve_junction(LWR11, (-slack, 1.0 + slack))
+    cases = {
+        "junction state must have shape": [(0.2,), (0.2, 0.3, 0.4),
+                                           [[0.2, 0.8]]],
+        "junction state must be finite": [(math.nan, 0.5), (0.5, math.inf),
+                                          (1.4, math.nan), (-math.inf, 2.0)],
+        "junction state outside": [(0.2, 1.4), (-0.1, 0.5),
+                                   (-2 * slack, 0.5)],
+    }
+    for message, states in cases.items():
+        for bad in states:
+            for check in (LWR11.candidate,
+                          lambda u: solve_junction(LWR11, u)):
+                with pytest.raises(ValueError, match=message):
+                    check(bad)
+
+
 def test_spec_construction_errors():
     with pytest.raises(ValueError):
         JunctionSpec(0, 1, (quadratic_lwr(),))

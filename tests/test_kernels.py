@@ -171,6 +171,8 @@ def test_junction_kernels_get_python_floats(monkeypatch):
             assert type(params) is tuple and all(map(_is_float_tuple, params))
             if name != "solve_visc_w":
                 assert _is_float_tuple(args[2]) and _is_float_tuple(args[3])
+            if name == "coupling_interval":  # the spec's cached zero
+                assert type(args[8]) is float
             ustar = args[state_at]
             assert type(ustar) is list and all(type(u) is float for u in ustar)
             seen.add(name)

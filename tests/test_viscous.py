@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from junctionflow import (
     JunctionSpec,
     NetworkMesh,
     PreconditionError,
+    custom_polynomial,
     initial_smoothing,
     parabolic_step,
     parabolic_timestep,
@@ -20,12 +22,22 @@ from junctionflow import (
     run_parabolic,
     stationary_profile,
     symmetric_quadratic,
+    tabulated,
 )
-from junctionflow.verify import nonstrict_germ_sampler
+from junctionflow.verify import germ_sampler, nonstrict_germ_sampler
 
 RNG = np.random.default_rng(1618)
 
 LWR11 = JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr()))
+LWR23 = JunctionSpec(2, 3, (quadratic_lwr(), quadratic_lwr(v=1.5),
+                            quadratic_lwr(), quadratic_lwr(v=0.75),
+                            quadratic_lwr(v=1.25)))
+CUBIC = custom_polynomial([0.0, 1.0, 0.0, -1.0], 0.0, 1.0,
+                          1.0 / math.sqrt(3.0))
+QUARTIC = custom_polynomial([0.0, 1.0, -1.0, 1.0, -1.0], 0.0, 1.0,
+                            0.6058295861882684)
+TABLE = tabulated([0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0],
+                  [0.0, 0.15, 0.3, 0.35, 0.33, 0.2, 0.1, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +82,108 @@ def test_boundary_layer_width_scales_with_epsilon():
         widths.append(s[np.searchsorted(-vals, -0.3)])  # first value <= 0.3
     assert widths[0] / widths[1] == pytest.approx(2.0, rel=1e-2)
     assert widths[1] / widths[2] == pytest.approx(2.0, rel=1e-2)
+
+
+def test_lwr_profile_matches_logistic_inverse():
+    # for f = r (1 - r) the balance is eps rho_s = -(rho - k)(rho - kb) with
+    # kb = 1 - k, up to the orientation: the logistic curve
+    # (rho - k)/(rho - kb) = (p - k)/(p - kb) * exp(-|k - kb| s / eps)
+    eps = 0.05
+    for k, p, incoming in ((0.2, 0.4, True), (0.8, 0.6, False),
+                           (0.3, 0.1, True), (0.7, 0.95, False)):
+        kb = 1.0 - k
+        dist, vals, residual, at_distance = road_profile(
+            quadratic_lwr(), k, p, eps, 0.75, n_samples=301,
+            incoming=incoming)
+        e = (p - k) / (p - kb) * np.exp(-abs(k - kb) * dist / eps)
+        want = (k - e * kb) / (1.0 - e)
+        assert np.abs(vals - want).max() <= 1e-12
+        s = np.linspace(0.0, 0.75, 1001)
+        e = (p - k) / (p - kb) * np.exp(-abs(k - kb) * s / eps)
+        assert np.abs(at_distance(s) - (k - e * kb) / (1.0 - e)).max() \
+            <= 1e-12
+        assert residual <= 1e-8
+
+
+@pytest.mark.parametrize("flux", [quadratic_lwr(), CUBIC],
+                         ids=["lwr", "cubic"])
+def test_profiles_near_the_crest(flux):
+    # k = crit - delta: the decay rate |f'(k)| / eps vanishes with delta and
+    # turns algebraic at delta = 0; the profiles must not lose accuracy on
+    # the way (log1p form of the pole log, kb polished as a root of Q1)
+    crit = flux.rho_crit
+    for incoming in (True, False):
+        p = crit - 0.25 if incoming else crit + 0.25
+        at_crest = None
+        for delta in (0.0, 1e-4, 1e-6, 1e-8, 1e-10, 1e-13):
+            k = crit - delta if incoming else crit + delta
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, vals, residual, _ = road_profile(flux, k, p, 0.05, 0.75,
+                                                    incoming=incoming)
+            assert residual <= 1e-8
+            assert np.isfinite(vals).all()
+            assert (np.diff(vals) * (k - p) >= 0.0).all()
+            if delta == 0.0:
+                at_crest = vals
+            elif delta <= 1e-6:
+                assert np.abs(vals - at_crest).max() <= 1e-10
+
+
+@pytest.mark.parametrize("spec, seed, index, eps", [
+    (JunctionSpec(2, 1, (QUARTIC, CUBIC, QUARTIC)), 11, 0, 0.01),
+    (JunctionSpec(1, 2, (quadratic_lwr(), CUBIC, TABLE)), 11, 14, 0.05),
+    (JunctionSpec(1, 2, (quadratic_lwr(), CUBIC, TABLE)), 11, 14, 0.01),
+], ids=["quartic", "table-kink-0.05", "table-kink-0.01"])
+def test_profile_residual_on_hard_states(spec, seed, index, eps):
+    # the quartic state is stiff at eps = 0.01; on the table road the density
+    # crosses the node 0.5, where rho'' jumps, inside an audit stencil
+    k = germ_sampler(spec, index + 1, seed=seed, strict_only=True)[index]
+    prof = stationary_profile(spec, k, eps, 0.75)
+    assert prof.residuals.max() <= 1e-8
+    for h, (_, dens) in enumerate(prof.samples):
+        lo = min(float(k[h]), prof.p) - 1e-12
+        hi = max(float(k[h]), prof.p) + 1e-12
+        assert lo <= dens.min() and dens.max() <= hi
+
+
+@pytest.mark.parametrize("spec", [
+    JunctionSpec(1, 2, (CUBIC, TABLE, quadratic_lwr())),
+    JunctionSpec(2, 1, (symmetric_quadratic(1.0), symmetric_quadratic(2.0),
+                        symmetric_quadratic(3.0))),
+    JunctionSpec(1, 2, (symmetric_quadratic(2.0), symmetric_quadratic(1.0),
+                        symmetric_quadratic(1.5))),
+], ids=["cubic-table-lwr", "symq-2-1", "symq-1-2"])
+def test_profile_residuals_across_families(spec):
+    for k in germ_sampler(spec, 8, seed=5, strict_only=True):
+        for eps in (0.01, 0.05, 1.0):
+            prof = stationary_profile(spec, k, eps, 0.75)
+            assert prof.residuals.max() <= 1e-8
+
+
+def test_crest_states_from_the_sampler():
+    # most strict 2-3 LWR states put some road exactly at the crest 0.5,
+    # where the profile decays like 1/s instead of exponentially
+    crest_roads = 0
+    for k in germ_sampler(LWR23, 10, seed=5, strict_only=True):
+        prof = stationary_profile(LWR23, k, 0.05, 0.75)
+        assert prof.residuals.max() <= 1e-8
+        for h, (_, dens) in enumerate(prof.samples):
+            assert np.isfinite(dens).all()
+            steps = np.diff(dens)
+            assert (steps >= 0.0).all() or (steps <= 0.0).all()
+            if k[h] == 0.5 and prof.p != 0.5:
+                crest_roads += 1
+                # algebraic decay: still well short of k_h at the window
+                assert abs(dens[0 if h < LWR23.m else -1] - 0.5) > 1e-3
+    assert crest_roads >= 6
+
+
+def test_flat_crest_rejected():
+    # f = 1 - r^4 has f'' = 0 at its crest: no profile decay rate to build on
+    flat = custom_polynomial([1.0, 0.0, 0.0, 0.0, -1.0], -1.0, 1.0, 0.0)
+    with pytest.raises(PreconditionError):
+        road_profile(flat, 0.0, -0.3, 0.05, 0.75, incoming=True)
 
 
 # ---------------------------------------------------------------------------
