@@ -2,8 +2,9 @@
 
 The solver's hot paths are (a) Godunov flux sweeps over whole roads and
 (b) the scalar algebra of the junction coupling: the balance gap, the
-inverses of each flux on its two monotone branches, and the exact solve for
-the coupling interval, plus (c) the exact sum behind the mass audit.
+inverses of each flux on its two monotone branches, and the exact solves for
+the coupling interval and for the viscous junction value, which share one
+piecewise root finder, plus (c) the exact sum behind the mass audit.
 Scalar kernels take any sequence: the junction solvers hand them Python
 floats and tuples of floats (``JunctionSpec`` converts each road's
 parameters once), which keeps numpy's per-scalar dispatch out of the
@@ -187,7 +188,7 @@ def _horner(c: list[float], x: float) -> float:
 
 def poly_root(c: list[float], a: float, b: float) -> float:
     """Root in [a, b] of the polynomial with ascending coefficients c, which
-    is monotone on [a, b] and changes sign there.
+    changes sign once on [a, b].
 
     Degree <= 2 uses the cancellation-free quadratic formula with the
     discriminant clamped at 0, so a root where the polynomial touches zero
@@ -288,22 +289,30 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero):
         return math.nan, math.nan
     first = next(t for t, s in enumerate(signs) if s <= 0)
     if signs[first] < 0:
-        root = _crossing(codes, params, m, consts, kinks, pts[first - 1],
-                         pts[first], sign)
+        a, b = pts[first - 1], pts[first]
+        # D > 0 at a and D < 0 at b, with no kink in between: every road
+        # contributes its constant or its whole flux on all of (a, b)
+        terms = [None if ((kinks[h] <= a) if h < m else (kinks[h] >= b))
+                 else consts[h] for h in range(len(kinks))]
+        root = _piecewise_root(codes, params, m, terms, [0.0], a, b, sign)
         return root, root
     last = max(t for t, s in enumerate(signs) if s >= 0)
     return pts[first], pts[last]
 
 
-def _crossing(codes, params, m, consts, kinks, a, b, sign):
-    # D > 0 at a and D < 0 at b, with no kink in between: every road
-    # contributes its constant or its whole flux on all of (a, b)
-    whole = [(kinks[h] <= a) if h < m else (kinks[h] >= b)
-             for h in range(len(kinks))]
-    # narrow (a, b) to one panel of every tabulated road in play
+def _piecewise_root(codes, params, m, terms, c, a, b, sign):
+    """Root in [a, b] of c(p) + sum_in t_h(p) - sum_out t_h(p), where c
+    holds ascending coefficients and road h's term t_h is the constant
+    terms[h], or the road's whole flux where terms[h] is None; sign(p) is
+    the sign of that sum, > 0 at a and < 0 at b.
+
+    Bisection over the sorted table nodes inside (a, b) narrows the bracket
+    to one panel of every tabulated road, where the sum is one polynomial;
+    ``poly_root`` solves it exactly.
+    """
     nodes = []
-    for h, w in enumerate(whole):
-        if w and codes[h] == FAMILY_TABLE:
+    for h, t in enumerate(terms):
+        if t is None and codes[h] == FAMILY_TABLE:
             xs = _table(params[h])[0]
             nodes.extend(xs[bisect_right(xs, a):bisect_left(xs, b)])
     nodes.sort()
@@ -319,13 +328,12 @@ def _crossing(codes, params, m, consts, kinks, a, b, sign):
             j = mid
     a = nodes[i] if i >= 0 else a
     b = nodes[j] if j < len(nodes) else b
-    c = [0.0]
-    for h, w in enumerate(whole):
-        piece = (_piece_coeffs(codes[h], params[h], 0.5 * (a + b)) if w
-                 else [consts[h]])
+    for h, t in enumerate(terms):
+        piece = (_piece_coeffs(codes[h], params[h], 0.5 * (a + b))
+                 if t is None else [t])
         c.extend([0.0] * (len(piece) - len(c)))
-        for t, v in enumerate(piece):
-            c[t] += v if h < m else -v
+        for k, v in enumerate(piece):
+            c[k] += v if h < m else -v
     return poly_root(c, a, b)
 
 
@@ -378,11 +386,17 @@ def visc_gap(codes, params, m, ustar, eps2dx, w):
     return total
 
 
-def solve_visc_w(codes, params, m, ustar, eps2dx, lo, hi, xtol, ftol):
-    # R(lo) >= 0 >= R(hi) up to float noise in the endpoint flux values;
-    # bisection on the sign keeps a guaranteed bracket. Returns nan when the
-    # endpoint signs are genuinely wrong (beyond ftol), which cannot happen
-    # for in-range states.
+def solve_visc_w(codes, params, m, ustar, eps2dx, lo, hi, ftol):
+    """The junction value w in [lo, hi] where the viscous gap
+    R(w) = sum_in f_i(w) - sum_out f_j(w) - eps2dx*(m+n)*w + eps2dx*sum(u)
+    vanishes, as the exact root of its polynomial piece.
+
+    R(lo) >= 0 >= R(hi) up to float noise in the endpoint flux values.
+    Returns nan when an endpoint sign is genuinely wrong (beyond ftol), which
+    cannot happen for in-range states. A strict sign change leaves exactly
+    one root of a piece of degree <= 2 in the bracket, even where R is not
+    monotone (small eps2dx).
+    """
     ra = visc_gap(codes, params, m, ustar, eps2dx, lo)
     if ra <= 0.0:
         if ra < -ftol:
@@ -393,16 +407,11 @@ def solve_visc_w(codes, params, m, ustar, eps2dx, lo, hi, xtol, ftol):
         if rb > ftol:
             return math.nan
         return hi
-    a = lo
-    b = hi
-    it = 0
-    while b - a > xtol and it < 200:
-        t = a + 0.5 * (b - a)
-        if t <= a or t >= b:
-            break
-        if visc_gap(codes, params, m, ustar, eps2dx, t) >= 0.0:
-            a = t
-        else:
-            b = t
-        it += 1
-    return a + 0.5 * (b - a)
+
+    def sign(w):
+        r = visc_gap(codes, params, m, ustar, eps2dx, w)
+        return 1 if r > 0.0 else (-1 if r < 0.0 else 0)
+
+    return _piecewise_root(codes, params, m, [None] * len(ustar),
+                           [eps2dx * sum(ustar), -eps2dx * len(ustar)],
+                           lo, hi, sign)

@@ -306,11 +306,9 @@ def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
 def _junction_value(values, mesh: NetworkMesh, eps: float) -> float:
     spec = mesh.spec
     ustar = junction_state(spec, values).tolist()
-    eps2dx = 2.0 * eps / mesh.dx
-    span = spec.rho_max - spec.rho_min
     w = kernels.solve_visc_w(spec._codes, spec._params, spec.m, ustar,
-                             eps2dx, spec.rho_min, spec.rho_max,
-                             1e-15 * span, 1e-9 * spec.lipschitz_sum)
+                             2.0 * eps / mesh.dx, spec.rho_min, spec.rho_max,
+                             1e-9 * spec.lipschitz_sum)
     if math.isnan(w):
         raise ConsistencyError(
             "junction balance has no sign change over the density interval")
@@ -328,8 +326,8 @@ def _parabolic_advance(values, mesh: NetworkMesh, eps: float, dt: float):
     for h, flux in enumerate(spec.fluxes):
         a = values[h]
         flux._check_range(a)  # every cell in [A, B], as Flux.godunov demands
-        gstar[h] = flux.eval(w) - eps2dx * ((w - a[-1]) if h < spec.m
-                                            else (a[0] - w))
+        gstar[h] = (kernels.flux_scalar(spec._codes[h], spec._params[h], w)
+                    - eps2dx * ((w - a[-1]) if h < spec.m else (a[0] - w)))
     return *_update(values, mesh, dt, gstar, eps=eps), w
 
 

@@ -234,6 +234,79 @@ def test_junction_fluxes_are_monotone(seed, m, n):
             assert (moved[m:][others[m:]] >= -1e-12).all()
 
 
+def _fill(spec, u, p):
+    out = [0.0] * (spec.m + spec.n)
+    kernels.fill_junction_fluxes(spec._codes, spec._params, spec._crits,
+                                 spec._fcrits, spec.m, u.tolist(), p, out)
+    return np.array(out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3))
+def test_junction_fluxes_conserve_and_are_constant_on_the_interval(seed, m, n):
+    # filled by the kernel itself at the returned interval, apart from the
+    # solver's own runtime balance check: in-sum equals out-sum, and every
+    # road's flux is the same at p_min, at the midpoint and at p_max
+    spec, state = random_junction(seed, m, n)
+    for _ in range(3):
+        u = state()
+        sol = solve_junction(spec, u)
+        fills = [_fill(spec, u, p) for p in
+                 (sol.p_min, 0.5 * (sol.p_min + sol.p_max), sol.p_max)]
+        for g in fills:
+            assert abs(math.fsum(g[:m]) - math.fsum(g[m:])) <= 1e-12
+            assert np.abs(g - fills[0]).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# viscous junction value, against the bisection it replaced
+
+def _bisect_visc_w(spec, u, e):
+    """The sign bisection of the viscous gap down to 1e-15 of the span."""
+    a, b = spec.rho_min, spec.rho_max
+    xtol = 1e-15 * spec.span
+    it = 0
+    while b - a > xtol and it < 200:
+        t = a + 0.5 * (b - a)
+        if t <= a or t >= b:
+            break
+        if kernels.visc_gap(spec._codes, spec._params, spec.m, u, e, t) >= 0:
+            a = t
+        else:
+            b = t
+        it += 1
+    return a + 0.5 * (b - a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+       symmetric=st.booleans(), log_e=st.floats(-2.0, 2.0))
+def test_viscous_junction_value_is_the_root(seed, m, n, symmetric, log_e):
+    # e = 2 eps / dx from 0.01, where the gap R need not be monotone, to 100
+    e = 10.0 ** log_e
+    if symmetric:
+        rng = np.random.default_rng(seed)
+        spec = JunctionSpec(m, n, tuple(
+            symmetric_quadratic(float(rng.uniform(0.25, 3.0)))
+            for _ in range(m + n)))
+        states = [rng.uniform(-1.0, 1.0, m + n) for _ in range(3)]
+    else:
+        spec, state = random_junction(seed, m, n)
+        states = [state() for _ in range(3)]
+    lo, hi = spec.rho_min, spec.rho_max
+    for u in states:
+        u = u.tolist()
+        w = kernels.solve_visc_w(spec._codes, spec._params, m, u, e, lo, hi,
+                                 1e-9 * spec.lipschitz_sum)
+        assert lo <= w <= hi
+        g = [f.eval(w) - e * ((w - u[h]) if h < m else (u[h] - w))
+             for h, f in enumerate(spec.fluxes)]
+        r = kernels.visc_gap(spec._codes, spec._params, m, u, e, w)
+        assert abs(r) <= 1e-12 * max(1.0, math.fsum(map(abs, g)))
+        if e * (m + n) > spec.lipschitz_sum:  # R strictly decreasing
+            assert abs(w - _bisect_visc_w(spec, u, e)) <= 4e-15 * spec.span
+
+
 def test_solver_rejects_bad_states():
     with pytest.raises(ValueError):
         solve_junction(LWR11, (0.2, 1.4))

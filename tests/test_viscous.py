@@ -353,14 +353,26 @@ def test_parabolic_equilibrium_junction_value():
     assert np.abs(w - 0.5).max() <= 1e-3
 
 
-# SHA-256 of a parabolic run's outputs, recorded before the parabolic scheme
-# came to share the hyperbolic scheme's time loop and road update
+# SHA-256 of a parabolic run's outputs with the junction value as the exact
+# piecewise root (the masses digest dates from before the parabolic scheme
+# came to share the hyperbolic scheme's time loop and road update)
 PINNED_PARABOLIC = {
-    "final": "86bf414bf59e97d06723f6ae9764eda7c39c3ac8afbf754cc4223a8728967f4d",
+    "final": "92110a020d466050e16ac8f49b19a9b24bc94abc2328cc1318a41ad3813097dc",
     "masses": "2f6707652a42af760907eea1ce350bb7761c47ff6951fe6ed730e7ebe520962d",
     "junction_values":
-        "a19d8c48bdf70ca356f7ad8e3bb228b21651a965eaae4815809808cd4cf043fb",
+        "dd3b68ac9f6db26f3840eb61a583172e5dc465ec139cb05bf3c054dde0b68a08",
 }
+
+# The junction values of the same run found by bisecting the viscous gap to
+# 1e-15 of the density span, before the exact piecewise root replaced it.
+BISECTED_JUNCTION_VALUES = (
+    "0x1.4ccccccccccccp-1", "0x1.4ba5e353f7cecp-1", "0x1.4aed76a1470ccp-1",
+    "0x1.4a6512ac98db4p-1", "0x1.49f5d6615aab4p-1", "0x1.49960ce505b64p-1",
+    "0x1.4940e959eeb14p-1", "0x1.48f3b260d290cp-1", "0x1.48acaf77bc6bcp-1",
+    "0x1.486ab426c786cp-1", "0x1.482ce80f9f2ecp-1", "0x1.47f2a91d2dc14p-1",
+    "0x1.47bb7a2d969acp-1", "0x1.4786f84bd0facp-1", "0x1.4754d3a4c21ecp-1",
+    "0x1.4724cabe2dae4p-1", "0x1.46f6a71bf5df4p-1",
+)
 
 
 def _sha(array):
@@ -376,6 +388,8 @@ def test_parabolic_run_bit_identical():
     assert _sha(np.concatenate(traj.final.values)) == PINNED_PARABOLIC["final"]
     assert _sha(traj.masses) == PINNED_PARABOLIC["masses"]
     assert _sha(traj.junction_values) == PINNED_PARABOLIC["junction_values"]
+    bisected = [float.fromhex(w) for w in BISECTED_JUNCTION_VALUES]
+    assert np.abs(traj.junction_values - bisected).max() <= 4e-15
 
 
 # ---------------------------------------------------------------------------
