@@ -124,13 +124,15 @@ def godunov_array(code, par, crit, fcrit, a, b):
 
 
 def interface_fluxes(code, par, crit, fcrit, u_ext, out):
-    """Godunov flux at all interfaces of a road; u_ext includes ghost cells.
-    The flux is evaluated once per cell and feeds both the demand of the
-    interface to its right and the supply of the one to its left."""
+    """Godunov flux at every interface between neighbouring cells of u_ext
+    (ghost cells included). The flux is evaluated once per cell and feeds
+    both the demand of the interface to its right and the supply of the one
+    to its left. crit, fcrit and each row of par may hold one value per
+    cell of u_ext, for roads of one family with different parameters."""
     f = flux_array(code, par, u_ext)
-    d = np.where(u_ext[:-1] <= crit, f[:-1], fcrit)
-    s = np.where(u_ext[1:] >= crit, f[1:], fcrit)
-    np.minimum(d, s, out=out)
+    d = np.where(u_ext <= crit, f, fcrit)
+    s = np.where(u_ext >= crit, f, fcrit)
+    np.minimum(d[:-1], s[1:], out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,15 @@ adjacent cells, then march every road conservatively with Godunov interface
 fluxes inside roads, the junction fluxes at x = 0, and ghost-cell (absorbing)
 or Dirichlet data at the outer truncation ends.
 
+The march holds the network in one float64 buffer: each incoming road as
+[ghost, cells...], a pad slot, then each outgoing road as [cells..., ghost].
+Interface k lies between slots k and k+1, so every interface between two
+roads is a junction interface, overwritten with the junction flux; the pad
+keeps the last incoming and first outgoing road from sharing one. Ghosts
+and pad are filled whenever a buffer is made, so every slot is in range,
+and roads of one flux family side by side share one Godunov sweep. Each
+step makes a fresh buffer; ``GridState.values`` are views of its cells.
+
 The scheme is monotone under the CFL bound dt <= dx / (2 max_h L_h), which
 gives the maximum principle, order preservation, and discrete L1 contraction
 checked by the verification suite.
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -46,6 +56,7 @@ class NetworkMesh:
         if counts.shape != (roads,) or counts.min() < 1:
             raise ValueError(f"cells_per_road must be {roads} positive counts")
         self.cells_per_road = counts
+        self._layout = _Layout.build(self.spec, counts)
 
     def centers(self, road: int) -> np.ndarray:
         """Cell midpoints; negative coordinates on incoming roads."""
@@ -56,6 +67,63 @@ class NetworkMesh:
 
     def road_length(self, road: int) -> float:
         return float(self.cells_per_road[road]) * self.dx
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where each road lives in the network buffer (see the module
+    docstring); road-indexed arrays list incoming roads first."""
+
+    slots: int
+    cells: tuple[slice, ...]
+    ghosts: np.ndarray  # ghost slot of every road
+    ends: np.ndarray  # outer end cell, which an absorbing ghost copies
+    pad: int  # copies the cell before it
+    adj: np.ndarray  # the cell next to the junction
+    junc: np.ndarray  # the junction interface
+    outer: np.ndarray  # the outer interface
+    sweeps: tuple  # (first, stop, code, params, crit, fcrit) per sweep
+
+    @classmethod
+    def build(cls, spec: JunctionSpec, counts: np.ndarray) -> _Layout:
+        incoming = np.arange(counts.shape[0]) < spec.m
+        sizes = counts + 1  # cells and a ghost; the pad goes with road m-1
+        sizes[spec.m - 1] += 1
+        stops = np.cumsum(sizes)
+        first = stops - sizes + incoming
+        last = first + counts - 1
+        ghosts = np.where(incoming, first - 1, last + 1)
+        ends = np.where(incoming, first, last)
+        adj = np.where(incoming, last, first)
+        # LWR roads side by side, or symmetric-quadratic ones, share one
+        # sweep with per-slot parameters; any other road has its own
+        sweeps = []
+        for code, run in groupby(range(len(spec.fluxes)), lambda h: (
+                spec._codes[h] if spec._codes[h] < kernels.FAMILY_POLY
+                else -1 - h)):
+            run = list(run)
+            each = sizes[run]
+            params = (spec.fluxes[run[0]].params if code < 0 else np.repeat(
+                np.array([spec._params[h] for h in run]).T, each, axis=1))
+            sweeps.append((int(stops[run[0]] - each[0]), int(stops[run[-1]]),
+                           spec._codes[run[0]], params,
+                           np.repeat([spec._crits[h] for h in run], each),
+                           np.repeat([spec._fcrits[h] for h in run], each)))
+        return cls(int(stops[-1]),
+                   tuple(map(slice, first.tolist(), (last + 1).tolist())),
+                   ghosts, ends, int(stops[spec.m - 1] - 1), adj,
+                   np.where(incoming, last, first - 1),
+                   np.where(incoming, ghosts, ends),
+                   tuple(sweeps))
+
+    def views(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(u[c] for c in self.cells)
+
+    def fill(self, u: np.ndarray, ghosts=None) -> None:
+        """Ghost cells copy the end cells (absorbing, ``ghosts`` None) or
+        hold ``ghosts[h]`` (Dirichlet); the pad copies its neighbour."""
+        u[self.ghosts] = u[self.ends] if ghosts is None else ghosts
+        u[self.pad] = u[self.pad - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,44 +248,43 @@ def junction_state(spec: JunctionSpec, values) -> np.ndarray:
                     + [v[0] for v in values[spec.m:]])
 
 
-def _update(values: tuple[np.ndarray, ...], mesh: NetworkMesh, dt: float,
-            gstar, ghosts=None, eps: float = 0.0):
-    """One conservative update of every road: Godunov interface fluxes, less
-    eps times the discrete gradient, the junction fluxes ``gstar`` at x = 0,
-    and at the outer end a ghost cell that copies the end cell (absorbing,
-    ``ghosts`` None) or holds ``ghosts[h]`` (Dirichlet). Returns (new values,
+def _pack(mesh: NetworkMesh, data, ghosts=None) -> np.ndarray:
+    """Initial data, validated as ``discretize_initial`` validates it, in a
+    fresh network buffer with its ghosts and pad filled."""
+    layout = mesh._layout
+    u = np.empty(layout.slots)
+    for cells, values in zip(layout.cells,
+                             discretize_initial(mesh, data).values):
+        u[cells] = values
+    layout.fill(u, ghosts)
+    return u
+
+
+def _update(u: np.ndarray, mesh: NetworkMesh, dt: float, gstar, ghosts=None,
+            eps: float = 0.0):
+    """One conservative update of the network buffer u: Godunov interface
+    fluxes, less eps times the discrete gradient, and the junction fluxes
+    ``gstar`` at x = 0. Returns (the new buffer, its ghosts and pad filled,
     per-road outer boundary flux)."""
-    lam = dt / mesh.dx
-    new_values = []
-    boundary = np.empty(len(values))
-    for h, flux in enumerate(mesh.spec.fluxes):
-        a = values[h]
-        cells = a.shape[0]
-        fgrid = np.empty(cells + 1)
-        u_ext = np.empty(cells + 1)
-        if h < mesh.spec.m:
-            u_ext[0] = a[0] if ghosts is None else ghosts[h]
-            u_ext[1:] = a
-            road, node, end = fgrid[:cells], cells, 0
-        else:
-            u_ext[:cells] = a
-            u_ext[cells] = a[-1] if ghosts is None else ghosts[h]
-            road, node, end = fgrid[1:], 0, cells
-        kernels.interface_fluxes(flux.code, flux.params, flux.rho_crit,
-                                 flux.flux_max, u_ext, road)
-        if eps > 0:
-            road -= eps * np.diff(u_ext) / mesh.dx
-        fgrid[node] = gstar[h]
-        boundary[h] = fgrid[end]
-        new_values.append(a - lam * (fgrid[1:] - fgrid[:-1]))
-    return tuple(new_values), boundary
+    layout = mesh._layout
+    fgrid = np.empty(layout.slots - 1)
+    for first, stop, code, par, crit, fcrit in layout.sweeps:
+        kernels.interface_fluxes(code, par, crit, fcrit, u[first:stop],
+                                 fgrid[first:stop - 1])
+    if eps > 0:
+        fgrid -= eps * (u[1:] - u[:-1]) / mesh.dx
+    fgrid[layout.junc] = gstar
+    new = np.empty(layout.slots)
+    new[1:-1] = u[1:-1] - dt / mesh.dx * (fgrid[1:] - fgrid[:-1])
+    layout.fill(new, ghosts)
+    return new, fgrid[layout.outer]
 
 
-def _advance(values, mesh: NetworkMesh, dt: float, ghosts):
-    """Solve the junction, then update; returns (new values, boundary flux,
+def _advance(u: np.ndarray, mesh: NetworkMesh, dt: float, ghosts):
+    """Solve the junction, then update; returns (new buffer, boundary flux,
     junction solution)."""
-    sol = solve_junction(mesh.spec, junction_state(mesh.spec, values))
-    return *_update(values, mesh, dt, sol.fluxes, ghosts), sol
+    sol = solve_junction(mesh.spec, u[mesh._layout.adj])
+    return *_update(u, mesh, dt, sol.fluxes, ghosts), sol
 
 
 def _check_timestep(dt: float, limit: float) -> None:
@@ -230,23 +297,25 @@ def _check_timestep(dt: float, limit: float) -> None:
 
 def step(state: GridState, mesh: NetworkMesh, dt: float,
          outer_bc: str = "absorbing", dirichlet_values=None) -> GridState:
-    """Advance one time level. Raises ConfigError if dt violates the CFL bound."""
+    """Advance one time level. Raises ConfigError if dt violates the CFL
+    bound, ValueError (naming the road) on a state run would reject."""
     _check_timestep(dt, mesh.dx / (2.0 * mesh.spec.lipschitz_max))
     ghosts = None
     if outer_bc == "dirichlet":
         ghosts = mesh.spec.candidate(dirichlet_values)
     elif outer_bc != "absorbing":
         raise ValueError(f"unknown outer_bc {outer_bc!r}")
-    new_values, _, _ = _advance(state.values, mesh, dt, ghosts)
-    return GridState(state.time_step + 1, state.time + dt, new_values)
+    u, _, _ = _advance(_pack(mesh, state, ghosts), mesh, dt, ghosts)
+    return GridState(state.time_step + 1, state.time + dt,
+                     mesh._layout.views(u))
 
 
-def _march(mesh: NetworkMesh, state: GridState, dt0: float, t_final: float,
+def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
            advance, keep_states: bool = True, snapshot_times=()):
-    """The time loop of every run: steps of dt0, the last one shortened to
-    land exactly on t_final. ``advance(values, dt)`` returns (new values,
-    per-road outer boundary flux, junction record). A non-finite mass stops
-    the run with the step that produced it.
+    """The time loop of every run from the network buffer u: steps of dt0,
+    the last one shortened to land exactly on t_final. ``advance(u, dt)``
+    returns (new buffer, per-road outer boundary flux, junction record). A
+    non-finite mass stops the run with the step that produced it.
 
     Returns (states, snapshots, times, dts, boundary_net, masses, records);
     ``states`` keeps the first and last level only unless ``keep_states``,
@@ -265,17 +334,18 @@ def _march(mesh: NetworkMesh, state: GridState, dt0: float, t_final: float,
     snap_idx = {int(np.abs(times - t).argmin())
                 for t in (*snapshot_times, 0.0, t_final)}
 
+    views = mesh._layout.views
+    state = GridState(0, 0.0, views(u))
     states = [state]
     snapshots = [state]
     masses = [state.total_mass(mesh.dx)]
     dts = np.empty(n_steps)
     bnet = np.empty(n_steps)
     records = []
-    values = state.values
     for s in range(n_steps):
         dt = times[s + 1] - s * dt0 if s == n_steps - 1 else dt0
-        values, boundary, record = advance(values, dt)
-        state = GridState(s + 1, times[s + 1], values)
+        u, boundary, record = advance(u, dt)
+        state = GridState(s + 1, times[s + 1], views(u))
         if keep_states or s == n_steps - 1:
             states.append(state)
         if s + 1 in snap_idx:
@@ -329,9 +399,9 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
     mesh = config.mesh
     ghosts = config.dirichlet_values if config.outer_bc == "dirichlet" else None
     states, snapshots, times, dts, bnet, masses, sols = _march(
-        mesh, discretize_initial(mesh, initial),
+        mesh, _pack(mesh, initial, ghosts),
         cfl_timestep(mesh, config.cfl_number), config.t_final,
-        lambda values, dt: _advance(values, mesh, dt, ghosts),
+        lambda u, dt: _advance(u, mesh, dt, ghosts),
         keep_states, config.snapshot_times)
     return Trajectory(config, states, snapshots, times, dts,
                       np.array([sol.p_min for sol in sols]),

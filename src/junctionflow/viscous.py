@@ -10,8 +10,8 @@ decay to k_h away from the junction as inverses of distance integrals.
 system (Godunov convection plus centered diffusion) with a single junction
 value w per step chosen so the total convective+diffusive flux balances
 (Coclite & Garavello, "Vanishing viscosity for traffic on networks", 2010).
-They share the hyperbolic scheme's time loop, road update and GridState;
-only the junction fluxes differ. The parabolic solver is used as a
+They share the hyperbolic scheme's time loop, network buffer, update and
+GridState; only the junction fluxes differ. The parabolic solver is used as a
 cross-check of the hyperbolic scheme as epsilon shrinks, not as a
 production solver.
 """
@@ -28,8 +28,8 @@ from . import kernels
 from .errors import ConsistencyError, PreconditionError
 from .fluxes import conjugate
 from .junction import JunctionSpec, _strict_margins_hold, strict_witness
-from .scheme import (GridState, NetworkMesh, _check_timestep, _march, _update,
-                     discretize_initial, junction_state)
+from .scheme import (GridState, NetworkMesh, _check_timestep, _march, _pack,
+                     _update)
 
 _DECAY_CUTOFF = 1e-12
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
@@ -299,36 +299,33 @@ def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
     dx = mesh.dx
     _check_timestep(dt, min(dx / (2.0 * mesh.spec.lipschitz_max),
                             dx * dx / (4.0 * epsilon)))
-    new_values, _, _ = _parabolic_advance(state.values, mesh, epsilon, dt)
-    return GridState(state.time_step + 1, state.time + dt, new_values)
+    u, _, _ = _parabolic_advance(_pack(mesh, state), mesh, epsilon, dt)
+    return GridState(state.time_step + 1, state.time + dt,
+                     mesh._layout.views(u))
 
 
-def _junction_value(values, mesh: NetworkMesh, eps: float) -> float:
+def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float,
+                       dt: float):
+    """The junction value w, the convective+diffusive junction fluxes it
+    gives every road, then the shared update with diffusion; returns (new
+    buffer, boundary flux, w)."""
     spec = mesh.spec
-    ustar = junction_state(spec, values).tolist()
-    w = kernels.solve_visc_w(spec._codes, spec._params, spec.m, ustar,
-                             2.0 * eps / mesh.dx, spec.rho_min, spec.rho_max,
-                             1e-9 * spec.lipschitz_sum)
+    # every cell in [A, B], as Flux.godunov demands (all roads share one
+    # interval, and the ghosts and the pad copy cells)
+    spec.fluxes[0]._check_range(u)
+    ustar = u[mesh._layout.adj].tolist()
+    eps2dx = 2.0 * eps / mesh.dx
+    w = float(kernels.solve_visc_w(spec._codes, spec._params, spec.m, ustar,
+                                   eps2dx, spec.rho_min, spec.rho_max,
+                                   1e-9 * spec.lipschitz_sum))
     if math.isnan(w):
         raise ConsistencyError(
             "junction balance has no sign change over the density interval")
-    return float(w)
-
-
-def _parabolic_advance(values, mesh: NetworkMesh, eps: float, dt: float):
-    """The junction value w, the convective+diffusive junction fluxes it
-    gives every road, then the shared road update with diffusion; returns
-    (new values, boundary flux, w)."""
-    spec = mesh.spec
-    w = _junction_value(values, mesh, eps)
-    eps2dx = 2.0 * eps / mesh.dx
     gstar = np.empty(spec.m + spec.n)
-    for h, flux in enumerate(spec.fluxes):
-        a = values[h]
-        flux._check_range(a)  # every cell in [A, B], as Flux.godunov demands
+    for h, a in enumerate(ustar):
         gstar[h] = (kernels.flux_scalar(spec._codes[h], spec._params[h], w)
-                    - eps2dx * ((w - a[-1]) if h < spec.m else (a[0] - w)))
-    return *_update(values, mesh, dt, gstar, eps=eps), w
+                    - eps2dx * ((w - a) if h < spec.m else (a - w)))
+    return *_update(u, mesh, dt, gstar, eps=eps), w
 
 
 @dataclass(eq=False)
@@ -361,9 +358,8 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError("t_final must be nonnegative and finite")
     states, _, times, dts, bnet, masses, wlog = _march(
-        mesh, discretize_initial(mesh, initial),
-        parabolic_timestep(mesh, epsilon), t_final,
-        lambda values, dt: _parabolic_advance(values, mesh, epsilon, dt))
+        mesh, _pack(mesh, initial), parabolic_timestep(mesh, epsilon),
+        t_final, lambda u, dt: _parabolic_advance(u, mesh, epsilon, dt))
     return ParabolicTrajectory(mesh, float(epsilon), states, times, dts,
                                np.array(wlog), bnet, masses)
 

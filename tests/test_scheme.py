@@ -27,9 +27,11 @@ from junctionflow import (
     symmetric_quadratic,
     tabulated,
 )
-from junctionflow import kernels
+from junctionflow import kernels, scheme
 from junctionflow.scheme import Trajectory
 from junctionflow.verify import germ_sampler
+from junctionflow.viscous import parabolic_step, parabolic_timestep
+from test_junction import random_junction
 
 RNG = np.random.default_rng(2718)
 
@@ -136,6 +138,30 @@ def test_step_rejects_cfl_violation():
     assert out.time_step == 1
     with pytest.raises(ValueError):
         step(state, mesh, math.nan)
+
+
+def _bad_states():
+    nan_cell = np.full(50, 0.3)
+    nan_cell[10] = math.nan
+    high_cell = np.full(50, 0.3)
+    high_cell[10] = 1.5
+    return {"nan": (nan_cell, np.full(50, 0.6)),
+            "outside": (high_cell, np.full(50, 0.6)),
+            "short": (np.full(49, 0.3), np.full(50, 0.6))}
+
+
+@pytest.mark.parametrize("case", ["nan", "outside", "short"])
+@pytest.mark.parametrize("advance", ["step", "parabolic_step"])
+def test_single_step_rejects_invalid_states(case, advance):
+    # the single-step API validates its state as run validates initial data
+    mesh = small_mesh()
+    state = GridState(0, 0.0, _bad_states()[case])
+    with pytest.raises(ValueError, match="^road 0: "):
+        if advance == "step":
+            step(state, mesh, cfl_timestep(mesh, 0.9))
+        else:
+            parabolic_step(state, mesh, 0.02, 0.9 * min(0.02 / 2.0,
+                                                        0.02**2 / 0.08))
 
 
 def test_step_conserves_mass_with_boundary_accounting():
@@ -353,12 +379,128 @@ def test_non_finite_mass_stops_the_run(monkeypatch):
         def poisoned(code, par, crit, fcrit, u_ext, out):
             real(code, par, crit, fcrit, u_ext, out)
             calls.append(1)
-            if len(calls) == 2 * 5 - 1:  # road 0 of step 5
-                out[3] = math.nan
+            if len(calls) == 5:  # both LWR roads share one sweep per step
+                out[3] = math.nan  # between cells 2 and 3 of road 0
 
         monkeypatch.setattr(kernels, "interface_fluxes", poisoned)
         with pytest.raises(ConsistencyError, match=r"^step 5: "):
             march()
+
+
+def _road_by_road_update(values, mesh, dt, gstar, ghosts=None, eps=0.0):
+    """The conservative update as it was written before the network buffer:
+    one ghost-extended array and one Godunov sweep per road."""
+    lam = dt / mesh.dx
+    new_values = []
+    boundary = np.empty(len(values))
+    for h, flux in enumerate(mesh.spec.fluxes):
+        a = values[h]
+        cells = a.shape[0]
+        fgrid = np.empty(cells + 1)
+        u_ext = np.empty(cells + 1)
+        if h < mesh.spec.m:
+            u_ext[0] = a[0] if ghosts is None else ghosts[h]
+            u_ext[1:] = a
+            road, node, end = fgrid[:cells], cells, 0
+        else:
+            u_ext[:cells] = a
+            u_ext[cells] = a[-1] if ghosts is None else ghosts[h]
+            road, node, end = fgrid[1:], 0, cells
+        f = kernels.flux_array(flux.code, flux.params, u_ext)
+        d = np.where(u_ext[:-1] <= flux.rho_crit, f[:-1], flux.flux_max)
+        s = np.where(u_ext[1:] >= flux.rho_crit, f[1:], flux.flux_max)
+        np.minimum(d, s, out=road)
+        if eps > 0:
+            road -= eps * np.diff(u_ext) / mesh.dx
+        fgrid[node] = gstar[h]
+        boundary[h] = fgrid[end]
+        new_values.append(a - lam * (fgrid[1:] - fgrid[:-1]))
+    return tuple(new_values), boundary
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+       symmetric=st.booleans(), dirichlet=st.booleans(),
+       eps=st.sampled_from([0.0, 1e-3, 0.05]))
+def test_network_update_matches_road_by_road(seed, m, n, symmetric,
+                                             dirichlet, eps):
+    # LWR of several speeds, cubics and tables side by side, or symmetric
+    # quadratics; roads of 1 to 6 cells
+    rng = np.random.default_rng(seed)
+    if symmetric:
+        spec = JunctionSpec(m, n, tuple(
+            symmetric_quadratic(float(rng.uniform(0.25, 3.0)))
+            for _ in range(m + n)))
+    else:
+        spec = random_junction(seed, m, n)[0]
+    lo, hi = spec.rho_min, spec.rho_max
+    mesh = NetworkMesh(spec, float(rng.uniform(0.01, 0.1)),
+                       rng.integers(1, 7, m + n))
+    values = tuple(rng.uniform(lo, hi, c) for c in mesh.cells_per_road)
+    ghosts = rng.uniform(lo, hi, m + n) if dirichlet else None
+    gstar = rng.uniform(0.0, 1.0, m + n) * np.array(spec._fcrits)
+    dt = 0.9 * cfl_timestep(mesh, 1.0)
+    u, boundary = scheme._update(scheme._pack(mesh, values, ghosts), mesh,
+                                 dt, gstar, ghosts, eps)
+    want, want_boundary = _road_by_road_update(values, mesh, dt, gstar,
+                                               ghosts, eps)
+    for got, ref in zip(mesh._layout.views(u), want):
+        assert got.tobytes() == ref.tobytes()
+    assert boundary.tobytes() == want_boundary.tobytes()
+
+
+@pytest.mark.parametrize("bc", ["absorbing", "dirichlet", "parabolic"])
+def test_single_steps_replay_the_run(bc):
+    # step by step, the single-step API gives every level of a run bitwise;
+    # the levels a run keeps are views into per-step buffers, so checking
+    # them only after the run ends shows that no later step wrote into them
+    spec = MIXED_TOPOLOGIES["1-2-mixed"]
+    mesh = small_mesh(spec, dx=0.05, cells=20)
+    rng = np.random.default_rng(7)
+    init = [rng.uniform(0.0, 1.0, 20) for _ in range(3)]
+    if bc == "parabolic":
+        traj = run_parabolic(mesh, 0.02, init,
+                             25.5 * parabolic_timestep(mesh, 0.02))
+        advance = lambda state, dt: parabolic_step(state, mesh, 0.02, dt)
+    else:
+        extra = ({} if bc == "absorbing" else
+                 {"outer_bc": "dirichlet",
+                  "dirichlet_values": np.array([0.8, 0.05, 0.9])})
+        traj = run(RunConfig(mesh, 0.9, 25.5 * cfl_timestep(mesh, 0.9),
+                             **extra), init)
+        advance = lambda state, dt: step(state, mesh, dt, **extra)
+    assert len(traj.dts) == 26
+    state = discretize_initial(mesh, init)
+    replay = [[v.copy() for v in state.values]]
+    for dt in traj.dts:
+        state = advance(state, dt)
+        replay.append([v.copy() for v in state.values])
+    assert len(traj.states) == len(replay)
+    for kept, want in zip(traj.states, replay):
+        for got, ref in zip(kept.values, want):
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("label,sweeps", [("2-3", 1), ("1-2-mixed", 3),
+                                          ("2-1-symq", 1)])
+def test_one_sweep_per_family_run(monkeypatch, label, sweeps):
+    # neighbouring LWR (or symmetric-quadratic) roads share one Godunov
+    # sweep per step; a polynomial or tabulated road has its own
+    spec = MIXED_TOPOLOGIES[label]
+    mesh = small_mesh(spec, dx=0.05, cells=20)
+    real = kernels.interface_fluxes
+    calls = []
+
+    def counted(*args):
+        calls.append(args[5].shape[0])  # ``out`` stays the sixth argument
+        real(*args)
+
+    monkeypatch.setattr(kernels, "interface_fluxes", counted)
+    traj = run(RunConfig(mesh, 0.9, 10 * cfl_timestep(mesh, 0.9)),
+               [spec.rho_min + 0.3 * spec.span] * (spec.m + spec.n))
+    assert len(calls) == sweeps * len(traj.dts)
+    # every interface but the ones between two sweeps is swept once
+    assert sum(calls) == (mesh._layout.slots - sweeps) * len(traj.dts)
 
 
 # SHA-256 of a Dirichlet run's outputs, recorded before the hyperbolic and
