@@ -104,7 +104,8 @@ class JunctionSpec:
 
 @dataclass(frozen=True, eq=False)
 class JunctionSolution:
-    """Coupling interval [p_min, p_max], per-road fluxes, and their total."""
+    """Coupling interval [p_min, p_max], per-road fluxes (read-only), and
+    their total."""
 
     p_min: float
     p_max: float
@@ -154,6 +155,8 @@ def solve_junction(spec: JunctionSpec, u) -> JunctionSolution:
     if abs(total_in - total_out) > 1e-12 * max(1.0, abs(total_in)):
         raise ConsistencyError(
             f"junction fluxes do not balance: in={total_in!r} out={total_out!r}")
+    # a run hands one solution to every step that repeats its state
+    fluxes.flags.writeable = False
     return JunctionSolution(float(p_min), float(p_max), fluxes,
                             float(total_in))
 

@@ -9,7 +9,10 @@ Scalar kernels take any sequence: the junction solvers hand them Python
 floats and tuples of floats (``JunctionSpec`` converts each road's
 parameters once), which keeps numpy's per-scalar dispatch out of the
 coupling. The vectorized numpy twins take ``Flux.params`` and are built from
-the same per-element expressions, so the two agree bitwise.
+the same per-element expressions, so the two agree bitwise. The balance
+gap of one junction state has a constant term per road (``road_constants``,
+the demand or supply of its junction-adjacent cell); the coupling solve
+computes them once and hands them to every gap evaluation.
 ``NUMBA_ENABLED`` is kept as a constant: numpy is the only backend.
 
 Flux families are passed around as an integer code plus a packed float
@@ -138,14 +141,32 @@ def interface_fluxes(code, par, crit, fcrit, u_ext, out):
 # ---------------------------------------------------------------------------
 # junction balance gap
 
-def balance_gap(codes, params, crits, fcrits, m, ustar, p):
+def road_constants(codes, params, crits, fcrits, m, ustar):
+    """The constant term of every road's share of the balance gap: the
+    demand d_i = D_i(u_i) of an incoming road, the supply s_j = S_j(u_j) of
+    an outgoing one."""
+    return [demand_scalar(codes[h], params[h], crits[h], fcrits[h], ustar[h])
+            if h < m else
+            supply_scalar(codes[h], params[h], crits[h], fcrits[h], ustar[h])
+            for h in range(len(ustar))]
+
+
+def balance_gap(codes, params, crits, fcrits, m, ustar, p, consts=None):
+    """D(p) = sum_in min(d_i, S_i(p)) - sum_out min(D_j(p), s_j), the terms
+    in road order. ``consts``, the ``road_constants`` of ustar, spare a
+    caller that evaluates D many times for one state from recomputing
+    them; either way the terms are those of ``godunov_scalar``."""
+    if consts is None:
+        consts = road_constants(codes, params, crits, fcrits, m, ustar)
     total = 0.0
     for i in range(m):
-        total += godunov_scalar(codes[i], params[i], crits[i], fcrits[i],
-                                ustar[i], p)
-    for j in range(m, len(ustar)):
-        total -= godunov_scalar(codes[j], params[j], crits[j], fcrits[j],
-                                p, ustar[j])
+        d = consts[i]
+        s = supply_scalar(codes[i], params[i], crits[i], fcrits[i], p)
+        total += d if d <= s else s
+    for j in range(m, len(consts)):
+        d = demand_scalar(codes[j], params[j], crits[j], fcrits[j], p)
+        s = consts[j]
+        total -= d if d <= s else s
     return total
 
 
@@ -269,20 +290,13 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero):
     plateau values are differences of rounded flux values, that noisy.
     Returns (nan, nan) when D does not fall from >= 0 to <= 0 over [lo, hi].
     """
-    consts = []
-    kinks = []
-    for h in range(len(ustar)):
-        code, par, crit, fcrit = codes[h], params[h], crits[h], fcrits[h]
-        if h < m:
-            c = demand_scalar(code, par, crit, fcrit, ustar[h])
-            kinks.append(branch_point(code, par, crit, fcrit, c, hi))
-        else:
-            c = supply_scalar(code, par, crit, fcrit, ustar[h])
-            kinks.append(branch_point(code, par, crit, fcrit, c, lo))
-        consts.append(c)
+    consts = road_constants(codes, params, crits, fcrits, m, ustar)
+    kinks = [branch_point(codes[h], params[h], crits[h], fcrits[h], c,
+                          hi if h < m else lo)
+             for h, c in enumerate(consts)]
 
     def sign(p):
-        g = balance_gap(codes, params, crits, fcrits, m, ustar, p)
+        g = balance_gap(codes, params, crits, fcrits, m, ustar, p, consts)
         return 1 if g > zero else (-1 if g < -zero else 0)
 
     pts = sorted([lo, hi, *kinks])

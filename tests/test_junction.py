@@ -132,6 +132,17 @@ def test_worked_junction_example():
     assert total_flux(SYMQ21, WORKED_U) == pytest.approx(2.5, abs=1e-10)
 
 
+def test_solution_fluxes_are_read_only():
+    # a run hands one solution to every step that repeats its junction
+    # state, so a write through one step's record must not reach the others
+    sol = solve_junction(SYMQ21, WORKED_U)
+    with pytest.raises(ValueError):
+        sol.fluxes[0] = 0.0
+    with pytest.raises(ValueError):
+        sol.fluxes += 1.0
+    assert np.abs(sol.fluxes - WORKED_G).max() <= 1e-10
+
+
 def test_interval_endpoints_are_exact():
     # the worked example's p_max is a tangential root (the second incoming
     # road demands its crest value), and the stationary shock's interval

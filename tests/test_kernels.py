@@ -79,6 +79,32 @@ def test_balance_gap_nonincreasing_in_p():
         assert (np.diff(gaps) <= 1e-14).all()
 
 
+def test_balance_gap_from_road_constants_is_the_godunov_sum():
+    # the gap from precomputed road constants is the sum of godunov_scalar
+    # terms in road order, bit for bit, at random points, crests and ends
+    for name in FAMILIES:
+        f = _family_args(name)[0]
+        spec = JunctionSpec(2, 2, (f, f, f, f))
+        args = (spec._codes, spec._params, spec._crits, spec._fcrits, 2)
+        special = [f.rho_min, f.rho_max, f.rho_crit]
+        for _ in range(20):
+            u = (f.rho_min + f.span * RNG.random(4)).tolist()
+            u[RNG.integers(4)] = special[RNG.integers(3)]
+            consts = kernels.road_constants(*args, u)
+            for p in [*special, *(f.rho_min + f.span * RNG.random(5))]:
+                want = 0.0
+                for h in range(4):
+                    a, b = (u[h], p) if h < 2 else (p, u[h])
+                    term = kernels.godunov_scalar(spec._codes[h],
+                                                  spec._params[h],
+                                                  spec._crits[h],
+                                                  spec._fcrits[h], a, b)
+                    want = want + term if h < 2 else want - term
+                got = kernels.balance_gap(*args, u, p, consts)
+                assert got.hex() == want.hex()
+                assert kernels.balance_gap(*args, u, p).hex() == want.hex()
+
+
 # The tabulated panel searches as np.searchsorted wrote them on ndarray
 # parameters, kept as the oracle for the bisect searches on tuples
 

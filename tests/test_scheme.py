@@ -23,6 +23,7 @@ from junctionflow import (
     quadratic_lwr,
     run,
     run_parabolic,
+    solve_junction,
     step,
     symmetric_quadratic,
     tabulated,
@@ -363,7 +364,8 @@ def test_nan_cell_fails_the_ledger():
     masses[-1] = math.nan
     traj = Trajectory(config, good.states, good.snapshots, good.times,
                       good.dts, good.p_min, good.p_max, good.junction_fluxes,
-                      good.totals, good.boundary_net, masses)
+                      good.totals, good.boundary_net, masses,
+                      good.junction_solves)
     assert mass_ledger(traj).max_abs_defect == math.inf
 
 
@@ -571,6 +573,103 @@ def test_mixed_family_run_bit_identical(label):
                   *traj.final.values):
         digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
     assert digest.hexdigest() == PINNED_MIXED[label]
+
+
+# ---------------------------------------------------------------------------
+# reuse of the junction solution
+
+def _spy_solves(monkeypatch):
+    """Record the state of every junction solve the march makes."""
+    real = scheme.solve_junction
+    calls = []
+
+    def spy(spec, u):
+        calls.append(np.array(u, dtype=float))
+        return real(spec, u)
+
+    monkeypatch.setattr(scheme, "solve_junction", spy)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["2-3", "2-1-symq", "1-2-mixed"])
+def test_held_equilibrium_solves_the_junction_once(monkeypatch, label):
+    # a held equilibrium repeats its junction state bitwise at every step;
+    # each run solves it once, and a second run of it solves it again
+    spec = MIXED_TOPOLOGIES[label]
+    mesh = small_mesh(spec)
+    config = RunConfig(mesh, 0.9, 200 * cfl_timestep(mesh, 0.9))
+    states = germ_sampler(spec, 3, seed=29)
+    calls = _spy_solves(monkeypatch)
+    for k in [states[0], *states]:
+        calls.clear()
+        traj = run(config, list(k), keep_states=False)
+        assert len(traj.dts) == 200
+        assert traj.junction_solves == len(calls) == 1
+        fluxes = solve_junction(spec, k).fluxes
+        assert (traj.junction_fluxes == fluxes).all()
+
+
+@pytest.mark.parametrize("bc", ["absorbing", "dirichlet"])
+@pytest.mark.parametrize("label", sorted(MIXED_TOPOLOGIES))
+def test_run_solves_each_new_junction_state(monkeypatch, bc, label):
+    # an equilibrium near the node and random data further out: the
+    # junction state repeats until the waves arrive, then changes; a step
+    # solves exactly when its state differs bytewise from the last step's,
+    # and every logged flux is that of a fresh solve
+    spec = MIXED_TOPOLOGIES[label]
+    roads = spec.m + spec.n
+    mesh = small_mesh(spec, dx=0.05, cells=20)
+    rng = np.random.default_rng(sorted(MIXED_TOPOLOGIES).index(label))
+    init = [np.full(20, kh) for kh in germ_sampler(spec, 1, seed=3)[0]]
+    for h, v in enumerate(init):  # the outer 8 of 20 cells
+        v[slice(0, 8) if h < spec.m else slice(12, 20)] = rng.uniform(
+            spec.rho_min, spec.rho_max, 8)
+    extra = ({} if bc == "absorbing" else
+             {"outer_bc": "dirichlet",
+              "dirichlet_values": rng.uniform(spec.rho_min, spec.rho_max,
+                                              roads)})
+    calls = _spy_solves(monkeypatch)
+    traj = run(RunConfig(mesh, 0.9, 40 * cfl_timestep(mesh, 0.9), **extra),
+               init)
+    before = [scheme.junction_state(spec, state.values)
+              for state in traj.states[:-1]]
+    new = [0] + [s for s in range(1, len(before))
+                 if before[s].tobytes() != before[s - 1].tobytes()]
+    assert 1 < len(new) < len(traj.dts)
+    assert traj.junction_solves == len(calls) == len(new)
+    for call, s in zip(calls, new):
+        assert call.tobytes() == before[s].tobytes()
+    for s, k in enumerate(before):
+        assert (traj.junction_fluxes[s].tobytes()
+                == solve_junction(spec, k).fluxes.tobytes())
+
+
+def test_signed_zero_is_a_new_junction_state(monkeypatch):
+    # symmetric-quadratic roads held at their crest 0.0; turning the first
+    # road's junction cell to -0.0 after step 3 is a new state (held from
+    # then on), which the bytes of the state tell apart and == does not
+    mesh = small_mesh(SYMQ21)
+    adj = int(mesh._layout.adj[0])
+    real = scheme._update
+    steps = []
+
+    def flip(u, *args):
+        new, boundary = real(u, *args)
+        steps.append(None)
+        if len(steps) == 3:
+            assert new[adj] == 0.0
+            new[adj] = -0.0
+        return new, boundary
+
+    monkeypatch.setattr(scheme, "_update", flip)
+    calls = _spy_solves(monkeypatch)
+    traj = run(RunConfig(mesh, 0.9, 10 * cfl_timestep(mesh, 0.9)),
+               [0.0, 0.0, 0.0])
+    assert len(traj.dts) == 10
+    assert traj.junction_solves == len(calls) == 2
+    assert math.copysign(1.0, calls[0][0]) == 1.0
+    assert math.copysign(1.0, calls[1][0]) == -1.0
+    assert math.copysign(1.0, traj.final.values[0][-1]) == -1.0
 
 
 def _ledger_oracle(dts, boundary_net, masses):
