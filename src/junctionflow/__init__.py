@@ -15,7 +15,7 @@ from .fluxes import (Flux, branch_point, conjugate, custom_polynomial,
 from .junction import (JunctionSolution, JunctionSpec, RiemannSolution,
                        dissipativity, is_germ_member, is_strict_germ_member,
                        phi_in, phi_out, riemann_solve, solve_junction,
-                       strict_witness, total_flux)
+                       strict_witness)
 from .scheme import (GridState, MassLedger, NetworkMesh, RunConfig,
                      Trajectory, cfl_timestep, discretize_initial,
                      mass_ledger, run, step)
@@ -36,7 +36,7 @@ __all__ = [
     "JunctionSolution", "JunctionSpec", "RiemannSolution",
     "dissipativity", "is_germ_member", "is_strict_germ_member",
     "phi_in", "phi_out", "riemann_solve", "solve_junction",
-    "strict_witness", "total_flux",
+    "strict_witness",
     "GridState", "MassLedger", "NetworkMesh", "RunConfig", "Trajectory",
     "cfl_timestep", "discretize_initial", "mass_ledger", "run", "step",
     "ContractionReport", "ConvergenceReport", "KatoReport",

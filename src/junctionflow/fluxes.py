@@ -118,37 +118,26 @@ class Flux:
 
     # -- Godunov machinery ----------------------------------------------------
 
-    def demand(self, a):
+    def demand(self, a: float) -> float:
         """Maximal flux the upstream state a can send: f(a) left of the crest,
         the crest value beyond it."""
         self._check_range(a)
-        if np.ndim(a) == 0:
-            return kernels.demand_scalar(self.code, self.params, self.rho_crit,
-                                         self.flux_max, float(a))
-        return kernels.demand_array(self.code, self.params, self.rho_crit,
-                                    self.flux_max, np.asarray(a, dtype=float))
+        return kernels.demand_scalar(self.code, self.params, self.rho_crit,
+                                     self.flux_max, float(a))
 
-    def supply(self, b):
+    def supply(self, b: float) -> float:
         """Maximal flux the downstream state b can absorb."""
         self._check_range(b)
-        if np.ndim(b) == 0:
-            return kernels.supply_scalar(self.code, self.params, self.rho_crit,
-                                         self.flux_max, float(b))
-        return kernels.supply_array(self.code, self.params, self.rho_crit,
-                                    self.flux_max, np.asarray(b, dtype=float))
+        return kernels.supply_scalar(self.code, self.params, self.rho_crit,
+                                     self.flux_max, float(b))
 
-    def godunov(self, a, b):
+    def godunov(self, a: float, b: float) -> float:
         """Two-point Godunov flux: min of f on [a,b] when a <= b, max of f on
-        [b,a] when a >= b; equals min(demand(a), supply(b)) for bell-shaped f."""
+        [b,a] when a >= b; equals min(demand(a), supply(b)) for bell-shaped f.
+        The scheme sweeps whole roads with ``kernels.interface_fluxes``."""
         self._check_range(a, b)
-        if np.ndim(a) == 0 and np.ndim(b) == 0:
-            return kernels.godunov_scalar(self.code, self.params,
-                                          self.rho_crit, self.flux_max,
-                                          float(a), float(b))
-        a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                           np.asarray(b, dtype=float))
-        return kernels.godunov_array(self.code, self.params, self.rho_crit,
-                                     self.flux_max, a_arr, b_arr)
+        return kernels.godunov_scalar(self.code, self.params, self.rho_crit,
+                                      self.flux_max, float(a), float(b))
 
     def entropy_flux(self, u, k):
         """Kruzhkov entropy flux sign(u-k)*(f(u)-f(k)), with sign(0)=0."""

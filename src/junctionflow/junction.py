@@ -161,11 +161,6 @@ def solve_junction(spec: JunctionSpec, u) -> JunctionSolution:
                             float(total_in))
 
 
-def total_flux(spec: JunctionSpec, u) -> float:
-    """Total flux through the junction for the state u."""
-    return solve_junction(spec, u).total
-
-
 # ---------------------------------------------------------------------------
 # equilibrium (germ) membership
 

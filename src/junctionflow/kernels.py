@@ -8,8 +8,9 @@ piecewise root finder, plus (c) the exact sum behind the mass audit.
 Scalar kernels take any sequence: the junction solvers hand them Python
 floats and tuples of floats (``JunctionSpec`` converts each road's
 parameters once), which keeps numpy's per-scalar dispatch out of the
-coupling. The vectorized numpy twins take ``Flux.params`` and are built from
-the same per-element expressions, so the two agree bitwise. The balance
+coupling. The vectorized flux and the Godunov sweep take ``Flux.params``
+(or per-slot rows of it) and are built from the same per-element
+expressions, so they agree with the scalar kernels bitwise. The balance
 gap of one junction state has a constant term per road (``road_constants``,
 the demand or supply of its junction-adjacent cell); the coupling solve
 computes them once and hands them to every gap evaluation.
@@ -92,7 +93,8 @@ def godunov_scalar(code, par, crit, fcrit, a, b):
 
 
 # ---------------------------------------------------------------------------
-# vectorized twins (same per-element expressions as the scalar kernels)
+# vectorized flux and Godunov sweep (same per-element expressions as the
+# scalar kernels)
 
 def flux_array(code: int, par: np.ndarray, x: np.ndarray) -> np.ndarray:
     if code == FAMILY_LWR:
@@ -111,19 +113,6 @@ def flux_array(code: int, par: np.ndarray, x: np.ndarray) -> np.ndarray:
     x0 = xs[idx]
     y0 = ys[idx]
     return y0 + (x - x0) * ((ys[idx + 1] - y0) / (xs[idx + 1] - x0))
-
-
-def demand_array(code, par, crit, fcrit, a):
-    return np.where(a <= crit, flux_array(code, par, a), fcrit)
-
-
-def supply_array(code, par, crit, fcrit, b):
-    return np.where(b >= crit, flux_array(code, par, b), fcrit)
-
-
-def godunov_array(code, par, crit, fcrit, a, b):
-    return np.minimum(demand_array(code, par, crit, fcrit, a),
-                      supply_array(code, par, crit, fcrit, b))
 
 
 def interface_fluxes(code, par, crit, fcrit, u_ext, out):

@@ -241,13 +241,6 @@ def cfl_timestep(mesh: NetworkMesh, cfl_number: float) -> float:
     return cfl_number * mesh.dx / (2.0 * mesh.spec.lipschitz_max)
 
 
-def junction_state(spec: JunctionSpec, values) -> np.ndarray:
-    """The junction state read off the cells adjacent to the node: the last
-    cell of every incoming road, then the first of every outgoing one."""
-    return np.array([v[-1] for v in values[:spec.m]]
-                    + [v[0] for v in values[spec.m:]])
-
-
 def _pack(mesh: NetworkMesh, data, ghosts=None) -> np.ndarray:
     """Initial data, validated as ``discretize_initial`` validates it, in a
     fresh network buffer with its ghosts and pad filled."""
@@ -260,12 +253,11 @@ def _pack(mesh: NetworkMesh, data, ghosts=None) -> np.ndarray:
     return u
 
 
-def _update(u: np.ndarray, mesh: NetworkMesh, dt: float, gstar, ghosts=None,
-            eps: float = 0.0):
-    """One conservative update of the network buffer u: Godunov interface
-    fluxes, less eps times the discrete gradient, and the junction fluxes
-    ``gstar`` at x = 0. Returns (the new buffer, its ghosts and pad filled,
-    per-road outer boundary flux)."""
+def _flux_grid(u: np.ndarray, mesh: NetworkMesh, gstar,
+               eps: float = 0.0) -> np.ndarray:
+    """The flux at every interface of the network buffer u: Godunov
+    interface fluxes, less eps times the discrete gradient, and the junction
+    fluxes ``gstar`` at x = 0."""
     layout = mesh._layout
     fgrid = np.empty(layout.slots - 1)
     for first, stop, code, par, crit, fcrit in layout.sweeps:
@@ -274,6 +266,16 @@ def _update(u: np.ndarray, mesh: NetworkMesh, dt: float, gstar, ghosts=None,
     if eps > 0:
         fgrid -= eps * (u[1:] - u[:-1]) / mesh.dx
     fgrid[layout.junc] = gstar
+    return fgrid
+
+
+def _update(u: np.ndarray, mesh: NetworkMesh, dt: float, gstar, ghosts=None,
+            eps: float = 0.0):
+    """One conservative update of the network buffer u with the fluxes of
+    ``_flux_grid``. Returns (the new buffer, its ghosts and pad filled,
+    per-road outer boundary flux)."""
+    layout = mesh._layout
+    fgrid = _flux_grid(u, mesh, gstar, eps)
     new = np.empty(layout.slots)
     new[1:-1] = u[1:-1] - dt / mesh.dx * (fgrid[1:] - fgrid[:-1])
     layout.fill(new, ghosts)

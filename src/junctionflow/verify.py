@@ -3,11 +3,13 @@
 The central object is a discrete two-solution audit: for trajectories u and
 u-hat on the same mesh, the Crandall-Majda cell inequalities sum against a
 nonnegative test weight into a quadratic form that must stay nonpositive.
-The junction enters through the flux differences of the coupled solves at
-the componentwise max and min states; its weight coefficient vanishes
-identically because the test weight is flat across the junction, and the
-coupled solves conserve total flux. On top of that sit an L1 contraction
-check on shrinking windows, entropy residuals against equilibrium states,
+Its fluxes are the scheme's own: each time level is packed into the
+network buffer and handed to the march's flux grid. The junction enters
+through the flux differences of the coupled solves at the componentwise
+max and min states; its weight coefficient vanishes identically because
+the test weight is flat across the junction, and the coupled solves
+conserve total flux. On top of that sit an L1 contraction check on
+shrinking windows, entropy residuals against equilibrium states,
 grid-refinement studies against the exact similarity sampler, and seeded
 samplers producing equilibrium states for ensemble tests.
 """
@@ -24,7 +26,8 @@ from .errors import ConfigError, ConsistencyError, PreconditionError
 from .fluxes import quadratic_lwr
 from .junction import (JunctionSpec, is_germ_member, is_strict_germ_member,
                        riemann_solve, solve_junction)
-from .scheme import NetworkMesh, RunConfig, Trajectory, junction_state, run
+from .scheme import (NetworkMesh, RunConfig, Trajectory, _flux_grid, _pack,
+                     run)
 
 
 # ---------------------------------------------------------------------------
@@ -101,66 +104,53 @@ def _same_mesh(a: NetworkMesh, b: NetworkMesh) -> bool:
                         and np.array_equal(a.cells_per_road, b.cells_per_road))
 
 
-def _assemble_audit(mesh: NetworkMesh, values_a, values_b, times, dts,
+def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
                     xi: TestFunction) -> float:
-    """The summed form: for each recorded step s >= 1,
+    """The summed form over the network buffers of two runs' time levels
+    (``scheme._pack``): for each recorded step s >= 1,
 
         -dx * sum_cells |u - u_hat|^s * (xi^{s+1} - xi^s)
         -dt_s * sum_interfaces Q^s * (xi^{s+1}_right - xi^{s+1}_left)
 
-    where Q is the Godunov (or coupled junction) flux at the componentwise
-    max minus the one at the componentwise min, the weight beyond the outer
-    ends is zero, and the weight at the junction point is the plateau value.
+    where Q is the scheme's flux grid (``scheme._flux_grid``, with the
+    coupled junction solve at x = 0) at the componentwise max minus the one
+    at the componentwise min, taken in absolute value at the outer ends,
+    whose absorbing ghosts make it f(end); the weight beyond the outer ends
+    is zero, and the weight at the junction point is the plateau value.
     """
     spec = mesh.spec
-    dx = mesh.dx
+    layout = mesh._layout
     tv = xi.time_levels(times)
-    xs = xi.space_cells(mesh)
     x0 = xi.space_profile(0.0)
-    n_levels = len(times)
-    if n_levels < 3:
+    if len(times) < 3:
         raise PreconditionError("audit needs at least two recorded steps")
     if tv[0] != 0.0 or tv[1] != 0.0 or tv[-1] != 0.0:
         raise PreconditionError(
             "time profile must vanish at t=0, at the first level, "
             "and at the final level")
-    if xi.plateau < dx / 2 * (1 - 1e-12):
+    if xi.plateau < mesh.dx / 2 * (1 - 1e-12):
         raise PreconditionError(
             "space plateau must cover the junction-adjacent cell centers")
-    for h in range(spec.m):
-        if xs[h][-1] != x0:
-            raise PreconditionError("space profile not flat at the junction")
-    for h in range(spec.m, spec.m + spec.n):
-        if xs[h][0] != x0:
-            raise PreconditionError("space profile not flat at the junction")
+    weight = np.zeros(layout.slots)  # ghosts and the pad weigh nothing
+    for cells, xs in zip(layout.cells, xi.space_cells(mesh)):
+        weight[cells] = xs
+    adj = layout.adj
+    if (weight[adj] != x0).any():
+        raise PreconditionError("space profile not flat at the junction")
+    rise = np.diff(weight)
+    # the junction point weighs x0, as do the cells on either side of it
+    rise[layout.junc] = 0.0
 
     terms = []
-    for s in range(1, n_levels - 1):
-        dt_s = dts[s]
-        va, vb = values_a[s], values_b[s]
-        ua, ub = junction_state(spec, va), junction_state(spec, vb)
-        g_hi = solve_junction(spec, np.maximum(ua, ub)).fluxes
-        g_lo = solve_junction(spec, np.minimum(ua, ub)).fluxes
-
-        for h, flux in enumerate(spec.fluxes):
-            a, b = va[h], vb[h]
-            hi = np.maximum(a, b)
-            lo = np.minimum(a, b)
-            xi_s = tv[s] * xs[h]
-            xi_s1 = tv[s + 1] * xs[h]
-            terms.append(-dx * float(np.dot(np.abs(a - b), xi_s1 - xi_s)))
-            q_inner = flux.godunov(hi[:-1], hi[1:]) - flux.godunov(lo[:-1],
-                                                                  lo[1:])
-            terms.append(-dt_s * float(np.dot(q_inner, np.diff(xi_s1))))
-            q_outer = abs(flux.eval(hi[0 if h < spec.m else -1])
-                          - flux.eval(lo[0 if h < spec.m else -1]))
-            q_junction = g_hi[h] - g_lo[h]
-            if h < spec.m:
-                terms.append(-dt_s * q_outer * (xi_s1[0] - 0.0))
-                terms.append(-dt_s * q_junction * (tv[s + 1] * x0 - xi_s1[-1]))
-            else:
-                terms.append(-dt_s * q_outer * (0.0 - xi_s1[-1]))
-                terms.append(-dt_s * q_junction * (xi_s1[0] - tv[s + 1] * x0))
+    for s in range(1, len(times) - 1):
+        ua, ub = levels_a[s], levels_b[s]
+        hi, lo = np.maximum(ua, ub), np.minimum(ua, ub)
+        q = (_flux_grid(hi, mesh, solve_junction(spec, hi[adj]).fluxes)
+             - _flux_grid(lo, mesh, solve_junction(spec, lo[adj]).fluxes))
+        q[layout.outer] = np.abs(q[layout.outer])
+        terms.append(-mesh.dx * (tv[s + 1] - tv[s])
+                     * float(np.dot(np.abs(ua - ub), weight)))
+        terms.append(-dts[s] * tv[s + 1] * float(np.dot(q, rise)))
     return math.fsum(terms)
 
 
@@ -180,15 +170,14 @@ def kato_audit(traj_a: Trajectory, traj_b: Trajectory,
     if (len(traj_a.states) != len(traj_a.times)
             or len(traj_b.states) != len(traj_b.times)):
         raise ConfigError("audit needs all time levels recorded")
-    values_a = [st.values for st in traj_a.states]
-    values_b = [st.values for st in traj_b.states]
     tol = 1e-10 * _mass_scale(mesh)
     # a non-finite cell has no flux to audit: the form fails outright
-    if not all(np.isfinite(v).all() for values in values_a + values_b
-               for v in values):
+    if not all(np.isfinite(v).all() for st in traj_a.states + traj_b.states
+               for v in st.values):
         return KatoReport(math.inf, tol, False)
-    value = _assemble_audit(mesh, values_a, values_b, traj_a.times,
-                            traj_a.dts, xi)
+    value = _assemble_audit(mesh, [_pack(mesh, st) for st in traj_a.states],
+                            [_pack(mesh, st) for st in traj_b.states],
+                            traj_a.times, traj_a.dts, xi)
     return KatoReport(value, tol, value <= tol)
 
 
@@ -207,11 +196,9 @@ def adapted_entropy_residual(traj: Trajectory, k, xi: TestFunction) -> float:
             "comparison state must be an equilibrium of the junction")
     if len(traj.states) != len(traj.times):
         raise ConfigError("residual needs all time levels recorded")
-    constant = tuple(np.full(int(c), k[h])
-                     for h, c in enumerate(mesh.cells_per_road))
-    values_b = [constant] * len(traj.states)
-    value = _assemble_audit(mesh, [st.values for st in traj.states],
-                            values_b, traj.times, traj.dts, xi)
+    value = _assemble_audit(mesh, [_pack(mesh, st) for st in traj.states],
+                            [_pack(mesh, k)] * len(traj.states), traj.times,
+                            traj.dts, xi)
     return -value
 
 

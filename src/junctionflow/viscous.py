@@ -281,24 +281,27 @@ def stationary_profile(spec: JunctionSpec, k, epsilon: float, window: float,
 # ---------------------------------------------------------------------------
 # explicit parabolic solver
 
-def parabolic_timestep(mesh: NetworkMesh, epsilon: float,
-                       safety: float = 0.9) -> float:
-    """Monotonicity-safe explicit step: the combined convection+diffusion
-    bound is the binding one; the two classical bounds are kept visible."""
+def _parabolic_bound(mesh: NetworkMesh, epsilon: float) -> float:
+    """Largest step that keeps the explicit update monotone. Convection and
+    diffusion draw on one cell's weight together, so the bound
+    1 / (2 L / dx + 4 eps / dx^2) lies below both dx / 2L and
+    dx^2 / 4 eps."""
     dx = mesh.dx
-    lmax = mesh.spec.lipschitz_max
-    return safety * min(dx / (2.0 * lmax),
-                        dx * dx / (4.0 * epsilon),
-                        1.0 / (2.0 * lmax / dx + 4.0 * epsilon / (dx * dx)))
+    return 1.0 / (2.0 * mesh.spec.lipschitz_max / dx
+                  + 4.0 * epsilon / (dx * dx))
+
+
+def parabolic_timestep(mesh: NetworkMesh, epsilon: float) -> float:
+    """The explicit step: 0.9 of the monotonicity bound."""
+    return 0.9 * _parabolic_bound(mesh, epsilon)
 
 
 def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
                    dt: float) -> GridState:
-    """One explicit update of the epsilon-regularized network system."""
+    """One explicit update of the epsilon-regularized network system.
+    Raises ConfigError if dt exceeds the monotonicity bound."""
     _check_epsilon(epsilon)
-    dx = mesh.dx
-    _check_timestep(dt, min(dx / (2.0 * mesh.spec.lipschitz_max),
-                            dx * dx / (4.0 * epsilon)))
+    _check_timestep(dt, _parabolic_bound(mesh, epsilon))
     u, _, _ = _parabolic_advance(_pack(mesh, state), mesh, epsilon, dt)
     return GridState(state.time_step + 1, state.time + dt,
                      mesh._layout.views(u))
@@ -310,8 +313,8 @@ def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float,
     gives every road, then the shared update with diffusion; returns (new
     buffer, boundary flux, w)."""
     spec = mesh.spec
-    # every cell in [A, B], as Flux.godunov demands (all roads share one
-    # interval, and the ghosts and the pad copy cells)
+    # every cell in [A, B], where the fluxes are defined (all roads share
+    # one interval, and the ghosts and the pad copy cells)
     spec.fluxes[0]._check_range(u)
     ustar = u[mesh._layout.adj].tolist()
     eps2dx = 2.0 * eps / mesh.dx

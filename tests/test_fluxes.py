@@ -119,16 +119,6 @@ def test_godunov_consistency_and_monotone(any_flux):
     assert (np.diff(g, axis=1) <= 1e-13 * f.flux_max).all()
 
 
-def test_godunov_array_matches_scalar():
-    f = quadratic_lwr()
-    a = RNG.random(64)
-    b = RNG.random(64)
-    arr = f.godunov(a, b)
-    assert arr.shape == (64,)
-    for i in range(64):
-        assert arr[i] == f.godunov(float(a[i]), float(b[i]))
-
-
 def test_known_lwr_values():
     # frozen closed-form values for f(r) = r (1 - r)
     f = quadratic_lwr()

@@ -27,7 +27,6 @@ from junctionflow import (
     strict_witness,
     symmetric_quadratic,
     tabulated,
-    total_flux,
 )
 from junctionflow import kernels
 from junctionflow.verify import germ_sampler, nonstrict_germ_sampler
@@ -129,7 +128,6 @@ def test_worked_junction_example():
     assert sol.p_min == pytest.approx(WORKED_P[0], abs=1e-7)
     assert sol.p_max == pytest.approx(WORKED_P[1], abs=1e-7)
     assert sol.total == pytest.approx(2.5, abs=1e-10)
-    assert total_flux(SYMQ21, WORKED_U) == pytest.approx(2.5, abs=1e-10)
 
 
 def test_solution_fluxes_are_read_only():

@@ -7,14 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from junctionflow import (ConfigError, JunctionSpec, NetworkMesh,
+from junctionflow import (ConfigError, GridState, JunctionSpec, NetworkMesh,
                           PreconditionError, RiemannProblem, RunConfig,
                           adapted_entropy_residual, bump_test_function,
-                          convergence_study, germ_sampler, is_germ_member,
-                          is_strict_germ_member, kato_audit,
-                          l1_contraction_check, nonstrict_germ_sampler,
-                          quadratic_lwr, riemann_solve, run,
-                          symmetric_quadratic)
+                          cfl_timestep, convergence_study, custom_polynomial,
+                          germ_sampler, is_germ_member, is_strict_germ_member,
+                          kato_audit, l1_contraction_check,
+                          nonstrict_germ_sampler, quadratic_lwr,
+                          riemann_solve, run, solve_junction,
+                          symmetric_quadratic, tabulated)
 from junctionflow import TestFunction as WeightFn
 
 RNG = np.random.default_rng(20240817)
@@ -119,6 +120,92 @@ def test_kato_random_pairs_all_topologies():
             xi = bump_test_function(0.03, 0.09, reach=0.4, plateau=0.05)
             report = kato_audit(ta, tb, xi)
             assert report.passed, report.value
+
+
+def _per_road_audit(mesh, states_a, states_b, times, dts, xi):
+    """The audit form assembled road by road from the scalar Godunov flux,
+    f at the outer ends and the coupled solves at the junction state;
+    returns it with the sum of its terms' magnitudes, the scale of its
+    rounding."""
+    spec, dx = mesh.spec, mesh.dx
+    m = spec.m
+    tv = xi.time_levels(times)
+    xs = xi.space_cells(mesh)
+    x0 = xi.space_profile(0.0)
+    terms = []
+    for s in range(1, len(times) - 1):
+        va, vb = states_a[s].values, states_b[s].values
+        ua, ub = ([v[-1] for v in vals[:m]] + [v[0] for v in vals[m:]]
+                  for vals in (va, vb))
+        g_hi = solve_junction(spec, np.maximum(ua, ub)).fluxes
+        g_lo = solve_junction(spec, np.minimum(ua, ub)).fluxes
+        for h, flux in enumerate(spec.fluxes):
+            hi, lo = np.maximum(va[h], vb[h]), np.minimum(va[h], vb[h])
+            xi_s, xi_s1 = tv[s] * xs[h], tv[s + 1] * xs[h]
+            terms.append(-dx * float(np.dot(np.abs(va[h] - vb[h]),
+                                            xi_s1 - xi_s)))
+            q_inner = [flux.godunov(hi[c], hi[c + 1])
+                       - flux.godunov(lo[c], lo[c + 1])
+                       for c in range(hi.shape[0] - 1)]
+            terms.append(-dts[s] * float(np.dot(q_inner, np.diff(xi_s1))))
+            end = 0 if h < m else -1
+            q_outer = abs(flux.eval(hi[end]) - flux.eval(lo[end]))
+            q_junction = g_hi[h] - g_lo[h]
+            if h < m:
+                terms.append(-dts[s] * q_outer * xi_s1[0])
+                terms.append(-dts[s] * q_junction * (tv[s + 1] * x0
+                                                     - xi_s1[-1]))
+            else:
+                terms.append(dts[s] * q_outer * xi_s1[-1])
+                terms.append(-dts[s] * q_junction * (xi_s1[0]
+                                                     - tv[s + 1] * x0))
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+CUBIC = custom_polynomial([0.0, 1.0, 0.0, -1.0], 0.0, 1.0, 1 / math.sqrt(3))
+TABLE = tabulated(np.linspace(0.0, 1.0, 9),
+                  [0.0, 0.22, 0.38, 0.47, 0.5, 0.44, 0.33, 0.18, 0.0])
+AUDIT_TOPOLOGIES = (
+    LWR11, SYMQ21,
+    JunctionSpec(2, 3, tuple(quadratic_lwr(v)
+                             for v in (1.0, 1.5, 1.0, 0.75, 1.25))),
+    JunctionSpec(1, 2, (quadratic_lwr(), CUBIC, TABLE)),
+    JunctionSpec(2, 2, (CUBIC, TABLE, quadratic_lwr(1.5), quadratic_lwr())),
+)
+
+
+@pytest.mark.parametrize("spec", AUDIT_TOPOLOGIES,
+                         ids=["1-1", "2-1-symq", "2-3", "1-2-mixed",
+                              "2-2-mixed"])
+def test_audit_matches_per_road_reference(spec):
+    # the audit runs on the scheme's flux grid (shared sweeps with per-slot
+    # parameters on the LWR and symmetric-quadratic networks); the road by
+    # road assembly it replaced gives the same form up to rounding
+    roads = spec.m + spec.n
+    lo, hi = spec.rho_min, spec.rho_max
+    mesh = NetworkMesh(spec, 0.05, np.full(roads, 12))
+    dt = cfl_timestep(mesh, 0.9)
+    config = RunConfig(mesh, 0.9, 12 * dt)
+    # reach beyond the roads: the outer ends carry weight too
+    xi = bump_test_function(1.5 * dt, 11.5 * dt, reach=1.0, plateau=0.05)
+    rng = np.random.default_rng(roads)
+    for _ in range(4):
+        ta, tb = (run(config, [lo + (hi - lo) * rng.random(12)
+                               for _ in range(roads)]) for _ in range(2))
+        ref, scale = _per_road_audit(mesh, ta.states, tb.states, ta.times,
+                                     ta.dts, xi)
+        assert scale > 0.0
+        value = kato_audit(ta, tb, xi).value
+        assert abs(value - ref) <= 1e-14 * scale
+        k = germ_sampler(spec, 1, seed=int(rng.integers(100)))[0]
+        held = [GridState(st.time_step, st.time,
+                          tuple(np.full(12, kh) for kh in k))
+                for st in ta.states]
+        ref, scale = _per_road_audit(mesh, ta.states, held, ta.times, ta.dts,
+                                     xi)
+        assert scale > 0.0
+        residual = adapted_entropy_residual(ta, k, xi)
+        assert abs(residual + ref) <= 1e-14 * scale
 
 
 def test_kato_validates_meshes_and_levels():

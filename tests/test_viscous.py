@@ -265,7 +265,7 @@ def test_profiles_require_strict_equilibrium():
 def test_parabolic_timestep_bounds():
     mesh = NetworkMesh(LWR11, 0.01, np.array([50, 50]))
     eps = 0.02
-    dt = parabolic_timestep(mesh, eps, safety=1.0)
+    dt = parabolic_timestep(mesh, eps)
     # never beyond either stated bound, nor the combined explicit bound
     assert dt <= 0.01 / 2.0 + 1e-18
     assert dt <= 0.01**2 / (4 * eps) + 1e-18
@@ -275,7 +275,7 @@ def test_parabolic_timestep_bounds():
 def test_parabolic_step_guards_timestep():
     mesh = NetworkMesh(LWR11, 0.01, np.array([50, 50]))
     state = GridState(0, 0.0, (np.full(50, 0.3), np.full(50, 0.6)))
-    limit = min(0.01 / 2.0, 0.01**2 / (4 * 0.02))
+    limit = 1.0 / (2.0 / 0.01 + 4 * 0.02 / 0.01**2)
     with pytest.raises(ConfigError) as err:
         parabolic_step(state, mesh, 0.02, 1.01 * limit)
     assert err.value.kind == "cfl"
@@ -288,6 +288,33 @@ def test_parabolic_step_guards_timestep():
     out = parabolic_step(state, mesh, 0.02, 0.9 * limit)
     assert out.time == pytest.approx(0.9 * limit)
     assert out.time_step == 1
+
+
+def test_parabolic_step_preserves_order_up_to_its_bound():
+    # the combined bound 1/(2L/dx + 4 eps/dx^2) binds: dx/2L and dx^2/4eps
+    # are both twice it here, and a step between them breaks monotonicity
+    # (raising one junction cell of road-wise constant data lowered another)
+    mesh = NetworkMesh(LWR23, 0.01, np.full(5, 10))
+    eps = 0.0075
+    bound = 1.0 / (2.0 * 1.5 / 0.01 + 4.0 * eps / 0.01**2)
+    state = GridState(0, 0.0, tuple(np.full(10, 0.5) for _ in range(5)))
+    with pytest.raises(ConfigError) as err:
+        parabolic_step(state, mesh, eps, 0.99 * min(0.01 / 3.0,
+                                                    0.01**2 / (4 * eps)))
+    assert err.value.kind == "cfl"
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        k = rng.random(5)
+        h = int(rng.integers(5))
+        raised = [np.full(10, kh) for kh in k]
+        raised[h][-1 if h < 2 else 0] += 0.5 * (1.0 - k[h])
+        for dt in (bound, 0.9 * bound):
+            lo = parabolic_step(GridState(0, 0.0, tuple(
+                np.full(10, kh) for kh in k)), mesh, eps, dt)
+            hi = parabolic_step(GridState(0, 0.0, tuple(raised)), mesh, eps,
+                                dt)
+            for a, b in zip(lo.values, hi.values):
+                assert (a <= b).all()
 
 
 def test_parabolic_max_principle_and_mass():
