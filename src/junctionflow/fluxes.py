@@ -176,8 +176,9 @@ def custom_polynomial(coeffs, rho_min: float, rho_max: float,
                       rho_crit: float) -> Flux:
     """Polynomial flux with ascending coefficients and a user-supplied crest.
 
-    The bell shape (zero endpoints, strict unimodality around rho_crit) is
-    verified by dense sampling; violations raise ValueError.
+    The bell shape (zero endpoints, strict unimodality) is verified by dense
+    sampling, and rho_crit must be the root of f' next to the sampled
+    maximizer to within 1e-12 of the interval; violations raise ValueError.
     """
     params = np.asarray(coeffs, dtype=float)
     if params.ndim != 1 or params.size < 3:
@@ -185,12 +186,18 @@ def custom_polynomial(coeffs, rho_min: float, rho_max: float,
     if not rho_min < rho_crit < rho_max:
         raise ValueError("rho_crit must lie strictly inside (rho_min, rho_max)")
     crest = kernels.flux_scalar(kernels.FAMILY_POLY, params, float(rho_crit))
-    _sampled_shape_check(
+    lo, hi = _sampled_shape_check(
         lambda x: kernels.flux_array(kernels.FAMILY_POLY, params, x),
-        float(rho_min), float(rho_max), float(rho_crit), crest)
+        float(rho_min), float(rho_max), crest)
+    # f' changes sign once between the neighbours of the sampled maximizer;
+    # a crest off that root would leave demand falling below rho_crit
+    deriv = params[1:] * np.arange(1, params.size)
+    root = kernels.poly_root(deriv.tolist(), lo, hi)
+    if not abs(rho_crit - root) <= 1e-12 * (rho_max - rho_min):
+        raise ValueError(f"rho_crit must be the maximizer of f, which lies "
+                         f"at {root!r}")
 
     # exact Lipschitz bound: |f'| attains its max at an endpoint or where f''=0
-    deriv = params[1:] * np.arange(1, params.size)
     cand = [rho_min, rho_max]
     if deriv.size >= 2:
         dd_roots = np.polynomial.polynomial.polyroots(
@@ -234,9 +241,10 @@ def tabulated(xs, ys) -> Flux:
                 float(xs[imax]), lip, crest, False, kernels.FAMILY_TABLE)
 
 
-def _sampled_shape_check(evaluate, lo: float, hi: float, crit: float,
-                         crest: float) -> None:
-    """Reject fluxes that are not bell-shaped, including crest plateaus."""
+def _sampled_shape_check(evaluate, lo: float, hi: float,
+                         crest: float) -> tuple[float, float]:
+    """Reject fluxes that are not bell-shaped, including crest plateaus.
+    Returns the grid neighbours of the sampled maximizer."""
     grid = np.linspace(lo, hi, _SHAPE_SAMPLES)
     vals = evaluate(grid)
     scale = max(abs(crest), 1e-300)
@@ -245,9 +253,6 @@ def _sampled_shape_check(evaluate, lo: float, hi: float, crit: float,
     if crest <= 0:
         raise ValueError("flux crest value must be positive")
     imax = int(np.argmax(vals))
-    step = (hi - lo) / (_SHAPE_SAMPLES - 1)
-    if abs(grid[imax] - crit) > 1.5 * step:
-        raise ValueError("sampled maximizer disagrees with rho_crit")
     d = np.diff(vals)
     left, right = d[:imax], d[imax:]
     # strict monotonicity away from the crest; the two samples straddling the
@@ -259,6 +264,8 @@ def _sampled_shape_check(evaluate, lo: float, hi: float, crit: float,
     interior = vals[1:-1]
     if interior.size and interior.min() < -1e-12 * scale:
         raise ValueError("flux must be nonnegative on its interval")
+    return float(grid[max(imax - 1, 0)]), float(grid[min(imax + 1,
+                                                         grid.size - 1)])
 
 
 # ---------------------------------------------------------------------------

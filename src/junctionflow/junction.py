@@ -288,10 +288,14 @@ def dissipativity(spec: JunctionSpec, k1, k2) -> float:
     Incoming roads contribute their entropy flux, outgoing roads subtract
     theirs; the result is nonnegative whenever both states are stationary.
     """
-    k1 = spec.candidate(k1)
-    k2 = spec.candidate(k2)
-    terms = [f.entropy_flux(float(k1[h]), float(k2[h]))
-             for h, f in enumerate(spec.fluxes)]
+    terms = []
+    # each term is Flux.entropy_flux on the scalar kernel, sign(0) = 0
+    for code, par, a, b in zip(spec._codes, spec._params,
+                               spec.candidate(k1).tolist(),
+                               spec.candidate(k2).tolist()):
+        sign = 1.0 if a > b else -1.0 if a < b else 0.0
+        terms.append(sign * (kernels.flux_scalar(code, par, a)
+                             - kernels.flux_scalar(code, par, b)))
     return math.fsum(terms[:spec.m]) - math.fsum(terms[spec.m:])
 
 

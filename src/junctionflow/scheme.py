@@ -15,7 +15,8 @@ roads is a junction interface, overwritten with the junction flux; the pad
 keeps the last incoming and first outgoing road from sharing one. Ghosts
 and pad are filled whenever a buffer is made, so every slot is in range,
 and roads of one flux family side by side share one Godunov sweep. Each
-step makes a fresh buffer; ``GridState.values`` are views of its cells.
+step makes a fresh buffer, and ``GridState.values`` are views of its cells;
+levels the march holds at a bitwise fixed point share one buffer.
 
 The scheme is monotone under the CFL bound dt <= dx / (2 max_h L_h), which
 gives the maximum principle, order preservation, and discrete L1 contraction
@@ -314,6 +315,14 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     returns (new buffer, per-road outer boundary flux, junction record). A
     non-finite mass stops the run with the step that produced it.
 
+    ``advance`` must be a pure function of the bytes of u and dt. A
+    full-length step that returns its input bitwise, with the junction
+    record of the step before, is then a fixed point: it would return the
+    same buffer, boundary flux and record at every later full-length step.
+    From there on the march holds that buffer and repeats the step's mass
+    and boundary sum instead of advancing; held levels share one buffer.
+    The shortened last step is always computed.
+
     Returns (states, snapshots, times, dts, boundary_net, masses, records);
     ``states`` keeps the first and last level only unless ``keep_states``,
     ``snapshots`` the levels nearest 0, t_final and ``snapshot_times``.
@@ -339,22 +348,33 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     dts = np.empty(n_steps)
     bnet = np.empty(n_steps)
     records = []
+    record = None
+    held = False
     for s in range(n_steps):
         dt = times[s + 1] - s * dt0 if s == n_steps - 1 else dt0
-        u, boundary, record = advance(u, dt)
-        state = GridState(s + 1, times[s + 1], views(u))
+        if not held or dt != dt0:
+            last = record
+            new, boundary, record = advance(u, dt)
+            state = GridState(s + 1, times[s + 1], views(new))
+            mass = state.total_mass(mesh.dx)
+            if not math.isfinite(mass):
+                raise ConsistencyError(f"step {s + 1}: total mass is {mass}")
+            net = (math.fsum(boundary[m:].tolist())
+                   - math.fsum(boundary[:m].tolist()))
+            # compare bytes, so that -0.0 and 0.0 stay apart
+            held = (record is last and dt == dt0
+                    and new.tobytes() == u.tobytes())
+            u = new
+        else:
+            state = GridState(s + 1, times[s + 1], state.values)
         if keep_states or s == n_steps - 1:
             states.append(state)
         if s + 1 in snap_idx:
             snapshots.append(state)
-        mass = state.total_mass(mesh.dx)
-        if not math.isfinite(mass):
-            raise ConsistencyError(f"step {s + 1}: total mass is {mass}")
         masses.append(mass)
         dts[s] = dt
         records.append(record)
-        bnet[s] = (math.fsum(boundary[m:].tolist())
-                   - math.fsum(boundary[:m].tolist()))
+        bnet[s] = net
     return states, snapshots, times, dts, bnet, np.array(masses), records
 
 
@@ -362,7 +382,9 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
 class Trajectory:
     """Full record of one run: every time level plus the junction log.
     ``junction_solves`` counts the junction solves made: a step whose
-    junction state repeats the previous step's bitwise reuses its solution."""
+    junction state repeats the previous step's bitwise reuses its solution.
+    Levels held at a bitwise fixed point (see ``_march``) share one buffer;
+    treat every level's values as read-only."""
 
     config: RunConfig
     states: list[GridState]

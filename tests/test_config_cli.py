@@ -197,6 +197,19 @@ initial = 0.8
     assert doc.roads[1].flux.eval(0.5) == pytest.approx(0.25)
 
 
+
+def test_parse_rejects_a_polynomial_crest_off_the_maximizer():
+    # f = r - r^3 peaks at 1/sqrt(3), not 3.5e-4 beyond it
+    text = MINIMAL.replace("direction = in", f"""direction = in
+flux.family = custom-polynomial
+flux.params = 0 1 0 -1
+flux.rho_min = 0
+flux.rho_max = 1
+flux.rho_crit = {1 / math.sqrt(3) + 3.5e-4!r}""", 1)
+    with pytest.raises(ConfigError, match="rho_crit") as err:
+        parse_config(text)
+    assert err.value.kind == "range"
+
 @pytest.mark.parametrize("mutation, kind, line", [
     # line 3 holds 'length = 1' in MINIMAL
     (("length = 1", "length = abc"), "syntax", 3),

@@ -4,6 +4,8 @@ Every closed-form value asserted here is checked against a brute-force grid
 oracle built in this file, independent of the package's own kernels.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,16 @@ def test_construction_rejects_bad_parameters():
     with pytest.raises(ValueError):
         tabulated(xs[::-1], xs * (1 - xs))  # decreasing abscissae
 
+
+@pytest.mark.parametrize("offset", [3.5e-4, -3.5e-4, 1e-9])
+def test_polynomial_crest_off_the_maximizer_rejected(offset):
+    # f = r - r^3 peaks at 1/sqrt(3); 3.5e-4 from there is within the
+    # sampling grid's 1.5 steps, yet demand would fall between the two
+    root = 1.0 / math.sqrt(3.0)
+    with pytest.raises(ValueError, match="rho_crit"):
+        custom_polynomial([0.0, 1.0, 0.0, -1.0], 0.0, 1.0, root + offset)
+    assert custom_polynomial([0.0, 1.0, 0.0, -1.0], 0.0, 1.0,
+                             root).rho_crit == root
 
 def test_tabulated_plateau_at_crest_rejected():
     xs = np.linspace(0.0, 1.0, 101)

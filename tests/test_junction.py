@@ -440,6 +440,32 @@ def test_dissipativity_properties():
         assert max(sym) <= 1e-13
 
 
+
+def _entropy_flux_pairing(spec, k1, k2):
+    """The pairing written with ``Flux.entropy_flux`` road by road."""
+    terms = [f.entropy_flux(float(a), float(b))
+             for f, a, b in zip(spec.fluxes, k1, k2)]
+    return math.fsum(terms[:spec.m]) - math.fsum(terms[spec.m:])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dissipativity_is_the_entropy_flux_pairing_bitwise(seed):
+    # LWR, cubic and tabulated roads, and symmetric-quadratic roads with
+    # signed zeros; a share of the roads repeat their state, so sign(0) = 0
+    # is met, and repr tells every bit apart, signed zeros too
+    rng = np.random.default_rng(seed)
+    cases = [random_junction(seed * 4 + i, *rng.integers(1, 4, 2))
+             for i in range(4)]
+    cases.append((SYMQ21, lambda: np.where(
+        rng.random(3) < 0.4, rng.choice([-1.0, -0.0, 0.0, 1.0], 3),
+        rng.uniform(-1.0, 1.0, 3))))
+    for spec, draw in cases:
+        for _ in range(40):
+            k1 = draw()
+            k2 = np.where(rng.random(k1.shape[0]) < 0.3, k1, draw())
+            assert (repr(dissipativity(spec, k1, k2))
+                    == repr(_entropy_flux_pairing(spec, k1, k2)))
+
 # ---------------------------------------------------------------------------
 # junction Riemann solutions
 

@@ -1,5 +1,6 @@
 """Network marching: discretization, CFL guard, conservation, monotonicity."""
 
+import functools
 import hashlib
 import math
 from types import SimpleNamespace
@@ -28,7 +29,7 @@ from junctionflow import (
     symmetric_quadratic,
     tabulated,
 )
-from junctionflow import kernels, scheme
+from junctionflow import kernels, scheme, viscous
 from junctionflow.scheme import Trajectory
 from junctionflow.verify import germ_sampler
 from junctionflow.viscous import parabolic_step, parabolic_timestep
@@ -454,8 +455,9 @@ def test_network_update_matches_road_by_road(seed, m, n, symmetric,
 @pytest.mark.parametrize("bc", ["absorbing", "dirichlet", "parabolic"])
 def test_single_steps_replay_the_run(bc):
     # step by step, the single-step API gives every level of a run bitwise;
-    # the levels a run keeps are views into per-step buffers, so checking
-    # them only after the run ends shows that no later step wrote into them
+    # the levels a run keeps are views into per-step buffers (levels held at
+    # a bitwise fixed point share one), so checking them only after the run
+    # ends shows that no later step wrote into them
     spec = MIXED_TOPOLOGIES["1-2-mixed"]
     mesh = small_mesh(spec, dx=0.05, cells=20)
     rng = np.random.default_rng(7)
@@ -646,8 +648,10 @@ def test_run_solves_each_new_junction_state(monkeypatch, bc, label):
 
 def test_signed_zero_is_a_new_junction_state(monkeypatch):
     # symmetric-quadratic roads held at their crest 0.0; turning the first
-    # road's junction cell to -0.0 after step 3 is a new state (held from
-    # then on), which the bytes of the state tell apart and == does not
+    # road's junction cell to -0.0 after step 2 is a new state (held from
+    # then on), which the bytes of the state tell apart and == does not.
+    # The march holds the fixed point from step 2 on, so the injection
+    # comes on the 2nd update; a later one would never run
     mesh = small_mesh(SYMQ21)
     adj = int(mesh._layout.adj[0])
     real = scheme._update
@@ -656,7 +660,7 @@ def test_signed_zero_is_a_new_junction_state(monkeypatch):
     def flip(u, *args):
         new, boundary = real(u, *args)
         steps.append(None)
-        if len(steps) == 3:
+        if len(steps) == 2:
             assert new[adj] == 0.0
             new[adj] = -0.0
         return new, boundary
@@ -670,6 +674,160 @@ def test_signed_zero_is_a_new_junction_state(monkeypatch):
     assert math.copysign(1.0, calls[0][0]) == 1.0
     assert math.copysign(1.0, calls[1][0]) == -1.0
     assert math.copysign(1.0, traj.final.values[0][-1]) == -1.0
+
+
+# ---------------------------------------------------------------------------
+# holding a bitwise fixed point
+
+def _spy_updates(monkeypatch, module=scheme):
+    """Count the conservative updates the march computes."""
+    real = module._update
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_update", spy)
+    return calls
+
+
+def _assert_step_replay(traj, init):
+    # every kept level, mass, boundary sum and junction flux of a run, as
+    # the single-step API and a fresh junction solve per step give them
+    mesh, config = traj.mesh, traj.config
+    spec, layout = mesh.spec, mesh._layout
+    ghosts = config.dirichlet_values if config.outer_bc == "dirichlet" else None
+    state = discretize_initial(mesh, init)
+    levels = [[v.copy() for v in state.values]]
+    masses = [state.total_mass(mesh.dx)]
+    bnet, fluxes = [], []
+    for dt in traj.dts:
+        u = scheme._pack(mesh, state, ghosts)
+        sol = solve_junction(spec, u[layout.adj])
+        boundary = scheme._flux_grid(u, mesh, sol.fluxes)[layout.outer]
+        bnet.append(math.fsum(boundary[spec.m:].tolist())
+                    - math.fsum(boundary[:spec.m].tolist()))
+        fluxes.append(sol.fluxes)
+        state = step(state, mesh, dt, config.outer_bc, ghosts)
+        levels.append([v.copy() for v in state.values])
+        masses.append(state.total_mass(mesh.dx))
+    assert len(traj.states) == len(levels)
+    for kept, want in zip(traj.states, levels):
+        for got, ref in zip(kept.values, want):
+            assert got.tobytes() == ref.tobytes()
+    assert traj.masses.tobytes() == np.array(masses).tobytes()
+    assert traj.boundary_net.tobytes() == np.array(bnet).tobytes()
+    assert (traj.junction_fluxes.tobytes()
+            == np.array(fluxes).reshape(traj.junction_fluxes.shape).tobytes())
+
+
+@pytest.mark.parametrize("bc", ["absorbing", "dirichlet"])
+@pytest.mark.parametrize("label", sorted(MIXED_TOPOLOGIES))
+def test_held_equilibrium_is_updated_at_most_three_times(monkeypatch, bc,
+                                                         label):
+    # steps 1 and 2 return their input bitwise, so the march holds from
+    # step 2 on and computes only the shortened last step again
+    spec = MIXED_TOPOLOGIES[label]
+    mesh = small_mesh(spec)
+    for k in germ_sampler(spec, 2, seed=41):
+        extra = ({} if bc == "absorbing" else
+                 {"outer_bc": "dirichlet", "dirichlet_values": k})
+        calls = _spy_updates(monkeypatch)
+        traj = run(RunConfig(mesh, 0.9, 200 * cfl_timestep(mesh, 0.9),
+                             **extra), list(k))
+        assert len(traj.dts) == 200
+        assert len(calls) <= 3
+        monkeypatch.undo()
+        _assert_step_replay(traj, list(k))
+
+
+def test_settling_run_holds_once_the_waves_have_left(monkeypatch):
+    # a 2-1 LWR Riemann problem on absorbing roads: once its waves have left
+    # the truncated network the state stops changing, and the march holds
+    spec = JunctionSpec(2, 1, (quadratic_lwr(),) * 3)
+    mesh = NetworkMesh(spec, 0.01, 50)
+    init = [0.02, 0.81, 0.91]
+    calls = _spy_updates(monkeypatch)
+    traj = run(RunConfig(mesh, 0.9, 5.0), init)
+    assert len(traj.dts) == 1112
+    assert len(calls) < len(traj.dts)
+    monkeypatch.undo()
+    _assert_step_replay(traj, init)
+
+
+def test_hold_tells_signed_zeros_apart(monkeypatch):
+    # a -0.0 written after step 2 leaves the buffer == its input but not
+    # bitwise: steps 3 (a new junction state) and 4 (its first repeat) are
+    # computed before the march holds, and a shortened last step after
+    mesh = small_mesh(SYMQ21)
+    adj = int(mesh._layout.adj[0])
+    real = scheme._update
+    steps = []
+
+    def flip(u, *args):
+        new, boundary = real(u, *args)
+        steps.append(None)
+        if len(steps) == 2:
+            new[adj] = -0.0
+        return new, boundary
+
+    monkeypatch.setattr(scheme, "_update", flip)
+    traj = run(RunConfig(mesh, 0.9, 10 * cfl_timestep(mesh, 0.9)),
+               [0.0, 0.0, 0.0])
+    assert len(steps) == 4 + (traj.dts[-1] != traj.dts[0])
+
+
+def test_parabolic_run_holds_an_empty_network(monkeypatch):
+    # on empty roads the junction value is rho_min itself, the same float
+    # object at every step, so the parabolic march holds as well
+    mesh = small_mesh(dx=0.05, cells=20)
+    calls = _spy_updates(monkeypatch, viscous)
+    traj = run_parabolic(mesh, 0.02, [0.0, 0.0],
+                         30.5 * parabolic_timestep(mesh, 0.02))
+    assert len(traj.dts) == 31
+    assert len(calls) < len(traj.dts)
+    monkeypatch.undo()
+    state = discretize_initial(mesh, [0.0, 0.0])
+    masses = [state.total_mass(mesh.dx)]
+    for kept, dt in zip(traj.states[1:], traj.dts):
+        state = parabolic_step(state, mesh, 0.02, dt)
+        masses.append(state.total_mass(mesh.dx))
+        for got, ref in zip(kept.values, state.values):
+            assert got.tobytes() == ref.tobytes()
+    assert traj.masses.tobytes() == np.array(masses).tobytes()
+    assert traj.boundary_net.tobytes() == np.zeros(31).tobytes()
+
+
+@functools.cache
+def _germs(label):
+    return germ_sampler(MIXED_TOPOLOGIES[label], 4, seed=53)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(label=st.sampled_from(sorted(MIXED_TOPOLOGIES)),
+       bc=st.sampled_from(["absorbing", "held", "random"]),
+       seed=st.integers(0, 2**32 - 1), outer=st.integers(0, 4),
+       n_steps=st.integers(1, 400), tail=st.sampled_from([0.0, 0.5]))
+def test_run_matches_a_step_replay(label, bc, seed, outer, n_steps, tail):
+    # a sampled equilibrium with random outer cells under absorbing ends or
+    # Dirichlet data (the equilibrium's or random); some of these runs settle,
+    # so the junction reuse and the hold both meet the plain scheme here
+    spec = MIXED_TOPOLOGIES[label]
+    mesh = small_mesh(spec, dx=0.05, cells=4)
+    rng = np.random.default_rng(seed)
+    k = _germs(label)[rng.integers(4)]
+    init = [np.full(4, kh) for kh in k]
+    for h, v in enumerate(init):
+        v[slice(0, outer) if h < spec.m else slice(4 - outer, 4)] = (
+            rng.uniform(spec.rho_min, spec.rho_max, outer))
+    extra = ({} if bc == "absorbing" else
+             {"outer_bc": "dirichlet",
+              "dirichlet_values": k if bc == "held" else rng.uniform(
+                  spec.rho_min, spec.rho_max, spec.m + spec.n)})
+    dt0 = cfl_timestep(mesh, 0.9)
+    traj = run(RunConfig(mesh, 0.9, (n_steps + tail) * dt0, **extra), init)
+    _assert_step_replay(traj, init)
 
 
 def _ledger_oracle(dts, boundary_net, masses):
