@@ -170,6 +170,8 @@ def _cmd_germ_check(args) -> int:
     doc = _load_document(args)
     spec, _, _, _ = build_network(doc)
     tol = args.tol if args.tol is not None else 1e-9
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError("--tol must be positive and finite", kind="range")
     candidates = [_constant_initial(doc, "germ-check")]
     if args.sample:
         candidates.extend(verify_mod.germ_sampler(spec, args.sample,

@@ -2,10 +2,10 @@
 
 A flux is admissible when it vanishes at both endpoints of its density
 interval, has a single interior maximizer, and is strictly monotone on each
-side of it. Constructors validate the shape (exactly for the quadratic
-families, by dense sampling for polynomial data, at node level for tabulated
-data) and precompute the critical density, the crest value, and a Lipschitz
-bound on f'.
+side of it. Constructors validate the shape exactly (in closed form for the
+quadratic families, by the sign changes of f' for polynomial data, at node
+level for tabulated data) and precompute the critical density, the crest
+value, and a Lipschitz bound on f'.
 
 Piecewise-linear (tabulated) fluxes have f' constant on panels; they are
 accepted but flagged via ``satisfies_nld=False`` since some trace-level theory
@@ -21,7 +21,6 @@ import numpy as np
 
 from . import kernels
 
-_SHAPE_SAMPLES = 4097
 _FAMILIES = ("quadratic-lwr", "symmetric-quadratic", "custom-polynomial",
              "tabulated")
 
@@ -176,37 +175,45 @@ def custom_polynomial(coeffs, rho_min: float, rho_max: float,
                       rho_crit: float) -> Flux:
     """Polynomial flux with ascending coefficients and a user-supplied crest.
 
-    The bell shape (zero endpoints, strict unimodality) is verified by dense
-    sampling, and rho_crit must be the root of f' next to the sampled
-    maximizer to within 1e-12 of the interval; violations raise ValueError.
+    The bell shape is certified exactly: f' changes sign exactly once on
+    (rho_min, rho_max), from + to -, at a root that rho_crit must match to
+    1e-12 of the interval, the crest value is positive, and f vanishes at
+    both ends to 1e-12 of it. Violations raise ValueError.
     """
     params = np.asarray(coeffs, dtype=float)
-    if params.ndim != 1 or params.size < 3:
-        raise ValueError("polynomial flux needs at least 3 coefficients")
+    if params.ndim != 1 or params.size < 3 or not np.isfinite(params).all():
+        raise ValueError("polynomial flux needs at least 3 finite "
+                         "coefficients")
     if not rho_min < rho_crit < rho_max:
         raise ValueError("rho_crit must lie strictly inside (rho_min, rho_max)")
-    crest = kernels.flux_scalar(kernels.FAMILY_POLY, params, float(rho_crit))
-    lo, hi = _sampled_shape_check(
-        lambda x: kernels.flux_array(kernels.FAMILY_POLY, params, x),
-        float(rho_min), float(rho_max), crest)
-    # f' changes sign once between the neighbours of the sampled maximizer;
+    lo, hi = float(rho_min), float(rho_max)
+    c = params.tolist()
+    crest = kernels.flux_scalar(kernels.FAMILY_POLY, c, float(rho_crit))
+    if not crest > 0:
+        raise ValueError("flux crest value must be positive")
+    if not max(abs(kernels.flux_scalar(kernels.FAMILY_POLY, c, x))
+               for x in (lo, hi)) <= 1e-12 * crest:
+        raise ValueError("flux must vanish at both interval endpoints")
+    deriv = [k * c[k] for k in range(1, len(c))]
+    roots = kernels.real_roots(deriv, lo, hi)
+    # one sign change of f', + before it and - after it: f rises strictly
+    # to its crest and falls strictly beyond it
+    if not (len(roots) == 1
+            and kernels._horner(deriv, 0.5 * (lo + roots[0])) > 0
+            > kernels._horner(deriv, 0.5 * (roots[0] + hi))):
+        raise ValueError("flux must rise strictly then fall strictly "
+                         "(plateaus are rejected)")
     # a crest off that root would leave demand falling below rho_crit
-    deriv = params[1:] * np.arange(1, params.size)
-    root = kernels.poly_root(deriv.tolist(), lo, hi)
-    if not abs(rho_crit - root) <= 1e-12 * (rho_max - rho_min):
+    if not abs(rho_crit - roots[0]) <= 1e-12 * (hi - lo):
         raise ValueError(f"rho_crit must be the maximizer of f, which lies "
-                         f"at {root!r}")
+                         f"at {roots[0]!r}")
 
-    # exact Lipschitz bound: |f'| attains its max at an endpoint or where f''=0
-    cand = [rho_min, rho_max]
-    if deriv.size >= 2:
-        dd_roots = np.polynomial.polynomial.polyroots(
-            deriv[1:] * np.arange(1, deriv.size))
-        cand.extend(r.real for r in dd_roots
-                    if abs(r.imag) < 1e-12 and rho_min < r.real < rho_max)
-    lip = max(abs(float(np.polynomial.polynomial.polyval(x, deriv)))
-              for x in cand)
-    return Flux("custom-polynomial", params, float(rho_min), float(rho_max),
+    # exact Lipschitz bound: |f'| attains its max at an end or where f''
+    # changes sign
+    second = [k * deriv[k] for k in range(1, len(deriv))]
+    lip = max(abs(kernels._horner(deriv, x))
+              for x in (lo, hi, *kernels.real_roots(second, lo, hi)))
+    return Flux("custom-polynomial", params, lo, hi,
                 float(rho_crit), lip, crest, True, kernels.FAMILY_POLY)
 
 
@@ -239,33 +246,6 @@ def tabulated(xs, ys) -> Flux:
     lip = float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
     return Flux("tabulated", params, float(xs[0]), float(xs[-1]),
                 float(xs[imax]), lip, crest, False, kernels.FAMILY_TABLE)
-
-
-def _sampled_shape_check(evaluate, lo: float, hi: float,
-                         crest: float) -> tuple[float, float]:
-    """Reject fluxes that are not bell-shaped, including crest plateaus.
-    Returns the grid neighbours of the sampled maximizer."""
-    grid = np.linspace(lo, hi, _SHAPE_SAMPLES)
-    vals = evaluate(grid)
-    scale = max(abs(crest), 1e-300)
-    if abs(vals[0]) > 1e-12 * scale or abs(vals[-1]) > 1e-12 * scale:
-        raise ValueError("flux must vanish at both interval endpoints")
-    if crest <= 0:
-        raise ValueError("flux crest value must be positive")
-    imax = int(np.argmax(vals))
-    d = np.diff(vals)
-    left, right = d[:imax], d[imax:]
-    # strict monotonicity away from the crest; the two samples straddling the
-    # crest may tie at float resolution
-    if not (np.all(left >= 0) and np.all(right <= 0)
-            and np.all(left[:-2] > 0) and np.all(right[2:] < 0)):
-        raise ValueError("flux must rise strictly then fall strictly "
-                         "(plateaus are rejected)")
-    interior = vals[1:-1]
-    if interior.size and interior.min() < -1e-12 * scale:
-        raise ValueError("flux must be nonnegative on its interval")
-    return float(grid[max(imax - 1, 0)]), float(grid[min(imax + 1,
-                                                         grid.size - 1)])
 
 
 # ---------------------------------------------------------------------------

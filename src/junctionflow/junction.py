@@ -20,16 +20,13 @@ one-sided flux geometry on every road), the entropy-dissipation pairing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import ConsistencyError
 from .fluxes import Flux, conjugate
-
-_HULL_GRID = 4097
-_OLEINIK_SAMPLES = 512
 
 
 @dataclass(eq=False)
@@ -163,20 +160,32 @@ def solve_junction(spec: JunctionSpec, u) -> JunctionSolution:
 
 # ---------------------------------------------------------------------------
 # equilibrium (germ) membership
+#
+# On a bell-shaped f, the interval I between k_h and p holds f's minimum at
+# an end, and its maximum at the crest when I contains it, at an end
+# otherwise; every chord question is a few comparisons.
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):  # NaN fails this too
+        raise ValueError("tol must be positive and finite")
+
 
 def is_germ_member(spec: JunctionSpec, k, tol: float = 1e-9,
                    method: str = "godunov") -> bool:
     """Is k a stationary junction state?
 
     ``method="godunov"`` checks that every junction flux matches the road's
-    own flux value. ``method="oleinik"`` checks the one-sided chord
-    inequalities at the left end of the coupling interval by dense sampling.
-    ``method="both"`` runs both and raises ConsistencyError on disagreement.
+    own flux value. ``method="oleinik"`` checks that the road fluxes balance
+    and the one-sided chord inequalities at the left end p of the coupling
+    interval: on the interval between k_h and p, f stays at least f(k_h) -
+    tol where it must rise and at most f(k_h) + tol where it must fall,
+    decided exactly from the bell shape. ``method="both"`` runs both and
+    raises ConsistencyError on disagreement. ``tol`` must be positive and
+    finite.
     """
     if method not in ("godunov", "oleinik", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     k = spec.candidate(k)
     got_g = got_o = None
     if method in ("godunov", "both"):
@@ -190,7 +199,7 @@ def is_germ_member(spec: JunctionSpec, k, tol: float = 1e-9,
     if got_g != got_o:
         raise ConsistencyError(
             f"membership paths disagree on {k.tolist()}: "
-            f"flux-identity={got_g}, chord-sampling={got_o}")
+            f"flux-identity={got_g}, chords={got_o}")
     return got_g
 
 
@@ -200,6 +209,12 @@ def _member_by_fluxes(spec: JunctionSpec, k: np.ndarray, tol: float) -> bool:
     return bool(gap.max() <= tol)
 
 
+def _rises(spec: JunctionSpec, h: int, kh: float, p: float) -> bool:
+    """Must road h's flux rise as s leaves k_h toward p? Incoming roads need
+    f(s) >= f(k_h) for s above k_h, outgoing ones for s below it."""
+    return (p > kh) == (h < spec.m)
+
+
 def _member_by_chords(spec: JunctionSpec, k: np.ndarray, tol: float) -> bool:
     fk = spec.road_flux_values(k)
     balance = math.fsum(fk[:spec.m].tolist()) - math.fsum(fk[spec.m:].tolist())
@@ -207,13 +222,17 @@ def _member_by_chords(spec: JunctionSpec, k: np.ndarray, tol: float) -> bool:
         return False
     p = solve_junction(spec, k).p_min
     for h, flux in enumerate(spec.fluxes):
-        kh = float(k[h])
+        kh, fkh = float(k[h]), float(fk[h])
         if p == kh:
             continue
-        s = np.linspace(min(kh, p), max(kh, p), _OLEINIK_SAMPLES + 1)
-        dv = flux.eval(s) - fk[h]
-        orient = np.sign(p - kh) if h < spec.m else np.sign(kh - p)
-        if (orient * dv).min() < -tol:
+        fp = flux.eval(p)
+        if _rises(spec, h, kh, p):
+            if fp - fkh < -tol:  # min over I is min(f(k_h), f(p))
+                return False
+        elif min(kh, p) <= flux.rho_crit <= max(kh, p):
+            if flux.flux_max - fkh > tol:
+                return False
+        elif fp - fkh > tol:  # max over I is max(f(k_h), f(p))
             return False
     return True
 
@@ -221,15 +240,18 @@ def _member_by_chords(spec: JunctionSpec, k: np.ndarray, tol: float) -> bool:
 def strict_witness(spec: JunctionSpec, k, tol: float = 1e-9) -> float | None:
     """A coupling value certifying strict equilibrium, or None.
 
-    A witness p makes every road's chord inequality strict (margin > tol on a
-    dense sample of the interval between k_h and p, excluding k_h itself).
-    The search space is the coupling interval cut down by each road's
-    analytic admissible window; the exact k_h values are always tried as
-    candidates because a point-sized coupling interval carries the rounding
-    of the flux inverses that locate it.
+    A witness p makes every road's chord inequality strict on the punctured
+    interval (k_h, p]: f moves the required way as s leaves k_h (where it
+    must rise, k_h lies strictly on the near side of the crest; where it
+    must fall, on the crest or beyond it) and the margin |f(p) - f(k_h)|
+    at p exceeds tol. On a bell-shaped f the two together make f(s) -
+    f(k_h) one-signed on all of (k_h, p]. The search space is the coupling
+    interval cut down by each road's analytic admissible window; the exact
+    k_h values are always tried as candidates because a point-sized
+    coupling interval carries the rounding of the flux inverses that locate
+    it. ``tol`` must be positive and finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     k = spec.candidate(k)
     sol = solve_junction(spec, k)
     if np.abs(sol.fluxes - spec.road_flux_values(k)).max() > tol:
@@ -269,15 +291,15 @@ def _strict_margins_hold(spec: JunctionSpec, k: np.ndarray, p: float,
                          tol: float) -> bool:
     # Strict margins on every road imply the flux identities, so a passing p
     # is a genuine witness even if it came from a sloppy candidate list.
-    t = np.arange(1, _OLEINIK_SAMPLES + 1) / _OLEINIK_SAMPLES
     for h, flux in enumerate(spec.fluxes):
         kh = float(k[h])
         if p == kh:
             continue  # the punctured interval is empty
-        s = kh + (p - kh) * t
-        dv = flux.eval(s) - flux.eval(kh)
-        orient = np.sign(p - kh) if h < spec.m else np.sign(kh - p)
-        if (orient * dv).min() <= tol:
+        margin = flux.eval(p) - flux.eval(kh)
+        rise = _rises(spec, h, kh, p)
+        # the crest lies strictly ahead of k_h on the way to p
+        ahead = flux.rho_crit > kh if p > kh else flux.rho_crit < kh
+        if ahead != rise or not (margin if rise else -margin) > tol:
             return False
     return True
 
@@ -303,42 +325,53 @@ def dissipativity(spec: JunctionSpec, k1, k2) -> float:
 # exact self-similar Riemann solver
 
 @dataclass(frozen=True, eq=False)
-class _Fan:
-    """One road's wave fan: constant states separated by sorted wave speeds.
-
-    ``rarefactions`` lists speed ranges where the state instead follows the
-    inverse of f' (closed-form for the quadratic families). ``incoming`` fans
-    live on x < 0 and break speed ties toward the junction-adjacent state.
-    """
-
-    states: np.ndarray
-    speeds: np.ndarray
-    rarefactions: tuple[tuple[float, float], ...]
-    incoming: bool
-    code: int
-    params: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class RiemannSolution:
-    """Junction Riemann solution: coupling data, road traces, wave fans."""
+    """Junction Riemann solution: the coupling data, the road traces at the
+    junction and the initial road states; ``sample`` evaluates each road's
+    self-similar fan exactly."""
 
     solution: JunctionSolution
     traces: np.ndarray
-    fans: tuple[_Fan, ...]
+    spec: JunctionSpec
+    initial: np.ndarray
 
     def sample(self, road: int, xi):
-        """Density on the given road along the ray x/t = xi."""
-        fan = self.fans[road]
-        scalar = np.ndim(xi) == 0
-        x = np.atleast_1d(np.asarray(xi, dtype=float))
-        side = "right" if fan.incoming else "left"
-        out = fan.states[np.searchsorted(fan.speeds, x, side=side)]
-        for lo, hi in fan.rarefactions:
-            mask = (x >= lo) & (x <= hi)
-            if mask.any():
-                out[mask] = _rarefaction_value(fan.code, fan.params, x[mask])
-        return float(out[0]) if scalar else out
+        """Density on the given road along the ray x/t = xi.
+
+        The road carries the classical fan between its initial state, far
+        from the junction, and its trace at it; with left and right the
+        states on either side, u(xi) is the argmin over [left, right] of
+        f(x) - xi*x when left < right and the argmax when left > right (the
+        convex/concave envelope construction). The extremum lies at an end
+        or at a root of f' - xi (``kernels.real_roots``), at a node for a
+        tabulated flux. xi is clamped to the road's half-line (x <= 0
+        incoming, x >= 0 outgoing); ties go to the candidate nearest the
+        trace. Scalar in, scalar out; arrays map elementwise.
+        """
+        flux = self.spec.fluxes[road]
+        incoming = road < self.spec.m
+        far, trace = float(self.initial[road]), float(self.traces[road])
+        lower = (far < trace) if incoming else (trace < far)
+        lo, hi = min(far, trace), max(far, trace)
+        if flux.code == kernels.FAMILY_TABLE:
+            xs = kernels._table(flux.params)[0]
+            nodes = xs[(xs > lo) & (xs < hi)]
+        else:
+            c = kernels._piece_coeffs(flux.code, flux.params, lo)
+            d = [k * c[k] for k in range(1, len(c))]
+
+        def state(x: float) -> float:
+            x = min(x, 0.0) if incoming else max(x, 0.0)
+            inner = (nodes if flux.code == kernels.FAMILY_TABLE else
+                     kernels.real_roots([d[0] - x, *d[1:]], lo, hi))
+            cands = np.array([trace, far, *inner])
+            cands = cands[np.argsort(np.abs(cands - trace), kind="stable")]
+            g = kernels.flux_array(flux.code, flux.params, cands) - x * cands
+            return float(cands[np.argmin(g) if lower else np.argmax(g)])
+
+        x = np.asarray(xi, dtype=float)
+        out = np.array([state(v) for v in x.ravel().tolist()])
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def riemann_solve(spec: JunctionSpec, u0) -> RiemannSolution:
@@ -348,23 +381,14 @@ def riemann_solve(spec: JunctionSpec, u0) -> RiemannSolution:
     initial state and the coupling value, which makes every incoming wave
     nonpositive in speed and every outgoing wave nonnegative; each road then
     carries the classical self-similar fan between its initial state and its
-    trace.
+    trace, which ``RiemannSolution.sample`` evaluates.
     """
     u0 = spec.candidate(u0)
     sol = solve_junction(spec, u0)
     p = sol.p_min
-    traces = np.empty(spec.m + spec.n)
-    fans = []
-    for h, flux in enumerate(spec.fluxes):
-        uh = float(u0[h])
-        incoming = h < spec.m
-        g = _trace(flux, uh, p, incoming)
-        traces[h] = g
-        # incoming roads: far-field state on the left, trace at the junction;
-        # outgoing roads: trace on the left, far-field state on the right
-        left, right = (uh, g) if incoming else (g, uh)
-        fans.append(_classical_fan(flux, left, right, incoming))
-    return RiemannSolution(sol, traces, tuple(fans))
+    traces = np.array([_trace(flux, float(u0[h]), p, h < spec.m)
+                       for h, flux in enumerate(spec.fluxes)])
+    return RiemannSolution(sol, traces, spec, u0.copy())
 
 
 def _trace(flux: Flux, u0: float, p: float, incoming: bool) -> float:
@@ -385,75 +409,3 @@ def _trace(flux: Flux, u0: float, p: float, incoming: bool) -> float:
     if u0 <= crit <= p:
         return crit
     return p if p <= crit else u0
-
-
-def _rarefaction_value(code: int, params: np.ndarray, xi):
-    # inverse of f' for the two closed-form (concave quadratic) families
-    if code == kernels.FAMILY_LWR:
-        return 0.5 * params[1] * (1.0 - xi / params[0])
-    return -xi / (2.0 * params[0])
-
-
-def _classical_fan(flux: Flux, left: float, right: float,
-                   incoming: bool) -> _Fan:
-    rars: tuple[tuple[float, float], ...] = ()
-    if left == right:
-        states = np.array([left])
-        speeds = np.empty(0)
-    elif flux.code in (kernels.FAMILY_LWR, kernels.FAMILY_SYM_QUAD):
-        if left < right:
-            # concave flux, rising data: one admissible shock at chord speed
-            sigma = (flux.eval(right) - flux.eval(left)) / (right - left)
-            states = np.array([left, right])
-            speeds = np.array([sigma])
-        else:
-            lo = flux.derivative(left)
-            hi = flux.derivative(right)
-            mid = _rarefaction_value(flux.code, flux.params, 0.5 * (lo + hi))
-            states = np.array([left, mid, right])
-            speeds = np.array([lo, hi])
-            rars = ((min(lo, 0.0) if incoming else max(lo, 0.0),
-                     min(hi, 0.0) if incoming else max(hi, 0.0)),)
-    else:
-        states, speeds = _hull_fan(flux, left, right)
-    # every wave provably sits on the road's own half-line; trim rounding noise
-    speeds = np.minimum(speeds, 0.0) if incoming else np.maximum(speeds, 0.0)
-    return _Fan(states, speeds, rars, incoming, flux.code, flux.params)
-
-
-def _hull_fan(flux: Flux, left: float,
-              right: float) -> tuple[np.ndarray, np.ndarray]:
-    """Wave fan from the convex/concave envelope of f between the states.
-
-    The envelope is taken on a dense grid; graph-hugging stretches come out
-    as chains of short chords, which approximates rarefactions to grid
-    resolution. Adequate for general bell-shaped fluxes where no closed-form
-    inverse of f' exists.
-    """
-    lo, hi = (left, right) if left < right else (right, left)
-    grid = np.linspace(lo, hi, _HULL_GRID)
-    grid[0], grid[-1] = lo, hi
-    vals = np.asarray(flux.eval(grid))
-    idx = _hull_indices(grid, vals, lower=left < right)
-    states, ys = grid[idx], vals[idx]
-    if left > right:
-        states, ys = states[::-1], ys[::-1]
-    speeds = np.diff(ys) / np.diff(states)
-    return np.ascontiguousarray(states), speeds
-
-
-def _hull_indices(xs: np.ndarray, ys: np.ndarray, lower: bool) -> np.ndarray:
-    # monotone chain; lower hull keeps chord slopes strictly increasing,
-    # upper hull strictly decreasing
-    idx = [0]
-    for i in range(1, xs.shape[0]):
-        while len(idx) >= 2:
-            a, b = idx[-2], idx[-1]
-            lhs = (ys[b] - ys[a]) * (xs[i] - xs[b])
-            rhs = (ys[i] - ys[b]) * (xs[b] - xs[a])
-            if (lhs >= rhs) if lower else (lhs <= rhs):
-                idx.pop()
-            else:
-                break
-        idx.append(i)
-    return np.array(idx)

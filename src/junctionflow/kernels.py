@@ -5,6 +5,9 @@ The solver's hot paths are (a) Godunov flux sweeps over whole roads and
 inverses of each flux on its two monotone branches, and the exact solves for
 the coupling interval and for the viscous junction value, which share one
 piecewise root finder, plus (c) the exact sum behind the mass audit.
+``real_roots`` finds every sign change of a polynomial on an interval; it
+answers the flux-shape questions (the bell shape, the Lipschitz bound, the
+rarefaction states of a Riemann fan).
 Scalar kernels take any sequence: the junction solvers hand them Python
 floats and tuples of floats (``JunctionSpec`` converts each road's
 parameters once), which keeps numpy's per-scalar dispatch out of the
@@ -232,6 +235,32 @@ def poly_root(c: list[float], a: float, b: float) -> float:
         else:
             hi = mid
     return lo + 0.5 * (hi - lo)
+
+
+def real_roots(c: list[float], a: float, b: float) -> list[float]:
+    """The roots in (a, b) where the polynomial with ascending coefficients
+    c changes sign, in ascending order.
+
+    Between consecutive such roots of c' the polynomial is monotone, so each
+    piece brackets at most one root, which ``poly_root`` solves. A zero that
+    lands exactly on a split point counts when the signs on its two sides
+    differ.
+    """
+    deg = len(c) - 1
+    while deg > 0 and c[deg] == 0.0:
+        deg -= 1
+    if deg < 1:
+        return []
+    pts = [a, *real_roots([k * c[k] for k in range(1, deg + 1)], a, b), b]
+    signs = [(v > 0.0) - (v < 0.0) for v in (_horner(c, x) for x in pts)]
+    roots = []
+    for t in range(1, len(pts)):
+        if signs[t - 1] * signs[t] < 0:
+            roots.append(poly_root(c, pts[t - 1], pts[t]))
+        elif signs[t] == 0 and t + 1 < len(pts) \
+                and signs[t - 1] * signs[t + 1] < 0:
+            roots.append(pts[t])
+    return roots
 
 
 def branch_point(code, par, crit, fcrit, y, edge):

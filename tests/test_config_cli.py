@@ -441,6 +441,18 @@ def test_cli_germ_check(tmp_path):
     assert "member(flux-identity)=True" in proc.stdout
 
 
+def test_cli_germ_check_rejects_bad_tol(tmp_path):
+    # a zero tol used to die with a traceback and exit 1; NaN exited 0
+    # with the two membership columns disagreeing
+    cfg = _write(tmp_path, MINIMAL)
+    for bad in ("0", "nan", "-1e-9", "inf"):
+        proc = _cli(tmp_path, "germ-check", "--config", cfg, f"--tol={bad}")
+        assert proc.returncode == 2, (bad, proc.stdout + proc.stderr)
+        assert "configuration error" in proc.stderr and "--tol" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "germ_check.csv").exists()
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only dependency; a heavy import here is paid by every
     # process that starts the command line

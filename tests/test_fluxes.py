@@ -227,6 +227,56 @@ def test_polynomial_crest_off_the_maximizer_rejected(offset):
     assert custom_polynomial([0.0, 1.0, 0.0, -1.0], 0.0, 1.0,
                              root).rho_crit == root
 
+# every polynomial flux the tests and the benchmark build, with the crest,
+# crest value and Lipschitz bound it has always been built with, bit for bit
+POLYNOMIALS = [
+    ([0.0, 1.0, 0.0, -1.0], 0.0, 1.0, 1.0 / math.sqrt(3.0),
+     0.38490017945975047, 2.0),
+    ([0.0, 2.4, -1.8, -1.2, 0.6], 0.0, 1.0, 0.5, 0.6375, 2.4),
+    ([1.0, 0.0, 0.0, 0.0, -1.0], -1.0, 1.0, 0.0, 1.0, 4.0),
+    ([0.0, 1.0, -1.0, 1.0, -1.0], 0.0, 1.0, 0.6058295861882684,
+     0.32644677652359, 2.0),
+    ([0.0, 1.0, 1.0, -2.0], 0.0, 1.0, (1.0 + math.sqrt(7.0)) / 6.0,
+     0.5281529477305951, 3.0),
+]
+
+
+@pytest.mark.parametrize("coeffs, lo, hi, crit, crest, lip", POLYNOMIALS)
+def test_polynomial_builds_are_unchanged(coeffs, lo, hi, crit, crest, lip):
+    f = custom_polynomial(coeffs, lo, hi, crit)
+    assert f.rho_crit.hex() == float(crit).hex()
+    assert float(f.flux_max).hex() == crest.hex()
+    assert f.lipschitz.hex() == lip.hex()
+    # the bound is max |f'|: a dense grid reaches it and never exceeds it
+    s = np.linspace(lo, hi, 200001)
+    top = np.abs(f.derivative(s)).max()
+    assert top <= lip * (1 + 1e-15) and top >= lip * (1 - 1e-9)
+
+
+def test_polynomial_lipschitz_bound_inside_the_interval():
+    # f = x(1 - x) + 3 x^2 (1 - x)^2: |f'| peaks where f'' changes sign
+    # inside (0, 1), above both end values |f'(0)| = |f'(1)| = 1
+    f = custom_polynomial([0.0, 1.0, 2.0, -6.0, 3.0], 0.0, 1.0, 0.5)
+    s = np.linspace(0.0, 1.0, 200001)
+    top = float(np.abs(f.derivative(s)).max())
+    assert top > 1.2
+    assert top <= f.lipschitz <= top * (1 + 1e-9)
+
+
+def test_polynomial_with_two_critical_points_rejected():
+    # f = x(1 - x)(1 - 2x) vanishes at both ends but falls below zero after
+    # its first critical point and rises again
+    for crit in ((3.0 - math.sqrt(3.0)) / 6.0, (3.0 + math.sqrt(3.0)) / 6.0,
+                 0.5):
+        with pytest.raises(ValueError):
+            custom_polynomial([0.0, 1.0, -3.0, 2.0], 0.0, 1.0, crit)
+    with pytest.raises(ValueError, match="rise strictly then fall"):
+        custom_polynomial([0.0, 1.0, -3.0, 2.0], 0.0, 1.0,
+                          (3.0 - math.sqrt(3.0)) / 6.0)
+    with pytest.raises(ValueError, match="finite"):
+        custom_polynomial([0.0, math.inf, -1.0], 0.0, 1.0, 0.5)
+
+
 def test_tabulated_plateau_at_crest_rejected():
     xs = np.linspace(0.0, 1.0, 101)
     ys = np.minimum(xs * (1 - xs), 0.2)  # clipped: flat stretch at the top

@@ -29,6 +29,7 @@ from junctionflow import (
     tabulated,
 )
 from junctionflow import kernels
+from junctionflow.junction import _strict_margins_hold
 from junctionflow.verify import germ_sampler, nonstrict_germ_sampler
 
 RNG = np.random.default_rng(31415)
@@ -534,3 +535,183 @@ def test_riemann_samples_stay_in_range():
                 vals = rs.sample(h, np.sort(xi))
                 assert vals.min() >= spec.rho_min - 1e-12
                 assert vals.max() <= spec.rho_max + 1e-12
+
+
+def test_membership_rejects_bad_tol():
+    # NaN fails every comparison, so an unchecked tol let the chord path
+    # accept (0.2, 0.3), which is no equilibrium, with witness 0.2
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        for method in ("godunov", "oleinik", "both"):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                is_germ_member(LWR11, (0.2, 0.3), tol=bad, method=method)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            strict_witness(LWR11, (0.2, 0.3), tol=bad)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            is_strict_germ_member(LWR11, (0.2, 0.3), tol=bad)
+
+
+# ---------------------------------------------------------------------------
+# exact chord predicates against a dense-grid oracle
+
+def _oriented(spec, h, kh, p):
+    """+1 where road h's flux must rise from k_h toward p, -1 where it must
+    fall."""
+    return 1.0 if (p > kh) == (h < spec.m) else -1.0
+
+
+def oracle_member_margin(spec, k, tol, n=20001):
+    """Margin of the chord membership test on a dense grid of each interval
+    between k_h and p_min; the state is a member when it is >= 0."""
+    fk = [f.eval(float(x)) for f, x in zip(spec.fluxes, k)]
+    margin = tol - abs(math.fsum(fk[:spec.m]) - math.fsum(fk[spec.m:]))
+    p = solve_junction(spec, k).p_min
+    for h, f in enumerate(spec.fluxes):
+        kh = float(k[h])
+        if kh != p:
+            s = np.linspace(kh, p, n)
+            worst = (_oriented(spec, h, kh, p) * (f.eval(s) - fk[h])).min()
+            margin = min(margin, worst + tol)
+    return margin
+
+
+def oracle_strict_margins(spec, k, p, tol, n=20001):
+    """(least oriented f(s) - f(k_h) over a dense grid of every punctured
+    interval (k_h, p], least oriented margin at p minus tol); strict at p
+    when both are > 0."""
+    least, at_p = math.inf, math.inf
+    for h, f in enumerate(spec.fluxes):
+        kh = float(k[h])
+        if kh != p:
+            sgn = _oriented(spec, h, kh, p)
+            s = np.linspace(kh, p, n)[1:]
+            least = min(least, (sgn * (f.eval(s) - f.eval(kh))).min())
+            at_p = min(at_p, sgn * (f.eval(p) - f.eval(kh)) - tol)
+    return least, at_p
+
+
+def _oracle_states(spec, rng, count):
+    """Random states, sampled equilibria, and both with roads moved to a
+    crest, an end or a table node."""
+    special = [spec.rho_min, spec.rho_max, *(f.rho_crit for f in spec.fluxes)]
+    for f in spec.fluxes:
+        if f.code == kernels.FAMILY_TABLE:
+            special.extend(f.params[1:1 + int(f.params[0])].tolist())
+    states = [spec.rho_min + spec.span * rng.random(spec.m + spec.n)
+              for _ in range(count)]
+    states += germ_sampler(spec, count, seed=int(rng.integers(2**31)))
+    for u in states[:]:
+        v = u.copy()
+        pick = rng.random(v.size) < 0.3
+        v[pick] = rng.choice(special, int(pick.sum()))
+        states.append(v)
+    return states
+
+
+ORACLE_SPECS = ALL_SPECS + [random_junction(s, 2, 2)[0] for s in (3, 4)]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[
+    "1-1", "2-1", "2-3", "3-2mixed", "rand3", "rand4"])
+def test_chord_predicates_match_grid_oracle(spec):
+    # the exact predicates may only disagree with the grid where the grid's
+    # own margin lies within tol of the decision boundary
+    tol = 1e-9
+    rng = np.random.default_rng(2718)
+    for k in _oracle_states(spec, rng, 15):
+        margin = oracle_member_margin(spec, k, tol)
+        if is_germ_member(spec, k, tol=tol, method="oleinik") != (margin >= 0):
+            assert abs(margin) <= tol, (k, margin)
+        sol = solve_junction(spec, k)
+        for p in {sol.p_min, sol.p_max, 0.5 * (sol.p_min + sol.p_max),
+                  *k.tolist()}:
+            least, at_p = oracle_strict_margins(spec, k, p, tol)
+            want = least > 0 and at_p > 0
+            if _strict_margins_hold(spec, k, p, tol) != want:
+                assert abs(at_p) <= tol, (k, p, least, at_p)
+
+
+# ---------------------------------------------------------------------------
+# germ theory: a state the membership test rejects dissipates against its
+# own Riemann traces, and a member is its own Riemann solution
+
+def _germ_theory_junction(seed, m, n, symmetric):
+    if not symmetric:
+        return random_junction(seed, m, n)
+    rng = np.random.default_rng(seed)
+    spec = JunctionSpec(m, n, tuple(symmetric_quadratic(
+        float(rng.uniform(0.25, 3.0))) for _ in range(m + n)))
+
+    def state():
+        u = rng.uniform(-1.0, 1.0, m + n)
+        pick = rng.random(m + n) < 0.3
+        u[pick] = rng.choice([-1.0, 0.0, 1.0], int(pick.sum()))
+        return u
+    return spec, state
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
+       n=st.integers(1, 3), symmetric=st.booleans())
+def test_rejected_states_dissipate_against_their_traces(seed, m, n, symmetric):
+    # random states are mostly rejected; their traces are members
+    spec, state = _germ_theory_junction(seed, m, n, symmetric)
+    for _ in range(5):
+        u = state()
+        for k in (u, riemann_solve(spec, u).traces):
+            traces = riemann_solve(spec, k).traces
+            if is_germ_member(spec, k):
+                assert np.abs(traces - k).max() <= 1e-12
+            else:
+                assert dissipativity(spec, k, traces) < 0.0
+
+
+# ---------------------------------------------------------------------------
+# Riemann fans against a brute-force envelope
+
+# bell-shaped and convex on [0, 1/6]: its fans mix shocks and rarefactions
+INFLECTED = custom_polynomial([0.0, 1.0, 1.0, -2.0], 0.0, 1.0,
+                              (1.0 + math.sqrt(7.0)) / 6.0)
+FAN_SPECS = ALL_SPECS + [
+    random_junction(7, 2, 2)[0],
+    JunctionSpec(1, 2, (INFLECTED, CUBIC, INFLECTED)),
+    JunctionSpec(2, 1, (INFLECTED, quadratic_lwr(), INFLECTED)),
+]
+
+
+@pytest.mark.parametrize("spec", FAN_SPECS, ids=[
+    "1-1", "2-1", "2-3", "3-2mixed", "rand7", "inflected-1-2",
+    "inflected-2-1"])
+def test_riemann_fans_match_brute_force_envelope(spec):
+    # with (left, right) = (far state, trace) on an incoming road and
+    # (trace, far state) on an outgoing one, u(xi) is the argmin over
+    # [left, right] of f - xi*x when left < right, the argmax otherwise; the
+    # brute force on a 200,001-point grid lands within one grid step of it,
+    # and a polynomial state strictly between the ends satisfies f'(u) = xi
+    rng = np.random.default_rng(1618)
+    for _ in range(6):
+        u0 = spec.rho_min + spec.span * rng.random(spec.m + spec.n)
+        rs = riemann_solve(spec, u0)
+        for h, f in enumerate(spec.fluxes):
+            far, trace = float(u0[h]), float(rs.traces[h])
+            left, right = (far, trace) if h < spec.m else (trace, far)
+            grid = np.linspace(min(left, right), max(left, right), 200001)
+            fg = f.eval(grid)
+            sgn = -1.0 if h < spec.m else 1.0
+            xis = sgn * np.r_[0.0, spec.lipschitz_max * rng.random(12)]
+            got = rs.sample(h, xis)
+            for xi, u in zip(xis.tolist(), got.tolist()):
+                g = fg - xi * grid
+                want = grid[np.argmin(g) if left < right else np.argmax(g)]
+                assert abs(u - want) <= grid[1] - grid[0] + 1e-15
+                if f.code != kernels.FAMILY_TABLE and u not in (far, trace):
+                    assert abs(f.derivative(u) - xi) <= 1e-12
+
+
+def test_riemann_sample_is_scalar_for_scalars():
+    rs = riemann_solve(LWR11, (0.8, 0.2))
+    assert isinstance(rs.sample(1, 0.2), float)
+    assert isinstance(rs.sample(1, np.float64(0.2)), float)
+    assert rs.sample(1, 0.2) == rs.sample(1, np.array([0.2]))[0]
+    assert rs.sample(1, np.zeros((2, 3))).shape == (2, 3)
+    # xi off the road's half-line reads the junction trace
+    assert rs.sample(0, 5.0) == rs.sample(0, 0.0) == rs.traces[0]

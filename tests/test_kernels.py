@@ -242,6 +242,45 @@ def test_poly_root_pieces():
     assert len(ref) == 1 and abs(got - ref[0]) <= 8 * np.finfo(float).eps
 
 
+def test_real_roots_edge_cases():
+    # no sign change: constants, the zero polynomial, roots only at the ends
+    assert kernels.real_roots([2.0], 0.0, 1.0) == []
+    assert kernels.real_roots([0.0, 0.0, 0.0], 0.0, 1.0) == []
+    assert kernels.real_roots([0.0, 1.0, -1.0], 0.0, 1.0) == []
+    # (x - 1/2)^2 vanishes exactly on the split point 1/2, where c' changes
+    # sign, with c > 0 on both sides: no sign change, no root
+    assert kernels.real_roots([0.25, -1.0, 1.0], 0.0, 1.0) == []
+    # a triple root changes sign; closed forms for degree <= 2
+    (r,) = kernels.real_roots([0.0, 0.0, 0.0, 1.0], -1.0, 1.0)
+    assert abs(r) <= 4 * np.finfo(float).eps
+    assert kernels.real_roots([-0.3, 1.0], 0.0, 1.0) == [0.3]
+    assert kernels.real_roots([0.5, 0.0, -2.0], -1.0, 1.0) == [-0.5, 0.5]
+    # trailing zero coefficients lower the degree
+    assert kernels.real_roots([-0.3, 1.0, 0.0, 0.0], 0.0, 1.0) == [0.3]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(simple=st.lists(st.floats(-0.5, 1.5), min_size=0, max_size=5),
+       pair=st.tuples(st.floats(0.0, 1.0), st.floats(0.1, 1.0)),
+       scale=st.floats(-10.0, 10.0).filter(lambda s: abs(s) >= 0.1))
+def test_real_roots_finds_every_sign_change(simple, pair, scale):
+    # simple roots inside (0, 1) are found, in order, and no others; the
+    # factor (x - u)^2 + v^2 adds critical points but no real root
+    pts = sorted(simple)
+    if any(b - a < 0.05 for a, b in zip(pts, pts[1:])):
+        return
+    u, v = pair
+    poly = np.polynomial.polynomial
+    c = scale * poly.polymul(poly.polyfromroots(pts),
+                             [u * u + v * v, -2.0 * u, 1.0])
+    want = [r for r in pts if 0.01 < r < 0.99]
+    if len(want) != sum(0.0 < r < 1.0 for r in pts):
+        return  # a root too close to an end to tell which side it lies on
+    got = kernels.real_roots(c.tolist(), 0.0, 1.0)
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= 1e-9 for g, w in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # exact summation: bit-identical to fsum, on both sides of the extraction cut
 
