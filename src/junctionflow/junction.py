@@ -63,7 +63,6 @@ class JunctionSpec:
         # numpy's pairwise sum, which a Python sum matches below 8 roads
         self._zero = 4.0 * kernels._EPS * float(np.abs(self._fcrits).sum())
         self._bounds = (lo - 1e-12 * (hi - lo), hi + 1e-12 * (hi - lo))
-        self.lipschitz_sum = float(sum(f.lipschitz for f in self.fluxes))
         self.lipschitz_max = float(max(f.lipschitz for f in self.fluxes))
 
     @property

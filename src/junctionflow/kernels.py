@@ -3,8 +3,8 @@
 The solver's hot paths are (a) Godunov flux sweeps over whole roads and
 (b) the scalar algebra of the junction coupling: the balance gap, the
 inverses of each flux on its two monotone branches, and the exact solves for
-the coupling interval and for the viscous junction value, which share one
-piecewise root finder, plus (c) the exact sum behind the mass audit.
+the coupling interval and the viscous junction value, which share the kinks
+and one piecewise root finder, plus (c) the exact sum behind the mass audit.
 ``real_roots`` finds every sign change of a polynomial on an interval; it
 answers the flux-shape questions (the bell shape, the Lipschitz bound, the
 rarefaction states of a Riemann fan).
@@ -217,14 +217,15 @@ def poly_root(c: list[float], a: float, b: float) -> float:
         c0, c1 = c[0], c[1]
         c2 = c[2] if deg == 2 else 0.0
         if c2 == 0.0:
-            roots = (-c0 / c1,)
+            r = -c0 / c1
         else:
             disc = max(c1 * c1 - 4.0 * c2 * c0, 0.0)
             q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-            roots = (q / c2, c0 / q) if q != 0.0 else (0.0,)
-        # the other root of a quadratic lies outside [a, b], or on its edge
-        r = min(roots, key=lambda t: max(a - t, t - b))
-        return min(max(r, a), b)
+            r, other = (q / c2, c0 / q) if q != 0.0 else (0.0, 0.0)
+            # one root lies outside [a, b] or on its edge; ties keep q/c2
+            if max(a - other, other - b) < max(a - r, r - b):
+                r = other
+        return a if r < a else (b if r > b else r)
     lo, hi = a, b
     positive_lo = _horner(c, lo) > 0.0
     width = 4.0 * _EPS * max(abs(a), abs(b))
@@ -292,26 +293,32 @@ def branch_point(code, par, crit, fcrit, y, edge):
 
 
 # ---------------------------------------------------------------------------
-# exact coupling interval
+# exact junction solves: the coupling interval and the viscous junction value
+
+def _kinks(codes, params, crits, fcrits, m, ustar, lo, hi):
+    """The ``road_constants`` of ustar and each road's kink, where its gap
+    term switches between that constant and its whole flux: the falling-
+    (rising-)branch point of d_i (s_j) on an incoming (outgoing) road."""
+    consts = road_constants(codes, params, crits, fcrits, m, ustar)
+    return consts, [branch_point(codes[h], params[h], crits[h], fcrits[h], c,
+                                 hi if h < m else lo)
+                    for h, c in enumerate(consts)]
+
 
 def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero):
     """Zero set [p_min, p_max] of the balance gap over [lo, hi].
 
     The gap D(p) = sum_in min(d_i, S_i(p)) - sum_out min(D_j(p), s_j) is
     non-increasing, and each term is either its constant (d_i, s_j) or the
-    road's whole flux. The switch happens at a kink: the falling-branch
-    point of d_i on an incoming road, the rising-branch point of s_j on an
-    outgoing one. D is evaluated at the sorted kinks; between two of them it
-    is one polynomial (one per panel for tabulated fluxes), solved exactly.
+    road's whole flux, switching at the road's kink (``_kinks``). D is
+    evaluated at the sorted kinks; between two of them it is one polynomial
+    (one per panel for tabulated fluxes), solved exactly.
 
     A gap within ``zero``, 4 ulps of the summed crests, counts as zero:
     plateau values are differences of rounded flux values, that noisy.
     Returns (nan, nan) when D does not fall from >= 0 to <= 0 over [lo, hi].
     """
-    consts = road_constants(codes, params, crits, fcrits, m, ustar)
-    kinks = [branch_point(codes[h], params[h], crits[h], fcrits[h], c,
-                          hi if h < m else lo)
-             for h, c in enumerate(consts)]
+    consts, kinks = _kinks(codes, params, crits, fcrits, m, ustar, lo, hi)
 
     def sign(p):
         g = balance_gap(codes, params, crits, fcrits, m, ustar, p, consts)
@@ -323,48 +330,86 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero):
         return math.nan, math.nan
     first = next(t for t, s in enumerate(signs) if s <= 0)
     if signs[first] < 0:
-        a, b = pts[first - 1], pts[first]
-        # D > 0 at a and D < 0 at b, with no kink in between: every road
-        # contributes its constant or its whole flux on all of (a, b)
-        terms = [None if ((kinks[h] <= a) if h < m else (kinks[h] >= b))
-                 else consts[h] for h in range(len(kinks))]
-        root = _piecewise_root(codes, params, m, terms, [0.0], a, b, sign)
+        root = _piecewise_root(codes, params, m, consts, kinks, [0.0],
+                               pts[first - 1], pts[first], sign)
         return root, root
     last = max(t for t, s in enumerate(signs) if s >= 0)
     return pts[first], pts[last]
 
 
-def _piecewise_root(codes, params, m, terms, c, a, b, sign):
-    """Root in [a, b] of c(p) + sum_in t_h(p) - sum_out t_h(p), where c
-    holds ascending coefficients and road h's term t_h is the constant
-    terms[h], or the road's whole flux where terms[h] is None; sign(p) is
-    the sign of that sum, > 0 at a and < 0 at b.
+def solve_visc_w(codes, params, crits, fcrits, m, ustar, eps2dx, lo, hi):
+    """The junction value w in [lo, hi] when every road meets w as a
+    neighbouring cell, e = eps2dx: G_i(u_i, w) - e (w - u_i) leaves an
+    incoming road, G_j(w, u_j) - e (u_j - w) enters an outgoing one.
 
-    Bisection over the sorted table nodes inside (a, b) narrows the bracket
-    to one panel of every tabulated road, where the sum is one polynomial;
-    ``poly_root`` solves it exactly.
-    """
+    Their balance R(w) = D(w) - e ((m+n) w - sum(u)), D the balance gap, is
+    strictly decreasing, and R(lo) >= 0 >= R(hi) for states in [lo, hi]. A
+    bisection on R's exact sign over the sorted kinks brackets the root; the
+    sign at lo or hi is read only when the bracket ends there, and where
+    rounding or the input slack makes it wrong, w is that end."""
+    consts, kinks = _kinks(codes, params, crits, fcrits, m, ustar, lo, hi)
+    base, slope = eps2dx * sum(ustar), -eps2dx * len(ustar)
+
+    def sign(w):
+        r = balance_gap(codes, params, crits, fcrits, m, ustar, w,
+                        consts) + (base + slope * w)
+        return 1 if r > 0.0 else (-1 if r < 0.0 else 0)
+
+    pts = sorted(kinks)
+    i, j = _bisect(pts, sign)
+    if i == j:
+        return pts[i]
+    if i < 0 and sign(lo) <= 0:
+        return lo
+    if j == len(pts) and sign(hi) >= 0:
+        return hi
+    return _piecewise_root(codes, params, m, consts, kinks, [base, slope],
+                           pts[i] if i >= 0 else lo,
+                           pts[j] if j < len(pts) else hi, sign)
+
+
+def _bisect(pts, sign):
+    """(i, i + 1) with sign > 0 at pts[i], < 0 at pts[i + 1] over sorted pts
+    (-1 and len(pts) stand for the ends); (k, k) where sign(pts[k]) is 0."""
+    i, j = -1, len(pts)
+    while j - i > 1:
+        mid = (i + j) // 2
+        s = sign(pts[mid])
+        if s == 0:
+            return mid, mid
+        if s > 0:
+            i = mid
+        else:
+            j = mid
+    return i, j
+
+
+def _piecewise_root(codes, params, m, consts, kinks, c, a, b, sign):
+    """Root in [a, b] of c(p) + D(p), c ascending coefficients and D the
+    balance gap with these road constants and kinks, none inside (a, b);
+    sign(p) is the sign of that sum, > 0 at a and < 0 at b. A road's term is
+    its whole flux where its kink lies at or below a (incoming) or at or
+    above b (outgoing), its constant otherwise. Bisection over the table
+    nodes inside (a, b) narrows the bracket to one panel of every table,
+    where the sum is one polynomial, which ``poly_root`` solves exactly."""
+    terms = [None if ((kinks[h] <= a) if h < m else (kinks[h] >= b))
+             else consts[h] for h in range(len(kinks))]
     nodes = []
     for h, t in enumerate(terms):
         if t is None and codes[h] == FAMILY_TABLE:
             xs = _table(params[h])[0]
             nodes.extend(xs[bisect_right(xs, a):bisect_left(xs, b)])
     nodes.sort()
-    i, j = -1, len(nodes)
-    while j - i > 1:
-        mid = (i + j) // 2
-        s = sign(nodes[mid])
-        if s == 0:
-            return nodes[mid]
-        if s > 0:
-            i = mid
-        else:
-            j = mid
+    i, j = _bisect(nodes, sign)
+    if i == j:
+        return nodes[i]
     a = nodes[i] if i >= 0 else a
     b = nodes[j] if j < len(nodes) else b
     for h, t in enumerate(terms):
-        piece = (_piece_coeffs(codes[h], params[h], 0.5 * (a + b))
-                 if t is None else [t])
+        if t is not None:
+            c[0] += t if h < m else -t
+            continue
+        piece = _piece_coeffs(codes[h], params[h], 0.5 * (a + b))
         c.extend([0.0] * (len(piece) - len(c)))
         for k, v in enumerate(piece):
             c[k] += v if h < m else -v
@@ -406,46 +451,3 @@ def exact_sum(x: np.ndarray) -> float:
         x = x - q
         x = x[x != 0.0]
     return math.fsum(parts + x.tolist())
-
-
-# ---------------------------------------------------------------------------
-# viscous junction coupling: single value w balancing convective+diffusive flux
-
-def visc_gap(codes, params, m, ustar, eps2dx, w):
-    total = 0.0
-    for i in range(m):
-        total += flux_scalar(codes[i], params[i], w) - eps2dx * (w - ustar[i])
-    for j in range(m, len(ustar)):
-        total -= flux_scalar(codes[j], params[j], w) - eps2dx * (ustar[j] - w)
-    return total
-
-
-def solve_visc_w(codes, params, m, ustar, eps2dx, lo, hi, ftol):
-    """The junction value w in [lo, hi] where the viscous gap
-    R(w) = sum_in f_i(w) - sum_out f_j(w) - eps2dx*(m+n)*w + eps2dx*sum(u)
-    vanishes, as the exact root of its polynomial piece.
-
-    R(lo) >= 0 >= R(hi) up to float noise in the endpoint flux values.
-    Returns nan when an endpoint sign is genuinely wrong (beyond ftol), which
-    cannot happen for in-range states. A strict sign change leaves exactly
-    one root of a piece of degree <= 2 in the bracket, even where R is not
-    monotone (small eps2dx).
-    """
-    ra = visc_gap(codes, params, m, ustar, eps2dx, lo)
-    if ra <= 0.0:
-        if ra < -ftol:
-            return math.nan
-        return lo
-    rb = visc_gap(codes, params, m, ustar, eps2dx, hi)
-    if rb >= 0.0:
-        if rb > ftol:
-            return math.nan
-        return hi
-
-    def sign(w):
-        r = visc_gap(codes, params, m, ustar, eps2dx, w)
-        return 1 if r > 0.0 else (-1 if r < 0.0 else 0)
-
-    return _piecewise_root(codes, params, m, [None] * len(ustar),
-                           [eps2dx * sum(ustar), -eps2dx * len(ustar)],
-                           lo, hi, sign)

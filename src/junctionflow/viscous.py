@@ -10,10 +10,11 @@ decay to k_h away from the junction as inverses of distance integrals.
 system (Godunov convection plus centered diffusion) with a single junction
 value w per step chosen so the total convective+diffusive flux balances
 (Coclite & Garavello, "Vanishing viscosity for traffic on networks", 2010).
-They share the hyperbolic scheme's time loop, network buffer, update and
-GridState; only the junction fluxes differ. The parabolic solver is used as a
-cross-check of the hyperbolic scheme as epsilon shrinks, not as a
-production solver.
+Each road meets w as a neighbouring cell (Godunov plus diffusive flux), so
+w is unique and the bounded step monotone on every mesh, coarse ones too. The
+schemes share the time loop, network buffer, update and GridState; only the
+junction fluxes differ. The parabolic solver is used as a cross-check of
+the hyperbolic scheme as epsilon shrinks, not as a production solver.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConsistencyError, PreconditionError
+from .errors import PreconditionError
 from .fluxes import conjugate
 from .junction import JunctionSpec, _strict_margins_hold, strict_witness
 from .scheme import (GridState, NetworkMesh, _check_timestep, _march, _pack,
@@ -309,25 +310,22 @@ def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
 
 def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float,
                        dt: float):
-    """The junction value w, the convective+diffusive junction fluxes it
-    gives every road, then the shared update with diffusion; returns (new
-    buffer, boundary flux, w)."""
+    """The junction value w, each road's Godunov plus diffusive flux to w,
+    then the shared update with diffusion: (new buffer, boundary flux, w)."""
     spec = mesh.spec
     # every cell in [A, B], where the fluxes are defined (all roads share
     # one interval, and the ghosts and the pad copy cells)
     spec.fluxes[0]._check_range(u)
     ustar = u[mesh._layout.adj].tolist()
-    eps2dx = 2.0 * eps / mesh.dx
-    w = float(kernels.solve_visc_w(spec._codes, spec._params, spec.m, ustar,
-                                   eps2dx, spec.rho_min, spec.rho_max,
-                                   1e-9 * spec.lipschitz_sum))
-    if math.isnan(w):
-        raise ConsistencyError(
-            "junction balance has no sign change over the density interval")
-    gstar = np.empty(spec.m + spec.n)
+    e = 2.0 * eps / mesh.dx
+    w = kernels.solve_visc_w(spec._codes, spec._params, spec._crits,
+                             spec._fcrits, spec.m, ustar, e, spec.rho_min,
+                             spec.rho_max)
+    gstar = [0.0] * len(ustar)
+    kernels.fill_junction_fluxes(spec._codes, spec._params, spec._crits,
+                                 spec._fcrits, spec.m, ustar, w, gstar)
     for h, a in enumerate(ustar):
-        gstar[h] = (kernels.flux_scalar(spec._codes[h], spec._params[h], w)
-                    - eps2dx * ((w - a) if h < spec.m else (a - w)))
+        gstar[h] -= e * ((w - a) if h < spec.m else (a - w))
     return *_update(u, mesh, dt, gstar, eps=eps), w
 
 

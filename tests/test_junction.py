@@ -269,10 +269,25 @@ def test_junction_fluxes_conserve_and_are_constant_on_the_interval(seed, m, n):
 
 
 # ---------------------------------------------------------------------------
-# viscous junction value, against the bisection it replaced
+# viscous junction value: every road meets w as it meets a neighbouring cell
+
+def _visc_fluxes(spec, u, e, w):
+    """Road by road, the Godunov flux between the junction-adjacent cell and
+    w plus the diffusive flux between them."""
+    return [kernels.godunov_scalar(spec._codes[h], spec._params[h],
+                                   spec._crits[h], spec._fcrits[h],
+                                   *((a, w) if h < spec.m else (w, a)))
+            - e * ((w - a) if h < spec.m else (a - w))
+            for h, a in enumerate(u)]
+
+
+def _visc_balance(spec, u, e, w):
+    g = _visc_fluxes(spec, u, e, w)
+    return math.fsum(g[:spec.m]) - math.fsum(g[spec.m:])
+
 
 def _bisect_visc_w(spec, u, e):
-    """The sign bisection of the viscous gap down to 1e-15 of the span."""
+    """The sign bisection of the viscous balance down to 1e-15 of the span."""
     a, b = spec.rho_min, spec.rho_max
     xtol = 1e-15 * spec.span
     it = 0
@@ -280,7 +295,7 @@ def _bisect_visc_w(spec, u, e):
         t = a + 0.5 * (b - a)
         if t <= a or t >= b:
             break
-        if kernels.visc_gap(spec._codes, spec._params, spec.m, u, e, t) >= 0:
+        if _visc_balance(spec, u, e, t) >= 0:
             a = t
         else:
             b = t
@@ -288,11 +303,18 @@ def _bisect_visc_w(spec, u, e):
     return a + 0.5 * (b - a)
 
 
+def _solve_visc_w(spec, u, e):
+    return kernels.solve_visc_w(spec._codes, spec._params, spec._crits,
+                                spec._fcrits, spec.m, u, e, spec.rho_min,
+                                spec.rho_max)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
        symmetric=st.booleans(), log_e=st.floats(-2.0, 2.0))
 def test_viscous_junction_value_is_the_root(seed, m, n, symmetric, log_e):
-    # e = 2 eps / dx from 0.01, where the gap R need not be monotone, to 100
+    # e = 2 eps / dx from 0.01 to 100: the balance is strictly decreasing
+    # for every e > 0, so its root is unique and bisection finds it too
     e = 10.0 ** log_e
     if symmetric:
         rng = np.random.default_rng(seed)
@@ -303,18 +325,35 @@ def test_viscous_junction_value_is_the_root(seed, m, n, symmetric, log_e):
     else:
         spec, state = random_junction(seed, m, n)
         states = [state() for _ in range(3)]
-    lo, hi = spec.rho_min, spec.rho_max
     for u in states:
         u = u.tolist()
-        w = kernels.solve_visc_w(spec._codes, spec._params, m, u, e, lo, hi,
-                                 1e-9 * spec.lipschitz_sum)
-        assert lo <= w <= hi
-        g = [f.eval(w) - e * ((w - u[h]) if h < m else (u[h] - w))
-             for h, f in enumerate(spec.fluxes)]
-        r = kernels.visc_gap(spec._codes, spec._params, m, u, e, w)
+        w = _solve_visc_w(spec, u, e)
+        assert spec.rho_min <= w <= spec.rho_max
+        g = _visc_fluxes(spec, u, e, w)
+        r = _visc_balance(spec, u, e, w)
         assert abs(r) <= 1e-12 * max(1.0, math.fsum(map(abs, g)))
-        if e * (m + n) > spec.lipschitz_sum:  # R strictly decreasing
-            assert abs(w - _bisect_visc_w(spec, u, e)) <= 4e-15 * spec.span
+        assert abs(w - _bisect_visc_w(spec, u, e)) <= 4e-15 * spec.span
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3))
+def test_viscous_closure_tends_to_the_junction_solver(seed, m, n):
+    # as e -> 0 the Godunov fluxes at w are the hyperbolic junction fluxes,
+    # and for every e the balance vanishes at w to rounding
+    spec, state = random_junction(seed, m, n)
+    for _ in range(10):
+        u = state()
+        want = solve_junction(spec, u).fluxes
+        u = u.tolist()
+        for e in (0.0, 1e-14):
+            w = _solve_visc_w(spec, u, e)
+            got = _fill(spec, np.array(u), w)
+            assert np.abs(got - want).max() <= 1e-12
+        for e in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
+            w = _solve_visc_w(spec, u, e)
+            g = _visc_fluxes(spec, u, e, w)
+            scale = max(1.0, math.fsum(map(abs, g)))
+            assert abs(_visc_balance(spec, u, e, w)) <= 1e-12 * scale
 
 
 def test_solver_rejects_bad_states():

@@ -180,37 +180,39 @@ def test_junction_kernels_get_python_floats(monkeypatch):
     # numpy scalars in the coupling kernels would pay numpy's dispatch on
     # every operation without changing a bit of the result
     seen = set()
-    gap_evals = []  # viscous gap evaluations, one entry per solve_visc_w
+    gap_calls = [0]
+    gap_evals = []  # balance_gap calls made by each solve_visc_w
 
-    def spy(name, state_at):
+    def spy(name):
         real = getattr(kernels, name)
 
         def checked(*args):
             codes, params = args[:2]
             assert type(codes) is tuple and all(type(c) is int for c in codes)
             assert type(params) is tuple and all(map(_is_float_tuple, params))
-            if name == "solve_visc_w":  # (..., eps2dx, lo, hi, ftol)
-                assert len(args) == 8 and _is_float_tuple(args[4:])
-                gap_evals.append(0)
-            else:
-                assert _is_float_tuple(args[2]) and _is_float_tuple(args[3])
+            assert _is_float_tuple(args[2]) and _is_float_tuple(args[3])
+            if name == "solve_visc_w":  # (..., eps2dx, lo, hi)
+                assert len(args) == 9 and _is_float_tuple(args[6:])
             if name == "coupling_interval":  # the spec's cached zero
                 assert type(args[8]) is float
-            ustar = args[state_at]
+            ustar = args[5]
             assert type(ustar) is list and all(type(u) is float for u in ustar)
             seen.add(name)
-            return real(*args)
+            before = gap_calls[0]
+            out = real(*args)
+            if name == "solve_visc_w":
+                gap_evals.append(gap_calls[0] - before)
+            return out
         monkeypatch.setattr(kernels, name, checked)
 
-    spy("coupling_interval", 5)
-    spy("fill_junction_fluxes", 5)
-    spy("solve_visc_w", 3)
-    visc_gap = kernels.visc_gap
+    for name in ("coupling_interval", "fill_junction_fluxes", "solve_visc_w"):
+        spy(name)
+    balance_gap = kernels.balance_gap
 
     def counted(*args):
-        gap_evals[-1] += 1
-        return visc_gap(*args)
-    monkeypatch.setattr(kernels, "visc_gap", counted)
+        gap_calls[0] += 1
+        return balance_gap(*args)
+    monkeypatch.setattr(kernels, "balance_gap", counted)
     f = tabulated(np.linspace(0.0, 1.0, 9),
                   [0.0, 0.22, 0.38, 0.47, 0.5, 0.44, 0.33, 0.18, 0.0])
     spec = JunctionSpec(1, 2, (quadratic_lwr(), custom_polynomial(
@@ -220,10 +222,11 @@ def test_junction_kernels_get_python_floats(monkeypatch):
     run_parabolic(mesh, 0.05, [0.3, 0.6, 0.2], 0.02)
     assert seen == {"coupling_interval", "fill_junction_fluxes",
                     "solve_visc_w"}
-    # the viscous junction value is an exact piecewise root: two endpoint
-    # gaps, then a bisection over the 9 table nodes, never a bisection to a
-    # tolerance
-    assert gap_evals and max(gap_evals) <= 2 + math.ceil(math.log2(9 + 1))
+    # the viscous junction value is an exact piecewise root: a bisection
+    # over the 3 sorted kinks, the balance at one end at most, then a
+    # bisection over the 9 table nodes, never a bisection to a tolerance
+    bound = math.ceil(math.log2(3 + 1)) + 1 + math.ceil(math.log2(9 + 1))
+    assert gap_evals and max(gap_evals) <= bound
 
 
 def test_poly_root_pieces():

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from junctionflow import (
     ConfigError,
@@ -25,6 +27,7 @@ from junctionflow import (
     tabulated,
 )
 from junctionflow.verify import germ_sampler, nonstrict_germ_sampler
+from test_junction import random_junction
 
 RNG = np.random.default_rng(1618)
 
@@ -317,6 +320,59 @@ def test_parabolic_step_preserves_order_up_to_its_bound():
                 assert (a <= b).all()
 
 
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+       symmetric=st.booleans(), coarse=st.booleans())
+def test_parabolic_step_keeps_order_and_range(seed, m, n, symmetric, coarse):
+    # at 0.9 of the monotone bound, on every family (LWR, cubic and tables
+    # from random_junction, symmetric quadratics on [-1, 1]) and on coarse
+    # meshes, e (m+n) below the summed Lipschitz constants (e = 2 eps/dx),
+    # as well as fine ones: raising cells raises no cell of the next level
+    # and every level stays in [A, B]
+    rng = np.random.default_rng(seed)
+    if symmetric:
+        spec = JunctionSpec(m, n, tuple(
+            symmetric_quadratic(float(rng.uniform(0.25, 3.0)))
+            for _ in range(m + n)))
+    else:
+        spec = random_junction(seed, m, n)[0]
+    dx, cells = 0.01, 6
+    lip = sum(f.lipschitz for f in spec.fluxes)
+    e = (0.2 if coarse else 5.0) * lip / (m + n)
+    eps = 0.5 * e * dx
+    mesh = NetworkMesh(spec, dx, np.full(m + n, cells))
+    dt = parabolic_timestep(mesh, eps)
+    lo, hi, slack = spec.rho_min, spec.rho_max, 1e-12 * spec.span
+    for _ in range(3):
+        low = [lo + spec.span * rng.random(cells) for _ in range(m + n)]
+        high = [v + rng.random(cells) * (rng.random(cells) < 0.5) * (hi - v)
+                for v in low]
+        a = parabolic_step(GridState(0, 0.0, tuple(low)), mesh, eps, dt)
+        b = parabolic_step(GridState(0, 0.0, tuple(high)), mesh, eps, dt)
+        for va, vb in zip(a.values, b.values):
+            assert (va <= vb).all()
+            for v in (va, vb):
+                assert v.min() >= lo - slack and v.max() <= hi + slack
+
+
+def test_coarse_mesh_parabolic_runs_stay_in_range():
+    # 2-3 LWR with e (m+n) = 2 below the summed Lipschitz constants 5.5,
+    # where handing each road f_h(w) broke the maximum principle: one step
+    # reached -0.027 and 1.0067, and a run left [0, 1]
+    eps = 0.002
+    mesh = NetworkMesh(LWR23, 0.01, np.full(5, 10))
+    dt = parabolic_timestep(mesh, eps)
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        state = GridState(0, 0.0, tuple(rng.random(10) for _ in range(5)))
+        out = np.concatenate(parabolic_step(state, mesh, eps, dt).values)
+        assert out.min() >= 0.0 and out.max() <= 1.0
+    mesh = NetworkMesh(LWR23, 0.01, np.full(5, 50))
+    rng = np.random.default_rng(10)
+    traj = run_parabolic(mesh, eps, [rng.random(50) for _ in range(5)], 0.05)
+    assert traj.final.time == 0.05
+
+
 def test_parabolic_max_principle_and_mass():
     for spec in (LWR11, JunctionSpec(2, 1, (symmetric_quadratic(1),
                                             symmetric_quadratic(2),
@@ -380,25 +436,25 @@ def test_parabolic_equilibrium_junction_value():
     assert np.abs(w - 0.5).max() <= 1e-3
 
 
-# SHA-256 of a parabolic run's outputs with the junction value as the exact
-# piecewise root (the masses digest dates from before the parabolic scheme
-# came to share the hyperbolic scheme's time loop and road update)
+# SHA-256 of a parabolic run's outputs with the upwinded junction closure:
+# every road takes the Godunov flux between its adjacent cell and the
+# junction value w plus the diffusive term, w the exact piecewise root
 PINNED_PARABOLIC = {
-    "final": "92110a020d466050e16ac8f49b19a9b24bc94abc2328cc1318a41ad3813097dc",
-    "masses": "2f6707652a42af760907eea1ce350bb7761c47ff6951fe6ed730e7ebe520962d",
+    "final": "90cb430b61f48736b31d7365e91760ecca48e3a1f200d7f72e67c8b9ac402d21",
+    "masses": "94740ed66a823ec280571454cc2fcda6a71081be5362ae0c09ad861b9020bd50",
     "junction_values":
-        "dd3b68ac9f6db26f3840eb61a583172e5dc465ec139cb05bf3c054dde0b68a08",
+        "4c466b5f6e5b968d7815d0d3bf52cb1ec6f430e8ebca6c2b3d28f60c1fb489a4",
 }
 
-# The junction values of the same run found by bisecting the viscous gap to
-# 1e-15 of the density span, before the exact piecewise root replaced it.
+# The junction values of the same run with w found by bisecting the
+# closure's balance to 1e-15 of the density span at every step.
 BISECTED_JUNCTION_VALUES = (
-    "0x1.4ccccccccccccp-1", "0x1.4ba5e353f7cecp-1", "0x1.4aed76a1470ccp-1",
-    "0x1.4a6512ac98db4p-1", "0x1.49f5d6615aab4p-1", "0x1.49960ce505b64p-1",
-    "0x1.4940e959eeb14p-1", "0x1.48f3b260d290cp-1", "0x1.48acaf77bc6bcp-1",
-    "0x1.486ab426c786cp-1", "0x1.482ce80f9f2ecp-1", "0x1.47f2a91d2dc14p-1",
-    "0x1.47bb7a2d969acp-1", "0x1.4786f84bd0facp-1", "0x1.4754d3a4c21ecp-1",
-    "0x1.4724cabe2dae4p-1", "0x1.46f6a71bf5df4p-1",
+    "0x1.4b4f84d098c8cp-1", "0x1.4a9915cd1de34p-1", "0x1.4a220c2856124p-1",
+    "0x1.49c1686b29464p-1", "0x1.496c273d54304p-1", "0x1.491e999842ae4p-1",
+    "0x1.48d70ae33a01cp-1", "0x1.48946c4a8df9cp-1", "0x1.4855f8f75ba14p-1",
+    "0x1.481b185e527d4p-1", "0x1.47e3511d5a494p-1", "0x1.47ae41288a384p-1",
+    "0x1.477b9856894d4p-1", "0x1.474b145d5e54cp-1", "0x1.471c7dd1cbc0cp-1",
+    "0x1.46efa5e3df9bcp-1", "0x1.46c464a70834cp-1",
 )
 
 
