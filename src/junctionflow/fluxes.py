@@ -21,9 +21,6 @@ import numpy as np
 
 from . import kernels
 
-_FAMILIES = ("quadratic-lwr", "symmetric-quadratic", "custom-polynomial",
-             "tabulated")
-
 
 @dataclass(frozen=True, eq=False)
 class Flux:

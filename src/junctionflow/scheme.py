@@ -323,8 +323,9 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     and boundary sum instead of advancing; held levels share one buffer.
     The shortened last step is always computed.
 
-    Returns (states, snapshots, times, dts, boundary_net, masses, records);
-    ``states`` keeps the first and last level only unless ``keep_states``,
+    Returns (states, buffers, snapshots, times, dts, boundary_net, masses,
+    records); ``states`` keeps the first and last level only unless
+    ``keep_states``, ``buffers`` the buffer each kept level views,
     ``snapshots`` the levels nearest 0, t_final and ``snapshot_times``.
     """
     m = mesh.spec.m
@@ -342,7 +343,7 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
 
     views = mesh._layout.views
     state = GridState(0, 0.0, views(u))
-    states = [state]
+    states, buffers = [state], [u]
     snapshots = [state]
     masses = [state.total_mass(mesh.dx)]
     dts = np.empty(n_steps)
@@ -369,13 +370,15 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
             state = GridState(s + 1, times[s + 1], state.values)
         if keep_states or s == n_steps - 1:
             states.append(state)
+            buffers.append(u)
         if s + 1 in snap_idx:
             snapshots.append(state)
         masses.append(mass)
         dts[s] = dt
         records.append(record)
         bnet[s] = net
-    return states, snapshots, times, dts, bnet, np.array(masses), records
+    return (states, buffers, snapshots, times, dts, bnet, np.array(masses),
+            records)
 
 
 @dataclass(eq=False)
@@ -383,11 +386,13 @@ class Trajectory:
     """Full record of one run: every time level plus the junction log.
     ``junction_solves`` counts the junction solves made: a step whose
     junction state repeats the previous step's bitwise reuses its solution.
-    Levels held at a bitwise fixed point (see ``_march``) share one buffer;
-    treat every level's values as read-only."""
+    ``buffers[s]`` is the network buffer (ghosts and pad filled) whose cells
+    ``states[s].values`` view; levels held at a bitwise fixed point (see
+    ``_march``) share one. Treat every buffer and values as read-only."""
 
     config: RunConfig
     states: list[GridState]
+    buffers: list[np.ndarray]
     snapshots: list[GridState]
     times: np.ndarray
     dts: np.ndarray
@@ -436,11 +441,11 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
             solves += 1
         return *_update(u, mesh, dt, known.fluxes, ghosts), known
 
-    states, snapshots, times, dts, bnet, masses, sols = _march(
+    states, buffers, snapshots, times, dts, bnet, masses, sols = _march(
         mesh, _pack(mesh, initial, ghosts),
         cfl_timestep(mesh, config.cfl_number), config.t_final, advance,
         keep_states, config.snapshot_times)
-    return Trajectory(config, states, snapshots, times, dts,
+    return Trajectory(config, states, buffers, snapshots, times, dts,
                       np.array([sol.p_min for sol in sols]),
                       np.array([sol.p_max for sol in sols]),
                       np.array([sol.fluxes for sol in sols]).reshape(

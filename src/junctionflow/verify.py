@@ -3,15 +3,15 @@
 The central object is a discrete two-solution audit: for trajectories u and
 u-hat on the same mesh, the Crandall-Majda cell inequalities sum against a
 nonnegative test weight into a quadratic form that must stay nonpositive.
-Its fluxes are the scheme's own: each time level is packed into the
-network buffer and handed to the march's flux grid. The junction enters
-through the flux differences of the coupled solves at the componentwise
-max and min states; its weight coefficient vanishes identically because
-the test weight is flat across the junction, and the coupled solves
-conserve total flux. On top of that sit an L1 contraction check on
-shrinking windows, entropy residuals against equilibrium states,
-grid-refinement studies against the exact similarity sampler, and seeded
-samplers producing equilibrium states for ensemble tests.
+Its fluxes are the scheme's own: the march's network buffer of each time
+level goes unchanged to its flux grid. The junction enters through the flux
+differences of the coupled solves at the componentwise max and min states;
+its weight coefficient vanishes identically because the test weight is flat
+across the junction, and the coupled solves conserve total flux. On top of
+that sit an L1 contraction check on shrinking windows, entropy residuals
+against equilibrium states, grid-refinement studies against the exact
+similarity sampler, and seeded samplers producing equilibrium states for
+ensemble tests.
 """
 
 from __future__ import annotations
@@ -99,15 +99,21 @@ class KatoReport:
     passed: bool
 
 
-def _same_mesh(a: NetworkMesh, b: NetworkMesh) -> bool:
-    return (a is b) or (a.spec is b.spec and a.dx == b.dx
-                        and np.array_equal(a.cells_per_road, b.cells_per_road))
+def _shared_mesh(traj_a: Trajectory, traj_b: Trajectory) -> NetworkMesh:
+    """The mesh two trajectories must share; their time levels must agree."""
+    a, b = traj_a.mesh, traj_b.mesh
+    if not (a is b or (a.spec is b.spec and a.dx == b.dx and np.array_equal(
+            a.cells_per_road, b.cells_per_road))):
+        raise ConfigError("trajectories live on different meshes")
+    if not np.array_equal(traj_a.times, traj_b.times):
+        raise ConfigError("trajectories have different time levels")
+    return a
 
 
 def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
                     xi: TestFunction) -> float:
     """The summed form over the network buffers of two runs' time levels
-    (``scheme._pack``): for each recorded step s >= 1,
+    (``Trajectory.buffers``): for each recorded step s >= 1,
 
         -dx * sum_cells |u - u_hat|^s * (xi^{s+1} - xi^s)
         -dt_s * sum_interfaces Q^s * (xi^{s+1}_right - xi^{s+1}_left)
@@ -115,9 +121,12 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
     where Q is the scheme's flux grid (``scheme._flux_grid``, with the
     coupled junction solve at x = 0) at the componentwise max minus the one
     at the componentwise min, taken in absolute value at the outer ends,
-    whose absorbing ghosts make it f(end); the weight beyond the outer ends
-    is zero, and the weight at the junction point is the plateau value.
+    whose absorbing ghosts (refilled after a Dirichlet run) make it f(end);
+    the weight beyond the outer ends is zero, and the weight at the junction
+    point is the plateau value. A non-finite slot has no flux: the form is inf.
     """
+    if not all(np.isfinite(u).all() for u in (*levels_a, *levels_b)):
+        return math.inf
     spec = mesh.spec
     layout = mesh._layout
     tv = xi.time_levels(times)
@@ -145,6 +154,8 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
     for s in range(1, len(times) - 1):
         ua, ub = levels_a[s], levels_b[s]
         hi, lo = np.maximum(ua, ub), np.minimum(ua, ub)
+        layout.fill(hi)
+        layout.fill(lo)
         q = (_flux_grid(hi, mesh, solve_junction(spec, hi[adj]).fluxes)
              - _flux_grid(lo, mesh, solve_junction(spec, lo[adj]).fluxes))
         q[layout.outer] = np.abs(q[layout.outer])
@@ -162,21 +173,12 @@ def kato_audit(traj_a: Trajectory, traj_b: Trajectory,
                xi: TestFunction) -> KatoReport:
     """Audit two trajectories against each other; the assembled form must be
     nonpositive up to 1e-10 of the mass scale dx * (B - A) * total cells."""
-    mesh = traj_a.mesh
-    if not _same_mesh(mesh, traj_b.mesh):
-        raise ConfigError("trajectories live on different meshes")
-    if not np.array_equal(traj_a.times, traj_b.times):
-        raise ConfigError("trajectories have different time levels")
+    mesh = _shared_mesh(traj_a, traj_b)
     if (len(traj_a.states) != len(traj_a.times)
             or len(traj_b.states) != len(traj_b.times)):
         raise ConfigError("audit needs all time levels recorded")
     tol = 1e-10 * _mass_scale(mesh)
-    # a non-finite cell has no flux to audit: the form fails outright
-    if not all(np.isfinite(v).all() for st in traj_a.states + traj_b.states
-               for v in st.values):
-        return KatoReport(math.inf, tol, False)
-    value = _assemble_audit(mesh, [_pack(mesh, st) for st in traj_a.states],
-                            [_pack(mesh, st) for st in traj_b.states],
+    value = _assemble_audit(mesh, traj_a.buffers, traj_b.buffers,
                             traj_a.times, traj_a.dts, xi)
     return KatoReport(value, tol, value <= tol)
 
@@ -196,10 +198,9 @@ def adapted_entropy_residual(traj: Trajectory, k, xi: TestFunction) -> float:
             "comparison state must be an equilibrium of the junction")
     if len(traj.states) != len(traj.times):
         raise ConfigError("residual needs all time levels recorded")
-    value = _assemble_audit(mesh, [_pack(mesh, st) for st in traj.states],
-                            [_pack(mesh, k)] * len(traj.states), traj.times,
+    return -_assemble_audit(mesh, traj.buffers,
+                            [_pack(mesh, k)] * len(traj.times), traj.times,
                             traj.dts, xi)
-    return -value
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +220,7 @@ def l1_contraction_check(traj_a: Trajectory, traj_b: Trajectory,
                          window: float) -> ContractionReport:
     """L1 distance near the junction must not grow while the window outruns
     the discrete domain of dependence (one cell per step)."""
-    mesh = traj_a.mesh
-    if not _same_mesh(mesh, traj_b.mesh):
-        raise ConfigError("trajectories live on different meshes")
-    if not np.array_equal(traj_a.times, traj_b.times):
-        raise ConfigError("trajectories have different time levels")
+    mesh = _shared_mesh(traj_a, traj_b)
     spec = mesh.spec
     k0 = int(math.floor(window / mesh.dx + 1e-9))
     if k0 < 1:

@@ -358,7 +358,7 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
     _check_epsilon(epsilon)
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError("t_final must be nonnegative and finite")
-    states, _, times, dts, bnet, masses, wlog = _march(
+    states, _, _, times, dts, bnet, masses, wlog = _march(
         mesh, _pack(mesh, initial), parabolic_timestep(mesh, epsilon),
         t_final, lambda u, dt: _parabolic_advance(u, mesh, epsilon, dt))
     return ParabolicTrajectory(mesh, float(epsilon), states, times, dts,

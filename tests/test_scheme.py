@@ -363,10 +363,10 @@ def test_nan_cell_fails_the_ledger():
     good = run(config, [0.3, 0.6])
     masses = good.masses.copy()
     masses[-1] = math.nan
-    traj = Trajectory(config, good.states, good.snapshots, good.times,
-                      good.dts, good.p_min, good.p_max, good.junction_fluxes,
-                      good.totals, good.boundary_net, masses,
-                      good.junction_solves)
+    traj = Trajectory(config, good.states, good.buffers, good.snapshots,
+                      good.times, good.dts, good.p_min, good.p_max,
+                      good.junction_fluxes, good.totals, good.boundary_net,
+                      masses, good.junction_solves)
     assert mass_ledger(traj).max_abs_defect == math.inf
 
 

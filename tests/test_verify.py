@@ -17,12 +17,15 @@ from junctionflow import (ConfigError, GridState, JunctionSpec, NetworkMesh,
                           riemann_solve, run, solve_junction,
                           symmetric_quadratic, tabulated)
 from junctionflow import TestFunction as WeightFn
+from junctionflow import scheme, verify
 
 RNG = np.random.default_rng(20240817)
 
 LWR11 = JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr()))
 SYMQ21 = JunctionSpec(2, 1, (symmetric_quadratic(1), symmetric_quadratic(2),
                              symmetric_quadratic(3)))
+LWR21 = JunctionSpec(2, 1, (quadratic_lwr(), quadratic_lwr(1.5),
+                            quadratic_lwr()))
 
 
 def _run_pair(spec, dx, init_a, init_b, t_final, cfl=0.9):
@@ -206,6 +209,58 @@ def test_audit_matches_per_road_reference(spec):
         assert scale > 0.0
         residual = adapted_entropy_residual(ta, k, xi)
         assert abs(residual + ref) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("spec", (LWR21, AUDIT_TOPOLOGIES[3]),
+                         ids=["2-1-lwr", "1-2-mixed"])
+def test_audit_of_march_buffers_equals_packed_levels(spec):
+    # the audit reads the buffers the march left, whose ghosts hold the
+    # Dirichlet data of such a run; it must give, bit for bit, the form of
+    # the same levels packed afresh with absorbing ghosts. The weight
+    # reaches past the outer ends, so the outer interfaces count.
+    roads = spec.m + spec.n
+    lo, hi = spec.rho_min, spec.rho_max
+    mesh = NetworkMesh(spec, 0.05, np.full(roads, 12))
+    dt = cfl_timestep(mesh, 0.9)
+    xi = bump_test_function(1.5 * dt, 11.5 * dt, reach=1.0, plateau=0.05)
+    rng = np.random.default_rng(roads)
+    k = germ_sampler(spec, 1, seed=5)[0]
+    for bc in ("dirichlet", "absorbing"):
+        config = RunConfig(mesh, 0.9, 12 * dt, outer_bc=bc,
+                           dirichlet_values=lo + (hi - lo) * rng.random(roads))
+        ta, tb = (run(config, [lo + (hi - lo) * rng.random(12)
+                               for _ in range(roads)]) for _ in range(2))
+        packed_a, packed_b = ([scheme._pack(mesh, st) for st in t.states]
+                              for t in (ta, tb))
+        want = verify._assemble_audit(mesh, packed_a, packed_b, ta.times,
+                                      ta.dts, xi)
+        assert want != 0.0
+        assert kato_audit(ta, tb, xi).value == want
+        want = -verify._assemble_audit(
+            mesh, packed_a, [scheme._pack(mesh, k)] * len(ta.times),
+            ta.times, ta.dts, xi)
+        assert adapted_entropy_residual(ta, k, xi) == want
+
+
+def test_audit_never_revalidates_a_march_level(monkeypatch):
+    # the levels a run keeps were validated where the data entered; only
+    # the equilibrium k of the residual enters the audit from outside
+    rng = np.random.default_rng(3)
+    ta, tb = _run_pair(LWR21, 0.05, *([rng.random(20) for _ in range(3)]
+                                     for _ in range(2)), 0.2)
+    xi = bump_test_function(0.03, 0.18, reach=0.4, plateau=0.05)
+    calls = []
+    real = scheme.discretize_initial
+
+    def counted(mesh, data):
+        calls.append(data)
+        return real(mesh, data)
+
+    monkeypatch.setattr(scheme, "discretize_initial", counted)
+    kato_audit(ta, tb, xi)
+    assert calls == []
+    adapted_entropy_residual(ta, germ_sampler(LWR21, 1, seed=4)[0], xi)
+    assert len(calls) == 1
 
 
 def test_kato_validates_meshes_and_levels():
