@@ -115,7 +115,8 @@ def _cmd_run(args) -> int:
     traj = run(run_config, initial, keep_states=False)
     out = _out_dir(args)
 
-    # one batch of lines per road and snapshot, formatted as _fmt would
+    # both files are written from .tolist() columns, formatted as _fmt
+    # would: one batch of lines per road and snapshot, then the log's lines
     with open(out / "snapshots.csv", "w", newline="\n") as fh:
         fh.write("t,road,x,rho\n")
         for state in traj.snapshots:
@@ -126,14 +127,16 @@ def _cmd_run(args) -> int:
                     for x, rho in zip(mesh.centers(h).tolist(),
                                       state.values[h].tolist())))
 
-    k = spec.m + spec.n
     header = (["t", "p_min", "p_max"]
-              + [f"gstar_{h + 1}" for h in range(k)] + ["total_flux"])
-    log_rows = []
-    for s in range(len(traj.dts)):
-        log_rows.append((traj.times[s], traj.p_min[s], traj.p_max[s],
-                         *traj.junction_fluxes[s], traj.totals[s]))
-    _write_csv(out / "junction_log.csv", header, log_rows)
+              + [f"gstar_{h + 1}" for h in range(spec.m + spec.n)]
+              + ["total_flux"])
+    columns = (traj.times[:-1], traj.p_min, traj.p_max,
+               *traj.junction_fluxes.T, traj.totals)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(out / "junction_log.csv", "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in
+                      zip(*(c.tolist() for c in columns)))
 
     ledger = mass_ledger(traj)
     print(f"run: {len(traj.dts)} steps to t={_fmt(run_config.t_final)}, "

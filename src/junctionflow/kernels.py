@@ -4,7 +4,8 @@ The solver's hot paths are (a) Godunov flux sweeps over whole roads and
 (b) the scalar algebra of the junction coupling: the balance gap, the
 inverses of each flux on its two monotone branches, and the exact solves for
 the coupling interval and the viscous junction value, which share the kinks
-and one piecewise root finder, plus (c) the exact sum behind the mass audit.
+and one piecewise root finder, plus (c) the exact sums behind the mass audit
+and the exact prefix sums behind the mass ledger.
 ``real_roots`` finds every sign change of a polynomial on an interval; it
 answers the flux-shape questions (the bell shape, the Lipschitz bound, the
 rarefaction states of a Riemann fan).
@@ -122,11 +123,16 @@ def interface_fluxes(code, par, crit, fcrit, u_ext, out):
     """Godunov flux at every interface between neighbouring cells of u_ext
     (ghost cells included). The flux is evaluated once per cell and feeds
     both the demand of the interface to its right and the supply of the one
-    to its left. crit, fcrit and each row of par may hold one value per
-    cell of u_ext, for roads of one family with different parameters."""
+    to its left. crit and fcrit hold one value per cell of u_ext, and each
+    row of par may, for roads of one family with different parameters.
+    Demand and supply start as copies of the crest flux and take f only
+    where the cell lies on their branch, so a NaN cell reads as the crest
+    on both sides, as in ``godunov_scalar``."""
     f = flux_array(code, par, u_ext)
-    d = np.where(u_ext <= crit, f, fcrit)
-    s = np.where(u_ext >= crit, f, fcrit)
+    d = fcrit.copy()
+    np.copyto(d, f, where=u_ext <= crit)
+    s = fcrit.copy()
+    np.copyto(s, f, where=u_ext >= crit)
     np.minimum(d[:-1], s[1:], out=out)
 
 
@@ -432,22 +438,78 @@ def exact_sum(x: np.ndarray) -> float:
 
     Long arrays are first cut down by error-free extraction (Rump, Ogita &
     Oishi, "Accurate floating-point summation I", SIAM J. Sci. Comput. 31,
-    2008): with sigma a power of two at least (n + 2) * max|x|,
+    2008): with sigma = 2**e a power of two at least (n + 2) * max|x|,
     q = (sigma + x) - sigma keeps the leading bits of every term on one grid
     of sigma's ulps, so q.sum() is exact in any order and x - q is the exact
-    remainder. fsum then rounds the exact parts and what remains once.
+    remainder, at most 2**(e - 53) in size. That bound gives the next
+    sigma, so only the first pass reads max|x|. The remainder is compacted
+    once it is mostly zeros; fsum then rounds the exact parts and what
+    remains once.
     """
     parts = []
-    while x.shape[0] > _TAIL:
+    if x.shape[0] > _TAIL:
         top = float(np.abs(x).max())
-        if top == 0.0 or not math.isfinite(top):
-            break
         e = math.frexp(top)[1] + (x.shape[0] + 1).bit_length()
-        if e > 1023:  # sigma would overflow
-            break
-        sigma = math.ldexp(1.0, e)
-        q = (sigma + x) - sigma
-        parts.append(float(q.sum()))
-        x = x - q
-        x = x[x != 0.0]
+        if math.isfinite(top) and e <= 1023:  # else sigma would overflow
+            while x.shape[0] > _TAIL:
+                sigma = math.ldexp(1.0, e)
+                q = sigma + x
+                q -= sigma
+                parts.append(float(q.sum()))
+                x = np.subtract(x, q, out=q)
+                nonzero = x != 0.0
+                if 2 * np.count_nonzero(nonzero) < x.shape[0]:
+                    x = x[nonzero]
+                e += (x.shape[0] + 1).bit_length() - 52
     return math.fsum(parts + x.tolist())
+
+
+def prefix_layers(x: np.ndarray) -> np.ndarray:
+    """Exact prefix sums of a finite 1-D float64 array, as layers: row k is
+    the running sum of the k-th extraction q of x (as in ``exact_sum``,
+    with sigma from the bound the layer before left), and column s of the
+    rows adds up exactly to the sum of x[:s + 1]. A layer lies on one grid
+    and its prefixes fit in 53 bits, so np.cumsum adds it exactly. Raises
+    ValueError on a non-finite term, and OverflowError where the first
+    sigma would overflow, i.e. where
+    2**(frexp(max|x|)[1] + (n + 1).bit_length()) > 2**1023.
+    """
+    step = (x.shape[0] + 1).bit_length()
+    top = float(np.abs(x).max(initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError("exact prefix sums need finite terms")
+    e = math.frexp(top)[1] + step
+    if e > 1023:
+        raise OverflowError("terms too large for exact prefix sums")
+    layers = []
+    while True:
+        sigma = math.ldexp(1.0, e)
+        q = sigma + x
+        q -= sigma
+        x = x - q
+        layers.append(q.cumsum())
+        if not np.count_nonzero(x):
+            return np.array(layers)
+        e += step - 52
+
+
+def cascade_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum every column of the 2-D array terms down its rows, in order.
+    Returns (sums, lost). Where every partial sum but the last is exact and
+    the sum is finite, the sum was rounded once, so sums holds the
+    correctly rounded sum of the column, as ``math.fsum`` gives it (an
+    exact zero as +0.0); lost flags every other column. A partial sum
+    hi = a + b has no two-sum error iff hi - a == b and hi - b == a: hi
+    less the larger of a and b is computed exactly (Dekker's fast
+    two-sum), so it gives back the other term only when hi is exact."""
+    partial = np.empty_like(terms)
+    partial[0] = terms[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # flagged below
+        # row by row: np.cumsum along axis 0 is several times slower
+        for k in range(1, terms.shape[0]):
+            np.add(partial[k - 1], terms[k], out=partial[k])
+        a, b, hi = partial[:-2], terms[1:-1], partial[1:-1]
+        lost = ((hi - a != b) | (hi - b != a)).any(axis=0)
+    total = partial[-1]
+    lost |= ~np.isfinite(total)
+    return total + 0.0, lost

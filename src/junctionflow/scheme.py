@@ -471,44 +471,38 @@ class MassLedger:
         return float(worst.max()) if np.isfinite(worst).all() else math.inf
 
 
-def _add_exact(partials: list[float], special: list[float], x: float) -> None:
-    """Add x to the exact running sum held as non-overlapping partials (the
-    msum recipe fsum is built on). NaN and inf go to ``special`` instead,
-    one of each kind, as fsum keeps them apart from its partials."""
-    if not math.isfinite(x):
-        if repr(x) not in map(repr, special):
-            special.append(x)
-        return
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def mass_ledger(traj: Trajectory) -> MassLedger:
     """Per-step mass bookkeeping; the junction itself contributes nothing.
 
     outflow[s] is the correctly rounded sum of dt * boundary_net over the
-    first s steps, and defects[s] that of mass[s] - mass[0] minus it. One
-    pass carries the running outflow exactly, so every prefix is rounded
-    once from the same exact value that fsum over the prefix would round.
+    first s steps, and defects[s] that of mass[s] - mass[0] plus it: each
+    rounds, once, the exact value that ``math.fsum`` over the prefix would
+    round. ``kernels.prefix_layers`` gives the flows' exact prefix sums as
+    a few layers; an outflow row holds the layers, a defect row mass[s],
+    -mass[0] and the layers, and one ``kernels.cascade_sums`` rounds every
+    row. Only a row whose cascade lost an error, or that holds a non-finite
+    term, goes to ``math.fsum``, with the non-finite flows among its terms.
+    Flows too large for an exact prefix sum (see ``prefix_layers``) raise
+    OverflowError.
     """
-    flows = (traj.dts * traj.boundary_net).tolist()
-    masses = traj.masses.tolist()
-    outflow = np.empty(len(flows) + 1)
-    defects = np.empty(len(flows) + 1)
-    partials: list[float] = []
-    special: list[float] = []
-    for s in range(len(flows) + 1):
-        outflow[s] = math.fsum(partials + special)
-        defects[s] = math.fsum([masses[s], -masses[0], *partials, *special])
-        if s < len(flows):
-            _add_exact(partials, special, flows[s])
-    return MassLedger(traj.masses.copy(), outflow, defects)
+    flows = traj.dts * traj.boundary_net
+    masses = traj.masses
+    special = ~np.isfinite(flows)
+    layers = kernels.prefix_layers(np.where(special, 0.0, flows))
+    # one cascade rounds both rows of every level: the defect rows in the
+    # first n columns, the outflow rows (heads 0) in the last n; level 0
+    # holds no flow
+    n = masses.shape[0]
+    rows = np.zeros((layers.shape[0] + 2, 2 * n))
+    rows[0, :n] = masses
+    rows[1, :n] = -masses[0]
+    rows[2:, 1:n] = rows[2:, n + 1:] = layers
+    sums, redo = kernels.cascade_sums(rows)
+    if special.any():  # a non-finite flow is in every row after its step
+        first = int(special.argmax()) + 1
+        redo[first:n] = redo[n + first:] = True
+    for c in np.flatnonzero(redo):
+        s = c % n
+        sums[c] = math.fsum(rows[:, c].tolist()
+                            + flows[:s][special[:s]].tolist())
+    return MassLedger(masses.copy(), sums[n:], sums[:n])

@@ -1,11 +1,14 @@
 """Numeric kernels: scalar and vectorized paths agree bitwise, the balance
-gap is monotone, the polynomial root solver is exact where it must be, and
-the exact sum is fsum bit for bit."""
+gap is monotone, the polynomial root solver is exact where it must be, the
+exact sum is fsum bit for bit, and the ledger's prefix layers are exact and
+its row rounding is fsum's wherever it does not flag a row."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from junctionflow import (JunctionSpec, NetworkMesh, RunConfig, cfl_timestep,
@@ -53,8 +56,10 @@ def test_interface_sweep_matches_pointwise():
         f, code, par, crit, fcrit = _family_args(name)
         u_ext = f.rho_min + f.span * RNG.random(130)
         u_ext[::7] = f.rho_crit  # cells at the crest feed both branches
+        u_ext[3::11] = math.nan  # a NaN cell reads as the crest on both
         out = np.empty(129)
-        kernels.interface_fluxes(code, f.params, crit, fcrit, u_ext, out)
+        kernels.interface_fluxes(code, f.params, np.full(130, crit),
+                                 np.full(130, fcrit), u_ext, out)
         for k in range(129):
             assert out[k] == kernels.godunov_scalar(code, par, crit, fcrit,
                                                     u_ext[k], u_ext[k + 1])
@@ -300,11 +305,26 @@ def _assert_matches_fsum(x):
             == _fsum_outcome(lambda a: math.fsum(a.tolist()), x))
 
 
+SUM_KINDS = ("plain", "cancel", "subnormal", "zeros", "special")
+
+
+def _at_march_sizes(test):
+    """Every kind also at the sizes of a fine mesh (12,000 cells) and
+    beyond, where the extraction makes several passes over long arrays, on
+    a narrow and on the widest range of magnitudes."""
+    for n in (12_000, 50_000):
+        for kind in SUM_KINDS:
+            for lo, spread in ((-2, 3), (-300, 600)):
+                test = example(n=n, seed=n + lo, lo=lo, spread=spread,
+                               kind=kind)(test)
+    return test
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(n=st.integers(0, 3 * kernels._TAIL), seed=st.integers(0, 2**32 - 1),
        lo=st.integers(-300, 300), spread=st.integers(0, 600),
-       kind=st.sampled_from(["plain", "cancel", "subnormal", "zeros",
-                             "special"]))
+       kind=st.sampled_from(SUM_KINDS))
+@_at_march_sizes
 def test_exact_sum_matches_fsum(n, seed, lo, spread, kind):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * 10.0 ** rng.uniform(lo, min(lo + spread, 300),
@@ -334,3 +354,61 @@ def test_exact_sum_edge_cases():
     tie = np.concatenate([[1.0, 2.0**-53, 2.0**-106],
                           np.zeros(2 * kernels._TAIL)])
     assert kernels.exact_sum(tie) == 1.0 + 2.0**-52  # rounds the exact sum
+
+
+# ---------------------------------------------------------------------------
+# the ledger's exact prefix sums and their one rounding per row
+
+# a two-sum error is lost in 2**60 + 1 - 2**60, and around 1e300
+HARD_TERMS = (2.0**60, 1.0, -(2.0**60), 2.0**-60, -1.0, 1e300, -1e300,
+              3e299, 0.1, -0.0, 5e-324)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from(HARD_TERMS) | st.floats(), min_size=k,
+             max_size=k), min_size=1, max_size=20)))
+@example([[2.0**60, 1.0, -(2.0**60)], [1.0, 2.0**-60, -1.0],
+          [1e300, 1.0, -1e300], [-0.0, -0.0, -0.0],
+          [math.inf, -math.inf, 1.0], [math.nan, 1.0, 2.0]])
+def test_cascade_sums_round_like_fsum(columns):
+    # an unflagged column is fsum's result bit for bit; a column fsum
+    # refuses (inf + -inf, intermediate overflow) is always flagged
+    sums, lost = kernels.cascade_sums(np.array(columns).T)
+    for col, got, flagged in zip(columns, sums.tolist(), lost.tolist()):
+        want = _fsum_outcome(math.fsum, col)
+        assert flagged or got.hex() == want
+
+
+def test_cascade_sums_flag_lost_errors():
+    cols = np.array([[2.0**60, 1.0, -(2.0**60)], [1.0, 2.0**-60, 1.0],
+                     [0.5, 0.25, 2.0**-40], [1e300, -1e300, 1.0]]).T
+    sums, lost = kernels.cascade_sums(cols)
+    assert lost.tolist() == [True, True, False, False]
+    assert sums[2:].tolist() == [0.75 + 2.0**-40, 1.0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(n=st.integers(0, 200), seed=st.integers(0, 2**32 - 1),
+       lo=st.integers(-300, 290), spread=st.integers(0, 600))
+def test_prefix_layers_are_exact(n, seed, lo, spread):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(lo, min(lo + spread,
+                                                            290), n)
+    x[rng.random(n) < 0.25] = 0.0
+    layers = kernels.prefix_layers(x)
+    assert layers.shape[1] == n
+    prefix = Fraction(0)
+    for s in range(n):
+        prefix += Fraction(x[s])
+        assert sum(map(Fraction, layers[:, s].tolist())) == prefix
+
+
+def test_prefix_layers_refuse_what_they_cannot_lay_on_a_grid():
+    # sigma = 2**(frexp(max|x|)[1] + (n + 1).bit_length()) must stay finite
+    ok = np.array([2.0**1019, -(2.0**1019), 1.0])  # sigma = 2**1023
+    assert kernels.prefix_layers(ok)[:, -1].sum() == 1.0
+    with pytest.raises(OverflowError):
+        kernels.prefix_layers(ok * 2.0)
+    with pytest.raises(ValueError):  # it would never reach a zero remainder
+        kernels.prefix_layers(np.array([1.0, math.nan]))

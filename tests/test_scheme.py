@@ -877,3 +877,83 @@ def test_one_pass_ledger_matches_prefix_sums(n_steps, seed, lo, spread, kind):
     assert _bits(led.boundary_outflow) == _bits(want[0])
     assert _bits(led.defects) == _bits(want[1])
     assert _bits(led.masses) == _bits(masses)
+
+
+def _outcome(fn, *args):
+    """Bits of every value returned, or the exception fsum would raise."""
+    try:
+        return [_bits(v) for v in fn(*args)]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+LEDGER_TERMS = (2.0**60, 1.0, -(2.0**60), 2.0**-60, 1e300, -1e300, 3e299,
+                0.1, -0.0, math.nan, math.inf, -math.inf)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from(LEDGER_TERMS), min_size=n, max_size=n),
+    st.lists(st.sampled_from(LEDGER_TERMS), min_size=n + 1,
+             max_size=n + 1))))
+@example(([2.0**60, 1.0, -(2.0**60), 2.0**-60], [1.0] * 5))
+@example(([1.0, math.inf, 1.0, -math.inf], [0.5] * 5))
+def test_ledger_rows_match_prefix_fsum_on_hard_terms(data):
+    # rows whose cascade loses an error, and rows with NaN or +-inf flows
+    # and masses, go to fsum and come out as the defining formula's
+    bnet, masses = (np.array(v) for v in data)
+    dts = np.ones(bnet.shape[0])
+    traj = SimpleNamespace(dts=dts, boundary_net=bnet, masses=masses)
+
+    def ledger_rows():
+        led = mass_ledger(traj)
+        return led.boundary_outflow, led.defects
+
+    assert _outcome(ledger_rows) == _outcome(_ledger_oracle, dts, bnet,
+                                             masses)
+
+
+def test_ledger_refuses_flows_too_large_for_an_exact_grid():
+    # with |flow| * (n + 2) past 2**1023 the extraction grid would
+    # overflow: the ledger raises rather than round by another path
+    masses = np.zeros(4)
+    for big, ok in ((2.0**1019, True), (2.0**1020, False)):
+        traj = SimpleNamespace(dts=np.ones(3), masses=masses,
+                               boundary_net=np.array([big, -big, 1.0]))
+        if ok:
+            led = mass_ledger(traj)
+            assert _bits(led.boundary_outflow) == _bits(
+                _ledger_oracle(traj.dts, traj.boundary_net, masses)[0])
+        else:
+            with pytest.raises(OverflowError):
+                mass_ledger(traj)
+
+
+def test_ledger_calls_fsum_only_for_flagged_rows(monkeypatch):
+    spec = JunctionSpec(2, 1, (quadratic_lwr(), quadratic_lwr(),
+                               quadratic_lwr(2.0)))
+    mesh = NetworkMesh(spec, 1e-3, np.full(3, 60))
+    rng = np.random.default_rng(5)
+    init = [rng.uniform(0.0, 1.0, 60) for _ in range(3)]
+    traj = run(RunConfig(mesh, 0.9, 4445 * cfl_timestep(mesh, 0.9)), init,
+               keep_states=False)
+    assert len(traj.dts) == 4445
+    flagged = []
+    fsum_calls = []
+    cascade, fsum = kernels.cascade_sums, math.fsum
+
+    def spy_cascade(terms):
+        sums, lost = cascade(terms)
+        flagged.append(int(lost.sum()))
+        return sums, lost
+
+    def spy_fsum(terms):
+        fsum_calls.append(1)
+        return fsum(terms)
+
+    monkeypatch.setattr(kernels, "cascade_sums", spy_cascade)
+    monkeypatch.setattr(math, "fsum", spy_fsum)
+    led = mass_ledger(traj)
+    monkeypatch.undo()
+    assert len(fsum_calls) <= sum(flagged) < len(traj.dts)
+    assert led.max_abs_defect <= 1e-12
