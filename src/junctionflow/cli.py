@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .config import ConfigDocument, build_network, parse_config
+from .config import ConfigDocument, build_network, mesh_and_run, parse_config
 from .errors import ConfigError, ConsistencyError, PreconditionError
 from .fluxes import quadratic_lwr, symmetric_quadratic
 from .junction import (JunctionSpec, dissipativity, is_germ_member,
@@ -84,9 +84,7 @@ def _mesh_with_dx(doc: ConfigDocument, dx: float | None):
             raise ConfigError(f"--dx {dx:g} does not tile road length "
                               f"{r.length:g}", kind="range")
         cells.append(c)
-    mesh = NetworkMesh(spec, dx, np.array(cells))
-    run_config = RunConfig(mesh, doc.cfl, doc.t_final, doc.outer_bc,
-                           doc.dirichlet_values, doc.snapshots)
+    mesh, run_config = mesh_and_run(doc, spec, dx, cells)
     return spec, mesh, initial, run_config
 
 
@@ -116,16 +114,20 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
 
     # both files are written from .tolist() columns, formatted as _fmt
-    # would: one batch of lines per road and snapshot, then the log's lines
+    # would ("%.17g" is ".17g"): each road's x column is formatted once, and
+    # one template per road and snapshot takes its densities in one %. Rows
+    # start with their line break, so a template is one replace of the
+    # road's breaks by break and head, and the file's last break comes last
+    bodies = ["".join(f"\n{x:.17g},%.17g" for x in mesh.centers(h).tolist())
+              for h in range(spec.m + spec.n)]
     with open(out / "snapshots.csv", "w", newline="\n") as fh:
-        fh.write("t,road,x,rho\n")
+        fh.write("t,road,x,rho")
         for state in traj.snapshots:
-            for h in range(spec.m + spec.n):
-                head = f"{_fmt(state.time)},{h + 1},"
-                fh.write("".join(
-                    f"{head}{x:.17g},{rho:.17g}\n"
-                    for x, rho in zip(mesh.centers(h).tolist(),
-                                      state.values[h].tolist())))
+            for h, body in enumerate(bodies):
+                head = f"\n{_fmt(state.time)},{h + 1},"
+                fh.write(body.replace("\n", head)
+                         % tuple(state.values[h].tolist()))
+        fh.write("\n")
 
     header = (["t", "p_min", "p_max"]
               + [f"gstar_{h + 1}" for h in range(spec.m + spec.n)]

@@ -386,8 +386,18 @@ def build_network(doc: ConfigDocument):
     """Materialize (spec, mesh, initial data, run config) from a document."""
     spec = JunctionSpec(doc.m, doc.n, tuple(r.flux for r in doc.roads))
     dx = doc.roads[0].length / doc.roads[0].cells
-    mesh = NetworkMesh(spec, dx, np.array([r.cells for r in doc.roads]))
-    initial = [r.initial for r in doc.roads]
-    run_config = RunConfig(mesh, doc.cfl, doc.t_final, doc.outer_bc,
-                           doc.dirichlet_values, doc.snapshots)
-    return spec, mesh, initial, run_config
+    mesh, run_config = mesh_and_run(doc, spec, dx,
+                                    [r.cells for r in doc.roads])
+    return spec, mesh, [r.initial for r in doc.roads], run_config
+
+
+def mesh_and_run(doc: ConfigDocument, spec: JunctionSpec, dx: float,
+                 cells: list[int]):
+    """The mesh and run config of a document at cell width dx; a mesh or a
+    run too large to count (2**53 cells or steps) is a range error."""
+    try:
+        mesh = NetworkMesh(spec, dx, np.array(cells))
+        return mesh, RunConfig(mesh, doc.cfl, doc.t_final, doc.outer_bc,
+                               doc.dirichlet_values, doc.snapshots)
+    except ValueError as exc:
+        raise ConfigError(str(exc), kind="range") from None

@@ -100,13 +100,14 @@ class JunctionSpec:
 
 @dataclass(frozen=True, eq=False)
 class JunctionSolution:
-    """Coupling interval [p_min, p_max], per-road fluxes (read-only), and
-    their total."""
+    """Coupling interval [p_min, p_max], per-road fluxes (read-only), their
+    total, and the bracket index a later solve may take as its hint."""
 
     p_min: float
     p_max: float
     fluxes: np.ndarray
     total: float
+    bracket: int = 0
 
 
 def phi_in(spec: JunctionSpec, u, p):
@@ -121,17 +122,18 @@ def phi_out(spec: JunctionSpec, u, p):
     return sum(f.godunov(p, u[spec.m + j]) for j, f in enumerate(spec.outgoing))
 
 
-def solve_junction(spec: JunctionSpec, u) -> JunctionSolution:
+def solve_junction(spec: JunctionSpec, u, hint: int = 0) -> JunctionSolution:
     """Locate the coupling interval and evaluate the junction fluxes.
 
     The interval comes from ``kernels.coupling_interval``, exact up to the
     rounding of the flux values; the fluxes are evaluated at its midpoint
-    and must balance to 1e-12.
+    and must balance to 1e-12. ``hint``, the ``bracket`` of an earlier
+    solution, can spare gap evaluations but never changes the result.
     """
     u = spec.candidate(u).tolist()
-    p_min, p_max = kernels.coupling_interval(
+    p_min, p_max, bracket = kernels.coupling_interval(
         spec._codes, spec._params, spec._crits, spec._fcrits, spec.m, u,
-        spec.rho_min, spec.rho_max, spec._zero)
+        spec.rho_min, spec.rho_max, spec._zero, hint)
     if math.isnan(p_min):
         d_lo = kernels.balance_gap(spec._codes, spec._params, spec._crits,
                                    spec._fcrits, spec.m, u, spec.rho_min)
@@ -154,7 +156,7 @@ def solve_junction(spec: JunctionSpec, u) -> JunctionSolution:
     # a run hands one solution to every step that repeats its state
     fluxes.flags.writeable = False
     return JunctionSolution(float(p_min), float(p_max), fluxes,
-                            float(total_in))
+                            float(total_in), bracket)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ The solver's hot paths are (a) Godunov flux sweeps over whole roads and
 (b) the scalar algebra of the junction coupling: the balance gap, the
 inverses of each flux on its two monotone branches, and the exact solves for
 the coupling interval and the viscous junction value, which share the kinks
-and one piecewise root finder, plus (c) the exact sums behind the mass audit
-and the exact prefix sums behind the mass ledger.
+and one piecewise root finder (the coupling solve can start from an earlier
+solve's bracket), plus (c) the exact sums behind the mass audit, which
+usually stop after one extraction pass with a certified rounding, and the
+exact prefix sums behind the mass ledger.
 ``real_roots`` finds every sign change of a polynomial on an interval; it
 answers the flux-shape questions (the bell shape, the Lipschitz bound, the
 rarefaction states of a Riemann fan).
@@ -48,6 +50,7 @@ FAMILY_TABLE = 3
 NUMBA_ENABLED = False
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +314,26 @@ def _kinks(codes, params, crits, fcrits, m, ustar, lo, hi):
                     for h, c in enumerate(consts)]
 
 
-def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero):
-    """Zero set [p_min, p_max] of the balance gap over [lo, hi].
+def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero,
+                      hint=0):
+    """Zero set [p_min, p_max] of the balance gap over [lo, hi], and the
+    index of the first of the sorted points below at which D <= 0.
 
     The gap D(p) = sum_in min(d_i, S_i(p)) - sum_out min(D_j(p), s_j) is
     non-increasing, and each term is either its constant (d_i, s_j) or the
     road's whole flux, switching at the road's kink (``_kinks``). D is
-    evaluated at the sorted kinks; between two of them it is one polynomial
-    (one per panel for tabulated fluxes), solved exactly.
+    evaluated at the sorted kinks and ends; between two of them it is one
+    polynomial (one per panel for tabulated fluxes), solved exactly.
+
+    ``hint`` is such an index from an earlier solve. Where D > 0 at the
+    point before it and D < 0 at it, it is the first index with D <= 0, as D
+    does not increase, so the root is solved there from these two
+    evaluations alone, exactly as the full scan over all points would.
 
     A gap within ``zero``, 4 ulps of the summed crests, counts as zero:
     plateau values are differences of rounded flux values, that noisy.
-    Returns (nan, nan) when D does not fall from >= 0 to <= 0 over [lo, hi].
+    Returns (nan, nan, 0) when D does not fall from >= 0 to <= 0 over
+    [lo, hi].
     """
     consts, kinks = _kinks(codes, params, crits, fcrits, m, ustar, lo, hi)
 
@@ -331,16 +342,19 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero):
         return 1 if g > zero else (-1 if g < -zero else 0)
 
     pts = sorted([lo, hi, *kinks])
-    signs = [sign(p) for p in pts]
-    if signs[0] < 0 or signs[-1] > 0:
-        return math.nan, math.nan
-    first = next(t for t, s in enumerate(signs) if s <= 0)
-    if signs[first] < 0:
-        root = _piecewise_root(codes, params, m, consts, kinks, [0.0],
-                               pts[first - 1], pts[first], sign)
-        return root, root
-    last = max(t for t, s in enumerate(signs) if s >= 0)
-    return pts[first], pts[last]
+    first = hint
+    if not (0 < first < len(pts) and sign(pts[first - 1]) > 0
+            and sign(pts[first]) < 0):
+        signs = [sign(p) for p in pts]
+        if signs[0] < 0 or signs[-1] > 0:
+            return math.nan, math.nan, 0
+        first = next(t for t, s in enumerate(signs) if s <= 0)
+        if signs[first] == 0:
+            last = max(t for t, s in enumerate(signs) if s >= 0)
+            return pts[first], pts[last], first
+    root = _piecewise_root(codes, params, m, consts, kinks, [0.0],
+                           pts[first - 1], pts[first], sign)
+    return root, root, first
 
 
 def solve_visc_w(codes, params, crits, fcrits, m, ustar, eps2dx, lo, hi):
@@ -442,21 +456,37 @@ def exact_sum(x: np.ndarray) -> float:
     q = (sigma + x) - sigma keeps the leading bits of every term on one grid
     of sigma's ulps, so q.sum() is exact in any order and x - q is the exact
     remainder, at most 2**(e - 53) in size. That bound gives the next
-    sigma, so only the first pass reads max|x|. The remainder is compacted
-    once it is mostly zeros; fsum then rounds the exact parts and what
-    remains once.
+    sigma, so only the first pass reads max|x|.
+
+    Usually one pass settles the rounding (Rump, Ogita & Oishi, part II,
+    SIAM J. Sci. Comput. 31, 2008): the n remainders of the first pass sum
+    in floats to within B = n**2 * 2**(e - 104) of their exact sum, in any
+    order (gamma_{n-1} times the sum of their sizes; Higham, "Accuracy and
+    Stability of Numerical Algorithms", sec. 4.2). Where the exact sums of
+    the first part, that float sum and -B or +B round alike, rounding is
+    monotone, so that is the rounded sum. This exit is taken only where B is
+    a normal float; an exact zero never passes it. Otherwise the passes go
+    on: the remainder is compacted once it is mostly zeros, and fsum rounds
+    the exact parts and what remains once.
     """
     parts = []
     if x.shape[0] > _TAIL:
+        n = x.shape[0]
         top = float(np.abs(x).max())
-        e = math.frexp(top)[1] + (x.shape[0] + 1).bit_length()
+        e = math.frexp(top)[1] + (n + 1).bit_length()
         if math.isfinite(top) and e <= 1023:  # else sigma would overflow
+            bound = math.ldexp(float(n * n), e - 104)
             while x.shape[0] > _TAIL:
                 sigma = math.ldexp(1.0, e)
                 q = sigma + x
                 q -= sigma
                 parts.append(float(q.sum()))
                 x = np.subtract(x, q, out=q)
+                if len(parts) == 1 and bound >= _TINY:
+                    rest = float(x.sum())
+                    low = math.fsum((parts[0], rest, -bound))
+                    if low == math.fsum((parts[0], rest, bound)):
+                        return low
                 nonzero = x != 0.0
                 if 2 * np.count_nonzero(nonzero) < x.shape[0]:
                     x = x[nonzero]

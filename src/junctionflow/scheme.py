@@ -37,6 +37,8 @@ from .junction import JunctionSpec, solve_junction
 
 _GAUSS_OFFSET = math.sqrt(0.6) / 2.0
 _GAUSS_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+# cells and steps stay below this count, so they index and time exactly
+_MAX_COUNT = 2**53
 
 
 @dataclass(eq=False)
@@ -50,12 +52,18 @@ class NetworkMesh:
     def __post_init__(self):
         if not (math.isfinite(self.dx) and self.dx > 0):
             raise ValueError("dx must be positive and finite")
-        counts = np.asarray(self.cells_per_road, dtype=np.int64)
+        try:
+            counts = np.asarray(self.cells_per_road, dtype=np.int64)
+        except OverflowError:  # a count beyond int64 fails the shape test
+            counts = np.zeros(0, dtype=np.int64)
         roads = self.spec.m + self.spec.n
         if counts.shape == ():
             counts = np.full(roads, int(counts))
-        if counts.shape != (roads,) or counts.min() < 1:
-            raise ValueError(f"cells_per_road must be {roads} positive counts")
+        # the slots of the network buffer are counted below 2**53
+        if (counts.shape != (roads,) or counts.min() < 1
+                or sum(counts.tolist()) + roads + 1 >= _MAX_COUNT):
+            raise ValueError(f"cells_per_road must be {roads} positive "
+                             f"counts, fewer than 2**53 cells in all")
         self.cells_per_road = counts
         self._layout = _Layout.build(self.spec, counts)
 
@@ -155,6 +163,7 @@ class RunConfig:
             raise ValueError("cfl_number must lie in (0, 1]")
         if not (math.isfinite(self.t_final) and self.t_final >= 0):
             raise ValueError("t_final must be nonnegative and finite")
+        _step_count(self.t_final, cfl_timestep(self.mesh, self.cfl_number))
         if self.outer_bc not in ("absorbing", "dirichlet"):
             raise ValueError(f"unknown outer_bc {self.outer_bc!r}")
         if self.outer_bc == "dirichlet":
@@ -278,7 +287,9 @@ def _update(u: np.ndarray, mesh: NetworkMesh, dt: float, gstar, ghosts=None,
     layout = mesh._layout
     fgrid = _flux_grid(u, mesh, gstar, eps)
     new = np.empty(layout.slots)
-    new[1:-1] = u[1:-1] - dt / mesh.dx * (fgrid[1:] - fgrid[:-1])
+    diff = fgrid[1:] - fgrid[:-1]
+    diff *= dt / mesh.dx
+    np.subtract(u[1:-1], diff, out=new[1:-1])
     layout.fill(new, ghosts)
     return new, fgrid[layout.outer]
 
@@ -308,6 +319,15 @@ def step(state: GridState, mesh: NetworkMesh, dt: float,
                      mesh._layout.views(u))
 
 
+def _step_count(t_final: float, dt0: float) -> int:
+    """Steps of dt0 to t_final, the last one shortened; ValueError at 2**53
+    steps or more."""
+    if not t_final / dt0 < _MAX_COUNT:  # an overflow to inf fails this too
+        raise ValueError(f"t_final={t_final:g} takes 2**53 or more steps "
+                         f"of dt={dt0:g}")
+    return max(1, math.ceil(t_final / dt0 - 1e-12)) if t_final > 0 else 0
+
+
 def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
            advance, keep_states: bool = True, snapshot_times=()):
     """The time loop of every run from the network buffer u: steps of dt0,
@@ -329,9 +349,7 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     ``snapshots`` the levels nearest 0, t_final and ``snapshot_times``.
     """
     m = mesh.spec.m
-    n_steps = 0
-    if t_final > 0:
-        n_steps = max(1, math.ceil(t_final / dt0 - 1e-12))
+    n_steps = _step_count(t_final, dt0)
 
     # time levels are known up front, so snapshot indices can be too
     times = np.empty(n_steps + 1)
@@ -433,11 +451,13 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
         # solve_junction is a pure function of the junction state, so a step
         # whose state repeats the previous one bitwise (an equilibrium, or
         # once the waves have left the node) reuses its solution; the bytes
-        # keep -0.0 and 0.0 apart
+        # keep -0.0 and 0.0 apart. Any other step hands the last bracket on
+        # as a hint, which spares gap evaluations but changes no result.
         nonlocal key, known, solves
         state = u[adj]
         if state.tobytes() != key:
-            key, known = state.tobytes(), solve_junction(mesh.spec, state)
+            key, known = state.tobytes(), solve_junction(
+                mesh.spec, state, 0 if known is None else known.bracket)
             solves += 1
         return *_update(u, mesh, dt, known.fluxes, ghosts), known
 

@@ -401,6 +401,76 @@ def test_cli_run_byte_identical(tmp_path):
         "max conservation defect 8.8416687166192887e-17"]
 
 
+# a 2-in/1-out LWR run on roads of 30, 15 and 24 cells (dx = 1/30) with
+# five snapshots (t = 0, 0.05, 0.1, 0.2 and 0.3) and a junction state that
+# moves; digests recorded before the snapshot writer went to one template
+# per road and snapshot
+UNEQUAL = """\
+[road]
+direction = in
+length = 1
+cells = 30
+initial.breakpoints = -0.5
+initial.values = 0.2 0.7
+
+[road]
+direction = in
+flux.params = 1.5
+length = 0.5
+cells = 15
+initial = 0.4
+
+[road]
+direction = out
+flux.params = 2
+length = 0.8
+cells = 24
+initial.breakpoints = 0.3
+initial.values = 0.6 0.1
+
+[run]
+t_final = 0.3
+snapshots = 0.05 0.1 0.2
+"""
+
+PINNED_UNEQUAL = {
+    "snapshots.csv":
+        "b7043ce26cffe5f8b00eaf3191cf10f8f2c11dc55a14d7b2aacccadf8fc2ba0e",
+    "junction_log.csv":
+        "ca8e8f2898e1492e136e7c63508ec01d46a45ba88a9206cbf3891fa932f2dc25",
+}
+
+
+def test_cli_run_byte_identical_on_unequal_roads(tmp_path):
+    proc = _cli(tmp_path, "run", "--config", _write(tmp_path, UNEQUAL))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == (
+        "run: 40 steps to t=0.29999999999999999, 5 snapshots")
+    for name, want in PINNED_UNEQUAL.items():
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == want, name
+    _, rows = _read_csv(tmp_path / "snapshots.csv")
+    assert len(rows) == 5 * (30 + 15 + 24)
+
+
+def test_cli_run_sizes_too_large_to_count_exit_2(tmp_path):
+    # a step count that overflows and cell counts past int64 or 2**53 are
+    # range errors where they enter, not tracebacks; nothing is allocated
+    big_t = _write(tmp_path, MINIMAL + "\n[run]\nt_final = 1e308\n",
+                   name="big_t.cfg")
+    with pytest.raises(ConfigError) as err:
+        build_network(parse_config(Path(big_t).read_text()))
+    assert err.value.kind == "range"
+    cfg = _write(tmp_path, MINIMAL + "\n[run]\nt_final = 0.05\n")
+    for argv in (["--config", big_t], ["--config", cfg, "--t-final", "1e308"],
+                 ["--config", cfg, "--dx", "1e-300"],
+                 ["--config", cfg, "--dx", "1e-17"]):
+        proc = _cli(tmp_path, "run", *argv)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "configuration error: [range]" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr
+
+
 def test_cli_run_dx_override(tmp_path):
     text = MINIMAL + "\n[run]\nt_final = 0.05\nsnapshots = 0.05\n"
     cfg = _write(tmp_path, text)

@@ -356,6 +356,57 @@ def test_viscous_closure_tends_to_the_junction_solver(seed, m, n):
             assert abs(_visc_balance(spec, u, e, w)) <= 1e-12 * scale
 
 
+# ---------------------------------------------------------------------------
+# warm start: a bracket hint spares gap evaluations, never changes a result
+
+def _interval(spec, u, *hint):
+    return kernels.coupling_interval(spec._codes, spec._params, spec._crits,
+                                     spec._fcrits, spec.m, u.tolist(),
+                                     spec.rho_min, spec.rho_max, spec._zero,
+                                     *hint)
+
+
+def _solution_bits(sol):
+    return (sol.p_min.hex(), sol.p_max.hex(), sol.fluxes.tobytes(),
+            sol.total.hex(), sol.bracket)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+       symmetric=st.booleans(),
+       hints=st.lists(st.integers(-3, 12), min_size=1, max_size=4))
+def test_warm_started_solve_equals_the_cold_one(seed, m, n, symmetric, hints):
+    # any hint: in range (the sorted points are m + n + 2 <= 8), out of
+    # range on either side, the state's own bracket, its neighbours, or the
+    # bracket of the state solved before (stale)
+    if symmetric:
+        rng = np.random.default_rng(seed)
+        spec = JunctionSpec(m, n, tuple(
+            symmetric_quadratic(float(rng.uniform(0.25, 3.0)))
+            for _ in range(m + n)))
+
+        def state():
+            u = rng.uniform(-1.0, 1.0, m + n)
+            pick = rng.random(m + n) < 0.3
+            u[pick] = rng.choice([-1.0, 0.0, 1.0], int(pick.sum()))
+            return u
+    else:
+        spec, state = random_junction(seed, m, n)
+    stale = 0
+    for _ in range(4):
+        u = state()
+        cold = _interval(spec, u)
+        ref = _solution_bits(solve_junction(spec, u))
+        own = cold[2]
+        for hint in (*hints, stale, own - 1, own, own + 1):
+            got = _interval(spec, u, hint)
+            assert [float(v).hex() for v in got[:2]] == [
+                float(v).hex() for v in cold[:2]]
+            assert got[2] == own
+            assert _solution_bits(solve_junction(spec, u, hint)) == ref
+        stale = own
+
+
 def test_solver_rejects_bad_states():
     with pytest.raises(ValueError):
         solve_junction(LWR11, (0.2, 1.4))

@@ -348,12 +348,78 @@ def test_exact_sum_matches_fsum_on_tiled_floats(terms, reps):
     _assert_matches_fsum(np.tile(np.array(terms), reps))
 
 
-def test_exact_sum_edge_cases():
+class _PassCounter:
+    """numpy as ``kernels`` sees it, counting the remainder subtractions of
+    ``exact_sum``: one per extraction pass."""
+
+    def __init__(self):
+        self.passes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, *args, **kwargs):
+        self.passes += 1
+        return np.subtract(*args, **kwargs)
+
+
+def _passes(monkeypatch, x):
+    """exact_sum(x), checked against fsum, and its number of passes."""
+    counter = _PassCounter()
+    monkeypatch.setattr(kernels, "np", counter)
+    _assert_matches_fsum(x)
+    monkeypatch.undo()
+    return counter.passes
+
+
+def test_exact_sum_edge_cases(monkeypatch):
     big = np.full(2 * kernels._TAIL, 1e308)
     assert _fsum_outcome(kernels.exact_sum, big) is OverflowError
     tie = np.concatenate([[1.0, 2.0**-53, 2.0**-106],
                           np.zeros(2 * kernels._TAIL)])
     assert kernels.exact_sum(tie) == 1.0 + 2.0**-52  # rounds the exact sum
+    # exact ties on 16,385 nonzero cells, shuffled: 1 + 2**-53 (8,192
+    # cells of 2**-66) is half way between two floats, and 8,192 cells of
+    # 2**-119 (2**-106 in all) break the tie. A tie never passes the
+    # one-pass exit, so the extraction goes on and rounds it as fsum does
+    rng = np.random.default_rng(7)
+    for tail, want in ((0.0, 1.0), (2.0**-119, 1.0 + 2.0**-52)):
+        x = rng.permutation(np.concatenate([
+            [1.0], np.full(8192, 2.0**-66), np.full(8192, tail),
+            np.full(3000, 0.25), np.full(3000, -0.25)]))
+        assert np.count_nonzero(x) > 12_000
+        assert kernels.exact_sum(x) == want
+        assert _passes(monkeypatch, x) > 1
+
+
+@pytest.mark.parametrize("exponent", [-950, -960, -990, -1010])
+def test_exact_sum_exit_needs_a_normal_bound(monkeypatch, exponent):
+    # 12,000 terms near 2**exponent: the exit's bound n**2 * 2**(e - 104)
+    # is a normal float at 2**-950 and underflows below about 2**-959,
+    # where the extraction goes on; either way the sum is fsum's
+    rng = np.random.default_rng(-exponent)
+    n = 12_000
+    x = np.ldexp(rng.uniform(0.5, 1.0, n), exponent) * rng.choice([-1, 1], n)
+    e = math.frexp(float(np.abs(x).max()))[1] + (n + 1).bit_length()
+    normal = math.ldexp(n * n, e - 104) >= np.finfo(float).tiny
+    assert normal == (exponent == -950)
+    passes = _passes(monkeypatch, x)
+    assert passes == 1 if normal else passes > 1
+
+
+def test_exact_sum_of_a_fine_run_takes_one_pass(monkeypatch):
+    # every level of a 3 x 4000-cell 2-1 LWR run: one extraction pass, then
+    # the certified exit, and fsum's sum bit for bit
+    spec = JunctionSpec(2, 1, (quadratic_lwr(), quadratic_lwr(),
+                               quadratic_lwr(2.0)))
+    mesh = NetworkMesh(spec, 1.0 / 4000, 4000)
+    rng = np.random.default_rng(301)
+    init = [np.repeat(rng.random(40), 100) for _ in range(3)]
+    traj = run(RunConfig(mesh, 0.9, 20 * cfl_timestep(mesh, 0.9)), init)
+    for state in traj.states:
+        cells = np.concatenate(state.values)
+        assert cells.shape == (12_000,)
+        assert _passes(monkeypatch, cells) == 1
 
 
 # ---------------------------------------------------------------------------

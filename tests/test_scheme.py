@@ -68,6 +68,25 @@ def test_mesh_validation():
             NetworkMesh(LWR11, bad, np.array([4, 4]))
 
 
+def test_run_sizes_beyond_2_53_are_rejected_where_they_enter():
+    # counts past int64 and cell or step counts of 2**53 or more raise
+    # ValueError before anything of that size is allocated
+    for counts in (np.array([10**300, 4], dtype=object), [2**63, 4],
+                   [2**62, 2**62], [2**52, 2**52]):
+        with pytest.raises(ValueError, match="fewer than 2"):
+            NetworkMesh(LWR11, 0.1, counts)
+    with pytest.raises(ValueError, match="fewer than 2"):
+        NetworkMesh(LWR11, 0.1, 2**53)
+    mesh = small_mesh()
+    dt0 = cfl_timestep(mesh, 0.9)
+    for t_final in (1e308, 2.0**53 * dt0):  # t_final / dt0 overflows, 2**53
+        with pytest.raises(ValueError, match="2\\*\\*53 or more steps"):
+            RunConfig(mesh, 0.9, t_final)
+    RunConfig(mesh, 0.9, 2.0**52 * dt0)  # a count, never a buffer
+    with pytest.raises(ValueError, match="2\\*\\*53 or more steps"):
+        run_parabolic(mesh, 0.02, [0.3, 0.6], 1e308)
+
+
 def test_discretize_scalar_and_array():
     mesh = small_mesh(cells=8)
     state = discretize_initial(mesh, [0.3, np.linspace(0.1, 0.8, 8)])
@@ -585,9 +604,9 @@ def _spy_solves(monkeypatch):
     real = scheme.solve_junction
     calls = []
 
-    def spy(spec, u):
+    def spy(spec, u, *hint):
         calls.append(np.array(u, dtype=float))
-        return real(spec, u)
+        return real(spec, u, *hint)
 
     monkeypatch.setattr(scheme, "solve_junction", spy)
     return calls
@@ -644,6 +663,35 @@ def test_run_solves_each_new_junction_state(monkeypatch, bc, label):
     for s, k in enumerate(before):
         assert (traj.junction_fluxes[s].tobytes()
                 == solve_junction(spec, k).fluxes.tobytes())
+
+
+def test_moving_run_warm_starts_the_junction_bracket(monkeypatch):
+    # a 2-1 LWR run whose junction state moves at every step: each solve
+    # starts from the last bracket and settles it with the two gap
+    # evaluations at its ends, where a cold solve takes m + n + 2 = 5
+    spec = JunctionSpec(2, 1, (quadratic_lwr(), quadratic_lwr(),
+                               quadratic_lwr(2.0)))
+    mesh = NetworkMesh(spec, 1.0 / 200, 200)
+    rng = np.random.default_rng(5)
+    init = [np.repeat(rng.random(10), 20) for _ in range(3)]
+    gaps, per_solve = [0], []
+    real_gap, real_solve = kernels.balance_gap, scheme.solve_junction
+
+    def gap(*args):
+        gaps[0] += 1
+        return real_gap(*args)
+
+    def solve(*args):
+        before = gaps[0]
+        sol = real_solve(*args)
+        per_solve.append(gaps[0] - before)
+        return sol
+
+    monkeypatch.setattr(kernels, "balance_gap", gap)
+    monkeypatch.setattr(scheme, "solve_junction", solve)
+    traj = run(RunConfig(mesh, 0.9, 0.25), init, keep_states=False)
+    assert traj.junction_solves == len(per_solve) > 100
+    assert sum(k <= 2 for k in per_solve) >= 0.95 * len(per_solve)
 
 
 def test_signed_zero_is_a_new_junction_state(monkeypatch):
