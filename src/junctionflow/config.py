@@ -394,10 +394,14 @@ def build_network(doc: ConfigDocument):
 def mesh_and_run(doc: ConfigDocument, spec: JunctionSpec, dx: float,
                  cells: list[int]):
     """The mesh and run config of a document at cell width dx; a mesh or a
-    run too large to count (2**53 cells or steps) is a range error."""
+    run too large to count (2**53 cells or steps) or a mesh too large to
+    allocate is a range error."""
     try:
         mesh = NetworkMesh(spec, dx, np.array(cells))
         return mesh, RunConfig(mesh, doc.cfl, doc.t_final, doc.outer_bc,
                                doc.dirichlet_values, doc.snapshots)
     except ValueError as exc:
         raise ConfigError(str(exc), kind="range") from None
+    except MemoryError:
+        raise ConfigError(f"a mesh of {sum(cells)} cells does not fit in "
+                          f"memory", kind="range") from None

@@ -331,7 +331,9 @@ def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float,
 
 @dataclass(eq=False)
 class ParabolicTrajectory:
-    """Record of one parabolic run (all time levels kept)."""
+    """Record of one parabolic run. ``states`` holds the initial and the
+    final level only; the per-step logs (``times``, ``dts``, ``masses``,
+    ``boundary_net``, ``junction_values``) cover every step."""
 
     mesh: NetworkMesh
     epsilon: float
@@ -353,14 +355,17 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
 
     ``initial`` is a GridState or per-road data accepted by
     ``discretize_initial``. The time loop is ``scheme.run``'s: the last
-    step is shortened to land on t_final exactly.
+    step is shortened to land on t_final exactly. Only the first and last
+    levels are kept, so a run holds one or two network buffers whatever its
+    step count; ``parabolic_step`` replays every level bitwise from ``dts``.
     """
     _check_epsilon(epsilon)
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError("t_final must be nonnegative and finite")
     states, _, _, times, dts, bnet, masses, wlog = _march(
         mesh, _pack(mesh, initial), parabolic_timestep(mesh, epsilon),
-        t_final, lambda u, dt: _parabolic_advance(u, mesh, epsilon, dt))
+        t_final, lambda u, dt: _parabolic_advance(u, mesh, epsilon, dt),
+        keep_states=False)
     return ParabolicTrajectory(mesh, float(epsilon), states, times, dts,
                                np.array(wlog), bnet, masses)
 

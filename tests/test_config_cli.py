@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import junctionflow
-from junctionflow import ConfigError, JunctionSpec, cli, quadratic_lwr
+from junctionflow import ConfigError, JunctionSpec, cli, quadratic_lwr, scheme
 from junctionflow.config import build_network, parse_config
 
 # the subprocesses run in tmp_path, where a relative PYTHONPATH no longer
@@ -469,6 +469,27 @@ def test_cli_run_sizes_too_large_to_count_exit_2(tmp_path):
         assert proc.returncode == 2, (argv, proc.stderr)
         assert "configuration error: [range]" in proc.stderr, argv
         assert "Traceback" not in proc.stderr
+
+
+def test_cli_run_mesh_too_large_to_allocate_exits_2(tmp_path, monkeypatch,
+                                                     capsys):
+    # 2.3e15 cells count below 2**53 but do not fit in memory; the failed
+    # allocation is simulated, since a real one may succeed lazily
+    real_build = scheme._Layout.build
+
+    def build(spec, counts):
+        if counts.sum() > 10**9:
+            raise MemoryError
+        return real_build(spec, counts)
+
+    monkeypatch.setattr(scheme._Layout, "build", build)
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, UNEQUAL)
+    assert cli.main(["run", "--config", cfg, "--dx", "1e-15"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: [range]" in err
+    assert "2300000000000000 cells" in err
+    assert not (tmp_path / "snapshots.csv").exists()
 
 
 def test_cli_run_dx_override(tmp_path):

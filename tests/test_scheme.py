@@ -34,6 +34,7 @@ from junctionflow.scheme import Trajectory
 from junctionflow.verify import germ_sampler
 from junctionflow.viscous import parabolic_step, parabolic_timestep
 from test_junction import random_junction
+from test_viscous import keep_every_level
 
 RNG = np.random.default_rng(2718)
 
@@ -472,7 +473,7 @@ def test_network_update_matches_road_by_road(seed, m, n, symmetric,
 
 
 @pytest.mark.parametrize("bc", ["absorbing", "dirichlet", "parabolic"])
-def test_single_steps_replay_the_run(bc):
+def test_single_steps_replay_the_run(monkeypatch, bc):
     # step by step, the single-step API gives every level of a run bitwise;
     # the levels a run keeps are views into per-step buffers (levels held at
     # a bitwise fixed point share one), so checking them only after the run
@@ -482,6 +483,7 @@ def test_single_steps_replay_the_run(bc):
     rng = np.random.default_rng(7)
     init = [rng.uniform(0.0, 1.0, 20) for _ in range(3)]
     if bc == "parabolic":
+        keep_every_level(monkeypatch)
         traj = run_parabolic(mesh, 0.02, init,
                              25.5 * parabolic_timestep(mesh, 0.02))
         advance = lambda state, dt: parabolic_step(state, mesh, 0.02, dt)
@@ -830,6 +832,7 @@ def test_parabolic_run_holds_an_empty_network(monkeypatch):
     # on empty roads the junction value is rho_min itself, the same float
     # object at every step, so the parabolic march holds as well
     mesh = small_mesh(dx=0.05, cells=20)
+    keep_every_level(monkeypatch)
     calls = _spy_updates(monkeypatch, viscous)
     traj = run_parabolic(mesh, 0.02, [0.0, 0.0],
                          30.5 * parabolic_timestep(mesh, 0.02))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from junctionflow import (
     symmetric_quadratic,
     tabulated,
 )
+from junctionflow import scheme, viscous
 from junctionflow.verify import germ_sampler, nonstrict_germ_sampler
 from test_junction import random_junction
 
@@ -265,6 +267,14 @@ def test_profiles_require_strict_equilibrium():
 # ---------------------------------------------------------------------------
 # parabolic marching
 
+def keep_every_level(monkeypatch):
+    """Make ``run_parabolic`` keep every level, for tests that read them
+    all; a run keeps its first and last level only."""
+    monkeypatch.setattr(viscous, "_march", lambda *args, **kwargs:
+                        scheme._march(*args, **{**kwargs,
+                                                "keep_states": True}))
+
+
 def test_parabolic_timestep_bounds():
     mesh = NetworkMesh(LWR11, 0.01, np.array([50, 50]))
     eps = 0.02
@@ -373,7 +383,8 @@ def test_coarse_mesh_parabolic_runs_stay_in_range():
     assert traj.final.time == 0.05
 
 
-def test_parabolic_max_principle_and_mass():
+def test_parabolic_max_principle_and_mass(monkeypatch):
+    keep_every_level(monkeypatch)
     for spec in (LWR11, JunctionSpec(2, 1, (symmetric_quadratic(1),
                                             symmetric_quadratic(2),
                                             symmetric_quadratic(3)))):
@@ -393,9 +404,10 @@ def test_parabolic_max_principle_and_mass():
         assert defect <= 1e-12
 
 
-def test_parabolic_l1_contraction_interior():
+def test_parabolic_l1_contraction_interior(monkeypatch):
     # identical far fields, different interiors: distance cannot grow while
     # the differences stay away from the outer ends
+    keep_every_level(monkeypatch)
     mesh = NetworkMesh(LWR11, 0.02, np.array([50, 50]))
     a = [np.full(50, 0.45), np.full(50, 0.55)]
     b = [v.copy() for v in a]
@@ -423,6 +435,28 @@ def test_discrete_steady_state_tracks_profile():
                           for h in range(2)))
     assert drifts[0] <= 3e-3
     assert drifts[1] <= 0.65 * drifts[0]
+
+
+def test_parabolic_run_memory_does_not_grow_with_its_steps():
+    # a run keeps its first and last level: ten times the steps on one mesh
+    # add only the per-step scalar logs, far less than a buffer per step
+    mesh = NetworkMesh(LWR11, 0.01, np.array([100, 100]))
+    dt = parabolic_timestep(mesh, 0.02)
+
+    def traced_peak(steps):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            traj = run_parabolic(mesh, 0.02, [0.3, 0.6], (steps - 0.5) * dt)
+            assert len(traj.dts) == steps
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    short, long = traced_peak(60), traced_peak(600)
+    buffer = mesh._layout.slots * 8
+    assert long - short <= 0.25 * buffer * 540
 
 
 def test_parabolic_equilibrium_junction_value():
