@@ -5,7 +5,9 @@ The solver's hot paths are (a) Godunov flux sweeps over whole roads and
 inverses of each flux on its two monotone branches, and the exact solves for
 the coupling interval and the viscous junction value, which share the kinks
 and one piecewise root finder (the coupling solve can start from an earlier
-solve's bracket), plus (c) the exact sums behind the mass audit, which
+solve's bracket, the viscous solve from an earlier solve's active piece,
+kept only where a certificate shows the cold solve would take the same
+root), plus (c) the exact sums behind the mass audit, which
 usually stop after one extraction pass with a certified rounding, and the
 exact prefix sums behind the mass ledger.
 ``real_roots`` finds every sign change of a polynomial on an interval; it
@@ -51,6 +53,11 @@ NUMBA_ENABLED = False
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
+# the viscous warm start's certificate (``_warm_root``): the probes' reach,
+# a share of [lo, hi], and its margins, far above any rounding of a kink
+# or of R
+_WARM_REACH = 2.0 ** -20
+_WARM_MARGIN = 2.0 ** -30
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +195,19 @@ def _table(par):
     return par[1:1 + n], par[1 + n:1 + 2 * n]
 
 
-def _piece_coeffs(code, par, x) -> list[float]:
-    """Ascending coefficients of the polynomial piece of f containing x: the
-    whole flux for the polynomial families, one panel for a tabulated flux."""
+def _panel(code, par, x) -> int:
+    """Index of the polynomial piece of f containing x: the panel of a
+    tabulated flux, 0 for the polynomial families (one piece)."""
+    if code != FAMILY_TABLE:
+        return 0
+    xs = _table(par)[0]
+    return min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
+
+
+def _piece_coeffs(code, par, x, k=None) -> list[float]:
+    """Ascending coefficients of the polynomial piece of f containing x, or
+    of piece k (see ``_panel``) where k is given: the whole flux for the
+    polynomial families, one panel for a tabulated flux."""
     if code == FAMILY_LWR:
         return [0.0, float(par[0]), -float(par[0] / par[1])]
     if code == FAMILY_SYM_QUAD:
@@ -198,7 +215,8 @@ def _piece_coeffs(code, par, x) -> list[float]:
     if code == FAMILY_POLY:
         return [float(c) for c in par]
     xs, ys = _table(par)
-    k = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
+    if k is None:
+        k = _panel(code, par, x)
     slope = float((ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]))
     return [float(ys[k] - xs[k] * slope), slope]
 
@@ -357,18 +375,28 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero,
     return root, root, first
 
 
-def solve_visc_w(codes, params, crits, fcrits, m, ustar, eps2dx, lo, hi):
-    """The junction value w in [lo, hi] when every road meets w as a
-    neighbouring cell, e = eps2dx: G_i(u_i, w) - e (w - u_i) leaves an
-    incoming road, G_j(w, u_j) - e (u_j - w) enters an outgoing one.
+def solve_visc_w(codes, params, crits, fcrits, m, ustar, eps2dx, lo, hi,
+                 hint=None):
+    """(w, active): the junction value w in [lo, hi] when every road meets
+    w as a neighbouring cell, e = eps2dx: G_i(u_i, w) - e (w - u_i) leaves
+    an incoming road, G_j(w, u_j) - e (u_j - w) enters an outgoing one; and
+    R's active set at w (``_active_set``), the hint for a later solve.
 
     Their balance R(w) = D(w) - e ((m+n) w - sum(u)), D the balance gap, is
-    strictly decreasing, and R(lo) >= 0 >= R(hi) for states in [lo, hi]. A
-    bisection on R's exact sign over the sorted kinks brackets the root; the
-    sign at lo or hi is read only when the bracket ends there, and where
-    rounding or the input slack makes it wrong, w is that end."""
-    consts, kinks = _kinks(codes, params, crits, fcrits, m, ustar, lo, hi)
+    strictly decreasing, and R(lo) >= 0 >= R(hi) for states in [lo, hi].
+    ``hint``, an active set from an earlier solve, is tried first
+    (``_warm_root``). Otherwise a bisection on R's exact sign over the
+    sorted kinks brackets the root; the sign at lo or hi is read only when
+    the bracket ends there, and where rounding or the input slack makes it
+    wrong, w is that end."""
     base, slope = eps2dx * sum(ustar), -eps2dx * len(ustar)
+    if hint is not None:
+        consts = road_constants(codes, params, crits, fcrits, m, ustar)
+        w = _warm_root(codes, params, crits, fcrits, m, consts, base, slope,
+                       lo, hi, hint)
+        if w is not None:
+            return w, hint
+    consts, kinks = _kinks(codes, params, crits, fcrits, m, ustar, lo, hi)
 
     def sign(w):
         r = balance_gap(codes, params, crits, fcrits, m, ustar, w,
@@ -378,14 +406,88 @@ def solve_visc_w(codes, params, crits, fcrits, m, ustar, eps2dx, lo, hi):
     pts = sorted(kinks)
     i, j = _bisect(pts, sign)
     if i == j:
-        return pts[i]
-    if i < 0 and sign(lo) <= 0:
-        return lo
-    if j == len(pts) and sign(hi) >= 0:
-        return hi
-    return _piecewise_root(codes, params, m, consts, kinks, [base, slope],
-                           pts[i] if i >= 0 else lo,
-                           pts[j] if j < len(pts) else hi, sign)
+        w = pts[i]
+    elif i < 0 and sign(lo) <= 0:
+        w = lo
+    elif j == len(pts) and sign(hi) >= 0:
+        w = hi
+    else:
+        w = _piecewise_root(codes, params, m, consts, kinks, [base, slope],
+                            pts[i] if i >= 0 else lo,
+                            pts[j] if j < len(pts) else hi, sign)
+    return w, _active_set(codes, params, crits, fcrits, m, consts, w)
+
+
+def _active_set(codes, params, crits, fcrits, m, consts, w):
+    """Which term of each road's share of R is the smaller at w: -1 for its
+    constant (d_i <= S_i(w), s_j <= D_j(w)), else the piece of its flux
+    containing w (``_panel``)."""
+    return tuple(
+        -1 if c <= (supply_scalar if h < m else demand_scalar)(
+            codes[h], params[h], crits[h], fcrits[h], w)
+        else _panel(codes[h], params[h], w)
+        for h, c in enumerate(consts))
+
+
+def _warm_root(codes, params, crits, fcrits, m, consts, base, slope, lo,
+               hi, active):
+    """R's root from its piece on the active set ``active`` of an earlier
+    solve, or None where that piece cannot certify it.
+
+    The piece is c = [base, slope] plus the active terms, added in road
+    order as ``_piecewise_root`` adds them; r = poly_root(c, lo, hi). Only
+    pieces of degree 1 or 2 with a nonnegative discriminant qualify: there
+    ``poly_root`` is the quadratic formula whatever the bracket (higher
+    degrees bisect to a bracket-dependent result).
+
+    r is certified on [r - reach, r + reach], reach = _WARM_REACH (hi - lo),
+    inside [lo, hi] and inside each active table panel: every road's term
+    lies on its active side by more than _WARM_MARGIN of its crest (d_i <
+    S_i(x) for a constant, S_i(x) < d_i for a whole flux; D_j against s_j
+    alike), checked at the end where S_i falls or D_j rises to the least
+    margin, and c has a clear sign at both ends, beyond _WARM_MARGIN of its
+    size there. No kink, table node or end then lies within reach of r,
+    and R's sign is right wherever the cold solve reads it: it brackets r
+    with this piece and takes the same r bit for bit."""
+    c = [base, slope]
+    for h, k in enumerate(active):
+        if k < 0:
+            c[0] += consts[h] if h < m else -consts[h]
+            continue
+        piece = _piece_coeffs(codes[h], params[h], None, k)
+        c.extend([0.0] * (len(piece) - len(c)))
+        for t, v in enumerate(piece):
+            c[t] += v if h < m else -v
+    deg = len(c) - 1
+    while deg > 0 and c[deg] == 0.0:
+        deg -= 1
+    c0, c1, c2 = c[0], c[1], c[2] if deg == 2 else 0.0
+    if not (deg == 1 or (deg == 2 and c1 * c1 >= 4.0 * c2 * c0)):
+        return None
+    r = poly_root(c, lo, hi)
+    reach = _WARM_REACH * (hi - lo)
+    left, right = r - reach, r + reach
+    if not lo <= left < r < right <= hi:
+        return None
+    for h, k in enumerate(active):
+        x = right if (k < 0) == (h < m) else left
+        v = (supply_scalar if h < m else demand_scalar)(
+            codes[h], params[h], crits[h], fcrits[h], x)
+        if not ((v - consts[h]) if k < 0 else (consts[h] - v)) \
+                > _WARM_MARGIN * fcrits[h]:
+            return None
+        if k >= 0 and codes[h] == FAMILY_TABLE:
+            xs = _table(params[h])[0]
+            if not (xs[k] <= left and right <= xs[k + 1]):
+                return None
+    # the rounding of R, of c and of each term is a few eps of this size
+    big = max(abs(lo), abs(hi))
+    size = (abs(base) + sum(fcrits) + abs(c0)
+            + (abs(c1) + abs(c2) * big) * big)
+    if not ((c2 * left + c1) * left + c0 > _WARM_MARGIN * size
+            and (c2 * right + c1) * right + c0 < -_WARM_MARGIN * size):
+        return None
+    return r
 
 
 def _bisect(pts, sign):

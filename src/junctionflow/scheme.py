@@ -363,7 +363,8 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     state = GridState(0, 0.0, views(u))
     states, buffers = [state], [u]
     snapshots = [state]
-    masses = [state.total_mass(mesh.dx)]
+    masses = np.empty(n_steps + 1)
+    masses[0] = state.total_mass(mesh.dx)
     dts = np.empty(n_steps)
     bnet = np.empty(n_steps)
     records = []
@@ -391,12 +392,11 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
             buffers.append(u)
         if s + 1 in snap_idx:
             snapshots.append(state)
-        masses.append(mass)
+        masses[s + 1] = mass
         dts[s] = dt
         records.append(record)
         bnet[s] = net
-    return (states, buffers, snapshots, times, dts, bnet, np.array(masses),
-            records)
+    return states, buffers, snapshots, times, dts, bnet, masses, records
 
 
 @dataclass(eq=False)

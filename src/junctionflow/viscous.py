@@ -29,8 +29,8 @@ from . import kernels
 from .errors import PreconditionError
 from .fluxes import conjugate
 from .junction import JunctionSpec, _strict_margins_hold, strict_witness
-from .scheme import (GridState, NetworkMesh, _check_timestep, _march, _pack,
-                     _update)
+from .scheme import (_MAX_COUNT, GridState, NetworkMesh, _check_timestep,
+                     _march, _pack, _update)
 
 _DECAY_CUTOFF = 1e-12
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
@@ -303,30 +303,32 @@ def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
     Raises ConfigError if dt exceeds the monotonicity bound."""
     _check_epsilon(epsilon)
     _check_timestep(dt, _parabolic_bound(mesh, epsilon))
-    u, _, _ = _parabolic_advance(_pack(mesh, state), mesh, epsilon, dt)
+    u = _parabolic_advance(_pack(mesh, state), mesh, epsilon, dt)[0]
     return GridState(state.time_step + 1, state.time + dt,
                      mesh._layout.views(u))
 
 
 def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float,
-                       dt: float):
+                       dt: float, hint=None):
     """The junction value w, each road's Godunov plus diffusive flux to w,
-    then the shared update with diffusion: (new buffer, boundary flux, w)."""
+    then the shared update with diffusion: (new buffer, boundary flux, w,
+    the active set of w's solve). ``hint`` is handed to
+    ``kernels.solve_visc_w``; it spares work, never changes a result."""
     spec = mesh.spec
     # every cell in [A, B], where the fluxes are defined (all roads share
     # one interval, and the ghosts and the pad copy cells)
     spec.fluxes[0]._check_range(u)
     ustar = u[mesh._layout.adj].tolist()
     e = 2.0 * eps / mesh.dx
-    w = kernels.solve_visc_w(spec._codes, spec._params, spec._crits,
-                             spec._fcrits, spec.m, ustar, e, spec.rho_min,
-                             spec.rho_max)
+    w, active = kernels.solve_visc_w(spec._codes, spec._params, spec._crits,
+                                     spec._fcrits, spec.m, ustar, e,
+                                     spec.rho_min, spec.rho_max, hint)
     gstar = [0.0] * len(ustar)
     kernels.fill_junction_fluxes(spec._codes, spec._params, spec._crits,
                                  spec._fcrits, spec.m, ustar, w, gstar)
     for h, a in enumerate(ustar):
         gstar[h] -= e * ((w - a) if h < spec.m else (a - w))
-    return *_update(u, mesh, dt, gstar, eps=eps), w
+    return *_update(u, mesh, dt, gstar, eps=eps), w, active
 
 
 @dataclass(eq=False)
@@ -358,14 +360,21 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
     step is shortened to land on t_final exactly. Only the first and last
     levels are kept, so a run holds one or two network buffers whatever its
     step count; ``parabolic_step`` replays every level bitwise from ``dts``.
+    Each step hands its solve's active set to the next as a hint.
     """
     _check_epsilon(epsilon)
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError("t_final must be nonnegative and finite")
+    active = None
+
+    def advance(u, dt):
+        nonlocal active
+        *out, active = _parabolic_advance(u, mesh, epsilon, dt, active)
+        return out
+
     states, _, _, times, dts, bnet, masses, wlog = _march(
         mesh, _pack(mesh, initial), parabolic_timestep(mesh, epsilon),
-        t_final, lambda u, dt: _parabolic_advance(u, mesh, epsilon, dt),
-        keep_states=False)
+        t_final, advance, keep_states=False)
     return ParabolicTrajectory(mesh, float(epsilon), states, times, dts,
                                np.array(wlog), bnet, masses)
 
@@ -382,6 +391,13 @@ def initial_smoothing(data, epsilon: float, dx: float | None = None,
     if width is None:
         if dx is None:
             raise ValueError("need dx to derive the smoothing width")
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ValueError("epsilon must be nonnegative and finite")
+        if not (math.isfinite(dx) and dx > 0):
+            raise ValueError("dx must be positive and finite")
+        if not epsilon / dx < _MAX_COUNT:
+            raise ValueError(f"epsilon/dx={epsilon / dx:g} cells is too wide "
+                             f"a smoothing to count")
         width = int(round(epsilon / dx))
     if width < 0:
         raise ValueError("width must be nonnegative")

@@ -306,7 +306,19 @@ def _bisect_visc_w(spec, u, e):
 def _solve_visc_w(spec, u, e):
     return kernels.solve_visc_w(spec._codes, spec._params, spec._crits,
                                 spec._fcrits, spec.m, u, e, spec.rho_min,
-                                spec.rho_max)
+                                spec.rho_max)[0]
+
+
+def _viscous_junction(seed, m, n, symmetric):
+    """random_junction's roads (LWR, the cubic, tables), or symmetric
+    quadratics on [-1, 1] with random states."""
+    if not symmetric:
+        return random_junction(seed, m, n)
+    rng = np.random.default_rng(seed)
+    spec = JunctionSpec(m, n, tuple(
+        symmetric_quadratic(float(rng.uniform(0.25, 3.0)))
+        for _ in range(m + n)))
+    return spec, lambda: rng.uniform(-1.0, 1.0, m + n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -316,16 +328,8 @@ def test_viscous_junction_value_is_the_root(seed, m, n, symmetric, log_e):
     # e = 2 eps / dx from 0.01 to 100: the balance is strictly decreasing
     # for every e > 0, so its root is unique and bisection finds it too
     e = 10.0 ** log_e
-    if symmetric:
-        rng = np.random.default_rng(seed)
-        spec = JunctionSpec(m, n, tuple(
-            symmetric_quadratic(float(rng.uniform(0.25, 3.0)))
-            for _ in range(m + n)))
-        states = [rng.uniform(-1.0, 1.0, m + n) for _ in range(3)]
-    else:
-        spec, state = random_junction(seed, m, n)
-        states = [state() for _ in range(3)]
-    for u in states:
+    spec, state = _viscous_junction(seed, m, n, symmetric)
+    for u in [state() for _ in range(3)]:
         u = u.tolist()
         w = _solve_visc_w(spec, u, e)
         assert spec.rho_min <= w <= spec.rho_max
@@ -354,6 +358,52 @@ def test_viscous_closure_tends_to_the_junction_solver(seed, m, n):
             g = _visc_fluxes(spec, u, e, w)
             scale = max(1.0, math.fsum(map(abs, g)))
             assert abs(_visc_balance(spec, u, e, w)) <= 1e-12 * scale
+
+
+def _stale_active_set(rng, spec):
+    """A random active set: each road's term its constant (-1) or a piece
+    of its flux (a random panel of a table)."""
+    return tuple(-1 if rng.random() < 0.5 else
+                 int(rng.integers(int(par[0]) - 1))
+                 if code == kernels.FAMILY_TABLE else 0
+                 for code, par in zip(spec._codes, spec._params))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+       symmetric=st.booleans(), log_e=st.floats(-2.0, 2.0))
+def test_warm_viscous_solve_equals_the_cold_one(seed, m, n, symmetric, log_e):
+    # the hint is the state's own active set, the one solved before (stale)
+    # or a random one; e is drawn, and also set so that the root lies on a
+    # kink or an ulp beside it, where a piece can hold at its own root while
+    # the cold solve brackets another piece or reads an exact zero
+    spec, state = _viscous_junction(seed, m, n, symmetric)
+    rng = np.random.default_rng(seed)
+    args = (spec._codes, spec._params, spec._crits, spec._fcrits, spec.m)
+    stale = None
+    for _ in range(3):
+        u = state().tolist()
+        es = [10.0 ** log_e]
+        kinks = kernels._kinks(*args, u, spec.rho_min, spec.rho_max)[1]
+        for w in kinks:
+            for x in (math.nextafter(w, -math.inf), w,
+                      math.nextafter(w, math.inf)):
+                span = (m + n) * x - sum(u)
+                e = kernels.balance_gap(*args, u, x) / span if span else 0.0
+                if 1e-2 <= e <= 1e2:
+                    es.append(e)
+        for e in es:
+            w, own = kernels.solve_visc_w(*args, u, e, spec.rho_min,
+                                          spec.rho_max)
+            for hint in (own, stale, _stale_active_set(rng, spec),
+                         _stale_active_set(rng, spec)):
+                if hint is None:
+                    continue
+                got, active = kernels.solve_visc_w(
+                    *args, u, e, spec.rho_min, spec.rho_max, hint)
+                assert got.hex() == w.hex()
+                assert active is hint or active == own
+            stale = own
 
 
 # ---------------------------------------------------------------------------

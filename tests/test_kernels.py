@@ -196,8 +196,11 @@ def test_junction_kernels_get_python_floats(monkeypatch):
             assert type(codes) is tuple and all(type(c) is int for c in codes)
             assert type(params) is tuple and all(map(_is_float_tuple, params))
             assert _is_float_tuple(args[2]) and _is_float_tuple(args[3])
-            if name == "solve_visc_w":  # (..., eps2dx, lo, hi)
-                assert len(args) == 9 and _is_float_tuple(args[6:])
+            if name == "solve_visc_w":  # (..., eps2dx, lo, hi, hint)
+                assert len(args) == 10 and _is_float_tuple(args[6:9])
+                hint = args[9]
+                assert hint is None or (type(hint) is tuple and all(
+                    type(k) is int for k in hint))
             if name == "coupling_interval":  # the spec's cached zero
                 assert type(args[8]) is float
             ustar = args[5]

@@ -27,7 +27,7 @@ from junctionflow import (
     symmetric_quadratic,
     tabulated,
 )
-from junctionflow import scheme, viscous
+from junctionflow import kernels, scheme, viscous
 from junctionflow.verify import germ_sampler, nonstrict_germ_sampler
 from test_junction import random_junction
 
@@ -459,6 +459,23 @@ def test_parabolic_run_memory_does_not_grow_with_its_steps():
     assert long - short <= 0.25 * buffer * 540
 
 
+def test_parabolic_run_warm_starts_its_junction_solves(monkeypatch):
+    # each step hands its active set to the next, so the viscous junction
+    # value is solved cold (the only path that finds the kinks) on the
+    # first step and where the active piece changes, no more
+    cold = [0]
+    kinks = kernels._kinks
+
+    def counted(*args):
+        cold[0] += 1
+        return kinks(*args)
+    monkeypatch.setattr(kernels, "_kinks", counted)
+    mesh = NetworkMesh(LWR11, 0.01, np.array([100, 100]))
+    dt = parabolic_timestep(mesh, 0.02)
+    traj = run_parabolic(mesh, 0.02, [0.3, 0.6], 300 * dt)
+    assert len(traj.dts) == 300 and 1 <= cold[0] <= 3
+
+
 def test_parabolic_equilibrium_junction_value():
     # marched from the profile, the junction closure reproduces the witness
     eps = 0.02
@@ -533,6 +550,16 @@ def test_smoothing_preserves_mass_range_tv_l1():
         tv = lambda x: np.abs(np.diff(x)).sum()
         assert tv(su) <= tv(u) + 1e-12
         assert np.abs(su - sv).sum() <= np.abs(u - v).sum() + 1e-12
+
+
+@pytest.mark.parametrize("epsilon, dx, name", [
+    (math.inf, 0.01, "epsilon"), (math.nan, 0.01, "epsilon"),
+    (-0.01, 0.01, "epsilon"), (0.1, 0.0, "dx"), (0.1, -0.01, "dx"),
+    (0.1, math.nan, "dx"), (0.1, math.inf, "dx"),
+    (1e300, 1e-300, "epsilon/dx"), (1.0, 2.0**-53, "epsilon/dx")])
+def test_smoothing_rejects_widths_it_cannot_derive(epsilon, dx, name):
+    with pytest.raises(ValueError, match=f"^{name}"):
+        initial_smoothing(np.zeros(5), epsilon=epsilon, dx=dx)
 
 
 def test_smoothing_handles_sequences_and_defaults():
