@@ -26,7 +26,7 @@ from .errors import ConfigError, ConsistencyError, PreconditionError
 from .fluxes import quadratic_lwr, symmetric_quadratic
 from .junction import (JunctionSpec, dissipativity, is_germ_member,
                        is_strict_germ_member, riemann_solve, solve_junction)
-from .scheme import NetworkMesh, RunConfig, mass_ledger, run
+from .scheme import _MAX_COUNT, NetworkMesh, RunConfig, mass_ledger, run
 from .viscous import stationary_profile
 
 
@@ -71,19 +71,33 @@ def _load_document(args) -> ConfigDocument:
     return doc
 
 
+def _cells_for_dx(dx: float, lengths, coarsest: float = 1.0) -> list[int]:
+    """Cells of width dx on roads of these lengths. A range error names
+    --dx where dx is not positive and finite, makes 2**53 or more cells on
+    a road, or where coarsest * dx (the coarsest mesh of a ladder) does not
+    tile a length."""
+    if not (math.isfinite(dx) and dx > 0):
+        raise ConfigError("--dx must be positive and finite", kind="range")
+    width = coarsest * dx
+    cells = []
+    for length in lengths:
+        if not length / dx < _MAX_COUNT:
+            raise ConfigError(f"--dx {dx:g} cuts road length {length:g} into "
+                              f"2**53 or more cells", kind="range")
+        c = round(length / width)
+        if c < 1 or abs(c * width - length) > 1e-9 * length:
+            where = "" if coarsest == 1.0 else f" at {coarsest:g} * dx"
+            raise ConfigError(f"--dx {dx:g} does not tile road length "
+                              f"{length:g}{where}", kind="range")
+        cells.append(round(length / dx))
+    return cells
+
+
 def _mesh_with_dx(doc: ConfigDocument, dx: float | None):
     spec, mesh, initial, run_config = build_network(doc)
     if dx is None:
         return spec, mesh, initial, run_config
-    if not (math.isfinite(dx) and dx > 0):
-        raise ConfigError("--dx must be positive and finite", kind="range")
-    cells = []
-    for r in doc.roads:
-        c = int(round(r.length / dx))
-        if c < 1 or abs(c * dx - r.length) > 1e-9 * r.length:
-            raise ConfigError(f"--dx {dx:g} does not tile road length "
-                              f"{r.length:g}", kind="range")
-        cells.append(c)
+    cells = _cells_for_dx(dx, [r.length for r in doc.roads])
     mesh, run_config = mesh_and_run(doc, spec, dx, cells)
     return spec, mesh, initial, run_config
 
@@ -230,20 +244,20 @@ def _cmd_convergence(args) -> int:
                           kind="topology")
     length = lengths.pop()
     base_dx = args.dx if args.dx is not None else mesh.dx
+    # the ladder runs from 8 dx down to dx; where 8 dx tiles, all do
+    cells = _cells_for_dx(base_dx, [length], coarsest=8.0)[0] * len(doc.roads)
     dx_list = [base_dx * f for f in (8.0, 4.0, 2.0, 1.0)]
-    for dx in dx_list:
-        if abs(round(length / dx) * dx - length) > 1e-9 * length:
-            raise ConfigError(
-                f"mesh ladder entry dx={dx:g} does not tile road length "
-                f"{length:g}; pick a finest dx with length/(8*dx) integral",
-                kind="range")
 
     constant = all(isinstance(r.initial, float) for r in doc.roads)
     if constant:
         problem = verify_mod.RiemannProblem(
             spec, _constant_initial(doc, "convergence"), doc.t_final,
             road_length=length, cfl=doc.cfl)
-        report = verify_mod.convergence_study(problem, dx_list)
+        try:
+            report = verify_mod.convergence_study(problem, dx_list)
+        except MemoryError:
+            raise ConfigError(f"a mesh of {cells} cells does not fit in "
+                              f"memory", kind="range") from None
     else:
         raise ConfigError("convergence needs constant initial data "
                           "(similarity reference)", kind="range")
@@ -432,6 +446,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for option in ("seed", "sample"):
+            if getattr(args, option, 0) < 0:
+                raise ConfigError(f"--{option} must be a nonnegative "
+                                  f"integer", kind="range")
         return args.handler(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

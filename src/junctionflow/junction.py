@@ -101,13 +101,14 @@ class JunctionSpec:
 @dataclass(frozen=True, eq=False)
 class JunctionSolution:
     """Coupling interval [p_min, p_max], per-road fluxes (read-only), their
-    total, and the bracket index a later solve may take as its hint."""
+    total, and the balance gap's active set at a point root (None on a
+    plateau), which a later solve may take as its hint."""
 
     p_min: float
     p_max: float
     fluxes: np.ndarray
     total: float
-    bracket: int = 0
+    active: tuple[int, ...] | None = None
 
 
 def phi_in(spec: JunctionSpec, u, p):
@@ -122,16 +123,17 @@ def phi_out(spec: JunctionSpec, u, p):
     return sum(f.godunov(p, u[spec.m + j]) for j, f in enumerate(spec.outgoing))
 
 
-def solve_junction(spec: JunctionSpec, u, hint: int = 0) -> JunctionSolution:
+def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
     """Locate the coupling interval and evaluate the junction fluxes.
 
     The interval comes from ``kernels.coupling_interval``, exact up to the
     rounding of the flux values; the fluxes are evaluated at its midpoint
-    and must balance to 1e-12. ``hint``, the ``bracket`` of an earlier
-    solution, can spare gap evaluations but never changes the result.
+    and must balance to 1e-12. ``hint``, the ``active`` set of an earlier
+    solution, can spare the scan over the kinks but never changes the
+    result.
     """
     u = spec.candidate(u).tolist()
-    p_min, p_max, bracket = kernels.coupling_interval(
+    p_min, p_max, active = kernels.coupling_interval(
         spec._codes, spec._params, spec._crits, spec._fcrits, spec.m, u,
         spec.rho_min, spec.rho_max, spec._zero, hint)
     if math.isnan(p_min):
@@ -156,7 +158,7 @@ def solve_junction(spec: JunctionSpec, u, hint: int = 0) -> JunctionSolution:
     # a run hands one solution to every step that repeats its state
     fluxes.flags.writeable = False
     return JunctionSolution(float(p_min), float(p_max), fluxes,
-                            float(total_in), bracket)
+                            float(total_in), active)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ The solver's hot paths are (a) Godunov flux sweeps over whole roads and
 (b) the scalar algebra of the junction coupling: the balance gap, the
 inverses of each flux on its two monotone branches, and the exact solves for
 the coupling interval and the viscous junction value, which share the kinks
-and one piecewise root finder (the coupling solve can start from an earlier
-solve's bracket, the viscous solve from an earlier solve's active piece,
-kept only where a certificate shows the cold solve would take the same
-root), plus (c) the exact sums behind the mass audit, which
-usually stop after one extraction pass with a certified rounding, and the
-exact prefix sums behind the mass ledger.
+and one piecewise root finder; both can start from an earlier solve's
+active piece (``_warm_root``), kept only where a certificate shows the cold
+solve would take the same root, plus (c) the exact sums behind the mass
+audit, which usually stop after one extraction pass with a certified
+rounding (a caller that knows a bound on the terms spares the pass that
+reads it), and the exact prefix sums behind the mass ledger.
 ``real_roots`` finds every sign change of a polynomial on an interval; it
 answers the flux-shape questions (the bell shape, the Lipschitz bound, the
 rarefaction states of a Riemann fan).
@@ -20,8 +20,8 @@ coupling. The vectorized flux and the Godunov sweep take ``Flux.params``
 (or per-slot rows of it) and are built from the same per-element
 expressions, so they agree with the scalar kernels bitwise. The balance
 gap of one junction state has a constant term per road (``road_constants``,
-the demand or supply of its junction-adjacent cell); the coupling solve
-computes them once and hands them to every gap evaluation.
+the demand or supply of its junction-adjacent cell); each solve computes
+them once (or takes its caller's) and hands them to every gap evaluation.
 ``NUMBA_ENABLED`` is kept as a constant: numpy is the only backend.
 
 Flux families are passed around as an integer code plus a packed float
@@ -53,9 +53,9 @@ NUMBA_ENABLED = False
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
-# the viscous warm start's certificate (``_warm_root``): the probes' reach,
-# a share of [lo, hi], and its margins, far above any rounding of a kink
-# or of R
+# the warm start's certificate (``_warm_root``): the probes' reach, a share
+# of the piece's range, and its margins, far above any rounding of a kink
+# or of the balance
 _WARM_REACH = 2.0 ** -20
 _WARM_MARGIN = 2.0 ** -30
 
@@ -322,20 +322,23 @@ def branch_point(code, par, crit, fcrit, y, edge):
 # ---------------------------------------------------------------------------
 # exact junction solves: the coupling interval and the viscous junction value
 
-def _kinks(codes, params, crits, fcrits, m, ustar, lo, hi):
-    """The ``road_constants`` of ustar and each road's kink, where its gap
-    term switches between that constant and its whole flux: the falling-
-    (rising-)branch point of d_i (s_j) on an incoming (outgoing) road."""
-    consts = road_constants(codes, params, crits, fcrits, m, ustar)
+def _kinks(codes, params, crits, fcrits, m, ustar, lo, hi, consts=None):
+    """The ``road_constants`` of ustar (``consts`` where given) and each
+    road's kink, where its gap term switches between that constant and its
+    whole flux: the falling- (rising-)branch point of d_i (s_j) on an
+    incoming (outgoing) road."""
+    if consts is None:
+        consts = road_constants(codes, params, crits, fcrits, m, ustar)
     return consts, [branch_point(codes[h], params[h], crits[h], fcrits[h], c,
                                  hi if h < m else lo)
                     for h, c in enumerate(consts)]
 
 
 def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero,
-                      hint=0):
-    """Zero set [p_min, p_max] of the balance gap over [lo, hi], and the
-    index of the first of the sorted points below at which D <= 0.
+                      hint=None):
+    """(p_min, p_max, active): the zero set [p_min, p_max] of the balance
+    gap over [lo, hi], and the gap's active set at a point root
+    (``_active_set``), the hint for a later solve; None on a plateau.
 
     The gap D(p) = sum_in min(d_i, S_i(p)) - sum_out min(D_j(p), s_j) is
     non-increasing, and each term is either its constant (d_i, s_j) or the
@@ -343,40 +346,55 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero,
     evaluated at the sorted kinks and ends; between two of them it is one
     polynomial (one per panel for tabulated fluxes), solved exactly.
 
-    ``hint`` is such an index from an earlier solve. Where D > 0 at the
-    point before it and D < 0 at it, it is the first index with D <= 0, as D
-    does not increase, so the root is solved there from these two
-    evaluations alone, exactly as the full scan over all points would.
+    ``hint``, an active set from an earlier solve, is tried first
+    (``_warm_root``) on the range where its whole-flux terms are the
+    flux's falling (incoming) or rising (outgoing) branch: above the crest
+    of every such incoming road, below that of every such outgoing one.
+    There a quadratic piece has one root where D falls.
 
     A gap within ``zero``, 4 ulps of the summed crests, counts as zero:
     plateau values are differences of rounded flux values, that noisy.
-    Returns (nan, nan, 0) when D does not fall from >= 0 to <= 0 over
+    Returns (nan, nan, None) when D does not fall from >= 0 to <= 0 over
     [lo, hi].
     """
-    consts, kinks = _kinks(codes, params, crits, fcrits, m, ustar, lo, hi)
+    consts = road_constants(codes, params, crits, fcrits, m, ustar)
+    if hint is not None:
+        a, b = lo, hi
+        for h, k in enumerate(hint):
+            if k >= 0:
+                if h < m:
+                    a = max(a, crits[h])
+                else:
+                    b = min(b, crits[h])
+        # a slope of +0.0, as the cold piece starts from [0.0]: -0.0 would
+        # keep a symmetric quadratic's c[1] at -0.0 and flip the branch of
+        # the quadratic formula
+        r = _warm_root(codes, params, crits, fcrits, m, consts, 0.0, 0.0, a,
+                       b, hint)
+        if r is not None:
+            return r, r, hint
+    kinks = _kinks(codes, params, crits, fcrits, m, ustar, lo, hi, consts)[1]
 
     def sign(p):
         g = balance_gap(codes, params, crits, fcrits, m, ustar, p, consts)
         return 1 if g > zero else (-1 if g < -zero else 0)
 
     pts = sorted([lo, hi, *kinks])
-    first = hint
-    if not (0 < first < len(pts) and sign(pts[first - 1]) > 0
-            and sign(pts[first]) < 0):
-        signs = [sign(p) for p in pts]
-        if signs[0] < 0 or signs[-1] > 0:
-            return math.nan, math.nan, 0
-        first = next(t for t, s in enumerate(signs) if s <= 0)
-        if signs[first] == 0:
-            last = max(t for t, s in enumerate(signs) if s >= 0)
-            return pts[first], pts[last], first
+    signs = [sign(p) for p in pts]
+    if signs[0] < 0 or signs[-1] > 0:
+        return math.nan, math.nan, None
+    first = next(t for t, s in enumerate(signs) if s <= 0)
+    if signs[first] == 0:
+        last = max(t for t, s in enumerate(signs) if s >= 0)
+        return pts[first], pts[last], None
     root = _piecewise_root(codes, params, m, consts, kinks, [0.0],
                            pts[first - 1], pts[first], sign)
-    return root, root, first
+    return root, root, _active_set(codes, params, crits, fcrits, m, consts,
+                                   root)
 
 
 def solve_visc_w(codes, params, crits, fcrits, m, ustar, eps2dx, lo, hi,
-                 hint=None):
+                 hint=None, consts=None):
     """(w, active): the junction value w in [lo, hi] when every road meets
     w as a neighbouring cell, e = eps2dx: G_i(u_i, w) - e (w - u_i) leaves
     an incoming road, G_j(w, u_j) - e (u_j - w) enters an outgoing one; and
@@ -384,19 +402,21 @@ def solve_visc_w(codes, params, crits, fcrits, m, ustar, eps2dx, lo, hi,
 
     Their balance R(w) = D(w) - e ((m+n) w - sum(u)), D the balance gap, is
     strictly decreasing, and R(lo) >= 0 >= R(hi) for states in [lo, hi].
-    ``hint``, an active set from an earlier solve, is tried first
-    (``_warm_root``). Otherwise a bisection on R's exact sign over the
-    sorted kinks brackets the root; the sign at lo or hi is read only when
-    the bracket ends there, and where rounding or the input slack makes it
-    wrong, w is that end."""
+    ``consts``, the ``road_constants`` of ustar, spare a caller that has
+    them from recomputing them. ``hint``, an active set from an earlier
+    solve, is tried first (``_warm_root``). Otherwise a bisection on R's
+    exact sign over the sorted kinks brackets the root; the sign at lo or
+    hi is read only when the bracket ends there, and where rounding or the
+    input slack makes it wrong, w is that end."""
     base, slope = eps2dx * sum(ustar), -eps2dx * len(ustar)
-    if hint is not None:
+    if consts is None:
         consts = road_constants(codes, params, crits, fcrits, m, ustar)
+    if hint is not None:
         w = _warm_root(codes, params, crits, fcrits, m, consts, base, slope,
                        lo, hi, hint)
         if w is not None:
             return w, hint
-    consts, kinks = _kinks(codes, params, crits, fcrits, m, ustar, lo, hi)
+    kinks = _kinks(codes, params, crits, fcrits, m, ustar, lo, hi, consts)[1]
 
     def sign(w):
         r = balance_gap(codes, params, crits, fcrits, m, ustar, w,
@@ -431,8 +451,10 @@ def _active_set(codes, params, crits, fcrits, m, consts, w):
 
 def _warm_root(codes, params, crits, fcrits, m, consts, base, slope, lo,
                hi, active):
-    """R's root from its piece on the active set ``active`` of an earlier
-    solve, or None where that piece cannot certify it.
+    """The root of R = c + D, c = base + slope p and D the balance gap,
+    from its piece on the active set ``active`` of an earlier solve, or
+    None where that piece cannot certify it. The coupling solve passes
+    base = slope = +0.0, the viscous solve its diffusive terms.
 
     The piece is c = [base, slope] plus the active terms, added in road
     order as ``_piecewise_root`` adds them; r = poly_root(c, lo, hi). Only
@@ -446,9 +468,13 @@ def _warm_root(codes, params, crits, fcrits, m, consts, base, slope, lo,
     S_i(x) for a constant, S_i(x) < d_i for a whole flux; D_j against s_j
     alike), checked at the end where S_i falls or D_j rises to the least
     margin, and c has a clear sign at both ends, beyond _WARM_MARGIN of its
-    size there. No kink, table node or end then lies within reach of r,
-    and R's sign is right wherever the cold solve reads it: it brackets r
-    with this piece and takes the same r bit for bit."""
+    size there. A constant at the crest flux ties with S_i (D_j) exactly
+    wherever that end lies on its flat branch, below (above) the crest; the
+    term is that constant over the whole reach, and the cold solve's kink
+    is the crest itself (``branch_point``), beyond the reach, so the tie
+    passes. No kink, table node or end then lies within reach of r, and
+    R's sign is right wherever the cold solve reads it: it brackets r with
+    this piece and takes the same r bit for bit."""
     c = [base, slope]
     for h, k in enumerate(active):
         if k < 0:
@@ -471,6 +497,9 @@ def _warm_root(codes, params, crits, fcrits, m, consts, base, slope, lo,
         return None
     for h, k in enumerate(active):
         x = right if (k < 0) == (h < m) else left
+        if k < 0 and consts[h] == fcrits[h] and (
+                x < crits[h] if h < m else x > crits[h]):
+            continue  # a crest tie on the flat branch: constant throughout
         v = (supply_scalar if h < m else demand_scalar)(
             codes[h], params[h], crits[h], fcrits[h], x)
         if not ((v - consts[h]) if k < 0 else (consts[h] - v)) \
@@ -547,18 +576,21 @@ def _piecewise_root(codes, params, m, consts, kinks, c, a, b, sign):
 _TAIL = 512
 
 
-def exact_sum(x: np.ndarray) -> float:
+def exact_sum(x: np.ndarray, top: float | None = None) -> float:
     """The correctly rounded sum of a 1-D float64 array, bit-identical to
     ``math.fsum(x.tolist())`` (NaN and inf propagate as fsum propagates
-    them).
+    them). ``top``, where given, must be a bound top >= max|x| of finite
+    terms (a caller that has just checked their range knows one); it
+    stands in for max|x|, which is then not read, and any such bound gives
+    the same sum.
 
     Long arrays are first cut down by error-free extraction (Rump, Ogita &
     Oishi, "Accurate floating-point summation I", SIAM J. Sci. Comput. 31,
-    2008): with sigma = 2**e a power of two at least (n + 2) * max|x|,
+    2008): with sigma = 2**e a power of two at least (n + 2) * top,
     q = (sigma + x) - sigma keeps the leading bits of every term on one grid
     of sigma's ulps, so q.sum() is exact in any order and x - q is the exact
     remainder, at most 2**(e - 53) in size. That bound gives the next
-    sigma, so only the first pass reads max|x|.
+    sigma, so only the first sigma needs top.
 
     Usually one pass settles the rounding (Rump, Ogita & Oishi, part II,
     SIAM J. Sci. Comput. 31, 2008): the n remainders of the first pass sum
@@ -574,7 +606,8 @@ def exact_sum(x: np.ndarray) -> float:
     parts = []
     if x.shape[0] > _TAIL:
         n = x.shape[0]
-        top = float(np.abs(x).max())
+        if top is None:
+            top = float(np.abs(x).max())
         e = math.frexp(top)[1] + (n + 1).bit_length()
         if math.isfinite(top) and e <= 1023:  # else sigma would overflow
             bound = math.ldexp(float(n * n), e - 104)

@@ -143,8 +143,11 @@ class GridState:
     time: float
     values: tuple[np.ndarray, ...]
 
-    def total_mass(self, dx: float) -> float:
-        return dx * kernels.exact_sum(np.concatenate(self.values))
+    def total_mass(self, dx: float, top: float | None = None) -> float:
+        """dx times the correctly rounded sum of all cells. ``top``, a bound
+        on every |cell|, spares ``kernels.exact_sum`` reading max|cell|;
+        the sum is the same either way."""
+        return dx * kernels.exact_sum(np.concatenate(self.values), top)
 
 
 @dataclass(eq=False)
@@ -273,8 +276,11 @@ def _flux_grid(u: np.ndarray, mesh: NetworkMesh, gstar,
     for first, stop, code, par, crit, fcrit in layout.sweeps:
         kernels.interface_fluxes(code, par, crit, fcrit, u[first:stop],
                                  fgrid[first:stop - 1])
-    if eps > 0:
-        fgrid -= eps * (u[1:] - u[:-1]) / mesh.dx
+    if eps > 0:  # eps * (u[1:] - u[:-1]) / dx, in one temporary
+        grad = np.subtract(u[1:], u[:-1])
+        grad *= eps
+        grad /= mesh.dx
+        fgrid -= grad
     fgrid[layout.junc] = gstar
     return fgrid
 
@@ -328,12 +334,39 @@ def _step_count(t_final: float, dt0: float) -> int:
     return max(1, math.ceil(t_final / dt0 - 1e-12)) if t_final > 0 else 0
 
 
+def _range_error(mesh: NetworkMesh, u: np.ndarray,
+                 step: int) -> ConsistencyError:
+    """The error for a buffer that failed the march's range guard, naming
+    the first road with a cell outside [A, B] or a NaN one."""
+    spec = mesh.spec
+    lo, hi = spec._bounds
+    for h, cells in enumerate(mesh._layout.views(u)):
+        inside = (cells >= lo) & (cells <= hi)
+        if not inside.all():
+            k = int(inside.argmin())
+            return ConsistencyError(
+                f"step {step}: road {h} cell {k} holds {float(cells[k])!r}, "
+                f"outside [{spec.rho_min}, {spec.rho_max}]")
+    # ghosts and the pad copy cells or hold validated Dirichlet values
+    return ConsistencyError(f"step {step}: a ghost or pad slot leaves "
+                            f"[{spec.rho_min}, {spec.rho_max}]")
+
+
 def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
            advance, keep_states: bool = True, snapshot_times=()):
     """The time loop of every run from the network buffer u: steps of dt0,
     the last one shortened to land exactly on t_final. ``advance(u, dt)``
-    returns (new buffer, per-road outer boundary flux, junction record). A
-    non-finite mass stops the run with the step that produced it.
+    returns (new buffer, per-road outer boundary flux, junction record,
+    never None).
+
+    Each computed buffer gets one min/max pass, the maximum-principle
+    guard: a slot outside [A, B] (beyond the slack of 1e-12 of the span
+    that ``JunctionSpec.candidate`` allows) or a NaN stops the run with a
+    ConsistencyError that names the step and the road. The same bound
+    spares the exact mass its own max|x| pass; a non-finite mass stops the
+    run too. The first level was validated by ``_pack``, and a step that
+    returns its input bitwise with the record of the step before repeats
+    a buffer that has passed.
 
     ``advance`` must be a pure function of the bytes of u and dt. A
     full-length step that returns its input bitwise, with the junction
@@ -349,6 +382,7 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     ``snapshots`` the levels nearest 0, t_final and ``snapshot_times``.
     """
     m = mesh.spec.m
+    lo_ok, hi_ok = mesh.spec._bounds
     n_steps = _step_count(t_final, dt0)
 
     # time levels are known up front, so snapshot indices can be too
@@ -375,15 +409,19 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
         if not held or dt != dt0:
             last = record
             new, boundary, record = advance(u, dt)
+            # compare bytes, so that -0.0 and 0.0 stay apart
+            repeat = record is last and new.tobytes() == u.tobytes()
+            if not repeat:  # else the buffer has passed the guard already
+                lo, hi = float(new.min()), float(new.max())
+                if not (lo_ok <= lo and hi <= hi_ok):  # NaN fails this too
+                    raise _range_error(mesh, new, s + 1)
             state = GridState(s + 1, times[s + 1], views(new))
-            mass = state.total_mass(mesh.dx)
+            mass = state.total_mass(mesh.dx, max(-lo, hi))
             if not math.isfinite(mass):
                 raise ConsistencyError(f"step {s + 1}: total mass is {mass}")
             net = (math.fsum(boundary[m:].tolist())
                    - math.fsum(boundary[:m].tolist()))
-            # compare bytes, so that -0.0 and 0.0 stay apart
-            held = (record is last and dt == dt0
-                    and new.tobytes() == u.tobytes())
+            held = repeat and dt == dt0
             u = new
         else:
             state = GridState(s + 1, times[s + 1], state.values)
@@ -451,13 +489,13 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
         # solve_junction is a pure function of the junction state, so a step
         # whose state repeats the previous one bitwise (an equilibrium, or
         # once the waves have left the node) reuses its solution; the bytes
-        # keep -0.0 and 0.0 apart. Any other step hands the last bracket on
-        # as a hint, which spares gap evaluations but changes no result.
+        # keep -0.0 and 0.0 apart. Any other step hands the last active set
+        # on as a hint, which spares the scan but changes no result.
         nonlocal key, known, solves
         state = u[adj]
         if state.tobytes() != key:
             key, known = state.tobytes(), solve_junction(
-                mesh.spec, state, 0 if known is None else known.bracket)
+                mesh.spec, state, None if known is None else known.active)
             solves += 1
         return *_update(u, mesh, dt, known.fluxes, ghosts), known
 

@@ -12,9 +12,11 @@ value w per step chosen so the total convective+diffusive flux balances
 (Coclite & Garavello, "Vanishing viscosity for traffic on networks", 2010).
 Each road meets w as a neighbouring cell (Godunov plus diffusive flux), so
 w is unique and the bounded step monotone on every mesh, coarse ones too. The
-schemes share the time loop, network buffer, update and GridState; only the
-junction fluxes differ. The parabolic solver is used as a cross-check of
-the hyperbolic scheme as epsilon shrinks, not as a production solver.
+schemes share the time loop (with its [A, B] guard on every computed
+level), network buffer, update and GridState; only the junction fluxes
+differ. Each step's solve starts from the previous step's active piece.
+The parabolic solver is used as a cross-check of the hyperbolic scheme as
+epsilon shrinks, not as a production solver.
 """
 
 from __future__ import annotations
@@ -313,21 +315,30 @@ def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float,
     """The junction value w, each road's Godunov plus diffusive flux to w,
     then the shared update with diffusion: (new buffer, boundary flux, w,
     the active set of w's solve). ``hint`` is handed to
-    ``kernels.solve_visc_w``; it spares work, never changes a result."""
+    ``kernels.solve_visc_w``; it spares work, never changes a result.
+
+    u must lie in [A, B], where the fluxes are defined: ``_pack`` checks
+    the first level of a run and ``_march``'s guard every later one. The
+    road constants (each road's demand or supply) are computed once, for
+    the solve and for the Godunov flux min(d_i, S_i(w)) or min(D_j(w),
+    s_j) of ``kernels.godunov_scalar``."""
     spec = mesh.spec
-    # every cell in [A, B], where the fluxes are defined (all roads share
-    # one interval, and the ghosts and the pad copy cells)
-    spec.fluxes[0]._check_range(u)
+    m = spec.m
+    args = spec._codes, spec._params, spec._crits, spec._fcrits
     ustar = u[mesh._layout.adj].tolist()
+    consts = kernels.road_constants(*args, m, ustar)
     e = 2.0 * eps / mesh.dx
-    w, active = kernels.solve_visc_w(spec._codes, spec._params, spec._crits,
-                                     spec._fcrits, spec.m, ustar, e,
-                                     spec.rho_min, spec.rho_max, hint)
-    gstar = [0.0] * len(ustar)
-    kernels.fill_junction_fluxes(spec._codes, spec._params, spec._crits,
-                                 spec._fcrits, spec.m, ustar, w, gstar)
-    for h, a in enumerate(ustar):
-        gstar[h] -= e * ((w - a) if h < spec.m else (a - w))
+    w, active = kernels.solve_visc_w(*args, m, ustar, e, spec.rho_min,
+                                     spec.rho_max, hint, consts)
+    gstar = []
+    for h, (code, par, crit, fcrit, a, c) in enumerate(zip(*args, ustar,
+                                                           consts)):
+        if h < m:
+            s = kernels.supply_scalar(code, par, crit, fcrit, w)
+            gstar.append((c if c <= s else s) - e * (w - a))
+        else:
+            d = kernels.demand_scalar(code, par, crit, fcrit, w)
+            gstar.append((d if d <= c else c) - e * (a - w))
     return *_update(u, mesh, dt, gstar, eps=eps), w, active
 
 

@@ -490,6 +490,13 @@ def test_cli_run_mesh_too_large_to_allocate_exits_2(tmp_path, monkeypatch,
     assert "configuration error: [range]" in err
     assert "2300000000000000 cells" in err
     assert not (tmp_path / "snapshots.csv").exists()
+    # so does convergence, whose finest mesh has 2e15 cells at dx = 1e-15
+    cfg = _write(tmp_path, MINIMAL + "\n[run]\nt_final = 0.3\n")
+    assert cli.main(["convergence", "--config", cfg, "--dx", "1e-15"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: [range]" in err
+    assert "2000000000000000 cells" in err
+    assert not (tmp_path / "convergence.csv").exists()
 
 
 def test_cli_run_dx_override(tmp_path):
@@ -636,6 +643,31 @@ def test_verify_rows_fail_on_nan_runs(monkeypatch):
     assert not passed["kato-form-1-1"]
     assert not passed["mass-defect-1-1"]
     assert passed["worked-example-fluxes"]  # runs no trajectory
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--dx", "nan"],
+    ["convergence", "--dx", "inf"],
+    ["convergence", "--dx", "1e-300"],
+    ["convergence", "--dx", "0"],
+    ["convergence", "--dx", "-1"],
+    ["germ-check", "--sample", "-3"],
+    ["germ-check", "--sample", "3", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+])
+def test_cli_rejects_bad_options_by_name(tmp_path, monkeypatch, capsys, argv):
+    # each of these reached numpy or the arithmetic unchecked: a traceback,
+    # or an exit that read as a failed suite; each is a range error (exit
+    # 2) that names the option, found before any work is done
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, MINIMAL + "\n[run]\nt_final = 0.3\n")
+    if argv[0] != "verify":
+        argv = [argv[0], "--config", cfg, *argv[1:]]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: [range]" in err
+    assert argv[-2] in err  # the option, given last with its value
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_convergence(tmp_path):

@@ -196,13 +196,19 @@ def test_junction_kernels_get_python_floats(monkeypatch):
             assert type(codes) is tuple and all(type(c) is int for c in codes)
             assert type(params) is tuple and all(map(_is_float_tuple, params))
             assert _is_float_tuple(args[2]) and _is_float_tuple(args[3])
-            if name == "solve_visc_w":  # (..., eps2dx, lo, hi, hint)
-                assert len(args) == 10 and _is_float_tuple(args[6:9])
+            if name == "solve_visc_w":  # (..., eps2dx, lo, hi, hint, consts)
+                assert len(args) == 11 and _is_float_tuple(args[6:9])
                 hint = args[9]
                 assert hint is None or (type(hint) is tuple and all(
                     type(k) is int for k in hint))
-            if name == "coupling_interval":  # the spec's cached zero
+                consts = args[10]
+                assert type(consts) is list and all(
+                    type(c) is float for c in consts)
+            if name == "coupling_interval":  # the spec's cached zero, hint
                 assert type(args[8]) is float
+                hint = args[9]
+                assert hint is None or (type(hint) is tuple and all(
+                    type(k) is int for k in hint))
             ustar = args[5]
             assert type(ustar) is list and all(type(u) is float for u in ustar)
             seen.add(name)
@@ -349,6 +355,35 @@ def test_exact_sum_matches_fsum_on_tiled_floats(terms, reps):
     # any doubles, incl. nan, +-inf, -0.0, subnormals and values near the
     # overflow threshold, repeated past the extraction cut
     _assert_matches_fsum(np.tile(np.array(terms), reps))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n=st.integers(1, 3 * kernels._TAIL), seed=st.integers(0, 2**32 - 1),
+       lo=st.integers(-320, 280),
+       kind=st.sampled_from(("plain", "cancel", "subnormal", "zeros")),
+       bound=st.sampled_from(("max", "power of two", "2**20 max")))
+@example(n=kernels._TAIL, seed=1, lo=0, kind="plain", bound="max")
+@example(n=kernels._TAIL + 1, seed=1, lo=0, kind="plain", bound="2**20 max")
+def test_exact_sum_with_a_bound_matches_fsum(n, seed, lo, kind, bound):
+    # any top >= max|x| stands in for max|x|: the exact max, the next power
+    # of two and 2**20 times the max all give fsum's sum bit for bit, with
+    # -0.0, subnormals and mixed signs, on both sides of the extraction cut
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(lo, lo + 20, n)
+    if kind == "cancel":  # x and -x shuffled: the exact sum is 0
+        x = rng.permutation(np.concatenate([x[:(n + 1) // 2], -x[:n // 2]]))
+    elif kind == "subnormal":
+        x = np.ldexp(rng.standard_normal(n), rng.integers(-1100, -1000, n))
+    elif kind == "zeros":
+        x = np.copysign(np.zeros(n), rng.standard_normal(n))
+    pick = rng.random(n) < 0.05
+    x[pick] = rng.choice([-0.0, 5e-324, -(2.0**-1070)], int(pick.sum()))
+    top = float(np.abs(x).max())
+    top = {"max": top,
+           "power of two": math.ldexp(1.0, math.frexp(top)[1]),
+           "2**20 max": top * 2.0**20}[bound]
+    assert top >= float(np.abs(x).max())
+    assert kernels.exact_sum(x, top).hex() == math.fsum(x.tolist()).hex()
 
 
 class _PassCounter:

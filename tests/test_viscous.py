@@ -28,6 +28,7 @@ from junctionflow import (
     tabulated,
 )
 from junctionflow import kernels, scheme, viscous
+from junctionflow.fluxes import Flux
 from junctionflow.verify import germ_sampler, nonstrict_germ_sampler
 from test_junction import random_junction
 
@@ -474,6 +475,21 @@ def test_parabolic_run_warm_starts_its_junction_solves(monkeypatch):
     dt = parabolic_timestep(mesh, 0.02)
     traj = run_parabolic(mesh, 0.02, [0.3, 0.6], 300 * dt)
     assert len(traj.dts) == 300 and 1 <= cold[0] <= 3
+
+
+def test_parabolic_run_leaves_the_range_check_to_the_march(monkeypatch):
+    # the march's guard checks every computed level in one min/max pass,
+    # so the parabolic step makes no range check of its own
+    calls = []
+    check = Flux._check_range
+
+    def spy(self, *values):
+        calls.append(len(values))
+        return check(self, *values)
+    monkeypatch.setattr(Flux, "_check_range", spy)
+    mesh = NetworkMesh(LWR11, 0.02, np.array([50, 50]))
+    traj = run_parabolic(mesh, 0.02, [0.3, 0.6], 0.05)
+    assert len(traj.dts) > 10 and calls == []
 
 
 def test_parabolic_equilibrium_junction_value():
