@@ -327,11 +327,14 @@ def step(state: GridState, mesh: NetworkMesh, dt: float,
 
 def _step_count(t_final: float, dt0: float) -> int:
     """Steps of dt0 to t_final, the last one shortened; ValueError at 2**53
-    steps or more."""
-    if not t_final / dt0 < _MAX_COUNT:  # an overflow to inf fails this too
+    steps or more, a dt0 that has underflowed to 0 included."""
+    if not t_final > 0:
+        return 0
+    # a quotient that overflows to inf fails too; a dt0 of 0 before dividing
+    if not (dt0 > 0 and t_final / dt0 < _MAX_COUNT):
         raise ValueError(f"t_final={t_final:g} takes 2**53 or more steps "
                          f"of dt={dt0:g}")
-    return max(1, math.ceil(t_final / dt0 - 1e-12)) if t_final > 0 else 0
+    return max(1, math.ceil(t_final / dt0 - 1e-12))
 
 
 def _range_error(mesh: NetworkMesh, u: np.ndarray,

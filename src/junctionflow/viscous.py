@@ -11,10 +11,11 @@ system (Godunov convection plus centered diffusion) with a single junction
 value w per step chosen so the total convective+diffusive flux balances
 (Coclite & Garavello, "Vanishing viscosity for traffic on networks", 2010).
 Each road meets w as a neighbouring cell (Godunov plus diffusive flux), so
-w is unique and the bounded step monotone on every mesh, coarse ones too. The
-schemes share the time loop (with its [A, B] guard on every computed
-level), network buffer, update and GridState; only the junction fluxes
-differ. Each step's solve starts from the previous step's active piece.
+w is unique and the step monotone on every mesh, coarse ones too, for
+dt <= 1 / (L/dx + 3 eps/dx^2) (``_parabolic_bound``). The schemes share
+the time loop (with its [A, B] guard on every computed level), network
+buffer, update and GridState; only the junction fluxes differ. Each step's
+solve starts from the previous step's active piece.
 The parabolic solver is used as a cross-check of the hyperbolic scheme as
 epsilon shrinks, not as a production solver.
 """
@@ -285,17 +286,31 @@ def stationary_profile(spec: JunctionSpec, k, epsilon: float, window: float,
 # explicit parabolic solver
 
 def _parabolic_bound(mesh: NetworkMesh, epsilon: float) -> float:
-    """Largest step that keeps the explicit update monotone. Convection and
-    diffusion draw on one cell's weight together, so the bound
-    1 / (2 L / dx + 4 eps / dx^2) lies below both dx / 2L and
-    dx^2 / 4 eps."""
+    """Largest step that keeps the explicit update monotone:
+    1 / (L / dx + 3 eps / dx^2), L the largest Lipschitz constant.
+
+    With lam = dt / dx and mu = eps dt / dx^2, a cell's new value is its
+    old one less what its interfaces take, and the update is monotone when
+    every weight is nonnegative (Crandall & Majda, Math. Comp. 34, 1980).
+    The Godunov flux F(a, b) = min(D(a), S(b)) moves with a only through D
+    below the crest and with b only through S above it, so of a cell's two
+    convective interfaces at most one moves with the cell, and they take
+    at most lam L of its weight. Diffusion takes 2 mu inside a road and
+    3 mu at the junction-adjacent cell, whose junction side has
+    e = 2 eps / dx. The balance R is strictly decreasing in w, so w is
+    nondecreasing in every adjacent state, and the junction fluxes add only
+    nonnegative weights. An absorbing ghost copies its end cell: the outer
+    flux f(u) and the inner interface take at most lam L of that cell
+    together, and no diffusive flux crosses the outer end. A weight is
+    then at least 1 - lam L - 3 mu, which is nonnegative up to this bound;
+    order breaks a little above it (``test_parabolic_bound_is_sharp``)."""
     dx = mesh.dx
-    return 1.0 / (2.0 * mesh.spec.lipschitz_max / dx
-                  + 4.0 * epsilon / (dx * dx))
+    return 1.0 / (mesh.spec.lipschitz_max / dx + 3.0 * epsilon / (dx * dx))
 
 
 def parabolic_timestep(mesh: NetworkMesh, epsilon: float) -> float:
-    """The explicit step: 0.9 of the monotonicity bound."""
+    """The explicit step: 0.9 of the monotonicity bound
+    1 / (L / dx + 3 eps / dx^2) of ``_parabolic_bound``."""
     return 0.9 * _parabolic_bound(mesh, epsilon)
 
 

@@ -88,6 +88,25 @@ def test_run_sizes_beyond_2_53_are_rejected_where_they_enter():
         run_parabolic(mesh, 0.02, [0.3, 0.6], 1e308)
 
 
+def test_step_that_underflows_to_zero_is_too_many_steps():
+    # a step of 0 (dx subnormal, or epsilon / dx^2 overflowing the bound)
+    # takes 2**53 or more steps to reach any t_final > 0, and 0 steps to
+    # reach t_final = 0; none of these divides by it
+    tiny = NetworkMesh(LWR11, 5e-324, [3, 3])
+    assert cfl_timestep(tiny, 0.9) == 0.0
+    with pytest.raises(ValueError, match="2\\*\\*53 or more steps"):
+        RunConfig(tiny, 0.9, 0.1)
+    assert RunConfig(tiny, 0.9, 0.0).t_final == 0.0
+    mesh = NetworkMesh(LWR11, 0.01, [3, 3])
+    for mesh, eps in ((mesh, 1e308), (NetworkMesh(LWR11, 1e-160, [3, 3]),
+                                      0.02)):
+        assert parabolic_timestep(mesh, eps) == 0.0
+        with pytest.raises(ValueError, match="2\\*\\*53 or more steps"):
+            run_parabolic(mesh, eps, [0.3, 0.6], 0.1)
+        traj = run_parabolic(mesh, eps, [0.3, 0.6], 0.0)
+        assert len(traj.dts) == 0 and traj.final.time == 0.0
+
+
 def test_discretize_scalar_and_array():
     mesh = small_mesh(cells=8)
     state = discretize_initial(mesh, [0.3, np.linspace(0.1, 0.8, 8)])

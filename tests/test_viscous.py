@@ -280,16 +280,17 @@ def test_parabolic_timestep_bounds():
     mesh = NetworkMesh(LWR11, 0.01, np.array([50, 50]))
     eps = 0.02
     dt = parabolic_timestep(mesh, eps)
-    # never beyond either stated bound, nor the combined explicit bound
-    assert dt <= 0.01 / 2.0 + 1e-18
-    assert dt <= 0.01**2 / (4 * eps) + 1e-18
-    assert dt <= 1.0 / (2.0 / 0.01 + 4 * eps / 0.01**2) * (1 + 1e-12)
+    # 0.9 of the monotonicity bound 1 / (L/dx + 3 eps/dx^2), so never beyond
+    # dx / L or dx^2 / 3 eps either
+    assert dt <= 0.01 / 1.0 + 1e-18
+    assert dt <= 0.01**2 / (3 * eps) + 1e-18
+    assert dt <= 1.0 / (1.0 / 0.01 + 3 * eps / 0.01**2) * (1 + 1e-12)
 
 
 def test_parabolic_step_guards_timestep():
     mesh = NetworkMesh(LWR11, 0.01, np.array([50, 50]))
     state = GridState(0, 0.0, (np.full(50, 0.3), np.full(50, 0.6)))
-    limit = 1.0 / (2.0 / 0.01 + 4 * 0.02 / 0.01**2)
+    limit = 1.0 / (1.0 / 0.01 + 3 * 0.02 / 0.01**2)
     with pytest.raises(ConfigError) as err:
         parabolic_step(state, mesh, 0.02, 1.01 * limit)
     assert err.value.kind == "cfl"
@@ -305,12 +306,13 @@ def test_parabolic_step_guards_timestep():
 
 
 def test_parabolic_step_preserves_order_up_to_its_bound():
-    # the combined bound 1/(2L/dx + 4 eps/dx^2) binds: dx/2L and dx^2/4eps
-    # are both twice it here, and a step between them breaks monotonicity
-    # (raising one junction cell of road-wise constant data lowered another)
+    # the bound 1/(L/dx + 3 eps/dx^2) = 1/375 binds: dx/L = 1/150 and
+    # dx^2/3eps = 1/225 lie above it, and so does 1/300, where the separate
+    # bounds dx/2L and dx^2/4eps meet; steps a little above the bound break
+    # monotonicity (test_parabolic_bound_is_sharp)
     mesh = NetworkMesh(LWR23, 0.01, np.full(5, 10))
     eps = 0.0075
-    bound = 1.0 / (2.0 * 1.5 / 0.01 + 4.0 * eps / 0.01**2)
+    bound = 1.0 / (1.5 / 0.01 + 3.0 * eps / 0.01**2)
     state = GridState(0, 0.0, tuple(np.full(10, 0.5) for _ in range(5)))
     with pytest.raises(ConfigError) as err:
         parabolic_step(state, mesh, eps, 0.99 * min(0.01 / 3.0,
@@ -329,6 +331,76 @@ def test_parabolic_step_preserves_order_up_to_its_bound():
                                 dt)
             for a, b in zip(lo.values, hi.values):
                 assert (a <= b).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+       symmetric=st.booleans(), log_eps=st.floats(-6.0, 0.0),
+       log_dx=st.floats(-2.0, 0.0))
+def test_parabolic_step_is_monotone_at_its_bound(seed, m, n, symmetric,
+                                                 log_eps, log_dx):
+    # at exactly 1/(L/dx + 3 eps/dx^2), on every family (LWR, cubic and
+    # tables from random_junction, symmetric quadratics on [-1, 1]), roads
+    # of 1 to 6 cells, eps from 1e-6 to 1 and dx from 1e-2 to 1: raising
+    # one cell lowers no slot of the next level, and every slot stays in
+    # [A, B]
+    rng = np.random.default_rng(seed)
+    if symmetric:
+        spec = JunctionSpec(m, n, tuple(
+            symmetric_quadratic(float(rng.uniform(0.25, 3.0)))
+            for _ in range(m + n)))
+    else:
+        spec = random_junction(seed, m, n)[0]
+    eps, dx = 10.0**log_eps, 10.0**log_dx
+    cells = rng.integers(1, 7, m + n)
+    mesh = NetworkMesh(spec, dx, cells)
+    dt = viscous._parabolic_bound(mesh, eps)
+    lo, hi = spec.rho_min, spec.rho_max
+    for _ in range(3):
+        low = []
+        for c, flux in zip(cells, spec.fluxes):
+            v = lo + spec.span * rng.random(c)
+            pick = rng.random(c) < 0.3  # ends and crests, where D, S kink
+            v[pick] = rng.choice([lo, hi, flux.rho_crit], int(pick.sum()))
+            low.append(v)
+        high = [v.copy() for v in low]
+        h = int(rng.integers(m + n))
+        i = int(rng.integers(cells[h]))
+        high[h][i] += (1.0 if rng.random() < 0.2 else rng.random()) * (
+            hi - high[h][i])
+        a = parabolic_step(GridState(0, 0.0, tuple(low)), mesh, eps, dt)
+        b = parabolic_step(GridState(0, 0.0, tuple(high)), mesh, eps, dt)
+        for va, vb in zip(a.values, b.values):
+            assert (va <= vb).all()
+            for v in (va, vb):
+                assert v.min() >= lo and v.max() <= hi
+
+
+def test_parabolic_bound_is_sharp():
+    # seeded pairs of test_parabolic_step_preserves_order_up_to_its_bound
+    # whose order breaks a little above the bound: at 1.1 and 1.3 times it,
+    # and at 1/(L/dx + 2 eps/dx^2), which drops the junction side's extra
+    # diffusive weight; the step refuses each of these dt
+    mesh = NetworkMesh(LWR23, 0.01, np.full(5, 10))
+    eps = 0.0075
+    bound = viscous._parabolic_bound(mesh, eps)
+    assert bound == 1.0 / (1.5 / 0.01 + 3.0 * eps / 0.01**2)
+
+    def advance(values, dt):  # the step without its guard
+        u = scheme._pack(mesh, GridState(0, 0.0, tuple(values)))
+        return viscous._parabolic_advance(u, mesh, eps, dt)[0]
+
+    for seed, dt in ((523, 1.1 * bound), (1470, 1.3 * bound),
+                     (1470, 1.0 / (1.5 / 0.01 + 2.0 * eps / 0.01**2))):
+        rng = np.random.default_rng(seed)
+        k = rng.random(5)
+        h = int(rng.integers(5))
+        low = [np.full(10, kh) for kh in k]
+        raised = [v.copy() for v in low]
+        raised[h][-1 if h < 2 else 0] += 0.5 * (1.0 - k[h])
+        assert (advance(raised, dt) - advance(low, dt)).min() < -1e-6
+        with pytest.raises(ConfigError):
+            parabolic_step(GridState(0, 0.0, tuple(low)), mesh, eps, dt)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -507,21 +579,19 @@ def test_parabolic_equilibrium_junction_value():
 # every road takes the Godunov flux between its adjacent cell and the
 # junction value w plus the diffusive term, w the exact piecewise root
 PINNED_PARABOLIC = {
-    "final": "90cb430b61f48736b31d7365e91760ecca48e3a1f200d7f72e67c8b9ac402d21",
-    "masses": "94740ed66a823ec280571454cc2fcda6a71081be5362ae0c09ad861b9020bd50",
+    "final": "d17821be8a3d95f8dbcfa95b1b30a7562734b9b173ea3ecb33219431ad7ea27b",
+    "masses": "b5c4523e37d3049dc01f66c5ba740d19d3841d301fe4c53e410e7520a2b6d3e2",
     "junction_values":
-        "4c466b5f6e5b968d7815d0d3bf52cb1ec6f430e8ebca6c2b3d28f60c1fb489a4",
+        "8ae99b06a3c9105a04f9ac14012de540c5b8c69a04436fd81d5d4e38a7392a24",
 }
 
 # The junction values of the same run with w found by bisecting the
 # closure's balance to 1e-15 of the density span at every step.
 BISECTED_JUNCTION_VALUES = (
-    "0x1.4b4f84d098c8cp-1", "0x1.4a9915cd1de34p-1", "0x1.4a220c2856124p-1",
-    "0x1.49c1686b29464p-1", "0x1.496c273d54304p-1", "0x1.491e999842ae4p-1",
-    "0x1.48d70ae33a01cp-1", "0x1.48946c4a8df9cp-1", "0x1.4855f8f75ba14p-1",
-    "0x1.481b185e527d4p-1", "0x1.47e3511d5a494p-1", "0x1.47ae41288a384p-1",
-    "0x1.477b9856894d4p-1", "0x1.474b145d5e54cp-1", "0x1.471c7dd1cbc0cp-1",
-    "0x1.46efa5e3df9bcp-1", "0x1.46c464a70834cp-1",
+    "0x1.4b4f84d098c8cp-1", "0x1.4a4265b1833f4p-1", "0x1.49b6b82349234p-1",
+    "0x1.493ab5c7854c4p-1", "0x1.48cd97ade6f5cp-1", "0x1.486bb5857af74p-1",
+    "0x1.4812892bfb1a4p-1", "0x1.47c051e641194p-1", "0x1.4773d02ea6a5cp-1",
+    "0x1.472c18abe59f4p-1", "0x1.46e878a502554p-1", "0x1.46a864cc9aeccp-1",
 )
 
 
@@ -534,7 +604,7 @@ def test_parabolic_run_bit_identical():
     mesh = NetworkMesh(LWR11, 0.02, np.array([50, 50]))
     init = [np.where(np.arange(50) < 25, 0.2, 0.7), 0.6]
     traj = run_parabolic(mesh, 0.02, init, t_final=0.05)
-    assert len(traj.dts) == 17
+    assert len(traj.dts) == 12
     assert _sha(np.concatenate(traj.final.values)) == PINNED_PARABOLIC["final"]
     assert _sha(traj.masses) == PINNED_PARABOLIC["masses"]
     assert _sha(traj.junction_values) == PINNED_PARABOLIC["junction_values"]
