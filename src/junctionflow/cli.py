@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .config import ConfigDocument, build_network, mesh_and_run, parse_config
+from .config import (ConfigDocument, build_network, build_spec,
+                     mesh_and_run, parse_config)
 from .errors import ConfigError, ConsistencyError, PreconditionError
 from .fluxes import quadratic_lwr, symmetric_quadratic
 from .junction import (JunctionSpec, dissipativity, is_germ_member,
@@ -165,7 +166,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_riemann(args) -> int:
     doc = _load_document(args)
-    spec, _, _, _ = build_network(doc)
+    spec = build_spec(doc)
     u0 = _constant_initial(doc, "riemann")
     rs = riemann_solve(spec, u0)
     sol = rs.solution
@@ -187,7 +188,7 @@ def _cmd_riemann(args) -> int:
 
 def _cmd_germ_check(args) -> int:
     doc = _load_document(args)
-    spec, _, _, _ = build_network(doc)
+    spec = build_spec(doc)
     tol = args.tol if args.tol is not None else 1e-9
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError("--tol must be positive and finite", kind="range")
@@ -214,7 +215,7 @@ def _cmd_germ_check(args) -> int:
 
 def _cmd_profile(args) -> int:
     doc = _load_document(args)
-    spec, _, _, _ = build_network(doc)
+    spec = build_spec(doc)
     k = _constant_initial(doc, "profile")
     if doc.epsilon is None:
         raise ConfigError("profile needs [viscous] epsilon or --epsilon")
@@ -378,8 +379,7 @@ def _suite_rows(networks, seed: int) -> list[tuple]:
 def _cmd_verify(args) -> int:
     if getattr(args, "config", None):
         doc = _load_document(args)
-        spec, _, _, _ = build_network(doc)
-        networks = [("config", spec)]
+        networks = [("config", build_spec(doc))]
     else:
         networks = _default_networks()
     rows = _suite_rows(networks, args.seed)

@@ -382,9 +382,14 @@ def _validate_topology(doc: ConfigDocument) -> None:
                                   f"[{lo:g}, {hi:g}]", kind="range")
 
 
+def build_spec(doc: ConfigDocument) -> JunctionSpec:
+    """The junction of a document, for subcommands that need no mesh."""
+    return JunctionSpec(doc.m, doc.n, tuple(r.flux for r in doc.roads))
+
+
 def build_network(doc: ConfigDocument):
     """Materialize (spec, mesh, initial data, run config) from a document."""
-    spec = JunctionSpec(doc.m, doc.n, tuple(r.flux for r in doc.roads))
+    spec = build_spec(doc)
     dx = doc.roads[0].length / doc.roads[0].cells
     mesh, run_config = mesh_and_run(doc, spec, dx,
                                     [r.cells for r in doc.roads])

@@ -34,9 +34,9 @@ class JunctionSpec:
     """Topology and per-road fluxes of one junction.
 
     ``fluxes`` lists the m incoming roads first, then the n outgoing ones.
-    The per-road kernel arguments (family codes, parameter vectors, crests)
-    are gathered once here, as Python ints, tuples and floats, and shared by
-    every solver call.
+    Each road's kernel record (family code, parameter tuple, crest density,
+    crest flux) is built once here, as Python ints, tuples and floats, and
+    shared by every solver call.
     """
 
     m: int
@@ -56,12 +56,12 @@ class JunctionSpec:
                 raise ValueError("all roads must share one density interval")
         self.rho_min = lo
         self.rho_max = hi
-        self._codes = tuple(int(f.code) for f in self.fluxes)
-        self._params = tuple(tuple(f.params.tolist()) for f in self.fluxes)
-        self._crits = tuple(float(f.rho_crit) for f in self.fluxes)
-        self._fcrits = tuple(float(f.flux_max) for f in self.fluxes)
+        self._roads = tuple((int(f.code), tuple(f.params.tolist()),
+                             float(f.rho_crit), float(f.flux_max))
+                            for f in self.fluxes)
         # numpy's pairwise sum, which a Python sum matches below 8 roads
-        self._zero = 4.0 * kernels._EPS * float(np.abs(self._fcrits).sum())
+        self._zero = 4.0 * kernels._EPS * float(
+            np.abs([r[3] for r in self._roads]).sum())
         self._bounds = (lo - 1e-12 * (hi - lo), hi + 1e-12 * (hi - lo))
         self.lipschitz_max = float(max(f.lipschitz for f in self.fluxes))
 
@@ -132,15 +132,13 @@ def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
     solution, can spare the scan over the kinks but never changes the
     result.
     """
-    u = spec.candidate(u).tolist()
+    roads, m = spec._roads, spec.m
+    consts = kernels.road_constants(roads, m, spec.candidate(u).tolist())
     p_min, p_max, active = kernels.coupling_interval(
-        spec._codes, spec._params, spec._crits, spec._fcrits, spec.m, u,
-        spec.rho_min, spec.rho_max, spec._zero, hint)
+        roads, m, consts, spec.rho_min, spec.rho_max, spec._zero, hint)
     if math.isnan(p_min):
-        d_lo = kernels.balance_gap(spec._codes, spec._params, spec._crits,
-                                   spec._fcrits, spec.m, u, spec.rho_min)
-        d_hi = kernels.balance_gap(spec._codes, spec._params, spec._crits,
-                                   spec._fcrits, spec.m, u, spec.rho_max)
+        d_lo = kernels.balance_gap(roads, m, consts, spec.rho_min)
+        d_hi = kernels.balance_gap(roads, m, consts, spec.rho_max)
         raise ConsistencyError(
             f"coupling bracket failed: gap(A)={d_lo:.3e}, gap(B)={d_hi:.3e}")
 
@@ -148,8 +146,7 @@ def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
     # midpoint gives exact fluxes there and held equilibria do not drift.
     p_eval = p_min + 0.5 * (p_max - p_min)
     fluxes = np.empty(spec.m + spec.n)
-    kernels.fill_junction_fluxes(spec._codes, spec._params, spec._crits,
-                                 spec._fcrits, spec.m, u, p_eval, fluxes)
+    kernels.fill_junction_fluxes(roads, m, consts, p_eval, fluxes)
     total_in = math.fsum(fluxes[:spec.m].tolist())
     total_out = math.fsum(fluxes[spec.m:].tolist())
     if abs(total_in - total_out) > 1e-12 * max(1.0, abs(total_in)):
@@ -315,9 +312,9 @@ def dissipativity(spec: JunctionSpec, k1, k2) -> float:
     """
     terms = []
     # each term is Flux.entropy_flux on the scalar kernel, sign(0) = 0
-    for code, par, a, b in zip(spec._codes, spec._params,
-                               spec.candidate(k1).tolist(),
-                               spec.candidate(k2).tolist()):
+    for (code, par, _, _), a, b in zip(spec._roads,
+                                       spec.candidate(k1).tolist(),
+                                       spec.candidate(k2).tolist()):
         sign = 1.0 if a > b else -1.0 if a < b else 0.0
         terms.append(sign * (kernels.flux_scalar(code, par, a)
                              - kernels.flux_scalar(code, par, b)))

@@ -14,14 +14,17 @@ reads it), and the exact prefix sums behind the mass ledger.
 answers the flux-shape questions (the bell shape, the Lipschitz bound, the
 rarefaction states of a Riemann fan).
 Scalar kernels take any sequence: the junction solvers hand them Python
-floats and tuples of floats (``JunctionSpec`` converts each road's
-parameters once), which keeps numpy's per-scalar dispatch out of the
-coupling. The vectorized flux and the Godunov sweep take ``Flux.params``
-(or per-slot rows of it) and are built from the same per-element
-expressions, so they agree with the scalar kernels bitwise. The balance
-gap of one junction state has a constant term per road (``road_constants``,
-the demand or supply of its junction-adjacent cell); each solve computes
-them once (or takes its caller's) and hands them to every gap evaluation.
+floats and tuples of floats, which keeps numpy's per-scalar dispatch out of
+the coupling. ``JunctionSpec`` builds each road's record (code, params,
+crit, fcrit) once, params a tuple; the coupling kernels take the records
+of all roads and the number m of incoming ones. As in the junction
+coupling itself, a junction state enters only through its road constants
+(``road_constants``): the demand d_i = D_i(u_i) of each incoming road and
+the supply s_j = S_j(u_j) of each outgoing one. A caller computes them once
+per state; the balance gap, the junction fluxes, the kinks and both solves
+take them and never the state. The vectorized flux and the Godunov sweep
+take ``Flux.params`` (or per-slot rows of it) and are built from the same
+per-element expressions, so they agree with the scalar kernels bitwise.
 ``NUMBA_ENABLED`` is kept as a constant: numpy is the only backend.
 
 Flux families are passed around as an integer code plus a packed float
@@ -149,42 +152,43 @@ def interface_fluxes(code, par, crit, fcrit, u_ext, out):
 # ---------------------------------------------------------------------------
 # junction balance gap
 
-def road_constants(codes, params, crits, fcrits, m, ustar):
+def road_constants(roads, m, ustar):
     """The constant term of every road's share of the balance gap: the
     demand d_i = D_i(u_i) of an incoming road, the supply s_j = S_j(u_j) of
     an outgoing one."""
-    return [demand_scalar(codes[h], params[h], crits[h], fcrits[h], ustar[h])
-            if h < m else
-            supply_scalar(codes[h], params[h], crits[h], fcrits[h], ustar[h])
-            for h in range(len(ustar))]
+    return [demand_scalar(code, par, crit, fcrit, u) if h < m else
+            supply_scalar(code, par, crit, fcrit, u)
+            for h, ((code, par, crit, fcrit), u) in enumerate(zip(roads,
+                                                                 ustar))]
 
 
-def balance_gap(codes, params, crits, fcrits, m, ustar, p, consts=None):
+def balance_gap(roads, m, consts, p):
     """D(p) = sum_in min(d_i, S_i(p)) - sum_out min(D_j(p), s_j), the terms
-    in road order. ``consts``, the ``road_constants`` of ustar, spare a
-    caller that evaluates D many times for one state from recomputing
-    them; either way the terms are those of ``godunov_scalar``."""
-    if consts is None:
-        consts = road_constants(codes, params, crits, fcrits, m, ustar)
+    in road order, those of ``godunov_scalar``; consts are the
+    ``road_constants`` d_i and s_j."""
     total = 0.0
-    for i in range(m):
-        d = consts[i]
-        s = supply_scalar(codes[i], params[i], crits[i], fcrits[i], p)
-        total += d if d <= s else s
-    for j in range(m, len(consts)):
-        d = demand_scalar(codes[j], params[j], crits[j], fcrits[j], p)
-        s = consts[j]
-        total -= d if d <= s else s
+    for h, (code, par, crit, fcrit) in enumerate(roads):
+        c = consts[h]
+        if h < m:
+            s = supply_scalar(code, par, crit, fcrit, p)
+            total += c if c <= s else s
+        else:
+            d = demand_scalar(code, par, crit, fcrit, p)
+            total -= d if d <= c else c
     return total
 
 
-def fill_junction_fluxes(codes, params, crits, fcrits, m, ustar, p, out):
-    for i in range(m):
-        out[i] = godunov_scalar(codes[i], params[i], crits[i], fcrits[i],
-                                ustar[i], p)
-    for j in range(m, len(ustar)):
-        out[j] = godunov_scalar(codes[j], params[j], crits[j], fcrits[j],
-                                p, ustar[j])
+def fill_junction_fluxes(roads, m, consts, p, out):
+    """The Godunov flux of every road at the junction value p, min(d_i,
+    S_i(p)) or min(D_j(p), s_j), into out."""
+    for h, (code, par, crit, fcrit) in enumerate(roads):
+        c = consts[h]
+        if h < m:
+            s = supply_scalar(code, par, crit, fcrit, p)
+            out[h] = c if c <= s else s
+        else:
+            d = demand_scalar(code, par, crit, fcrit, p)
+            out[h] = d if d <= c else c
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +326,20 @@ def branch_point(code, par, crit, fcrit, y, edge):
 # ---------------------------------------------------------------------------
 # exact junction solves: the coupling interval and the viscous junction value
 
-def _kinks(codes, params, crits, fcrits, m, ustar, lo, hi, consts=None):
-    """The ``road_constants`` of ustar (``consts`` where given) and each
-    road's kink, where its gap term switches between that constant and its
-    whole flux: the falling- (rising-)branch point of d_i (s_j) on an
-    incoming (outgoing) road."""
-    if consts is None:
-        consts = road_constants(codes, params, crits, fcrits, m, ustar)
-    return consts, [branch_point(codes[h], params[h], crits[h], fcrits[h], c,
-                                 hi if h < m else lo)
-                    for h, c in enumerate(consts)]
+def _kinks(roads, m, consts, lo, hi):
+    """Each road's kink, where its gap term switches between its constant
+    and its whole flux: the falling- (rising-)branch point of d_i (s_j) on
+    an incoming (outgoing) road."""
+    return [branch_point(code, par, crit, fcrit, c, hi if h < m else lo)
+            for h, ((code, par, crit, fcrit), c) in enumerate(zip(roads,
+                                                                 consts))]
 
 
-def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero,
-                      hint=None):
+def coupling_interval(roads, m, consts, lo, hi, zero, hint):
     """(p_min, p_max, active): the zero set [p_min, p_max] of the balance
-    gap over [lo, hi], and the gap's active set at a point root
-    (``_active_set``), the hint for a later solve; None on a plateau.
+    gap over [lo, hi], and at a point root the active set of the gap's
+    piece there (``_piecewise_root``), the hint for a later solve; None on
+    a plateau.
 
     The gap D(p) = sum_in min(d_i, S_i(p)) - sum_out min(D_j(p), s_j) is
     non-increasing, and each term is either its constant (d_i, s_j) or the
@@ -346,7 +347,7 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero,
     evaluated at the sorted kinks and ends; between two of them it is one
     polynomial (one per panel for tabulated fluxes), solved exactly.
 
-    ``hint``, an active set from an earlier solve, is tried first
+    ``hint``, an active set from an earlier solve or None, is tried first
     (``_warm_root``) on the range where its whole-flux terms are the
     flux's falling (incoming) or rising (outgoing) branch: above the crest
     of every such incoming road, below that of every such outgoing one.
@@ -357,26 +358,24 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero,
     Returns (nan, nan, None) when D does not fall from >= 0 to <= 0 over
     [lo, hi].
     """
-    consts = road_constants(codes, params, crits, fcrits, m, ustar)
     if hint is not None:
         a, b = lo, hi
         for h, k in enumerate(hint):
             if k >= 0:
                 if h < m:
-                    a = max(a, crits[h])
+                    a = max(a, roads[h][2])
                 else:
-                    b = min(b, crits[h])
+                    b = min(b, roads[h][2])
         # a slope of +0.0, as the cold piece starts from [0.0]: -0.0 would
         # keep a symmetric quadratic's c[1] at -0.0 and flip the branch of
         # the quadratic formula
-        r = _warm_root(codes, params, crits, fcrits, m, consts, 0.0, 0.0, a,
-                       b, hint)
+        r = _warm_root(roads, m, consts, 0.0, 0.0, a, b, hint)
         if r is not None:
             return r, r, hint
-    kinks = _kinks(codes, params, crits, fcrits, m, ustar, lo, hi, consts)[1]
+    kinks = _kinks(roads, m, consts, lo, hi)
 
     def sign(p):
-        g = balance_gap(codes, params, crits, fcrits, m, ustar, p, consts)
+        g = balance_gap(roads, m, consts, p)
         return 1 if g > zero else (-1 if g < -zero else 0)
 
     pts = sorted([lo, hi, *kinks])
@@ -387,70 +386,50 @@ def coupling_interval(codes, params, crits, fcrits, m, ustar, lo, hi, zero,
     if signs[first] == 0:
         last = max(t for t, s in enumerate(signs) if s >= 0)
         return pts[first], pts[last], None
-    root = _piecewise_root(codes, params, m, consts, kinks, [0.0],
-                           pts[first - 1], pts[first], sign)
-    return root, root, _active_set(codes, params, crits, fcrits, m, consts,
-                                   root)
+    root, active = _piecewise_root(roads, m, consts, kinks, [0.0],
+                                   pts[first - 1], pts[first], sign)
+    return root, root, active
 
 
-def solve_visc_w(codes, params, crits, fcrits, m, ustar, eps2dx, lo, hi,
-                 hint=None, consts=None):
-    """(w, active): the junction value w in [lo, hi] when every road meets
-    w as a neighbouring cell, e = eps2dx: G_i(u_i, w) - e (w - u_i) leaves
-    an incoming road, G_j(w, u_j) - e (u_j - w) enters an outgoing one; and
-    R's active set at w (``_active_set``), the hint for a later solve.
+def solve_visc_w(roads, m, consts, base, slope, lo, hi, hint):
+    """(w, active): the root w in [lo, hi] of R(w) = base + slope w + D(w),
+    D the balance gap, and the active set of R's piece there
+    (``_piecewise_root``), the hint for a later solve; None where w is a
+    kink, a table node or an end.
 
-    Their balance R(w) = D(w) - e ((m+n) w - sum(u)), D the balance gap, is
-    strictly decreasing, and R(lo) >= 0 >= R(hi) for states in [lo, hi].
-    ``consts``, the ``road_constants`` of ustar, spare a caller that has
-    them from recomputing them. ``hint``, an active set from an earlier
-    solve, is tried first (``_warm_root``). Otherwise a bisection on R's
-    exact sign over the sorted kinks brackets the root; the sign at lo or
-    hi is read only when the bracket ends there, and where rounding or the
-    input slack makes it wrong, w is that end."""
-    base, slope = eps2dx * sum(ustar), -eps2dx * len(ustar)
-    if consts is None:
-        consts = road_constants(codes, params, crits, fcrits, m, ustar)
+    That is the junction value when every road meets w as a neighbouring
+    cell, e = 2 eps / dx: G_i(u_i, w) - e (w - u_i) leaves an incoming
+    road, G_j(w, u_j) - e (u_j - w) enters an outgoing one, and their
+    balance has base = e sum(u), slope = -e (m+n). R is strictly decreasing, and R(lo)
+    >= 0 >= R(hi) for states in [lo, hi]. ``hint``, an active set from an
+    earlier solve or None, is tried first (``_warm_root``). Otherwise a
+    bisection on R's exact sign over the sorted kinks brackets the root;
+    the sign at lo or hi is read only when the bracket ends there, and
+    where rounding or the input slack makes it wrong, w is that end."""
     if hint is not None:
-        w = _warm_root(codes, params, crits, fcrits, m, consts, base, slope,
-                       lo, hi, hint)
+        w = _warm_root(roads, m, consts, base, slope, lo, hi, hint)
         if w is not None:
             return w, hint
-    kinks = _kinks(codes, params, crits, fcrits, m, ustar, lo, hi, consts)[1]
+    kinks = _kinks(roads, m, consts, lo, hi)
 
     def sign(w):
-        r = balance_gap(codes, params, crits, fcrits, m, ustar, w,
-                        consts) + (base + slope * w)
+        r = balance_gap(roads, m, consts, w) + (base + slope * w)
         return 1 if r > 0.0 else (-1 if r < 0.0 else 0)
 
     pts = sorted(kinks)
     i, j = _bisect(pts, sign)
     if i == j:
-        w = pts[i]
-    elif i < 0 and sign(lo) <= 0:
-        w = lo
-    elif j == len(pts) and sign(hi) >= 0:
-        w = hi
-    else:
-        w = _piecewise_root(codes, params, m, consts, kinks, [base, slope],
-                            pts[i] if i >= 0 else lo,
-                            pts[j] if j < len(pts) else hi, sign)
-    return w, _active_set(codes, params, crits, fcrits, m, consts, w)
+        return pts[i], None
+    if i < 0 and sign(lo) <= 0:
+        return lo, None
+    if j == len(pts) and sign(hi) >= 0:
+        return hi, None
+    return _piecewise_root(roads, m, consts, kinks, [base, slope],
+                           pts[i] if i >= 0 else lo,
+                           pts[j] if j < len(pts) else hi, sign)
 
 
-def _active_set(codes, params, crits, fcrits, m, consts, w):
-    """Which term of each road's share of R is the smaller at w: -1 for its
-    constant (d_i <= S_i(w), s_j <= D_j(w)), else the piece of its flux
-    containing w (``_panel``)."""
-    return tuple(
-        -1 if c <= (supply_scalar if h < m else demand_scalar)(
-            codes[h], params[h], crits[h], fcrits[h], w)
-        else _panel(codes[h], params[h], w)
-        for h, c in enumerate(consts))
-
-
-def _warm_root(codes, params, crits, fcrits, m, consts, base, slope, lo,
-               hi, active):
+def _warm_root(roads, m, consts, base, slope, lo, hi, active):
     """The root of R = c + D, c = base + slope p and D the balance gap,
     from its piece on the active set ``active`` of an earlier solve, or
     None where that piece cannot certify it. The coupling solve passes
@@ -480,7 +459,7 @@ def _warm_root(codes, params, crits, fcrits, m, consts, base, slope, lo,
         if k < 0:
             c[0] += consts[h] if h < m else -consts[h]
             continue
-        piece = _piece_coeffs(codes[h], params[h], None, k)
+        piece = _piece_coeffs(roads[h][0], roads[h][1], None, k)
         c.extend([0.0] * (len(piece) - len(c)))
         for t, v in enumerate(piece):
             c[t] += v if h < m else -v
@@ -495,23 +474,26 @@ def _warm_root(codes, params, crits, fcrits, m, consts, base, slope, lo,
     left, right = r - reach, r + reach
     if not lo <= left < r < right <= hi:
         return None
+    crests = 0.0
     for h, k in enumerate(active):
+        code, par, crit, fcrit = roads[h]
+        crests += fcrit
         x = right if (k < 0) == (h < m) else left
-        if k < 0 and consts[h] == fcrits[h] and (
-                x < crits[h] if h < m else x > crits[h]):
+        if k < 0 and consts[h] == fcrit and (
+                x < crit if h < m else x > crit):
             continue  # a crest tie on the flat branch: constant throughout
         v = (supply_scalar if h < m else demand_scalar)(
-            codes[h], params[h], crits[h], fcrits[h], x)
+            code, par, crit, fcrit, x)
         if not ((v - consts[h]) if k < 0 else (consts[h] - v)) \
-                > _WARM_MARGIN * fcrits[h]:
+                > _WARM_MARGIN * fcrit:
             return None
-        if k >= 0 and codes[h] == FAMILY_TABLE:
-            xs = _table(params[h])[0]
+        if k >= 0 and code == FAMILY_TABLE:
+            xs = _table(par)[0]
             if not (xs[k] <= left and right <= xs[k + 1]):
                 return None
     # the rounding of R, of c and of each term is a few eps of this size
     big = max(abs(lo), abs(hi))
-    size = (abs(base) + sum(fcrits) + abs(c0)
+    size = (abs(base) + crests + abs(c0)
             + (abs(c1) + abs(c2) * big) * big)
     if not ((c2 * left + c1) * left + c0 > _WARM_MARGIN * size
             and (c2 * right + c1) * right + c0 < -_WARM_MARGIN * size):
@@ -535,36 +517,44 @@ def _bisect(pts, sign):
     return i, j
 
 
-def _piecewise_root(codes, params, m, consts, kinks, c, a, b, sign):
-    """Root in [a, b] of c(p) + D(p), c ascending coefficients and D the
-    balance gap with these road constants and kinks, none inside (a, b);
-    sign(p) is the sign of that sum, > 0 at a and < 0 at b. A road's term is
-    its whole flux where its kink lies at or below a (incoming) or at or
-    above b (outgoing), its constant otherwise. Bisection over the table
-    nodes inside (a, b) narrows the bracket to one panel of every table,
-    where the sum is one polynomial, which ``poly_root`` solves exactly."""
+def _piecewise_root(roads, m, consts, kinks, c, a, b, sign):
+    """(root, active): the root in [a, b] of c(p) + D(p), c ascending
+    coefficients and D the balance gap with these road constants and kinks,
+    none inside (a, b), and the active set of the piece solved there (-1
+    for a road's constant, else the piece of its flux, ``_panel``); None
+    for a root on a table node. sign(p) is the sign of that sum, > 0 at a
+    and < 0 at b. A road's term is its whole flux where its kink lies at or
+    below a (incoming) or at or above b (outgoing), its constant otherwise.
+    Bisection over the table nodes inside (a, b) narrows the bracket to one
+    panel of every table, where the sum is one polynomial, which
+    ``poly_root`` solves exactly."""
     terms = [None if ((kinks[h] <= a) if h < m else (kinks[h] >= b))
              else consts[h] for h in range(len(kinks))]
     nodes = []
     for h, t in enumerate(terms):
-        if t is None and codes[h] == FAMILY_TABLE:
-            xs = _table(params[h])[0]
+        if t is None and roads[h][0] == FAMILY_TABLE:
+            xs = _table(roads[h][1])[0]
             nodes.extend(xs[bisect_right(xs, a):bisect_left(xs, b)])
     nodes.sort()
     i, j = _bisect(nodes, sign)
     if i == j:
-        return nodes[i]
+        return nodes[i], None
     a = nodes[i] if i >= 0 else a
     b = nodes[j] if j < len(nodes) else b
+    active = []
     for h, t in enumerate(terms):
         if t is not None:
             c[0] += t if h < m else -t
+            active.append(-1)
             continue
-        piece = _piece_coeffs(codes[h], params[h], 0.5 * (a + b))
+        code, par = roads[h][0], roads[h][1]
+        k = _panel(code, par, 0.5 * (a + b))
+        piece = _piece_coeffs(code, par, None, k)
         c.extend([0.0] * (len(piece) - len(c)))
-        for k, v in enumerate(piece):
-            c[k] += v if h < m else -v
-    return poly_root(c, a, b)
+        for q, v in enumerate(piece):
+            c[q] += v if h < m else -v
+        active.append(k)
+    return poly_root(c, a, b), tuple(active)
 
 
 # ---------------------------------------------------------------------------

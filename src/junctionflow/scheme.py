@@ -52,9 +52,12 @@ class NetworkMesh:
     def __post_init__(self):
         if not (math.isfinite(self.dx) and self.dx > 0):
             raise ValueError("dx must be positive and finite")
-        try:
-            counts = np.asarray(self.cells_per_road, dtype=np.int64)
-        except OverflowError:  # a count beyond int64 fails the shape test
+        try:  # a count beyond int64, NaN or a fraction fails the shape test
+            with np.errstate(invalid="ignore"):
+                counts = np.asarray(self.cells_per_road, dtype=np.int64)
+            if not np.array_equal(counts, self.cells_per_road):
+                raise ValueError
+        except (OverflowError, ValueError):
             counts = np.zeros(0, dtype=np.int64)
         roads = self.spec.m + self.spec.n
         if counts.shape == ():
@@ -107,17 +110,18 @@ class _Layout:
         # LWR roads side by side, or symmetric-quadratic ones, share one
         # sweep with per-slot parameters; any other road has its own
         sweeps = []
-        for code, run in groupby(range(len(spec.fluxes)), lambda h: (
-                spec._codes[h] if spec._codes[h] < kernels.FAMILY_POLY
+        roads = spec._roads
+        for code, run in groupby(range(len(roads)), lambda h: (
+                roads[h][0] if roads[h][0] < kernels.FAMILY_POLY
                 else -1 - h)):
             run = list(run)
             each = sizes[run]
             params = (spec.fluxes[run[0]].params if code < 0 else np.repeat(
-                np.array([spec._params[h] for h in run]).T, each, axis=1))
+                np.array([roads[h][1] for h in run]).T, each, axis=1))
             sweeps.append((int(stops[run[0]] - each[0]), int(stops[run[-1]]),
-                           spec._codes[run[0]], params,
-                           np.repeat([spec._crits[h] for h in run], each),
-                           np.repeat([spec._fcrits[h] for h in run], each)))
+                           roads[run[0]][0], params,
+                           np.repeat([roads[h][2] for h in run], each),
+                           np.repeat([roads[h][3] for h in run], each)))
         return cls(int(stops[-1]),
                    tuple(map(slice, first.tolist(), (last + 1).tolist())),
                    ghosts, ends, int(stops[spec.m - 1] - 1), adj,

@@ -17,6 +17,7 @@ ensemble tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -228,6 +229,8 @@ def l1_contraction_check(traj_a: Trajectory, traj_b: Trajectory,
     the discrete domain of dependence (one cell per step)."""
     mesh = _shared_mesh(traj_a, traj_b)
     spec = mesh.spec
+    if not math.isfinite(window):
+        raise ConfigError("window must be finite", kind="range")
     k0 = int(math.floor(window / mesh.dx + 1e-9))
     if k0 < 1:
         raise ConfigError("window covers no cells", kind="range")
@@ -269,8 +272,8 @@ class RiemannProblem:
 
     def __post_init__(self):
         self.initial = self.spec.candidate(self.initial)
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError("t_final must be positive and finite")
 
     def exact_cells(self, mesh: NetworkMesh) -> tuple[np.ndarray, ...]:
         """Similarity solution sampled at cell centers at t_final."""
@@ -361,8 +364,8 @@ def germ_sampler(spec: JunctionSpec, count: int, seed: int,
                  strict_only: bool = False) -> list[np.ndarray]:
     """Seeded equilibrium states: random constant data pushed through the
     similarity solver; the traces it leaves at the junction are equilibria."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise ValueError("count must be a positive integer")
     rng = np.random.default_rng(seed)
     span = spec.span
     out: list[np.ndarray] = []

@@ -334,26 +334,22 @@ def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float,
 
     u must lie in [A, B], where the fluxes are defined: ``_pack`` checks
     the first level of a run and ``_march``'s guard every later one. The
-    road constants (each road's demand or supply) are computed once, for
-    the solve and for the Godunov flux min(d_i, S_i(w)) or min(D_j(w),
-    s_j) of ``kernels.godunov_scalar``."""
+    road constants (each road's demand or supply) are computed once; the
+    solve and ``kernels.fill_junction_fluxes``, which gives each road's
+    Godunov flux at w, both take them, and the diffusive term e (w - u_i)
+    or e (u_j - w), e = 2 eps / dx, is subtracted from that flux."""
     spec = mesh.spec
-    m = spec.m
-    args = spec._codes, spec._params, spec._crits, spec._fcrits
+    roads, m = spec._roads, spec.m
     ustar = u[mesh._layout.adj].tolist()
-    consts = kernels.road_constants(*args, m, ustar)
+    consts = kernels.road_constants(roads, m, ustar)
     e = 2.0 * eps / mesh.dx
-    w, active = kernels.solve_visc_w(*args, m, ustar, e, spec.rho_min,
-                                     spec.rho_max, hint, consts)
-    gstar = []
-    for h, (code, par, crit, fcrit, a, c) in enumerate(zip(*args, ustar,
-                                                           consts)):
-        if h < m:
-            s = kernels.supply_scalar(code, par, crit, fcrit, w)
-            gstar.append((c if c <= s else s) - e * (w - a))
-        else:
-            d = kernels.demand_scalar(code, par, crit, fcrit, w)
-            gstar.append((d if d <= c else c) - e * (a - w))
+    w, active = kernels.solve_visc_w(roads, m, consts, e * sum(ustar),
+                                     -e * len(ustar), spec.rho_min,
+                                     spec.rho_max, hint)
+    gstar = [0.0] * len(ustar)
+    kernels.fill_junction_fluxes(roads, m, consts, w, gstar)
+    for h, a in enumerate(ustar):
+        gstar[h] -= e * (w - a) if h < m else e * (a - w)
     return *_update(u, mesh, dt, gstar, eps=eps), w, active
 
 

@@ -499,6 +499,34 @@ def test_cli_run_mesh_too_large_to_allocate_exits_2(tmp_path, monkeypatch,
     assert not (tmp_path / "convergence.csv").exists()
 
 
+def test_spec_only_subcommands_build_no_mesh(tmp_path, monkeypatch, capsys):
+    # riemann, germ-check, profile and verify --config read the junction
+    # only: a horizon too long to count steps for, or a mesh too large to
+    # allocate (simulated as above), is no error there; run still exits 2
+    real_build = scheme._Layout.build
+
+    def build(spec, counts):
+        if counts.sum() > 10**9:
+            raise MemoryError
+        return real_build(spec, counts)
+
+    monkeypatch.setattr(scheme._Layout, "build", build)
+    monkeypatch.chdir(tmp_path)
+    text = MINIMAL.replace("initial = 0.3", "initial = 0.2").replace(
+        "initial = 0.6", "initial = 0.8") + "\n[viscous]\nepsilon = 0.02\n"
+    far = _write(tmp_path, text + "\n[run]\nt_final = 1e300\n",
+                 name="far.cfg")
+    huge = _write(tmp_path, text.replace("cells = 50", "cells = 10000000000"),
+                  name="huge.cfg")
+    for cfg in (far, huge):
+        for command in ("riemann", "germ-check", "profile", "verify"):
+            assert cli.main([command, "--config", cfg]) == 0, (command, cfg)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", cfg]) == 2
+        assert "configuration error: [range]" in capsys.readouterr().err
+    assert not (tmp_path / "snapshots.csv").exists()
+
+
 def test_cli_run_dx_override(tmp_path):
     text = MINIMAL + "\n[run]\nt_final = 0.05\nsnapshots = 0.05\n"
     cfg = _write(tmp_path, text)

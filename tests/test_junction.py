@@ -201,16 +201,20 @@ def random_junction(seed, m, n):
     return spec, state
 
 
+def _consts(spec, u):
+    return kernels.road_constants(spec._roads, spec.m,
+                                  np.asarray(u, dtype=float).tolist())
+
+
 def _gap(spec, u, p):
-    return kernels.balance_gap(spec._codes, spec._params, spec._crits,
-                               spec._fcrits, spec.m, u.tolist(), p)
+    return kernels.balance_gap(spec._roads, spec.m, _consts(spec, u), p)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3))
 def test_interval_is_the_zero_set_of_the_gap(seed, m, n):
     spec, state = random_junction(seed, m, n)
-    zero = 4.0 * np.finfo(float).eps * sum(spec._fcrits)
+    zero = 4.0 * np.finfo(float).eps * sum(r[3] for r in spec._roads)
     for _ in range(2):
         u = state()
         sol = solve_junction(spec, u)  # never a ConsistencyError
@@ -246,8 +250,8 @@ def test_junction_fluxes_are_monotone(seed, m, n):
 
 def _fill(spec, u, p):
     out = [0.0] * (spec.m + spec.n)
-    kernels.fill_junction_fluxes(spec._codes, spec._params, spec._crits,
-                                 spec._fcrits, spec.m, u.tolist(), p, out)
+    kernels.fill_junction_fluxes(spec._roads, spec.m, _consts(spec, u), p,
+                                 out)
     return np.array(out)
 
 
@@ -274,8 +278,7 @@ def test_junction_fluxes_conserve_and_are_constant_on_the_interval(seed, m, n):
 def _visc_fluxes(spec, u, e, w):
     """Road by road, the Godunov flux between the junction-adjacent cell and
     w plus the diffusive flux between them."""
-    return [kernels.godunov_scalar(spec._codes[h], spec._params[h],
-                                   spec._crits[h], spec._fcrits[h],
+    return [kernels.godunov_scalar(*spec._roads[h],
                                    *((a, w) if h < spec.m else (w, a)))
             - e * ((w - a) if h < spec.m else (a - w))
             for h, a in enumerate(u)]
@@ -303,10 +306,11 @@ def _bisect_visc_w(spec, u, e):
     return a + 0.5 * (b - a)
 
 
-def _solve_visc_w(spec, u, e):
-    return kernels.solve_visc_w(spec._codes, spec._params, spec._crits,
-                                spec._fcrits, spec.m, u, e, spec.rho_min,
-                                spec.rho_max)[0]
+def _solve_visc_w(spec, u, e, hint=None):
+    """(w, active) of the viscous junction solve at e = 2 eps / dx."""
+    return kernels.solve_visc_w(spec._roads, spec.m, _consts(spec, u),
+                                e * sum(u), -e * len(u), spec.rho_min,
+                                spec.rho_max, hint)
 
 
 def _viscous_junction(seed, m, n, symmetric):
@@ -331,7 +335,7 @@ def test_viscous_junction_value_is_the_root(seed, m, n, symmetric, log_e):
     spec, state = _viscous_junction(seed, m, n, symmetric)
     for u in [state() for _ in range(3)]:
         u = u.tolist()
-        w = _solve_visc_w(spec, u, e)
+        w = _solve_visc_w(spec, u, e)[0]
         assert spec.rho_min <= w <= spec.rho_max
         g = _visc_fluxes(spec, u, e, w)
         r = _visc_balance(spec, u, e, w)
@@ -350,11 +354,11 @@ def test_viscous_closure_tends_to_the_junction_solver(seed, m, n):
         want = solve_junction(spec, u).fluxes
         u = u.tolist()
         for e in (0.0, 1e-14):
-            w = _solve_visc_w(spec, u, e)
+            w = _solve_visc_w(spec, u, e)[0]
             got = _fill(spec, np.array(u), w)
             assert np.abs(got - want).max() <= 1e-12
         for e in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
-            w = _solve_visc_w(spec, u, e)
+            w = _solve_visc_w(spec, u, e)[0]
             g = _visc_fluxes(spec, u, e, w)
             scale = max(1.0, math.fsum(map(abs, g)))
             assert abs(_visc_balance(spec, u, e, w)) <= 1e-12 * scale
@@ -366,7 +370,7 @@ def _stale_active_set(rng, spec):
     return tuple(-1 if rng.random() < 0.5 else
                  int(rng.integers(int(par[0]) - 1))
                  if code == kernels.FAMILY_TABLE else 0
-                 for code, par in zip(spec._codes, spec._params))
+                 for code, par, _, _ in spec._roads)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -379,28 +383,28 @@ def test_warm_viscous_solve_equals_the_cold_one(seed, m, n, symmetric, log_e):
     # the cold solve brackets another piece or reads an exact zero
     spec, state = _viscous_junction(seed, m, n, symmetric)
     rng = np.random.default_rng(seed)
-    args = (spec._codes, spec._params, spec._crits, spec._fcrits, spec.m)
     stale = None
     for _ in range(3):
         u = state().tolist()
         es = [10.0 ** log_e]
-        kinks = kernels._kinks(*args, u, spec.rho_min, spec.rho_max)[1]
+        consts = _consts(spec, u)
+        kinks = kernels._kinks(spec._roads, m, consts, spec.rho_min,
+                               spec.rho_max)
         for w in kinks:
             for x in (math.nextafter(w, -math.inf), w,
                       math.nextafter(w, math.inf)):
                 span = (m + n) * x - sum(u)
-                e = kernels.balance_gap(*args, u, x) / span if span else 0.0
+                gap = kernels.balance_gap(spec._roads, m, consts, x)
+                e = gap / span if span else 0.0
                 if 1e-2 <= e <= 1e2:
                     es.append(e)
         for e in es:
-            w, own = kernels.solve_visc_w(*args, u, e, spec.rho_min,
-                                          spec.rho_max)
+            w, own = _solve_visc_w(spec, u, e)
             for hint in (own, stale, _stale_active_set(rng, spec),
                          _stale_active_set(rng, spec)):
                 if hint is None:
                     continue
-                got, active = kernels.solve_visc_w(
-                    *args, u, e, spec.rho_min, spec.rho_max, hint)
+                got, active = _solve_visc_w(spec, u, e, hint)
                 assert got.hex() == w.hex()
                 assert active is hint or active == own
             stale = own
@@ -410,8 +414,7 @@ def test_warm_viscous_solve_equals_the_cold_one(seed, m, n, symmetric, log_e):
 # warm start: an active-set hint spares the scan, never changes a result
 
 def _interval(spec, u, hint=None):
-    return kernels.coupling_interval(spec._codes, spec._params, spec._crits,
-                                     spec._fcrits, spec.m, u.tolist(),
+    return kernels.coupling_interval(spec._roads, spec.m, _consts(spec, u),
                                      spec.rho_min, spec.rho_max, spec._zero,
                                      hint)
 
@@ -465,6 +468,36 @@ def test_warm_started_solve_equals_the_cold_one(seed, m, n, symmetric):
             assert got[2] == own
             assert _solution_bits(solve_junction(spec, u, hint)) == ref
         stale = own if own is not None else stale
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+       symmetric=st.booleans())
+def test_coupling_sees_a_state_only_through_demands_and_supplies(
+        seed, m, n, symmetric):
+    # an incoming road above its crest demands the crest flux wherever it
+    # lies there, and an outgoing road below its crest supplies it: moving
+    # such states along their flat branch changes no bit of the solution,
+    # solved cold or from the cold solve's active set
+    spec, state = _viscous_junction(seed, m, n, symmetric)
+    rng = np.random.default_rng(seed)
+    lo, hi = spec.rho_min, spec.rho_max
+    for _ in range(4):
+        u = state()
+        moved = u.copy()
+        for h, f in enumerate(spec.fluxes):
+            crit, r = f.rho_crit, rng.random()
+            if h < m and u[h] > crit:
+                moved[h] = hi if r < 0.2 else hi - r * (hi - crit)
+            elif h >= m and u[h] < crit:
+                moved[h] = lo if r < 0.2 else lo + r * (crit - lo)
+        cold = solve_junction(spec, u)
+        want = _solution_bits(cold)
+        for v in (u, moved):
+            assert _solution_bits(solve_junction(spec, v)) == want
+            if cold.active is not None:
+                got = solve_junction(spec, v, cold.active)
+                assert _solution_bits(got) == want
 
 
 def test_solver_rejects_bad_states():

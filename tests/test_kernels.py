@@ -36,8 +36,7 @@ def _family_args(name):
         xs = np.linspace(0.0, 1.0, 257)
         f = tabulated(xs, np.sin(np.pi * xs) ** 1.0 * (1.1 - xs))
     spec = JunctionSpec(1, 1, (f, f))
-    return (f, spec._codes[0], spec._params[0], spec._crits[0],
-            spec._fcrits[0])
+    return (f, *spec._roads[0])
 
 
 def test_array_twins_match_scalar_loop():
@@ -72,8 +71,9 @@ def test_balance_gap_nonincreasing_in_p():
     for _ in range(20):
         u = RNG.random(5)
         ps = np.linspace(0.0, 1.0, 513)
-        gaps = [kernels.balance_gap(spec._codes, spec._params, spec._crits,
-                                    spec._fcrits, spec.m, u, p) for p in ps]
+        consts = kernels.road_constants(spec._roads, spec.m, u)
+        gaps = [kernels.balance_gap(spec._roads, spec.m, consts, p)
+                for p in ps]
         assert (np.diff(gaps) <= 1e-14).all()
 
 
@@ -83,7 +83,7 @@ def test_balance_gap_from_road_constants_is_the_godunov_sum():
     for name in FAMILIES:
         f = _family_args(name)[0]
         spec = JunctionSpec(2, 2, (f, f, f, f))
-        args = (spec._codes, spec._params, spec._crits, spec._fcrits, 2)
+        args = (spec._roads, 2)
         special = [f.rho_min, f.rho_max, f.rho_crit]
         for _ in range(20):
             u = (f.rho_min + f.span * RNG.random(4)).tolist()
@@ -93,14 +93,10 @@ def test_balance_gap_from_road_constants_is_the_godunov_sum():
                 want = 0.0
                 for h in range(4):
                     a, b = (u[h], p) if h < 2 else (p, u[h])
-                    term = kernels.godunov_scalar(spec._codes[h],
-                                                  spec._params[h],
-                                                  spec._crits[h],
-                                                  spec._fcrits[h], a, b)
+                    term = kernels.godunov_scalar(*spec._roads[h], a, b)
                     want = want + term if h < 2 else want - term
-                got = kernels.balance_gap(*args, u, p, consts)
+                got = kernels.balance_gap(*args, consts, p)
                 assert got.hex() == want.hex()
-                assert kernels.balance_gap(*args, u, p).hex() == want.hex()
 
 
 # The tabulated panel searches as np.searchsorted wrote them on ndarray
@@ -158,8 +154,7 @@ def test_panel_searches_match_searchsorted(seed, n, family):
         ys[top + 1:n - 1] = ys[top] * np.sort(rng.random(n - 2 - top))[::-1]
         f = tabulated(xs, ys)
         spec = JunctionSpec(1, 1, (f, f))
-        code, par, crit, fcrit = (spec._codes[0], spec._params[0],
-                                  spec._crits[0], spec._fcrits[0])
+        code, par, crit, fcrit = spec._roads[0]
     else:
         f, code, par, crit, fcrit = _family_args(family)
         xs = ys = np.empty(0)
@@ -181,6 +176,15 @@ def _is_float_tuple(values):
     return type(values) is tuple and all(type(v) is float for v in values)
 
 
+def _is_road(road):
+    return (type(road) is tuple and len(road) == 4 and type(road[0]) is int
+            and _is_float_tuple(road[1]) and _is_float_tuple(road[2:]))
+
+
+def _is_active_set(hint):
+    return type(hint) is tuple and all(type(k) is int for k in hint)
+
+
 def test_junction_kernels_get_python_floats(monkeypatch):
     # numpy scalars in the coupling kernels would pay numpy's dispatch on
     # every operation without changing a bit of the result
@@ -192,25 +196,20 @@ def test_junction_kernels_get_python_floats(monkeypatch):
         real = getattr(kernels, name)
 
         def checked(*args):
-            codes, params = args[:2]
-            assert type(codes) is tuple and all(type(c) is int for c in codes)
-            assert type(params) is tuple and all(map(_is_float_tuple, params))
-            assert _is_float_tuple(args[2]) and _is_float_tuple(args[3])
-            if name == "solve_visc_w":  # (..., eps2dx, lo, hi, hint, consts)
-                assert len(args) == 11 and _is_float_tuple(args[6:9])
-                hint = args[9]
-                assert hint is None or (type(hint) is tuple and all(
-                    type(k) is int for k in hint))
-                consts = args[10]
-                assert type(consts) is list and all(
-                    type(c) is float for c in consts)
-            if name == "coupling_interval":  # the spec's cached zero, hint
-                assert type(args[8]) is float
-                hint = args[9]
-                assert hint is None or (type(hint) is tuple and all(
-                    type(k) is int for k in hint))
-            ustar = args[5]
-            assert type(ustar) is list and all(type(u) is float for u in ustar)
+            roads, m, third = args[:3]
+            assert type(roads) is tuple and all(map(_is_road, roads))
+            assert type(m) is int
+            # the state enters road_constants only; the rest take constants
+            assert type(third) is list and all(type(v) is float
+                                               for v in third)
+            if name == "road_constants":
+                assert len(args) == 3
+            if name == "solve_visc_w":  # (..., base, slope, lo, hi, hint)
+                assert len(args) == 8 and _is_float_tuple(args[3:7])
+                assert args[7] is None or _is_active_set(args[7])
+            if name == "coupling_interval":  # (..., lo, hi, zero, hint)
+                assert len(args) == 7 and _is_float_tuple(args[3:6])
+                assert args[6] is None or _is_active_set(args[6])
             seen.add(name)
             before = gap_calls[0]
             out = real(*args)
@@ -219,7 +218,8 @@ def test_junction_kernels_get_python_floats(monkeypatch):
             return out
         monkeypatch.setattr(kernels, name, checked)
 
-    for name in ("coupling_interval", "fill_junction_fluxes", "solve_visc_w"):
+    for name in ("road_constants", "coupling_interval",
+                 "fill_junction_fluxes", "solve_visc_w"):
         spy(name)
     balance_gap = kernels.balance_gap
 
@@ -234,8 +234,8 @@ def test_junction_kernels_get_python_floats(monkeypatch):
     mesh = NetworkMesh(spec, 0.1, np.full(3, 10))
     run(RunConfig(mesh, 0.9, 5 * cfl_timestep(mesh, 0.9)), [0.3, 0.6, 0.2])
     run_parabolic(mesh, 0.05, [0.3, 0.6, 0.2], 0.02)
-    assert seen == {"coupling_interval", "fill_junction_fluxes",
-                    "solve_visc_w"}
+    assert seen == {"road_constants", "coupling_interval",
+                    "fill_junction_fluxes", "solve_visc_w"}
     # the viscous junction value is an exact piecewise root: a bisection
     # over the 3 sorted kinks, the balance at one end at most, then a
     # bisection over the 9 table nodes, never a bisection to a tolerance

@@ -67,6 +67,10 @@ def test_mesh_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             NetworkMesh(LWR11, bad, np.array([4, 4]))
+    # a fractional or NaN count is rejected, never truncated to a count
+    for bad in ([2.5, 3.9], 3.7, [math.nan, 4], np.array([4.0, math.nan])):
+        with pytest.raises(ValueError, match="positive counts"):
+            NetworkMesh(LWR11, 0.1, bad)
 
 
 def test_run_sizes_beyond_2_53_are_rejected_where_they_enter():
@@ -500,7 +504,8 @@ def test_network_update_matches_road_by_road(seed, m, n, symmetric,
                        rng.integers(1, 7, m + n))
     values = tuple(rng.uniform(lo, hi, c) for c in mesh.cells_per_road)
     ghosts = rng.uniform(lo, hi, m + n) if dirichlet else None
-    gstar = rng.uniform(0.0, 1.0, m + n) * np.array(spec._fcrits)
+    gstar = rng.uniform(0.0, 1.0, m + n) * np.array(
+        [r[3] for r in spec._roads])
     dt = 0.9 * cfl_timestep(mesh, 1.0)
     u, boundary = scheme._update(scheme._pack(mesh, values, ghosts), mesh,
                                  dt, gstar, ghosts, eps)

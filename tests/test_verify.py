@@ -387,9 +387,10 @@ def test_contraction_window_validation():
     with pytest.raises(ConfigError) as err:
         l1_contraction_check(ta, tb, window=0.01)
     assert err.value.kind == "range"
-    with pytest.raises(ConfigError) as err:
-        l1_contraction_check(ta, tb, window=1.5)
-    assert err.value.kind == "range"
+    for window in (1.5, math.nan, math.inf):
+        with pytest.raises(ConfigError) as err:
+            l1_contraction_check(ta, tb, window=window)
+        assert err.value.kind == "range"
     other = run(RunConfig(NetworkMesh(LWR11, 0.04, np.array([25, 25])),
                           0.9, 0.05),
                 [np.full(25, 0.4), np.full(25, 0.6)])
@@ -435,8 +436,9 @@ def test_convergence_input_validation():
         convergence_study(problem, [0.1], reference="bogus")
     with pytest.raises(ValueError):
         convergence_study(problem, [0.1], reference="fine", fine_dx=0.03)
-    with pytest.raises(ValueError):
-        RiemannProblem(LWR11, np.array([0.3, 0.6]), t_final=0.0)
+    for t_final in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RiemannProblem(LWR11, np.array([0.3, 0.6]), t_final=t_final)
 
 
 def test_exact_cells_samples_similarity_solution():
@@ -477,8 +479,9 @@ def test_germ_sampler_strict_only():
 
 
 def test_germ_sampler_rejects_bad_count():
-    with pytest.raises(ValueError):
-        germ_sampler(LWR11, 0, seed=1)
+    for count in (0, 2.5):  # 2.5 used to return 3 states
+        with pytest.raises(ValueError):
+            germ_sampler(LWR11, count, seed=1)
 
 
 def test_nonstrict_sampler_members_never_strict():
