@@ -158,8 +158,8 @@ def road_constants(roads, m, ustar):
     an outgoing one."""
     return [demand_scalar(code, par, crit, fcrit, u) if h < m else
             supply_scalar(code, par, crit, fcrit, u)
-            for h, ((code, par, crit, fcrit), u) in enumerate(zip(roads,
-                                                                 ustar))]
+            for h, ((code, par, crit, fcrit), u)
+            in enumerate(zip(roads, ustar))]
 
 
 def balance_gap(roads, m, consts, p):
@@ -331,8 +331,8 @@ def _kinks(roads, m, consts, lo, hi):
     and its whole flux: the falling- (rising-)branch point of d_i (s_j) on
     an incoming (outgoing) road."""
     return [branch_point(code, par, crit, fcrit, c, hi if h < m else lo)
-            for h, ((code, par, crit, fcrit), c) in enumerate(zip(roads,
-                                                                 consts))]
+            for h, ((code, par, crit, fcrit), c)
+            in enumerate(zip(roads, consts))]
 
 
 def coupling_interval(roads, m, consts, lo, hi, zero, hint):
