@@ -95,12 +95,14 @@ def _cells_for_dx(dx: float, lengths, coarsest: float = 1.0) -> list[int]:
 
 
 def _mesh_with_dx(doc: ConfigDocument, dx: float | None):
-    spec, mesh, initial, run_config = build_network(doc)
+    """(spec, mesh, initial data, run config); with dx, only the mesh of
+    cell width dx is built, never the document's own."""
     if dx is None:
-        return spec, mesh, initial, run_config
+        return build_network(doc)
+    spec = build_spec(doc)
     cells = _cells_for_dx(dx, [r.length for r in doc.roads])
     mesh, run_config = mesh_and_run(doc, spec, dx, cells)
-    return spec, mesh, initial, run_config
+    return spec, mesh, [r.initial for r in doc.roads], run_config
 
 
 def _constant_initial(doc: ConfigDocument, what: str) -> np.ndarray:
@@ -235,7 +237,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_convergence(args) -> int:
     doc = _load_document(args)
-    spec, mesh, initial, _ = build_network(doc)
+    spec = build_spec(doc)
     if doc.t_final <= 0:
         raise ConfigError("convergence needs a positive t_final",
                           kind="range")
@@ -244,24 +246,20 @@ def _cmd_convergence(args) -> int:
         raise ConfigError("convergence needs equal road lengths",
                           kind="topology")
     length = lengths.pop()
-    base_dx = args.dx if args.dx is not None else mesh.dx
+    base_dx = (args.dx if args.dx is not None
+               else doc.roads[0].length / doc.roads[0].cells)
     # the ladder runs from 8 dx down to dx; where 8 dx tiles, all do
     cells = _cells_for_dx(base_dx, [length], coarsest=8.0)[0] * len(doc.roads)
     dx_list = [base_dx * f for f in (8.0, 4.0, 2.0, 1.0)]
 
-    constant = all(isinstance(r.initial, float) for r in doc.roads)
-    if constant:
-        problem = verify_mod.RiemannProblem(
-            spec, _constant_initial(doc, "convergence"), doc.t_final,
-            road_length=length, cfl=doc.cfl)
-        try:
-            report = verify_mod.convergence_study(problem, dx_list)
-        except MemoryError:
-            raise ConfigError(f"a mesh of {cells} cells does not fit in "
-                              f"memory", kind="range") from None
-    else:
-        raise ConfigError("convergence needs constant initial data "
-                          "(similarity reference)", kind="range")
+    problem = verify_mod.RiemannProblem(
+        spec, _constant_initial(doc, "convergence"), doc.t_final,
+        road_length=length, cfl=doc.cfl)
+    try:
+        report = verify_mod.convergence_study(problem, dx_list)
+    except MemoryError:
+        raise ConfigError(f"a mesh of {cells} cells does not fit in "
+                          f"memory", kind="range") from None
 
     rows = list(report.rows)
     out = _out_dir(args)

@@ -126,21 +126,22 @@ def phi_out(spec: JunctionSpec, u, p):
 def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
     """Locate the coupling interval and evaluate the junction fluxes.
 
-    The interval comes from ``kernels.coupling_interval``, exact up to the
-    rounding of the flux values; the fluxes are evaluated at its midpoint
-    and must balance to 1e-12. ``hint``, the ``active`` set of an earlier
-    solution, can spare the scan over the kinks but never changes the
-    result.
+    The interval is the zero set of the balance gap, which falls from sum
+    d_i at rho_min to -sum s_j at rho_max by the structure of demand and
+    supply: ``kernels.coupling_interval`` brackets it with two bisections
+    over the roads' kinks and the ends, reading an end's sign only where a
+    bisection reaches it, and solves the bracketing piece exactly. The
+    fluxes are evaluated at its midpoint and must balance to 1e-12.
+    ``hint``, the ``active`` set of an earlier solution, can spare the
+    bisections but never changes the result.
     """
     roads, m = spec._roads, spec.m
     consts = kernels.road_constants(roads, m, spec.candidate(u).tolist())
+    # the line is +0.0: a slope of -0.0 would keep a sum of symmetric
+    # quadratics' c[1] at -0.0 and flip the branch of the quadratic formula
     p_min, p_max, active = kernels.coupling_interval(
-        roads, m, consts, spec.rho_min, spec.rho_max, spec._zero, hint)
-    if math.isnan(p_min):
-        d_lo = kernels.balance_gap(roads, m, consts, spec.rho_min)
-        d_hi = kernels.balance_gap(roads, m, consts, spec.rho_max)
-        raise ConsistencyError(
-            f"coupling bracket failed: gap(A)={d_lo:.3e}, gap(B)={d_hi:.3e}")
+        roads, m, consts, 0.0, 0.0, spec.rho_min, spec.rho_max, spec._zero,
+        hint)
 
     # Inside a plateau every road takes its own demand or supply, so the
     # midpoint gives exact fluxes there and held equilibria do not drift.

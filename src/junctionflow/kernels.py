@@ -2,11 +2,15 @@
 
 The solver's hot paths are (a) Godunov flux sweeps over whole roads and
 (b) the scalar algebra of the junction coupling: the balance gap, the
-inverses of each flux on its two monotone branches, and the exact solves for
-the coupling interval and the viscous junction value, which share the kinks
-and one piecewise root finder; both can start from an earlier solve's
-active piece (``_warm_root``), kept only where a certificate shows the cold
-solve would take the same root, plus (c) the exact sums behind the mass
+inverses of each flux on its two monotone branches, and one exact solve
+(``coupling_interval``) for the zero set of the gap plus a falling line,
+which gives the coupling interval and, with the diffusive line, the
+viscous junction value (``solve_visc_w``). It brackets the root with two
+bisections over the kinks and ends, whose signs at the ends follow from
+the structure of demand and supply, and solves one piece exactly; it can
+start from an earlier solve's active piece (``_warm_root``), kept only
+where a certificate shows the cold solve would take the same root, plus
+(c) the exact sums behind the mass
 audit, which usually stop after one extraction pass with a certified
 rounding (a caller that knows a bound on the terms spares the pass that
 reads it), and the exact prefix sums behind the mass ledger.
@@ -335,98 +339,79 @@ def _kinks(roads, m, consts, lo, hi):
             in enumerate(zip(roads, consts))]
 
 
-def coupling_interval(roads, m, consts, lo, hi, zero, hint):
-    """(p_min, p_max, active): the zero set [p_min, p_max] of the balance
-    gap over [lo, hi], and at a point root the active set of the gap's
-    piece there (``_piecewise_root``), the hint for a later solve; None on
-    a plateau.
+def coupling_interval(roads, m, consts, base, slope, lo, hi, zero, hint):
+    """(p_min, p_max, active): the zero set [p_min, p_max] over [lo, hi] of
+    R(p) = base + slope p + D(p), D the balance gap, and at a point root the
+    active set of R's piece there (``_piecewise_root``), the hint for a
+    later solve; None where the root is a kink, a table node or an end, or
+    on a plateau.
 
     The gap D(p) = sum_in min(d_i, S_i(p)) - sum_out min(D_j(p), s_j) is
     non-increasing, and each term is either its constant (d_i, s_j) or the
-    road's whole flux, switching at the road's kink (``_kinks``). D is
-    evaluated at the sorted kinks and ends; between two of them it is one
-    polynomial (one per panel for tabulated fluxes), solved exactly.
+    road's whole flux, switching at the road's kink (``_kinks``); between
+    two kinks R is one polynomial (one per panel for tabulated fluxes),
+    solved exactly. The junction coupling passes base = slope = 0, the
+    viscous junction value (``solve_visc_w``) a falling line.
 
     ``hint``, an active set from an earlier solve or None, is tried first
-    (``_warm_root``) on the range where its whole-flux terms are the
-    flux's falling (incoming) or rising (outgoing) branch: above the crest
-    of every such incoming road, below that of every such outgoing one.
-    There a quadratic piece has one root where D falls.
-
-    A gap within ``zero``, 4 ulps of the summed crests, counts as zero:
-    plateau values are differences of rounded flux values, that noisy.
-    Returns (nan, nan, None) when D does not fall from >= 0 to <= 0 over
-    [lo, hi].
-    """
+    (``_warm_root``); otherwise ``_bracket`` solves cold. A value of R
+    within ``zero`` counts as zero: plateau values are differences of
+    rounded flux values, that noisy."""
     if hint is not None:
-        a, b = lo, hi
-        for h, k in enumerate(hint):
-            if k >= 0:
-                if h < m:
-                    a = max(a, roads[h][2])
-                else:
-                    b = min(b, roads[h][2])
-        # a slope of +0.0, as the cold piece starts from [0.0]: -0.0 would
-        # keep a symmetric quadratic's c[1] at -0.0 and flip the branch of
-        # the quadratic formula
-        r = _warm_root(roads, m, consts, 0.0, 0.0, a, b, hint)
+        r = _warm_root(roads, m, consts, base, slope, lo, hi, hint)
         if r is not None:
             return r, r, hint
+    return _bracket(roads, m, consts, base, slope, lo, hi, zero)
+
+
+def _bracket(roads, m, consts, base, slope, lo, hi, zero):
+    """The cold solve of ``coupling_interval`` (apart from it, so that its
+    warm path builds no closure). Two bisections over the sorted ends and
+    kinks, sharing their probes, find the first point where R <= 0 and the
+    first where R < 0; the points between are the zero set, else the root
+    lies on the piece just before the first. R(lo) >= 0 >= R(hi) by the
+    structure of demand and supply (D(lo) = sum d_i, D(hi) = -sum s_j), so
+    an end's sign is read only where a bisection reaches it, and it counts
+    as zero where rounding, the input slack or a flux end off zero makes
+    it wrong."""
     kinks = _kinks(roads, m, consts, lo, hi)
+    signs = {}
 
     def sign(p):
-        g = balance_gap(roads, m, consts, p)
-        return 1 if g > zero else (-1 if g < -zero else 0)
+        s = signs.get(p)
+        if s is None:
+            r = balance_gap(roads, m, consts, p) + (base + slope * p)
+            s = 1 if r > zero else (-1 if r < -zero else 0)
+            if p == lo:
+                s = max(s, 0)
+            elif p == hi:
+                s = min(s, 0)
+            signs[p] = s
+        return s
 
     pts = sorted([lo, hi, *kinks])
-    signs = [sign(p) for p in pts]
-    if signs[0] < 0 or signs[-1] > 0:
-        return math.nan, math.nan, None
-    first = next(t for t, s in enumerate(signs) if s <= 0)
-    if signs[first] == 0:
-        last = max(t for t, s in enumerate(signs) if s >= 0)
+    first = bisect_left(pts, True, key=lambda p: sign(p) <= 0)
+    if sign(pts[first]) == 0:
+        last = bisect_left(pts, True, key=lambda p: sign(p) < 0) - 1
         return pts[first], pts[last], None
-    root, active = _piecewise_root(roads, m, consts, kinks, [0.0],
+    root, active = _piecewise_root(roads, m, consts, kinks, [base, slope],
                                    pts[first - 1], pts[first], sign)
     return root, root, active
 
 
 def solve_visc_w(roads, m, consts, base, slope, lo, hi, hint):
     """(w, active): the root w in [lo, hi] of R(w) = base + slope w + D(w),
-    D the balance gap, and the active set of R's piece there
-    (``_piecewise_root``), the hint for a later solve; None where w is a
-    kink, a table node or an end.
+    D the balance gap, and its active set, as ``coupling_interval`` solves
+    it with no slack for zero.
 
     That is the junction value when every road meets w as a neighbouring
     cell, e = 2 eps / dx: G_i(u_i, w) - e (w - u_i) leaves an incoming
     road, G_j(w, u_j) - e (u_j - w) enters an outgoing one, and their
-    balance has base = e sum(u), slope = -e (m+n). R is strictly decreasing, and R(lo)
-    >= 0 >= R(hi) for states in [lo, hi]. ``hint``, an active set from an
-    earlier solve or None, is tried first (``_warm_root``). Otherwise a
-    bisection on R's exact sign over the sorted kinks brackets the root;
-    the sign at lo or hi is read only when the bracket ends there, and
-    where rounding or the input slack makes it wrong, w is that end."""
-    if hint is not None:
-        w = _warm_root(roads, m, consts, base, slope, lo, hi, hint)
-        if w is not None:
-            return w, hint
-    kinks = _kinks(roads, m, consts, lo, hi)
-
-    def sign(w):
-        r = balance_gap(roads, m, consts, w) + (base + slope * w)
-        return 1 if r > 0.0 else (-1 if r < 0.0 else 0)
-
-    pts = sorted(kinks)
-    i, j = _bisect(pts, sign)
-    if i == j:
-        return pts[i], None
-    if i < 0 and sign(lo) <= 0:
-        return lo, None
-    if j == len(pts) and sign(hi) >= 0:
-        return hi, None
-    return _piecewise_root(roads, m, consts, kinks, [base, slope],
-                           pts[i] if i >= 0 else lo,
-                           pts[j] if j < len(pts) else hi, sign)
+    balance has base = e sum(u), slope = -e (m+n). R is strictly
+    decreasing, so its zero set is the one point w."""
+    w, _, active = coupling_interval(roads, m, consts, base, slope, lo, hi,
+                                     0.0, hint)
+    return w, active
 
 
 def _warm_root(roads, m, consts, base, slope, lo, hi, active):
@@ -436,13 +421,17 @@ def _warm_root(roads, m, consts, base, slope, lo, hi, active):
     base = slope = +0.0, the viscous solve its diffusive terms.
 
     The piece is c = [base, slope] plus the active terms, added in road
-    order as ``_piecewise_root`` adds them; r = poly_root(c, lo, hi). Only
-    pieces of degree 1 or 2 with a nonnegative discriminant qualify: there
-    ``poly_root`` is the quadratic formula whatever the bracket (higher
-    degrees bisect to a bracket-dependent result).
+    order as ``_piecewise_root`` adds them. It is solved on its branch
+    range, where each whole-flux term is its flux's falling (incoming) or
+    rising (outgoing) branch: [lo, hi] cut to above the crest of every such
+    incoming road and below that of every such outgoing one. There R falls
+    and a quadratic piece has one root, r = poly_root(c, lo, hi) on that
+    range. Only pieces of degree 1 or 2 with a nonnegative discriminant
+    qualify: there ``poly_root`` is the quadratic formula whatever the
+    bracket (higher degrees bisect to a bracket-dependent result).
 
     r is certified on [r - reach, r + reach], reach = _WARM_REACH (hi - lo),
-    inside [lo, hi] and inside each active table panel: every road's term
+    inside the range and inside each active table panel: every road's term
     lies on its active side by more than _WARM_MARGIN of its crest (d_i <
     S_i(x) for a constant, S_i(x) < d_i for a whole flux; D_j against s_j
     alike), checked at the end where S_i falls or D_j rises to the least
@@ -459,7 +448,12 @@ def _warm_root(roads, m, consts, base, slope, lo, hi, active):
         if k < 0:
             c[0] += consts[h] if h < m else -consts[h]
             continue
-        piece = _piece_coeffs(roads[h][0], roads[h][1], None, k)
+        code, par, crit, _ = roads[h]
+        if h < m:
+            lo = max(lo, crit)
+        else:
+            hi = min(hi, crit)
+        piece = _piece_coeffs(code, par, None, k)
         c.extend([0.0] * (len(piece) - len(c)))
         for t, v in enumerate(piece):
             c[t] += v if h < m else -v
@@ -501,22 +495,6 @@ def _warm_root(roads, m, consts, base, slope, lo, hi, active):
     return r
 
 
-def _bisect(pts, sign):
-    """(i, i + 1) with sign > 0 at pts[i], < 0 at pts[i + 1] over sorted pts
-    (-1 and len(pts) stand for the ends); (k, k) where sign(pts[k]) is 0."""
-    i, j = -1, len(pts)
-    while j - i > 1:
-        mid = (i + j) // 2
-        s = sign(pts[mid])
-        if s == 0:
-            return mid, mid
-        if s > 0:
-            i = mid
-        else:
-            j = mid
-    return i, j
-
-
 def _piecewise_root(roads, m, consts, kinks, c, a, b, sign):
     """(root, active): the root in [a, b] of c(p) + D(p), c ascending
     coefficients and D the balance gap with these road constants and kinks,
@@ -536,11 +514,11 @@ def _piecewise_root(roads, m, consts, kinks, c, a, b, sign):
             xs = _table(roads[h][1])[0]
             nodes.extend(xs[bisect_right(xs, a):bisect_left(xs, b)])
     nodes.sort()
-    i, j = _bisect(nodes, sign)
-    if i == j:
-        return nodes[i], None
-    a = nodes[i] if i >= 0 else a
-    b = nodes[j] if j < len(nodes) else b
+    k = bisect_left(nodes, True, key=lambda p: sign(p) <= 0)
+    if k < len(nodes) and sign(nodes[k]) == 0:
+        return nodes[k], None
+    a = nodes[k - 1] if k > 0 else a
+    b = nodes[k] if k < len(nodes) else b
     active = []
     for h, t in enumerate(terms):
         if t is not None:

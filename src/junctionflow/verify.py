@@ -360,12 +360,17 @@ def convergence_study(problem: RiemannProblem, dx_list,
 # ---------------------------------------------------------------------------
 # samplers
 
+def _check_count(count) -> None:
+    if isinstance(count, bool) or not (
+            isinstance(count, numbers.Integral) and count >= 1):
+        raise ValueError("count must be a positive integer")
+
+
 def germ_sampler(spec: JunctionSpec, count: int, seed: int,
                  strict_only: bool = False) -> list[np.ndarray]:
     """Seeded equilibrium states: random constant data pushed through the
     similarity solver; the traces it leaves at the junction are equilibria."""
-    if not (isinstance(count, numbers.Integral) and count >= 1):
-        raise ValueError("count must be a positive integer")
+    _check_count(count)
     rng = np.random.default_rng(seed)
     span = spec.span
     out: list[np.ndarray] = []
@@ -394,8 +399,7 @@ def nonstrict_germ_sampler(count: int, seed: int) \
     capacity to swallow both. The tie shows the chord inequality cannot be
     strict at the only admissible coupling value.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    _check_count(count)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

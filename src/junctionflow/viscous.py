@@ -329,8 +329,12 @@ def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float,
                        dt: float, hint=None):
     """The junction value w, each road's Godunov plus diffusive flux to w,
     then the shared update with diffusion: (new buffer, boundary flux, w,
-    the active set of w's solve). ``hint`` is handed to
-    ``kernels.solve_visc_w``; it spares work, never changes a result.
+    the active set of w's solve). w comes from ``kernels.solve_visc_w``,
+    the junction solver's own solve with the diffusive line added to the
+    balance gap: two bisections over the kinks and ends, whose end signs
+    follow from the structure of demand and supply, then the exact root
+    of one piece. ``hint`` is handed to it; it spares work, never changes
+    a result.
 
     u must lie in [A, B], where the fluxes are defined: ``_pack`` checks
     the first level of a run and ``_march``'s guard every later one. The

@@ -527,6 +527,42 @@ def test_spec_only_subcommands_build_no_mesh(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "snapshots.csv").exists()
 
 
+def test_dx_override_builds_only_the_mesh_it_runs(tmp_path, monkeypatch,
+                                                   capsys):
+    # with --dx, run and convergence build the mesh of that cell width,
+    # never the document's own (too large to allocate, simulated as above)
+    real_build = scheme._Layout.build
+
+    def build(spec, counts):
+        if counts.sum() > 10**9:
+            raise MemoryError
+        return real_build(spec, counts)
+
+    monkeypatch.setattr(scheme._Layout, "build", build)
+    monkeypatch.chdir(tmp_path)
+    huge = MINIMAL.replace("cells = 50", "cells = 1000000000000")
+    cfg = _write(tmp_path, huge + "\n[run]\nt_final = 0.05\n")
+    assert cli.main(["run", "--config", cfg, "--dx", "0.05"]) == 0
+    assert cli.main(["convergence", "--config", cfg, "--dx", "0.025"]) == 0
+    assert "configuration error" not in capsys.readouterr().err
+    # without --dx the document's mesh is still the one run
+    assert cli.main(["run", "--config", cfg]) == 2
+    assert "2000000000000 cells" in capsys.readouterr().err
+
+
+def test_cli_accepts_a_table_end_off_zero(tmp_path):
+    # an empty incoming road into a table whose end value is 1e-13: the
+    # balance gap reads -1e-13 at rho_min, an end decided by structure
+    text = MINIMAL.replace("initial = 0.3", "initial = 0").replace(
+        "cells = 50\ninitial = 0.6",
+        "cells = 50\ninitial = 0.6\nflux.family = tabulated\n"
+        "flux.xs = 0 0.3 1\nflux.ys = 1e-13 0.2 0")
+    cfg = _write(tmp_path, text + "\n[run]\nt_final = 0.1\n")
+    for command in ("run", "riemann"):
+        proc = _cli(tmp_path, command, "--config", cfg)
+        assert proc.returncode == 0, (command, proc.stderr)
+
+
 def test_cli_run_dx_override(tmp_path):
     text = MINIMAL + "\n[run]\nt_final = 0.05\nsnapshots = 0.05\n"
     cfg = _write(tmp_path, text)

@@ -15,14 +15,18 @@ from hypothesis import strategies as st
 from junctionflow import (
     ConsistencyError,
     JunctionSpec,
+    NetworkMesh,
+    RunConfig,
     custom_polynomial,
     dissipativity,
     is_germ_member,
     is_strict_germ_member,
+    mass_ledger,
     phi_in,
     phi_out,
     quadratic_lwr,
     riemann_solve,
+    run,
     solve_junction,
     strict_witness,
     symmetric_quadratic,
@@ -415,8 +419,8 @@ def test_warm_viscous_solve_equals_the_cold_one(seed, m, n, symmetric, log_e):
 
 def _interval(spec, u, hint=None):
     return kernels.coupling_interval(spec._roads, spec.m, _consts(spec, u),
-                                     spec.rho_min, spec.rho_max, spec._zero,
-                                     hint)
+                                     0.0, 0.0, spec.rho_min, spec.rho_max,
+                                     spec._zero, hint)
 
 
 def _solution_bits(sol):
@@ -498,6 +502,66 @@ def test_coupling_sees_a_state_only_through_demands_and_supplies(
             if cold.active is not None:
                 got = solve_junction(spec, v, cold.active)
                 assert _solution_bits(got) == want
+
+
+# ---------------------------------------------------------------------------
+# the bracket's ends: the gap falls from sum d_i to -sum s_j by structure
+
+EDGE_TABLE = tabulated([0.0, 0.3, 1.0], [1e-13, 0.2, 0.0])
+EDGE_POLY = custom_polynomial([1e-13, 1.0, -1.0], 0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("spec, u, end", [
+    (LWR11, (-1e-13, 0.5), 0.0),  # inside the state check's slack
+    (LWR11, (0.5, 1.0 + 1e-13), 1.0),
+    (JunctionSpec(1, 1, (quadratic_lwr(), EDGE_TABLE)), (0.0, 0.5), 0.0),
+    (JunctionSpec(1, 1, (quadratic_lwr(), EDGE_POLY)), (0.0, 0.5), 0.0),
+    (JunctionSpec(1, 1, (EDGE_POLY, quadratic_lwr())), (0.5, 1.0), 1.0),
+])
+def test_an_end_off_by_rounding_is_the_coupling_interval(spec, u, end):
+    # the gap reads the wrong sign at an end, by 1e-13 from the slack or a
+    # flux end off zero: that end is the zero set, and its fluxes balance
+    sol = solve_junction(spec, u)
+    assert (sol.p_min, sol.p_max) == (end, end)
+    assert abs(sol.fluxes[0] - sol.fluxes[1]) <= 1e-12
+    want = _solution_bits(sol)
+    for hint in ((-1, -1), (-1, 0), (0, -1), (0, 0)):
+        assert _solution_bits(solve_junction(spec, u, hint)) == want
+
+
+def test_run_from_an_empty_road_into_a_table_end_off_zero():
+    spec = JunctionSpec(1, 1, (quadratic_lwr(), EDGE_TABLE))
+    mesh = NetworkMesh(spec, 0.05, np.full(2, 20))
+    traj = run(RunConfig(mesh, 0.9, 0.5), [0.0, 0.5])
+    assert mass_ledger(traj).max_abs_defect <= 1e-12
+
+
+def test_cold_coupling_solve_bisects_the_kinks(monkeypatch):
+    # two bisections over the m + n kinks and two ends share their probes:
+    # at most 2 ceil(log2(m + n + 3)) gap evaluations per cold solve, where
+    # a scan of every point takes m + n + 2
+    calls = [0]
+    balance_gap = kernels.balance_gap
+
+    def counted(*args):
+        calls[0] += 1
+        return balance_gap(*args)
+
+    lwr32 = JunctionSpec(3, 2, tuple(quadratic_lwr(v)
+                                     for v in (0.75, 1.0, 1.5, 1.25, 0.5)))
+    rng = np.random.default_rng(2718)
+    for spec in (LWR23, lwr32):
+        states = [rng.random(5) for _ in range(300)]
+        states += [riemann_solve(spec, rng.random(5)).traces
+                   for _ in range(50)]
+        states += [rng.choice([0.0, 0.5, 1.0], 5) for _ in range(50)]
+        bound = 2 * math.ceil(math.log2(spec.m + spec.n + 3))
+        monkeypatch.setattr(kernels, "balance_gap", counted)
+        for u in states:
+            calls[0] = 0
+            solve_junction(spec, u)
+            assert calls[0] <= bound, u
+        monkeypatch.setattr(kernels, "balance_gap", balance_gap)
 
 
 def test_solver_rejects_bad_states():

@@ -207,9 +207,10 @@ def test_junction_kernels_get_python_floats(monkeypatch):
             if name == "solve_visc_w":  # (..., base, slope, lo, hi, hint)
                 assert len(args) == 8 and _is_float_tuple(args[3:7])
                 assert args[7] is None or _is_active_set(args[7])
-            if name == "coupling_interval":  # (..., lo, hi, zero, hint)
-                assert len(args) == 7 and _is_float_tuple(args[3:6])
-                assert args[6] is None or _is_active_set(args[6])
+            if name == "coupling_interval":
+                # (..., base, slope, lo, hi, zero, hint)
+                assert len(args) == 9 and _is_float_tuple(args[3:8])
+                assert args[8] is None or _is_active_set(args[8])
             seen.add(name)
             before = gap_calls[0]
             out = real(*args)

@@ -479,9 +479,13 @@ def test_germ_sampler_strict_only():
 
 
 def test_germ_sampler_rejects_bad_count():
-    for count in (0, 2.5):  # 2.5 used to return 3 states
+    # germ_sampler returned 3 states for 2.5 and one for True;
+    # nonstrict_germ_sampler raised a TypeError for 2.5
+    for count in (0, 2.5, True):
         with pytest.raises(ValueError):
             germ_sampler(LWR11, count, seed=1)
+        with pytest.raises(ValueError, match="positive integer"):
+            nonstrict_germ_sampler(count, seed=1)
 
 
 def test_nonstrict_sampler_members_never_strict():
