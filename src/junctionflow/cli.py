@@ -27,7 +27,8 @@ from .errors import ConfigError, ConsistencyError, PreconditionError
 from .fluxes import quadratic_lwr, symmetric_quadratic
 from .junction import (JunctionSpec, dissipativity, is_germ_member,
                        is_strict_germ_member, riemann_solve, solve_junction)
-from .scheme import _MAX_COUNT, NetworkMesh, RunConfig, mass_ledger, run
+from .scheme import (_MAX_COUNT, NetworkMesh, RunConfig, cfl_timestep,
+                     mass_ledger, run)
 from .viscous import stationary_profile
 
 
@@ -127,6 +128,7 @@ def _out_dir(args) -> Path:
 def _cmd_run(args) -> int:
     doc = _load_document(args)
     spec, mesh, initial, run_config = _mesh_with_dx(doc, args.dx)
+    # a lean run keeps the levels at 0, t_final and the snapshot times
     traj = run(run_config, initial, keep_states=False)
     out = _out_dir(args)
 
@@ -139,7 +141,7 @@ def _cmd_run(args) -> int:
               for h in range(spec.m + spec.n)]
     with open(out / "snapshots.csv", "w", newline="\n") as fh:
         fh.write("t,road,x,rho")
-        for state in traj.snapshots:
+        for state in traj.states:
             for h, body in enumerate(bodies):
                 head = f"\n{_fmt(state.time)},{h + 1},"
                 fh.write(body.replace("\n", head)
@@ -159,7 +161,7 @@ def _cmd_run(args) -> int:
 
     ledger = mass_ledger(traj)
     print(f"run: {len(traj.dts)} steps to t={_fmt(run_config.t_final)}, "
-          f"{len(traj.snapshots)} snapshots")
+          f"{len(traj.states)} snapshots")
     print(f"final mass {_fmt(ledger.masses[-1])}, "
           f"max conservation defect {_fmt(ledger.max_abs_defect)}")
     print(f"wrote {out / 'snapshots.csv'} and {out / 'junction_log.csv'}")
@@ -337,7 +339,7 @@ def _suite_rows(networks, seed: int) -> list[tuple]:
         rows.append((f"well-balance-drift-{label}", drift, 1e-12, "<=",
                      drift <= 1e-12))
 
-        dt0 = 0.8 * mesh.dx / (2 * spec.lipschitz_max)
+        dt0 = cfl_timestep(mesh, 0.8)
         t_final = 12 * dt0
         xi = verify_mod.bump_test_function(1.5 * dt0, 0.95 * t_final,
                                            0.5, 0.05)

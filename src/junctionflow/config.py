@@ -37,7 +37,7 @@ enforced at parse time with line-numbered diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class RoadConfig:
 
     direction: str
     flux: Flux
-    family: str
     length: float
     cells: int
     initial: object  # float constant or (breakpoints, values) pair
@@ -71,13 +70,13 @@ class RoadConfig:
 @dataclass(eq=False)
 class ConfigDocument:
     """Validated configuration: roads in declaration order (incoming first),
-    run settings with defaults filled, and the optional viscous block."""
+    run settings with defaults filled, and the optional viscous block.
+    ``dirichlet_values`` is None for absorbing outer ends."""
 
     roads: list[RoadConfig]
     cfl: float = 0.9
     t_final: float = 0.0
     snapshots: tuple[float, ...] = ()
-    outer_bc: str = "absorbing"
     dirichlet_values: np.ndarray | None = None
     epsilon: float | None = None
     window: float | None = None
@@ -113,7 +112,7 @@ def _one_float(text: str, line: int, key: str) -> float:
     return vals[0]
 
 
-def _road_flux(raw: dict[str, tuple[str, int]], line: int) -> tuple[Flux, str]:
+def _road_flux(raw: dict[str, tuple[str, int]], line: int) -> Flux:
     family_text, family_line = raw.get("flux.family",
                                        ("quadratic-lwr", line))
     family = family_text.strip()
@@ -138,13 +137,13 @@ def _road_flux(raw: dict[str, tuple[str, int]], line: int) -> tuple[Flux, str]:
                                   "'v [rho_max]'", kind="range", line=line)
             v = params[0] if params else 1.0
             rmax = params[1] if len(params) > 1 else 1.0
-            return quadratic_lwr(v=v, rho_max=rmax), family
+            return quadratic_lwr(v=v, rho_max=rmax)
         if family == "symmetric-quadratic":
             params = floats_of("flux.params", [])
             if len(params) > 1:
                 raise ConfigError("flux.params for symmetric-quadratic "
                                   "is 'h'", kind="range", line=line)
-            return symmetric_quadratic(params[0] if params else 1.0), family
+            return symmetric_quadratic(params[0] if params else 1.0)
         if family == "custom-polynomial":
             coeffs = floats_of("flux.params")
             lo, hi, crit = (float_of("flux.rho_min"),
@@ -154,14 +153,14 @@ def _road_flux(raw: dict[str, tuple[str, int]], line: int) -> tuple[Flux, str]:
                 raise ConfigError(
                     "custom-polynomial needs flux.params, flux.rho_min, "
                     "flux.rho_max and flux.rho_crit", kind="range", line=line)
-            return custom_polynomial(coeffs, lo, hi, crit), family
+            return custom_polynomial(coeffs, lo, hi, crit)
         if family == "tabulated":
             xs = floats_of("flux.xs")
             ys = floats_of("flux.ys")
             if xs is None or ys is None:
                 raise ConfigError("tabulated needs flux.xs and flux.ys",
                                   kind="range", line=line)
-            return tabulated(xs, ys), family
+            return tabulated(xs, ys)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -282,7 +281,7 @@ def _parse_road(body: dict[str, tuple[str, int]], line: int) -> RoadConfig:
     if direction not in ("in", "out"):
         raise ConfigError("direction must be 'in' or 'out'",
                           kind="range", line=dir_line)
-    flux, family = _road_flux(body, line)
+    flux = _road_flux(body, line)
     if "length" not in body or "cells" not in body:
         raise ConfigError("road needs length and cells",
                           kind="range", line=line)
@@ -296,7 +295,7 @@ def _parse_road(body: dict[str, tuple[str, int]], line: int) -> RoadConfig:
         raise ConfigError("cells must be a positive integer", kind="range",
                           line=body["cells"][1])
     initial = _road_initial(body, flux, line)
-    return RoadConfig(direction, flux, family, length, cells, initial, line)
+    return RoadConfig(direction, flux, length, cells, initial, line)
 
 
 def _parse_run(doc: ConfigDocument, body: dict[str, tuple[str, int]],
@@ -321,13 +320,10 @@ def _parse_run(doc: ConfigDocument, body: dict[str, tuple[str, int]],
     if "outer_bc" in body:
         text, ln = body["outer_bc"]
         toks = text.split()
-        if toks and toks[0] == "absorbing" and len(toks) == 1:
-            doc.outer_bc = "absorbing"
-        elif toks and toks[0] == "dirichlet" and len(toks) > 1:
-            doc.outer_bc = "dirichlet"
+        if len(toks) > 1 and toks[0] == "dirichlet":
             doc.dirichlet_values = np.array(
                 _floats(" ".join(toks[1:]), ln, "outer_bc"))
-        else:
+        elif toks != ["absorbing"]:
             raise ConfigError("outer_bc is 'absorbing' or "
                               "'dirichlet v_1 ... v_k'", kind="range",
                               line=ln)
@@ -403,7 +399,7 @@ def mesh_and_run(doc: ConfigDocument, spec: JunctionSpec, dx: float,
     allocate is a range error."""
     try:
         mesh = NetworkMesh(spec, dx, np.array(cells))
-        return mesh, RunConfig(mesh, doc.cfl, doc.t_final, doc.outer_bc,
+        return mesh, RunConfig(mesh, doc.cfl, doc.t_final,
                                doc.dirichlet_values, doc.snapshots)
     except ValueError as exc:
         raise ConfigError(str(exc), kind="range") from None

@@ -26,7 +26,7 @@ checked by the verification suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -156,12 +156,16 @@ class GridState:
 
 @dataclass(eq=False)
 class RunConfig:
-    """Everything a simulation run needs besides the initial data."""
+    """Everything a simulation run needs besides the initial data.
+
+    The outer ends are absorbing while ``dirichlet_values`` is None; values
+    given are the Dirichlet data of the roads' ghosts, one per road in
+    [A, B]. ``snapshot_times`` name the levels a lean run keeps (see
+    ``run``)."""
 
     mesh: NetworkMesh
     cfl_number: float
     t_final: float
-    outer_bc: str = "absorbing"
     dirichlet_values: np.ndarray | None = None
     snapshot_times: tuple[float, ...] = ()
 
@@ -171,11 +175,7 @@ class RunConfig:
         if not (math.isfinite(self.t_final) and self.t_final >= 0):
             raise ValueError("t_final must be nonnegative and finite")
         _step_count(self.t_final, cfl_timestep(self.mesh, self.cfl_number))
-        if self.outer_bc not in ("absorbing", "dirichlet"):
-            raise ValueError(f"unknown outer_bc {self.outer_bc!r}")
-        if self.outer_bc == "dirichlet":
-            if self.dirichlet_values is None:
-                raise ValueError("dirichlet boundaries need dirichlet_values")
+        if self.dirichlet_values is not None:
             self.dirichlet_values = self.mesh.spec.candidate(
                 self.dirichlet_values)
         self.snapshot_times = tuple(sorted(set(float(t)
@@ -197,7 +197,7 @@ def discretize_initial(mesh: NetworkMesh, data) -> GridState:
     spec = mesh.spec
     if len(data) != spec.m + spec.n:
         raise ValueError(f"need initial data for {spec.m + spec.n} roads")
-    slack = 1e-12 * spec.span
+    lo, hi = spec._bounds
     values = []
     for road, item in enumerate(data):
         centers = mesh.centers(road)
@@ -214,8 +214,7 @@ def discretize_initial(mesh: NetworkMesh, data) -> GridState:
                                  f"{centers.shape[0]} cell values")
         if not np.isfinite(cells).all():
             raise ValueError(f"road {road}: initial data must be finite")
-        if (cells.min() < spec.rho_min - slack
-                or cells.max() > spec.rho_max + slack):
+        if cells.min() < lo or cells.max() > hi:
             raise ValueError(f"road {road}: initial data outside "
                              f"[{spec.rho_min}, {spec.rho_max}]")
         values.append(cells)
@@ -313,15 +312,14 @@ def _check_timestep(dt: float, limit: float) -> None:
 
 
 def step(state: GridState, mesh: NetworkMesh, dt: float,
-         outer_bc: str = "absorbing", dirichlet_values=None) -> GridState:
-    """Advance one time level. Raises ConfigError if dt violates the CFL
-    bound, ValueError (naming the road) on a state run would reject."""
-    _check_timestep(dt, mesh.dx / (2.0 * mesh.spec.lipschitz_max))
-    ghosts = None
-    if outer_bc == "dirichlet":
-        ghosts = mesh.spec.candidate(dirichlet_values)
-    elif outer_bc != "absorbing":
-        raise ValueError(f"unknown outer_bc {outer_bc!r}")
+         dirichlet_values=None) -> GridState:
+    """Advance one time level, with absorbing outer ends or, given
+    ``dirichlet_values``, Dirichlet ones as in ``RunConfig``. Raises
+    ConfigError if dt violates the CFL bound, ValueError (naming the road)
+    on a state or Dirichlet values run would reject."""
+    _check_timestep(dt, cfl_timestep(mesh, 1.0))
+    ghosts = (None if dirichlet_values is None
+              else mesh.spec.candidate(dirichlet_values))
     u = _pack(mesh, state, ghosts)
     sol = solve_junction(mesh.spec, u[mesh._layout.adj])
     u, _ = _update(u, mesh, dt, sol.fluxes, ghosts)
@@ -383,27 +381,26 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     and boundary sum instead of advancing; held levels share one buffer.
     The shortened last step is always computed.
 
-    Returns (states, buffers, snapshots, times, dts, boundary_net, masses,
-    records); ``states`` keeps the first and last level only unless
-    ``keep_states``, ``buffers`` the buffer each kept level views,
-    ``snapshots`` the levels nearest 0, t_final and ``snapshot_times``.
+    Returns (states, buffers, times, dts, boundary_net, masses, records).
+    ``states`` keeps every level if ``keep_states``, else the first, the
+    last and those nearest ``snapshot_times``, each once and in order;
+    ``buffers`` holds the buffer each kept level views.
     """
     m = mesh.spec.m
     lo_ok, hi_ok = mesh.spec._bounds
     n_steps = _step_count(t_final, dt0)
 
-    # time levels are known up front, so snapshot indices can be too
+    # time levels are known up front, so the kept ones can be too
     times = np.empty(n_steps + 1)
     times[0] = 0.0
     for s in range(n_steps):
         times[s + 1] = t_final if s == n_steps - 1 else (s + 1) * dt0
-    snap_idx = {int(np.abs(times - t).argmin())
-                for t in (*snapshot_times, 0.0, t_final)}
+    kept = {n_steps, *(int(np.abs(times - t).argmin())
+                       for t in snapshot_times)}
 
     views = mesh._layout.views
     state = GridState(0, 0.0, views(u))
     states, buffers = [state], [u]
-    snapshots = [state]
     masses = np.empty(n_steps + 1)
     masses[0] = state.total_mass(mesh.dx)
     dts = np.empty(n_steps)
@@ -432,21 +429,21 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
             u = new
         else:
             state = GridState(s + 1, times[s + 1], state.values)
-        if keep_states or s == n_steps - 1:
+        if keep_states or s + 1 in kept:
             states.append(state)
             buffers.append(u)
-        if s + 1 in snap_idx:
-            snapshots.append(state)
         masses[s + 1] = mass
         dts[s] = dt
         records.append(record)
         bnet[s] = net
-    return states, buffers, snapshots, times, dts, bnet, masses, records
+    return states, buffers, times, dts, bnet, masses, records
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """Full record of one run: every time level plus the junction log.
+    """Record of one run: its kept time levels (every level, or those of a
+    lean run, see ``run``; each names its step in ``time_step``) plus the
+    junction log, masses and boundary flows of every step.
     ``junction_solves`` counts the junction solves made: a step whose
     junction state repeats the previous step's bitwise reuses its solution.
     ``buffers[s]`` is the network buffer (ghosts and pad filled) whose cells
@@ -456,7 +453,6 @@ class Trajectory:
     config: RunConfig
     states: list[GridState]
     buffers: list[np.ndarray]
-    snapshots: list[GridState]
     times: np.ndarray
     dts: np.ndarray
     p_min: np.ndarray
@@ -481,13 +477,12 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
 
     ``initial`` is either a GridState or per-road data accepted by
     ``discretize_initial``. The final step is shortened to land exactly on
-    t_final. All time levels are kept unless ``keep_states`` is False (then
-    only the first and last survive, to bound memory on fine meshes);
-    ``snapshots`` holds the states nearest the requested snapshot times
-    (plus the initial and final states) either way.
+    t_final. All time levels are kept unless ``keep_states`` is False;
+    then, to bound memory on fine meshes, ``states`` keeps the first level,
+    the last and those nearest ``config.snapshot_times``, each once.
     """
     mesh = config.mesh
-    ghosts = config.dirichlet_values if config.outer_bc == "dirichlet" else None
+    ghosts = config.dirichlet_values
     adj = mesh._layout.adj
     key = known = None
     solves = 0
@@ -506,11 +501,11 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
             solves += 1
         return *_update(u, mesh, dt, known.fluxes, ghosts), known
 
-    states, buffers, snapshots, times, dts, bnet, masses, sols = _march(
+    states, buffers, times, dts, bnet, masses, sols = _march(
         mesh, _pack(mesh, initial, ghosts),
         cfl_timestep(mesh, config.cfl_number), config.t_final, advance,
         keep_states, config.snapshot_times)
-    return Trajectory(config, states, buffers, snapshots, times, dts,
+    return Trajectory(config, states, buffers, times, dts,
                       np.array([sol.p_min for sol in sols]),
                       np.array([sol.p_max for sol in sols]),
                       np.array([sol.fluxes for sol in sols]).reshape(

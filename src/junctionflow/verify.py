@@ -111,6 +111,12 @@ def _shared_mesh(traj_a: Trajectory, traj_b: Trajectory) -> NetworkMesh:
     return a
 
 
+def _all_levels(what: str, *trajs: Trajectory) -> None:
+    """ConfigError unless every trajectory kept all its time levels."""
+    if any(len(traj.states) != len(traj.times) for traj in trajs):
+        raise ConfigError(f"{what} needs all time levels recorded")
+
+
 def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
                     xi: TestFunction) -> float:
     """The summed form over the network buffers of two runs' time levels
@@ -181,9 +187,7 @@ def kato_audit(traj_a: Trajectory, traj_b: Trajectory,
     """Audit two trajectories against each other; the assembled form must be
     nonpositive up to 1e-10 of the mass scale dx * (B - A) * total cells."""
     mesh = _shared_mesh(traj_a, traj_b)
-    if (len(traj_a.states) != len(traj_a.times)
-            or len(traj_b.states) != len(traj_b.times)):
-        raise ConfigError("audit needs all time levels recorded")
+    _all_levels("audit", traj_a, traj_b)
     tol = 1e-10 * _mass_scale(mesh)
     value = _assemble_audit(mesh, traj_a.buffers, traj_b.buffers,
                             traj_a.times, traj_a.dts, xi)
@@ -203,8 +207,7 @@ def adapted_entropy_residual(traj: Trajectory, k, xi: TestFunction) -> float:
     if not is_germ_member(spec, k):
         raise PreconditionError(
             "comparison state must be an equilibrium of the junction")
-    if len(traj.states) != len(traj.times):
-        raise ConfigError("residual needs all time levels recorded")
+    _all_levels("residual", traj)
     return -_assemble_audit(mesh, traj.buffers,
                             [_pack(mesh, k)] * len(traj.times), traj.times,
                             traj.dts, xi)
@@ -226,8 +229,10 @@ class ContractionReport:
 def l1_contraction_check(traj_a: Trajectory, traj_b: Trajectory,
                          window: float) -> ContractionReport:
     """L1 distance near the junction must not grow while the window outruns
-    the discrete domain of dependence (one cell per step)."""
+    the discrete domain of dependence (one cell per step); both trajectories
+    must keep every time level."""
     mesh = _shared_mesh(traj_a, traj_b)
+    _all_levels("L1 contraction check", traj_a, traj_b)
     spec = mesh.spec
     if not math.isfinite(window):
         raise ConfigError("window must be finite", kind="range")

@@ -398,7 +398,7 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
         *out, active = _parabolic_advance(u, mesh, epsilon, dt, active)
         return out
 
-    states, _, _, times, dts, bnet, masses, wlog = _march(
+    states, _, times, dts, bnet, masses, wlog = _march(
         mesh, _pack(mesh, initial), parabolic_timestep(mesh, epsilon),
         t_final, advance, keep_states=False)
     return ParabolicTrajectory(mesh, float(epsilon), states, times, dts,

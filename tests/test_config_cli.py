@@ -100,11 +100,10 @@ def test_parse_minimal_fills_defaults():
     assert doc.cfl == 0.9
     assert doc.t_final == 0.0
     assert doc.snapshots == ()
-    assert doc.outer_bc == "absorbing"
     assert doc.dirichlet_values is None
     assert doc.epsilon is None and doc.window is None
     for road in doc.roads:
-        assert road.family == "quadratic-lwr"
+        assert road.flux.family == "quadratic-lwr"
         assert road.length == 1.0 and road.cells == 50
     assert doc.roads[0].initial == 0.3
     assert doc.roads[1].initial == 0.6
@@ -113,7 +112,7 @@ def test_parse_minimal_fills_defaults():
 def test_parse_worked_example_network():
     doc = parse_config(WORKED)
     assert doc.m == 2 and doc.n == 1
-    assert [r.family for r in doc.roads] == ["symmetric-quadratic"] * 3
+    assert [r.flux.family for r in doc.roads] == ["symmetric-quadratic"] * 3
     assert doc.roads[0].initial == -math.sqrt(0.5)
     assert doc.roads[2].initial == SQ6
     assert doc.t_final == 0.1
@@ -160,7 +159,6 @@ window = 0.5
     np.testing.assert_array_equal(vals, [0.7, 0.1])
     assert doc.cfl == 0.5 and doc.t_final == 0.25
     assert doc.snapshots == (0.1, 0.25)
-    assert doc.outer_bc == "dirichlet"
     np.testing.assert_array_equal(doc.dirichlet_values, [0.3, 0.2])
     assert doc.epsilon == 0.02 and doc.window == 0.5
     # the two roads share dx = 0.02
@@ -191,8 +189,8 @@ cells = 10
 initial = 0.8
 """
     doc = parse_config(text)
-    assert doc.roads[0].family == "custom-polynomial"
-    assert doc.roads[1].family == "tabulated"
+    assert doc.roads[0].flux.family == "custom-polynomial"
+    assert doc.roads[1].flux.family == "tabulated"
     assert doc.roads[0].flux.eval(0.5) == pytest.approx(0.6375)
     assert doc.roads[1].flux.eval(0.5) == pytest.approx(0.25)
 

@@ -278,8 +278,7 @@ def test_finite_speed_of_influence():
 
 def test_dirichlet_boundary_feeds_inflow():
     mesh = small_mesh()
-    cfg = RunConfig(mesh, 0.9, 0.5, outer_bc="dirichlet",
-                    dirichlet_values=np.array([0.4, 0.1]))
+    cfg = RunConfig(mesh, 0.9, 0.5, dirichlet_values=np.array([0.4, 0.1]))
     traj = run(cfg, [0.0, 0.0])
     # inflow at density 0.4: the outer cell relaxes onto the boundary datum
     # and the front has entered the road (characteristic speed f'(0.4) = 0.2)
@@ -291,11 +290,21 @@ def test_dirichlet_boundary_feeds_inflow():
 
 
 def test_dirichlet_requires_values():
+    # Dirichlet values given are checked, by a run and by a single step:
+    # one finite value per road in [A, B]
     mesh = small_mesh()
-    with pytest.raises(ValueError):
-        RunConfig(mesh, 0.9, 0.1, outer_bc="dirichlet")
-    with pytest.raises(ValueError):
-        RunConfig(mesh, 0.9, 0.1, outer_bc="reflecting")
+    state = discretize_initial(mesh, [0.3, 0.6])
+    dt = cfl_timestep(mesh, 0.9)
+    for bad in ([math.nan, 0.1], [0.4, math.inf], [-0.1, 0.1], [0.4, 1.5],
+                [0.4], [0.4, 0.1, 0.2]):
+        with pytest.raises(ValueError):
+            RunConfig(mesh, 0.9, 0.1, dirichlet_values=np.array(bad))
+        with pytest.raises(ValueError):
+            step(state, mesh, dt, dirichlet_values=np.array(bad))
+    assert RunConfig(mesh, 0.9, 0.1).dirichlet_values is None
+    np.testing.assert_array_equal(
+        RunConfig(mesh, 0.9, 0.1, dirichlet_values=[0.4, 0.1]).dirichlet_values,
+        [0.4, 0.1])
     with pytest.raises(ValueError):
         RunConfig(mesh, 1.5, 0.1)
     for bad in (math.nan, math.inf):
@@ -333,21 +342,31 @@ def test_run_zero_horizon_returns_initial():
 
 
 def test_run_snapshots_and_memory_mode_agree():
+    # a lean run keeps, in order and each once, the full run's levels
+    # nearest t = 0, the snapshot times and t_final, bit for bit, with the
+    # buffers they view; a snapshot at 0 or t_final adds no level
     mesh = small_mesh()
-    cfg = RunConfig(mesh, 0.9, 0.2, snapshot_times=(0.05, 0.11))
     init = [RNG.uniform(0, 1, 50), RNG.uniform(0, 1, 50)]
-    full = run(cfg, [v.copy() for v in init], keep_states=True)
-    lean = run(cfg, [v.copy() for v in init], keep_states=False)
-    assert len(lean.states) == 2  # first and last only
-    assert len(full.snapshots) == len(lean.snapshots) == 4  # 0, 2 requested, final
-    for sf, sl in zip(full.snapshots, lean.snapshots):
-        assert sf.time == sl.time
-        for vf, vl in zip(sf.values, sl.values):
-            assert (vf == vl).all()
-    for vf, vl in zip(full.final.values, lean.final.values):
-        assert (vf == vl).all()
-    # junction log is complete in both modes
-    assert (full.p_min == lean.p_min).all()
+    for snaps, want in (((0.05, 0.11), (0.0, 0.05, 0.11, 0.2)),
+                        ((0.2, 0.0, 0.11), (0.0, 0.11, 0.2)),
+                        ((0.0,), (0.0, 0.2))):
+        cfg = RunConfig(mesh, 0.9, 0.2, snapshot_times=snaps)
+        full = run(cfg, [v.copy() for v in init], keep_states=True)
+        lean = run(cfg, [v.copy() for v in init], keep_states=False)
+        levels = [int(np.abs(full.times - t).argmin()) for t in want]
+        assert len(set(levels)) == len(levels) == len(lean.buffers)
+        assert [kept.time_step for kept in lean.states] == levels
+        for s, kept, buffer in zip(levels, lean.states, lean.buffers):
+            assert kept.time == full.states[s].time
+            assert buffer.tobytes() == full.buffers[s].tobytes()
+            for vf, vl in zip(full.states[s].values, kept.values):
+                assert vf.tobytes() == vl.tobytes()
+                assert np.shares_memory(vl, buffer)
+        # junction log is complete in both modes
+        assert (full.p_min == lean.p_min).all()
+    zero = run(RunConfig(mesh, 0.9, 0.0, snapshot_times=(0.0,)), init,
+               keep_states=False)
+    assert len(zero.states) == len(zero.buffers) == 1
     assert (full.totals == lean.totals).all()
 
 
@@ -406,8 +425,7 @@ def test_nan_cell_fails_the_ledger():
     good = run(config, [0.3, 0.6])
     masses = good.masses.copy()
     masses[-1] = math.nan
-    traj = Trajectory(config, good.states, good.buffers, good.snapshots,
-                      good.times, good.dts, good.p_min, good.p_max,
+    traj = Trajectory(config, good.states, good.buffers, good.times, good.dts, good.p_min, good.p_max,
                       good.junction_fluxes, good.totals, good.boundary_net,
                       masses, good.junction_solves)
     assert mass_ledger(traj).max_abs_defect == math.inf
@@ -533,8 +551,7 @@ def test_single_steps_replay_the_run(monkeypatch, bc):
         advance = lambda state, dt: parabolic_step(state, mesh, 0.02, dt)
     else:
         extra = ({} if bc == "absorbing" else
-                 {"outer_bc": "dirichlet",
-                  "dirichlet_values": np.array([0.8, 0.05, 0.9])})
+                 {"dirichlet_values": np.array([0.8, 0.05, 0.9])})
         traj = run(RunConfig(mesh, 0.9, 25.5 * cfl_timestep(mesh, 0.9),
                              **extra), init)
         advance = lambda state, dt: step(state, mesh, dt, **extra)
@@ -588,7 +605,7 @@ def _sha(array):
 
 
 def test_dirichlet_run_bit_identical():
-    cfg = RunConfig(small_mesh(), 0.9, 0.1, outer_bc="dirichlet",
+    cfg = RunConfig(small_mesh(), 0.9, 0.1,
                     dirichlet_values=np.array([0.4, 0.1]))
     traj = run(cfg, [np.where(np.arange(50) < 25, 0.2, 0.7), 0.6])
     assert len(traj.dts) == 17
@@ -692,8 +709,7 @@ def test_run_solves_each_new_junction_state(monkeypatch, bc, label):
         v[slice(0, 8) if h < spec.m else slice(12, 20)] = rng.uniform(
             spec.rho_min, spec.rho_max, 8)
     extra = ({} if bc == "absorbing" else
-             {"outer_bc": "dirichlet",
-              "dirichlet_values": rng.uniform(spec.rho_min, spec.rho_max,
+             {"dirichlet_values": rng.uniform(spec.rho_min, spec.rho_max,
                                               roads)})
     calls = _spy_solves(monkeypatch)
     traj = run(RunConfig(mesh, 0.9, 40 * cfl_timestep(mesh, 0.9), **extra),
@@ -791,7 +807,7 @@ def _assert_step_replay(traj, init):
     # the single-step API and a fresh junction solve per step give them
     mesh, config = traj.mesh, traj.config
     spec, layout = mesh.spec, mesh._layout
-    ghosts = config.dirichlet_values if config.outer_bc == "dirichlet" else None
+    ghosts = config.dirichlet_values
     state = discretize_initial(mesh, init)
     levels = [[v.copy() for v in state.values]]
     masses = [state.total_mass(mesh.dx)]
@@ -803,7 +819,7 @@ def _assert_step_replay(traj, init):
         bnet.append(math.fsum(boundary[spec.m:].tolist())
                     - math.fsum(boundary[:spec.m].tolist()))
         fluxes.append(sol.fluxes)
-        state = step(state, mesh, dt, config.outer_bc, ghosts)
+        state = step(state, mesh, dt, ghosts)
         levels.append([v.copy() for v in state.values])
         masses.append(state.total_mass(mesh.dx))
     assert len(traj.states) == len(levels)
@@ -825,8 +841,7 @@ def test_held_equilibrium_is_updated_at_most_three_times(monkeypatch, bc,
     spec = MIXED_TOPOLOGIES[label]
     mesh = small_mesh(spec)
     for k in germ_sampler(spec, 2, seed=41):
-        extra = ({} if bc == "absorbing" else
-                 {"outer_bc": "dirichlet", "dirichlet_values": k})
+        extra = {} if bc == "absorbing" else {"dirichlet_values": k}
         calls = _spy_updates(monkeypatch)
         traj = run(RunConfig(mesh, 0.9, 200 * cfl_timestep(mesh, 0.9),
                              **extra), list(k))
@@ -917,9 +932,8 @@ def test_run_matches_a_step_replay(label, bc, seed, outer, n_steps, tail):
         v[slice(0, outer) if h < spec.m else slice(4 - outer, 4)] = (
             rng.uniform(spec.rho_min, spec.rho_max, outer))
     extra = ({} if bc == "absorbing" else
-             {"outer_bc": "dirichlet",
-              "dirichlet_values": k if bc == "held" else rng.uniform(
-                  spec.rho_min, spec.rho_max, spec.m + spec.n)})
+             {"dirichlet_values": k if bc == "held" else rng.uniform(
+                 spec.rho_min, spec.rho_max, spec.m + spec.n)})
     dt0 = cfl_timestep(mesh, 0.9)
     traj = run(RunConfig(mesh, 0.9, (n_steps + tail) * dt0, **extra), init)
     _assert_step_replay(traj, init)

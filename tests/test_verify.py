@@ -226,8 +226,9 @@ def test_audit_of_march_buffers_equals_packed_levels(spec):
     rng = np.random.default_rng(roads)
     k = germ_sampler(spec, 1, seed=5)[0]
     for bc in ("dirichlet", "absorbing"):
-        config = RunConfig(mesh, 0.9, 12 * dt, outer_bc=bc,
-                           dirichlet_values=lo + (hi - lo) * rng.random(roads))
+        values = lo + (hi - lo) * rng.random(roads)  # drawn in both cases
+        config = RunConfig(mesh, 0.9, 12 * dt, dirichlet_values=(
+            values if bc == "dirichlet" else None))
         ta, tb = (run(config, [lo + (hi - lo) * rng.random(12)
                                for _ in range(roads)]) for _ in range(2))
         packed_a, packed_b = ([scheme._pack(mesh, st) for st in t.states]
@@ -396,6 +397,22 @@ def test_contraction_window_validation():
                 [np.full(25, 0.4), np.full(25, 0.6)])
     with pytest.raises(ConfigError):
         l1_contraction_check(ta, other, window=0.3)
+
+
+def test_contraction_needs_all_time_levels():
+    # a lean run keeps only some levels; read as consecutive steps, its
+    # final level made the distance seem to grow (0.05, then 0.055875)
+    spec = JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr(1.5)))
+    config = RunConfig(NetworkMesh(spec, 0.05, np.array([20, 20])), 0.9, 0.3)
+    init_a, init_b = [0.35, 0.65], [0.3, 0.6]
+    report = l1_contraction_check(run(config, init_a), run(config, init_b),
+                                  window=0.5)
+    assert report.passed and len(report.distances) > 2
+    for keep_a, keep_b in ((False, False), (False, True), (True, False)):
+        ta = run(config, init_a, keep_states=keep_a)
+        tb = run(config, init_b, keep_states=keep_b)
+        with pytest.raises(ConfigError, match="all time levels"):
+            l1_contraction_check(ta, tb, window=0.5)
 
 
 # ---------------------------------------------------------------------------
