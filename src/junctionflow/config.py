@@ -253,6 +253,7 @@ def parse_config(text: str) -> ConfigDocument:
     roads: list[RoadConfig] = []
     doc = ConfigDocument(roads)
     seen = {"run": False, "viscous": False}
+    bc_line = None
     for name, header_line, body in sections:
         if name == "road":
             roads.append(_parse_road(body, header_line))
@@ -261,7 +262,7 @@ def parse_config(text: str) -> ConfigDocument:
                 raise ConfigError("duplicate [run] section",
                                   kind="syntax", line=header_line)
             seen["run"] = True
-            _parse_run(doc, body, header_line)
+            bc_line = _parse_run(doc, body, header_line)
         else:
             if seen["viscous"]:
                 raise ConfigError("duplicate [viscous] section",
@@ -269,7 +270,7 @@ def parse_config(text: str) -> ConfigDocument:
             seen["viscous"] = True
             _parse_viscous(doc, body, header_line)
 
-    _validate_topology(doc)
+    _validate_topology(doc, bc_line)
     return doc
 
 
@@ -299,7 +300,9 @@ def _parse_road(body: dict[str, tuple[str, int]], line: int) -> RoadConfig:
 
 
 def _parse_run(doc: ConfigDocument, body: dict[str, tuple[str, int]],
-               line: int) -> None:
+               line: int) -> int | None:
+    """Fill the run settings in doc; returns the line of ``outer_bc``, whose
+    Dirichlet values only the topology check can count, or None."""
     if "cfl" in body:
         doc.cfl = _one_float(*body["cfl"], key="cfl")
         if not 0 < doc.cfl <= 1:
@@ -327,6 +330,8 @@ def _parse_run(doc: ConfigDocument, body: dict[str, tuple[str, int]],
             raise ConfigError("outer_bc is 'absorbing' or "
                               "'dirichlet v_1 ... v_k'", kind="range",
                               line=ln)
+        return ln
+    return None
 
 
 def _parse_viscous(doc: ConfigDocument, body: dict[str, tuple[str, int]],
@@ -343,7 +348,7 @@ def _parse_viscous(doc: ConfigDocument, body: dict[str, tuple[str, int]],
                               line=body["window"][1])
 
 
-def _validate_topology(doc: ConfigDocument) -> None:
+def _validate_topology(doc: ConfigDocument, bc_line: int | None) -> None:
     roads = doc.roads
     if len(roads) < 2:
         raise ConfigError("need at least two roads", kind="topology")
@@ -371,11 +376,12 @@ def _validate_topology(doc: ConfigDocument) -> None:
     if doc.dirichlet_values is not None:
         if doc.dirichlet_values.shape != (len(roads),):
             raise ConfigError("dirichlet needs one value per road",
-                              kind="topology")
+                              kind="topology", line=bc_line)
         for v in doc.dirichlet_values:
             if not lo <= v <= hi:
                 raise ConfigError(f"dirichlet value {v:g} outside "
-                                  f"[{lo:g}, {hi:g}]", kind="range")
+                                  f"[{lo:g}, {hi:g}]", kind="range",
+                                  line=bc_line)
 
 
 def build_spec(doc: ConfigDocument) -> JunctionSpec:

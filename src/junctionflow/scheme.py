@@ -39,6 +39,9 @@ _GAUSS_OFFSET = math.sqrt(0.6) / 2.0
 _GAUSS_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 # cells and steps stay below this count, so they index and time exactly
 _MAX_COUNT = 2**53
+# the march takes the exact masses of as many levels at once as fill this
+# many bytes (see ``_march``)
+_MASS_BLOCK = 65536
 
 
 @dataclass(eq=False)
@@ -147,11 +150,9 @@ class GridState:
     time: float
     values: tuple[np.ndarray, ...]
 
-    def total_mass(self, dx: float, top: float | None = None) -> float:
-        """dx times the correctly rounded sum of all cells. ``top``, a bound
-        on every |cell|, spares ``kernels.exact_sum`` reading max|cell|;
-        the sum is the same either way."""
-        return dx * kernels.exact_sum(np.concatenate(self.values), top)
+    def total_mass(self, dx: float) -> float:
+        """dx times the correctly rounded sum of all cells."""
+        return dx * kernels.exact_sum(np.concatenate(self.values))
 
 
 @dataclass(eq=False)
@@ -367,11 +368,26 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     Each computed buffer gets one min/max pass, the maximum-principle
     guard: a slot outside [A, B] (beyond the slack of 1e-12 of the span
     that ``JunctionSpec.candidate`` allows) or a NaN stops the run with a
-    ConsistencyError that names the step and the road. The same bound
-    spares the exact mass its own max|x| pass; a non-finite mass stops the
-    run too. The first level was validated by ``_pack``, and a step that
-    returns its input bitwise with the record of the step before repeats
-    a buffer that has passed.
+    ConsistencyError that names the step and the road. The first level
+    was validated by ``_pack``, and a step that returns its input bitwise
+    with the record of the step before repeats a buffer that has passed.
+
+    The exact masses of computed levels are taken a block at a time: each
+    buffer is copied into a block of ``_MASS_BLOCK`` bytes (64 KB, 40
+    levels of 2 x 100 cells or 10 of 2 x 400) and waits there with its
+    guard bound, which spares ``kernels.row_sums`` a max|x| pass. One
+    ``row_sums`` call takes the masses of all waiting levels when the
+    block is full, when a hold starts (held levels repeat that mass) and
+    at the end. The ghost and pad columns of the block read -0.0, which
+    adds nothing to any sum, and every row sum is the correctly rounded
+    sum of its row, so each mass is dx times ``math.fsum`` of its level's
+    cells, bit for bit, as ``GridState.total_mass`` gives it. A level that
+    fills the block alone (3 x 4000 cells) is summed on its own by
+    ``kernels.exact_sum``. A non-finite mass stops the run when its block
+    is summed, naming its own step. A ``GridState`` is built only for the
+    levels kept and the level a hold starts from. Together this took a
+    parabolic step on 2 x 400 cells from about 35 to 29 us (see the
+    README's "Mass ledger").
 
     ``advance`` must be a pure function of the bytes of u and dt. A
     full-length step that returns its input bitwise, with the junction
@@ -398,11 +414,36 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     kept = {n_steps, *(int(np.abs(times - t).argmin())
                        for t in snapshot_times)}
 
-    views = mesh._layout.views
+    layout = mesh._layout
+    views = layout.views
     state = GridState(0, 0.0, views(u))
     states, buffers = [state], [u]
     masses = np.empty(n_steps + 1)
     masses[0] = state.total_mass(mesh.dx)
+    # computed levels wait in block, with their guard bounds in tops, until
+    # their masses are taken together; block has no rows where one level
+    # alone fills it
+    rows = min(n_steps, _MASS_BLOCK // u.nbytes)
+    block = np.empty((rows, layout.slots))
+    tops = []
+
+    def flush(stop):
+        # the masses of levels stop - len(tops) + 1 .. stop; returns the last
+        first = stop + 1 - len(tops)
+        if rows:
+            pending = block[:len(tops)]
+            pending[:, layout.ghosts] = -0.0  # adds nothing to any sum
+            pending[:, layout.pad] = -0.0
+            sums = kernels.row_sums(pending, tops)
+        else:  # u is the one level waiting
+            sums = [kernels.exact_sum(np.concatenate(views(u)), tops[0])]
+        tops.clear()
+        for k, total in enumerate(sums, first):
+            masses[k] = mass = mesh.dx * total
+            if not math.isfinite(mass):
+                raise ConsistencyError(f"step {k}: total mass is {mass}")
+        return mass
+
     dts = np.empty(n_steps)
     bnet = np.empty(n_steps)
     records = []
@@ -410,6 +451,7 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     held = False
     for s in range(n_steps):
         dt = times[s + 1] - s * dt0 if s == n_steps - 1 else dt0
+        keep = keep_states or s + 1 in kept
         if not held or dt != dt0:
             last = record
             new, boundary, record = advance(u, dt)
@@ -419,23 +461,28 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
                 lo, hi = float(new.min()), float(new.max())
                 if not (lo_ok <= lo and hi <= hi_ok):  # NaN fails this too
                     raise _range_error(mesh, new, s + 1)
-            state = GridState(s + 1, times[s + 1], views(new))
-            mass = state.total_mass(mesh.dx, max(-lo, hi))
-            if not math.isfinite(mass):
-                raise ConsistencyError(f"step {s + 1}: total mass is {mass}")
-            net = (math.fsum(boundary[m:].tolist())
-                   - math.fsum(boundary[:m].tolist()))
+            flows = boundary.tolist()
+            net = math.fsum(flows[m:]) - math.fsum(flows[:m])
             held = repeat and dt == dt0
             u = new
+            if rows:
+                block[len(tops)] = u
+            tops.append(max(-lo, hi))
+            if held or len(tops) >= rows:  # held levels repeat this mass
+                mass = flush(s + 1)
+            if keep or held:
+                state = GridState(s + 1, times[s + 1], views(u))
         else:
             state = GridState(s + 1, times[s + 1], state.values)
-        if keep_states or s + 1 in kept:
+            masses[s + 1] = mass
+        if keep:
             states.append(state)
             buffers.append(u)
-        masses[s + 1] = mass
         dts[s] = dt
         records.append(record)
         bnet[s] = net
+    if tops:
+        flush(n_steps)
     return states, buffers, times, dts, bnet, masses, records
 
 

@@ -64,10 +64,10 @@ def bump_test_function(t_on: float, t_off: float, reach: float,
                        plateau: float) -> TestFunction:
     """Smooth bump in time on (t_on, t_off), times a space profile equal to
     1 on [-plateau, plateau] and falling smoothly to 0 at distance reach."""
-    if not 0 <= t_on < t_off:
-        raise ValueError("need 0 <= t_on < t_off")
-    if not 0 < plateau < reach:
-        raise ValueError("need 0 < plateau < reach")
+    if not 0 <= t_on < t_off < math.inf:  # NaN fails too
+        raise ValueError("need 0 <= t_on < t_off, all finite")
+    if not 0 < plateau < reach < math.inf:
+        raise ValueError("need 0 < plateau < reach, all finite")
 
     def time_profile(t: float) -> float:
         z = (2.0 * t - t_on - t_off) / (t_off - t_on)

@@ -23,6 +23,7 @@ epsilon shrinks, not as a production solver.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -425,8 +426,9 @@ def initial_smoothing(data, epsilon: float, dx: float | None = None,
             raise ValueError(f"epsilon/dx={epsilon / dx:g} cells is too wide "
                              f"a smoothing to count")
         width = int(round(epsilon / dx))
-    if width < 0:
-        raise ValueError("width must be nonnegative")
+    if isinstance(width, bool) or not (
+            isinstance(width, numbers.Integral) and width >= 0):
+        raise ValueError("width must be a nonnegative integer")
     single = isinstance(data, np.ndarray)
     arrays = [data] if single else list(data)
     rounds = (width + 1) // 2

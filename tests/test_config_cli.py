@@ -264,6 +264,23 @@ def test_parse_topology_errors():
     assert err.value.kind == "topology"
 
 
+@pytest.mark.parametrize("values, kind", [
+    ("0.3", "topology"), ("0.3 0.2 0.5", "topology"), ("0.3 1.5", "range"),
+    ("-0.1 0.2", "range")])
+def test_dirichlet_errors_name_their_line(tmp_path, capsys, values, kind):
+    # the values are counted and range-checked against the roads after
+    # parsing, and the error still names the outer_bc line
+    text = MINIMAL + f"\n[run]\ncfl = 0.9\nouter_bc = dirichlet {values}\n"
+    line = text.splitlines().index(f"outer_bc = dirichlet {values}") + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (err.value.kind, err.value.line) == (kind, line)
+    assert str(err.value).startswith(f"line {line}: [{kind}] dirichlet")
+    assert cli.main(["run", "--config", _write(tmp_path, text),
+                     "--out", str(tmp_path)]) == 2
+    assert f"line {line}: " in capsys.readouterr().err
+
+
 def test_parse_structure_errors():
     with pytest.raises(ConfigError) as err:
         parse_config("cfl = 0.9\n")

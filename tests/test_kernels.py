@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from junctionflow import (JunctionSpec, NetworkMesh, RunConfig, cfl_timestep,
                           custom_polynomial, quadratic_lwr, run, run_parabolic,
                           symmetric_quadratic, tabulated)
-from junctionflow import kernels
+from junctionflow import kernels, scheme
 
 RNG = np.random.default_rng(99)
 
@@ -459,6 +459,88 @@ def test_exact_sum_of_a_fine_run_takes_one_pass(monkeypatch):
         cells = np.concatenate(state.values)
         assert cells.shape == (12_000,)
         assert _passes(monkeypatch, cells) == 1
+
+
+# ---------------------------------------------------------------------------
+# a block of rows summed at once, as the march sums its levels' masses
+
+ROW_KINDS = ("plain", "cancel", "subnormal", "zeros", "sum zero", "tie",
+             "near tie")
+
+
+def _block_row(rng, n, kind):
+    """A row of n >= 4 terms. A tie (1 + 2**-53, half way between two
+    floats) and a tie broken by a term far below the rounding test's
+    bound both fail that test, and an exact zero never passes it, so
+    those rows take the fallback."""
+    if kind == "plain":
+        return rng.uniform(-1.0, 1.0, n) * 10.0 ** float(rng.integers(-8, 8))
+    if kind == "cancel":  # x and -x shuffled: the exact sum is 0
+        half = rng.standard_normal(n // 2)
+        return rng.permutation(np.concatenate([half, -half,
+                                               np.zeros(n % 2)]))
+    if kind == "subnormal":
+        return np.ldexp(rng.standard_normal(n), rng.integers(-1100, -1000, n))
+    if kind in ("zeros", "sum zero"):  # signed zeros; zeros and one x, -x
+        x = np.copysign(np.zeros(n), rng.standard_normal(n))
+        if kind == "sum zero":
+            x[:2] = [0.375, -0.375]
+        return rng.permutation(x)
+    x = np.copysign(np.zeros(n), rng.standard_normal(n))
+    x[:3] = [1.0, 2.0**-54, 2.0**-54]
+    if kind == "near tie":
+        x[3] = rng.choice([-1.0, 1.0]) * 2.0**-120
+    return rng.permutation(x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n=st.integers(4, 600), seed=st.integers(0, 2**32 - 1),
+       height=st.floats(0.0, 1.0), scale=st.sampled_from([1.0, 2.0**20]),
+       kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1))
+@example(n=203, seed=1, height=1.0, scale=1.0, kinds=list(ROW_KINDS))
+@example(n=4, seed=2, height=0.0, scale=1.0, kinds=["tie"])
+def test_row_sums_match_fsum_row_by_row(n, seed, height, scale, kinds):
+    # blocks from one row to as many as fill the march's block, each row
+    # of some kind; the tops are max|row|, or 2**20 times it (any bound
+    # gives the same sums)
+    rng = np.random.default_rng(seed)
+    rows = 1 + round(height * (scheme._MASS_BLOCK // (8 * n) - 1))
+    block = np.array([_block_row(rng, n, kinds[i % len(kinds)])
+                      for i in range(rows)])
+    tops = (np.abs(block).max(axis=1) * scale).tolist()
+    got = kernels.row_sums(block, tops)
+    assert [g.hex() for g in got] == [math.fsum(row.tolist()).hex()
+                                      for row in block]
+
+
+def test_row_sums_leave_unsettled_rows_to_exact_sum(monkeypatch):
+    # plain rows pass the one-pass rounding test; ties, near ties and exact
+    # zeros go to exact_sum, which rounds them as fsum does
+    rng = np.random.default_rng(11)
+    kinds = ("plain", "tie", "plain", "near tie", "sum zero", "zeros")
+    block = np.array([_block_row(rng, 300, kind) for kind in kinds])
+    fallback = []
+    real = kernels.exact_sum
+
+    def spy(x, top=None):
+        fallback.append(x.tolist())
+        return real(x, top)
+
+    monkeypatch.setattr(kernels, "exact_sum", spy)
+    got = kernels.row_sums(block, np.abs(block).max(axis=1).tolist())
+    assert fallback == [block[i].tolist() for i in (1, 3, 4, 5)]
+    assert got[1] == 1.0 and got[4] == got[5] == 0.0
+    assert got[3] in (1.0, 1.0 + 2.0**-52)
+    assert [g.hex() for g in got] == [math.fsum(row.tolist()).hex()
+                                      for row in block]
+    # a row that is not finite, with its top as max|x| gives it, sends the
+    # whole block to exact_sum
+    fallback.clear()
+    block[2, 7] = math.inf
+    got = kernels.row_sums(block, np.abs(block).max(axis=1).tolist())
+    assert len(fallback) == len(kinds) and got[2] == math.inf
+    assert [g.hex() for g in got] == [math.fsum(row.tolist()).hex()
+                                      for row in block]
 
 
 # ---------------------------------------------------------------------------

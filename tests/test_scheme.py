@@ -909,6 +909,70 @@ def test_parabolic_run_holds_an_empty_network(monkeypatch):
     assert traj.boundary_net.tobytes() == np.zeros(31).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# exact masses taken a block of levels at a time
+
+def _spy_blocks(monkeypatch, poison_row=None):
+    """The height of every block whose masses the march takes; with
+    ``poison_row``, the second block's mass in that row reads inf."""
+    real = kernels.row_sums
+    heights = []
+
+    def spy(block, tops):
+        heights.append(block.shape[0])
+        sums = real(block, tops)
+        if poison_row is not None and len(heights) == 2:
+            sums[poison_row] = math.inf
+        return sums
+
+    monkeypatch.setattr(kernels, "row_sums", spy)
+    return heights
+
+
+def test_block_masses_are_those_of_the_replayed_levels(monkeypatch):
+    # a parabolic run of three full blocks of 40 levels and a partial one,
+    # and a hyperbolic run whose hold starts mid-block: every mass is
+    # GridState.total_mass of its level, replayed step by step, bitwise
+    mesh = NetworkMesh(LWR11, 0.01, np.array([100, 100]))
+    rows = scheme._MASS_BLOCK // mesh._layout.slots // 8
+    assert rows == 40
+    heights = _spy_blocks(monkeypatch)
+    eps = 0.02
+    init = [np.linspace(0.1, 0.4, 100), np.linspace(0.9, 0.5, 100)]
+    traj = run_parabolic(mesh, eps, init,
+                         (3 * rows + 16.5) * parabolic_timestep(mesh, eps))
+    assert heights == [rows, rows, rows, 17]
+    state = discretize_initial(mesh, init)
+    masses = [state.total_mass(mesh.dx)]
+    for dt in traj.dts:
+        state = parabolic_step(state, mesh, eps, dt)
+        masses.append(state.total_mass(mesh.dx))
+    assert traj.masses.tobytes() == np.array(masses).tobytes()
+    # the 2-1 settling run below holds from step 284 on: five full blocks
+    # of 53 levels, 19 more when the hold starts, and the shortened step
+    heights.clear()
+    mesh = NetworkMesh(JunctionSpec(2, 1, (quadratic_lwr(),) * 3), 0.01, 50)
+    traj = run(RunConfig(mesh, 0.9, 300.5 * cfl_timestep(mesh, 0.9)),
+               [0.02, 0.81, 0.91])
+    assert heights == [53] * 5 + [19, 1]
+    monkeypatch.undo()
+    _assert_step_replay(traj, [0.02, 0.81, 0.91])
+
+
+def test_non_finite_block_mass_names_its_own_step(monkeypatch):
+    # a mass that comes out non-finite in the middle of a block stops the
+    # run when the block is summed, at the step of that level
+    mesh = NetworkMesh(LWR11, 0.01, np.array([100, 100]))
+    init = [np.linspace(0.1, 0.4, 100), np.linspace(0.9, 0.5, 100)]
+    for march in (lambda: run(RunConfig(mesh, 0.9, 0.5), init),
+                  lambda: run_parabolic(mesh, 0.02, init, 0.12)):
+        heights = _spy_blocks(monkeypatch, poison_row=5)
+        with pytest.raises(ConsistencyError,
+                           match=r"^step 46: total mass is inf$"):
+            march()
+        assert heights == [40, 40]
+
+
 @functools.cache
 def _germs(label):
     return germ_sampler(MIXED_TOPOLOGIES[label], 4, seed=53)

@@ -68,6 +68,13 @@ def test_bump_rejects_bad_intervals():
         bump_test_function(0.0, 0.1, reach=0.05, plateau=0.05)
     with pytest.raises(ValueError):
         bump_test_function(0.0, 0.1, reach=0.04, plateau=0.05)
+    # an infinite or NaN end would make the time profile NaN, and an
+    # infinite reach a weight of 1 everywhere
+    for t_on, t_off, reach in ((0.0, math.inf, 0.5), (0.0, math.nan, 0.5),
+                               (math.nan, 0.1, 0.5), (0.0, 0.1, math.inf),
+                               (0.0, 0.1, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            bump_test_function(t_on, t_off, reach=reach, plateau=0.1)
 
 
 def test_time_levels_and_space_cells_sampling():

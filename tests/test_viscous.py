@@ -648,6 +648,13 @@ def test_smoothing_rejects_widths_it_cannot_derive(epsilon, dx, name):
         initial_smoothing(np.zeros(5), epsilon=epsilon, dx=dx)
 
 
+@pytest.mark.parametrize("width", [2.5, 2.0, -1, True, "3", math.nan])
+def test_smoothing_rejects_a_width_that_is_no_count(width):
+    with pytest.raises(ValueError, match="^width must be a nonnegative "
+                                         "integer"):
+        initial_smoothing(np.zeros(5), epsilon=0.1, width=width)
+
+
 def test_smoothing_handles_sequences_and_defaults():
     data = [RNG.uniform(0, 1, 30), RNG.uniform(0, 1, 40)]
     out = initial_smoothing(data, epsilon=0.1, dx=0.02)
