@@ -546,12 +546,28 @@ def _piecewise_root(roads, m, consts, kinks, c, a, b, sign):
 _TAIL = 256
 
 
+def _grid(n: int, top: float) -> tuple[int, float] | None:
+    """(e, bound) for the first extraction pass over n terms with
+    |x| <= top, as ``exact_sum`` and ``row_sums`` both take it:
+    sigma = 2**e is a power of two at least (n + 2) * top, and
+    bound = n**2 * 2**(e - 104) bounds the error of any float sum of the n
+    remainders. None where top is not finite (inf or NaN) or sigma would
+    overflow."""
+    e = math.frexp(top)[1] + (n + 1).bit_length()
+    if not (math.isfinite(top) and e <= 1023):
+        return None
+    return e, math.ldexp(float(n * n), e - 104)
+
+
 def _rounded(part: float, rest: float, bound: float) -> float | None:
     """The one-pass rounding test of ``exact_sum``: part is exact and rest
     lies within bound of the exact sum r of the remainders. Where
     part + rest - bound and part + rest + bound round alike, part + r
     rounds the same way (rounding is monotone), and that is returned; else
-    None. An exact zero never passes, as bound > 0."""
+    None. An exact zero never passes, as bound > 0, and no sum passes
+    where bound lies below the normal range."""
+    if bound < _TINY:
+        return None
     low = math.fsum((part, rest, -bound))
     return low if low == math.fsum((part, rest, bound)) else None
 
@@ -585,19 +601,18 @@ def exact_sum(x: np.ndarray, top: float | None = None) -> float:
     """
     parts = []
     if x.shape[0] > _TAIL:
-        n = x.shape[0]
         if top is None:
             top = float(np.abs(x).max())
-        e = math.frexp(top)[1] + (n + 1).bit_length()
-        if math.isfinite(top) and e <= 1023:  # else sigma would overflow
-            bound = math.ldexp(float(n * n), e - 104)
+        grid = _grid(x.shape[0], top)
+        if grid is not None:  # else fsum propagates or overflows
+            e, bound = grid
             while x.shape[0] > _TAIL:
                 sigma = math.ldexp(1.0, e)
                 q = sigma + x
                 q -= sigma
                 parts.append(float(q.sum()))
                 x = np.subtract(x, q, out=q)
-                if len(parts) == 1 and bound >= _TINY:
+                if len(parts) == 1:
                     total = _rounded(parts[0], float(x.sum()), bound)
                     if total is not None:
                         return total
@@ -617,21 +632,19 @@ def row_sums(block: np.ndarray, tops) -> list[float]:
 
     One error-free extraction takes the whole block at once, on the sigma
     grid that ``exact_sum`` would use for a row of that length and the
-    largest bound, so the row sums of the parts are exact; the row sums of
-    the remainders then give each row ``exact_sum``'s one-pass rounding
-    test, with its bound n**2 * 2**(e - 104). Every numpy call serves all
-    rows, which is what makes the block cheaper than one ``exact_sum`` per
-    row. ``exact_sum`` itself sums every row the test does not settle (an
-    exact zero, or a sum within the bound of a rounding boundary), and
-    every row of a block whose tops are not all finite, whose sigma would
-    overflow or whose bound lies below the normal range.
+    largest bound (``_grid``), so the row sums of the parts are exact; the
+    row sums of the remainders then give each row ``exact_sum``'s one-pass
+    rounding test (``_rounded``). Every numpy call serves all rows, which
+    is what makes the block cheaper than one ``exact_sum`` per row.
+    ``exact_sum`` itself sums every row the test does not settle (an exact
+    zero, a sum within the bound of a rounding boundary, or every row
+    where the bound lies below the normal range), and every row of a block
+    whose tops are not all finite or whose sigma would overflow.
     """
-    n = block.shape[1]
-    top = max(tops, default=0.0)
-    e = math.frexp(top)[1] + (n + 1).bit_length()
-    bound = math.ldexp(float(n * n), e - 104)
-    if not (math.isfinite(sum(tops)) and e <= 1023 and bound >= _TINY):
+    grid = _grid(block.shape[1], max(tops, default=0.0))
+    if grid is None or not math.isfinite(sum(tops)):  # max may skip a NaN
         return [exact_sum(row, t) for row, t in zip(block, tops)]
+    e, bound = grid
     sigma = math.ldexp(1.0, e)
     q = block + sigma
     q -= sigma

@@ -382,12 +382,10 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     adds nothing to any sum, and every row sum is the correctly rounded
     sum of its row, so each mass is dx times ``math.fsum`` of its level's
     cells, bit for bit, as ``GridState.total_mass`` gives it. A level that
-    fills the block alone (3 x 4000 cells) is summed on its own by
-    ``kernels.exact_sum``. A non-finite mass stops the run when its block
-    is summed, naming its own step. A ``GridState`` is built only for the
-    levels kept and the level a hold starts from. Together this took a
-    parabolic step on 2 x 400 cells from about 35 to 29 us (see the
-    README's "Mass ledger").
+    fills the block alone (3 x 4000 cells) makes a block of one row. A
+    non-finite mass stops the run when its block is summed, naming its own
+    step. A ``GridState`` is built only for the levels kept and the level a
+    hold starts from (see the README's "Mass ledger" for the cost).
 
     ``advance`` must be a pure function of the bytes of u and dt. A
     full-length step that returns its input bitwise, with the junction
@@ -421,24 +419,19 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     masses = np.empty(n_steps + 1)
     masses[0] = state.total_mass(mesh.dx)
     # computed levels wait in block, with their guard bounds in tops, until
-    # their masses are taken together; block has no rows where one level
-    # alone fills it
-    rows = min(n_steps, _MASS_BLOCK // u.nbytes)
+    # their masses are taken together
+    rows = max(1, min(n_steps, _MASS_BLOCK // u.nbytes))
     block = np.empty((rows, layout.slots))
     tops = []
 
     def flush(stop):
         # the masses of levels stop - len(tops) + 1 .. stop; returns the last
-        first = stop + 1 - len(tops)
-        if rows:
-            pending = block[:len(tops)]
-            pending[:, layout.ghosts] = -0.0  # adds nothing to any sum
-            pending[:, layout.pad] = -0.0
-            sums = kernels.row_sums(pending, tops)
-        else:  # u is the one level waiting
-            sums = [kernels.exact_sum(np.concatenate(views(u)), tops[0])]
+        pending = block[:len(tops)]
+        pending[:, layout.ghosts] = -0.0  # adds nothing to any sum
+        pending[:, layout.pad] = -0.0
+        sums = kernels.row_sums(pending, tops)
         tops.clear()
-        for k, total in enumerate(sums, first):
+        for k, total in enumerate(sums, stop + 1 - len(sums)):
             masses[k] = mass = mesh.dx * total
             if not math.isfinite(mass):
                 raise ConsistencyError(f"step {k}: total mass is {mass}")
@@ -465,8 +458,7 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
             net = math.fsum(flows[m:]) - math.fsum(flows[:m])
             held = repeat and dt == dt0
             u = new
-            if rows:
-                block[len(tops)] = u
+            block[len(tops)] = u
             tops.append(max(-lo, hi))
             if held or len(tops) >= rows:  # held levels repeat this mass
                 mass = flush(s + 1)

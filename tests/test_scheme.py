@@ -955,8 +955,15 @@ def test_block_masses_are_those_of_the_replayed_levels(monkeypatch):
     traj = run(RunConfig(mesh, 0.9, 300.5 * cfl_timestep(mesh, 0.9)),
                [0.02, 0.81, 0.91])
     assert heights == [53] * 5 + [19, 1]
-    monkeypatch.undo()
     _assert_step_replay(traj, [0.02, 0.81, 0.91])
+    # a level that fills the block alone makes a block of one row
+    heights.clear()
+    mesh = NetworkMesh(LWR11, 1e-3, np.array([4100, 4100]))
+    assert mesh._layout.slots * 8 > scheme._MASS_BLOCK
+    init = [np.linspace(0.1, 0.4, 4100), np.linspace(0.9, 0.5, 4100)]
+    traj = run(RunConfig(mesh, 0.9, 2.5 * cfl_timestep(mesh, 0.9)), init)
+    assert heights == [1, 1, 1]
+    _assert_step_replay(traj, init)
 
 
 def test_non_finite_block_mass_names_its_own_step(monkeypatch):
