@@ -77,6 +77,13 @@ class JunctionSpec:
     def outgoing(self) -> list[Flux]:
         return self.fluxes[self.m:]
 
+    def road_index(self, road) -> int:
+        """road, checked to index one of the m + n roads."""
+        if road not in range(self.m + self.n):
+            raise ValueError(f"road {road!r} is not in "
+                             f"range({self.m + self.n})")
+        return road
+
     def candidate(self, u) -> np.ndarray:
         """Validate and normalize a junction state vector."""
         arr = np.ascontiguousarray(u, dtype=float)
@@ -180,28 +187,14 @@ def is_germ_member(spec: JunctionSpec, k, tol: float = 1e-9,
     and the one-sided chord inequalities at the left end p of the coupling
     interval: on the interval between k_h and p, f stays at least f(k_h) -
     tol where it must rise and at most f(k_h) + tol where it must fall,
-    decided exactly from the bell shape. ``method="both"`` runs both and
-    raises ConsistencyError on disagreement. ``tol`` must be positive and
-    finite.
+    decided exactly from the bell shape. The two agree; ``tol`` must be
+    positive and finite.
     """
-    if method not in ("godunov", "oleinik", "both"):
+    if method not in ("godunov", "oleinik"):
         raise ValueError(f"unknown method {method!r}")
     _check_tol(tol)
-    k = spec.candidate(k)
-    got_g = got_o = None
-    if method in ("godunov", "both"):
-        got_g = _member_by_fluxes(spec, k, tol)
-    if method in ("oleinik", "both"):
-        got_o = _member_by_chords(spec, k, tol)
-    if method == "godunov":
-        return got_g
-    if method == "oleinik":
-        return got_o
-    if got_g != got_o:
-        raise ConsistencyError(
-            f"membership paths disagree on {k.tolist()}: "
-            f"flux-identity={got_g}, chords={got_o}")
-    return got_g
+    member = _member_by_fluxes if method == "godunov" else _member_by_chords
+    return member(spec, spec.candidate(k), tol)
 
 
 def _member_by_fluxes(spec: JunctionSpec, k: np.ndarray, tol: float) -> bool:
@@ -349,7 +342,7 @@ class RiemannSolution:
         incoming, x >= 0 outgoing); ties go to the candidate nearest the
         trace. Scalar in, scalar out; arrays map elementwise.
         """
-        flux = self.spec.fluxes[road]
+        flux = self.spec.fluxes[self.spec.road_index(road)]
         incoming = road < self.spec.m
         far, trace = float(self.initial[road]), float(self.traces[road])
         lower = (far < trace) if incoming else (trace < far)

@@ -10,11 +10,10 @@ bisections over the kinks and ends, whose signs at the ends follow from
 the structure of demand and supply, and solves one piece exactly; it can
 start from an earlier solve's active piece (``_warm_root``), kept only
 where a certificate shows the cold solve would take the same root, plus
-(c) the exact sums behind the mass
-audit, which usually stop after one extraction pass with a certified
-rounding (a caller that knows a bound on the terms spares the pass that
-reads it; ``row_sums`` makes that pass once for a block of levels, which
-the march fills), and the exact prefix sums behind the mass ledger.
+(c) the exact sums behind the mass audit: ``row_sums`` takes the masses of
+a block of levels, which the march fills, with one extraction and a
+certified rounding, and leaves to ``math.fsum`` each row that rounding
+does not settle; and the exact prefix sums behind the mass ledger.
 ``real_roots`` finds every sign change of a polynomial on an interval; it
 answers the flux-shape questions (the bell shape, the Lipschitz bound, the
 rarefaction states of a Riemann fan).
@@ -539,139 +538,82 @@ def _piecewise_root(roads, m, consts, kinks, c, a, b, sign):
 # ---------------------------------------------------------------------------
 # exact summation
 
-# Above this many terms the extraction passes beat fsum over a list. Measured
-# crossover on a 2-vCPU x86 VM, with or without a bound: ~250 terms (fsum 4.7
-# us against 8.5 us at 128 terms, 9.2 against 8.7 at 256, 13.6 against 8.6 at
-# 400, 37 against 9.8 at 1,024; the one-pass exit settles almost every sum).
-_TAIL = 256
-
-
 def _grid(n: int, top: float) -> tuple[int, float] | None:
-    """(e, bound) for the first extraction pass over n terms with
-    |x| <= top, as ``exact_sum`` and ``row_sums`` both take it:
-    sigma = 2**e is a power of two at least (n + 2) * top, and
-    bound = n**2 * 2**(e - 104) bounds the error of any float sum of the n
-    remainders. None where top is not finite (inf or NaN) or sigma would
-    overflow."""
+    """(e, bound) for the first extraction over n terms with |x| <= top,
+    as ``row_sums`` and ``prefix_layers`` take it (Rump, Ogita & Oishi,
+    "Accurate floating-point summation I", SIAM J. Sci. Comput. 31, 2008):
+    sigma = 2**e is a power of two at least (n + 2) * top, so
+    q = (sigma + x) - sigma keeps the leading bits of every term on one grid
+    of sigma's ulps, where numpy sums them exactly, and x - q is the exact
+    remainder, at most 2**(e - 53) in size. bound = n**2 * 2**(e - 104)
+    bounds the error of any float sum of the n remainders (gamma_{n-1}
+    times the sum of their sizes; Higham, "Accuracy and Stability of
+    Numerical Algorithms", sec. 4.2). None where top is not finite (inf or
+    NaN) or sigma would overflow."""
     e = math.frexp(top)[1] + (n + 1).bit_length()
     if not (math.isfinite(top) and e <= 1023):
         return None
     return e, math.ldexp(float(n * n), e - 104)
 
 
-def _rounded(part: float, rest: float, bound: float) -> float | None:
-    """The one-pass rounding test of ``exact_sum``: part is exact and rest
-    lies within bound of the exact sum r of the remainders. Where
-    part + rest - bound and part + rest + bound round alike, part + r
-    rounds the same way (rounding is monotone), and that is returned; else
-    None. An exact zero never passes, as bound > 0, and no sum passes
-    where bound lies below the normal range."""
-    if bound < _TINY:
-        return None
-    low = math.fsum((part, rest, -bound))
-    return low if low == math.fsum((part, rest, bound)) else None
-
-
-def exact_sum(x: np.ndarray, top: float | None = None) -> float:
-    """The correctly rounded sum of a 1-D float64 array, bit-identical to
-    ``math.fsum(x.tolist())`` (NaN and inf propagate as fsum propagates
-    them). ``top``, where given, must be a bound top >= max|x| of finite
-    terms (a caller that has just checked their range knows one); it
-    stands in for max|x|, which is then not read, and any such bound gives
-    the same sum.
-
-    Long arrays are first cut down by error-free extraction (Rump, Ogita &
-    Oishi, "Accurate floating-point summation I", SIAM J. Sci. Comput. 31,
-    2008): with sigma = 2**e a power of two at least (n + 2) * top,
-    q = (sigma + x) - sigma keeps the leading bits of every term on one grid
-    of sigma's ulps, so q.sum() is exact in any order and x - q is the exact
-    remainder, at most 2**(e - 53) in size. That bound gives the next
-    sigma, so only the first sigma needs top.
-
-    Usually one pass settles the rounding (Rump, Ogita & Oishi, part II,
-    SIAM J. Sci. Comput. 31, 2008): the n remainders of the first pass sum
-    in floats to within B = n**2 * 2**(e - 104) of their exact sum, in any
-    order (gamma_{n-1} times the sum of their sizes; Higham, "Accuracy and
-    Stability of Numerical Algorithms", sec. 4.2). Where the exact sums of
-    the first part, that float sum and -B or +B round alike, rounding is
-    monotone, so that is the rounded sum. This exit is taken only where B is
-    a normal float; an exact zero never passes it. Otherwise the passes go
-    on: the remainder is compacted once it is mostly zeros, and fsum rounds
-    the exact parts and what remains once.
-    """
-    parts = []
-    if x.shape[0] > _TAIL:
-        if top is None:
-            top = float(np.abs(x).max())
-        grid = _grid(x.shape[0], top)
-        if grid is not None:  # else fsum propagates or overflows
-            e, bound = grid
-            while x.shape[0] > _TAIL:
-                sigma = math.ldexp(1.0, e)
-                q = sigma + x
-                q -= sigma
-                parts.append(float(q.sum()))
-                x = np.subtract(x, q, out=q)
-                if len(parts) == 1:
-                    total = _rounded(parts[0], float(x.sum()), bound)
-                    if total is not None:
-                        return total
-                nonzero = x != 0.0
-                if 2 * np.count_nonzero(nonzero) < x.shape[0]:
-                    x = x[nonzero]
-                e += (x.shape[0] + 1).bit_length() - 52
-    return math.fsum(parts + x.tolist())
-
-
 def row_sums(block: np.ndarray, tops) -> list[float]:
     """The correctly rounded sum of every row of the 2-D float64 array
-    block, each bit-identical to ``math.fsum(row.tolist())``. ``tops[i]``
-    bounds |x| over row i, as ``top`` does in ``exact_sum``; a row with a
-    term that is not finite needs a top that is not finite (inf or NaN,
-    as max|x| gives it).
+    block, each bit-identical to ``math.fsum(row.tolist())`` (NaN and inf
+    propagate, and overflow raises, as fsum does). ``tops[i]`` bounds |x|
+    over row i; any such bound gives the same sums, and a row with a term
+    that is not finite needs a top that is not finite (inf or NaN, as
+    max|x| gives it).
 
     One error-free extraction takes the whole block at once, on the sigma
-    grid that ``exact_sum`` would use for a row of that length and the
-    largest bound (``_grid``), so the row sums of the parts are exact; the
-    row sums of the remainders then give each row ``exact_sum``'s one-pass
-    rounding test (``_rounded``). Every numpy call serves all rows, which
-    is what makes the block cheaper than one ``exact_sum`` per row.
-    ``exact_sum`` itself sums every row the test does not settle (an exact
-    zero, a sum within the bound of a rounding boundary, or every row
-    where the bound lies below the normal range), and every row of a block
-    whose tops are not all finite or whose sigma would overflow.
+    grid of a row of that length and the largest bound (``_grid``), so the
+    row sums of the parts are exact. The row sums of the remainders then
+    settle each row's rounding (Rump, Ogita & Oishi, part II, SIAM J. Sci.
+    Comput. 31, 2008): the part is exact and the rest lies within bound of
+    the remainders' exact sum, so where part + rest - bound and
+    part + rest + bound round alike, the exact sum, between them, rounds
+    the same way. Every numpy call serves all rows. ``math.fsum`` itself
+    sums every row the test does not settle (an exact zero, which never
+    passes as bound > 0, a sum within the bound of a rounding boundary, a
+    row with a NaN, whose test compares NaNs, or every row where the bound
+    lies below the normal range), and every row of a block whose largest
+    top is not finite or whose sigma would overflow. ``max`` may skip a
+    NaN top, but never an inf one.
     """
     grid = _grid(block.shape[1], max(tops, default=0.0))
-    if grid is None or not math.isfinite(sum(tops)):  # max may skip a NaN
-        return [exact_sum(row, t) for row, t in zip(block, tops)]
+    if grid is None or grid[1] < _TINY:
+        return [math.fsum(row) for row in block.tolist()]
     e, bound = grid
     sigma = math.ldexp(1.0, e)
     q = block + sigma
     q -= sigma
     parts = np.add.reduce(q, axis=1).tolist()
     rests = np.add.reduce(np.subtract(block, q, out=q), axis=1).tolist()
-    sums = [_rounded(p, r, bound) for p, r in zip(parts, rests)]
-    return [exact_sum(block[i], tops[i]) if total is None else total
-            for i, total in enumerate(sums)]
+    sums = []
+    for i, (part, rest) in enumerate(zip(parts, rests)):
+        low = math.fsum((part, rest, -bound))
+        if low != math.fsum((part, rest, bound)):
+            low = math.fsum(block[i].tolist())
+        sums.append(low)
+    return sums
 
 
 def prefix_layers(x: np.ndarray) -> np.ndarray:
     """Exact prefix sums of a finite 1-D float64 array, as layers: row k is
-    the running sum of the k-th extraction q of x (as in ``exact_sum``,
-    with sigma from the bound the layer before left), and column s of the
-    rows adds up exactly to the sum of x[:s + 1]. A layer lies on one grid
-    and its prefixes fit in 53 bits, so np.cumsum adds it exactly. Raises
-    ValueError on a non-finite term, and OverflowError where the first
-    sigma would overflow, i.e. where
-    2**(frexp(max|x|)[1] + (n + 1).bit_length()) > 2**1023.
+    the running sum of the k-th extraction q of x, the first on the grid
+    of ``_grid`` and each later one on the grid of the bound the remainder
+    before it left, and column s of the rows adds up exactly to the sum of
+    x[:s + 1]. A layer lies on one grid and its prefixes fit in 53 bits, so
+    np.cumsum adds it exactly. Raises ValueError on a non-finite term, and
+    OverflowError where the first sigma would overflow.
     """
-    step = (x.shape[0] + 1).bit_length()
     top = float(np.abs(x).max(initial=0.0))
     if not math.isfinite(top):
         raise ValueError("exact prefix sums need finite terms")
-    e = math.frexp(top)[1] + step
-    if e > 1023:
+    grid = _grid(x.shape[0], top)
+    if grid is None:
         raise OverflowError("terms too large for exact prefix sums")
+    e = grid[0]
+    step = (x.shape[0] + 1).bit_length()
     layers = []
     while True:
         sigma = math.ldexp(1.0, e)

@@ -75,13 +75,14 @@ class NetworkMesh:
 
     def centers(self, road: int) -> np.ndarray:
         """Cell midpoints; negative coordinates on incoming roads."""
-        n = int(self.cells_per_road[road])
+        n = int(self.cells_per_road[self.spec.road_index(road)])
         if road < self.spec.m:
             return (np.arange(-n, 0) + 0.5) * self.dx
         return (np.arange(0, n) + 0.5) * self.dx
 
     def road_length(self, road: int) -> float:
-        return float(self.cells_per_road[road]) * self.dx
+        h = self.spec.road_index(road)
+        return float(self.cells_per_road[h]) * self.dx
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +152,10 @@ class GridState:
     values: tuple[np.ndarray, ...]
 
     def total_mass(self, dx: float) -> float:
-        """dx times the correctly rounded sum of all cells."""
-        return dx * kernels.exact_sum(np.concatenate(self.values))
+        """dx times the correctly rounded sum of all cells, ``math.fsum``'s.
+        The march takes it for the first level only; ``kernels.row_sums``
+        gives every later mass, bit for bit the same."""
+        return dx * math.fsum(np.concatenate(self.values).tolist())
 
 
 @dataclass(eq=False)
@@ -372,20 +375,21 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     was validated by ``_pack``, and a step that returns its input bitwise
     with the record of the step before repeats a buffer that has passed.
 
-    The exact masses of computed levels are taken a block at a time: each
-    buffer is copied into a block of ``_MASS_BLOCK`` bytes (64 KB, 40
-    levels of 2 x 100 cells or 10 of 2 x 400) and waits there with its
-    guard bound, which spares ``kernels.row_sums`` a max|x| pass. One
-    ``row_sums`` call takes the masses of all waiting levels when the
-    block is full, when a hold starts (held levels repeat that mass) and
-    at the end. The ghost and pad columns of the block read -0.0, which
-    adds nothing to any sum, and every row sum is the correctly rounded
-    sum of its row, so each mass is dx times ``math.fsum`` of its level's
-    cells, bit for bit, as ``GridState.total_mass`` gives it. A level that
-    fills the block alone (3 x 4000 cells) makes a block of one row. A
-    non-finite mass stops the run when its block is summed, naming its own
-    step. A ``GridState`` is built only for the levels kept and the level a
-    hold starts from (see the README's "Mass ledger" for the cost).
+    The first level's mass is ``GridState.total_mass``; those of computed
+    levels are taken a block at a time: each buffer is copied into a block
+    of ``_MASS_BLOCK`` bytes (64 KB, 40 levels of 2 x 100 cells or 10 of
+    2 x 400) and waits there with its guard bound, which spares
+    ``kernels.row_sums`` a max|x| pass. One ``row_sums`` call takes the
+    masses of all waiting levels when the block is full, when a hold
+    starts (held levels repeat that mass) and at the end. The ghost and
+    pad columns of the block read -0.0, which adds nothing to any sum, and
+    every row sum is ``math.fsum`` of its row, so each mass is dx times
+    ``math.fsum`` of its level's cells, bit for bit, as ``total_mass``
+    gives it. A level that fills the block alone (3 x 4000 cells) makes a
+    block of one row. A non-finite mass stops the run when its block is
+    summed, naming its own step. A ``GridState`` is built only for the
+    levels kept and the level a hold starts from (see the README's "Mass
+    ledger" for the cost).
 
     ``advance`` must be a pure function of the bytes of u and dt. A
     full-length step that returns its input bitwise, with the junction

@@ -314,11 +314,15 @@ def convergence_study(problem: RiemannProblem, dx_list,
     ``reference`` picks the comparison: "exact" samples the similarity
     solution; "fine" block-averages one extra run on a mesh of width
     fine_dx (default: a quarter of the finest requested dx), which must
-    divide every requested dx.
+    divide every requested dx. Every dx and fine_dx must be positive and
+    finite.
     """
     dx_list = [float(d) for d in dx_list]
     if reference not in ("exact", "fine"):
         raise ValueError("reference must be 'exact' or 'fine'")
+    for name, d in [("dx", dx) for dx in dx_list] + [("fine_dx", fine_dx)]:
+        if d is not None and not (math.isfinite(d) and d > 0):
+            raise ValueError(f"{name}={d} must be positive and finite")
     ref_values = None
     fine_cells = None
     if reference == "fine":

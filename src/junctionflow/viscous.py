@@ -192,8 +192,9 @@ def road_profile(flux, k_h: float, p: float, epsilon: float, window: float,
     _check_epsilon(epsilon)
     if not (math.isfinite(window) and window > 0):
         raise ValueError("window must be positive and finite")
-    if n_samples < 3:
-        raise ValueError("need at least 3 samples")
+    if isinstance(n_samples, bool) or not (
+            isinstance(n_samples, numbers.Integral) and n_samples >= 3):
+        raise ValueError("n_samples must be an integer of at least 3")
     dist = np.linspace(0.0, window, n_samples)
     fk = flux.eval(k_h)
     sign = -1.0 if incoming else 1.0

@@ -616,13 +616,21 @@ def test_spec_construction_errors():
 # ---------------------------------------------------------------------------
 # equilibrium membership
 
+def _member(spec, k):
+    """is_germ_member by both definitions, which must agree."""
+    got = is_germ_member(spec, k, method="godunov")
+    assert got == is_germ_member(spec, k, method="oleinik")
+    return got
+
+
 def test_membership_known_cases():
-    assert is_germ_member(LWR11, (0.2, 0.8), method="both")
-    assert is_germ_member(LWR11, (0.3, 0.3), method="both")
-    assert not is_germ_member(LWR11, (0.2, 0.3), method="both")
-    assert not is_germ_member(LWR11, (0.8, 0.2), method="both")
-    with pytest.raises(ValueError):
-        is_germ_member(LWR11, (0.2, 0.8), method="magic")
+    assert _member(LWR11, (0.2, 0.8))
+    assert _member(LWR11, (0.3, 0.3))
+    assert not _member(LWR11, (0.2, 0.3))
+    assert not _member(LWR11, (0.8, 0.2))
+    for bad in ("magic", "both"):
+        with pytest.raises(ValueError, match="unknown method"):
+            is_germ_member(LWR11, (0.2, 0.8), method=bad)
 
 
 def test_stationary_shock_is_strict():
@@ -636,9 +644,9 @@ def test_stationary_shock_is_strict():
 def test_worked_traces_form_strict_equilibrium():
     rs = riemann_solve(SYMQ21, WORKED_U)
     k = rs.traces
-    assert is_germ_member(SYMQ21, k, method="both")
+    assert _member(SYMQ21, k)
     assert is_strict_germ_member(SYMQ21, k)
-    assert not is_germ_member(SYMQ21, WORKED_U, method="both")
+    assert not _member(SYMQ21, WORKED_U)
 
 
 def test_membership_methods_agree_on_random_states():
@@ -646,15 +654,14 @@ def test_membership_methods_agree_on_random_states():
         span = spec.span
         for _ in range(40):
             u = spec.rho_min + span * RNG.random(spec.m + spec.n)
-            # "both" raises ConsistencyError if the two paths disagree
-            is_germ_member(spec, u, method="both")
+            _member(spec, u)  # the two paths agree
         for k in germ_sampler(spec, 10, seed=5):
-            assert is_germ_member(spec, k, method="both")
+            assert _member(spec, k)
 
 
 def test_nonstrict_family_members_not_strict():
     for spec, k in nonstrict_germ_sampler(10, seed=11):
-        assert is_germ_member(spec, k, method="both")
+        assert _member(spec, k)
         assert not is_strict_germ_member(spec, k)
 
 
@@ -735,6 +742,19 @@ def test_riemann_sample_limits():
     assert rs.sample(1, np.array([10.0]) / t)[0] == pytest.approx(0.2)
     assert rs.sample(0, np.array([0.0]))[0] == pytest.approx(rs.traces[0], abs=1e-7)
     assert rs.sample(1, np.array([0.0]))[0] == pytest.approx(rs.traces[1], abs=1e-7)
+    # a road outside range(m + n) is refused by name. -1 once read as
+    # incoming: on 1-2 LWR it gave the far datum 0.1 of road 2 at xi = 0,
+    # where road 2 holds its trace 0.0757, which carries 2/3 of the demand
+    # 0.21 (p(1 - p) = 0.07 on both outgoing roads)
+    spec = JunctionSpec(1, 2, (quadratic_lwr(), quadratic_lwr(),
+                               quadratic_lwr(2.0)))
+    rs = riemann_solve(spec, (0.3, 0.6, 0.1))
+    assert rs.sample(2, 0.0) == pytest.approx(0.5 - 0.5 * math.sqrt(0.72),
+                                              abs=1e-12)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=f"^road {bad} is not in "
+                                             r"range\(3\)"):
+            rs.sample(bad, 0.0)
 
 
 def test_riemann_rarefaction_profile_monotone():
@@ -788,7 +808,7 @@ def test_membership_rejects_bad_tol():
     # NaN fails every comparison, so an unchecked tol let the chord path
     # accept (0.2, 0.3), which is no equilibrium, with witness 0.2
     for bad in (math.nan, math.inf, 0.0, -1.0):
-        for method in ("godunov", "oleinik", "both"):
+        for method in ("godunov", "oleinik"):
             with pytest.raises(ValueError, match="tol must be positive"):
                 is_germ_member(LWR11, (0.2, 0.3), tol=bad, method=method)
         with pytest.raises(ValueError, match="tol must be positive"):

@@ -1,7 +1,7 @@
 """Numeric kernels: scalar and vectorized paths agree bitwise, the balance
 gap is monotone, the polynomial root solver is exact where it must be, the
-exact sum is fsum bit for bit, and the ledger's prefix layers are exact and
-its row rounding is fsum's wherever it does not flag a row."""
+exact row sums are fsum's bit for bit, and the ledger's prefix layers are
+exact and its row rounding is fsum's wherever it does not flag a row."""
 
 import math
 from fractions import Fraction
@@ -300,19 +300,65 @@ def test_real_roots_finds_every_sign_change(simple, pair, scale):
 
 
 # ---------------------------------------------------------------------------
-# exact summation: bit-identical to fsum, on both sides of the extraction cut
+# exact row sums: bit-identical to fsum, in blocks of one row and of several
 
-def _fsum_outcome(fn, x):
-    """The bits of the result (value and sign of zero), or the exception."""
+def _outcome(fn, *args):
+    """The bits of fn(*args) (value and sign of zero, for each float of a
+    list), or the type of the exception it raises."""
     try:
-        return fn(x).hex()
+        got = fn(*args)
     except (OverflowError, ValueError) as exc:
         return type(exc)
+    return [g.hex() for g in got] if isinstance(got, list) else got.hex()
 
 
-def _assert_matches_fsum(x):
-    assert (_fsum_outcome(kernels.exact_sum, x)
-            == _fsum_outcome(lambda a: math.fsum(a.tolist()), x))
+def _fsum_rows(rows):
+    return [math.fsum(row) for row in rows]
+
+
+def _blocks(x):
+    """x as a block of one row, as the march sums a level that fills the
+    block alone, and as the first row of a block of three, with -x
+    reversed and x / 2 (a row whose top is not the block's)."""
+    return x[None, :], np.stack([x, -x[::-1], 0.5 * x])
+
+
+def _assert_row_sums_match_fsum(x, top=None):
+    """row_sums of both blocks of x, the tops max|row| or top for every
+    row, are fsum's row by row, or raise what fsum raises."""
+    for block in _blocks(x):
+        tops = (np.abs(block).max(axis=1, initial=0.0).tolist()
+                if top is None else [top] * block.shape[0])
+        assert (_outcome(kernels.row_sums, block, tops)
+                == _outcome(_fsum_rows, block.tolist()))
+
+
+class _FsumSpy:
+    """math as ``kernels`` sees it, keeping every row that ``row_sums``
+    leaves to fsum: its rounding test sums tuples, the fallback a row's
+    list."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, terms):
+        if isinstance(terms, list):
+            self.rows.append(terms)
+        return math.fsum(terms)
+
+
+def _fallback(monkeypatch, block):
+    """row_sums of block with the tops max|row|, checked against fsum, and
+    the rows it left to fsum."""
+    spy = _FsumSpy()
+    monkeypatch.setattr(kernels, "math", spy)
+    got = kernels.row_sums(block, np.abs(block).max(axis=1).tolist())
+    monkeypatch.undo()
+    assert [g.hex() for g in got] == _outcome(_fsum_rows, block.tolist())
+    return got, spy.rows
 
 
 SUM_KINDS = ("plain", "cancel", "subnormal", "zeros", "special")
@@ -320,8 +366,7 @@ SUM_KINDS = ("plain", "cancel", "subnormal", "zeros", "special")
 
 def _at_march_sizes(test):
     """Every kind also at the sizes of a fine mesh (12,000 cells) and
-    beyond, where the extraction makes several passes over long arrays, on
-    a narrow and on the widest range of magnitudes."""
+    beyond, on a narrow and on the widest range of magnitudes."""
     for n in (12_000, 50_000):
         for kind in SUM_KINDS:
             for lo, spread in ((-2, 3), (-300, 600)):
@@ -331,12 +376,11 @@ def _at_march_sizes(test):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(n=st.integers(0, max(3 * kernels._TAIL, 1536)),
-       seed=st.integers(0, 2**32 - 1),
+@given(n=st.integers(0, 1536), seed=st.integers(0, 2**32 - 1),
        lo=st.integers(-300, 300), spread=st.integers(0, 600),
        kind=st.sampled_from(SUM_KINDS))
 @_at_march_sizes
-def test_exact_sum_matches_fsum(n, seed, lo, spread, kind):
+def test_row_sums_match_fsum(n, seed, lo, spread, kind):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * 10.0 ** rng.uniform(lo, min(lo + spread, 300),
                                                      n)
@@ -348,29 +392,28 @@ def test_exact_sum_matches_fsum(n, seed, lo, spread, kind):
         x = np.copysign(np.zeros(n), rng.standard_normal(n))
     elif kind == "special" and n:
         x[rng.integers(n, size=3)] = rng.choice([np.nan, np.inf, -np.inf], 3)
-    _assert_matches_fsum(x)
+    _assert_row_sums_match_fsum(x)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(1, 60))
-def test_exact_sum_matches_fsum_on_tiled_floats(terms, reps):
+def test_row_sums_match_fsum_on_tiled_floats(terms, reps):
     # any doubles, incl. nan, +-inf, -0.0, subnormals and values near the
-    # overflow threshold, repeated past the extraction cut
-    _assert_matches_fsum(np.tile(np.array(terms), reps))
+    # overflow threshold, where sigma would overflow and fsum may raise
+    _assert_row_sums_match_fsum(np.tile(np.array(terms), reps))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(n=st.integers(1, max(3 * kernels._TAIL, 1536)),
-       seed=st.integers(0, 2**32 - 1),
+@given(n=st.integers(1, 1536), seed=st.integers(0, 2**32 - 1),
        lo=st.integers(-320, 280),
        kind=st.sampled_from(("plain", "cancel", "subnormal", "zeros")),
        bound=st.sampled_from(("max", "power of two", "2**20 max")))
-@example(n=kernels._TAIL, seed=1, lo=0, kind="plain", bound="max")
-@example(n=kernels._TAIL + 1, seed=1, lo=0, kind="plain", bound="2**20 max")
-def test_exact_sum_with_a_bound_matches_fsum(n, seed, lo, kind, bound):
+@example(n=1, seed=1, lo=0, kind="plain", bound="max")
+@example(n=1536, seed=1, lo=0, kind="plain", bound="2**20 max")
+def test_row_sums_with_any_bound_match_fsum(n, seed, lo, kind, bound):
     # any top >= max|x| stands in for max|x|: the exact max, the next power
     # of two and 2**20 times the max all give fsum's sum bit for bit, with
-    # -0.0, subnormals and mixed signs, on both sides of the extraction cut
+    # -0.0, subnormals and mixed signs
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * 10.0 ** rng.uniform(lo, lo + 20, n)
     if kind == "cancel":  # x and -x shuffled: the exact sum is 0
@@ -386,81 +429,66 @@ def test_exact_sum_with_a_bound_matches_fsum(n, seed, lo, kind, bound):
            "power of two": math.ldexp(1.0, math.frexp(top)[1]),
            "2**20 max": top * 2.0**20}[bound]
     assert top >= float(np.abs(x).max())
-    assert kernels.exact_sum(x, top).hex() == math.fsum(x.tolist()).hex()
+    _assert_row_sums_match_fsum(x, top)
 
 
-class _PassCounter:
-    """numpy as ``kernels`` sees it, counting the remainder subtractions of
-    ``exact_sum``: one per extraction pass."""
-
-    def __init__(self):
-        self.passes = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def subtract(self, *args, **kwargs):
-        self.passes += 1
-        return np.subtract(*args, **kwargs)
-
-
-def _passes(monkeypatch, x):
-    """exact_sum(x), checked against fsum, and its number of passes."""
-    counter = _PassCounter()
-    monkeypatch.setattr(kernels, "np", counter)
-    _assert_matches_fsum(x)
-    monkeypatch.undo()
-    return counter.passes
-
-
-def test_exact_sum_edge_cases(monkeypatch):
-    big = np.full(max(2 * kernels._TAIL, 1024), 1e308)
-    assert _fsum_outcome(kernels.exact_sum, big) is OverflowError
-    tie = np.concatenate([[1.0, 2.0**-53, 2.0**-106],
-                          np.zeros(max(2 * kernels._TAIL, 1024))])
-    assert kernels.exact_sum(tie) == 1.0 + 2.0**-52  # rounds the exact sum
+def test_row_sums_edge_cases(monkeypatch):
+    # sigma would overflow: fsum's own overflow is raised
+    big = np.full(1024, 1e308)
+    for block in _blocks(big):
+        assert _outcome(kernels.row_sums, block,
+                        [1e308] * block.shape[0]) is OverflowError
+    tie = np.concatenate([[1.0, 2.0**-53, 2.0**-106], np.zeros(1024)])
+    for block in _blocks(tie):
+        assert _fallback(monkeypatch, block)[0][0] == 1.0 + 2.0**-52
     # exact ties on 16,385 nonzero cells, shuffled: 1 + 2**-53 (8,192
     # cells of 2**-66) is half way between two floats, and 8,192 cells of
     # 2**-119 (2**-106 in all) break the tie. A tie never passes the
-    # one-pass exit, so the extraction goes on and rounds it as fsum does
+    # rounding test, so fsum rounds every row of either block
     rng = np.random.default_rng(7)
     for tail, want in ((0.0, 1.0), (2.0**-119, 1.0 + 2.0**-52)):
         x = rng.permutation(np.concatenate([
             [1.0], np.full(8192, 2.0**-66), np.full(8192, tail),
             np.full(3000, 0.25), np.full(3000, -0.25)]))
         assert np.count_nonzero(x) > 12_000
-        assert kernels.exact_sum(x) == want
-        assert _passes(monkeypatch, x) > 1
+        for block in _blocks(x):
+            got, fallback = _fallback(monkeypatch, block)
+            assert got[0] == want and fallback == block.tolist()
 
 
 @pytest.mark.parametrize("exponent", [-950, -960, -990, -1010])
-def test_exact_sum_exit_needs_a_normal_bound(monkeypatch, exponent):
-    # 12,000 terms near 2**exponent: the exit's bound n**2 * 2**(e - 104)
-    # is a normal float at 2**-950 and underflows below about 2**-959,
-    # where the extraction goes on; either way the sum is fsum's
+def test_row_sums_rounding_test_needs_a_normal_bound(monkeypatch, exponent):
+    # 12,000 terms near 2**exponent: the rounding test's bound
+    # n**2 * 2**(e - 104) is a normal float at 2**-950 and underflows below
+    # about 2**-959, where every row goes to fsum; either way the sums are
+    # fsum's
     rng = np.random.default_rng(-exponent)
     n = 12_000
     x = np.ldexp(rng.uniform(0.5, 1.0, n), exponent) * rng.choice([-1, 1], n)
     e = math.frexp(float(np.abs(x).max()))[1] + (n + 1).bit_length()
     normal = math.ldexp(n * n, e - 104) >= np.finfo(float).tiny
     assert normal == (exponent == -950)
-    passes = _passes(monkeypatch, x)
-    assert passes == 1 if normal else passes > 1
+    for block in _blocks(x):
+        fallback = _fallback(monkeypatch, block)[1]
+        assert fallback == ([] if normal else block.tolist())
 
 
-def test_exact_sum_of_a_fine_run_takes_one_pass(monkeypatch):
-    # every level of a 3 x 4000-cell 2-1 LWR run: one extraction pass, then
-    # the certified exit, and fsum's sum bit for bit
+def test_row_sums_settle_every_level_of_a_fine_run(monkeypatch):
+    # every level of a 3 x 4000-cell 2-1 LWR run, each a block of one row
+    # as the march takes it, and all of them in one block: the rounding
+    # test settles every row, and none goes to fsum
     spec = JunctionSpec(2, 1, (quadratic_lwr(), quadratic_lwr(),
                                quadratic_lwr(2.0)))
     mesh = NetworkMesh(spec, 1.0 / 4000, 4000)
     rng = np.random.default_rng(301)
     init = [np.repeat(rng.random(40), 100) for _ in range(3)]
     traj = run(RunConfig(mesh, 0.9, 20 * cfl_timestep(mesh, 0.9)), init)
-    for state in traj.states:
-        cells = np.concatenate(state.values)
-        assert cells.shape == (12_000,)
-        assert _passes(monkeypatch, cells) == 1
+    levels = np.array([np.concatenate(state.values)
+                       for state in traj.states])
+    assert levels.shape == (21, 12_000)
+    for level in levels:
+        assert _fallback(monkeypatch, level[None, :])[1] == []
+    assert _fallback(monkeypatch, levels)[1] == []
 
 
 # ---------------------------------------------------------------------------
@@ -515,34 +543,25 @@ def test_row_sums_match_fsum_row_by_row(n, seed, height, scale, kinds):
                                       for row in block]
 
 
-def test_row_sums_leave_unsettled_rows_to_exact_sum(monkeypatch):
+def test_row_sums_leave_unsettled_rows_to_fsum(monkeypatch):
     # plain rows pass the one-pass rounding test; ties, near ties and exact
-    # zeros go to exact_sum, which rounds them as fsum does
+    # zeros go to fsum
     rng = np.random.default_rng(11)
     kinds = ("plain", "tie", "plain", "near tie", "sum zero", "zeros")
     block = np.array([_block_row(rng, 300, kind) for kind in kinds])
-    fallback = []
-    real = kernels.exact_sum
-
-    def spy(x, top=None):
-        fallback.append(x.tolist())
-        return real(x, top)
-
-    monkeypatch.setattr(kernels, "exact_sum", spy)
-    got = kernels.row_sums(block, np.abs(block).max(axis=1).tolist())
+    got, fallback = _fallback(monkeypatch, block)
     assert fallback == [block[i].tolist() for i in (1, 3, 4, 5)]
     assert got[1] == 1.0 and got[4] == got[5] == 0.0
     assert got[3] in (1.0, 1.0 + 2.0**-52)
-    assert [g.hex() for g in got] == [math.fsum(row.tolist()).hex()
-                                      for row in block]
-    # a row that is not finite, with its top as max|x| gives it, sends the
-    # whole block to exact_sum
-    fallback.clear()
+    # a row with an inf, with its top as max|x| gives it, sends the whole
+    # block to fsum; a NaN row, whose top max(tops) may skip, goes alone
     block[2, 7] = math.inf
-    got = kernels.row_sums(block, np.abs(block).max(axis=1).tolist())
-    assert len(fallback) == len(kinds) and got[2] == math.inf
-    assert [g.hex() for g in got] == [math.fsum(row.tolist()).hex()
-                                      for row in block]
+    got, fallback = _fallback(monkeypatch, block)
+    assert fallback == block.tolist() and got[2] == math.inf
+    block[2, 7] = math.nan
+    got, fallback = _fallback(monkeypatch, block)
+    assert len(fallback) == 5 and fallback[2:] == block[3:].tolist()
+    assert math.isnan(got[2])
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +584,7 @@ def test_cascade_sums_round_like_fsum(columns):
     # refuses (inf + -inf, intermediate overflow) is always flagged
     sums, lost = kernels.cascade_sums(np.array(columns).T)
     for col, got, flagged in zip(columns, sums.tolist(), lost.tolist()):
-        want = _fsum_outcome(math.fsum, col)
+        want = _outcome(math.fsum, col)
         assert flagged or got.hex() == want
 
 

@@ -55,6 +55,18 @@ def test_mesh_centers_orientation():
     np.testing.assert_allclose(mesh.centers(0), [-0.07, -0.05, -0.03, -0.01])
     np.testing.assert_allclose(mesh.centers(1), [0.01, 0.03, 0.05, 0.07])
     assert mesh.road_length(0) == pytest.approx(0.08)
+    # a road outside range(m + n) is refused by name: -1 once read as an
+    # incoming road, with negative coordinates on an outgoing one
+    spec = JunctionSpec(1, 2, (quadratic_lwr(), quadratic_lwr(),
+                               quadratic_lwr(2.0)))
+    mesh = NetworkMesh(spec, 0.25, 4)
+    assert mesh.centers(2).tolist() == [0.125, 0.375, 0.625, 0.875]
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^road {bad} is not in "
+                                             r"range\(3\)"):
+            mesh.centers(bad)
+        with pytest.raises(ValueError, match=f"^road {bad} "):
+            mesh.road_length(bad)
 
 
 def test_mesh_validation():

@@ -452,7 +452,7 @@ def test_convergence_fine_reference():
     assert report.decreasing
 
 
-def test_convergence_input_validation():
+def test_convergence_input_validation(monkeypatch):
     problem = RiemannProblem(LWR11, np.array([0.3, 0.6]), t_final=0.2)
     with pytest.raises(ValueError):
         convergence_study(problem, [0.3])  # does not tile length 1
@@ -460,6 +460,15 @@ def test_convergence_input_validation():
         convergence_study(problem, [0.1], reference="bogus")
     with pytest.raises(ValueError):
         convergence_study(problem, [0.1], reference="fine", fine_dx=0.03)
+    # a dx or fine_dx that is not positive and finite is refused by name
+    # before any run (0 raised ZeroDivisionError, a NaN fine_dx int()'s
+    # error)
+    monkeypatch.setattr(verify, "run", None)  # any run would fail on this
+    for bad in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^dx={bad} must be positive"):
+            convergence_study(problem, [0.1, bad])
+        with pytest.raises(ValueError, match=f"^fine_dx={bad} must be"):
+            convergence_study(problem, [0.1], reference="fine", fine_dx=bad)
     for t_final in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             RiemannProblem(LWR11, np.array([0.3, 0.6]), t_final=t_final)

@@ -255,6 +255,14 @@ def test_non_finite_parameters_rejected():
             run_parabolic(mesh, bad, [0.2, 0.8], t_final=0.05)
         with pytest.raises(ValueError):
             run_parabolic(mesh, 0.02, [0.2, 0.8], t_final=bad)
+    # a sample count must be an integer of at least 3, as germ_sampler's
+    # count must be an integer (3.5 raised a bare TypeError in np.linspace)
+    for bad in (3.5, 3.0, 2, True, math.nan):
+        with pytest.raises(ValueError, match="^n_samples must be an integer"):
+            stationary_profile(LWR11, (0.2, 0.8), epsilon=0.02, window=1.0,
+                               n_samples=bad)
+        with pytest.raises(ValueError, match="^n_samples must be an integer"):
+            road_profile(quadratic_lwr(), 0.2, 0.4, 0.02, 1.0, n_samples=bad)
 
 
 def test_profiles_require_strict_equilibrium():
