@@ -15,6 +15,7 @@ shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,10 +149,16 @@ class Flux:
 # ---------------------------------------------------------------------------
 # constructors
 
+def _check_positive(family: str, **params) -> None:
+    for name, value in params.items():
+        if not (math.isfinite(value) and value > 0):  # NaN fails this too
+            raise ValueError(f"{family} needs a positive finite {name}, "
+                             f"got {value!r}")
+
+
 def quadratic_lwr(v: float = 1.0, rho_max: float = 1.0) -> Flux:
     """f(rho) = v * rho * (1 - rho/rho_max) on [0, rho_max]."""
-    if v <= 0 or rho_max <= 0:
-        raise ValueError("quadratic-lwr needs v > 0 and rho_max > 0")
+    _check_positive("quadratic-lwr", v=v, rho_max=rho_max)
     params = np.array([v, rho_max], dtype=float)
     crit = 0.5 * rho_max
     crest = kernels.flux_scalar(kernels.FAMILY_LWR, params, crit)
@@ -161,8 +168,7 @@ def quadratic_lwr(v: float = 1.0, rho_max: float = 1.0) -> Flux:
 
 def symmetric_quadratic(h: float = 1.0) -> Flux:
     """f(rho) = h * (1 - rho^2) on [-1, 1]; crest h at rho = 0."""
-    if h <= 0:
-        raise ValueError("symmetric-quadratic needs h > 0")
+    _check_positive("symmetric-quadratic", h=h)
     params = np.array([h], dtype=float)
     return Flux("symmetric-quadratic", params, -1.0, 1.0, 0.0,
                 2.0 * float(h), float(h), True, kernels.FAMILY_SYM_QUAD)

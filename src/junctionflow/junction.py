@@ -105,7 +105,7 @@ class JunctionSpec:
         return np.array([f.eval(u[h]) for h, f in enumerate(self.fluxes)])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JunctionSolution:
     """Coupling interval [p_min, p_max], per-road fluxes (read-only), their
     total, and the balance gap's active set at a point root (None on a
@@ -116,6 +116,13 @@ class JunctionSolution:
     fluxes: np.ndarray
     total: float
     active: tuple[int, ...] | None = None
+
+    def __init__(self, p_min, p_max, fluxes, total, active=None):
+        # one per solve: fill the frozen fields at half the cost of the
+        # generated __init__'s object.__setattr__ (as GridState does)
+        f = self.__dict__
+        f["p_min"], f["p_max"], f["fluxes"], f["total"], f["active"] = (
+            p_min, p_max, fluxes, total, active)
 
 
 def phi_in(spec: JunctionSpec, u, p):
@@ -138,9 +145,10 @@ def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
     supply: ``kernels.coupling_interval`` brackets it with two bisections
     over the roads' kinks and the ends, reading an end's sign only where a
     bisection reaches it, and solves the bracketing piece exactly. The
-    fluxes are evaluated at its midpoint and must balance to 1e-12.
-    ``hint``, the ``active`` set of an earlier solution, can spare the
-    bisections but never changes the result.
+    fluxes are evaluated at its midpoint and must balance to 1e-12; a flux
+    that is not finite fails, naming its road. ``hint``, the ``active`` set
+    of an earlier solution, can spare the bisections but never changes the
+    result.
     """
     roads, m = spec._roads, spec.m
     consts = kernels.road_constants(roads, m, spec.candidate(u).tolist())
@@ -153,17 +161,20 @@ def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
     # Inside a plateau every road takes its own demand or supply, so the
     # midpoint gives exact fluxes there and held equilibria do not drift.
     p_eval = p_min + 0.5 * (p_max - p_min)
-    fluxes = np.empty(spec.m + spec.n)
+    fluxes = consts[:]  # overwritten: a list is cheaper to fill and sum
     kernels.fill_junction_fluxes(roads, m, consts, p_eval, fluxes)
-    total_in = math.fsum(fluxes[:spec.m].tolist())
-    total_out = math.fsum(fluxes[spec.m:].tolist())
-    if abs(total_in - total_out) > 1e-12 * max(1.0, abs(total_in)):
+    total_in, total_out = math.fsum(fluxes[:m]), math.fsum(fluxes[m:])
+    if not abs(total_in - total_out) <= 1e-12 * max(1.0, abs(total_in)):
+        for h, f in enumerate(fluxes):  # NaN fails the test above too
+            if not math.isfinite(f):
+                raise ConsistencyError(f"junction flux of road {h} is {f!r}")
         raise ConsistencyError(
             f"junction fluxes do not balance: in={total_in!r} out={total_out!r}")
+    fluxes = np.array(fluxes)
     # a run hands one solution to every step that repeats its state
-    fluxes.flags.writeable = False
-    return JunctionSolution(float(p_min), float(p_max), fluxes,
-                            float(total_in), active)
+    fluxes.setflags(write=False)
+    return JunctionSolution(float(p_min), float(p_max), fluxes, total_in,
+                            active)
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +397,20 @@ def riemann_solve(spec: JunctionSpec, u0) -> RiemannSolution:
 
 
 def _trace(flux: Flux, u0: float, p: float, incoming: bool) -> float:
-    """Junction-side boundary value of one road's self-similar solution."""
+    """Junction-side boundary value of one road's self-similar solution;
+    u0 and p lie in [A, B], where f needs no range check."""
     crit = flux.rho_crit
     if u0 == p:
         return u0
+    if (u0 < p) == incoming:
+        # argmin of f between u0 and p; ties keep the road's own state
+        f = kernels.flux_scalar
+        return u0 if f(flux.code, flux.params, u0) <= f(
+            flux.code, flux.params, p) else p
     if incoming:
-        if u0 < p:
-            # argmin of f on [u0, p]; ties keep the road's own state
-            return u0 if flux.eval(u0) <= flux.eval(p) else p
         if p <= crit <= u0:
             return crit
         return u0 if u0 <= crit else p
-    if u0 > p:
-        # argmin of f on [p, u0]; ties keep the road's own state
-        return u0 if flux.eval(u0) <= flux.eval(p) else p
     if u0 <= crit <= p:
         return crit
     return p if p <= crit else u0

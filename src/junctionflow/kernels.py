@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 
 import numpy as np
 
@@ -160,9 +161,9 @@ def road_constants(roads, m, ustar):
     """The constant term of every road's share of the balance gap: the
     demand d_i = D_i(u_i) of an incoming road, the supply s_j = S_j(u_j) of
     an outgoing one."""
-    return [demand_scalar(code, par, crit, fcrit, u) if h < m else
-            supply_scalar(code, par, crit, fcrit, u)
-            for h, ((code, par, crit, fcrit), u)
+    # demand_scalar and supply_scalar, inlined: this runs once per solve
+    return [flux_scalar(code, par, u) if (u <= crit if h < m else u >= crit)
+            else fcrit for h, ((code, par, crit, fcrit), u)
             in enumerate(zip(roads, ustar))]
 
 
@@ -173,11 +174,11 @@ def balance_gap(roads, m, consts, p):
     total = 0.0
     for h, (code, par, crit, fcrit) in enumerate(roads):
         c = consts[h]
-        if h < m:
-            s = supply_scalar(code, par, crit, fcrit, p)
+        if h < m:  # supply_scalar and demand_scalar, inlined
+            s = flux_scalar(code, par, p) if p >= crit else fcrit
             total += c if c <= s else s
         else:
-            d = demand_scalar(code, par, crit, fcrit, p)
+            d = flux_scalar(code, par, p) if p <= crit else fcrit
             total -= d if d <= c else c
     return total
 
@@ -187,11 +188,11 @@ def fill_junction_fluxes(roads, m, consts, p, out):
     S_i(p)) or min(D_j(p), s_j), into out."""
     for h, (code, par, crit, fcrit) in enumerate(roads):
         c = consts[h]
-        if h < m:
-            s = supply_scalar(code, par, crit, fcrit, p)
+        if h < m:  # as in balance_gap
+            s = flux_scalar(code, par, p) if p >= crit else fcrit
             out[h] = c if c <= s else s
         else:
-            d = demand_scalar(code, par, crit, fcrit, p)
+            d = flux_scalar(code, par, p) if p <= crit else fcrit
             out[h] = d if d <= c else c
 
 
@@ -443,18 +444,19 @@ def _warm_root(roads, m, consts, base, slope, lo, hi, active):
     passes. No kink, table node or end then lies within reach of r, and
     R's sign is right wherever the cold solve reads it: it brackets r with
     this piece and takes the same r bit for bit."""
-    c = [base, slope]
+    c = [base, slope, 0.0]  # only a polynomial flux's piece is longer
     for h, k in enumerate(active):
         if k < 0:
             c[0] += consts[h] if h < m else -consts[h]
             continue
         code, par, crit, _ = roads[h]
         if h < m:
-            lo = max(lo, crit)
+            lo = crit if crit > lo else lo
         else:
-            hi = min(hi, crit)
+            hi = crit if crit < hi else hi
         piece = _piece_coeffs(code, par, None, k)
-        c.extend([0.0] * (len(piece) - len(c)))
+        if code == FAMILY_POLY:
+            c.extend([0.0] * (len(piece) - len(c)))
         for t, v in enumerate(piece):
             c[t] += v if h < m else -v
     deg = len(c) - 1
@@ -476,8 +478,8 @@ def _warm_root(roads, m, consts, base, slope, lo, hi, active):
         if k < 0 and consts[h] == fcrit and (
                 x < crit if h < m else x > crit):
             continue  # a crest tie on the flat branch: constant throughout
-        v = (supply_scalar if h < m else demand_scalar)(
-            code, par, crit, fcrit, x)
+        v = (flux_scalar(code, par, x) if (x >= crit if h < m else x <= crit)
+             else fcrit)  # supply_scalar or demand_scalar, inlined
         if not ((v - consts[h]) if k < 0 else (consts[h] - v)) \
                 > _WARM_MARGIN * fcrit:
             return None
@@ -486,7 +488,7 @@ def _warm_root(roads, m, consts, base, slope, lo, hi, active):
             if not (xs[k] <= left and right <= xs[k + 1]):
                 return None
     # the rounding of R, of c and of each term is a few eps of this size
-    big = max(abs(lo), abs(hi))
+    big = max(-lo, hi)  # max(|lo|, |hi|), as lo < hi
     size = (abs(base) + crests + abs(c0)
             + (abs(c1) + abs(c2) * big) * big)
     if not ((c2 * left + c1) * left + c0 > _WARM_MARGIN * size
@@ -588,12 +590,10 @@ def row_sums(block: np.ndarray, tops) -> list[float]:
     q -= sigma
     parts = np.add.reduce(q, axis=1).tolist()
     rests = np.add.reduce(np.subtract(block, q, out=q), axis=1).tolist()
-    sums = []
-    for i, (part, rest) in enumerate(zip(parts, rests)):
-        low = math.fsum((part, rest, -bound))
-        if low != math.fsum((part, rest, bound)):
-            low = math.fsum(block[i].tolist())
-        sums.append(low)
+    sums = list(map(math.fsum, zip(parts, rests, repeat(-bound))))
+    for i, high in enumerate(map(math.fsum, zip(parts, rests, repeat(bound)))):
+        if sums[i] != high:
+            sums[i] = math.fsum(block[i].tolist())
     return sums
 
 
@@ -606,7 +606,7 @@ def prefix_layers(x: np.ndarray) -> np.ndarray:
     np.cumsum adds it exactly. Raises ValueError on a non-finite term, and
     OverflowError where the first sigma would overflow.
     """
-    top = float(np.abs(x).max(initial=0.0))
+    top = float(np.maximum.reduce(np.abs(x), initial=0.0))
     if not math.isfinite(top):
         raise ValueError("exact prefix sums need finite terms")
     grid = _grid(x.shape[0], top)
@@ -642,7 +642,7 @@ def cascade_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for k in range(1, terms.shape[0]):
             np.add(partial[k - 1], terms[k], out=partial[k])
         a, b, hi = partial[:-2], terms[1:-1], partial[1:-1]
-        lost = ((hi - a != b) | (hi - b != a)).any(axis=0)
+        lost = np.logical_or.reduce((hi - a != b) | (hi - b != a), axis=0)
     total = partial[-1]
     lost |= ~np.isfinite(total)
     return total + 0.0, lost

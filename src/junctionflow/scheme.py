@@ -134,7 +134,7 @@ class _Layout:
                    tuple(sweeps))
 
     def views(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(u[c] for c in self.cells)
+        return tuple(map(u.__getitem__, self.cells))
 
     def fill(self, u: np.ndarray, ghosts=None) -> None:
         """Ghost cells copy the end cells (absorbing, ``ghosts`` None) or
@@ -143,13 +143,19 @@ class _Layout:
         u[self.pad] = u[self.pad - 1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GridState:
     """Cell averages of all roads at one time level. Treat values as read-only."""
 
     time_step: int
     time: float
     values: tuple[np.ndarray, ...]
+
+    def __init__(self, time_step, time, values):
+        # one per kept level: fill the frozen fields at half the cost of
+        # the generated __init__'s object.__setattr__
+        f = self.__dict__
+        f["time_step"], f["time"], f["values"] = time_step, time, values
 
     def total_mass(self, dx: float) -> float:
         """dx times the correctly rounded sum of all cells, ``math.fsum``'s.
@@ -203,22 +209,25 @@ def discretize_initial(mesh: NetworkMesh, data) -> GridState:
         raise ValueError(f"need initial data for {spec.m + spec.n} roads")
     lo, hi = spec._bounds
     values = []
-    for road, item in enumerate(data):
-        centers = mesh.centers(road)
+    for road, (item, count) in enumerate(zip(data,
+                                             mesh.cells_per_road.tolist())):
         if callable(item):
-            cells = _gauss_averages(item, centers, mesh.dx)
+            cells = _gauss_averages(item, mesh.centers(road), mesh.dx)
         elif isinstance(item, tuple) and len(item) == 2:
-            cells = _piecewise_averages(item[0], item[1], centers, mesh.dx)
+            cells = _piecewise_averages(item[0], item[1], mesh.centers(road),
+                                        mesh.dx)
         elif np.ndim(item) == 0:
-            cells = np.full(centers.shape, float(item))
+            cells = np.empty(count)
+            cells.fill(float(item))
         else:
-            cells = np.asarray(item, dtype=float).copy()
-            if cells.shape != centers.shape:
-                raise ValueError(f"road {road}: expected "
-                                 f"{centers.shape[0]} cell values")
-        if not np.isfinite(cells).all():
-            raise ValueError(f"road {road}: initial data must be finite")
-        if cells.min() < lo or cells.max() > hi:
+            cells = np.array(item, dtype=float)
+            if cells.shape != (count,):
+                raise ValueError(f"road {road}: expected {count} cell values")
+        # NaN fails the range test, which the finite test then names
+        if not (lo <= np.minimum.reduce(cells)
+                and np.maximum.reduce(cells) <= hi):
+            if not np.isfinite(cells).all():
+                raise ValueError(f"road {road}: initial data must be finite")
             raise ValueError(f"road {road}: initial data outside "
                              f"[{spec.rho_min}, {spec.rho_max}]")
         values.append(cells)
@@ -409,10 +418,9 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     n_steps = _step_count(t_final, dt0)
 
     # time levels are known up front, so the kept ones can be too
-    times = np.empty(n_steps + 1)
-    times[0] = 0.0
-    for s in range(n_steps):
-        times[s + 1] = t_final if s == n_steps - 1 else (s + 1) * dt0
+    times = np.arange(n_steps + 1) * dt0
+    if n_steps:
+        times[-1] = t_final
     kept = {n_steps, *(int(np.abs(times - t).argmin())
                        for t in snapshot_times)}
 
@@ -426,23 +434,26 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     # their masses are taken together
     rows = max(1, min(n_steps, _MASS_BLOCK // u.nbytes))
     block = np.empty((rows, layout.slots))
-    tops = []
+    tops = [0.0] * rows
+    waiting = 0
 
     def flush(stop):
-        # the masses of levels stop - len(tops) + 1 .. stop; returns the last
-        pending = block[:len(tops)]
+        # the masses of levels stop - waiting + 1 .. stop; returns the last
+        pending = block[:waiting]
         pending[:, layout.ghosts] = -0.0  # adds nothing to any sum
         pending[:, layout.pad] = -0.0
-        sums = kernels.row_sums(pending, tops)
-        tops.clear()
-        for k, total in enumerate(sums, stop + 1 - len(sums)):
-            masses[k] = mass = mesh.dx * total
-            if not math.isfinite(mass):
-                raise ConsistencyError(f"step {k}: total mass is {mass}")
-        return mass
+        got = [mesh.dx * total
+               for total in kernels.row_sums(pending, tops[:waiting])]
+        masses[stop + 1 - waiting:stop + 1] = got
+        if not all(map(math.isfinite, got)):  # name the first that is not
+            k = list(map(math.isfinite, got)).index(False)
+            raise ConsistencyError(f"step {stop + 1 - waiting + k}: total "
+                                   f"mass is {got[k]}")
+        return got[-1]
 
-    dts = np.empty(n_steps)
-    bnet = np.empty(n_steps)
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
+    dts = [dt0] * n_steps
+    bnet = [0.0] * n_steps
     records = []
     record = None
     held = False
@@ -455,17 +466,19 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
             # compare bytes, so that -0.0 and 0.0 stay apart
             repeat = record is last and new.tobytes() == u.tobytes()
             if not repeat:  # else the buffer has passed the guard already
-                lo, hi = float(new.min()), float(new.max())
+                lo, hi = float(lowest(new)), float(highest(new))
                 if not (lo_ok <= lo and hi <= hi_ok):  # NaN fails this too
                     raise _range_error(mesh, new, s + 1)
             flows = boundary.tolist()
             net = math.fsum(flows[m:]) - math.fsum(flows[:m])
             held = repeat and dt == dt0
             u = new
-            block[len(tops)] = u
-            tops.append(max(-lo, hi))
-            if held or len(tops) >= rows:  # held levels repeat this mass
+            block[waiting] = u
+            tops[waiting] = max(-lo, hi)
+            waiting += 1
+            if held or waiting == rows:  # held levels repeat this mass
                 mass = flush(s + 1)
+                waiting = 0
             if keep or held:
                 state = GridState(s + 1, times[s + 1], views(u))
         else:
@@ -477,9 +490,10 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
         dts[s] = dt
         records.append(record)
         bnet[s] = net
-    if tops:
+    if waiting:
         flush(n_steps)
-    return states, buffers, times, dts, bnet, masses, records
+    return (states, buffers, times, np.array(dts), np.array(bnet), masses,
+            records)
 
 
 @dataclass(eq=False)
@@ -538,8 +552,8 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
         # on as a hint, which spares the scan but changes no result.
         nonlocal key, known, solves
         state = u[adj]
-        if state.tobytes() != key:
-            key, known = state.tobytes(), solve_junction(
+        if (seen := state.tobytes()) != key:
+            key, known = seen, solve_junction(
                 mesh.spec, state, None if known is None else known.active)
             solves += 1
         return *_update(u, mesh, dt, known.fluxes, ghosts), known
@@ -604,7 +618,7 @@ def mass_ledger(traj: Trajectory) -> MassLedger:
     if special.any():  # a non-finite flow is in every row after its step
         first = int(special.argmax()) + 1
         redo[first:n] = redo[n + first:] = True
-    for c in np.flatnonzero(redo):
+    for c in redo.nonzero()[0].tolist():
         s = c % n
         sums[c] = math.fsum(rows[:, c].tolist()
                             + flows[:s][special[:s]].tolist())

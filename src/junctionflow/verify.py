@@ -49,15 +49,12 @@ class TestFunction:
     plateau: float
 
     def time_levels(self, times: np.ndarray) -> np.ndarray:
-        return np.array([self.time_profile(float(t)) for t in times])
+        return np.array([self.time_profile(t) for t in times.tolist()])
 
     def space_cells(self, mesh: NetworkMesh) -> list[np.ndarray]:
-        out = []
-        for h in range(mesh.spec.m + mesh.spec.n):
-            centers = mesh.centers(h)
-            out.append(np.array([self.space_profile(float(x))
-                                 for x in centers]))
-        return out
+        return [np.array([self.space_profile(x)
+                          for x in mesh.centers(h).tolist()])
+                for h in range(mesh.spec.m + mesh.spec.n)]
 
 
 def bump_test_function(t_on: float, t_off: float, reach: float,
@@ -132,11 +129,14 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
     the weight beyond the outer ends is zero, and the weight at the junction
     point is the plateau value. A non-finite slot has no flux: the form is inf.
     """
-    if not all(np.isfinite(u).all() for u in (*levels_a, *levels_b)):
+    # 64 levels at a time: few numpy calls, and a bounded copy
+    levels = (*levels_a, *levels_b)
+    if not all(np.isfinite(np.concatenate(levels[k:k + 64])).all()
+               for k in range(0, len(levels), 64)):
         return math.inf
     spec = mesh.spec
     layout = mesh._layout
-    tv = xi.time_levels(times)
+    tv = xi.time_levels(times).tolist()
     x0 = xi.space_profile(0.0)
     if len(times) < 3:
         raise PreconditionError("audit needs at least two recorded steps")
@@ -158,6 +158,7 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
     rise[layout.junc] = 0.0
 
     terms = []
+    dts = dts.tolist()
     # each level's max and min solves start from the previous level's
     # active sets, which spares the scan and changes no result
     hint_hi = hint_lo = None
@@ -315,11 +316,13 @@ def convergence_study(problem: RiemannProblem, dx_list,
     solution; "fine" block-averages one extra run on a mesh of width
     fine_dx (default: a quarter of the finest requested dx), which must
     divide every requested dx. Every dx and fine_dx must be positive and
-    finite.
+    finite, and dx_list must not be empty.
     """
     dx_list = [float(d) for d in dx_list]
     if reference not in ("exact", "fine"):
         raise ValueError("reference must be 'exact' or 'fine'")
+    if not dx_list:
+        raise ValueError("dx_list must name at least one dx")
     for name, d in [("dx", dx) for dx in dx_list] + [("fine_dx", fine_dx)]:
         if d is not None and not (math.isfinite(d) and d > 0):
             raise ValueError(f"{name}={d} must be positive and finite")

@@ -175,7 +175,10 @@ class ViscousProfile:
 
     def evaluate(self, road: int, x):
         """Density at position x (junction at 0); constant k_h beyond the
-        sampled decay window."""
+        sampled decay window. ``road`` must lie in range(m + n)."""
+        if road not in range(len(self._roads)):
+            raise ValueError(f"road {road!r} is not in "
+                             f"range({len(self._roads)})")
         return self._roads[road](np.abs(x))
 
 

@@ -196,6 +196,18 @@ def test_nan_density_rejected(any_flux):
                 call(bad)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build, name", [
+    (lambda x: quadratic_lwr(v=x), "v"),
+    (lambda x: quadratic_lwr(rho_max=x), "rho_max"),
+    (lambda x: symmetric_quadratic(h=x), "h")])
+def test_construction_rejects_non_finite_parameters(build, name, value):
+    # v <= 0 is False for NaN, so a NaN or infinite parameter used to build
+    # a flux whose Riemann solution answered NaN fluxes
+    with pytest.raises(ValueError, match=f"positive finite {name}, got"):
+        build(value)
+
+
 def test_construction_rejects_bad_parameters():
     with pytest.raises(ValueError):
         quadratic_lwr(v=0.0)

@@ -146,6 +146,22 @@ def test_solution_fluxes_are_read_only():
     assert np.abs(sol.fluxes - WORKED_G).max() <= 1e-10
 
 
+@pytest.mark.parametrize("road, bad", [(1, math.nan), (2, math.inf)])
+def test_a_junction_flux_that_is_not_finite_fails_closed(monkeypatch, road,
+                                                         bad):
+    # the balance check fails on NaN (it read abs(in - out) > bound, which
+    # NaN passes) and names the first road whose flux is not finite
+    real = kernels.fill_junction_fluxes
+
+    def poisoned(roads, m, consts, p, out):
+        real(roads, m, consts, p, out)
+        out[road] = bad
+    monkeypatch.setattr(kernels, "fill_junction_fluxes", poisoned)
+    with pytest.raises(ConsistencyError,
+                       match=f"junction flux of road {road} is {bad!r}"):
+        solve_junction(SYMQ21, WORKED_U)
+
+
 def test_interval_endpoints_are_exact():
     # the worked example's p_max is a tangential root (the second incoming
     # road demands its crest value), and the stationary shock's interval

@@ -452,6 +452,14 @@ def test_convergence_fine_reference():
     assert report.decreasing
 
 
+@pytest.mark.parametrize("reference", ["exact", "fine"])
+def test_convergence_study_needs_a_dx(reference):
+    # an empty ladder was a vacuous pass ("exact") or min()'s error ("fine")
+    problem = RiemannProblem(LWR11, np.array([0.3, 0.6]), t_final=0.2)
+    with pytest.raises(ValueError, match="dx_list"):
+        convergence_study(problem, [], reference=reference)
+
+
 def test_convergence_input_validation(monkeypatch):
     problem = RiemannProblem(LWR11, np.array([0.3, 0.6]), t_final=0.2)
     with pytest.raises(ValueError):

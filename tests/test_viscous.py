@@ -216,6 +216,14 @@ def test_stationary_profile_structure():
     assert lo <= v_out.min() and v_out.max() <= hi
 
 
+def test_profile_evaluate_refuses_a_road_out_of_range():
+    # road -1 used to answer road 1's outgoing profile, road 5 IndexError
+    prof = stationary_profile(LWR11, (0.2, 0.8), epsilon=0.02, window=1.0)
+    for road in (-1, 2, 5):
+        with pytest.raises(ValueError, match=r"not in range\(2\)"):
+            prof.evaluate(road, -0.01)
+
+
 def test_profile_scaling_identity():
     # rho^eps(x) = rho^1(x / eps) for the same equilibrium state
     ref = stationary_profile(LWR11, (0.2, 0.8), epsilon=1.0, window=50.0)

@@ -1,0 +1,55 @@
+"""Work counts that repeat exactly, so that a change in the cost of a step
+shows without a timer.
+
+The baseline run of ``tools/step_cost.py`` (2-1 LWR, v = 1, 1, 2, on
+3 x 25 cells, CFL 0.9, to t = 1) makes a fixed number of junction solves
+and a fixed number of Python calls per computed step, as cProfile counts
+them: the calls of the run to t = 1 less those of the run to t = 0.5, over
+the difference in steps. Each count is taken twice in each of two fresh
+interpreters with different ``PYTHONHASHSEED`` values; all must agree with
+the pins. A change that moves a count updates its pin and says why.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the run to t = 1 makes 112 steps and the run to t = 0.5 makes 56
+STEPS_BETWEEN = 56
+CALLS_BETWEEN = 3319  # 59.27 Python calls per computed step
+JUNCTION_SOLVES = 112
+
+COUNT = """
+import json
+import step_cost
+from junctionflow import scheme
+config, data = step_cost.baseline()
+print(json.dumps({
+    "calls": [[*step_cost.calls(0.5), *step_cost.calls(1.0)]
+              for _ in range(2)],
+    "solves": scheme.run(config, data).junction_solves}))
+"""
+
+
+def _counts(hash_seed: int) -> dict:
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "tools")]))
+    done = subprocess.run([sys.executable, "-c", COUNT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_a_coarse_step_makes_a_pinned_number_of_calls_and_solves():
+    for hash_seed in (0, 4099):
+        got = _counts(hash_seed)
+        assert got["solves"] == JUNCTION_SOLVES
+        for c_half, s_half, c_full, s_full in got["calls"]:
+            assert (c_full - c_half, s_full - s_half) == (CALLS_BETWEEN,
+                                                         STEPS_BETWEEN)
+    assert CALLS_BETWEEN <= 60 * STEPS_BETWEEN
