@@ -14,8 +14,7 @@ from .fluxes import (Flux, branch_point, conjugate, custom_polynomial,
                      quadratic_lwr, symmetric_quadratic, tabulated)
 from .junction import (JunctionSolution, JunctionSpec, RiemannSolution,
                        dissipativity, is_germ_member, is_strict_germ_member,
-                       phi_in, phi_out, riemann_solve, solve_junction,
-                       strict_witness)
+                       riemann_solve, solve_junction, strict_witness)
 from .scheme import (GridState, MassLedger, NetworkMesh, RunConfig,
                      Trajectory, cfl_timestep, discretize_initial,
                      mass_ledger, run, step)
@@ -35,8 +34,7 @@ __all__ = [
     "quadratic_lwr", "symmetric_quadratic", "tabulated",
     "JunctionSolution", "JunctionSpec", "RiemannSolution",
     "dissipativity", "is_germ_member", "is_strict_germ_member",
-    "phi_in", "phi_out", "riemann_solve", "solve_junction",
-    "strict_witness",
+    "riemann_solve", "solve_junction", "strict_witness",
     "GridState", "MassLedger", "NetworkMesh", "RunConfig", "Trajectory",
     "cfl_timestep", "discretize_initial", "mass_ledger", "run", "step",
     "ContractionReport", "ConvergenceReport", "KatoReport",

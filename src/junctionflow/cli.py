@@ -23,7 +23,8 @@ import numpy as np
 from . import verify as verify_mod
 from .config import (ConfigDocument, build_network, build_spec,
                      mesh_and_run, parse_config)
-from .errors import ConfigError, ConsistencyError, PreconditionError
+from .errors import (ConfigError, ConsistencyError, PreconditionError,
+                     as_bounded, as_count, as_positive)
 from .fluxes import quadratic_lwr, symmetric_quadratic
 from .junction import (JunctionSpec, dissipativity, is_germ_member,
                        is_strict_germ_member, riemann_solve, solve_junction)
@@ -57,33 +58,24 @@ def _load_document(args) -> ConfigDocument:
         raise ConfigError(f"cannot read {args.config}: {exc.strerror}") from exc
     doc = parse_config(text)
     if getattr(args, "t_final", None) is not None:
-        if not (math.isfinite(args.t_final) and args.t_final >= 0):
-            raise ConfigError("--t-final must be nonnegative and finite",
-                              kind="range")
         if any(t > args.t_final for t in doc.snapshots):
             raise ConfigError(f"--t-final {args.t_final:g} lies before the "
                               f"snapshot at {max(doc.snapshots):g}",
                               kind="range")
-        doc.t_final = args.t_final
+        doc.t_final, doc.run_line = args.t_final, None
     if getattr(args, "epsilon", None) is not None:
-        if not (math.isfinite(args.epsilon) and args.epsilon > 0):
-            raise ConfigError("--epsilon must be positive and finite",
-                              kind="range")
         doc.epsilon = args.epsilon
     return doc
 
 
 def _cells_for_dx(dx: float, lengths, coarsest: float = 1.0) -> list[int]:
-    """Cells of width dx on roads of these lengths. A range error names
-    --dx where dx is not positive and finite, makes 2**53 or more cells on
-    a road, or where coarsest * dx (the coarsest mesh of a ladder) does not
-    tile a length."""
-    if not (math.isfinite(dx) and dx > 0):
-        raise ConfigError("--dx must be positive and finite", kind="range")
+    """Cells of width dx on roads of these lengths. A range error names --dx
+    where it makes 2**53 or more cells on a road, or where coarsest * dx
+    (the coarsest mesh of a ladder) does not tile a length."""
     width = coarsest * dx
     cells = []
     for length in lengths:
-        if not length / dx < _MAX_COUNT:
+        if not length < _MAX_COUNT * dx:  # dx may underflow to 0
             raise ConfigError(f"--dx {dx:g} cuts road length {length:g} into "
                               f"2**53 or more cells", kind="range")
         c = round(length / width)
@@ -194,8 +186,6 @@ def _cmd_germ_check(args) -> int:
     doc = _load_document(args)
     spec = build_spec(doc)
     tol = args.tol if args.tol is not None else 1e-9
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError("--tol must be positive and finite", kind="range")
     candidates = [_constant_initial(doc, "germ-check")]
     if args.sample:
         candidates.extend(verify_mod.germ_sampler(spec, args.sample,
@@ -443,13 +433,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_OPTION_CHECKS = {"--seed": (as_count, 0), "--sample": (as_count, 0),
+                  "--dx": (as_positive,), "--t-final": (as_bounded, 0.0),
+                  "--epsilon": (as_positive,), "--tol": (as_positive,)}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        for option in ("seed", "sample"):
-            if getattr(args, option, 0) < 0:
-                raise ConfigError(f"--{option} must be a nonnegative "
-                                  f"integer", kind="range")
+        try:  # every option given passes its check before any work
+            for option, (check, *bounds) in _OPTION_CHECKS.items():
+                value = getattr(args, option[2:].replace("-", "_"), None)
+                if value is not None:
+                    check(option, value, *bounds)
+        except ValueError as exc:
+            raise ConfigError(str(exc), kind="range") from None
         return args.handler(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

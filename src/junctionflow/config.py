@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_bounded, as_count, as_positive
 from .fluxes import (Flux, custom_polynomial, quadratic_lwr,
                      symmetric_quadratic, tabulated)
 from .junction import JunctionSpec
@@ -80,6 +80,7 @@ class ConfigDocument:
     dirichlet_values: np.ndarray | None = None
     epsilon: float | None = None
     window: float | None = None
+    run_line: int | None = None  # the [run] header, which run errors name
 
     @property
     def m(self) -> int:
@@ -110,6 +111,16 @@ def _one_float(text: str, line: int, key: str) -> float:
         raise ConfigError(f"{key} takes exactly one number",
                           kind="syntax", line=line)
     return vals[0]
+
+
+def _number(body: dict[str, tuple[str, int]], key: str, check, *bounds):
+    """The number of ``key`` through ``check``, a range error on its line."""
+    text, line = body[key]
+    value = _one_float(text, line, key)
+    try:
+        return check(key, value, *bounds)
+    except ValueError as exc:
+        raise ConfigError(str(exc), kind="range", line=line) from None
 
 
 def _road_flux(raw: dict[str, tuple[str, int]], line: int) -> Flux:
@@ -286,15 +297,9 @@ def _parse_road(body: dict[str, tuple[str, int]], line: int) -> RoadConfig:
     if "length" not in body or "cells" not in body:
         raise ConfigError("road needs length and cells",
                           kind="range", line=line)
-    length = _one_float(*body["length"], key="length")
-    cells_f = _one_float(*body["cells"], key="cells")
-    cells = int(round(cells_f))
-    if length <= 0:
-        raise ConfigError("length must be positive", kind="range",
-                          line=body["length"][1])
-    if cells < 1 or cells != cells_f:
-        raise ConfigError("cells must be a positive integer", kind="range",
-                          line=body["cells"][1])
+    length = _number(body, "length", as_positive)
+    cells = _number(body, "cells", lambda key, x: as_count(
+        key, int(x) if x.is_integer() else x))  # 50.0 counts 50 cells
     initial = _road_initial(body, flux, line)
     return RoadConfig(direction, flux, length, cells, initial, line)
 
@@ -303,16 +308,11 @@ def _parse_run(doc: ConfigDocument, body: dict[str, tuple[str, int]],
                line: int) -> int | None:
     """Fill the run settings in doc; returns the line of ``outer_bc``, whose
     Dirichlet values only the topology check can count, or None."""
+    doc.run_line = line
     if "cfl" in body:
-        doc.cfl = _one_float(*body["cfl"], key="cfl")
-        if not 0 < doc.cfl <= 1:
-            raise ConfigError("cfl must lie in (0, 1]", kind="range",
-                              line=body["cfl"][1])
+        doc.cfl = _number(body, "cfl", as_positive, 1.0)
     if "t_final" in body:
-        doc.t_final = _one_float(*body["t_final"], key="t_final")
-        if doc.t_final < 0:
-            raise ConfigError("t_final must be nonnegative", kind="range",
-                              line=body["t_final"][1])
+        doc.t_final = _number(body, "t_final", as_bounded, 0.0)
     if "snapshots" in body:
         text, ln = body["snapshots"]
         snaps = _floats(text, ln, "snapshots")
@@ -337,25 +337,20 @@ def _parse_run(doc: ConfigDocument, body: dict[str, tuple[str, int]],
 def _parse_viscous(doc: ConfigDocument, body: dict[str, tuple[str, int]],
                    line: int) -> None:
     if "epsilon" in body:
-        doc.epsilon = _one_float(*body["epsilon"], key="epsilon")
-        if doc.epsilon <= 0:
-            raise ConfigError("epsilon must be positive", kind="range",
-                              line=body["epsilon"][1])
+        doc.epsilon = _number(body, "epsilon", as_positive)
     if "window" in body:
-        doc.window = _one_float(*body["window"], key="window")
-        if doc.window <= 0:
-            raise ConfigError("window must be positive", kind="range",
-                              line=body["window"][1])
+        doc.window = _number(body, "window", as_positive)
 
 
 def _validate_topology(doc: ConfigDocument, bc_line: int | None) -> None:
     roads = doc.roads
     if len(roads) < 2:
-        raise ConfigError("need at least two roads", kind="topology")
+        raise ConfigError("need at least two roads", kind="topology",
+                          line=roads[0].line if roads else None)
     m, n = doc.m, doc.n
-    if m < 1 or n < 1:
+    if m < 1 or n < 1:  # the last road would have to go out, the first in
         raise ConfigError("need at least one incoming and one outgoing road",
-                          kind="topology")
+                          kind="topology", line=roads[-1 if n < 1 else 0].line)
     directions = [r.direction for r in roads]
     if directions != ["in"] * m + ["out"] * n:
         raise ConfigError("declare all incoming roads before outgoing ones",
@@ -377,11 +372,8 @@ def _validate_topology(doc: ConfigDocument, bc_line: int | None) -> None:
         if doc.dirichlet_values.shape != (len(roads),):
             raise ConfigError("dirichlet needs one value per road",
                               kind="topology", line=bc_line)
-        for v in doc.dirichlet_values:
-            if not lo <= v <= hi:
-                raise ConfigError(f"dirichlet value {v:g} outside "
-                                  f"[{lo:g}, {hi:g}]", kind="range",
-                                  line=bc_line)
+        _check_range(roads[0].flux, doc.dirichlet_values, bc_line,
+                     "dirichlet value")
 
 
 def build_spec(doc: ConfigDocument) -> JunctionSpec:
@@ -403,12 +395,14 @@ def mesh_and_run(doc: ConfigDocument, spec: JunctionSpec, dx: float,
     """The mesh and run config of a document at cell width dx; a mesh or a
     run too large to count (2**53 cells or steps) or a mesh too large to
     allocate is a range error."""
+    mesh = None  # a run error names the [run] line, a mesh error none
     try:
         mesh = NetworkMesh(spec, dx, np.array(cells))
         return mesh, RunConfig(mesh, doc.cfl, doc.t_final,
                                doc.dirichlet_values, doc.snapshots)
     except ValueError as exc:
-        raise ConfigError(str(exc), kind="range") from None
+        line = None if mesh is None else doc.run_line
+        raise ConfigError(str(exc), kind="range", line=line) from None
     except MemoryError:
         raise ConfigError(f"a mesh of {sum(cells)} cells does not fit in "
                           f"memory", kind="range") from None

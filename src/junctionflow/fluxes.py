@@ -15,12 +15,12 @@ shape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
+from .errors import as_bounded, as_positive
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,9 +86,6 @@ class Flux:
             return kernels.flux_scalar(self.code, self.params, float(rho))
         return self._raw(np.asarray(rho, dtype=float))
 
-    def __call__(self, rho):
-        return self.eval(rho)
-
     def derivative(self, rho):
         """f'(rho); for tabulated fluxes, the slope of the containing panel."""
         self._check_range(rho)
@@ -149,16 +146,9 @@ class Flux:
 # ---------------------------------------------------------------------------
 # constructors
 
-def _check_positive(family: str, **params) -> None:
-    for name, value in params.items():
-        if not (math.isfinite(value) and value > 0):  # NaN fails this too
-            raise ValueError(f"{family} needs a positive finite {name}, "
-                             f"got {value!r}")
-
-
 def quadratic_lwr(v: float = 1.0, rho_max: float = 1.0) -> Flux:
     """f(rho) = v * rho * (1 - rho/rho_max) on [0, rho_max]."""
-    _check_positive("quadratic-lwr", v=v, rho_max=rho_max)
+    v, rho_max = as_positive("v", v), as_positive("rho_max", rho_max)
     params = np.array([v, rho_max], dtype=float)
     crit = 0.5 * rho_max
     crest = kernels.flux_scalar(kernels.FAMILY_LWR, params, crit)
@@ -168,7 +158,7 @@ def quadratic_lwr(v: float = 1.0, rho_max: float = 1.0) -> Flux:
 
 def symmetric_quadratic(h: float = 1.0) -> Flux:
     """f(rho) = h * (1 - rho^2) on [-1, 1]; crest h at rho = 0."""
-    _check_positive("symmetric-quadratic", h=h)
+    h = as_positive("h", h)
     params = np.array([h], dtype=float)
     return Flux("symmetric-quadratic", params, -1.0, 1.0, 0.0,
                 2.0 * float(h), float(h), True, kernels.FAMILY_SYM_QUAD)
@@ -187,11 +177,11 @@ def custom_polynomial(coeffs, rho_min: float, rho_max: float,
     if params.ndim != 1 or params.size < 3 or not np.isfinite(params).all():
         raise ValueError("polynomial flux needs at least 3 finite "
                          "coefficients")
-    if not rho_min < rho_crit < rho_max:
-        raise ValueError("rho_crit must lie strictly inside (rho_min, rho_max)")
-    lo, hi = float(rho_min), float(rho_max)
+    # a crest at an end fails the positive crest test below
+    lo, hi = as_bounded("rho_min", rho_min), as_bounded("rho_max", rho_max)
+    crit = as_bounded("rho_crit", rho_crit, lo, hi)
     c = params.tolist()
-    crest = kernels.flux_scalar(kernels.FAMILY_POLY, c, float(rho_crit))
+    crest = kernels.flux_scalar(kernels.FAMILY_POLY, c, crit)
     if not crest > 0:
         raise ValueError("flux crest value must be positive")
     if not max(abs(kernels.flux_scalar(kernels.FAMILY_POLY, c, x))
@@ -207,7 +197,7 @@ def custom_polynomial(coeffs, rho_min: float, rho_max: float,
         raise ValueError("flux must rise strictly then fall strictly "
                          "(plateaus are rejected)")
     # a crest off that root would leave demand falling below rho_crit
-    if not abs(rho_crit - roots[0]) <= 1e-12 * (hi - lo):
+    if not abs(crit - roots[0]) <= 1e-12 * (hi - lo):
         raise ValueError(f"rho_crit must be the maximizer of f, which lies "
                          f"at {roots[0]!r}")
 
@@ -216,8 +206,8 @@ def custom_polynomial(coeffs, rho_min: float, rho_max: float,
     second = [k * deriv[k] for k in range(1, len(deriv))]
     lip = max(abs(kernels._horner(deriv, x))
               for x in (lo, hi, *kernels.real_roots(second, lo, hi)))
-    return Flux("custom-polynomial", params, lo, hi,
-                float(rho_crit), lip, crest, True, kernels.FAMILY_POLY)
+    return Flux("custom-polynomial", params, lo, hi, crit, lip, crest, True,
+                kernels.FAMILY_POLY)
 
 
 def tabulated(xs, ys) -> Flux:
@@ -229,8 +219,9 @@ def tabulated(xs, ys) -> Flux:
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 3:
-        raise ValueError("tabulated flux needs >= 3 matching nodes")
+    if (xs.ndim != 1 or xs.shape != ys.shape or xs.size < 3
+            or not np.isfinite([xs, ys]).all()):
+        raise ValueError("tabulated flux needs >= 3 matching finite nodes")
     if not np.all(np.diff(xs) > 0):
         raise ValueError("tabulated nodes must be strictly increasing in x")
     imax = int(np.argmax(ys))
@@ -260,8 +251,8 @@ def branch_point(flux: Flux, y: float, branch: str) -> float:
     branch is "rising" (left of the crest) or "falling" (right of it).
     Solved per family by ``kernels.branch_point``.
     """
-    if not -1e-12 * max(flux.flux_max, 1.0) <= y <= flux.flux_max * (1 + 1e-12):
-        raise ValueError("flux value outside [0, flux_max]")
+    y = as_bounded("y", y, -1e-12 * max(flux.flux_max, 1.0),
+                   flux.flux_max * (1 + 1e-12))
     if branch == "rising":
         edge = flux.rho_min
     elif branch == "falling":
@@ -269,13 +260,13 @@ def branch_point(flux: Flux, y: float, branch: str) -> float:
     else:
         raise ValueError("branch must be 'rising' or 'falling'")
     return kernels.branch_point(flux.code, flux.params, flux.rho_crit,
-                                flux.flux_max, float(y), edge)
+                                flux.flux_max, y, edge)
 
 
 def conjugate(flux: Flux, rho: float) -> float:
     """The density on the opposite branch with the same flux value."""
-    flux._check_range(rho)
-    y = flux.eval(float(rho))
+    rho = as_bounded("rho", rho)
+    y = flux.eval(rho)  # which checks the density's range
     if rho <= flux.rho_crit:
         return branch_point(flux, y, "falling")
     return branch_point(flux, y, "rising")

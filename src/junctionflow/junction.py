@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConsistencyError
+from .errors import (ConsistencyError, as_bounded, as_count, as_positive,
+                     as_road, as_sequence, as_state)
 from .fluxes import Flux, conjugate
 
 
@@ -44,18 +45,15 @@ class JunctionSpec:
     fluxes: list[Flux]
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("need at least one incoming and one outgoing road")
-        if len(self.fluxes) != self.m + self.n:
-            raise ValueError(f"expected {self.m + self.n} fluxes, "
-                             f"got {len(self.fluxes)}")
-        lo = self.fluxes[0].rho_min
-        hi = self.fluxes[0].rho_max
-        for f in self.fluxes:
-            if f.rho_min != lo or f.rho_max != hi:
-                raise ValueError("all roads must share one density interval")
-        self.rho_min = lo
-        self.rho_max = hi
+        self.m, self.n = as_count("m", self.m), as_count("n", self.n)
+        fluxes = as_sequence("fluxes", self.fluxes, self.m + self.n)
+        for f in fluxes:
+            if not isinstance(f, Flux):
+                raise ValueError(f"fluxes must be Flux objects, got {f!r}")
+        self.rho_min = lo = fluxes[0].rho_min
+        self.rho_max = hi = fluxes[0].rho_max
+        if any((f.rho_min, f.rho_max) != (lo, hi) for f in fluxes):
+            raise ValueError("all roads must share one density interval")
         self._roads = tuple((int(f.code), tuple(f.params.tolist()),
                              float(f.rho_crit), float(f.flux_max))
                             for f in self.fluxes)
@@ -79,26 +77,23 @@ class JunctionSpec:
 
     def road_index(self, road) -> int:
         """road, checked to index one of the m + n roads."""
-        if road not in range(self.m + self.n):
-            raise ValueError(f"road {road!r} is not in "
-                             f"range({self.m + self.n})")
-        return road
+        return as_road(road, self.m + self.n)
 
     def candidate(self, u) -> np.ndarray:
-        """Validate and normalize a junction state vector."""
-        arr = np.ascontiguousarray(u, dtype=float)
-        if arr.shape != (self.m + self.n,):
-            raise ValueError(f"junction state must have shape "
-                             f"({self.m + self.n},), got {arr.shape}")
-        vals = arr.tolist()  # on a few entries Python beats numpy
-        lo, hi = self._bounds
-        for v in vals:
-            if not lo <= v <= hi:  # NaN fails this too
-                if not all(map(math.isfinite, vals)):
-                    raise ValueError("junction state must be finite")
-                raise ValueError(f"junction state outside "
-                                 f"[{self.rho_min}, {self.rho_max}]")
-        return arr
+        """u as a junction state: ``as_state`` against [A, B] widened by
+        1e-12 of the span, inline, since every junction solve makes it."""
+        try:
+            arr = np.ascontiguousarray(u, dtype=float)
+            if arr.shape == (self.m + self.n,):
+                lo, hi = self._bounds
+                for v in arr.tolist():  # on a few entries Python beats numpy
+                    if not lo <= v <= hi:  # NaN fails this too
+                        break
+                else:
+                    return arr
+        except (TypeError, ValueError):  # ragged, or no numbers
+            pass
+        return as_state("junction state", u, self.m + self.n, *self._bounds)
 
     def road_flux_values(self, u: np.ndarray) -> np.ndarray:
         """f_h(u_h) for every road."""
@@ -123,18 +118,6 @@ class JunctionSolution:
         f = self.__dict__
         f["p_min"], f["p_max"], f["fluxes"], f["total"], f["active"] = (
             p_min, p_max, fluxes, total, active)
-
-
-def phi_in(spec: JunctionSpec, u, p):
-    """Total flux the incoming roads send when the junction sits at p."""
-    u = spec.candidate(u)
-    return sum(f.godunov(u[i], p) for i, f in enumerate(spec.incoming))
-
-
-def phi_out(spec: JunctionSpec, u, p):
-    """Total flux the outgoing roads absorb when the junction sits at p."""
-    u = spec.candidate(u)
-    return sum(f.godunov(p, u[spec.m + j]) for j, f in enumerate(spec.outgoing))
 
 
 def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
@@ -184,11 +167,6 @@ def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
 # an end, and its maximum at the crest when I contains it, at an end
 # otherwise; every chord question is a few comparisons.
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):  # NaN fails this too
-        raise ValueError("tol must be positive and finite")
-
-
 def is_germ_member(spec: JunctionSpec, k, tol: float = 1e-9,
                    method: str = "godunov") -> bool:
     """Is k a stationary junction state?
@@ -203,7 +181,7 @@ def is_germ_member(spec: JunctionSpec, k, tol: float = 1e-9,
     """
     if method not in ("godunov", "oleinik"):
         raise ValueError(f"unknown method {method!r}")
-    _check_tol(tol)
+    tol = as_positive("tol", tol)
     member = _member_by_fluxes if method == "godunov" else _member_by_chords
     return member(spec, spec.candidate(k), tol)
 
@@ -256,7 +234,7 @@ def strict_witness(spec: JunctionSpec, k, tol: float = 1e-9) -> float | None:
     coupling interval carries the rounding of the flux inverses that locate
     it. ``tol`` must be positive and finite.
     """
-    _check_tol(tol)
+    tol = as_positive("tol", tol)
     k = spec.candidate(k)
     sol = solve_junction(spec, k)
     if np.abs(sol.fluxes - spec.road_flux_values(k)).max() > tol:
@@ -375,7 +353,8 @@ class RiemannSolution:
             return float(cands[np.argmin(g) if lower else np.argmax(g)])
 
         x = np.asarray(xi, dtype=float)
-        out = np.array([state(v) for v in x.ravel().tolist()])
+        out = np.array([state(as_bounded("xi", v))
+                        for v in x.ravel().tolist()])
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 

@@ -32,7 +32,8 @@ from itertools import groupby
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ConsistencyError
+from .errors import (ConfigError, ConsistencyError, as_bounded, as_count,
+                     as_positive, as_sequence, as_state)
 from .junction import JunctionSpec, solve_junction
 
 _GAUSS_OFFSET = math.sqrt(0.6) / 2.0
@@ -53,25 +54,17 @@ class NetworkMesh:
     cells_per_road: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.dx) and self.dx > 0):
-            raise ValueError("dx must be positive and finite")
-        try:  # a count beyond int64, NaN or a fraction fails the shape test
-            with np.errstate(invalid="ignore"):
-                counts = np.asarray(self.cells_per_road, dtype=np.int64)
-            if not np.array_equal(counts, self.cells_per_road):
-                raise ValueError
-        except (OverflowError, ValueError):
-            counts = np.zeros(0, dtype=np.int64)
+        self.dx = as_positive("dx", self.dx)
         roads = self.spec.m + self.spec.n
-        if counts.shape == ():
-            counts = np.full(roads, int(counts))
+        counts = [as_count("cells_per_road", c) for c in (
+            [self.cells_per_road] * roads if np.ndim(self.cells_per_road) == 0
+            else as_sequence("cells_per_road", self.cells_per_road, roads))]
         # the slots of the network buffer are counted below 2**53
-        if (counts.shape != (roads,) or counts.min() < 1
-                or sum(counts.tolist()) + roads + 1 >= _MAX_COUNT):
-            raise ValueError(f"cells_per_road must be {roads} positive "
-                             f"counts, fewer than 2**53 cells in all")
-        self.cells_per_road = counts
-        self._layout = _Layout.build(self.spec, counts)
+        if sum(counts) + roads + 1 >= _MAX_COUNT:
+            raise ValueError(f"cells_per_road must hold fewer than 2**53 "
+                             f"cells in all, got {sum(counts)}")
+        self.cells_per_road = np.array(counts, dtype=np.int64)
+        self._layout = _Layout.build(self.spec, self.cells_per_road)
 
     def centers(self, road: int) -> np.ndarray:
         """Cell midpoints; negative coordinates on incoming roads."""
@@ -180,18 +173,16 @@ class RunConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not 0.0 < self.cfl_number <= 1.0:
-            raise ValueError("cfl_number must lie in (0, 1]")
-        if not (math.isfinite(self.t_final) and self.t_final >= 0):
-            raise ValueError("t_final must be nonnegative and finite")
+        self.cfl_number = as_positive("cfl_number", self.cfl_number, 1.0)
+        self.t_final = as_bounded("t_final", self.t_final, 0.0)
         _step_count(self.t_final, cfl_timestep(self.mesh, self.cfl_number))
         if self.dirichlet_values is not None:
             self.dirichlet_values = self.mesh.spec.candidate(
                 self.dirichlet_values)
-        self.snapshot_times = tuple(sorted(set(float(t)
-                                               for t in self.snapshot_times)))
-        if not all(0.0 <= t <= self.t_final for t in self.snapshot_times):
-            raise ValueError("snapshot_times must lie in [0, t_final]")
+        self.snapshot_times = tuple(sorted({
+            as_bounded("snapshot_times", t, 0.0, self.t_final)
+            for t in as_sequence("snapshot_times", self.snapshot_times,
+                                 empty=True)}))
 
 
 def discretize_initial(mesh: NetworkMesh, data) -> GridState:
@@ -205,32 +196,20 @@ def discretize_initial(mesh: NetworkMesh, data) -> GridState:
     if isinstance(data, GridState):
         data = data.values
     spec = mesh.spec
-    if len(data) != spec.m + spec.n:
-        raise ValueError(f"need initial data for {spec.m + spec.n} roads")
-    lo, hi = spec._bounds
     values = []
-    for road, (item, count) in enumerate(zip(data,
-                                             mesh.cells_per_road.tolist())):
+    for road, (item, count) in enumerate(zip(
+            as_sequence("data", data, spec.m + spec.n),
+            mesh.cells_per_road.tolist())):
+        name = f"road {road}: initial data"
         if callable(item):
-            cells = _gauss_averages(item, mesh.centers(road), mesh.dx)
+            item = _gauss_averages(item, mesh.centers(road), mesh.dx)
         elif isinstance(item, tuple) and len(item) == 2:
-            cells = _piecewise_averages(item[0], item[1], mesh.centers(road),
-                                        mesh.dx)
-        elif np.ndim(item) == 0:
-            cells = np.empty(count)
-            cells.fill(float(item))
-        else:
-            cells = np.array(item, dtype=float)
-            if cells.shape != (count,):
-                raise ValueError(f"road {road}: expected {count} cell values")
-        # NaN fails the range test, which the finite test then names
-        if not (lo <= np.minimum.reduce(cells)
-                and np.maximum.reduce(cells) <= hi):
-            if not np.isfinite(cells).all():
-                raise ValueError(f"road {road}: initial data must be finite")
-            raise ValueError(f"road {road}: initial data outside "
-                             f"[{spec.rho_min}, {spec.rho_max}]")
-        values.append(cells)
+            item = _piecewise_averages(item[0], item[1], mesh.centers(road),
+                                       mesh.dx)
+        elif np.ndim(item) == 0:  # a constant is checked once
+            values.append(np.full(count, as_bounded(name, item, *spec._bounds)))
+            continue
+        values.append(as_state(name, item, count, *spec._bounds))
     return GridState(0, 0.0, tuple(values))
 
 
@@ -265,8 +244,7 @@ def _piecewise_averages(breakpoints, piece_values, centers: np.ndarray,
 
 def cfl_timestep(mesh: NetworkMesh, cfl_number: float) -> float:
     """Largest stable time step scaled by the given CFL number."""
-    if not 0.0 < cfl_number <= 1.0:
-        raise ValueError("cfl_number must lie in (0, 1]")
+    cfl_number = as_positive("cfl_number", cfl_number, 1.0)
     return cfl_number * mesh.dx / (2.0 * mesh.spec.lipschitz_max)
 
 
@@ -317,9 +295,7 @@ def _update(u: np.ndarray, mesh: NetworkMesh, dt: float, gstar, ghosts=None,
 
 
 def _check_timestep(dt: float, limit: float) -> None:
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if dt > limit * (1.0 + 4e-12):
+    if as_positive("dt", dt) > limit * (1.0 + 4e-12):
         raise ConfigError(f"dt={dt} exceeds the stability bound {limit}",
                           kind="cfl")
 

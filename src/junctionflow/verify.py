@@ -17,13 +17,13 @@ ensemble tests.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, PreconditionError
+from .errors import (ConfigError, ConsistencyError, PreconditionError,
+                     as_bounded, as_count, as_positive, as_sequence)
 from .fluxes import quadratic_lwr
 from .junction import (JunctionSpec, is_germ_member, is_strict_germ_member,
                        riemann_solve, solve_junction)
@@ -61,10 +61,11 @@ def bump_test_function(t_on: float, t_off: float, reach: float,
                        plateau: float) -> TestFunction:
     """Smooth bump in time on (t_on, t_off), times a space profile equal to
     1 on [-plateau, plateau] and falling smoothly to 0 at distance reach."""
-    if not 0 <= t_on < t_off < math.inf:  # NaN fails too
-        raise ValueError("need 0 <= t_on < t_off, all finite")
-    if not 0 < plateau < reach < math.inf:
-        raise ValueError("need 0 < plateau < reach, all finite")
+    t_on, t_off, reach, plateau = (as_bounded(name, x, 0.0) for name, x in zip(
+        ("t_on", "t_off", "reach", "plateau"), (t_on, t_off, reach, plateau)))
+    if not (t_on < t_off and 0 < plateau < reach):
+        raise ValueError(f"need 0 <= t_on < t_off and 0 < plateau < reach, "
+                         f"got {t_on!r}, {t_off!r}, {plateau!r}, {reach!r}")
 
     def time_profile(t: float) -> float:
         z = (2.0 * t - t_on - t_off) / (t_off - t_on)
@@ -235,9 +236,10 @@ def l1_contraction_check(traj_a: Trajectory, traj_b: Trajectory,
     mesh = _shared_mesh(traj_a, traj_b)
     _all_levels("L1 contraction check", traj_a, traj_b)
     spec = mesh.spec
-    if not math.isfinite(window):
-        raise ConfigError("window must be finite", kind="range")
-    k0 = int(math.floor(window / mesh.dx + 1e-9))
+    try:
+        k0 = int(math.floor(as_positive("window", window) / mesh.dx + 1e-9))
+    except ValueError as exc:
+        raise ConfigError(str(exc), kind="range") from None
     if k0 < 1:
         raise ConfigError("window covers no cells", kind="range")
     if k0 > int(mesh.cells_per_road.min()):
@@ -278,8 +280,9 @@ class RiemannProblem:
 
     def __post_init__(self):
         self.initial = self.spec.candidate(self.initial)
-        if not (math.isfinite(self.t_final) and self.t_final > 0):
-            raise ValueError("t_final must be positive and finite")
+        self.t_final = as_positive("t_final", self.t_final)
+        self.road_length = as_positive("road_length", self.road_length)
+        self.cfl = as_positive("cfl", self.cfl, 1.0)
 
     def exact_cells(self, mesh: NetworkMesh) -> tuple[np.ndarray, ...]:
         """Similarity solution sampled at cell centers at t_final."""
@@ -318,14 +321,11 @@ def convergence_study(problem: RiemannProblem, dx_list,
     divide every requested dx. Every dx and fine_dx must be positive and
     finite, and dx_list must not be empty.
     """
-    dx_list = [float(d) for d in dx_list]
     if reference not in ("exact", "fine"):
         raise ValueError("reference must be 'exact' or 'fine'")
-    if not dx_list:
-        raise ValueError("dx_list must name at least one dx")
-    for name, d in [("dx", dx) for dx in dx_list] + [("fine_dx", fine_dx)]:
-        if d is not None and not (math.isfinite(d) and d > 0):
-            raise ValueError(f"{name}={d} must be positive and finite")
+    dx_list = [as_positive("dx", d) for d in as_sequence("dx_list", dx_list)]
+    if fine_dx is not None:
+        fine_dx = as_positive("fine_dx", fine_dx)
     ref_values = None
     fine_cells = None
     if reference == "fine":
@@ -372,18 +372,12 @@ def convergence_study(problem: RiemannProblem, dx_list,
 # ---------------------------------------------------------------------------
 # samplers
 
-def _check_count(count) -> None:
-    if isinstance(count, bool) or not (
-            isinstance(count, numbers.Integral) and count >= 1):
-        raise ValueError("count must be a positive integer")
-
-
 def germ_sampler(spec: JunctionSpec, count: int, seed: int,
                  strict_only: bool = False) -> list[np.ndarray]:
     """Seeded equilibrium states: random constant data pushed through the
     similarity solver; the traces it leaves at the junction are equilibria."""
-    _check_count(count)
-    rng = np.random.default_rng(seed)
+    count = as_count("count", count)
+    rng = np.random.default_rng(as_count("seed", seed, 0))
     span = spec.span
     out: list[np.ndarray] = []
     attempts = 0
@@ -411,8 +405,8 @@ def nonstrict_germ_sampler(count: int, seed: int) \
     capacity to swallow both. The tie shows the chord inequality cannot be
     strict at the only admissible coupling value.
     """
-    _check_count(count)
-    rng = np.random.default_rng(seed)
+    count = as_count("count", count)
+    rng = np.random.default_rng(as_count("seed", seed, 0))
     out = []
     for _ in range(count):
         p = 0.55 + 0.35 * rng.random()

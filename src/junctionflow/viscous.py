@@ -23,14 +23,14 @@ epsilon shrinks, not as a production solver.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import PreconditionError
+from .errors import (PreconditionError, as_bounded, as_count, as_positive,
+                     as_road)
 from .fluxes import conjugate
 from .junction import JunctionSpec, _strict_margins_hold, strict_witness
 from .scheme import (_MAX_COUNT, GridState, NetworkMesh, _check_timestep,
@@ -39,11 +39,6 @@ from .scheme import (_MAX_COUNT, GridState, NetworkMesh, _check_timestep,
 _DECAY_CUTOFF = 1e-12
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
 _GRID = 64  # S tabulated at this many points brackets every Newton solve
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +171,7 @@ class ViscousProfile:
     def evaluate(self, road: int, x):
         """Density at position x (junction at 0); constant k_h beyond the
         sampled decay window. ``road`` must lie in range(m + n)."""
-        if road not in range(len(self._roads)):
-            raise ValueError(f"road {road!r} is not in "
-                             f"range({len(self._roads)})")
-        return self._roads[road](np.abs(x))
+        return self._roads[as_road(road, len(self._roads))](np.abs(x))
 
 
 def road_profile(flux, k_h: float, p: float, epsilon: float, window: float,
@@ -190,15 +182,14 @@ def road_profile(flux, k_h: float, p: float, epsilon: float, window: float,
     an ascending grid of distances from the junction starting at 0 where the
     density equals p; the density relaxes monotonically to k_h. On incoming
     roads distance grows as x decreases, which flips the sign of rho' in
-    the balance epsilon * rho'(x) = f(rho) - f(k_h).
+    the balance epsilon * rho'(x) = f(rho) - f(k_h); k_h and p must lie
+    in the flux's [rho_min, rho_max].
     """
-    _check_epsilon(epsilon)
-    if not (math.isfinite(window) and window > 0):
-        raise ValueError("window must be positive and finite")
-    if isinstance(n_samples, bool) or not (
-            isinstance(n_samples, numbers.Integral) and n_samples >= 3):
-        raise ValueError("n_samples must be an integer of at least 3")
-    dist = np.linspace(0.0, window, n_samples)
+    k_h, p = (as_bounded(name, x, flux.rho_min, flux.rho_max)
+              for name, x in (("k_h", k_h), ("p", p)))
+    epsilon = as_positive("epsilon", epsilon)
+    dist = np.linspace(0.0, as_positive("window", window),
+                       as_count("n_samples", n_samples, 3))
     fk = flux.eval(k_h)
     sign = -1.0 if incoming else 1.0
     side = math.copysign(1.0, p - k_h)
@@ -265,9 +256,8 @@ def stationary_profile(spec: JunctionSpec, k, epsilon: float, window: float,
             raise PreconditionError(
                 "stationary profiles require a strict equilibrium state")
     else:
-        if not spec.rho_min <= p <= spec.rho_max:
-            raise ValueError("p outside the density interval")
-        if not _strict_margins_hold(spec, k, float(p), 1e-12):
+        p = as_bounded("p", p, spec.rho_min, spec.rho_max)
+        if not _strict_margins_hold(spec, k, p, 1e-12):
             raise PreconditionError(
                 f"p={p} is not a strict coupling value for this state")
     samples = []
@@ -316,15 +306,15 @@ def _parabolic_bound(mesh: NetworkMesh, epsilon: float) -> float:
 def parabolic_timestep(mesh: NetworkMesh, epsilon: float) -> float:
     """The explicit step: 0.9 of the monotonicity bound
     1 / (L / dx + 3 eps / dx^2) of ``_parabolic_bound``."""
-    return 0.9 * _parabolic_bound(mesh, epsilon)
+    return 0.9 * _parabolic_bound(mesh, as_positive("epsilon", epsilon))
 
 
 def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
                    dt: float) -> GridState:
     """One explicit update of the epsilon-regularized network system.
     Raises ConfigError if dt exceeds the monotonicity bound."""
-    _check_epsilon(epsilon)
-    _check_timestep(dt, _parabolic_bound(mesh, epsilon))
+    _check_timestep(dt, _parabolic_bound(mesh,
+                                         as_positive("epsilon", epsilon)))
     u = _parabolic_advance(_pack(mesh, state), mesh, epsilon, dt)[0]
     return GridState(state.time_step + 1, state.time + dt,
                      mesh._layout.views(u))
@@ -393,9 +383,7 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
     step count; ``parabolic_step`` replays every level bitwise from ``dts``.
     Each step hands its solve's active set to the next as a hint.
     """
-    _check_epsilon(epsilon)
-    if not (math.isfinite(t_final) and t_final >= 0):
-        raise ValueError("t_final must be nonnegative and finite")
+    t_final = as_bounded("t_final", t_final, 0.0)
     active = None
 
     def advance(u, dt):
@@ -419,20 +407,13 @@ def initial_smoothing(data, epsilon: float, dx: float | None = None,
     ends, so the range, total variation, and L1 norm of the data never grow.
     Accepts a single array or a per-road sequence of arrays.
     """
-    if width is None:
-        if dx is None:
-            raise ValueError("need dx to derive the smoothing width")
-        if not (math.isfinite(epsilon) and epsilon >= 0):
-            raise ValueError("epsilon must be nonnegative and finite")
-        if not (math.isfinite(dx) and dx > 0):
-            raise ValueError("dx must be positive and finite")
-        if not epsilon / dx < _MAX_COUNT:
-            raise ValueError(f"epsilon/dx={epsilon / dx:g} cells is too wide "
-                             f"a smoothing to count")
-        width = int(round(epsilon / dx))
-    if isinstance(width, bool) or not (
-            isinstance(width, numbers.Integral) and width >= 0):
-        raise ValueError("width must be a nonnegative integer")
+    if width is None:  # dx=None is refused here too
+        cells = as_bounded("epsilon", epsilon, 0.0) / as_positive("dx", dx)
+        if not cells < _MAX_COUNT:
+            raise ValueError(f"epsilon/dx={cells:g} cells is too wide a "
+                             f"smoothing to count")
+        width = round(cells)
+    width = as_count("width", width, 0)
     single = isinstance(data, np.ndarray)
     arrays = [data] if single else list(data)
     rounds = (width + 1) // 2

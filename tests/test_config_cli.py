@@ -8,6 +8,7 @@ as a user would see them.
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +265,21 @@ def test_parse_topology_errors():
     assert err.value.kind == "topology"
 
 
+@pytest.mark.parametrize("directions, line", [
+    (["in"], 1), (["out"], 1),  # a single road
+    (["in", "in"], 7), (["out", "out"], 1)])
+def test_topology_errors_name_the_road_that_breaks_them(directions, line):
+    # these two errors named no line; each now names the header of the
+    # road that breaks the rule: with every road in, the last would have
+    # to go out, with every road out, the first would have to come in
+    text = "\n".join(f"[road]\ndirection = {d}\nlength = 1\ncells = 10\n"
+                     f"initial = 0.3\n" for d in directions)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (err.value.kind, err.value.line) == ("topology", line)
+    assert str(err.value).startswith(f"line {line}: [topology] need ")
+
+
 @pytest.mark.parametrize("values, kind", [
     ("0.3", "topology"), ("0.3 0.2 0.5", "topology"), ("0.3 1.5", "range"),
     ("-0.1 0.2", "range")])
@@ -482,7 +498,9 @@ def test_cli_run_sizes_too_large_to_count_exit_2(tmp_path):
                  ["--config", cfg, "--dx", "1e-17"]):
         proc = _cli(tmp_path, "run", *argv)
         assert proc.returncode == 2, (argv, proc.stderr)
-        assert "configuration error: [range]" in proc.stderr, argv
+        # a run too long to count names the [run] line where it has one
+        assert re.match(r"configuration error: (line \d+: )?\[range\]",
+                        proc.stderr), argv
         assert "Traceback" not in proc.stderr
 
 
@@ -538,7 +556,8 @@ def test_spec_only_subcommands_build_no_mesh(tmp_path, monkeypatch, capsys):
             assert cli.main([command, "--config", cfg]) == 0, (command, cfg)
         capsys.readouterr()
         assert cli.main(["run", "--config", cfg]) == 2
-        assert "configuration error: [range]" in capsys.readouterr().err
+        assert re.match(r"configuration error: (line \d+: )?\[range\]",
+                        capsys.readouterr().err)
     assert not (tmp_path / "snapshots.csv").exists()
 
 

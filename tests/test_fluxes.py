@@ -204,7 +204,8 @@ def test_nan_density_rejected(any_flux):
 def test_construction_rejects_non_finite_parameters(build, name, value):
     # v <= 0 is False for NaN, so a NaN or infinite parameter used to build
     # a flux whose Riemann solution answered NaN fluxes
-    with pytest.raises(ValueError, match=f"positive finite {name}, got"):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                         f"finite, got {value!r}$"):
         build(value)
 
 
@@ -287,6 +288,19 @@ def test_polynomial_with_two_critical_points_rejected():
                           (3.0 - math.sqrt(3.0)) / 6.0)
     with pytest.raises(ValueError, match="finite"):
         custom_polynomial([0.0, math.inf, -1.0], 0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0.0, 0.5, math.inf], [0.0, 1.0, 0.0]),
+    ([-math.inf, 0.5, 1.0], [0.0, 1.0, 0.0]),
+    ([0.0, 0.5, 1.0], [0.0, math.inf, 0.0]),
+    ([0.0, 0.5, 1.0], [0.0, math.nan, 0.0])])
+def test_tabulated_rejects_nodes_that_are_not_finite(xs, ys):
+    # an infinite end node was accepted, and a junction of two such roads
+    # took density bounds (-inf, inf) and solved; an infinite crest gave
+    # flux_max inf
+    with pytest.raises(ValueError, match="finite nodes"):
+        tabulated(xs, ys)
 
 
 def test_tabulated_plateau_at_crest_rejected():

@@ -6,6 +6,7 @@ interval as the sign change of the sampled balance gap.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,8 +23,6 @@ from junctionflow import (
     is_germ_member,
     is_strict_germ_member,
     mass_ledger,
-    phi_in,
-    phi_out,
     quadratic_lwr,
     riemann_solve,
     run,
@@ -172,6 +171,17 @@ def test_interval_endpoints_are_exact():
     sol = solve_junction(LWR11, (0.2, 0.8))
     assert abs(sol.p_min - 0.2) <= 1e-14
     assert abs(sol.p_max - 0.8) <= 1e-14
+
+
+def phi_in(spec, u, p):
+    """The paper's Phi_in: total flux the incoming roads send at p."""
+    return sum(f.godunov(u[i], p) for i, f in enumerate(spec.incoming))
+
+
+def phi_out(spec, u, p):
+    """The paper's Phi_out: total flux the outgoing roads absorb at p."""
+    return sum(f.godunov(p, u[spec.m + j])
+               for j, f in enumerate(spec.outgoing))
 
 
 def test_phi_totals_agree_inside_interval():
@@ -604,20 +614,16 @@ def test_solver_and_candidate_share_validation():
     slack = 1e-12 * LWR11.span  # the range check's own slack is accepted
     LWR11.candidate((-slack, 1.0 + slack))
     solve_junction(LWR11, (-slack, 1.0 + slack))
-    cases = {
-        "junction state must have shape": [(0.2,), (0.2, 0.3, 0.4),
-                                           [[0.2, 0.8]]],
-        "junction state must be finite": [(math.nan, 0.5), (0.5, math.inf),
-                                          (1.4, math.nan), (-math.inf, 2.0)],
-        "junction state outside": [(0.2, 1.4), (-0.1, 0.5),
-                                   (-2 * slack, 0.5)],
-    }
-    for message, states in cases.items():
-        for bad in states:
-            for check in (LWR11.candidate,
-                          lambda u: solve_junction(LWR11, u)):
-                with pytest.raises(ValueError, match=message):
-                    check(bad)
+    # a wrong shape, a non-finite entry and one out of range, each named
+    # with the bounds the check applies, slack included, and the value
+    for bad in [(0.2,), (0.2, 0.3, 0.4), [[0.2, 0.8]], "ab", None,
+                (math.nan, 0.5), (0.5, math.inf), (1.4, math.nan),
+                (-math.inf, 2.0), (0.2, 1.4), (-0.1, 0.5), (-2 * slack, 0.5)]:
+        message = (r"^junction state must be 2 finite numbers in "
+                   rf"\[-1e-12, 1\], got {re.escape(repr(bad))}$")
+        for check in (LWR11.candidate, lambda u: solve_junction(LWR11, u)):
+            with pytest.raises(ValueError, match=message):
+                check(bad)
 
 
 def test_spec_construction_errors():
@@ -768,8 +774,8 @@ def test_riemann_sample_limits():
     assert rs.sample(2, 0.0) == pytest.approx(0.5 - 0.5 * math.sqrt(0.72),
                                               abs=1e-12)
     for bad in (-1, 3):
-        with pytest.raises(ValueError, match=f"^road {bad} is not in "
-                                             r"range\(3\)"):
+        with pytest.raises(ValueError, match=rf"^road must be in range\(3\), "
+                                             rf"got {bad}$"):
             rs.sample(bad, 0.0)
 
 

@@ -62,10 +62,10 @@ def test_mesh_centers_orientation():
     mesh = NetworkMesh(spec, 0.25, 4)
     assert mesh.centers(2).tolist() == [0.125, 0.375, 0.625, 0.875]
     for bad in (-1, 3):
-        with pytest.raises(ValueError, match=rf"^road {bad} is not in "
-                                             r"range\(3\)"):
+        message = rf"^road must be in range\(3\), got {bad}$"
+        with pytest.raises(ValueError, match=message):
             mesh.centers(bad)
-        with pytest.raises(ValueError, match=f"^road {bad} "):
+        with pytest.raises(ValueError, match=message):
             mesh.road_length(bad)
 
 
@@ -79,9 +79,13 @@ def test_mesh_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             NetworkMesh(LWR11, bad, np.array([4, 4]))
-    # a fractional or NaN count is rejected, never truncated to a count
-    for bad in ([2.5, 3.9], 3.7, [math.nan, 4], np.array([4.0, math.nan])):
-        with pytest.raises(ValueError, match="positive counts"):
+    # a fractional or NaN count is rejected, never truncated to a count;
+    # the error names the first entry that is no count
+    for bad, first in (([2.5, 3.9], "2.5"), (3.7, "3.7"),
+                       ([math.nan, 4], "nan"),
+                       (np.array([4.0, math.nan]), r"np.float64\(4.0\)")):
+        with pytest.raises(ValueError, match="^cells_per_road must be a "
+                                             f"positive integer, got {first}$"):
             NetworkMesh(LWR11, 0.1, bad)
 
 

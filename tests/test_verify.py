@@ -473,9 +473,11 @@ def test_convergence_input_validation(monkeypatch):
     # error)
     monkeypatch.setattr(verify, "run", None)  # any run would fail on this
     for bad in (0.0, -0.1, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"^dx={bad} must be positive"):
+        with pytest.raises(ValueError, match=f"^dx must be positive and "
+                                             f"finite, got {bad!r}$"):
             convergence_study(problem, [0.1, bad])
-        with pytest.raises(ValueError, match=f"^fine_dx={bad} must be"):
+        with pytest.raises(ValueError, match=f"^fine_dx must be positive and "
+                                             f"finite, got {bad!r}$"):
             convergence_study(problem, [0.1], reference="fine", fine_dx=bad)
     for t_final in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):

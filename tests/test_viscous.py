@@ -220,7 +220,8 @@ def test_profile_evaluate_refuses_a_road_out_of_range():
     # road -1 used to answer road 1's outgoing profile, road 5 IndexError
     prof = stationary_profile(LWR11, (0.2, 0.8), epsilon=0.02, window=1.0)
     for road in (-1, 2, 5):
-        with pytest.raises(ValueError, match=r"not in range\(2\)"):
+        with pytest.raises(ValueError, match=rf"^road must be in range\(2\), "
+                                             rf"got {road}$"):
             prof.evaluate(road, -0.01)
 
 
@@ -248,6 +249,20 @@ def test_explicit_witness_override():
         stationary_profile(LWR11, (0.2, 0.8), epsilon=0.02, window=1.0, p=0.9)
     with pytest.raises(ValueError):
         stationary_profile(LWR11, (0.2, 0.8), epsilon=0.02, window=1.0, p=1.5)
+
+
+def test_road_profile_starts_and_ends_inside_the_interval():
+    # p = 2 on [0, 1] gave density 0.56 at distance 0, where the profile
+    # must equal p, with a residual of 1e-13 that flagged nothing
+    for k_h, p, name, bad in ((0.2, 2.0, "p", 2.0), (0.2, -0.1, "p", -0.1),
+                              (1.5, 0.4, "k_h", 1.5),
+                              (math.nan, 0.4, "k_h", math.nan)):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite "
+                                             rf"number in \[0, 1\], got "
+                                             rf"{bad!r}$"):
+            road_profile(quadratic_lwr(), k_h, p, 0.1, 1)
+    dist, dens, _, _ = road_profile(quadratic_lwr(), 0.2, 0.4, 0.1, 1)
+    assert dist[0] == 0.0 and dens[0] == 0.4
 
 
 def test_non_finite_parameters_rejected():
