@@ -77,6 +77,24 @@ def as_bounded(name: str, value, lo: float = -math.inf,
     return x
 
 
+def as_reals(name: str, value, lo: float = -math.inf,
+             hi: float = math.inf):
+    """One finite real number in [lo, hi], as a float, or a list, tuple or
+    array of one or more of them, as a float array of its shape."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return as_bounded(name, value, lo, hi)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # ragged, or no numbers
+        arr = np.empty(0)
+    # written so that NaN, which fails every comparison, is rejected
+    if not (arr.size and lo <= (least := np.minimum.reduce(arr, axis=None))
+            and (most := np.maximum.reduce(arr, axis=None)) <= hi
+            and -math.inf < least and most < math.inf):
+        raise _refused(name, f"finite numbers in [{lo:g}, {hi:g}]", value)
+    return arr if arr.ndim else float(arr)
+
+
 def as_road(value, roads: int) -> int:
     """A road index in range(roads)."""
     if isinstance(value, bool) or not (isinstance(value, (int, Integral))

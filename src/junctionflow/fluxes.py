@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import as_bounded, as_positive
+from .errors import as_bounded, as_positive, as_reals
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,15 +64,13 @@ class Flux:
     def span(self) -> float:
         return self.rho_max - self.rho_min
 
-    def _check_range(self, *values) -> None:
+    def _check_range(self, name: str, value, array: bool = True):
+        """value as densities in [rho_min, rho_max], widened by 1e-12 of the
+        span: a float, or where ``array`` (the methods that map arrays
+        elementwise) also a float array of one or more (``as_reals``)."""
         slack = 1e-12 * self.span
-        for v in values:
-            arr = np.asarray(v, dtype=float)
-            # written so that NaN, which fails every comparison, is rejected
-            if arr.size and not (arr.min() >= self.rho_min - slack
-                                 and arr.max() <= self.rho_max + slack):
-                raise ValueError(
-                    f"density outside [{self.rho_min}, {self.rho_max}]")
+        return (as_reals if array else as_bounded)(
+            name, value, self.rho_min - slack, self.rho_max + slack)
 
     def _raw(self, rho: np.ndarray) -> np.ndarray:
         return kernels.flux_array(self.code, self.params, rho)
@@ -81,16 +79,15 @@ class Flux:
 
     def eval(self, rho):
         """f(rho); scalar in, scalar out; arrays are mapped elementwise."""
-        self._check_range(rho)
-        if np.ndim(rho) == 0:
-            return kernels.flux_scalar(self.code, self.params, float(rho))
-        return self._raw(np.asarray(rho, dtype=float))
+        rho = self._check_range("rho", rho)
+        if isinstance(rho, float):
+            return kernels.flux_scalar(self.code, self.params, rho)
+        return self._raw(rho)
 
     def derivative(self, rho):
         """f'(rho); for tabulated fluxes, the slope of the containing panel."""
-        self._check_range(rho)
-        scalar = np.ndim(rho) == 0
-        x = np.asarray(rho, dtype=float)
+        x = self._check_range("rho", rho)
+        scalar = isinstance(x, float)
         if self.code == kernels.FAMILY_LWR:
             v, rmax = self.params
             out = v * (1.0 - 2.0 * x / rmax)
@@ -115,28 +112,29 @@ class Flux:
     def demand(self, a: float) -> float:
         """Maximal flux the upstream state a can send: f(a) left of the crest,
         the crest value beyond it."""
-        self._check_range(a)
         return kernels.demand_scalar(self.code, self.params, self.rho_crit,
-                                     self.flux_max, float(a))
+                                     self.flux_max,
+                                     self._check_range("a", a, False))
 
     def supply(self, b: float) -> float:
         """Maximal flux the downstream state b can absorb."""
-        self._check_range(b)
         return kernels.supply_scalar(self.code, self.params, self.rho_crit,
-                                     self.flux_max, float(b))
+                                     self.flux_max,
+                                     self._check_range("b", b, False))
 
     def godunov(self, a: float, b: float) -> float:
         """Two-point Godunov flux: min of f on [a,b] when a <= b, max of f on
         [b,a] when a >= b; equals min(demand(a), supply(b)) for bell-shaped f.
         The scheme sweeps whole roads with ``kernels.interface_fluxes``."""
-        self._check_range(a, b)
         return kernels.godunov_scalar(self.code, self.params, self.rho_crit,
-                                      self.flux_max, float(a), float(b))
+                                      self.flux_max,
+                                      self._check_range("a", a, False),
+                                      self._check_range("b", b, False))
 
     def entropy_flux(self, u, k):
         """Kruzhkov entropy flux sign(u-k)*(f(u)-f(k)), with sign(0)=0."""
-        self._check_range(u, k)
-        scalar = np.ndim(u) == 0 and np.ndim(k) == 0
+        u, k = self._check_range("u", u), self._check_range("k", k)
+        scalar = isinstance(u, float) and isinstance(k, float)
         u_arr, k_arr = np.broadcast_arrays(np.asarray(u, dtype=float),
                                            np.asarray(k, dtype=float))
         out = np.sign(u_arr - k_arr) * (self._raw(u_arr) - self._raw(k_arr))

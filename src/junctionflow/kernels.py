@@ -27,8 +27,11 @@ coupling itself, a junction state enters only through its road constants
 the supply s_j = S_j(u_j) of each outgoing one. A caller computes them once
 per state; the balance gap, the junction fluxes, the kinks and both solves
 take them and never the state. The vectorized flux and the Godunov sweep
-take ``Flux.params`` (or per-slot rows of it) and are built from the same
-per-element expressions, so they agree with the scalar kernels bitwise.
+take ``Flux.params``, or for a sweep over roads of one family the per-slot
+v (or h) and one rho_max with, where it is exact, its negated reciprocal;
+a sweep's crest density is one value and its crest flux per slot. They
+compute the scalar kernels' per-element expressions in fewer arrays, with
+every rounding the same, so they agree with the scalar kernels bitwise.
 ``NUMBA_ENABLED`` is kept as a constant: numpy is the only backend.
 
 Flux families are passed around as an integer code plus a packed float
@@ -120,7 +123,15 @@ def godunov_scalar(code, par, crit, fcrit, a, b):
 
 def flux_array(code: int, par: np.ndarray, x: np.ndarray) -> np.ndarray:
     if code == FAMILY_LWR:
-        return par[0] * x * (1.0 - x / par[1])
+        # v x (1 + x / -R), which is v x (1 - x / R) bit for bit, in two
+        # arrays. A sweep's par[2], where given, is -1 / R, exact for R a
+        # power of two: x (-1 / R) then rounds the real number x / -R
+        # rounds, and a product takes the place of the quotient
+        t = x * par[2] if len(par) > 2 else x / -par[1]
+        t += 1.0
+        f = par[0] * x
+        f *= t
+        return f
     if code == FAMILY_SYM_QUAD:
         return par[0] * (1.0 - x * x)
     if code == FAMILY_POLY:
@@ -141,17 +152,21 @@ def interface_fluxes(code, par, crit, fcrit, u_ext, out):
     """Godunov flux at every interface between neighbouring cells of u_ext
     (ghost cells included). The flux is evaluated once per cell and feeds
     both the demand of the interface to its right and the supply of the one
-    to its left. crit and fcrit hold one value per cell of u_ext, and each
-    row of par may, for roads of one family with different parameters.
-    Demand and supply start as copies of the crest flux and take f only
-    where the cell lies on their branch, so a NaN cell reads as the crest
-    on both sides, as in ``godunov_scalar``."""
+    to its left. crit is the crest density, one value for a sweep (an
+    array of one value per cell broadcasts alike), and fcrit holds the
+    crest flux of every cell; par is the parameter vector, or for roads of
+    one family with different parameters the per-cell v (or h) and one
+    rho_max (see ``flux_array``). Demand starts as a copy of the
+    crest flux and takes f where the cell lies on its branch; supply
+    overwrites f with the crest flux where the cell does not lie on its
+    branch, so a NaN cell reads as the crest on both sides, as in
+    ``godunov_scalar``."""
     f = flux_array(code, par, u_ext)
     d = fcrit.copy()
     np.copyto(d, f, where=u_ext <= crit)
-    s = fcrit.copy()
-    np.copyto(s, f, where=u_ext >= crit)
-    np.minimum(d[:-1], s[1:], out=out)
+    off = u_ext >= crit
+    np.copyto(f, fcrit, where=np.logical_not(off, out=off))
+    np.minimum(d[:-1], f[1:], out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,10 @@ class _Layout:
     adj: np.ndarray  # the cell next to the junction
     junc: np.ndarray  # the junction interface
     outer: np.ndarray  # the outer interface
-    sweeps: tuple  # (first, stop, code, params, crit, fcrit) per sweep
+    # (first, stop, code, params, crest density, per-slot crest flux) per
+    # sweep; params is Flux.params, or (per-slot v, R[, -1/R]) for LWR
+    # roads and (per-slot h,) for symmetric-quadratic ones
+    sweeps: tuple
 
     @classmethod
     def build(cls, spec: JunctionSpec, counts: np.ndarray) -> _Layout:
@@ -105,7 +108,11 @@ class _Layout:
         ends = np.where(incoming, first, last)
         adj = np.where(incoming, last, first)
         # LWR roads side by side, or symmetric-quadratic ones, share one
-        # sweep with per-slot parameters; any other road has its own
+        # sweep with per-slot v (or h) and crest flux; any other road has
+        # its own. The roads share [A, B], so the crest density (R/2, or 0)
+        # and LWR's rho_max R are one value per sweep, with -1/R where it
+        # is exact (see ``kernels.flux_array``), each a 0-d array: numpy
+        # pairs one with an array faster than it does a Python float
         sweeps = []
         roads = spec._roads
         for code, run in groupby(range(len(roads)), lambda h: (
@@ -113,11 +120,18 @@ class _Layout:
                 else -1 - h)):
             run = list(run)
             each = sizes[run]
-            params = (spec.fluxes[run[0]].params if code < 0 else np.repeat(
-                np.array([roads[h][1] for h in run]).T, each, axis=1))
+            family, par, crit, _ = roads[run[0]]
+            if code < 0:
+                params = spec.fluxes[run[0]].params
+            else:
+                params = (np.repeat([roads[h][1][0] for h in run], each),
+                          *map(np.array, par[1:]))
+                if (family == kernels.FAMILY_LWR
+                        and math.frexp(par[1])[0] == 0.5
+                        and math.isfinite(1.0 / par[1])):
+                    params += (np.array(-1.0 / par[1]),)
             sweeps.append((int(stops[run[0]] - each[0]), int(stops[run[-1]]),
-                           roads[run[0]][0], params,
-                           np.repeat([roads[h][2] for h in run], each),
+                           family, params, np.array(crit),
                            np.repeat([roads[h][3] for h in run], each)))
         return cls(int(stops[-1]),
                    tuple(map(slice, first.tolist(), (last + 1).tolist())),
@@ -287,9 +301,9 @@ def _update(u: np.ndarray, mesh: NetworkMesh, dt: float, gstar, ghosts=None,
     layout = mesh._layout
     fgrid = _flux_grid(u, mesh, gstar, eps)
     new = np.empty(layout.slots)
-    diff = fgrid[1:] - fgrid[:-1]
-    diff *= dt / mesh.dx
-    np.subtract(u[1:-1], diff, out=new[1:-1])
+    inner = np.subtract(fgrid[1:], fgrid[:-1], out=new[1:-1])
+    inner *= dt / mesh.dx
+    np.subtract(u[1:-1], inner, out=inner)
     layout.fill(new, ghosts)
     return new, fgrid[layout.outer]
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .errors import (PreconditionError, as_bounded, as_count, as_positive,
-                     as_road)
+                     as_reals, as_road)
 from .fluxes import conjugate
 from .junction import JunctionSpec, _strict_margins_hold, strict_witness
 from .scheme import (_MAX_COUNT, GridState, NetworkMesh, _check_timestep,
@@ -170,8 +170,10 @@ class ViscousProfile:
 
     def evaluate(self, road: int, x):
         """Density at position x (junction at 0); constant k_h beyond the
-        sampled decay window. ``road`` must lie in range(m + n)."""
-        return self._roads[as_road(road, len(self._roads))](np.abs(x))
+        sampled decay window. ``road`` must lie in range(m + n), and x is
+        one finite number or an array of them."""
+        return self._roads[as_road(road, len(self._roads))](
+            np.abs(as_reals("x", x)))
 
 
 def road_profile(flux, k_h: float, p: float, epsilon: float, window: float,
@@ -183,7 +185,10 @@ def road_profile(flux, k_h: float, p: float, epsilon: float, window: float,
     density equals p; the density relaxes monotonically to k_h. On incoming
     roads distance grows as x decreases, which flips the sign of rho' in
     the balance epsilon * rho'(x) = f(rho) - f(k_h); k_h and p must lie
-    in the flux's [rho_min, rho_max].
+    in the flux's [rho_min, rho_max]. Raises PreconditionError where no
+    profile leads from p to k_h: where the balance drives rho away from
+    k_h at p, or where the conjugate of k_h, at which f(rho) = f(k_h)
+    stops it, lies between them or at p.
     """
     k_h, p = (as_bounded(name, x, flux.rho_min, flux.rho_max)
               for name, x in (("k_h", k_h), ("p", p)))
@@ -196,6 +201,12 @@ def road_profile(flux, k_h: float, p: float, epsilon: float, window: float,
     table = flux.code == kernels.FAMILY_TABLE
     stop, distance, grid, at_grid = -1.0, None, None, None  # settled
     if abs(p - k_h) > _DECAY_CUTOFF:
+        kb = conjugate(flux, k_h)
+        if not (sign * (flux.eval(p) - fk) * (k_h - p) > 0.0
+                and (kb == k_h or (kb - p) * (kb - k_h) > 0.0)):
+            raise PreconditionError(
+                f"no {'incoming' if incoming else 'outgoing'} profile leads "
+                f"from p={p!r} to k_h={k_h!r}")
         distance = (_table_distance if table else _poly_distance)(
             flux, k_h, p, sign)
         grid = np.linspace(math.log(abs(p - k_h)), math.log(_DECAY_CUTOFF),

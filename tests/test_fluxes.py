@@ -186,13 +186,16 @@ def test_nan_density_rejected(any_flux):
     # max > hi" lets it through (godunov([nan], [0.2]) read the crest)
     f = any_flux
     mid = 0.5 * (f.rho_min + f.rho_max)
-    calls = [lambda x: f.eval(x), lambda x: f.demand(x),
-             lambda x: f.supply(x), lambda x: f.derivative(x),
-             lambda x: f.godunov(x, mid), lambda x: f.godunov(mid, x),
-             lambda x: f.entropy_flux(x, mid), lambda x: f.entropy_flux(mid, x)]
-    for call in calls:
+    calls = [(f.eval, "rho"), (f.demand, "a"), (f.supply, "b"),
+             (f.derivative, "rho"), (lambda x: f.godunov(x, mid), "a"),
+             (lambda x: f.godunov(mid, x), "b"),
+             (lambda x: f.entropy_flux(x, mid), "u"),
+             (lambda x: f.entropy_flux(mid, x), "k")]
+    for call, name in calls:
         for bad in (np.nan, np.array([np.nan]), np.array([mid, np.nan, mid])):
-            with pytest.raises(ValueError, match="outside"):
+            with pytest.raises(ValueError, match=rf"^{name} must be (a finite "
+                                                 rf"number|finite numbers) "
+                                                 rf"in \["):
                 call(bad)
 
 

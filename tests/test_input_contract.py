@@ -44,9 +44,17 @@ def call(fn, kinds, **valid):
 # every density below lies in LWR's [0, 1], every state has 2 roads
 CONTRACT = {
     "ConfigError": [], "ConsistencyError": [], "PreconditionError": [],
-    # Flux's methods map densities elementwise, arrays included; its
+    # eval, derivative and entropy_flux map densities elementwise, arrays
+    # included; demand, supply and godunov take one density each. Flux's
     # constructors are the functions below
-    "Flux": [],
+    "Flux": [call(LWR.eval, {"rho": "densities"}, rho=0.3),
+             call(LWR.derivative, {"rho": "densities"}, rho=[0.3, 0.6]),
+             call(LWR.entropy_flux, {"u": "densities", "k": "densities"},
+                  u=0.3, k=[0.2, 0.6]),
+             call(LWR.demand, {"a": "bounded"}, a=0.3),
+             call(LWR.supply, {"b": "bounded"}, b=0.6),
+             call(LWR.godunov, {"a": "bounded", "b": "bounded"}, a=0.3,
+                  b=0.6)],
     "branch_point": [call(jf.branch_point, {"y": "bounded"}, flux=LWR,
                           y=0.1, branch="rising")],
     "conjugate": [call(jf.conjugate, {"rho": "bounded"}, flux=LWR, rho=0.2)],
@@ -133,8 +141,8 @@ CONTRACT = {
                                     {"count": "count", "seed": "seed"},
                                     count=2, seed=1)],
     "ParabolicTrajectory": [],
-    "ViscousProfile": [call(PROFILE.evaluate, {"road": "road"}, road=0,
-                            x=-0.1)],
+    "ViscousProfile": [call(PROFILE.evaluate, {"road": "road", "x": "finite"},
+                            road=0, x=-0.1)],
     "initial_smoothing": [call(jf.initial_smoothing,
                                {"epsilon": "bounded", "dx": "positive",
                                 "width": "seed"},
@@ -194,6 +202,15 @@ BAD = {
         st.booleans(), st.text(max_size=4)),  # None: absorbing outer ends
     "sequence": st.one_of(st.just([]), st.just(()), _ANY_FLOAT,
                           st.booleans(), st.text(max_size=4), st.none()),
+    # densities in LWR's [0, 1], one or a non-empty array of them
+    "densities": st.one_of(
+        st.floats(max_value=-1e-3), st.floats(min_value=1.001), _NON_FINITE,
+        _NO_NUMBER, st.lists(st.one_of(st.floats(max_value=-1e-3),
+                                       st.floats(min_value=1.001),
+                                       _NON_FINITE),
+                             min_size=1, max_size=1).flatmap(
+            lambda bad: st.permutations(bad + [0.5, 0.2])),
+        st.just(np.empty(0)), st.just([[0.5], [0.2, 0.3]])),
     # finite reals, one or an array of them
     "finite": st.one_of(_NON_FINITE, st.lists(_NON_FINITE, min_size=1),
                         st.none(), st.just("ab")),
@@ -305,6 +322,31 @@ def test_riemann_sample_refuses_a_non_finite_ray():
         RS.sample(0, math.nan)
     with _refused("xi", math.inf, r"a finite number in \[-inf, inf\]"):
         RS.sample(1, np.array([0.1, math.inf]))
+
+
+def test_flux_methods_refuse_what_is_no_density():
+    # godunov(0.2, []) and demand([]) raised numpy's TypeError, eval(True)
+    # answered f(1) = 0.0 and eval([]) answered []
+    scalar = r"a finite number in \[-1e-12, 1\]"
+    with _refused("b", [], scalar):
+        LWR.godunov(0.2, [])
+    with _refused("a", [], scalar):
+        LWR.demand([])
+    with _refused("rho", True, scalar):
+        LWR.eval(True)
+    with _refused("rho", [], r"finite numbers in \[-1e-12, 1\]"):
+        LWR.eval([])
+    # a 0-d array is one density, and an array keeps its shape
+    assert LWR.eval(np.array(0.5)) == 0.25
+    assert LWR.eval([[0.5], [0.5]]).shape == (2, 1)
+
+
+def test_profile_evaluate_refuses_a_non_finite_position():
+    # x = nan answered k_h: 0.2 on the incoming road of this profile
+    with _refused("x", math.nan, r"a finite number in \[-inf, inf\]"):
+        PROFILE.evaluate(0, math.nan)
+    with _refused("x", [-0.1, -math.inf], r"finite numbers in \[-inf, inf\]"):
+        PROFILE.evaluate(0, [-0.1, -math.inf])
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, -1.0, 0.0, True])

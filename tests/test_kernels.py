@@ -48,6 +48,17 @@ def test_array_twins_match_scalar_loop():
         fv = kernels.flux_array(code, f.params, a)
         for i in range(a.shape[0]):
             assert fv[i] == kernels.flux_scalar(code, par, a[i])
+        # Flux.entropy_flux hands it 0-d arrays, which the LWR flux's
+        # in-place steps must take as well as whole roads
+        got = kernels.flux_array(code, f.params, np.array(a[0]))
+        assert np.ndim(got) == 0 and got == kernels.flux_scalar(code, par,
+                                                                a[0])
+    # a sweep's LWR parameters, with the exact reciprocal -1/R of R = 2
+    got = kernels.flux_array(kernels.FAMILY_LWR, (1.3, 2.0, -0.5),
+                             np.array([0.7, 1.1]))
+    assert got.tolist() == [kernels.flux_scalar(kernels.FAMILY_LWR,
+                                                (1.3, 2.0), x)
+                            for x in (0.7, 1.1)]
 
 
 def test_interface_sweep_matches_pointwise():
@@ -62,6 +73,48 @@ def test_interface_sweep_matches_pointwise():
         for k in range(129):
             assert out[k] == kernels.godunov_scalar(code, par, crit, fcrit,
                                                     u_ext[k], u_ext[k + 1])
+
+
+@pytest.mark.parametrize("family, size", [
+    ("lwr", 1.0), ("lwr", 2.0), ("lwr", 0.7), ("lwr", 1.3), ("symq", 1.0)])
+def test_layout_sweep_matches_the_scalar_kernels(family, size):
+    # the sweep as the march calls it, with the layout's own arguments: one
+    # crest density and (LWR) one rho_max R per sweep, with -1/R where R is
+    # a power of two, and per-slot v (or h) and crest flux; each interface
+    # is the scalar kernels' Godunov flux bit for bit, NaN cells and cells
+    # exactly at the crest included
+    speeds = (1.0, 2.5, 0.75)
+    fluxes = [quadratic_lwr(v, size) if family == "lwr"
+              else symmetric_quadratic(v) for v in speeds]
+    spec = JunctionSpec(2, 1, fluxes)
+    counts = np.array([300, 200, 400])
+    layout = NetworkMesh(spec, 0.01, counts)._layout
+    (first, stop, code, par, crit, fcrit), = layout.sweeps
+    assert np.shape(crit) == () and crit == fluxes[0].rho_crit
+    if family == "lwr":
+        exact = size in (1.0, 2.0)
+        assert np.shape(par[1]) == () and par[1] == size
+        assert len(par) == 2 + exact and (not exact or par[2] == -1.0 / size)
+    else:
+        assert len(par) == 1
+    sizes = counts + 1  # cells and a ghost; road m-1 holds the pad
+    sizes[spec.m - 1] += 1
+    owner = np.repeat(np.arange(3), sizes)
+    u = spec.rho_min + spec.span * RNG.random(layout.slots)
+    u[::5] = crit
+    u[3::7] = math.nan
+    out = np.empty(stop - first - 1)
+    kernels.interface_fluxes(code, par, crit, fcrit, u[first:stop], out)
+    roads = spec._roads
+    for k in range(out.shape[0]):
+        left, right = roads[owner[k]], roads[owner[k + 1]]
+        if left is right:
+            want = kernels.godunov_scalar(*left, u[k], u[k + 1])
+        else:  # a junction interface, which the update overwrites
+            d = kernels.demand_scalar(*left, u[k])
+            s = kernels.supply_scalar(*right, u[k + 1])
+            want = d if d <= s else s
+        assert out[k] == want, (k, u[k], u[k + 1])
 
 
 def test_balance_gap_nonincreasing_in_p():

@@ -265,6 +265,24 @@ def test_road_profile_starts_and_ends_inside_the_interval():
     assert dist[0] == 0.0 and dens[0] == 0.4
 
 
+def test_road_profile_refuses_a_p_no_profile_leaves():
+    # beyond the conjugate 0.8 of k_h = 0.2 no profile reaches k_h: p = 0.9
+    # gave density 0.725 at distance 0 and p = 1.0 gave 0.68, with
+    # residuals of 3e-13 that flagged nothing; p = 0.8 itself holds still
+    for p in (0.8, 0.9, 1.0):
+        with pytest.raises(PreconditionError, match=rf"^no incoming profile "
+                                                    rf"leads from p={p!r} "
+                                                    rf"to k_h=0.2$"):
+            road_profile(quadratic_lwr(), 0.2, p, 0.1, 1)
+    # an outgoing road's balance drives rho away from a k_h below the crest
+    # (it used to answer the constant k_h, with residual 0)
+    with pytest.raises(PreconditionError, match="^no outgoing profile"):
+        road_profile(quadratic_lwr(), 0.2, 0.4, 0.1, 1, incoming=False)
+    # up to the conjugate the profile starts at p
+    dist, dens, _, _ = road_profile(quadratic_lwr(), 0.2, 0.79, 0.1, 1)
+    assert dist[0] == 0.0 and dens[0] == 0.79
+
+
 def test_non_finite_parameters_rejected():
     # unless rejected, a NaN epsilon sends the profile integration into an
     # endless loop

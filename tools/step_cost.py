@@ -1,8 +1,9 @@
-"""The fixed cost of a coarse step, layer by layer.
+"""The fixed cost of a coarse step, and the parts of a fine one.
 
-Runs 2-1 LWR (v = 1, 1, 2) on 3 x 25 cells at dx = 1/25, CFL 0.9, to
-t = 1 (112 computed steps, one junction solve each, no hold), from
-linspace(0.1, 0.9), linspace(0.8, 0.2) and linspace(0.3, 0.6), and prints:
+The coarse case runs 2-1 LWR (v = 1, 1, 2) on 3 x 25 cells at dx = 1/25,
+CFL 0.9, to t = 1 (112 computed steps, one junction solve each, no hold),
+from linspace(0.1, 0.9), linspace(0.8, 0.2) and linspace(0.3, 0.6), and
+prints:
 
 - the time of a ``run`` step;
 - a warm ``solve_junction`` (hinted with the active set of the state
@@ -11,8 +12,17 @@ linspace(0.1, 0.9), linspace(0.8, 0.2) and linspace(0.3, 0.6), and prints:
 - Python calls per computed step: cProfile's call count of the run to
   t = 1 less that to t = 0.5, over the difference in steps.
 
-Times are the best of 7 repeats of 5 passes. Usage, from the repository
-root::
+Times are the best of 7 repeats of 5 passes.
+
+The fine case runs the same junction and data shapes on 3 x 4000 cells
+(the speeds, CFL and horizon of the benchmark's ``fine_run``: dx = 1/4000,
+t = 0.25, 4445 steps) as a lean run, and prints the time of a step and of
+its parts: the Godunov sweeps, the whole ``_update``, the march's min/max
+guard and mass flush (a level's copy into the mass block and its
+``kernels.row_sums``), each over 16 buffers of the run, and a warm
+``solve_junction`` over every junction solve the run makes, hinted with
+the active set of the state before. Steps are the best of 3 runs, parts the best of 5 repeats of
+5 passes. Usage, from the repository root::
 
     PYTHONPATH=src python3 tools/step_cost.py
 """
@@ -26,32 +36,36 @@ import time
 import numpy as np
 
 from junctionflow import JunctionSpec, NetworkMesh, RunConfig, quadratic_lwr
-from junctionflow import scheme
+from junctionflow import kernels, scheme
 from junctionflow.junction import solve_junction
 
 REPEATS, PASSES = 7, 5
+FINE_CELLS, FINE_T, FINE_SAMPLES = 4000, 0.25, 16
 
 
-def baseline(t_final: float = 1.0):
-    """(config, initial data) of the baseline run to t_final."""
+def baseline(t_final: float = 1.0, cells: int = 25,
+             snapshot_times=()):
+    """(config, initial data) of the baseline run to t_final on roads of
+    ``cells`` cells of width 1/cells."""
     spec = JunctionSpec(2, 1, [quadratic_lwr(1.0), quadratic_lwr(1.0),
                                quadratic_lwr(2.0)])
-    mesh = NetworkMesh(spec, 1.0 / 25, np.full(3, 25))
-    data = [np.linspace(0.1, 0.9, 25), np.linspace(0.8, 0.2, 25),
-            np.linspace(0.3, 0.6, 25)]
-    return RunConfig(mesh, 0.9, t_final), data
+    mesh = NetworkMesh(spec, 1.0 / cells, np.full(3, cells))
+    data = [np.linspace(0.1, 0.9, cells), np.linspace(0.8, 0.2, cells),
+            np.linspace(0.3, 0.6, cells)]
+    return RunConfig(mesh, 0.9, t_final, snapshot_times=snapshot_times), data
 
 
-def best_us(fn, count: int) -> float:
-    """Best of REPEATS timings of PASSES calls of fn, in µs per item of
-    the count fn works through."""
+def best_us(fn, count: int, repeats: int = REPEATS,
+            passes: int = PASSES) -> float:
+    """Best of ``repeats`` timings of ``passes`` calls of fn, in µs per
+    item of the count fn works through."""
     best = float("inf")
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
-        for _ in range(PASSES):
+        for _ in range(passes):
             fn()
         best = min(best, time.perf_counter() - start)
-    return 1e6 * best / (PASSES * count)
+    return 1e6 * best / (passes * count)
 
 
 def calls(t_final: float) -> tuple[int, int]:
@@ -70,7 +84,77 @@ def calls_per_step() -> float:
     return (c_full - c_half) / (s_full - s_half)
 
 
-def main() -> None:
+def solved_states(config, data) -> list[np.ndarray]:
+    """The junction state of every junction solve a lean run makes, in
+    order, read by wrapping the solve the march calls."""
+    states = []
+
+    def record(spec, state, hint=None):
+        states.append(state.copy())
+        return solve_junction(spec, state, hint)
+
+    scheme.solve_junction = record
+    try:
+        scheme.run(config, data, keep_states=False)
+    finally:
+        scheme.solve_junction = solve_junction
+    return states
+
+
+def fine() -> None:
+    config, data = baseline(FINE_T, FINE_CELLS, tuple(
+        np.linspace(0.0, FINE_T, FINE_SAMPLES + 1)[1:-1].tolist()))
+    mesh = config.mesh
+    spec, layout = mesh.spec, mesh._layout
+    traj = scheme.run(config, data, keep_states=False)
+    steps = len(traj.dts)
+    buffers = traj.buffers[:FINE_SAMPLES]
+    dt = float(traj.dts[0])
+    gstars = [solve_junction(spec, u[layout.adj]).fluxes for u in buffers]
+    tops = [max(-float(u.min()), float(u.max())) for u in buffers]
+    fgrid = np.empty(layout.slots - 1)
+    block = np.empty((1, layout.slots))
+
+    def sweeps():
+        for u in buffers:
+            for first, stop, code, par, crit, fcrit in layout.sweeps:
+                kernels.interface_fluxes(code, par, crit, fcrit,
+                                         u[first:stop], fgrid[first:stop - 1])
+
+    def guard():
+        for u in buffers:
+            float(np.minimum.reduce(u)), float(np.maximum.reduce(u))
+
+    def flush():  # the guard's bound is the block's top, as in the march
+        for u, top in zip(buffers, tops):
+            block[0] = u
+            block[:, layout.ghosts] = -0.0
+            block[:, layout.pad] = -0.0
+            kernels.row_sums(block, [top])
+
+    states = solved_states(config, data)
+    hints = [None] + [solve_junction(spec, s).active for s in states[:-1]]
+    count = len(buffers)
+    figures = {
+        "run step (us)": best_us(
+            lambda: scheme.run(config, data, keep_states=False), steps, 3, 1),
+        "sweeps (us)": best_us(sweeps, count, 5),
+        "_update (us)": best_us(
+            lambda: [scheme._update(u, mesh, dt, g)
+                     for u, g in zip(buffers, gstars)], count, 5),
+        "guard (us)": best_us(guard, count, 5),
+        "mass flush (us)": best_us(flush, count, 5),
+        "warm solve_junction (us)": best_us(
+            lambda: [solve_junction(spec, s, h)
+                     for s, h in zip(states, hints)], len(states), 5),
+    }
+    print(f"2-1 LWR, 3 x {FINE_CELLS} cells, CFL 0.9, t = {FINE_T}: "
+          f"{steps} steps, {traj.junction_solves} junction solves")
+    for name, value in figures.items():
+        print(f"{name:<28} {value:8.2f}")
+
+
+def coarse() -> None:
     config, data = baseline()
     mesh = config.mesh
     traj = scheme.run(config, data)
@@ -97,6 +181,11 @@ def main() -> None:
           f"{traj.junction_solves} junction solves")
     for name, value in figures.items():
         print(f"{name:<28} {value:8.2f}")
+
+
+def main() -> None:
+    coarse()
+    fine()
 
 
 if __name__ == "__main__":
