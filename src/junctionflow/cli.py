@@ -21,14 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .config import (ConfigDocument, build_network, build_spec,
-                     mesh_and_run, parse_config)
+from .config import ConfigDocument, build_network, build_spec, parse_config
 from .errors import (ConfigError, ConsistencyError, PreconditionError,
                      as_bounded, as_count, as_positive)
 from .fluxes import quadratic_lwr, symmetric_quadratic
 from .junction import (JunctionSpec, dissipativity, is_germ_member,
                        is_strict_germ_member, riemann_solve, solve_junction)
-from .scheme import (_MAX_COUNT, NetworkMesh, RunConfig, cfl_timestep,
+from .scheme import (NetworkMesh, RunConfig, _cell_count, cfl_timestep,
                      mass_ledger, run)
 from .viscous import stationary_profile
 
@@ -58,44 +57,10 @@ def _load_document(args) -> ConfigDocument:
         raise ConfigError(f"cannot read {args.config}: {exc.strerror}") from exc
     doc = parse_config(text)
     if getattr(args, "t_final", None) is not None:
-        if any(t > args.t_final for t in doc.snapshots):
-            raise ConfigError(f"--t-final {args.t_final:g} lies before the "
-                              f"snapshot at {max(doc.snapshots):g}",
-                              kind="range")
         doc.t_final, doc.run_line = args.t_final, None
     if getattr(args, "epsilon", None) is not None:
         doc.epsilon = args.epsilon
     return doc
-
-
-def _cells_for_dx(dx: float, lengths, coarsest: float = 1.0) -> list[int]:
-    """Cells of width dx on roads of these lengths. A range error names --dx
-    where it makes 2**53 or more cells on a road, or where coarsest * dx
-    (the coarsest mesh of a ladder) does not tile a length."""
-    width = coarsest * dx
-    cells = []
-    for length in lengths:
-        if not length < _MAX_COUNT * dx:  # dx may underflow to 0
-            raise ConfigError(f"--dx {dx:g} cuts road length {length:g} into "
-                              f"2**53 or more cells", kind="range")
-        c = round(length / width)
-        if c < 1 or abs(c * width - length) > 1e-9 * length:
-            where = "" if coarsest == 1.0 else f" at {coarsest:g} * dx"
-            raise ConfigError(f"--dx {dx:g} does not tile road length "
-                              f"{length:g}{where}", kind="range")
-        cells.append(round(length / dx))
-    return cells
-
-
-def _mesh_with_dx(doc: ConfigDocument, dx: float | None):
-    """(spec, mesh, initial data, run config); with dx, only the mesh of
-    cell width dx is built, never the document's own."""
-    if dx is None:
-        return build_network(doc)
-    spec = build_spec(doc)
-    cells = _cells_for_dx(dx, [r.length for r in doc.roads])
-    mesh, run_config = mesh_and_run(doc, spec, dx, cells)
-    return spec, mesh, [r.initial for r in doc.roads], run_config
 
 
 def _constant_initial(doc: ConfigDocument, what: str) -> np.ndarray:
@@ -119,7 +84,7 @@ def _out_dir(args) -> Path:
 
 def _cmd_run(args) -> int:
     doc = _load_document(args)
-    spec, mesh, initial, run_config = _mesh_with_dx(doc, args.dx)
+    spec, mesh, initial, run_config = build_network(doc, args.dx)
     # a lean run keeps the levels at 0, t_final and the snapshot times
     traj = run(run_config, initial, keep_states=False)
     out = _out_dir(args)
@@ -238,11 +203,14 @@ def _cmd_convergence(args) -> int:
         raise ConfigError("convergence needs equal road lengths",
                           kind="topology")
     length = lengths.pop()
-    base_dx = (args.dx if args.dx is not None
-               else doc.roads[0].length / doc.roads[0].cells)
-    # the ladder runs from 8 dx down to dx; where 8 dx tiles, all do
-    cells = _cells_for_dx(base_dx, [length], coarsest=8.0)[0] * len(doc.roads)
-    dx_list = [base_dx * f for f in (8.0, 4.0, 2.0, 1.0)]
+    dx = (args.dx if args.dx is not None
+          else doc.roads[0].length / doc.roads[0].cells)
+    try:  # the ladder runs from 8 dx down to dx; where 8 dx tiles, all do
+        cells = _cell_count("--dx", length, dx) * len(doc.roads)
+        _cell_count("8 * --dx", length, 8.0 * dx)
+    except ValueError as exc:
+        raise ConfigError(str(exc), kind="range") from None
+    dx_list = [dx * f for f in (8.0, 4.0, 2.0, 1.0)]
 
     problem = verify_mod.RiemannProblem(
         spec, _constant_initial(doc, "convergence"), doc.t_final,
@@ -390,24 +358,24 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# options beyond --config and --out, offered only where they are read: (type,
+# help, validator, bounds), checked before any work; an int one defaults to 0
+_OPTIONS = {
+    "--seed": (int, "random seed for sampled ensembles", as_count, 0),
+    "--dx": (float, "override cell width", as_positive),
+    "--t-final": (float, "override final time", as_bounded, 0.0),
+    "--epsilon": (float, "override viscosity parameter", as_positive),
+    "--tol": (float, "override membership tolerance", as_positive),
+    "--sample": (int, "additionally check this many sampled states",
+                 as_count, 0),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="junctionflow",
         description="Finite-volume solver for traffic junctions")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # options beyond --config and --out, offered only where they are read
-    options = {
-        "--seed": dict(type=int, default=0,
-                       help="random seed for sampled ensembles"),
-        "--dx": dict(type=float, help="override cell width"),
-        "--t-final": dict(dest="t_final", type=float,
-                          help="override final time"),
-        "--epsilon": dict(type=float, help="override viscosity parameter"),
-        "--tol": dict(type=float, help="override membership tolerance"),
-        "--sample": dict(type=int, default=0,
-                         help="additionally check this many sampled states"),
-    }
 
     def add(name, handler, help_text, *names, needs_config=True):
         p = sub.add_parser(name, help=help_text)
@@ -416,7 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="path to a network config file")
         p.add_argument("--out", help="output directory (default: .)")
         for opt in names:
-            p.add_argument(opt, **options[opt])
+            kind, text, *_ = _OPTIONS[opt]
+            p.add_argument(opt, type=kind, help=text,
+                           default=0 if kind is int else None)
 
     add("run", _cmd_run, "march a configured network, write CSV output",
         "--dx", "--t-final")
@@ -433,16 +403,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OPTION_CHECKS = {"--seed": (as_count, 0), "--sample": (as_count, 0),
-                  "--dx": (as_positive,), "--t-final": (as_bounded, 0.0),
-                  "--epsilon": (as_positive,), "--tol": (as_positive,)}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         try:  # every option given passes its check before any work
-            for option, (check, *bounds) in _OPTION_CHECKS.items():
+            for option, (_, _, check, *bounds) in _OPTIONS.items():
                 value = getattr(args, option[2:].replace("-", "_"), None)
                 if value is not None:
                     check(option, value, *bounds)

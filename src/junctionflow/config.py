@@ -45,7 +45,7 @@ from .errors import ConfigError, as_bounded, as_count, as_positive
 from .fluxes import (Flux, custom_polynomial, quadratic_lwr,
                      symmetric_quadratic, tabulated)
 from .junction import JunctionSpec
-from .scheme import NetworkMesh, RunConfig
+from .scheme import NetworkMesh, RunConfig, _cell_count
 
 _ROAD_KEYS = {"direction", "flux.family", "flux.params", "flux.rho_min",
               "flux.rho_max", "flux.rho_crit", "flux.xs", "flux.ys",
@@ -113,14 +113,19 @@ def _one_float(text: str, line: int, key: str) -> float:
     return vals[0]
 
 
-def _number(body: dict[str, tuple[str, int]], key: str, check, *bounds):
-    """The number of ``key`` through ``check``, a range error on its line."""
-    text, line = body[key]
-    value = _one_float(text, line, key)
+def _checked(key: str, line: int, check, values: list[float], *bounds):
+    """The values of ``key`` through ``check``, a range error on its line."""
     try:
-        return check(key, value, *bounds)
+        return [check(key, v, *bounds) for v in values]
     except ValueError as exc:
         raise ConfigError(str(exc), kind="range", line=line) from None
+
+
+def _number(body: dict[str, tuple[str, int]], key: str, check, *bounds):
+    """The one number of ``key`` through ``check``."""
+    text, line = body[key]
+    return _checked(key, line, check, [_one_float(text, line, key)],
+                    *bounds)[0]
 
 
 def _road_flux(raw: dict[str, tuple[str, int]], line: int) -> Flux:
@@ -190,11 +195,10 @@ def _road_initial(raw: dict[str, tuple[str, int]], flux: Flux, line: int):
         text, ln = raw["initial"]
         toks = text.split()
         if len(toks) == 2 and toks[0] == "constant":
-            value = _one_float(toks[1], ln, "initial")
-        else:
-            value = _one_float(text, ln, "initial")
-        _check_range(flux, [value], ln, "initial")
-        return value
+            text = toks[1]
+        return _checked("initial", ln, as_bounded,
+                        [_one_float(text, ln, "initial")], flux.rho_min,
+                        flux.rho_max)[0]
     if has_table:
         if "initial.breakpoints" not in raw or "initial.values" not in raw:
             raise ConfigError("initial.breakpoints and initial.values must "
@@ -210,17 +214,10 @@ def _road_initial(raw: dict[str, tuple[str, int]], flux: Flux, line: int):
         if len(bp) > 1 and np.any(np.diff(bp) <= 0):
             raise ConfigError("initial.breakpoints must be strictly "
                               "increasing", kind="range", line=bp_line)
-        _check_range(flux, vals, v_line, "initial.values")
+        _checked("initial.values", v_line, as_bounded, vals, flux.rho_min,
+                 flux.rho_max)
         return (np.asarray(bp), np.asarray(vals))
     raise ConfigError("road is missing initial data", kind="range", line=line)
-
-
-def _check_range(flux: Flux, values, line: int, key: str) -> None:
-    lo, hi = flux.rho_min, flux.rho_max
-    for v in values:
-        if not lo <= v <= hi:
-            raise ConfigError(f"{key}: {v:g} outside the density interval "
-                              f"[{lo:g}, {hi:g}]", kind="range", line=line)
 
 
 def parse_config(text: str) -> ConfigDocument:
@@ -315,11 +312,9 @@ def _parse_run(doc: ConfigDocument, body: dict[str, tuple[str, int]],
         doc.t_final = _number(body, "t_final", as_bounded, 0.0)
     if "snapshots" in body:
         text, ln = body["snapshots"]
-        snaps = _floats(text, ln, "snapshots")
-        if any(not 0 <= t <= doc.t_final for t in snaps):
-            raise ConfigError(f"snapshots must lie in [0, t_final = "
-                              f"{doc.t_final:g}]", kind="range", line=ln)
-        doc.snapshots = tuple(snaps)
+        doc.snapshots = tuple(_checked("snapshots", ln, as_bounded,
+                                       _floats(text, ln, "snapshots"), 0.0,
+                                       doc.t_final))
     if "outer_bc" in body:
         text, ln = body["outer_bc"]
         toks = text.split()
@@ -372,8 +367,8 @@ def _validate_topology(doc: ConfigDocument, bc_line: int | None) -> None:
         if doc.dirichlet_values.shape != (len(roads),):
             raise ConfigError("dirichlet needs one value per road",
                               kind="topology", line=bc_line)
-        _check_range(roads[0].flux, doc.dirichlet_values, bc_line,
-                     "dirichlet value")
+        _checked("dirichlet value", bc_line, as_bounded,
+                 doc.dirichlet_values.tolist(), lo, hi)
 
 
 def build_spec(doc: ConfigDocument) -> JunctionSpec:
@@ -381,24 +376,21 @@ def build_spec(doc: ConfigDocument) -> JunctionSpec:
     return JunctionSpec(doc.m, doc.n, tuple(r.flux for r in doc.roads))
 
 
-def build_network(doc: ConfigDocument):
-    """Materialize (spec, mesh, initial data, run config) from a document."""
+def build_network(doc: ConfigDocument, dx: float | None = None):
+    """Materialize (spec, mesh, initial data, run config) from a document:
+    its own cells, or each road tiled by cells of width ``dx`` (``--dx``),
+    the document's own mesh never built. A mesh or run too large to count
+    (2**53 cells or steps) or to allocate is a range error."""
     spec = build_spec(doc)
-    dx = doc.roads[0].length / doc.roads[0].cells
-    mesh, run_config = mesh_and_run(doc, spec, dx,
-                                    [r.cells for r in doc.roads])
-    return spec, mesh, [r.initial for r in doc.roads], run_config
-
-
-def mesh_and_run(doc: ConfigDocument, spec: JunctionSpec, dx: float,
-                 cells: list[int]):
-    """The mesh and run config of a document at cell width dx; a mesh or a
-    run too large to count (2**53 cells or steps) or a mesh too large to
-    allocate is a range error."""
+    cells = [r.cells for r in doc.roads]
     mesh = None  # a run error names the [run] line, a mesh error none
     try:
+        if dx is None:
+            dx = doc.roads[0].length / cells[0]
+        else:
+            cells = [_cell_count("--dx", r.length, dx) for r in doc.roads]
         mesh = NetworkMesh(spec, dx, np.array(cells))
-        return mesh, RunConfig(mesh, doc.cfl, doc.t_final,
+        run_config = RunConfig(mesh, doc.cfl, doc.t_final,
                                doc.dirichlet_values, doc.snapshots)
     except ValueError as exc:
         line = None if mesh is None else doc.run_line
@@ -406,3 +398,4 @@ def mesh_and_run(doc: ConfigDocument, spec: JunctionSpec, dx: float,
     except MemoryError:
         raise ConfigError(f"a mesh of {sum(cells)} cells does not fit in "
                           f"memory", kind="range") from None
+    return spec, mesh, [r.initial for r in doc.roads], run_config

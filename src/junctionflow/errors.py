@@ -49,6 +49,14 @@ def _real(value) -> float:
     return math.nan
 
 
+def _holds_bool(value) -> bool:
+    """Is a bool, Python's or numpy's (a float array reads 0 or 1), inside?"""
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        return value.dtype == bool
+    return not {bool, np.bool_}.isdisjoint(
+        map(type, np.asarray(value, dtype=object).flat))
+
+
 def as_count(name: str, value, least: int = 1) -> int:
     """An integer of at least ``least``. A seed is a count from 0."""
     if isinstance(value, bool) or not (isinstance(value, (int, Integral))
@@ -90,7 +98,7 @@ def as_reals(name: str, value, lo: float = -math.inf,
     # written so that NaN, which fails every comparison, is rejected
     if not (arr.size and lo <= (least := np.minimum.reduce(arr, axis=None))
             and (most := np.maximum.reduce(arr, axis=None)) <= hi
-            and -math.inf < least and most < math.inf):
+            and -math.inf < least and most < math.inf) or _holds_bool(value):
         raise _refused(name, f"finite numbers in [{lo:g}, {hi:g}]", value)
     return arr if arr.ndim else float(arr)
 
@@ -107,15 +115,12 @@ def as_state(name: str, value, size: int, lo: float,
              hi: float) -> np.ndarray:
     """A new float array of shape (size,) >= (1,) in the finite [lo, hi]."""
     try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError):  # ragged, or no numbers
-        arr = np.empty(0)
-    # written so that NaN, which fails every comparison, is rejected
-    if not (arr.shape == (size,) and lo <= np.minimum.reduce(arr)
-            and np.maximum.reduce(arr) <= hi):
-        raise _refused(name, f"{size} finite numbers in [{lo:g}, {hi:g}]",
-                       value)
-    return arr
+        arr = as_reals(name, value, lo, hi)
+        if np.shape(arr) == (size,):
+            return np.array(arr)
+    except ValueError:
+        pass
+    raise _refused(name, f"{size} finite numbers in [{lo:g}, {hi:g}]", value)
 
 
 def as_sequence(name: str, value, size: int | None = None,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import (ConsistencyError, as_bounded, as_count, as_positive,
+from .errors import (ConsistencyError, as_count, as_positive, as_reals,
                      as_road, as_sequence, as_state)
 from .fluxes import Flux, conjugate
 
@@ -81,18 +81,15 @@ class JunctionSpec:
 
     def candidate(self, u) -> np.ndarray:
         """u as a junction state: ``as_state`` against [A, B] widened by
-        1e-12 of the span, inline, since every junction solve makes it."""
-        try:
-            arr = np.ascontiguousarray(u, dtype=float)
-            if arr.shape == (self.m + self.n,):
-                lo, hi = self._bounds
-                for v in arr.tolist():  # on a few entries Python beats numpy
-                    if not lo <= v <= hi:  # NaN fails this too
-                        break
-                else:
-                    return arr
-        except (TypeError, ValueError):  # ragged, or no numbers
-            pass
+        1e-12 of the span, inline on a float array for every solve."""
+        if type(u) is np.ndarray and u.dtype == float and u.shape == (
+                self.m + self.n,):
+            lo, hi = self._bounds
+            for v in u.tolist():  # on a few entries Python beats numpy
+                if not lo <= v <= hi:  # NaN fails this too
+                    break
+            else:
+                return u
         return as_state("junction state", u, self.m + self.n, *self._bounds)
 
     def road_flux_values(self, u: np.ndarray) -> np.ndarray:
@@ -352,10 +349,10 @@ class RiemannSolution:
             g = kernels.flux_array(flux.code, flux.params, cands) - x * cands
             return float(cands[np.argmin(g) if lower else np.argmax(g)])
 
-        x = np.asarray(xi, dtype=float)
-        out = np.array([state(as_bounded("xi", v))
-                        for v in x.ravel().tolist()])
-        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+        x = as_reals("xi", xi)
+        out = [state(v) for v in np.ravel(x).tolist()]
+        return (out[0] if isinstance(x, float)
+                else np.array(out).reshape(x.shape))
 
 
 def riemann_solve(spec: JunctionSpec, u0) -> RiemannSolution:

@@ -32,8 +32,8 @@ from itertools import groupby
 import numpy as np
 
 from . import kernels
-from .errors import (ConfigError, ConsistencyError, as_bounded, as_count,
-                     as_positive, as_sequence, as_state)
+from .errors import (ConfigError, ConsistencyError, _refused, as_bounded,
+                     as_count, as_positive, as_sequence, as_state)
 from .junction import JunctionSpec, solve_junction
 
 _GAUSS_OFFSET = math.sqrt(0.6) / 2.0
@@ -43,6 +43,17 @@ _MAX_COUNT = 2**53
 # the march takes the exact masses of as many levels at once as fill this
 # many bytes (see ``_march``)
 _MASS_BLOCK = 65536
+
+
+def _cell_count(name: str, length: float, dx: float) -> int:
+    """The cells of width dx on a road of this length; a ValueError naming
+    ``name`` where they number 2**53 or more (dx may underflow to 0) or do
+    not tile the length to 1e-9 of it."""
+    cells = round(length / dx) if length < _MAX_COUNT * dx else 0
+    if not cells or abs(cells * dx - length) > 1e-9 * length:
+        raise _refused(name, f"a width that tiles length {length:g} with "
+                             f"fewer than 2**53 cells", dx)
+    return cells
 
 
 @dataclass(eq=False)

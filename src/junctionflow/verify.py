@@ -27,8 +27,8 @@ from .errors import (ConfigError, ConsistencyError, PreconditionError,
 from .fluxes import quadratic_lwr
 from .junction import (JunctionSpec, is_germ_member, is_strict_germ_member,
                        riemann_solve, solve_junction)
-from .scheme import (NetworkMesh, RunConfig, Trajectory, _flux_grid, _pack,
-                     run)
+from .scheme import (NetworkMesh, RunConfig, Trajectory, _cell_count,
+                     _flux_grid, _pack, run)
 
 
 # ---------------------------------------------------------------------------
@@ -319,28 +319,29 @@ def convergence_study(problem: RiemannProblem, dx_list,
     solution; "fine" block-averages one extra run on a mesh of width
     fine_dx (default: a quarter of the finest requested dx), which must
     divide every requested dx. Every dx and fine_dx must be positive and
-    finite, and dx_list must not be empty.
+    finite and tile the road length, and dx_list must not be empty; all of
+    it is checked before the first run.
     """
     if reference not in ("exact", "fine"):
         raise ValueError("reference must be 'exact' or 'fine'")
     dx_list = [as_positive("dx", d) for d in as_sequence("dx_list", dx_list)]
     if fine_dx is not None:
         fine_dx = as_positive("fine_dx", fine_dx)
-    ref_values = None
-    fine_cells = None
+    cells = [_cell_count("dx", problem.road_length, dx) for dx in dx_list]
     if reference == "fine":
         if fine_dx is None:
             fine_dx = min(dx_list) / 4.0
-        fine_cells = int(round(problem.road_length / fine_dx))
+        fine_cells = _cell_count("fine_dx", problem.road_length, fine_dx)
+        ratios = [round(dx / fine_dx) for dx in dx_list]
+        if any(abs(r * fine_dx - dx) > 1e-12
+               for r, dx in zip(ratios, dx_list)):
+            raise ValueError("fine_dx must divide every dx")
         _, ref_values = _final_values(problem, fine_dx, fine_cells)
 
     rows = []
     prev = None
-    for dx in dx_list:
-        cells = int(round(problem.road_length / dx))
-        if abs(cells * dx - problem.road_length) > 1e-9 * problem.road_length:
-            raise ValueError(f"dx={dx} does not tile the road length")
-        mesh, values = _final_values(problem, dx, cells)
+    for k, dx in enumerate(dx_list):
+        mesh, values = _final_values(problem, dx, cells[k])
         err_parts = []
         if reference == "exact":
             exact = problem.exact_cells(mesh)
@@ -348,11 +349,9 @@ def convergence_study(problem: RiemannProblem, dx_list,
                 err_parts.append(dx * float(np.abs(values[h]
                                                    - exact[h]).sum()))
         else:
-            ratio = int(round(dx / fine_dx))
-            if abs(ratio * fine_dx - dx) > 1e-12:
-                raise ValueError("fine_dx must divide every dx")
             for h in range(problem.spec.m + problem.spec.n):
-                blocks = ref_values[h].reshape(cells, ratio).mean(axis=1)
+                blocks = ref_values[h].reshape(cells[k], ratios[k]).mean(
+                    axis=1)
                 err_parts.append(dx * float(np.abs(values[h] - blocks).sum()))
         err = math.fsum(err_parts)
         if prev is None:

@@ -584,6 +584,42 @@ def test_dx_override_builds_only_the_mesh_it_runs(tmp_path, monkeypatch,
     assert "2000000000000 cells" in capsys.readouterr().err
 
 
+def test_one_builder_serves_run_alone(tmp_path, monkeypatch, capsys):
+    # run builds its network through cli.build_network once, with or
+    # without --dx; the subcommands that read the junction only never do
+    calls = []
+    real = cli.build_network
+
+    def spy(doc, dx=None):
+        calls.append(dx)
+        return real(doc, dx)
+
+    monkeypatch.setattr(cli, "build_network", spy)
+    monkeypatch.chdir(tmp_path)
+    text = MINIMAL.replace("initial = 0.3", "initial = 0.2").replace(
+        "initial = 0.6", "initial = 0.8")
+    cfg = _write(tmp_path, text + "\n[run]\nt_final = 0.05\n\n[viscous]\n"
+                                  "epsilon = 0.02\n")
+    for argv, want in ((["run"], [None]), (["run", "--dx", "0.05"], [0.05]),
+                       (["riemann"], []), (["germ-check"], []),
+                       (["profile"], []), (["verify"], [])):
+        calls.clear()
+        assert cli.main([argv[0], "--config", cfg, *argv[1:]]) == 0, argv
+        assert calls == want, argv
+
+
+def test_convergence_takes_a_t_final_before_a_snapshot(tmp_path, monkeypatch,
+                                                       capsys):
+    # convergence keeps no snapshots, so a horizon before one is no error
+    # there (it exited 2, as run still does: test_cli_run_dx_override)
+    monkeypatch.chdir(tmp_path)
+    text = MINIMAL.replace("cells = 50", "cells = 40").replace(
+        "initial = 0.3", "initial = 0.2")
+    cfg = _write(tmp_path, text + "\n[run]\nt_final = 0.3\nsnapshots = 0.3\n")
+    assert cli.main(["convergence", "--config", cfg, "--t-final", "0.2"]) == 0
+    assert "errors decreasing: True" in capsys.readouterr().out
+
+
 def test_cli_accepts_a_table_end_off_zero(tmp_path):
     # an empty incoming road into a table whose end value is 1e-13: the
     # balance gap reads -1e-13 at rho_min, an end decided by structure

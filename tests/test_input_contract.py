@@ -177,6 +177,8 @@ _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _NO_NUMBER = st.one_of(st.booleans(), st.text(max_size=4),
                        st.just([]), st.just({}))
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+# a bool beside a valid number: an array of them reads it as 0 or 1
+_BOOL_INSIDE = st.booleans().flatmap(lambda b: st.permutations([b, 0.5]))
 
 # a bad value of each kind; a density or a time below -1e-3 lies outside
 # every interval checked here. None is drawn only where no default gives it
@@ -199,7 +201,10 @@ BAD = {
             lambda bad: st.permutations(bad + [0.5])),
         st.lists(st.floats(0.0, 1.0), max_size=5).filter(
             lambda u: len(u) != 2),
-        st.booleans(), st.text(max_size=4)),  # None: absorbing outer ends
+        st.booleans(), st.text(max_size=4), _BOOL_INSIDE,
+        # a road of ten bool cells (each road of MESH has ten)
+        st.lists(st.booleans(), min_size=10, max_size=10).map(
+            lambda cells: [cells, 0.5])),  # None: absorbing outer ends
     "sequence": st.one_of(st.just([]), st.just(()), _ANY_FLOAT,
                           st.booleans(), st.text(max_size=4), st.none()),
     # densities in LWR's [0, 1], one or a non-empty array of them
@@ -210,10 +215,10 @@ BAD = {
                                        _NON_FINITE),
                              min_size=1, max_size=1).flatmap(
             lambda bad: st.permutations(bad + [0.5, 0.2])),
-        st.just(np.empty(0)), st.just([[0.5], [0.2, 0.3]])),
+        st.just(np.empty(0)), st.just([[0.5], [0.2, 0.3]]), _BOOL_INSIDE),
     # finite reals, one or an array of them
     "finite": st.one_of(_NON_FINITE, st.lists(_NON_FINITE, min_size=1),
-                        st.none(), st.just("ab")),
+                        st.none(), st.just("ab"), st.just([]), _BOOL_INSIDE),
     # times in [0, t_final] of a run to t_final = 0.3
     "times": st.one_of(st.lists(st.one_of(_NON_FINITE,
                                           st.floats(max_value=-1e-3),
@@ -320,8 +325,36 @@ def test_riemann_sample_refuses_a_non_finite_ray():
     # xi = nan read as the road's far datum 0.3, not an error
     with _refused("xi", math.nan, r"a finite number in \[-inf, inf\]"):
         RS.sample(0, math.nan)
-    with _refused("xi", math.inf, r"a finite number in \[-inf, inf\]"):
-        RS.sample(1, np.array([0.1, math.inf]))
+    xi = np.array([0.1, math.inf])
+    with _refused("xi", xi, r"finite numbers in \[-inf, inf\]"):
+        RS.sample(1, xi)
+
+
+def test_riemann_sample_refuses_an_empty_ray():
+    # [] answered an empty array, where Flux.eval and evaluate refuse it
+    with _refused("xi", [], r"finite numbers in \[-inf, inf\]"):
+        RS.sample(0, [])
+    # a 0-d array is one ray, and an array keeps its shape
+    assert isinstance(RS.sample(0, np.array(-0.1)), float)
+    assert RS.sample(0, [[-0.1], [0.0]]).shape == (2, 1)
+
+
+def test_a_bool_inside_a_sequence_is_refused():
+    # each was read as 0 or 1: the state (1, 0) was solved, eval answered
+    # [0, 0], and a road of ten True cells ran as a full road
+    with _refused("junction state", [True, False], "2 finite numbers .*"):
+        jf.solve_junction(SPEC, [True, False])
+    with _refused("rho", [True, False], "finite numbers .*"):
+        LWR.eval([True, False])
+    with pytest.raises(ValueError, match=r"^road 0: initial data must be 10 "
+                                         r"finite numbers in \[-1e-12, 1\]"):
+        jf.run(CONFIG, [[True] * 10, 0.5])
+    for bools in (np.array([True, False]), [np.True_, 0.5],
+                  np.array([0.5, False], dtype=object)):
+        with pytest.raises(ValueError, match="^junction state must be "):
+            SPEC.candidate(bools)
+        with pytest.raises(ValueError, match="^rho must be "):
+            LWR.eval(bools)
 
 
 def test_flux_methods_refuse_what_is_no_density():

@@ -3,6 +3,7 @@ residuals, windowed L1 contraction, convergence studies, and the seeded
 equilibrium samplers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -479,6 +480,17 @@ def test_convergence_input_validation(monkeypatch):
         with pytest.raises(ValueError, match=f"^fine_dx must be positive and "
                                              f"finite, got {bad!r}$"):
             convergence_study(problem, [0.1], reference="fine", fine_dx=bad)
+    # so is a dx or fine_dx that does not tile the road, or a fine_dx that
+    # does not divide every dx (each ran a mesh or two first)
+    for dx_list, fine_dx, message in (
+            ([0.1], 0.03, "fine_dx must be a width that tiles length 1 "
+                          "with fewer than 2**53 cells, got 0.03"),
+            ([0.1, 0.3], None, "dx must be a width that tiles length 1 "
+                               "with fewer than 2**53 cells, got 0.3"),
+            ([0.2, 0.1], 0.04, "fine_dx must divide every dx")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convergence_study(problem, dx_list, reference="fine",
+                              fine_dx=fine_dx)
     for t_final in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             RiemannProblem(LWR11, np.array([0.3, 0.6]), t_final=t_final)

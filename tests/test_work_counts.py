@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the run to t = 1 makes 112 steps and the run to t = 0.5 makes 56
 STEPS_BETWEEN = 56
-CALLS_BETWEEN = 3319  # 59.27 Python calls per computed step
+CALLS_BETWEEN = 3263  # 58.27 Python calls per computed step
 JUNCTION_SOLVES = 112
 
 COUNT = """
