@@ -17,7 +17,7 @@ from .junction import (JunctionSolution, JunctionSpec, RiemannSolution,
                        riemann_solve, solve_junction, strict_witness)
 from .scheme import (GridState, MassLedger, NetworkMesh, RunConfig,
                      Trajectory, cfl_timestep, discretize_initial,
-                     mass_ledger, run, step)
+                     mass_ledger, run, run_batch, step)
 from .verify import (ContractionReport, ConvergenceReport, KatoReport,
                      RiemannProblem, TestFunction, adapted_entropy_residual,
                      bump_test_function, convergence_study, germ_sampler,
@@ -36,7 +36,8 @@ __all__ = [
     "dissipativity", "is_germ_member", "is_strict_germ_member",
     "riemann_solve", "solve_junction", "strict_witness",
     "GridState", "MassLedger", "NetworkMesh", "RunConfig", "Trajectory",
-    "cfl_timestep", "discretize_initial", "mass_ledger", "run", "step",
+    "cfl_timestep", "discretize_initial", "mass_ledger", "run", "run_batch",
+    "step",
     "ContractionReport", "ConvergenceReport", "KatoReport",
     "RiemannProblem", "TestFunction", "adapted_entropy_residual",
     "bump_test_function", "convergence_study", "germ_sampler",

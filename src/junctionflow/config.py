@@ -132,6 +132,9 @@ def _road_flux(raw: dict[str, tuple[str, int]], line: int) -> Flux:
     family_text, family_line = raw.get("flux.family",
                                        ("quadratic-lwr", line))
     family = family_text.strip()
+    # an error names the line of the key whose value it refuses, or the
+    # [road] header's where that key is not given
+    params_line = _line_of(raw, "flux.params", line)
 
     def floats_of(key, default=None):
         if key not in raw:
@@ -150,7 +153,8 @@ def _road_flux(raw: dict[str, tuple[str, int]], line: int) -> Flux:
             params = floats_of("flux.params", [])
             if len(params) > 2:
                 raise ConfigError("flux.params for quadratic-lwr is "
-                                  "'v [rho_max]'", kind="range", line=line)
+                                  "'v [rho_max]'", kind="range",
+                                  line=params_line)
             v = params[0] if params else 1.0
             rmax = params[1] if len(params) > 1 else 1.0
             return quadratic_lwr(v=v, rho_max=rmax)
@@ -158,7 +162,7 @@ def _road_flux(raw: dict[str, tuple[str, int]], line: int) -> Flux:
             params = floats_of("flux.params", [])
             if len(params) > 1:
                 raise ConfigError("flux.params for symmetric-quadratic "
-                                  "is 'h'", kind="range", line=line)
+                                  "is 'h'", kind="range", line=params_line)
             return symmetric_quadratic(params[0] if params else 1.0)
         if family == "custom-polynomial":
             coeffs = floats_of("flux.params")
@@ -180,9 +184,31 @@ def _road_flux(raw: dict[str, tuple[str, int]], line: int) -> Flux:
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(str(exc), kind="range", line=line) from exc
+        raise ConfigError(str(exc), kind="range", line=_line_of(
+            raw, _refused_flux_key(family, str(exc), raw), line)) from exc
     raise ConfigError(f"unknown flux family {family!r}",
                       kind="range", line=family_line)
+
+
+def _line_of(raw: dict[str, tuple[str, int]], key: str, header: int) -> int:
+    """The line of ``key``, or the section header's where it is not given."""
+    return raw[key][1] if key in raw else header
+
+
+def _refused_flux_key(family: str, message: str, raw) -> str:
+    """The key whose value a flux constructor's error refuses: the
+    flux.rho_* key a custom polynomial's error names, flux.xs where a
+    table's nodes are too few or out of order and flux.ys for any other
+    table error, else flux.params."""
+    if family == "custom-polynomial":
+        return next((f"flux.{name}" for name in ("rho_min", "rho_max",
+                                                 "rho_crit")
+                     if message.startswith(f"{name} ")), "flux.params")
+    if family == "tabulated":
+        few = len(raw["flux.xs"][0].split()) < 3
+        return ("flux.xs" if few or message.endswith("increasing in x")
+                else "flux.ys")
+    return "flux.params"
 
 
 def _road_initial(raw: dict[str, tuple[str, int]], flux: Flux, line: int):

@@ -69,6 +69,9 @@ _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 # or of the balance
 _WARM_REACH = 2.0 ** -20
 _WARM_MARGIN = 2.0 ** -30
+# the cells but the last, and but the first, of one row or of every row of a
+# stack; made once, they index faster than a slice written out each time
+_LEFT, _RIGHT = np.s_[..., :-1], np.s_[..., 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +163,18 @@ def interface_fluxes(code, par, crit, fcrit, u_ext, out):
     crest flux and takes f where the cell lies on its branch; supply
     overwrites f with the crest flux where the cell does not lie on its
     branch, so a NaN cell reads as the crest on both sides, as in
-    ``godunov_scalar``."""
+    ``godunov_scalar``. u_ext and out may be stacks of rows, shape (rows,
+    cells), which share par, crit and fcrit."""
     f = flux_array(code, par, u_ext)
-    d = fcrit.copy()
+    if f.ndim == 1:
+        d = fcrit.copy()
+    else:  # the crest flux on every row
+        d = np.empty(f.shape)
+        d[...] = fcrit
     np.copyto(d, f, where=u_ext <= crit)
     off = u_ext >= crit
     np.copyto(f, fcrit, where=np.logical_not(off, out=off))
-    np.minimum(d[:-1], f[1:], out=out)
+    np.minimum(d[_LEFT], f[_RIGHT], out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,45 @@ def test_parse_errors_report_kind_and_line(mutation, kind, line):
     assert f"line {line}" in str(err.value)
 
 
+@pytest.mark.parametrize("flux, line, message", [
+    # MINIMAL's first road with these flux lines from line 3 on
+    ("flux.params = -1 1", 3, "v must be positive and finite, got -1.0"),
+    ("flux.params = 1 1 1", 3, "flux.params for quadratic-lwr is"),
+    ("flux.family = symmetric-quadratic\nflux.params = -2", 4,
+     "h must be positive"),
+    ("flux.family = custom-polynomial\nflux.params = 0 1 1\n"
+     "flux.rho_min = 0\nflux.rho_max = 1\nflux.rho_crit = 0.5", 4,
+     "flux must vanish at both interval endpoints"),
+    ("flux.family = custom-polynomial\nflux.params = 0 1 -1\n"
+     "flux.rho_min = 0\nflux.rho_max = 1\nflux.rho_crit = 1.7", 7,
+     "rho_crit must be a finite number in [0, 1]"),
+    ("flux.family = custom-polynomial\nflux.params = 0 1 -1\n"
+     "flux.rho_min = 0\nflux.rho_max = 1\nflux.rho_crit = 0.7", 7,
+     "rho_crit must be the maximizer of f"),
+    ("flux.family = tabulated\nflux.xs = 0 1\nflux.ys = 0 0", 4,
+     "tabulated flux needs >= 3"),
+    ("flux.family = tabulated\nflux.xs = 0 1 0.5\nflux.ys = 0 1 0", 4,
+     "tabulated nodes must be strictly increasing in x"),
+    ("flux.family = tabulated\nflux.xs = 0 0.5 1\nflux.ys = 0 1", 5,
+     "tabulated flux needs >= 3"),
+    ("flux.family = tabulated\nflux.xs = 0 0.5 1\nflux.ys = 0 1 1", 5,
+     "tabulated flux must vanish at both endpoints"),
+])
+def test_refused_flux_values_name_their_key_line(tmp_path, capsys, flux,
+                                                  line, message):
+    # a value a flux constructor refuses is reported at its key's line,
+    # not at the [road] header's, in the parser and at the command line
+    text = MINIMAL.replace("direction = in", f"direction = in\n{flux}", 1)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (err.value.kind, err.value.line) == ("range", line)
+    assert str(err.value).startswith(f"line {line}: [range] {message}")
+    assert cli.main(["run", "--config", _write(tmp_path, text),
+                     "--out", str(tmp_path)]) == 2
+    assert (f"configuration error: line {line}: [range] {message}"
+            in capsys.readouterr().err)
+
+
 def test_parse_topology_errors():
     # a single road
     single = MINIMAL.split("\n\n")[0]
@@ -758,18 +797,19 @@ def test_cli_verify_default_networks(tmp_path):
 
 def test_verify_rows_fail_on_nan_runs(monkeypatch):
     # a NaN cell in every run of the suite must fail the audits that read
-    # the runs, not vanish in a max() fold; run rejects NaN input, so the
-    # trajectories it returns are poisoned instead
-    real_run = cli.run
+    # the runs, not vanish in a max() fold; run_batch rejects NaN input, so
+    # the trajectories it returns are poisoned instead
+    real_run_batch = cli.run_batch
 
-    def poisoned(config, initial, *args, **kwargs):
-        traj = real_run(config, initial, *args, **kwargs)
-        for state in traj.states:
-            state.values[0][0] = math.nan
-        traj.masses[-1] = math.nan
-        return traj
+    def poisoned(config, initials, *args, **kwargs):
+        trajs = real_run_batch(config, initials, *args, **kwargs)
+        for traj in trajs:
+            for state in traj.states:
+                state.values[0][0] = math.nan
+            traj.masses[-1] = math.nan
+        return trajs
 
-    monkeypatch.setattr(cli, "run", poisoned)
+    monkeypatch.setattr(cli, "run_batch", poisoned)
     spec = JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr(1.5)))
     passed = {name: ok for name, *_, ok in cli._suite_rows([("1-1", spec)],
                                                            0)}

@@ -111,6 +111,10 @@ CONTRACT = {
     "mass_ledger": [],  # reads a Trajectory only
     "run": [call(jf.run, {"initial": "state"}, config=CONFIG,
                  initial=[0.3, 0.6])],
+    # each datum of a batch is refused as run's initial is, here the second
+    "run_batch": [call(lambda config, initial: jf.run_batch(
+        config, [(0.2, 0.7), initial]), {"initial": "state"}, config=CONFIG,
+        initial=[0.3, 0.6])],
     "step": [call(jf.step, {"state": "state", "dt": "positive",
                             "dirichlet_values": "state"},
                   state=STATE, mesh=MESH, dt=0.01)],

@@ -1026,6 +1026,136 @@ def test_run_matches_a_step_replay(label, bc, seed, outer, n_steps, tail):
     _assert_step_replay(traj, init)
 
 
+# ---------------------------------------------------------------------------
+# batched runs: one march over a stack of runs on one mesh
+
+def _assert_same_run(got, want):
+    # every Trajectory field bit for bit (a run that settles before the
+    # rest of its batch is recomputed, so its held levels share no buffer)
+    assert got.config is want.config
+    assert got.junction_solves == want.junction_solves
+    assert len(got.states) == len(want.states) == len(got.buffers)
+    for a, b in zip(got.states, want.states):
+        assert (a.time_step, float(a.time).hex()) == (b.time_step,
+                                                      float(b.time).hex())
+        assert [v.tobytes() for v in a.values] == [v.tobytes()
+                                                   for v in b.values]
+    assert [u.tobytes() for u in got.buffers] == [u.tobytes()
+                                                  for u in want.buffers]
+    for name in ("times", "dts", "p_min", "p_max", "junction_fluxes",
+                 "totals", "boundary_net", "masses"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype,
+                                                   b.tobytes()), name
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(label=st.sampled_from(sorted(MIXED_TOPOLOGIES)),
+       bc=st.sampled_from(["absorbing", "held", "random"]),
+       lean=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       outer=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+       n_steps=st.integers(0, 120), tail=st.sampled_from([0.0, 0.5]))
+def test_batch_matches_single_runs(label, bc, lean, seed, outer, n_steps,
+                                   tail):
+    # sampled equilibria with 0 to 6 random outer cells of 6, one run per
+    # entry of outer, under absorbing ends or Dirichlet data: a run with
+    # none is held from step 2 on, one with a few settles once its waves
+    # have left, and one with all six random may not settle at all, so the
+    # runs of one batch repeat their input from different steps on, or
+    # never. Each Trajectory of the batch is that of its own run
+    spec = MIXED_TOPOLOGIES[label]
+    roads = spec.m + spec.n
+    mesh = small_mesh(spec, dx=0.05, cells=6)
+    rng = np.random.default_rng(seed)
+    initials = []
+    for count in outer:
+        k = _germs(label)[rng.integers(4)]
+        init = [np.full(6, kh) for kh in k]
+        for h, v in enumerate(init):
+            v[slice(0, count) if h < spec.m else slice(6 - count, 6)] = (
+                rng.uniform(spec.rho_min, spec.rho_max, count))
+        initials.append(init)
+    extra = ({} if bc == "absorbing" else
+             {"dirichlet_values": _germs(label)[0] if bc == "held" else
+              rng.uniform(spec.rho_min, spec.rho_max, roads)})
+    dt0 = cfl_timestep(mesh, 0.9)
+    config = RunConfig(mesh, 0.9, (n_steps + tail) * dt0,
+                       snapshot_times=(0.5 * n_steps * dt0,), **extra)
+    batch = scheme.run_batch(config, initials, keep_states=not lean)
+    assert len(batch) == len(initials)
+    for got, init in zip(batch, initials):
+        _assert_same_run(got, run(config, init, keep_states=not lean))
+
+
+def test_batch_of_runs_that_settle_apart(monkeypatch):
+    # a held equilibrium (it repeats its input from step 2 on), a 2-1 LWR
+    # Riemann problem that settles once its waves have left, and random
+    # data that is still moving at the end: one update per step serves all
+    # three (the stack never holds, as one run never settles), and each
+    # run solves its junction as often as it does alone
+    spec = JunctionSpec(2, 1, (quadratic_lwr(),) * 3)
+    mesh = NetworkMesh(spec, 0.01, 50)
+    k = germ_sampler(spec, 1, seed=7)[0]
+    rng = np.random.default_rng(11)
+    initials = [list(k), [0.02, 0.81, 0.91],
+                [rng.uniform(0.0, 1.0, 50) for _ in range(3)]]
+    config = RunConfig(mesh, 0.9, 300.5 * cfl_timestep(mesh, 0.9))
+    alone = [run(config, init) for init in initials]
+    held, settling, moving = alone
+    assert held.junction_solves == 1
+    assert (settling.buffers[-2].tobytes() == settling.buffers[-3].tobytes()
+            and moving.buffers[-2].tobytes() != moving.buffers[-3].tobytes())
+    updates = _spy_updates(monkeypatch)
+    solves = _spy_solves(monkeypatch)
+    batch = scheme.run_batch(config, initials)
+    assert len(updates) == len(batch[0].dts) == 301
+    assert len(solves) == sum(traj.junction_solves for traj in alone)
+    for got, want in zip(batch, alone):
+        _assert_same_run(got, want)
+    # once every run repeats its input the stack holds: a batch of the two
+    # that settle computes fewer steps than it has, and its held levels are
+    # those of the runs alone
+    updates.clear()
+    batch = scheme.run_batch(config, initials[:2])
+    assert len(updates) < 301
+    for got, want in zip(batch, alone):
+        _assert_same_run(got, want)
+
+
+def test_batch_errors_name_the_run(monkeypatch):
+    # a NaN that one run's sweep makes at step 5 stops the batch there,
+    # naming that run and the road; so does a non-finite mass of one run's
+    # level, and an invalid datum names its run before any step
+    mesh = small_mesh()
+    config = RunConfig(mesh, 0.9, 0.1)
+    initials = [[0.3, 0.6], [0.2, 0.7], [0.4, 0.5]]
+    real = kernels.interface_fluxes
+    calls = []
+
+    def poisoned(code, par, crit, fcrit, u_ext, out):
+        real(code, par, crit, fcrit, u_ext, out)
+        calls.append(1)
+        if len(calls) == 5:  # one sweep per step serves the whole stack
+            out[1, 3] = math.nan  # between cells 2 and 3 of run 1's road 0
+
+    monkeypatch.setattr(kernels, "interface_fluxes", poisoned)
+    with pytest.raises(ConsistencyError,
+                       match=r"^run 1: step 5: road 0 cell 2 holds nan, "):
+        scheme.run_batch(config, initials)
+    monkeypatch.undo()
+    # the second block's mass of run 2 at its 6th level: a block holds
+    # _MASS_BLOCK bytes, 26 levels of the three runs' 2 x 50 cells here
+    rows = scheme._MASS_BLOCK // (3 * mesh._layout.slots * 8)
+    _spy_blocks(monkeypatch, poison_row=5 * 3 + 2)
+    with pytest.raises(ConsistencyError, match=rf"^run 2: step "
+                                               rf"{rows + 6}: total mass "
+                                               rf"is inf$"):
+        scheme.run_batch(RunConfig(mesh, 0.9, 1.0), initials)
+    with pytest.raises(ValueError, match=r"^run 1: road 0: "):
+        scheme.run_batch(config, [[0.3, 0.6], [math.nan, 0.6]])
+    assert scheme.run_batch(config, []) == []
+
+
 def _ledger_oracle(dts, boundary_net, masses):
     """The ledger's defining O(steps^2) formula: fsum over every prefix."""
     n_steps = dts.shape[0]

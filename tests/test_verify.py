@@ -491,6 +491,13 @@ def test_convergence_input_validation(monkeypatch):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             convergence_study(problem, dx_list, reference="fine",
                               fine_dx=fine_dx)
+    # the divisibility test is relative: on a road of 9e-13, 3e-14 is
+    # 1e-14 off dividing dx = 1e-13, far inside an absolute 1e-12 (which
+    # passed it on to numpy's reshape error)
+    tiny = RiemannProblem(LWR11, np.array([0.3, 0.6]), t_final=0.2,
+                          road_length=9e-13)
+    with pytest.raises(ValueError, match="^fine_dx must divide every dx$"):
+        convergence_study(tiny, [1e-13], reference="fine", fine_dx=3e-14)
     for t_final in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             RiemannProblem(LWR11, np.array([0.3, 0.6]), t_final=t_final)

@@ -8,6 +8,10 @@ them: the calls of the run to t = 1 less those of the run to t = 0.5, over
 the difference in steps. Each count is taken twice in each of two fresh
 interpreters with different ``PYTHONHASHSEED`` values; all must agree with
 the pins. A change that moves a count updates its pin and says why.
+
+A batch of R baseline runs (``scheme.run_batch``) makes R junction solves
+per step, one per run, and one conservative update per step for all R, as
+spies on ``scheme.solve_junction`` and ``scheme._update`` count them.
 """
 
 import json
@@ -15,6 +19,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from junctionflow import scheme
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +61,24 @@ def test_a_coarse_step_makes_a_pinned_number_of_calls_and_solves():
             assert (c_full - c_half, s_full - s_half) == (CALLS_BETWEEN,
                                                          STEPS_BETWEEN)
     assert CALLS_BETWEEN <= 60 * STEPS_BETWEEN
+
+
+@pytest.mark.parametrize("runs", [1, 3, 10])
+def test_a_batch_makes_one_update_per_step_and_a_solve_per_run(monkeypatch,
+                                                                runs):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import step_cost
+
+    config, data = step_cost.baseline()
+    counts = {"solve_junction": 0, "_update": 0}
+    for name in counts:
+        def spy(*args, real=getattr(scheme, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(scheme, name, spy)
+    trajs = scheme.run_batch(config, [data] * runs)
+    steps = 112  # none of them held: each solves a new junction state
+    assert [len(traj.dts) for traj in trajs] == [steps] * runs
+    assert [traj.junction_solves for traj in trajs] == [JUNCTION_SOLVES] * runs
+    assert counts == {"solve_junction": runs * JUNCTION_SOLVES,
+                      "_update": steps}

@@ -5,7 +5,8 @@ CFL 0.9, to t = 1 (112 computed steps, one junction solve each, no hold),
 from linspace(0.1, 0.9), linspace(0.8, 0.2) and linspace(0.3, 0.6), and
 prints:
 
-- the time of a ``run`` step;
+- the time of a ``run`` step, and of a run-step of the same run marched
+  as a batch of 10 by ``run_batch`` (the batch's step time over 10);
 - a warm ``solve_junction`` (hinted with the active set of the state
   before) and a cold one, over the run's junction states;
 - ``scheme._update`` over the run's buffers;
@@ -41,6 +42,7 @@ from junctionflow.junction import solve_junction
 
 REPEATS, PASSES = 7, 5
 FINE_CELLS, FINE_T, FINE_SAMPLES = 4000, 0.25, 16
+BATCH = 10
 
 
 def baseline(t_final: float = 1.0, cells: int = 25,
@@ -167,6 +169,8 @@ def coarse() -> None:
 
     figures = {
         "run step (us)": best_us(lambda: scheme.run(config, data), steps),
+        f"batch of {BATCH}, run-step (us)": best_us(
+            lambda: scheme.run_batch(config, [data] * BATCH), BATCH * steps),
         "warm solve_junction (us)": best_us(
             lambda: [solve_junction(spec, s, h)
                      for s, h in zip(states, hints)], steps),
