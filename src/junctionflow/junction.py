@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,8 +82,10 @@ class JunctionSpec:
 
     def candidate(self, u) -> np.ndarray:
         """u as a junction state: ``as_state`` against [A, B] widened by
-        1e-12 of the span, inline on a float array for every solve."""
-        if type(u) is np.ndarray and u.dtype == float and u.shape == (
+        1e-12 of the span, inline on a float array for every solve, and on
+        a list or tuple of Python floats, as a new array."""
+        kind = type(u)
+        if kind is np.ndarray and u.dtype == float and u.shape == (
                 self.m + self.n,):
             lo, hi = self._bounds
             for v in u.tolist():  # on a few entries Python beats numpy
@@ -90,11 +93,24 @@ class JunctionSpec:
                     break
             else:
                 return u
+        elif (kind is list or kind is tuple) and len(u) == self.m + self.n:
+            lo, hi = self._bounds
+            for v in u:  # a bool or a numpy scalar is not a float
+                if not (type(v) is float and lo <= v <= hi):
+                    break
+            else:
+                return np.array(u)
         return as_state("junction state", u, self.m + self.n, *self._bounds)
 
     def road_flux_values(self, u: np.ndarray) -> np.ndarray:
         """f_h(u_h) for every road."""
         return np.array([f.eval(u[h]) for h, f in enumerate(self.fluxes)])
+
+    @cached_property
+    def _warm(self) -> kernels.WarmPieces:
+        """The warm pieces of the hints the stacked solve has seen."""
+        return kernels.WarmPieces(self._roads, self.m, self.rho_min,
+                                  self.rho_max)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -155,6 +171,48 @@ def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
     fluxes.setflags(write=False)
     return JunctionSolution(float(p_min), float(p_max), fluxes, total_in,
                             active)
+
+
+def _solve_stack(spec: JunctionSpec, states: np.ndarray,
+                 hints) -> list[JunctionSolution | None]:
+    """``solve_junction(spec, state, hint)`` for every row of the stack of
+    junction states, shape (rows, m + n), and its hint, where the hinted
+    piece certifies the row: the solution, bit for bit, else None, which
+    the caller solves one by one. None stands for a row with no hint (None,
+    or a plateau's), one whose piece has degree 0 or above 2 or whose
+    certificate fails, and one whose fluxes fail the balance check.
+
+    The stack is checked once against [A, B] widened as
+    ``JunctionSpec.candidate`` widens it, which refuses a bad row by its
+    own message. ``kernels.warm_roots`` solves every row from its hint's
+    piece, computed once per distinct hint (``JunctionSpec._warm``); the
+    fluxes at the root, their totals and the balance check are
+    ``solve_junction``'s, and every solution's fluxes are a read-only row
+    of one array."""
+    lo, hi = spec._bounds
+    if not (lo <= np.minimum.reduce(states, axis=None, initial=hi)
+            and np.maximum.reduce(states, axis=None, initial=lo) <= hi):
+        for state in states:
+            spec.candidate(state)
+    roads, m = spec._roads, spec.m
+    solved, rows = [], []
+    for i, got in enumerate(kernels.warm_roots(spec._warm, states.tolist(),
+                                               hints)):
+        if got is None:
+            continue
+        r, fluxes = got  # the road constants, overwritten in place
+        kernels.fill_junction_fluxes(roads, m, fluxes, r + 0.5 * (r - r),
+                                     fluxes)
+        total_in, total_out = math.fsum(fluxes[:m]), math.fsum(fluxes[m:])
+        if abs(total_in - total_out) <= 1e-12 * max(1.0, abs(total_in)):
+            solved.append((i, r, total_in))
+            rows.append(fluxes)
+    out: list[JunctionSolution | None] = [None] * len(hints)
+    block = np.array(rows)
+    block.setflags(write=False)  # a run hands a solution to every repeat
+    for (i, r, total), fluxes in zip(solved, block):
+        out[i] = JunctionSolution(r, r, fluxes, total, hints[i])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ viscous junction value (``solve_visc_w``). It brackets the root with two
 bisections over the kinks and ends, whose signs at the ends follow from
 the structure of demand and supply, and solves one piece exactly; it can
 start from an earlier solve's active piece (``_warm_root``), kept only
-where a certificate shows the cold solve would take the same root, plus
+where a certificate shows the cold solve would take the same root, which
+``warm_roots`` runs over a stack of states with what each hint fixes
+computed once (``WarmPieces``), plus
 (c) the exact sums behind the mass audit: ``row_sums`` takes the masses of
 a block of levels, which the march fills, with one extraction and a
 certified rounding, and leaves to ``math.fsum`` each row that rounding
@@ -518,6 +520,135 @@ def _warm_root(roads, m, consts, base, slope, lo, hi, active):
             and (c2 * right + c1) * right + c0 < -_WARM_MARGIN * size):
         return None
     return r
+
+
+class WarmPieces:
+    """The warm pieces of one junction, base = slope = +0.0, by hint: what
+    ``_warm_root`` computes from the active set alone, once per distinct
+    active set, for ``warm_roots``. Built from the roads' records, m and
+    the density interval [lo, hi].
+
+    A piece is (c1, c2, c1 c1, 4 c2, lo, hi, reach, crests, rest, roads):
+    c1 and c2 summed in road order, the range cut to the crest of every
+    whole-flux road, the reach, the crest fluxes summed as
+    ``_warm_root`` sums them, the part of the size bound c0 does not enter,
+    and per road its record and its margin (``_WARM_MARGIN`` times its
+    crest flux), whether it is incoming, whether its term is its constant,
+    its signed piece constant, whether its probe is the right end of the
+    reach, and a table panel's nodes (else None). A hint whose piece has
+    degree 0 or above 2 has no piece (None): the scalar solve takes its
+    rows. So has a plateau's hint, None."""
+
+    def __init__(self, roads, m, lo, hi):
+        self.roads, self.m, self.lo, self.hi = roads, m, lo, hi
+        self.crests = 0.0  # _warm_root's sum, in road order
+        for r in roads:
+            self.crests += r[3]
+        self._pieces: dict = {None: None}
+
+    def get(self, hint):
+        try:
+            return self._pieces[hint]
+        except KeyError:
+            piece = self._pieces[hint] = self._piece(hint)
+            return piece
+
+    def _piece(self, hint):
+        m, lo, hi = self.m, self.lo, self.hi
+        c1 = c2 = 0.0
+        roads = []
+        for h, k in enumerate(hint):
+            code, par, crit, fcrit = self.roads[h]
+            const, p0, nodes = k < 0, 0.0, None
+            if not const:
+                if h < m:
+                    lo = crit if crit > lo else lo
+                else:
+                    hi = crit if crit < hi else hi
+                piece = _piece_coeffs(code, par, None, k)
+                if len(piece) > 3:  # bisected, not the quadratic formula
+                    return None
+                piece = [v if h < m else -v for v in piece]
+                p0 = piece[0]
+                c1 += piece[1]
+                if len(piece) > 2:
+                    c2 += piece[2]
+                if code == FAMILY_TABLE:
+                    nodes = _table(par)[0][k:k + 2]
+            roads.append((code, par, crit, fcrit, _WARM_MARGIN * fcrit,
+                          h < m, const, p0, const == (h < m), nodes))
+        if c1 == 0.0 and c2 == 0.0:  # degree 0
+            return None
+        big = max(-lo, hi)
+        return (c1, c2, c1 * c1, 4.0 * c2, lo, hi, _WARM_REACH * (hi - lo),
+                abs(0.0) + self.crests, (abs(c1) + abs(c2) * big) * big,
+                tuple(roads))
+
+
+def warm_roots(pieces: WarmPieces, states, hints) -> list:
+    """``_warm_root`` with base = slope = +0.0 for every junction state
+    of ``states`` (a list of lists of floats) and its hint: (root, road
+    constants) where the piece certifies the root, else None, for each.
+
+    The arithmetic is ``_warm_root``'s and ``poly_root``'s, in their order;
+    what depends on the hint alone comes from ``pieces``, computed once
+    per hint. c0 adds each road's constant (or its piece's constant term)
+    to 0.0 in road order, and c1 and c2 are the piece's own, as the scalar
+    sums give them: a constant term adds nothing to them. The clamp of
+    ``poly_root`` is left out, since a clamped root lies on an end of the
+    range, which the certificate refuses."""
+    out = []
+    flux, get = flux_scalar, pieces.get
+    sqrt, copysign = math.sqrt, math.copysign
+    for u, hint in zip(states, hints):
+        piece = get(hint)
+        if piece is None:
+            out.append(None)
+            continue
+        c1, c2, sq, four, lo, hi, reach, crests, rest, roads = piece
+        c0 = 0.0
+        consts = []
+        for (code, par, crit, fcrit, _, incoming, const, p0, _, _), x in zip(
+                roads, u):
+            # road_constants' demand or supply, inlined
+            d = (flux(code, par, x)
+                 if (x <= crit if incoming else x >= crit) else fcrit)
+            consts.append(d)
+            c0 += (d if incoming else -d) if const else p0
+        if c2 == 0.0:
+            r = -c0 / c1
+        else:
+            four *= c0
+            if not sq >= four:  # a negative discriminant
+                out.append(None)
+                continue
+            q = -0.5 * (c1 + copysign(sqrt(max(sq - four, 0.0)), c1))
+            r, other = (q / c2, c0 / q) if q != 0.0 else (0.0, 0.0)
+            if max(lo - other, other - hi) < max(lo - r, r - hi):
+                r = other
+        left, right = r - reach, r + reach
+        if not lo <= left < r < right <= hi:
+            out.append(None)
+            continue
+        for (code, par, crit, fcrit, margin, incoming, const, _, at_right,
+             nodes), d in zip(roads, consts):
+            x = right if at_right else left
+            if const and d == fcrit and (x < crit if incoming else x > crit):
+                continue  # a crest tie on the flat branch
+            v = (flux(code, par, x)
+                 if (x >= crit if incoming else x <= crit) else fcrit)
+            if not (((v - d) if const else (d - v)) > margin
+                    and (nodes is None
+                         or nodes[0] <= left and right <= nodes[1])):
+                break
+        else:
+            bound = _WARM_MARGIN * (crests + abs(c0) + rest)
+            if ((c2 * left + c1) * left + c0 > bound
+                    and (c2 * right + c1) * right + c0 < -bound):
+                out.append((r, consts))
+                continue
+        out.append(None)
+    return out
 
 
 def _piecewise_root(roads, m, consts, kinks, c, a, b, sign):

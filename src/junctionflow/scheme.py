@@ -34,7 +34,7 @@ import numpy as np
 from . import kernels
 from .errors import (ConfigError, ConsistencyError, _refused, as_bounded,
                      as_count, as_positive, as_sequence, as_state)
-from .junction import JunctionSpec, solve_junction
+from .junction import JunctionSpec, _solve_stack, solve_junction
 
 _GAUSS_OFFSET = math.sqrt(0.6) / 2.0
 _GAUSS_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
@@ -412,7 +412,9 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     guard: a slot outside [A, B] (beyond the slack of 1e-12 of the span
     that ``JunctionSpec.candidate`` allows) or a NaN stops the run with a
     ConsistencyError that names the step and the road (and the run, of a
-    stack). The first level was validated by ``_pack``, and a step that
+    stack). A ConsistencyError of a junction solve in ``advance`` gets the
+    step, and the run that ``advance`` names as its ``run``, before it. The
+    first level was validated by ``_pack``, and a step that
     returns its input bitwise with the record of the step before repeats a
     buffer that has passed.
 
@@ -507,7 +509,13 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
         dt = times[s + 1] - s * dt0 if s == n_steps - 1 else dt0
         if not held or dt != dt0:
             last = record
-            new, boundary, record = advance(u, dt)
+            try:
+                new, boundary, record = advance(u, dt)
+            except ConsistencyError as exc:  # a junction solve failed
+                run = getattr(exc, "run", None)
+                raise ConsistencyError(
+                    f"{'' if run is None else f'run {run}: '}step {s + 1}: "
+                    f"{exc}") from exc
             # compare bytes, so that -0.0 and 0.0 stay apart
             repeat = record is last and new.tobytes() == u.tobytes()
             if not repeat:  # else the buffer has passed the guard already
@@ -650,13 +658,16 @@ def run_batch(config: RunConfig, initials,
     fixed cost of a step on a coarse mesh is then shared, and what is left
     per run is mostly its junction solve. ``run`` keeps its one buffer.
 
-    Each run keeps its own junction solve, its own bytewise reuse of the
-    last solution and its own warm hint, as in ``run``. The stack holds a
-    bitwise fixed point only once every run repeats its input (see
-    ``_march``); a run that settles earlier is recomputed, which gives the
-    same bits and makes no solve. An invalid initial datum raises
-    ValueError naming its run, and a broken invariant ConsistencyError
-    naming the run, the step and the road."""
+    Each run keeps its own bytewise reuse of the last solution, its own
+    warm hint and its own solve count, as in ``run``; the runs whose
+    junction state changed go to one stacked warm solve
+    (``junction._solve_stack``), and the rows it leaves to
+    ``solve_junction`` one by one. The stack holds a bitwise fixed point
+    only once every run repeats its input (see ``_march``); a run that
+    settles earlier is recomputed, which gives the same bits and makes no
+    solve. An invalid initial datum raises ValueError naming its run, and a
+    broken invariant ConsistencyError naming the run, the step and the road
+    or the junction flux."""
     mesh = config.mesh
     spec = mesh.spec
     ghosts = config.dirichlet_values
@@ -677,18 +688,32 @@ def run_batch(config: RunConfig, initials,
 
     def advance(u, dt):
         # run's reuse, run by run; a step on which no run solves returns
-        # the record of the step before, the same object
+        # the record of the step before, the same object. The runs that
+        # solve go to one stacked warm solve, and what it leaves to the
+        # scalar solve, one by one
         nonlocal stack_key, record
         junction = u[:, adj]
         if (seen := junction.tobytes()) != stack_key:
             stack_key = seen
+            rows = []
             for r, state in enumerate(junction):
                 if (key := state.tobytes()) != keys[r]:
-                    keys[r], known[r] = key, solve_junction(
-                        spec, state,
-                        None if known[r] is None else known[r].active)
-                    solves[r] += 1
-                    gstar[r] = known[r].fluxes
+                    keys[r] = key
+                    rows.append(r)
+            hints = [None if known[r] is None else known[r].active
+                     for r in rows]
+            for r, hint, sol in zip(rows, hints, _solve_stack(
+                    spec, junction if len(rows) == count else junction[rows],
+                    hints)):
+                if sol is None:
+                    try:
+                        sol = solve_junction(spec, junction[r], hint)
+                    except ConsistencyError as exc:
+                        exc.run = r  # _march names the run and the step
+                        raise
+                known[r] = sol
+                solves[r] += 1
+            gstar[rows] = [known[r].fluxes for r in rows]
             record = tuple(known)
         return *_update(u, mesh, dt, gstar, ghosts), record
 

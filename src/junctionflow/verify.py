@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (ConfigError, ConsistencyError, PreconditionError,
                      as_bounded, as_count, as_positive, as_sequence)
 from .fluxes import quadratic_lwr
-from .junction import (JunctionSpec, is_germ_member, is_strict_germ_member,
-                       riemann_solve, solve_junction)
+from .junction import (JunctionSpec, _solve_stack, is_germ_member,
+                       is_strict_germ_member, riemann_solve, solve_junction)
 from .scheme import (NetworkMesh, RunConfig, Trajectory, _cell_count,
                      _flux_grid, _pack, run)
 
@@ -160,12 +160,11 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
 
     # the levels go through in stacks of up to 64: each stack's max and min
     # states, flux grids and q are one numpy call each, for every level in
-    # it; each level's max and min solves start from the previous level's
-    # active sets, which spares the scan and changes no result
+    # it, and its junction solves are ``_level_solves``
     stacked = layout.stacked
     terms = []
     dts = dts.tolist()
-    hint_hi = hint_lo = None
+    last = None
     for start in range(1, len(times) - 1, 64):
         steps = range(start, min(start + 64, len(times) - 1))
         ua = np.array([levels_a[s] for s in steps])
@@ -173,13 +172,10 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
         hi, lo = np.maximum(ua, ub), np.minimum(ua, ub)
         stacked.fill(hi)
         stacked.fill(lo)
-        g_hi, g_lo = np.empty((2, len(steps), spec.m + spec.n))
-        for row, (state_hi, state_lo) in enumerate(zip(hi[:, adj],
-                                                      lo[:, adj])):
-            sol_hi = solve_junction(spec, state_hi, hint_hi)
-            sol_lo = solve_junction(spec, state_lo, hint_lo)
-            hint_hi, hint_lo = sol_hi.active, sol_lo.active
-            g_hi[row], g_lo[row] = sol_hi.fluxes, sol_lo.fluxes
+        chains = _level_solves(spec, np.stack((hi[:, adj], lo[:, adj])), last)
+        last = [chain[-1] for chain in chains]
+        g_hi, g_lo = np.array([[sol.fluxes for sol in chain]
+                               for chain in chains])
         q = _flux_grid(hi, mesh, g_hi) - _flux_grid(lo, mesh, g_lo)
         q[stacked.outer] = np.abs(q[stacked.outer])
         gaps = np.abs(ua - ub)
@@ -188,6 +184,62 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
                          * float(np.dot(gaps[row], weight)))
             terms.append(-dts[s] * tv[s + 1] * float(np.dot(q[row], rise)))
     return math.fsum(terms)
+
+
+def _level_solves(spec: JunctionSpec, states: np.ndarray, last) -> list:
+    """The junction solution of every level of each chain of states, shape
+    (chains, levels, m + n), the audit's max states and its min states:
+    ``solve_junction(spec, state, hint)`` hinted with the active set of
+    the level before, bit for bit. ``last`` holds each chain's solution of
+    the level before the first, or is None at the first audited level,
+    which is solved cold.
+
+    Rows of one stacked solve (``junction._solve_stack``) cannot chain, so
+    every later level is first hinted with the active set of its chain's
+    last solved level. A row that fails where its predecessor passed is
+    solved alone, hinted by its predecessor; the rows that failed after it
+    go to a second stacked round hinted with its active set, and what is
+    left is solved one by one, in order, hinted by its predecessor."""
+    chains, levels = states.shape[:2]
+    sols = [[None] * levels for _ in range(chains)]
+    if last is None:
+        last = [solve_junction(spec, chain[0]) for chain in states]
+        for chain, sol in zip(sols, last):
+            chain[0] = sol
+
+    def stacked(rows, hints):
+        if rows:
+            got = _solve_stack(spec, states[[c for c, _ in rows],
+                                            [k for _, k in rows]], hints)
+            for (c, k), sol in zip(rows, got):
+                sols[c][k] = sol
+
+    def before(c, k):
+        return sols[c][k - 1] if k else last[c]
+
+    rows = [(c, k) for c in range(chains) for k in range(levels)
+            if sols[c][k] is None]
+    stacked(rows, [last[c].active for c, _ in rows])
+    # a row that failed after one that passed starts a new active set: it
+    # is solved alone, and the rows that failed after it are stacked again
+    # with its active set
+    rows = [(c, k) for c, k in rows if sols[c][k] is None]
+    for c, k in [(c, k) for c, k in rows if before(c, k) is not None]:
+        sols[c][k] = solve_junction(spec, states[c, k], before(c, k).active)
+    rows = [(c, k) for c, k in rows if sols[c][k] is None]
+    hints = []
+    for c, k in rows:
+        head = k
+        while sols[c][head] is None:
+            head -= 1
+        hints.append(sols[c][head].active)
+    stacked(rows, hints)
+    for c, chain in enumerate(sols):
+        for k, sol in enumerate(chain):
+            if sol is None:
+                chain[k] = solve_junction(spec, states[c, k],
+                                          before(c, k).active)
+    return sols
 
 
 def _mass_scale(mesh: NetworkMesh) -> float:

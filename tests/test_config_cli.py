@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import junctionflow
-from junctionflow import ConfigError, JunctionSpec, cli, quadratic_lwr, scheme
+from junctionflow import (ConfigError, JunctionSpec, cli, kernels,
+                          quadratic_lwr, scheme)
 from junctionflow.config import build_network, parse_config
 
 # the subprocesses run in tmp_path, where a relative PYTHONPATH no longer
@@ -793,6 +794,22 @@ def test_cli_verify_default_networks(tmp_path):
         assert f"mass-defect-{label}" in names
     assert all(r[4] == "true" for r in rows)
     assert proc.stdout.count("pass") >= len(rows)
+
+
+def test_cli_run_junction_error_exits_3(tmp_path, monkeypatch, capsys):
+    # a junction flux that is not finite is a broken invariant (exit 3),
+    # and the message names the step whose solve made it
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, MINIMAL + "\n[run]\nt_final = 0.3\n")
+    real = kernels.fill_junction_fluxes
+
+    def poisoned(roads, m, consts, p, out):
+        real(roads, m, consts, p, out)
+        out[1] = math.nan
+
+    monkeypatch.setattr(kernels, "fill_junction_fluxes", poisoned)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "step 1: junction flux of road 1 is nan" in capsys.readouterr().err
 
 
 def test_verify_rows_fail_on_nan_runs(monkeypatch):

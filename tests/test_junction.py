@@ -32,7 +32,7 @@ from junctionflow import (
     tabulated,
 )
 from junctionflow import kernels
-from junctionflow.junction import _strict_margins_hold
+from junctionflow.junction import _solve_stack, _strict_margins_hold
 from junctionflow.verify import germ_sampler, nonstrict_germ_sampler
 
 RNG = np.random.default_rng(31415)
@@ -454,6 +454,24 @@ def _solution_bits(sol):
             sol.total.hex(), sol.active)
 
 
+def _warm_junction(seed, m, n, symmetric):
+    """(rng, spec, state): symmetric quadratics, with states at the crest
+    or an end, or else ``random_junction``'s LWR, cubic and table roads."""
+    rng = np.random.default_rng(seed)
+    if not symmetric:
+        return rng, *random_junction(seed, m, n)
+    spec = JunctionSpec(m, n, tuple(
+        symmetric_quadratic(float(rng.uniform(0.25, 3.0)))
+        for _ in range(m + n)))
+
+    def state():
+        u = rng.uniform(-1.0, 1.0, m + n)
+        pick = rng.random(m + n) < 0.3
+        u[pick] = rng.choice([-1.0, 0.0, 1.0], int(pick.sum()))
+        return u
+    return rng, spec, state
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
        symmetric=st.booleans())
@@ -463,19 +481,7 @@ def test_warm_started_solve_equals_the_cold_one(seed, m, n, symmetric):
     # cubic and tables, or symmetric quadratics, with states at a crest, an
     # end or a node; every other state is a small move of the last one, as
     # between two steps of a run
-    rng = np.random.default_rng(seed)
-    if symmetric:
-        spec = JunctionSpec(m, n, tuple(
-            symmetric_quadratic(float(rng.uniform(0.25, 3.0)))
-            for _ in range(m + n)))
-
-        def state():
-            u = rng.uniform(-1.0, 1.0, m + n)
-            pick = rng.random(m + n) < 0.3
-            u[pick] = rng.choice([-1.0, 0.0, 1.0], int(pick.sum()))
-            return u
-    else:
-        spec, state = random_junction(seed, m, n)
+    rng, spec, state = _warm_junction(seed, m, n, symmetric)
     stale = None
     u = state()
     for t in range(6):
@@ -498,6 +504,104 @@ def test_warm_started_solve_equals_the_cold_one(seed, m, n, symmetric):
             assert got[2] == own
             assert _solution_bits(solve_junction(spec, u, hint)) == ref
         stale = own if own is not None else stale
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+       symmetric=st.booleans(), rows=st.sampled_from([1, 2, 10, 64]))
+def test_stacked_solve_equals_the_solve_one_by_one(seed, m, n, symmetric,
+                                                   rows):
+    # every row the stacked solve certifies is solve_junction's solution
+    # of that row and hint, bit for bit; the rest come back None. Rows are
+    # fresh states (at a crest, an end, a node or a plateau among them) or
+    # small moves of three base states, on all four families (the cubic is
+    # above degree 2, tables have a piece per panel); each row's hint is
+    # None, its own active set, its base's (stale), a random one, or its
+    # own with a table panel moved to its neighbour, whose line extended
+    # can have a root just beyond the panel
+    rng, spec, state = _warm_junction(seed, m, n, symmetric)
+
+    def neighbour(active):
+        if active is None:
+            return None
+        moved = list(active)
+        for h, ((code, par, _, _), k) in enumerate(zip(spec._roads, active)):
+            if code == kernels.FAMILY_TABLE and k >= 0:
+                moved[h] = min(max(k + int(rng.choice([-1, 1])), 0),
+                               int(par[0]) - 2)
+        return tuple(moved)
+
+    bases = [state() for _ in range(3)]
+    states, hints = [], []
+    for _ in range(rows):
+        base = bases[int(rng.integers(3))]
+        u = state() if rng.random() < 0.3 else np.clip(
+            base + rng.normal(0.0, 1e-3 * spec.span, m + n)
+            * (rng.random(m + n) < 0.5), spec.rho_min, spec.rho_max)
+        states.append(u)
+        own = solve_junction(spec, u).active
+        hints.append([None, own, solve_junction(spec, base).active,
+                      _stale_active_set(rng, spec),
+                      neighbour(own)][int(rng.integers(5))])
+    sols = _solve_stack(spec, np.array(states), hints)
+    assert len(sols) == rows
+    for u, hint, sol in zip(states, hints, sols):
+        if sol is not None:
+            assert hint is not None
+            assert _solution_bits(sol) == _solution_bits(
+                solve_junction(spec, u, hint))
+
+
+def test_stacked_solve_keeps_a_panel_to_its_nodes():
+    # the root lies on a node of the outgoing table, where the panels on
+    # either side meet: a hint naming either panel finds its line's root
+    # there and balanced fluxes, but the solve reads an exact zero at the
+    # node and reports no active set, so the panel bounds of the
+    # certificate must refuse both hints
+    table = tabulated([0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+                      [0.0, 0.3, 0.5, 0.6, 0.35, 0.0])
+    spec = JunctionSpec(1, 1, (table, table))
+    u = np.array([0.2, 0.7])  # a demand of 0.3, the value at node 0.2
+    want = solve_junction(spec, u)
+    assert (want.p_min, want.p_max, want.active) == (0.2, 0.2, None)
+    hints = [(-1, 0), (-1, 1)]
+    assert _solve_stack(spec, np.array([u, u]), hints) == [None, None]
+    assert [solve_junction(spec, u, hint).active for hint in hints] \
+        == [None, None]
+
+
+def test_stacked_solve_leaves_bad_rows_to_the_solve_one_by_one(monkeypatch):
+    # 10 rows of one 2-3 junction, each hinted with its own active set: the
+    # stack certifies all; where the fluxes of row 4 fail the balance check
+    # it comes back None, and the solve one by one raises for it. A row
+    # outside [A, B] is refused by the state check's own message
+    spec = LWR23
+    states = np.array([[0.2 + 0.01 * i, 0.9, 0.6, 0.55, 0.1]
+                       for i in range(10)])
+    hints = [solve_junction(spec, u).active for u in states]
+    want = [_solution_bits(solve_junction(spec, u, h))
+            for u, h in zip(states, hints)]
+    assert [_solution_bits(sol) for sol in _solve_stack(spec, states, hints)] \
+        == want
+    real = kernels.fill_junction_fluxes
+    bad = solve_junction(spec, states[4]).p_min
+
+    def poisoned(roads, m, consts, p, out):
+        real(roads, m, consts, p, out)
+        if p == bad:
+            out[1] = math.nan
+
+    monkeypatch.setattr(kernels, "fill_junction_fluxes", poisoned)
+    sols = _solve_stack(spec, states, hints)
+    assert sols[4] is None
+    assert [_solution_bits(sol) for k, sol in enumerate(sols) if k != 4] \
+        == want[:4] + want[5:]
+    with pytest.raises(ConsistencyError,
+                       match=r"^junction flux of road 1 is nan$"):
+        solve_junction(spec, states[4], hints[4])
+    states[7, 2] = math.nan
+    with pytest.raises(ValueError, match=r"^junction state must be 5 finite"):
+        _solve_stack(spec, states, hints)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -624,6 +728,32 @@ def test_solver_and_candidate_share_validation():
         for check in (LWR11.candidate, lambda u: solve_junction(LWR11, u)):
             with pytest.raises(ValueError, match=message):
                 check(bad)
+
+
+def test_candidate_takes_a_list_or_tuple_of_floats_inline(monkeypatch):
+    # a list or tuple of Python floats in range becomes a new array without
+    # the full check, equal to the array's own path; a bool, an int, a
+    # numpy scalar, NaN or a value out of range still goes through it, and
+    # so keeps its message
+    from junctionflow import junction
+    checked = []
+    real = junction.as_state
+    monkeypatch.setattr(junction, "as_state",
+                        lambda *args: checked.append(args) or real(*args))
+    for good in ((0.2, 0.5, 0.7), [0.2, 0.5, 0.7], (0.0, 1.0, 1e-12)):
+        got = SYMQ21.candidate(good)
+        assert type(got) is np.ndarray and got.dtype == float
+        assert got.tobytes() == SYMQ21.candidate(np.array(good)).tobytes()
+        assert got is not SYMQ21.candidate(good)
+    assert checked == []
+    for other in ((0.2, True, 0.7), (0.2, 1, 0.7), (0.2, np.float64(0.5), 0.7),
+                  (0.2, math.nan, 0.7), (0.2, 1.5, 0.7), (0.2, 0.5)):
+        try:
+            SYMQ21.candidate(other)
+        except ValueError:
+            pass
+        assert checked[-1][1] is other
+    assert len(checked) == 6
 
 
 def test_spec_construction_errors():

@@ -679,15 +679,23 @@ def test_mixed_family_run_bit_identical(label):
 # reuse of the junction solution
 
 def _spy_solves(monkeypatch):
-    """Record the state of every junction solve the march makes."""
-    real = scheme.solve_junction
+    """Record the state of every junction solve the march makes: one by
+    one, or as a row that a batch's stacked solve certifies."""
+    real, real_stack = scheme.solve_junction, scheme._solve_stack
     calls = []
 
     def spy(spec, u, *hint):
         calls.append(np.array(u, dtype=float))
         return real(spec, u, *hint)
 
+    def spy_stack(spec, states, hints):
+        sols = real_stack(spec, states, hints)
+        calls.extend(np.array(u, dtype=float)
+                     for u, sol in zip(states, sols) if sol is not None)
+        return sols
+
     monkeypatch.setattr(scheme, "solve_junction", spy)
+    monkeypatch.setattr(scheme, "_solve_stack", spy_stack)
     return calls
 
 
@@ -1154,6 +1162,52 @@ def test_batch_errors_name_the_run(monkeypatch):
     with pytest.raises(ValueError, match=r"^run 1: road 0: "):
         scheme.run_batch(config, [[0.3, 0.6], [math.nan, 0.6]])
     assert scheme.run_batch(config, []) == []
+
+
+def _poison_junction_fluxes(monkeypatch, first):
+    """From its ``first``-th call on, kernels.fill_junction_fluxes leaves
+    NaN for road 1's flux, as a broken flux would; returns its calls."""
+    real = kernels.fill_junction_fluxes
+    calls = []
+
+    def poisoned(roads, m, consts, p, out):
+        real(roads, m, consts, p, out)
+        calls.append(p)
+        if len(calls) >= first:
+            out[1] = math.nan
+
+    monkeypatch.setattr(kernels, "fill_junction_fluxes", poisoned)
+    return calls
+
+
+def test_junction_errors_name_the_step_and_the_run(monkeypatch):
+    # a junction flux that is not finite stops the march at the step whose
+    # solve made it, naming the step, and in a batch the run; the same
+    # holds for a row that the stacked solve hands back to the solve one by
+    # one. Run 0 of the batch is a held equilibrium, which solves once
+    config = RunConfig(small_mesh(), 0.9, 0.4)
+    moving = [np.linspace(0.1, 0.9, 50), np.linspace(0.8, 0.2, 50)]
+    held = list(germ_sampler(LWR11, 1, seed=7)[0])
+    _poison_junction_fluxes(monkeypatch, 5)
+    with pytest.raises(ConsistencyError,
+                       match=r"^step 5: junction flux of road 1 is nan$"):
+        scheme.run(config, moving)
+    monkeypatch.undo()
+    _poison_junction_fluxes(monkeypatch, 2)  # run 1's first, cold solve
+    with pytest.raises(ConsistencyError,
+                       match=r"^run 1: step 1: junction flux of road 1 is "
+                             r"nan$"):
+        scheme.run_batch(config, [held, moving])
+    monkeypatch.undo()
+    # run 1 alone solves from step 2 on, stacked: its fluxes at step 3 are
+    # the 4th call, which fails the balance check, and the solve one by one
+    # makes the 5th and raises
+    calls = _poison_junction_fluxes(monkeypatch, 4)
+    with pytest.raises(ConsistencyError,
+                       match=r"^run 1: step 3: junction flux of road 1 is "
+                             r"nan$"):
+        scheme.run_batch(config, [held, moving])
+    assert len(calls) == 5 and calls[3] == calls[4]
 
 
 def _ledger_oracle(dts, boundary_net, masses):

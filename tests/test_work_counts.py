@@ -10,8 +10,13 @@ interpreters with different ``PYTHONHASHSEED`` values; all must agree with
 the pins. A change that moves a count updates its pin and says why.
 
 A batch of R baseline runs (``scheme.run_batch``) makes R junction solves
-per step, one per run, and one conservative update per step for all R, as
-spies on ``scheme.solve_junction`` and ``scheme._update`` count them.
+per step, one per run, as ``Trajectory.junction_solves`` counts them, and
+one conservative update per step for all R, as a spy on ``scheme._update``
+counts it. The solves are the rows that the stacked warm solve
+(``junction._solve_stack``) certifies and the solves one by one
+(``scheme.solve_junction``) that take the rest: in the batch of 10, the
+first step's 10, which have no hint, go one by one, and every later row is
+stacked, in both interpreters.
 """
 
 import json
@@ -30,17 +35,29 @@ ROOT = Path(__file__).resolve().parent.parent
 STEPS_BETWEEN = 56
 CALLS_BETWEEN = 3263  # 58.27 Python calls per computed step
 JUNCTION_SOLVES = 112
+BATCH = 10
+BATCH_SPLIT = {"scalar": 10, "stacked": 1110}  # of 10 x 112 solves
 
 COUNT = """
 import json
 import step_cost
 from junctionflow import scheme
 config, data = step_cost.baseline()
-print(json.dumps({
-    "calls": [[*step_cost.calls(0.5), *step_cost.calls(1.0)]
-              for _ in range(2)],
-    "solves": scheme.run(config, data).junction_solves}))
-"""
+split = {"scalar": 0, "stacked": 0}
+solve, stack = scheme.solve_junction, scheme._solve_stack
+def scalar(*args):
+    split["scalar"] += 1
+    return solve(*args)
+def stacked(spec, states, hints):
+    sols = stack(spec, states, hints)
+    split["stacked"] += sum(sol is not None for sol in sols)
+    return sols
+calls = [[*step_cost.calls(0.5), *step_cost.calls(1.0)] for _ in range(2)]
+solves = scheme.run(config, data).junction_solves
+scheme.solve_junction, scheme._solve_stack = scalar, stacked
+scheme.run_batch(config, [data] * %d)
+print(json.dumps({"calls": calls, "solves": solves, "split": split}))
+""" % BATCH
 
 
 def _counts(hash_seed: int) -> dict:
@@ -57,6 +74,7 @@ def test_a_coarse_step_makes_a_pinned_number_of_calls_and_solves():
     for hash_seed in (0, 4099):
         got = _counts(hash_seed)
         assert got["solves"] == JUNCTION_SOLVES
+        assert got["split"] == BATCH_SPLIT
         for c_half, s_half, c_full, s_full in got["calls"]:
             assert (c_full - c_half, s_full - s_half) == (CALLS_BETWEEN,
                                                          STEPS_BETWEEN)
@@ -70,15 +88,12 @@ def test_a_batch_makes_one_update_per_step_and_a_solve_per_run(monkeypatch,
     import step_cost
 
     config, data = step_cost.baseline()
-    counts = {"solve_junction": 0, "_update": 0}
-    for name in counts:
-        def spy(*args, real=getattr(scheme, name), name=name):
-            counts[name] += 1
-            return real(*args)
-        monkeypatch.setattr(scheme, name, spy)
+    updates = []
+    real = scheme._update
+    monkeypatch.setattr(scheme, "_update",
+                        lambda *args: updates.append(1) or real(*args))
     trajs = scheme.run_batch(config, [data] * runs)
     steps = 112  # none of them held: each solves a new junction state
     assert [len(traj.dts) for traj in trajs] == [steps] * runs
     assert [traj.junction_solves for traj in trajs] == [JUNCTION_SOLVES] * runs
-    assert counts == {"solve_junction": runs * JUNCTION_SOLVES,
-                      "_update": steps}
+    assert len(updates) == steps

@@ -8,7 +8,9 @@ prints:
 - the time of a ``run`` step, and of a run-step of the same run marched
   as a batch of 10 by ``run_batch`` (the batch's step time over 10);
 - a warm ``solve_junction`` (hinted with the active set of the state
-  before) and a cold one, over the run's junction states;
+  before) and a cold one, over the run's junction states, and the stacked
+  warm solve (``junction._solve_stack``) of the batch of 10 over the same
+  states and hints, each state stacked 10 times, per row;
 - ``scheme._update`` over the run's buffers;
 - Python calls per computed step: cProfile's call count of the run to
   t = 1 less that to t = 0.5, over the difference in steps.
@@ -38,7 +40,7 @@ import numpy as np
 
 from junctionflow import JunctionSpec, NetworkMesh, RunConfig, quadratic_lwr
 from junctionflow import kernels, scheme
-from junctionflow.junction import solve_junction
+from junctionflow.junction import _solve_stack, solve_junction
 
 REPEATS, PASSES = 7, 5
 FINE_CELLS, FINE_T, FINE_SAMPLES = 4000, 0.25, 16
@@ -166,6 +168,9 @@ def coarse() -> None:
     hints = [None] + [solve_junction(spec, s).active for s in states[:-1]]
     pairs = list(zip(traj.buffers[:-1], traj.dts.tolist(),
                      [solve_junction(spec, s).fluxes for s in states]))
+    # the batch's stacks: every state but the first has a hint
+    stacks = [(np.tile(s, (BATCH, 1)), [h] * BATCH)
+              for s, h in zip(states[1:], hints[1:])]
 
     figures = {
         "run step (us)": best_us(lambda: scheme.run(config, data), steps),
@@ -174,6 +179,9 @@ def coarse() -> None:
         "warm solve_junction (us)": best_us(
             lambda: [solve_junction(spec, s, h)
                      for s, h in zip(states, hints)], steps),
+        f"stacked warm x{BATCH} (us/row)": best_us(
+            lambda: [_solve_stack(spec, *stack) for stack in stacks],
+            BATCH * len(stacks)),
         "cold solve_junction (us)": best_us(
             lambda: [solve_junction(spec, s) for s in states], steps),
         "_update (us)": best_us(
