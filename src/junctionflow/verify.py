@@ -195,50 +195,27 @@ def _level_solves(spec: JunctionSpec, states: np.ndarray, last) -> list:
     which is solved cold.
 
     Rows of one stacked solve (``junction._solve_stack``) cannot chain, so
-    every later level is first hinted with the active set of its chain's
-    last solved level. A row that fails where its predecessor passed is
-    solved alone, hinted by its predecessor; the rows that failed after it
-    go to a second stacked round hinted with its active set, and what is
-    left is solved one by one, in order, hinted by its predecessor."""
+    every later level is hinted with the active set of its chain's last
+    solved level; the rows it leaves are solved one by one, in order,
+    hinted by the level before, as a level at a time would be."""
     chains, levels = states.shape[:2]
     sols = [[None] * levels for _ in range(chains)]
     if last is None:
         last = [solve_junction(spec, chain[0]) for chain in states]
         for chain, sol in zip(sols, last):
             chain[0] = sol
-
-    def stacked(rows, hints):
-        if rows:
-            got = _solve_stack(spec, states[[c for c, _ in rows],
-                                            [k for _, k in rows]], hints)
-            for (c, k), sol in zip(rows, got):
-                sols[c][k] = sol
-
-    def before(c, k):
-        return sols[c][k - 1] if k else last[c]
-
     rows = [(c, k) for c in range(chains) for k in range(levels)
             if sols[c][k] is None]
-    stacked(rows, [last[c].active for c, _ in rows])
-    # a row that failed after one that passed starts a new active set: it
-    # is solved alone, and the rows that failed after it are stacked again
-    # with its active set
-    rows = [(c, k) for c, k in rows if sols[c][k] is None]
-    for c, k in [(c, k) for c, k in rows if before(c, k) is not None]:
-        sols[c][k] = solve_junction(spec, states[c, k], before(c, k).active)
-    rows = [(c, k) for c, k in rows if sols[c][k] is None]
-    hints = []
-    for c, k in rows:
-        head = k
-        while sols[c][head] is None:
-            head -= 1
-        hints.append(sols[c][head].active)
-    stacked(rows, hints)
+    if rows:
+        for (c, k), sol in zip(rows, _solve_stack(
+                spec, states[[c for c, _ in rows], [k for _, k in rows]],
+                [last[c].active for c, _ in rows])):
+            sols[c][k] = sol
     for c, chain in enumerate(sols):
         for k, sol in enumerate(chain):
             if sol is None:
-                chain[k] = solve_junction(spec, states[c, k],
-                                          before(c, k).active)
+                chain[k] = solve_junction(
+                    spec, states[c, k], (chain[k - 1] if k else last[c]).active)
     return sols
 
 
