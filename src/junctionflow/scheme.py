@@ -713,7 +713,7 @@ def run_batch(config: RunConfig, initials,
                         raise
                 known[r] = sol
                 solves[r] += 1
-            gstar[rows] = [known[r].fluxes for r in rows]
+                gstar[r] = sol.fluxes
             record = tuple(known)
         return *_update(u, mesh, dt, gstar, ghosts), record
 
