@@ -198,24 +198,21 @@ def _level_solves(spec: JunctionSpec, states: np.ndarray, last) -> list:
     every later level is hinted with the active set of its chain's last
     solved level; the rows it leaves are solved one by one, in order,
     hinted by the level before, as a level at a time would be."""
-    chains, levels = states.shape[:2]
-    sols = [[None] * levels for _ in range(chains)]
     if last is None:
         last = [solve_junction(spec, chain[0]) for chain in states]
-        for chain, sol in zip(sols, last):
-            chain[0] = sol
-    rows = [(c, k) for c in range(chains) for k in range(levels)
-            if sols[c][k] is None]
-    if rows:
-        for (c, k), sol in zip(rows, _solve_stack(
-                spec, states[[c for c, _ in rows], [k for _, k in rows]],
-                [last[c].active for c, _ in rows])):
-            sols[c][k] = sol
+        sols = [[sol] for sol in last]
+        states = states[:, 1:]
+    else:
+        sols = [[] for _ in last]
+    levels = states.shape[1]
+    got = _solve_stack(spec, states.reshape(-1, states.shape[2]),
+                       [sol.active for sol in last for _ in range(levels)])
     for c, chain in enumerate(sols):
-        for k, sol in enumerate(chain):
+        for k, sol in enumerate(got[c * levels:(c + 1) * levels]):
             if sol is None:
-                chain[k] = solve_junction(
-                    spec, states[c, k], (chain[k - 1] if k else last[c]).active)
+                before = chain[-1] if chain else last[c]
+                sol = solve_junction(spec, states[c, k], before.active)
+            chain.append(sol)
     return sols
 
 
