@@ -702,12 +702,12 @@ def run_batch(config: RunConfig, initials,
                     rows.append(r)
             hints = [None if known[r] is None else known[r].active
                      for r in rows]
-            for r, hint, sol in zip(rows, hints, _solve_stack(
+            for r, sol in zip(rows, _solve_stack(
                     spec, junction if len(rows) == count else junction[rows],
                     hints)):
-                if sol is None:
+                if sol is None:  # the stack has tried the hint: cold
                     try:
-                        sol = solve_junction(spec, junction[r], hint)
+                        sol = solve_junction(spec, junction[r])
                     except ConsistencyError as exc:
                         exc.run = r  # _march names the run and the step
                         raise

@@ -197,7 +197,7 @@ def _level_solves(spec: JunctionSpec, states: np.ndarray, last) -> list:
     Rows of one stacked solve (``junction._solve_stack``) cannot chain, so
     every later level is hinted with the active set of its chain's last
     solved level; the rows it leaves are solved one by one, in order,
-    hinted by the level before, as a level at a time would be."""
+    hinted by the level before where that is not the set the stack tried."""
     if last is None:
         last = [solve_junction(spec, chain[0]) for chain in states]
         sols = [[sol] for sol in last]
@@ -209,9 +209,10 @@ def _level_solves(spec: JunctionSpec, states: np.ndarray, last) -> list:
                        [sol.active for sol in last for _ in range(levels)])
     for c, chain in enumerate(sols):
         for k, sol in enumerate(got[c * levels:(c + 1) * levels]):
-            if sol is None:
-                before = chain[-1] if chain else last[c]
-                sol = solve_junction(spec, states[c, k], before.active)
+            if sol is None:  # the stack has tried the last active set
+                hint = (chain[-1] if chain else last[c]).active
+                sol = solve_junction(spec, states[c, k],
+                                     None if hint == last[c].active else hint)
             chain.append(sol)
     return sols
 
