@@ -14,6 +14,7 @@ significant digits so outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -236,15 +237,18 @@ def _cmd_convergence(args) -> int:
 # ---------------------------------------------------------------------------
 # bundled verification suite
 
-def _default_networks() -> list[tuple[str, JunctionSpec]]:
-    return [
+@functools.cache
+def _default_networks() -> tuple[tuple[str, JunctionSpec], ...]:
+    """The suite's three junctions, built once per process, so that every
+    ``verify`` call reuses their warm pieces (``JunctionSpec._warm``)."""
+    return (
         ("1-1", JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr()))),
         ("2-1", JunctionSpec(2, 1, (quadratic_lwr(), quadratic_lwr(),
                                     quadratic_lwr(v=2.0)))),
         ("2-3", JunctionSpec(2, 3, (quadratic_lwr(), quadratic_lwr(v=1.5),
                                     quadratic_lwr(), quadratic_lwr(v=0.75),
                                     quadratic_lwr(v=1.25)))),
-    ]
+    )
 
 
 def _random_pair(spec: JunctionSpec, mesh: NetworkMesh, rng,

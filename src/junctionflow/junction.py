@@ -108,7 +108,7 @@ class JunctionSpec:
 
     @cached_property
     def _warm(self) -> kernels.WarmPieces:
-        """The warm pieces of the hints the stacked solve has seen."""
+        """The warm pieces of the coupling, for every hinted solve."""
         return kernels.WarmPieces(self._roads, self.m, self.rho_min,
                                   self.rho_max)
 
@@ -143,16 +143,24 @@ def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
     bisection reaches it, and solves the bracketing piece exactly. The
     fluxes are evaluated at its midpoint and must balance to 1e-12; a flux
     that is not finite fails, naming its road. ``hint``, the ``active`` set
-    of an earlier solution, can spare the bisections but never changes the
-    result.
+    of an earlier solution, is tried first, as the stacked solve tries it
+    (``kernels.warm_roots``): it can spare the bisections but never changes
+    the result.
     """
     roads, m = spec._roads, spec.m
-    consts = kernels.road_constants(roads, m, spec.candidate(u).tolist())
-    # the line is +0.0: a slope of -0.0 would keep a sum of symmetric
-    # quadratics' c[1] at -0.0 and flip the branch of the quadratic formula
-    p_min, p_max, active = kernels.coupling_interval(
-        roads, m, consts, 0.0, 0.0, spec.rho_min, spec.rho_max, spec._zero,
-        hint)
+    ustar = spec.candidate(u).tolist()
+    got = None if hint is None else kernels.warm_roots(
+        spec._warm, [ustar], [hint], [0.0])[0]
+    if got is not None:
+        p_min = p_max = got[0]
+        consts, active = got[1], hint
+    else:
+        consts = kernels.road_constants(roads, m, ustar)
+        # the line is +0.0: with -0.0 a sum of symmetric quadratics' c[1]
+        # stays -0.0 and flips the branch of the quadratic formula
+        p_min, p_max, active = kernels.coupling_interval(
+            roads, m, consts, 0.0, 0.0, spec.rho_min, spec.rho_max,
+            spec._zero)
 
     # Inside a plateau every road takes its own demand or supply, so the
     # midpoint gives exact fluxes there and held equilibria do not drift.
@@ -196,8 +204,8 @@ def _solve_stack(spec: JunctionSpec, states: np.ndarray,
             spec.candidate(state)
     roads, m = spec._roads, spec.m
     solved, rows = [], []
-    for i, got in enumerate(kernels.warm_roots(spec._warm, states.tolist(),
-                                               hints)):
+    for i, got in enumerate(kernels.warm_roots(
+            spec._warm, states.tolist(), hints, [0.0] * len(hints))):
         if got is None:
             continue
         r, fluxes = got  # the road constants, overwritten in place

@@ -7,11 +7,11 @@ inverses of each flux on its two monotone branches, and one exact solve
 which gives the coupling interval and, with the diffusive line, the
 viscous junction value (``solve_visc_w``). It brackets the root with two
 bisections over the kinks and ends, whose signs at the ends follow from
-the structure of demand and supply, and solves one piece exactly; it can
-start from an earlier solve's active piece (``_warm_root``), kept only
-where a certificate shows the cold solve would take the same root, which
-``warm_roots`` runs over a stack of states with what each hint fixes
-computed once (``WarmPieces``), plus
+the structure of demand and supply, and solves one piece exactly. Every
+hinted solve, of one junction state or of a stack of them, first runs
+``warm_roots``: the piece of an earlier solve's active set, with what the
+hint fixes computed once (``WarmPieces``), kept only where a certificate
+shows the cold solve would take the same root; plus
 (c) the exact sums behind the mass audit: ``row_sums`` takes the masses of
 a block of levels, which the march fills, with one extraction and a
 certified rounding, and leaves to ``math.fsum`` each row that rounding
@@ -66,7 +66,7 @@ NUMBA_ENABLED = False
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
-# the warm start's certificate (``_warm_root``): the probes' reach, a share
+# the warm start's certificate (``warm_roots``): the probes' reach, a share
 # of the piece's range, and its margins, far above any rounding of a kink
 # or of the balance
 _WARM_REACH = 2.0 ** -20
@@ -365,41 +365,27 @@ def _kinks(roads, m, consts, lo, hi):
             in enumerate(zip(roads, consts))]
 
 
-def coupling_interval(roads, m, consts, base, slope, lo, hi, zero, hint):
+def coupling_interval(roads, m, consts, base, slope, lo, hi, zero):
     """(p_min, p_max, active): the zero set [p_min, p_max] over [lo, hi] of
-    R(p) = base + slope p + D(p), D the balance gap, and at a point root the
-    active set of R's piece there (``_piecewise_root``), the hint for a
-    later solve; None where the root is a kink, a table node or an end, or
-    on a plateau.
+    R(p) = base + slope p + D(p), D the balance gap, by the cold solve (a
+    hinted one tries ``warm_roots`` first), and at a point root the active
+    set of R's piece there (``_piecewise_root``), the hint for a later
+    solve; None where the root is a kink, a table node or an end, or on a
+    plateau. The coupling passes base = slope = 0, the viscous junction
+    value (``solve_visc_w``) a falling line.
 
-    The gap D(p) = sum_in min(d_i, S_i(p)) - sum_out min(D_j(p), s_j) is
-    non-increasing, and each term is either its constant (d_i, s_j) or the
-    road's whole flux, switching at the road's kink (``_kinks``); between
-    two kinks R is one polynomial (one per panel for tabulated fluxes),
-    solved exactly. The junction coupling passes base = slope = 0, the
-    viscous junction value (``solve_visc_w``) a falling line.
-
-    ``hint``, an active set from an earlier solve or None, is tried first
-    (``_warm_root``); otherwise ``_bracket`` solves cold. A value of R
-    within ``zero`` counts as zero: plateau values are differences of
-    rounded flux values, that noisy."""
-    if hint is not None:
-        r = _warm_root(roads, m, consts, base, slope, lo, hi, hint)
-        if r is not None:
-            return r, r, hint
-    return _bracket(roads, m, consts, base, slope, lo, hi, zero)
-
-
-def _bracket(roads, m, consts, base, slope, lo, hi, zero):
-    """The cold solve of ``coupling_interval`` (apart from it, so that its
-    warm path builds no closure). Two bisections over the sorted ends and
-    kinks, sharing their probes, find the first point where R <= 0 and the
-    first where R < 0; the points between are the zero set, else the root
-    lies on the piece just before the first. R(lo) >= 0 >= R(hi) by the
-    structure of demand and supply (D(lo) = sum d_i, D(hi) = -sum s_j), so
-    an end's sign is read only where a bisection reaches it, and it counts
-    as zero where rounding, the input slack or a flux end off zero makes
-    it wrong."""
+    Each term of D is either its constant (d_i, s_j) or the road's whole
+    flux, switching at the road's kink (``_kinks``), so between two kinks R
+    is one polynomial (one per panel for tables), solved exactly. Two
+    bisections over the sorted ends and kinks, sharing their probes, find
+    the first point where R <= 0 and the first where R < 0; the points
+    between are the zero set, else the root lies on the piece just before
+    the first. R(lo) >= 0 >= R(hi) by the structure of demand and supply
+    (D(lo) = sum d_i, D(hi) = -sum s_j), so an end's sign is read only
+    where a bisection reaches it, and it counts as zero where rounding, the
+    input slack or a flux end off zero makes it wrong. A value of R within
+    ``zero`` counts as zero: plateau values are differences of rounded flux
+    values, that noisy."""
     kinks = _kinks(roads, m, consts, lo, hi)
     signs = {}
 
@@ -425,137 +411,59 @@ def _bracket(roads, m, consts, base, slope, lo, hi, zero):
     return root, root, active
 
 
-def solve_visc_w(roads, m, consts, base, slope, lo, hi, hint):
-    """(w, active): the root w in [lo, hi] of R(w) = base + slope w + D(w),
-    D the balance gap, and its active set, as ``coupling_interval`` solves
-    it with no slack for zero.
+def solve_visc_w(pieces, ustar, base, hint):
+    """(w, consts, active): the root w of R(w) = base + slope w + D(w), D
+    the balance gap of the junction state ustar, consts its road constants,
+    and the active set of w's piece, for the roads, slope and [lo, hi] of
+    ``pieces``: from the hint's piece (``warm_roots``), else by the cold
+    ``coupling_interval`` with no slack for zero.
 
     That is the junction value when every road meets w as a neighbouring
     cell, e = 2 eps / dx: G_i(u_i, w) - e (w - u_i) leaves an incoming
     road, G_j(w, u_j) - e (u_j - w) enters an outgoing one, and their
     balance has base = e sum(u), slope = -e (m+n). R is strictly
     decreasing, so its zero set is the one point w."""
-    w, _, active = coupling_interval(roads, m, consts, base, slope, lo, hi,
-                                     0.0, hint)
-    return w, active
+    if hint is not None:
+        got = warm_roots(pieces, [ustar], [hint], [base])[0]
+        if got is not None:
+            return got[0], got[1], hint
+    roads, m = pieces.roads, pieces.m
+    consts = road_constants(roads, m, ustar)
+    w, _, active = coupling_interval(roads, m, consts, base, pieces.slope,
+                                     pieces.lo, pieces.hi, 0.0)
+    return w, consts, active
 
 
-def _warm_root(roads, m, consts, base, slope, lo, hi, active):
-    """The root of R = c + D, c = base + slope p and D the balance gap,
-    from its piece on the active set ``active`` of an earlier solve, or
-    None where that piece cannot certify it. The coupling solve passes
-    base = slope = +0.0, the viscous solve its diffusive terms.
+class WarmPieces(dict):
+    """What ``warm_roots`` takes from a hint alone, by hint, computed on
+    its first lookup, for one junction (its roads' records, m and [lo, hi])
+    and one slope: +0.0 for the coupling, -e (m + n) for the viscous value.
 
-    The piece is c = [base, slope] plus the active terms, added in road
-    order as ``_piecewise_root`` adds them. It is solved on its branch
-    range, where each whole-flux term is its flux's falling (incoming) or
-    rising (outgoing) branch: [lo, hi] cut to above the crest of every such
-    incoming road and below that of every such outgoing one. There R falls
-    and a quadratic piece has one root, r = poly_root(c, lo, hi) on that
-    range. Only pieces of degree 1 or 2 with a nonnegative discriminant
-    qualify: there ``poly_root`` is the quadratic formula whatever the
-    bracket (higher degrees bisect to a bracket-dependent result).
+    A piece is (c1, c2, c1 c1, 4 c2, lo, hi, reach, rest, roads): c1 (from
+    the slope) and c2 summed in road order, the range cut to the crest of
+    every whole-flux road, the reach, the part of the size bound that
+    neither the base nor c0 enters, and per road its record, its margin
+    (``_WARM_MARGIN`` times its crest flux), whether it is incoming, whether
+    its term is its constant, its signed piece constant, whether its probe
+    is the right end of the reach, and a table panel's nodes (else None).
+    A hint whose piece has degree 0 or above 2 has no piece (None), nor has
+    a plateau's hint, None: such rows are solved cold."""
 
-    r is certified on [r - reach, r + reach], reach = _WARM_REACH (hi - lo),
-    inside the range and inside each active table panel: every road's term
-    lies on its active side by more than _WARM_MARGIN of its crest (d_i <
-    S_i(x) for a constant, S_i(x) < d_i for a whole flux; D_j against s_j
-    alike), checked at the end where S_i falls or D_j rises to the least
-    margin, and c has a clear sign at both ends, beyond _WARM_MARGIN of its
-    size there. A constant at the crest flux ties with S_i (D_j) exactly
-    wherever that end lies on its flat branch, below (above) the crest; the
-    term is that constant over the whole reach, and the cold solve's kink
-    is the crest itself (``branch_point``), beyond the reach, so the tie
-    passes. No kink, table node or end then lies within reach of r, and
-    R's sign is right wherever the cold solve reads it: it brackets r with
-    this piece and takes the same r bit for bit."""
-    c = [base, slope, 0.0]  # only a polynomial flux's piece is longer
-    for h, k in enumerate(active):
-        if k < 0:
-            c[0] += consts[h] if h < m else -consts[h]
-            continue
-        code, par, crit, _ = roads[h]
-        if h < m:
-            lo = crit if crit > lo else lo
-        else:
-            hi = crit if crit < hi else hi
-        piece = _piece_coeffs(code, par, None, k)
-        if code == FAMILY_POLY:
-            c.extend([0.0] * (len(piece) - len(c)))
-        for t, v in enumerate(piece):
-            c[t] += v if h < m else -v
-    deg = len(c) - 1
-    while deg > 0 and c[deg] == 0.0:
-        deg -= 1
-    c0, c1, c2 = c[0], c[1], c[2] if deg == 2 else 0.0
-    if not (deg == 1 or (deg == 2 and c1 * c1 >= 4.0 * c2 * c0)):
-        return None
-    r = poly_root(c, lo, hi)
-    reach = _WARM_REACH * (hi - lo)
-    left, right = r - reach, r + reach
-    if not lo <= left < r < right <= hi:
-        return None
-    crests = 0.0
-    for h, k in enumerate(active):
-        code, par, crit, fcrit = roads[h]
-        crests += fcrit
-        x = right if (k < 0) == (h < m) else left
-        if k < 0 and consts[h] == fcrit and (
-                x < crit if h < m else x > crit):
-            continue  # a crest tie on the flat branch: constant throughout
-        v = (flux_scalar(code, par, x) if (x >= crit if h < m else x <= crit)
-             else fcrit)  # supply_scalar or demand_scalar, inlined
-        if not ((v - consts[h]) if k < 0 else (consts[h] - v)) \
-                > _WARM_MARGIN * fcrit:
-            return None
-        if k >= 0 and code == FAMILY_TABLE:
-            xs = _table(par)[0]
-            if not (xs[k] <= left and right <= xs[k + 1]):
-                return None
-    # the rounding of R, of c and of each term is a few eps of this size
-    big = max(-lo, hi)  # max(|lo|, |hi|), as lo < hi
-    size = (abs(base) + crests + abs(c0)
-            + (abs(c1) + abs(c2) * big) * big)
-    if not ((c2 * left + c1) * left + c0 > _WARM_MARGIN * size
-            and (c2 * right + c1) * right + c0 < -_WARM_MARGIN * size):
-        return None
-    return r
-
-
-class WarmPieces:
-    """The warm pieces of one junction, base = slope = +0.0, by hint: what
-    ``_warm_root`` computes from the active set alone, once per distinct
-    active set, for ``warm_roots``. Built from the roads' records, m and
-    the density interval [lo, hi].
-
-    A piece is (c1, c2, c1 c1, 4 c2, lo, hi, reach, crests, rest, roads):
-    c1 and c2 summed in road order, the range cut to the crest of every
-    whole-flux road, the reach, the crest fluxes summed as
-    ``_warm_root`` sums them, the part of the size bound c0 does not enter,
-    and per road its record and its margin (``_WARM_MARGIN`` times its
-    crest flux), whether it is incoming, whether its term is its constant,
-    its signed piece constant, whether its probe is the right end of the
-    reach, and a table panel's nodes (else None). A hint whose piece has
-    degree 0 or above 2 has no piece (None): the scalar solve takes its
-    rows. So has a plateau's hint, None."""
-
-    def __init__(self, roads, m, lo, hi):
+    def __init__(self, roads, m, lo, hi, slope=0.0):
+        super().__init__({None: None})
         self.roads, self.m, self.lo, self.hi = roads, m, lo, hi
-        self.crests = 0.0  # _warm_root's sum, in road order
+        self.slope = slope
+        self.crests = 0.0  # the crest fluxes, summed in road order
         for r in roads:
             self.crests += r[3]
-        self._pieces: dict = {None: None}
 
-    def get(self, hint):
-        try:
-            return self._pieces[hint]
-        except KeyError:
-            piece = self._pieces[hint] = self._piece(hint)
-            return piece
+    def __missing__(self, hint):
+        piece = self[hint] = self._piece(hint)
+        return piece
 
     def _piece(self, hint):
         m, lo, hi = self.m, self.lo, self.hi
-        c1 = c2 = 0.0
+        c1, c2 = self.slope, 0.0
         roads = []
         for h, k in enumerate(hint):
             code, par, crit, fcrit = self.roads[h]
@@ -581,32 +489,42 @@ class WarmPieces:
             return None
         big = max(-lo, hi)
         return (c1, c2, c1 * c1, 4.0 * c2, lo, hi, _WARM_REACH * (hi - lo),
-                abs(0.0) + self.crests, (abs(c1) + abs(c2) * big) * big,
-                tuple(roads))
+                (abs(c1) + abs(c2) * big) * big, tuple(roads))
 
 
-def warm_roots(pieces: WarmPieces, states, hints) -> list:
-    """``_warm_root`` with base = slope = +0.0 for every junction state
-    of ``states`` (a list of lists of floats) and its hint: (root, road
-    constants) where the piece certifies the root, else None, for each.
+def warm_roots(pieces: WarmPieces, states, hints, bases) -> list:
+    """The root of R(p) = base + slope p + D(p), D the balance gap, for
+    every junction state of ``states`` (a list of lists of floats) from the
+    piece of its hint, an earlier solve's active set, with the row's base
+    and the slope of ``pieces``: (root, road constants) where the piece
+    certifies the root, else None, for each row.
 
-    The arithmetic is ``_warm_root``'s and ``poly_root``'s, in their order;
-    what depends on the hint alone comes from ``pieces``, computed once
-    per hint. c0 adds each road's constant (or its piece's constant term)
-    to 0.0 in road order, and c1 and c2 are the piece's own, as the scalar
-    sums give them: a constant term adds nothing to them. The clamp of
-    ``poly_root`` is left out, since a clamped root lies on an end of the
-    range, which the certificate refuses."""
+    c0 adds each road's constant, or its piece's constant term, to the base
+    in road order, as ``_piecewise_root`` adds them; c1 and c2 are the
+    piece's own (``WarmPieces``). On the piece's branch range R falls, and
+    only degree 1, or 2 with a nonnegative discriminant, qualifies: the root
+    r is then ``poly_root``'s quadratic formula, in its order, whatever the
+    bracket (its clamp is left out, since a clamped root lies on an end of
+    the range, which the certificate refuses). The certificate holds on
+    [r - reach, r + reach], inside the range and each active table panel:
+    every road's term lies on its active side by more than its margin,
+    probed at the end where S_i falls or D_j rises to the least margin (a
+    constant at the crest flux, probed on its flat branch, is that constant
+    over the whole reach and passes), and the piece's sign at both ends
+    clears its rounding by _WARM_MARGIN of its size. No kink, table node or
+    end then lies within reach of r, so the cold solve
+    (``coupling_interval``) brackets r with this piece and takes the same r
+    bit for bit."""
     out = []
-    flux, get = flux_scalar, pieces.get
+    flux, crests = flux_scalar, pieces.crests
     sqrt, copysign = math.sqrt, math.copysign
-    for u, hint in zip(states, hints):
-        piece = get(hint)
+    for u, hint, base in zip(states, hints, bases):
+        piece = pieces[hint]
         if piece is None:
             out.append(None)
             continue
-        c1, c2, sq, four, lo, hi, reach, crests, rest, roads = piece
-        c0 = 0.0
+        c1, c2, sq, four, lo, hi, reach, rest, roads = piece
+        c0 = base
         consts = []
         for (code, par, crit, fcrit, _, incoming, const, p0, _, _), x in zip(
                 roads, u):
@@ -642,7 +560,9 @@ def warm_roots(pieces: WarmPieces, states, hints) -> list:
                          or nodes[0] <= left and right <= nodes[1])):
                 break
         else:
-            bound = _WARM_MARGIN * (crests + abs(c0) + rest)
+            # the rounding of R, of the piece and of each term is a few eps
+            # of this size
+            bound = _WARM_MARGIN * (abs(base) + crests + abs(c0) + rest)
             if ((c2 * left + c1) * left + c0 > bound
                     and (c2 * right + c1) * right + c0 < -bound):
                 out.append((r, consts))

@@ -326,36 +326,43 @@ def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
     Raises ConfigError if dt exceeds the monotonicity bound."""
     _check_timestep(dt, _parabolic_bound(mesh,
                                          as_positive("epsilon", epsilon)))
-    u = _parabolic_advance(_pack(mesh, state), mesh, epsilon, dt)[0]
+    u = _parabolic_advance(_pack(mesh, state), mesh, epsilon, dt,
+                           _visc_pieces(mesh, epsilon))[0]
     return GridState(state.time_step + 1, state.time + dt,
                      mesh._layout.views(u))
 
 
+def _visc_pieces(mesh: NetworkMesh, eps: float) -> kernels.WarmPieces:
+    """The warm pieces of the viscous junction value: the junction's roads
+    with the diffusive line's slope -e (m + n), e = 2 eps / dx."""
+    spec = mesh.spec
+    return kernels.WarmPieces(spec._roads, spec.m, spec.rho_min,
+                              spec.rho_max,
+                              -(2.0 * eps / mesh.dx) * (spec.m + spec.n))
+
+
 def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float,
-                       dt: float, hint=None):
+                       dt: float, pieces: kernels.WarmPieces, hint=None):
     """The junction value w, each road's Godunov plus diffusive flux to w,
     then the shared update with diffusion: (new buffer, boundary flux, w,
     the active set of w's solve). w comes from ``kernels.solve_visc_w``,
     the junction solver's own solve with the diffusive line added to the
-    balance gap: two bisections over the kinks and ends, whose end signs
-    follow from the structure of demand and supply, then the exact root
-    of one piece. ``hint`` is handed to it; it spares work, never changes
-    a result.
+    balance gap, its slope held by ``pieces`` (``_visc_pieces``): the
+    hint's piece where the warm certificate holds, else two bisections
+    over the kinks and ends, then the exact root of one piece. The hint
+    spares work, never changes a result.
 
     u must lie in [A, B], where the fluxes are defined: ``_pack`` checks
     the first level of a run and ``_march``'s guard every later one. The
-    road constants (each road's demand or supply) are computed once; the
-    solve and ``kernels.fill_junction_fluxes``, which gives each road's
-    Godunov flux at w, both take them, and the diffusive term e (w - u_i)
-    or e (u_j - w), e = 2 eps / dx, is subtracted from that flux."""
-    spec = mesh.spec
-    roads, m = spec._roads, spec.m
+    solve returns the road constants (each road's demand or supply) with
+    w; ``kernels.fill_junction_fluxes`` takes them for each road's Godunov
+    flux at w, less the diffusive term e (w - u_i) or e (u_j - w),
+    e = 2 eps / dx."""
+    roads, m = mesh.spec._roads, mesh.spec.m
     ustar = u[mesh._layout.adj].tolist()
-    consts = kernels.road_constants(roads, m, ustar)
     e = 2.0 * eps / mesh.dx
-    w, active = kernels.solve_visc_w(roads, m, consts, e * sum(ustar),
-                                     -e * len(ustar), spec.rho_min,
-                                     spec.rho_max, hint)
+    w, consts, active = kernels.solve_visc_w(pieces, ustar, e * sum(ustar),
+                                             hint)
     gstar = [0.0] * len(ustar)
     kernels.fill_junction_fluxes(roads, m, consts, w, gstar)
     for h, a in enumerate(ustar):
@@ -395,16 +402,17 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
     Each step hands its solve's active set to the next as a hint.
     """
     t_final = as_bounded("t_final", t_final, 0.0)
-    active = None
+    u0, dt0 = _pack(mesh, initial), parabolic_timestep(mesh, epsilon)
+    pieces, active = _visc_pieces(mesh, epsilon), None  # epsilon checked
 
     def advance(u, dt):
         nonlocal active
-        *out, active = _parabolic_advance(u, mesh, epsilon, dt, active)
+        *out, active = _parabolic_advance(u, mesh, epsilon, dt, pieces,
+                                          active)
         return out
 
     states, _, times, dts, bnet, masses, wlog = _march(
-        mesh, _pack(mesh, initial), parabolic_timestep(mesh, epsilon),
-        t_final, advance, keep_states=False)
+        mesh, u0, dt0, t_final, advance, keep_states=False)
     return ParabolicTrajectory(mesh, float(epsilon), states, times, dts,
                                np.array(wlog), bnet, masses)
 

@@ -796,6 +796,43 @@ def test_cli_verify_default_networks(tmp_path):
     assert proc.stdout.count("pass") >= len(rows)
 
 
+# SHA-256 of verify.csv for the bundled suite at these seeds; the suite
+# runs hinted junction solves throughout, which must never move a bit
+VERIFY_SHA256 = {
+    0: "37162a67618e54ce21224783147df1f28953b97554f251fd7220cc7e3680e4f6",
+    1: "a2d2366a8a215917f449b9db4822bbec30a9cf0688307d3fe86d9756de12537e",
+    2: "4bb6add702f9e3c8234ecd91f95984e37cacac2a7613876e96bb09e2025787f9",
+}
+
+
+def _verify_digest(out, seed):
+    assert cli.main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+    return hashlib.sha256((out / "verify.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_SHA256))
+def test_cli_verify_csv_is_pinned(tmp_path, seed):
+    assert _verify_digest(tmp_path, seed) == VERIFY_SHA256[seed]
+
+
+def test_cli_verify_builds_its_networks_once(tmp_path, monkeypatch):
+    # the default networks, and with them the warm pieces of every hint
+    # their solves have seen, last the process: a second verify writes the
+    # same bytes and builds no piece
+    built = []
+    real = kernels.WarmPieces._piece
+
+    def spy(self, hint):
+        built.append(hint)
+        return real(self, hint)
+
+    monkeypatch.setattr(kernels.WarmPieces, "_piece", spy)
+    first = _verify_digest(tmp_path / "first", 0)
+    built.clear()
+    assert _verify_digest(tmp_path / "second", 0) == first
+    assert built == []
+
+
 def test_cli_run_junction_error_exits_3(tmp_path, monkeypatch, capsys):
     # a junction flux that is not finite is a broken invariant (exit 3),
     # and the message names the step whose solve made it

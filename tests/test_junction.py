@@ -337,10 +337,13 @@ def _bisect_visc_w(spec, u, e):
 
 
 def _solve_visc_w(spec, u, e, hint=None):
-    """(w, active) of the viscous junction solve at e = 2 eps / dx."""
-    return kernels.solve_visc_w(spec._roads, spec.m, _consts(spec, u),
-                                e * sum(u), -e * len(u), spec.rho_min,
-                                spec.rho_max, hint)
+    """(w, active) of the viscous junction solve at e = 2 eps / dx: cold
+    where hint is None."""
+    pieces = kernels.WarmPieces(spec._roads, spec.m, spec.rho_min,
+                                spec.rho_max, -e * len(u))
+    w, consts, active = kernels.solve_visc_w(pieces, u, e * sum(u), hint)
+    assert consts == _consts(spec, u)
+    return w, active
 
 
 def _viscous_junction(seed, m, n, symmetric):
@@ -407,10 +410,12 @@ def _stale_active_set(rng, spec):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
        symmetric=st.booleans(), log_e=st.floats(-2.0, 2.0))
 def test_warm_viscous_solve_equals_the_cold_one(seed, m, n, symmetric, log_e):
-    # the hint is the state's own active set, the one solved before (stale)
-    # or a random one; e is drawn, and also set so that the root lies on a
-    # kink or an ulp beside it, where a piece can hold at its own root while
-    # the cold solve brackets another piece or reads an exact zero
+    # the hint is the state's own active set from the cold solve, the one
+    # solved before (stale), a random one or all constants, whose piece is
+    # of degree 1 only through the slope; e is drawn, and also set so that
+    # the root lies on a kink or an ulp beside it, where a piece can hold at
+    # its own root while the cold solve brackets another piece or reads an
+    # exact zero
     spec, state = _viscous_junction(seed, m, n, symmetric)
     rng = np.random.default_rng(seed)
     stale = None
@@ -431,7 +436,7 @@ def test_warm_viscous_solve_equals_the_cold_one(seed, m, n, symmetric, log_e):
         for e in es:
             w, own = _solve_visc_w(spec, u, e)
             for hint in (own, stale, _stale_active_set(rng, spec),
-                         _stale_active_set(rng, spec)):
+                         _stale_active_set(rng, spec), (-1,) * (m + n)):
                 if hint is None:
                     continue
                 got, active = _solve_visc_w(spec, u, e, hint)
@@ -440,14 +445,21 @@ def test_warm_viscous_solve_equals_the_cold_one(seed, m, n, symmetric, log_e):
             stale = own
 
 
+def test_an_all_constant_hint_certifies_the_viscous_value():
+    # 1-1 LWR at u = (0.2, 0.8): demand and supply are both 0.16, so every
+    # road keeps its constant around the crest, and w, within rounding of
+    # sum(u) / 2 = 0.5, is the root of a piece of degree 1 only through the
+    # slope. The warm certificate takes it: the hint itself comes back, with
+    # the cold solve's root
+    u, e, hint = [0.2, 0.8], 1.0, (-1, -1)
+    w, own = _solve_visc_w(LWR11, u, e)
+    assert own == hint and abs(w - 0.5) <= 1e-15
+    got, active = _solve_visc_w(LWR11, u, e, hint)
+    assert got.hex() == w.hex() and active is hint
+
+
 # ---------------------------------------------------------------------------
 # warm start: an active-set hint spares the scan, never changes a result
-
-def _interval(spec, u, hint=None):
-    return kernels.coupling_interval(spec._roads, spec.m, _consts(spec, u),
-                                     0.0, 0.0, spec.rho_min, spec.rho_max,
-                                     spec._zero, hint)
-
 
 def _solution_bits(sol):
     return (sol.p_min.hex(), sol.p_max.hex(), sol.fluxes.tobytes(),
@@ -476,11 +488,13 @@ def _warm_junction(seed, m, n, symmetric):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
        symmetric=st.booleans())
 def test_warm_started_solve_equals_the_cold_one(seed, m, n, symmetric):
-    # the hint is the state's own active set (true), that of the state
-    # solved before (stale) or a random one, on all four families: LWR, the
-    # cubic and tables, or symmetric quadratics, with states at a crest, an
-    # end or a node; every other state is a small move of the last one, as
-    # between two steps of a run
+    # the hinted solve, which runs the stack's certificate
+    # (kernels.warm_roots), against the cold one: the hint is the state's
+    # own active set (true), that of the state solved before (stale) or a
+    # random one, on all four families: LWR, the cubic and tables, or
+    # symmetric quadratics, with states at a crest, an end or a node; every
+    # other state is a small move of the last one, as between two steps of
+    # a run
     rng, spec, state = _warm_junction(seed, m, n, symmetric)
     stale = None
     u = state()
@@ -491,17 +505,12 @@ def test_warm_started_solve_equals_the_cold_one(seed, m, n, symmetric):
                         spec.rho_min, spec.rho_max)
         else:
             u = state()
-        cold = _interval(spec, u)
-        own = cold[2]
-        ref = _solution_bits(solve_junction(spec, u))
+        cold = solve_junction(spec, u)
+        own, ref = cold.active, _solution_bits(cold)
         for hint in (own, stale, _stale_active_set(rng, spec),
                      _stale_active_set(rng, spec)):
             if hint is None:
                 continue
-            got = _interval(spec, u, hint)
-            assert [float(v).hex() for v in got[:2]] == [
-                float(v).hex() for v in cold[:2]]
-            assert got[2] == own
             assert _solution_bits(solve_junction(spec, u, hint)) == ref
         stale = own if own is not None else stale
 
@@ -511,14 +520,14 @@ def test_warm_started_solve_equals_the_cold_one(seed, m, n, symmetric):
        symmetric=st.booleans(), rows=st.sampled_from([1, 2, 10, 64]))
 def test_stacked_solve_equals_the_solve_one_by_one(seed, m, n, symmetric,
                                                    rows):
-    # every row the stacked solve certifies is solve_junction's solution
-    # of that row and hint, bit for bit; the rest come back None. Rows are
-    # fresh states (at a crest, an end, a node or a plateau among them) or
-    # small moves of three base states, on all four families (the cubic is
-    # above degree 2, tables have a piece per panel); each row's hint is
-    # None, its own active set, its base's (stale), a random one, or its
-    # own with a table panel moved to its neighbour, whose line extended
-    # can have a root just beyond the panel
+    # every row the stacked solve certifies is the cold solve's solution
+    # of that row, bit for bit, its active set the row's hint; the rest
+    # come back None. Rows are fresh states (at a crest, an end, a node or
+    # a plateau among them) or small moves of three base states, on all
+    # four families (the cubic is above degree 2, tables have a piece per
+    # panel); each row's hint is None, its own active set, its base's
+    # (stale), a random one, or its own with a table panel moved to its
+    # neighbour, whose line extended can have a root just beyond the panel
     rng, spec, state = _warm_junction(seed, m, n, symmetric)
 
     def neighbour(active):
@@ -549,7 +558,8 @@ def test_stacked_solve_equals_the_solve_one_by_one(seed, m, n, symmetric,
         if sol is not None:
             assert hint is not None
             assert _solution_bits(sol) == _solution_bits(
-                solve_junction(spec, u, hint))
+                solve_junction(spec, u))
+            assert sol.active is hint
 
 
 def test_stacked_solve_keeps_a_panel_to_its_nodes():

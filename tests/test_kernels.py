@@ -249,21 +249,35 @@ def test_junction_kernels_get_python_floats(monkeypatch):
         real = getattr(kernels, name)
 
         def checked(*args):
-            roads, m, third = args[:3]
+            if name in ("solve_visc_w", "warm_roots"):
+                # (pieces, state, base, hint) or (pieces, states, hints,
+                # bases): a state is a list of floats, a hint an active set
+                pieces = args[0]
+                roads, m = pieces.roads, pieces.m
+                assert _is_float_tuple((pieces.lo, pieces.hi, pieces.slope))
+                if name == "solve_visc_w":
+                    assert len(args) == 4
+                    states, hints, bases = [args[1]], [args[3]], [args[2]]
+                else:
+                    states, hints, bases = args[1:]
+                    assert type(states) is list and type(hints) is list
+                    assert type(bases) is list
+                assert all(type(u) is list and all(type(v) is float
+                                                   for v in u)
+                           for u in states)
+                assert all(type(b) is float for b in bases)
+                assert all(h is None or _is_active_set(h) for h in hints)
+            else:
+                roads, m, third = args[:3]
+                # road_constants takes the state, the rest its constants
+                assert type(third) is list and all(type(v) is float
+                                                   for v in third)
             assert type(roads) is tuple and all(map(_is_road, roads))
             assert type(m) is int
-            # the state enters road_constants only; the rest take constants
-            assert type(third) is list and all(type(v) is float
-                                               for v in third)
             if name == "road_constants":
                 assert len(args) == 3
-            if name == "solve_visc_w":  # (..., base, slope, lo, hi, hint)
-                assert len(args) == 8 and _is_float_tuple(args[3:7])
-                assert args[7] is None or _is_active_set(args[7])
-            if name == "coupling_interval":
-                # (..., base, slope, lo, hi, zero, hint)
-                assert len(args) == 9 and _is_float_tuple(args[3:8])
-                assert args[8] is None or _is_active_set(args[8])
+            if name == "coupling_interval":  # (..., base, slope, lo, hi, zero)
+                assert len(args) == 8 and _is_float_tuple(args[3:8])
             seen.add(name)
             before = gap_calls[0]
             out = real(*args)
@@ -273,7 +287,7 @@ def test_junction_kernels_get_python_floats(monkeypatch):
         monkeypatch.setattr(kernels, name, checked)
 
     for name in ("road_constants", "coupling_interval",
-                 "fill_junction_fluxes", "solve_visc_w"):
+                 "fill_junction_fluxes", "solve_visc_w", "warm_roots"):
         spy(name)
     balance_gap = kernels.balance_gap
 
@@ -289,7 +303,7 @@ def test_junction_kernels_get_python_floats(monkeypatch):
     run(RunConfig(mesh, 0.9, 5 * cfl_timestep(mesh, 0.9)), [0.3, 0.6, 0.2])
     run_parabolic(mesh, 0.05, [0.3, 0.6, 0.2], 0.02)
     assert seen == {"road_constants", "coupling_interval",
-                    "fill_junction_fluxes", "solve_visc_w"}
+                    "fill_junction_fluxes", "solve_visc_w", "warm_roots"}
     # the viscous junction value is an exact piecewise root: a bisection
     # over the 3 sorted kinks, the balance at one end at most, then a
     # bisection over the 9 table nodes, never a bisection to a tolerance

@@ -33,7 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the run to t = 1 makes 112 steps and the run to t = 0.5 makes 56
 STEPS_BETWEEN = 56
-CALLS_BETWEEN = 3263  # 58.27 Python calls per computed step
+CALLS_BETWEEN = 2927  # 52.27 Python calls per computed step
 JUNCTION_SOLVES = 112
 BATCH = 10
 BATCH_SPLIT = {"scalar": 10, "stacked": 1110}  # of 10 x 112 solves

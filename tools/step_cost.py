@@ -7,10 +7,11 @@ prints:
 
 - the time of a ``run`` step, and of a run-step of the same run marched
   as a batch of 10 by ``run_batch`` (the batch's step time over 10);
-- a warm ``solve_junction`` (hinted with the active set of the state
-  before) and a cold one, over the run's junction states, and the stacked
-  warm solve (``junction._solve_stack``) of the batch of 10 over the same
-  states and hints, each state stacked 10 times, per row;
+- the one warm certificate (``kernels.warm_roots``) on one row, as a
+  ``solve_junction`` hinted with the active set of the state before, and
+  stacked over 10 rows, as the batch of 10 runs it
+  (``junction._solve_stack``, each state stacked 10 times, per row), over
+  the run's junction states and hints; and a cold ``solve_junction``;
 - ``scheme._update`` over the run's buffers;
 - Python calls per computed step: cProfile's call count of the run to
   t = 1 less that to t = 0.5, over the difference in steps.
