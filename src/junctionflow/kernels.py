@@ -13,9 +13,10 @@ hinted solve, of one junction state or of a stack of them, first runs
 hint fixes computed once (``WarmPieces``), kept only where a certificate
 shows the cold solve would take the same root; plus
 (c) the exact sums behind the mass audit: ``row_sums`` takes the masses of
-a block of levels, which the march fills, with one extraction and a
-certified rounding, and leaves to ``math.fsum`` each row that rounding
-does not settle; and the exact prefix sums behind the mass ledger.
+a block of levels, the march's ring of level buffers, less their ghost
+and pad columns, with one extraction and a certified rounding, and
+leaves to ``math.fsum`` each row that rounding does not settle; and the
+exact prefix sums behind the mass ledger.
 ``real_roots`` finds every sign change of a polynomial on an interval; it
 answers the flux-shape questions (the bell shape, the Lipschitz bound, the
 rarefaction states of a Riemann fan).
@@ -66,6 +67,8 @@ NUMBA_ENABLED = False
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
+# 1.0 as a 0-d array: numpy pairs it with an array faster than a float
+_ONE = np.array(1.0)
 # the warm start's certificate (``warm_roots``): the probes' reach, a share
 # of the piece's range, and its margins, far above any rounding of a kink
 # or of the balance
@@ -133,7 +136,7 @@ def flux_array(code: int, par: np.ndarray, x: np.ndarray) -> np.ndarray:
         # power of two: x (-1 / R) then rounds the real number x / -R
         # rounds, and a product takes the place of the quotient
         t = x * par[2] if len(par) > 2 else x / -par[1]
-        t += 1.0
+        t += _ONE
         f = par[0] * x
         f *= t
         return f
@@ -632,13 +635,15 @@ def _grid(n: int, top: float) -> tuple[int, float] | None:
     return e, math.ldexp(float(n * n), e - 104)
 
 
-def row_sums(block: np.ndarray, tops) -> list[float]:
+def row_sums(block: np.ndarray, tops, skip=slice(0)) -> list[float]:
     """The correctly rounded sum of every row of the 2-D float64 array
-    block, each bit-identical to ``math.fsum(row.tolist())`` (NaN and inf
-    propagate, and overflow raises, as fsum does). ``tops[i]`` bounds |x|
-    over row i; any such bound gives the same sums, and a row with a term
-    that is not finite needs a top that is not finite (inf or NaN, as
-    max|x| gives it).
+    block, less its columns ``skip`` (an index array; none by default),
+    each bit-identical to ``math.fsum`` of the row's other terms (NaN and
+    inf propagate, and overflow raises, as fsum does). ``tops[i]`` bounds
+    |x| over row i, skipped columns included; any such bound gives the
+    same sums, and a row with a term that is not finite needs a top that
+    is not finite (inf or NaN, as max|x| gives it). The skipped columns
+    read 0 in the temporaries below, and block itself is only read.
 
     One error-free extraction takes the whole block at once, on the sigma
     grid of a row of that length and the largest bound (``_grid``), so the
@@ -657,18 +662,29 @@ def row_sums(block: np.ndarray, tops) -> list[float]:
     """
     grid = _grid(block.shape[1], max(tops, default=0.0))
     if grid is None or grid[1] < _TINY:
-        return [math.fsum(row) for row in block.tolist()]
+        return list(map(math.fsum, _cells(block, skip).tolist()))
     e, bound = grid
     sigma = math.ldexp(1.0, e)
     q = block + sigma
     q -= sigma
+    q[:, skip] = 0.0
     parts = np.add.reduce(q, axis=1).tolist()
-    rests = np.add.reduce(np.subtract(block, q, out=q), axis=1).tolist()
+    rest = np.subtract(block, q, out=q)
+    rest[:, skip] = 0.0
+    rests = np.add.reduce(rest, axis=1).tolist()
     sums = list(map(math.fsum, zip(parts, rests, repeat(-bound))))
     for i, high in enumerate(map(math.fsum, zip(parts, rests, repeat(bound)))):
         if sums[i] != high:
-            sums[i] = math.fsum(block[i].tolist())
+            sums[i] = math.fsum(_cells(block[i], skip).tolist())
     return sums
+
+
+def _cells(x: np.ndarray, skip) -> np.ndarray:
+    """A copy of the rows x, or of the row x, with its columns skip at
+    -0.0, which adds nothing to any sum, ``math.fsum``'s included."""
+    x = x.copy()
+    x[..., skip] = -0.0
+    return x
 
 
 def prefix_layers(x: np.ndarray) -> np.ndarray:

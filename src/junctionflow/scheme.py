@@ -13,10 +13,12 @@ The march holds the network in one float64 buffer: each incoming road as
 Interface k lies between slots k and k+1, so every interface between two
 roads is a junction interface, overwritten with the junction flux; the pad
 keeps the last incoming and first outgoing road from sharing one. Ghosts
-and pad are filled whenever a buffer is made, so every slot is in range,
-and roads of one flux family side by side share one Godunov sweep. Each
-step makes a fresh buffer, and ``GridState.values`` are views of its cells;
-levels the march holds at a bitwise fixed point share one buffer.
+and pad are filled whenever a buffer is written, so every slot is in
+range, and roads of one flux family side by side share one Godunov sweep.
+The march writes each step's level into a row of a block of buffers, its
+ring (see ``_march``); a level it keeps is copied out, and
+``GridState.values`` are views of its cells. Levels the march holds at a
+bitwise fixed point share one buffer.
 
 The scheme is monotone under the CFL bound dt <= dx / (2 max_h L_h), which
 gives the maximum principle, order preservation, and discrete L1 contraction
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -40,9 +43,12 @@ _GAUSS_OFFSET = math.sqrt(0.6) / 2.0
 _GAUSS_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 # cells and steps stay below this count, so they index and time exactly
 _MAX_COUNT = 2**53
-# the march takes the exact masses of as many levels at once as fill this
-# many bytes (see ``_march``)
+# the march's first block of levels fills this many bytes, and at least two
+# levels; each block that fills up doubles the next, up to 64 levels or
+# _MASS_BLOCK_MAX bytes, whichever is smaller (see ``_march``)
 _MASS_BLOCK = 65536
+_MASS_BLOCK_MAX = 1 << 20
+_MASS_BLOCK_LEVELS = 64
 # slices of the slot axis, of one buffer or of every buffer of a stack;
 # made once, they index faster than a slice written out each time
 _INNER, _LEFT, _RIGHT = np.s_[..., 1:-1], np.s_[..., :-1], np.s_[..., 1:]
@@ -162,6 +168,12 @@ class _Layout:
         slots, sweeps = int(stops[-1]), tuple(sweeps)
         return cls(slots, **index, sweeps=sweeps,
                    stacked=cls(slots, **stacked, sweeps=sweeps))
+
+    @cached_property
+    def skip(self) -> np.ndarray:
+        """The ghost and pad slots, which hold no cell: the columns that
+        ``kernels.row_sums`` leaves out of a level's mass."""
+        return np.append(self.ghosts, self.pad)
 
     def views(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
         return tuple(map(u.__getitem__, self.cells))
@@ -322,21 +334,20 @@ def _flux_grid(u: np.ndarray, mesh: NetworkMesh, gstar,
     return fgrid
 
 
-def _update(u: np.ndarray, mesh: NetworkMesh, dt: float, gstar, ghosts=None,
-            eps: float = 0.0):
+def _update(u: np.ndarray, mesh: NetworkMesh, lam, gstar, out: np.ndarray,
+            ghosts=None, eps: float = 0.0):
     """One conservative update of the network buffer u, or of each buffer
-    of a stack, with the fluxes of ``_flux_grid``. Returns (the new buffer,
+    of a stack, with the fluxes of ``_flux_grid`` and lam = dt / dx (a
+    float, or a 0-d array, which numpy pairs with an array faster),
+    written into out, of u's shape and not overlapping it. Returns (out,
     its ghosts and pad filled, per-road outer boundary flux)."""
     layout = mesh._layout if u.ndim == 1 else mesh._layout.stacked
     fgrid = _flux_grid(u, mesh, gstar, eps)
-    # made after the flux grid: the other order lets glibc trim the heap
-    # between steps, which made a 3 x 4000-cell step about 20% slower
-    new = np.empty(u.shape)
-    inner = np.subtract(fgrid[_RIGHT], fgrid[_LEFT], out=new[_INNER])
-    inner *= dt / mesh.dx
+    inner = np.subtract(fgrid[_RIGHT], fgrid[_LEFT], out=out[_INNER])
+    inner *= lam
     np.subtract(u[_INNER], inner, out=inner)
-    layout.fill(new, ghosts)
-    return new, fgrid[layout.outer]
+    layout.fill(out, ghosts)
+    return out, fgrid[layout.outer]
 
 
 def _check_timestep(dt: float, limit: float) -> None:
@@ -356,7 +367,8 @@ def step(state: GridState, mesh: NetworkMesh, dt: float,
               else mesh.spec.candidate(dirichlet_values))
     u = _pack(mesh, state, ghosts)
     sol = solve_junction(mesh.spec, u[mesh._layout.adj])
-    u, _ = _update(u, mesh, dt, sol.fluxes, ghosts)
+    u, _ = _update(u, mesh, dt / mesh.dx, sol.fluxes, np.empty_like(u),
+                   ghosts)
     return GridState(state.time_step + 1, state.time + dt,
                      mesh._layout.views(u))
 
@@ -395,62 +407,88 @@ def _range_error(mesh: NetworkMesh, u: np.ndarray,
                             f"[{spec.rho_min}, {spec.rho_max}]")
 
 
+def _guard(mesh: NetworkMesh, levels: np.ndarray, step: int) -> float:
+    """The march's range guard over a block of levels, shape (levels,
+    slots) or, of a stack, (levels, runs, slots), the first of them that of
+    ``step``: one min and one max over the block. A slot outside [A, B]
+    (beyond the slack of 1e-12 of the span that ``JunctionSpec.candidate``
+    allows) or a NaN one raises the ConsistencyError of ``_range_error``
+    for the first level that has one. Returns max|x| over the block, a
+    bound of every row that ``kernels.row_sums`` takes."""
+    low = float(np.minimum.reduce(levels, axis=None))
+    high = float(np.maximum.reduce(levels, axis=None))
+    lo, hi = mesh.spec._bounds
+    if not (lo <= low and high <= hi):  # NaN fails this too
+        for k, level in enumerate(levels):
+            if not ((level >= lo) & (level <= hi)).all():
+                raise _range_error(mesh, level, step + k)
+    return max(-low, high)
+
+
 def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
            advance, keep_states: bool = True, snapshot_times=()):
     """The time loop of every run from the network buffer u: steps of dt0,
-    the last one shortened to land exactly on t_final. ``advance(u, dt)``
-    returns (new buffer, per-road outer boundary flux, junction record,
-    never None).
+    the last one shortened to land exactly on t_final. ``advance(u, lam,
+    out)`` writes the level after u into out, a buffer of u's shape, with
+    lam = dt / dx (of a full step, a 0-d array made once per run), and
+    returns (out, per-road outer boundary flux, junction record, never
+    None).
 
     u may be a stack of buffers, shape (runs, slots), of independent runs
     on one mesh (see ``run_batch``): ``advance`` then steps every row at
     once and returns one boundary row per run. Every per-level figure
-    below is then taken per run, and one guard, one hold and one mass
-    block serve the whole stack.
+    below is then taken per run, and one guard, one hold and one block
+    serve the whole stack.
 
-    Each computed buffer gets one min/max pass, the maximum-principle
-    guard: a slot outside [A, B] (beyond the slack of 1e-12 of the span
-    that ``JunctionSpec.candidate`` allows) or a NaN stops the run with a
-    ConsistencyError that names the step and the road (and the run, of a
-    stack). A ConsistencyError of a junction solve in ``advance`` gets the
-    step, and the run that ``advance`` names as its ``run``, before it. The
-    first level was validated by ``_pack``, and a step that
-    returns its input bitwise with the record of the step before repeats a
-    buffer that has passed.
+    The computed levels live in a ring, a block of level buffers that
+    ``advance`` writes each level into, a row per level (and run); the
+    level it reads is the row before, or the last row of the block
+    before. The first block fills ``_MASS_BLOCK`` bytes (64 KB: 40 levels
+    of 2 x 100 cells, 10 of 2 x 400) and holds at least two levels. Each
+    block that fills up doubles the next, up to 64 levels or
+    ``_MASS_BLOCK_MAX`` bytes (1 MB, 10 levels of 3 x 4000 cells),
+    whichever is smaller, and to no more levels than steps are left: a
+    short run pays for a small block, a long one for few flushes. The
+    levels waiting in a block are flushed when it is full, when a hold
+    starts (held levels repeat that mass) and at the end:
 
-    The first level's mass is ``GridState.total_mass``; those of computed
-    levels are taken a block at a time: each buffer is copied into a block
-    of ``_MASS_BLOCK`` bytes (64 KB, 40 levels of 2 x 100 cells or 10 of
-    2 x 400) and waits there with its guard bound, which spares
-    ``kernels.row_sums`` a max|x| pass. One ``row_sums`` call takes the
-    masses of all waiting levels when the block is full, when a hold
-    starts (held levels repeat that mass) and at the end. The ghost and
-    pad columns of the block read -0.0, which adds nothing to any sum, and
-    every row sum is ``math.fsum`` of its row, so each mass is dx times
-    ``math.fsum`` of its level's cells, bit for bit, as ``total_mass``
-    gives it. A level that fills the block alone (3 x 4000 cells) makes a
-    block of one row. A non-finite mass stops the run when its block is
-    summed, naming its own step. A ``GridState`` is built, after the loop,
-    only for the levels kept (see the README's "Mass ledger" for the
-    cost).
+    - the maximum-principle guard (``_guard``) takes one min and one max
+      over the waiting levels: a slot outside [A, B] or a NaN stops the run
+      with a ConsistencyError that names the first such step and the road
+      (and the run, of a stack);
+    - one ``kernels.row_sums`` call takes the masses of all waiting
+      levels, with the guard's bound, which spares it a max|x| pass, and
+      less the ghost and pad columns: each mass is dx times ``math.fsum``
+      of its level's cells, bit for bit, as ``GridState.total_mass`` gives
+      the first level's. A non-finite mass stops the run, naming its own
+      step.
 
-    ``advance`` must be a pure function of the bytes of u and dt. A
+    The steps after a bad level, up to the flush, are computed from it,
+    with numpy's floating-point warnings off. An exception from
+    ``advance`` first runs the guard over the waiting levels, so the error
+    of an earlier step wins; a ConsistencyError of a junction solve in
+    ``advance`` gets the step, and the run that ``advance`` names as its
+    ``run``, before it. The first level was validated by ``_pack``.
+
+    ``advance`` must be a pure function of the bytes of u and lam. A
     full-length step that returns its input bitwise, with the junction
     record of the step before, is then a fixed point: it would return the
     same buffer, boundary flux and record at every later full-length step.
     From there on the march holds that buffer and repeats the step's mass
-    and boundary sum instead of advancing; held levels share one buffer.
-    The shortened last step is always computed.
+    and boundary sum instead of advancing. The shortened last step is
+    always computed, into a row other than the held level's.
 
-    Returns (states, buffers, times, dts, boundary_net, masses, records).
-    ``states`` keeps every level if ``keep_states``, else the first, the
-    last and those nearest ``snapshot_times``, each once and in order;
-    ``buffers`` holds the buffer each kept level views. Of a stack,
+    A kept level is copied out of the ring, a held one once, so held
+    levels share one buffer; a ``GridState`` is built, after the loop,
+    only for the levels kept (see the README's "Mass ledger" for the
+    cost). Returns (states, buffers, times, dts, boundary_net, masses,
+    records). ``states`` keeps every level if ``keep_states``, else the
+    first, the last and those nearest ``snapshot_times``, each once and in
+    order; ``buffers`` holds the buffer each kept level views. Of a stack,
     ``states`` and ``buffers`` hold one such list per run, and
     ``boundary_net`` and ``masses`` one column per run.
     """
     m = mesh.spec.m
-    lo_ok, hi_ok = mesh.spec._bounds
     n_steps = _step_count(t_final, dt0)
 
     # time levels are known up front, so the kept ones can be too
@@ -473,73 +511,87 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     # the kept levels and their buffers
     steps = range(n_steps + 1) if keep_states else [0, *sorted(kept - {0})]
     buffers = [u]
-    # computed levels wait in block, a row per run, with their guard bounds
-    # in tops, until their masses are taken together
-    rows = max(1, min(n_steps, _MASS_BLOCK // u.nbytes))
-    block = np.empty((rows * width, layout.slots))
-    levels = block.reshape(rows, *u.shape)  # the block, level by level
-    tops = [0.0] * rows
-    waiting = 0
+    cap = max(2, min(_MASS_BLOCK_LEVELS, _MASS_BLOCK_MAX // u.nbytes))
+    lam = np.array(dt0 / mesh.dx)
+
+    def ring(height):
+        # a block of height levels: its rows, and the same rows by level
+        block = np.empty((height * width, layout.slots))
+        return block, block.reshape(height, *runs, layout.slots)
+
+    # the levels waiting to be flushed are rows start .. start + waiting - 1
+    block, levels = ring(min(n_steps, max(2, _MASS_BLOCK // u.nbytes)))
+    start = waiting = 0
 
     def flush(stop):
-        # the masses of levels stop - waiting + 1 .. stop; returns the last
-        pending = block[:waiting * width]
-        pending[:, layout.ghosts] = -0.0  # adds nothing to any sum
-        pending[:, layout.pad] = -0.0
+        # guard and take the masses of levels stop - waiting + 1 .. stop
+        first = stop + 1 - waiting
+        top = _guard(mesh, levels[start:start + waiting], first)
         got = [mesh.dx * total for total in kernels.row_sums(
-            pending, tops[:waiting] if width == 1
-            else np.repeat(tops[:waiting], width).tolist())]
-        start = stop + 1 - waiting
-        every_mass[start * width:(stop + 1) * width] = got
+            block[start * width:(start + waiting) * width],
+            [top] * (waiting * width), layout.skip)]
+        every_mass[first * width:(stop + 1) * width] = got
         if not all(map(math.isfinite, got)):  # name the first that is not
             level, r = divmod(list(map(math.isfinite, got)).index(False),
                               width)
             raise ConsistencyError(
-                f"{f'run {r}: ' if batch else ''}step {start + level}: "
+                f"{f'run {r}: ' if batch else ''}step {first + level}: "
                 f"total mass is {got[level * width + r]}")
-        return got[-width:] if batch else got[-1]
 
-    lowest, highest = np.minimum.reduce, np.maximum.reduce
     dts = [dt0] * n_steps
     bnet = [0.0] * n_steps
-    records = []
+    records = [None] * n_steps
     record = None
     held = False
-    for s in range(n_steps):
-        dt = times[s + 1] - s * dt0 if s == n_steps - 1 else dt0
-        if not held or dt != dt0:
-            last = record
-            try:
-                new, boundary, record = advance(u, dt)
-            except ConsistencyError as exc:  # a junction solve failed
-                run = getattr(exc, "run", None)
-                raise ConsistencyError(
-                    f"{'' if run is None else f'run {run}: '}step {s + 1}: "
-                    f"{exc}") from exc
-            # compare bytes, so that -0.0 and 0.0 stay apart
-            repeat = record is last and new.tobytes() == u.tobytes()
-            if not repeat:  # else the buffer has passed the guard already
-                lo, hi = float(lowest(new, None)), float(highest(new, None))
-                if not (lo_ok <= lo and hi <= hi_ok):  # NaN fails this too
-                    raise _range_error(mesh, new, s + 1)
-            flows = boundary.tolist()
-            net = ([math.fsum(f[m:]) - math.fsum(f[:m]) for f in flows]
-                   if batch else math.fsum(flows[m:]) - math.fsum(flows[:m]))
-            held = repeat and dt == dt0
-            u = new
-            levels[waiting] = u
-            tops[waiting] = max(-lo, hi)
-            waiting += 1
-            if held or waiting == rows:  # held levels repeat this mass
-                mass = flush(s + 1)
-                waiting = 0
-        else:
-            masses[s + 1] = mass
-        if keep_states or s + 1 in kept:
-            buffers.append(u)
-        dts[s] = dt
-        records.append(record)
-        bnet[s] = net
+    copy = None  # what buffers holds of u, once it is kept
+    with np.errstate(all="ignore"):  # a bad level is the guard's to report
+        for s in range(n_steps):
+            dt = times[s + 1] - s * dt0 if s == n_steps - 1 else dt0
+            if not held or dt != dt0:
+                if dt != dt0:
+                    lam = dt / mesh.dx
+                last = record
+                out = levels[start + waiting]
+                try:
+                    _, boundary, record = advance(u, lam, out)
+                except Exception as exc:
+                    if waiting:  # the error of a bad level before wins
+                        _guard(mesh, levels[start:start + waiting],
+                               s + 1 - waiting)
+                    if not isinstance(exc, ConsistencyError):
+                        raise
+                    run = getattr(exc, "run", None)  # a junction solve's
+                    raise ConsistencyError(
+                        f"{'' if run is None else f'run {run}: '}"
+                        f"step {s + 1}: {exc}") from exc
+                # compare bytes, so that -0.0 and 0.0 stay apart
+                held = (dt == dt0 and record is last
+                        and out.tobytes() == u.tobytes())
+                flows = boundary.tolist()
+                net = ([math.fsum(f[m:]) - math.fsum(f[:m]) for f in flows]
+                       if batch
+                       else math.fsum(flows[m:]) - math.fsum(flows[:m]))
+                u, copy = out, None
+                waiting += 1
+                dts[s], records[s], bnet[s] = dt, record, net
+                if held or start + waiting == len(levels):
+                    flush(s + 1)
+                    if held:  # held levels repeat this step's figures
+                        masses[s + 2:] = masses[s + 1]
+                        records[s + 1:] = [record] * (n_steps - s - 1)
+                        bnet[s + 1:] = [net] * (n_steps - s - 1)
+                        # the last step writes past the held row
+                        start = (start + waiting) % len(levels)
+                    else:
+                        start = 0
+                        grown = min(2 * len(levels), cap, n_steps - s - 1)
+                        if grown > len(levels):
+                            block, levels = ring(grown)
+                    waiting = 0
+            if keep_states or s + 1 in kept:
+                if copy is None:
+                    copy = u.copy()
+                buffers.append(copy)
     if waiting:
         flush(n_steps)
 
@@ -624,22 +676,23 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
     mesh = config.mesh
     ghosts = config.dirichlet_values
     adj = mesh._layout.adj
-    key = known = None
+    key = known = hint = None
     solves = 0
 
-    def advance(u, dt):
+    def advance(u, lam, out):
         # solve_junction is a pure function of the junction state, so a step
         # whose state repeats the previous one bitwise (an equilibrium, or
         # once the waves have left the node) reuses its solution; the bytes
         # keep -0.0 and 0.0 apart. Any other step hands the last active set
-        # on as a hint, which spares the scan but changes no result.
-        nonlocal key, known, solves
+        # found on as a hint (a plateau's solve finds none), which spares
+        # the scan but changes no result.
+        nonlocal key, known, hint, solves
         state = u[adj]
         if (seen := state.tobytes()) != key:
-            key, known = seen, solve_junction(
-                mesh.spec, state, None if known is None else known.active)
+            key, known = seen, solve_junction(mesh.spec, state, hint)
+            hint = known.active or hint
             solves += 1
-        return *_update(u, mesh, dt, known.fluxes, ghosts), known
+        return *_update(u, mesh, lam, known.fluxes, out, ghosts), known
 
     *marched, sols = _march(
         mesh, _pack(mesh, initial, ghosts),
@@ -652,11 +705,12 @@ def run_batch(config: RunConfig, initials,
               keep_states: bool = True) -> list[Trajectory]:
     """``[run(config, x, keep_states) for x in initials]``, every
     Trajectory bit for bit the same, marched as one stack of buffers,
-    shape (runs, slots): each step makes one sweep per family group, one
-    update, one range guard and one mass block for all runs at once. It
-    pays where many independent runs share one mesh and one config: the
-    fixed cost of a step on a coarse mesh is then shared, and what is left
-    per run is mostly its junction solve. ``run`` keeps its one buffer.
+    shape (runs, slots): each step makes one sweep per family group and
+    one update for all runs at once, and each block of levels one range
+    guard and one mass sum. It pays where many independent runs share one
+    mesh and one config: the fixed cost of a step on a coarse mesh is then
+    shared, and what is left per run is mostly its junction solve. ``run``
+    marches its one buffer.
 
     Each run keeps its own bytewise reuse of the last solution, its own
     warm hint and its own solve count, as in ``run``; the runs whose
@@ -683,14 +737,15 @@ def run_batch(config: RunConfig, initials,
         return []
     count = len(packed)
     keys, known, solves = [None] * count, [None] * count, [0] * count
+    hints = [None] * count  # each run's last active set found
     gstar = np.empty((count, spec.m + spec.n))
     stack_key = record = None
 
-    def advance(u, dt):
-        # run's reuse, run by run; a step on which no run solves returns
-        # the record of the step before, the same object. The runs that
-        # solve go to one stacked warm solve, and what it leaves to the
-        # scalar solve, one by one
+    def advance(u, lam, out):
+        # run's reuse and hints, run by run; a step on which no run solves
+        # returns the record of the step before, the same object. The runs
+        # that solve go to one stacked warm solve, and what it leaves to
+        # the scalar solve, one by one
         nonlocal stack_key, record
         junction = u[:, adj]
         if (seen := junction.tobytes()) != stack_key:
@@ -700,11 +755,9 @@ def run_batch(config: RunConfig, initials,
                 if (key := state.tobytes()) != keys[r]:
                     keys[r] = key
                     rows.append(r)
-            hints = [None if known[r] is None else known[r].active
-                     for r in rows]
             for r, sol in zip(rows, _solve_stack(
                     spec, junction if len(rows) == count else junction[rows],
-                    hints)):
+                    [hints[r] for r in rows])):
                 if sol is None:  # the stack has tried the hint: cold
                     try:
                         sol = solve_junction(spec, junction[r])
@@ -712,10 +765,11 @@ def run_batch(config: RunConfig, initials,
                         exc.run = r  # _march names the run and the step
                         raise
                 known[r] = sol
+                hints[r] = sol.active or hints[r]
                 solves[r] += 1
                 gstar[r] = sol.fluxes
             record = tuple(known)
-        return *_update(u, mesh, dt, gstar, ghosts), record
+        return *_update(u, mesh, lam, gstar, out, ghosts), record
 
     states, buffers, times, dts, bnet, masses, records = _march(
         mesh, np.stack(packed), cfl_timestep(mesh, config.cfl_number),

@@ -164,7 +164,7 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
     stacked = layout.stacked
     terms = []
     dts = dts.tolist()
-    last = None
+    hints = None
     for start in range(1, len(times) - 1, 64):
         steps = range(start, min(start + 64, len(times) - 1))
         ua = np.array([levels_a[s] for s in steps])
@@ -172,8 +172,8 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
         hi, lo = np.maximum(ua, ub), np.minimum(ua, ub)
         stacked.fill(hi)
         stacked.fill(lo)
-        chains = _level_solves(spec, np.stack((hi[:, adj], lo[:, adj])), last)
-        last = [chain[-1] for chain in chains]
+        chains, hints = _level_solves(
+            spec, np.stack((hi[:, adj], lo[:, adj])), hints)
         g_hi, g_lo = np.array([[sol.fluxes for sol in chain]
                                for chain in chains])
         q = _flux_grid(hi, mesh, g_hi) - _flux_grid(lo, mesh, g_lo)
@@ -186,35 +186,38 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
     return math.fsum(terms)
 
 
-def _level_solves(spec: JunctionSpec, states: np.ndarray, last) -> list:
+def _level_solves(spec: JunctionSpec, states: np.ndarray, hints):
     """The junction solution of every level of each chain of states, shape
     (chains, levels, m + n), the audit's max states and its min states:
-    ``solve_junction(spec, state, hint)`` hinted with the active set of
-    the level before, bit for bit. ``last`` holds each chain's solution of
-    the level before the first, or is None at the first audited level,
+    ``solve_junction(spec, state, hint)`` hinted with the last active set
+    its chain has found (a plateau's solve finds none), bit for bit, and
+    each chain's hint after its last level. ``hints`` holds each chain's
+    hint before the first level, or is None at the first audited level,
     which is solved cold.
 
     Rows of one stacked solve (``junction._solve_stack``) cannot chain, so
-    every later level is hinted with the active set of its chain's last
-    solved level; the rows it leaves are solved one by one, in order,
-    hinted by the level before where that is not the set the stack tried."""
-    if last is None:
-        last = [solve_junction(spec, chain[0]) for chain in states]
-        sols = [[sol] for sol in last]
+    every later level is hinted with its chain's hint before the first;
+    the rows it leaves are solved one by one, in order, hinted by the last
+    set found where that is not the set the stack tried."""
+    if hints is None:
+        sols = [[solve_junction(spec, chain[0])] for chain in states]
+        hints = [chain[0].active for chain in sols]
         states = states[:, 1:]
     else:
-        sols = [[] for _ in last]
+        sols = [[] for _ in hints]
     levels = states.shape[1]
     got = _solve_stack(spec, states.reshape(-1, states.shape[2]),
-                       [sol.active for sol in last for _ in range(levels)])
+                       [hint for hint in hints for _ in range(levels)])
     for c, chain in enumerate(sols):
+        tried = hint = hints[c]
         for k, sol in enumerate(got[c * levels:(c + 1) * levels]):
-            if sol is None:  # the stack has tried the last active set
-                hint = (chain[-1] if chain else last[c]).active
+            if sol is None:  # the stack has tried its hint
                 sol = solve_junction(spec, states[c, k],
-                                     None if hint == last[c].active else hint)
+                                     None if hint == tried else hint)
             chain.append(sol)
-    return sols
+            hint = sol.active or hint
+        hints[c] = hint
+    return sols, hints
 
 
 def _mass_scale(mesh: NetworkMesh) -> float:

@@ -326,8 +326,9 @@ def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
     Raises ConfigError if dt exceeds the monotonicity bound."""
     _check_timestep(dt, _parabolic_bound(mesh,
                                          as_positive("epsilon", epsilon)))
-    u = _parabolic_advance(_pack(mesh, state), mesh, epsilon, dt,
-                           _visc_pieces(mesh, epsilon))[0]
+    u = _pack(mesh, state)
+    u = _parabolic_advance(u, mesh, epsilon, dt / mesh.dx,
+                           _visc_pieces(mesh, epsilon), np.empty_like(u))[0]
     return GridState(state.time_step + 1, state.time + dt,
                      mesh._layout.views(u))
 
@@ -341,16 +342,18 @@ def _visc_pieces(mesh: NetworkMesh, eps: float) -> kernels.WarmPieces:
                               -(2.0 * eps / mesh.dx) * (spec.m + spec.n))
 
 
-def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float,
-                       dt: float, pieces: kernels.WarmPieces, hint=None):
+def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float, lam,
+                       pieces: kernels.WarmPieces, out: np.ndarray,
+                       hint=None):
     """The junction value w, each road's Godunov plus diffusive flux to w,
-    then the shared update with diffusion: (new buffer, boundary flux, w,
-    the active set of w's solve). w comes from ``kernels.solve_visc_w``,
-    the junction solver's own solve with the diffusive line added to the
-    balance gap, its slope held by ``pieces`` (``_visc_pieces``): the
-    hint's piece where the warm certificate holds, else two bisections
-    over the kinks and ends, then the exact root of one piece. The hint
-    spares work, never changes a result.
+    then the shared update with diffusion (``scheme._update``, lam = dt /
+    dx) into out: (out, boundary flux, w, the active set of w's solve). w
+    comes from ``kernels.solve_visc_w``, the junction solver's own solve
+    with the diffusive line added to the balance gap, its slope held by
+    ``pieces`` (``_visc_pieces``): the hint's piece where the warm
+    certificate holds, else two bisections over the kinks and ends, then
+    the exact root of one piece. The hint spares work, never changes a
+    result.
 
     u must lie in [A, B], where the fluxes are defined: ``_pack`` checks
     the first level of a run and ``_march``'s guard every later one. The
@@ -367,7 +370,7 @@ def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float,
     kernels.fill_junction_fluxes(roads, m, consts, w, gstar)
     for h, a in enumerate(ustar):
         gstar[h] -= e * (w - a) if h < m else e * (a - w)
-    return *_update(u, mesh, dt, gstar, eps=eps), w, active
+    return *_update(u, mesh, lam, gstar, out, eps=eps), w, active
 
 
 @dataclass(eq=False)
@@ -397,19 +400,22 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
     ``initial`` is a GridState or per-road data accepted by
     ``discretize_initial``. The time loop is ``scheme.run``'s: the last
     step is shortened to land on t_final exactly. Only the first and last
-    levels are kept, so a run holds one or two network buffers whatever its
-    step count; ``parabolic_step`` replays every level bitwise from ``dts``.
-    Each step hands its solve's active set to the next as a hint.
+    levels are kept, so a run holds one or two network buffers and the
+    march's block (at most 64 levels or 1 MB) whatever its step count;
+    ``parabolic_step`` replays every level bitwise from ``dts``.
+    Each step hands the last active set its solves found to the next as a
+    hint.
     """
     t_final = as_bounded("t_final", t_final, 0.0)
     u0, dt0 = _pack(mesh, initial), parabolic_timestep(mesh, epsilon)
     pieces, active = _visc_pieces(mesh, epsilon), None  # epsilon checked
 
-    def advance(u, dt):
+    def advance(u, lam, out):
         nonlocal active
-        *out, active = _parabolic_advance(u, mesh, epsilon, dt, pieces,
-                                          active)
-        return out
+        *got, found = _parabolic_advance(u, mesh, epsilon, lam, pieces, out,
+                                         active)
+        active = found or active  # a kink's solve finds no set
+        return got
 
     states, _, times, dts, bnet, masses, wlog = _march(
         mesh, u0, dt0, t_final, advance, keep_states=False)

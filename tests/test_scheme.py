@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +31,7 @@ from junctionflow import (
     tabulated,
 )
 from junctionflow import kernels, scheme, viscous
+from junctionflow.junction import JunctionSolution
 from junctionflow.scheme import Trajectory
 from junctionflow.verify import germ_sampler
 from junctionflow.viscous import parabolic_step, parabolic_timestep
@@ -471,20 +473,26 @@ def test_step_above_the_stability_bound_stops_the_run(monkeypatch):
     # three times the stable step on 1-1 LWR of equal speeds, with traffic
     # at 0.5 running into queues at 0.9 and 0.95 on either side of the
     # node: the update is no longer monotone, a queue overshoots 1 within a
-    # few steps, and the march's range guard stops the run at that step and
-    # names the road, before a later junction solve could read the state;
-    # the parabolic march keeps the same guard
+    # few steps, and the march's range guard stops the run, naming that
+    # step and the road. The steps computed from the bad levels before the
+    # guard runs overflow, silently; the parabolic march keeps the same
+    # guard
     mesh = small_mesh(JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr())))
     init = [np.repeat([0.5, 0.9], 25), np.repeat([0.95, 0.1], 25)]
     cfl, parabolic = scheme.cfl_timestep, viscous.parabolic_timestep
     monkeypatch.setattr(scheme, "cfl_timestep",
                         lambda mesh, number: 3.0 * cfl(mesh, number))
-    with pytest.raises(ConsistencyError, match=r"^step \d+: road \d"):
-        run(RunConfig(mesh, 1.0, 0.5), init)
     monkeypatch.setattr(viscous, "parabolic_timestep",
                         lambda mesh, eps: 3.0 * parabolic(mesh, eps))
-    with pytest.raises(ConsistencyError, match=r"^step \d+: road \d"):
-        run_parabolic(mesh, 0.02, init, 0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConsistencyError,
+                           match=r"^step 3: road 0 cell 47 holds 1\.009"):
+            run(RunConfig(mesh, 1.0, 0.5), init)
+        with pytest.raises(ConsistencyError,
+                           match=r"^step 2: road 0 cell 25 holds 1\.076"):
+            run_parabolic(mesh, 0.02, init, 0.5)
+    assert caught == []
 
 
 def _road_by_road_update(values, mesh, dt, gstar, ghosts=None, eps=0.0):
@@ -541,8 +549,9 @@ def test_network_update_matches_road_by_road(seed, m, n, symmetric,
     gstar = rng.uniform(0.0, 1.0, m + n) * np.array(
         [r[3] for r in spec._roads])
     dt = 0.9 * cfl_timestep(mesh, 1.0)
-    u, boundary = scheme._update(scheme._pack(mesh, values, ghosts), mesh,
-                                 dt, gstar, ghosts, eps)
+    packed = scheme._pack(mesh, values, ghosts)
+    u, boundary = scheme._update(packed, mesh, dt / mesh.dx, gstar,
+                                 np.empty_like(packed), ghosts, eps)
     want, want_boundary = _road_by_road_update(values, mesh, dt, gstar,
                                                ghosts, eps)
     for got, ref in zip(mesh._layout.views(u), want):
@@ -780,6 +789,50 @@ def test_moving_run_warm_starts_the_junction_bracket(monkeypatch):
     assert sum(k == 0 for k in per_solve) >= 0.95 * len(per_solve)
 
 
+def test_a_plateau_keeps_the_last_active_set_as_the_hint(monkeypatch):
+    # a solve on a plateau (or a kink, or an end) finds no active set. The
+    # runs of the test above reach none, so every 10th solution here has
+    # its set taken away, as a plateau's would be; the solve after it
+    # still starts from the last set found, and only the first solve of
+    # each run is cold (kernels.coupling_interval), alone and in a batch.
+    # A hint never changes a result
+    spec = JunctionSpec(2, 1, (quadratic_lwr(), quadratic_lwr(),
+                               quadratic_lwr(2.0)))
+    config = RunConfig(NetworkMesh(spec, 1.0 / 200, 200), 0.9, 0.1)
+    initials = [[np.repeat(rng.random(10), 20) for _ in range(3)]
+                for rng in map(np.random.default_rng, (5, 6))]
+    want = [run(config, init) for init in initials]
+    real_solve, real_stack = scheme.solve_junction, scheme._solve_stack
+    real_interval = kernels.coupling_interval
+    solves, cold = [], []
+
+    def flat(sol):
+        if sol is None:  # a row the stack leaves to the solve one by one
+            return sol
+        solves.append(sol)
+        if len(solves) % 10:
+            return sol
+        return JunctionSolution(sol.p_min, sol.p_max, sol.fluxes, sol.total)
+
+    def interval(*args):
+        cold.append(1)
+        return real_interval(*args)
+
+    monkeypatch.setattr(scheme, "solve_junction",
+                        lambda *args: flat(real_solve(*args)))
+    monkeypatch.setattr(scheme, "_solve_stack",
+                        lambda *args: list(map(flat, real_stack(*args))))
+    monkeypatch.setattr(kernels, "coupling_interval", interval)
+    for init, ref in zip(initials, want):
+        solves.clear(), cold.clear()
+        _assert_same_run(run(config, init), ref)
+        assert len(solves) == 89 and len(cold) == 1
+    solves.clear(), cold.clear()
+    for got, ref in zip(scheme.run_batch(config, initials), want):
+        _assert_same_run(got, ref)
+    assert len(solves) == 2 * 89 and len(cold) == 2
+
+
 def test_signed_zero_is_a_new_junction_state(monkeypatch):
     # symmetric-quadratic roads held at their crest 0.0; turning the first
     # road's junction cell to -0.0 after step 2 is a new state (held from
@@ -911,6 +964,33 @@ def test_hold_tells_signed_zeros_apart(monkeypatch):
     assert len(steps) == 4 + (traj.dts[-1] != traj.dts[0])
 
 
+def test_shortened_step_never_overwrites_the_held_level(monkeypatch):
+    # the run above on 3 x 800 cells, whose first block holds 3 levels: the
+    # hold starts at step 4, in the first row of the second block, and the
+    # shortened last step is written into another row, never into the
+    # held level it reads
+    mesh = small_mesh(SYMQ21, dx=0.02, cells=800)
+    assert scheme._MASS_BLOCK // (mesh._layout.slots * 8) == 3
+    adj = int(mesh._layout.adj[0])
+    heights = _spy_blocks(monkeypatch)
+    real = scheme._update
+    steps = []
+
+    def flip(u, mesh, lam, gstar, out, *args):
+        assert not np.shares_memory(u, out)
+        new, boundary = real(u, mesh, lam, gstar, out, *args)
+        steps.append(None)
+        if len(steps) == 2:
+            new[adj] = -0.0
+        return new, boundary
+
+    monkeypatch.setattr(scheme, "_update", flip)
+    traj = run(RunConfig(mesh, 0.9, 10.5 * cfl_timestep(mesh, 0.9)),
+               [0.0, 0.0, 0.0])
+    assert len(steps) == 5 and heights == [3, 1, 1]
+    assert traj.final.values[0][-1].tobytes() == np.array(-0.0).tobytes()
+
+
 def test_parabolic_run_holds_an_empty_network(monkeypatch):
     # on empty roads the junction value is rho_min itself, the same float
     # object at every step, so the parabolic march holds as well
@@ -942,9 +1022,9 @@ def _spy_blocks(monkeypatch, poison_row=None):
     real = kernels.row_sums
     heights = []
 
-    def spy(block, tops):
+    def spy(block, tops, skip):
         heights.append(block.shape[0])
-        sums = real(block, tops)
+        sums = real(block, tops, skip)
         if poison_row is not None and len(heights) == 2:
             sums[poison_row] = math.inf
         return sums
@@ -954,39 +1034,43 @@ def _spy_blocks(monkeypatch, poison_row=None):
 
 
 def test_block_masses_are_those_of_the_replayed_levels(monkeypatch):
-    # a parabolic run of three full blocks of 40 levels and a partial one,
-    # and a hyperbolic run whose hold starts mid-block: every mass is
+    # a parabolic run of a full first block of 40 levels, two full blocks
+    # of 64 (40 doubled, up to 64 levels) and a partial one, and a
+    # hyperbolic run whose hold starts mid-block: every mass is
     # GridState.total_mass of its level, replayed step by step, bitwise
     mesh = NetworkMesh(LWR11, 0.01, np.array([100, 100]))
     rows = scheme._MASS_BLOCK // mesh._layout.slots // 8
-    assert rows == 40
+    assert rows == 40 and scheme._MASS_BLOCK_LEVELS == 64
     heights = _spy_blocks(monkeypatch)
     eps = 0.02
     init = [np.linspace(0.1, 0.4, 100), np.linspace(0.9, 0.5, 100)]
     traj = run_parabolic(mesh, eps, init,
-                         (3 * rows + 16.5) * parabolic_timestep(mesh, eps))
-    assert heights == [rows, rows, rows, 17]
+                         (rows + 2 * 64 + 16.5) * parabolic_timestep(mesh,
+                                                                     eps))
+    assert heights == [rows, 64, 64, 17]
     state = discretize_initial(mesh, init)
     masses = [state.total_mass(mesh.dx)]
     for dt in traj.dts:
         state = parabolic_step(state, mesh, eps, dt)
         masses.append(state.total_mass(mesh.dx))
     assert traj.masses.tobytes() == np.array(masses).tobytes()
-    # the 2-1 settling run below holds from step 284 on: five full blocks
-    # of 53 levels, 19 more when the hold starts, and the shortened step
+    # the 2-1 settling run below holds from step 284 on: a full block of
+    # 53 levels, three of 64, 39 more when the hold starts, and the
+    # shortened step
     heights.clear()
     mesh = NetworkMesh(JunctionSpec(2, 1, (quadratic_lwr(),) * 3), 0.01, 50)
     traj = run(RunConfig(mesh, 0.9, 300.5 * cfl_timestep(mesh, 0.9)),
                [0.02, 0.81, 0.91])
-    assert heights == [53] * 5 + [19, 1]
+    assert heights == [53] + [64] * 3 + [39, 1]
     _assert_step_replay(traj, [0.02, 0.81, 0.91])
-    # a level that fills the block alone makes a block of one row
+    # a level larger than the first block's bytes makes a block of two
+    # rows; the third step, the last, is flushed alone
     heights.clear()
     mesh = NetworkMesh(LWR11, 1e-3, np.array([4100, 4100]))
     assert mesh._layout.slots * 8 > scheme._MASS_BLOCK
     init = [np.linspace(0.1, 0.4, 4100), np.linspace(0.9, 0.5, 4100)]
     traj = run(RunConfig(mesh, 0.9, 2.5 * cfl_timestep(mesh, 0.9)), init)
-    assert heights == [1, 1, 1]
+    assert heights == [2, 1]
     _assert_step_replay(traj, init)
 
 
@@ -995,13 +1079,56 @@ def test_non_finite_block_mass_names_its_own_step(monkeypatch):
     # run when the block is summed, at the step of that level
     mesh = NetworkMesh(LWR11, 0.01, np.array([100, 100]))
     init = [np.linspace(0.1, 0.4, 100), np.linspace(0.9, 0.5, 100)]
-    for march in (lambda: run(RunConfig(mesh, 0.9, 0.5), init),
-                  lambda: run_parabolic(mesh, 0.02, init, 0.12)):
+    # the second block is 64 levels of the 167-step run, and the 60 left
+    # of the 100-step parabolic one
+    for march, second in (
+            (lambda: run(RunConfig(mesh, 0.9, 0.5), init), 64),
+            (lambda: run_parabolic(mesh, 0.02, init, 0.12), 60)):
         heights = _spy_blocks(monkeypatch, poison_row=5)
         with pytest.raises(ConsistencyError,
                            match=r"^step 46: total mass is inf$"):
             march()
-        assert heights == [40, 40]
+        assert heights == [40, second]
+
+
+@pytest.mark.parametrize("kind", ["run", "batch", "parabolic"])
+@pytest.mark.parametrize("cell", [2, 98])
+def test_mid_block_guard_names_the_first_bad_step(monkeypatch, kind, cell):
+    # a NaN flux at step 20 between cells cell and cell + 1 of road 0 (of
+    # run 1 in a batch of three): the level of step 20 waits in the middle
+    # of a block, the first of 40 levels of a run, the second of 26 (steps
+    # 14 to 39) of the batch. Far from the node (cell 2) the march goes on
+    # from it with no warning, and the guard names step 20 when the block
+    # is flushed; next to the node (cell 98) the junction solve of step 21
+    # (of a hyperbolic run) reads the NaN first and raises, and the
+    # guard's error for step 20 wins over the solve's
+    mesh = NetworkMesh(LWR11, 0.01, np.array([100, 100]))
+    init = [np.linspace(0.1, 0.4, 100), np.linspace(0.9, 0.5, 100)]
+    march = {
+        "run": lambda: run(RunConfig(mesh, 0.9, 0.2), init),
+        "batch": lambda: scheme.run_batch(RunConfig(mesh, 0.9, 0.2),
+                                          [init] * 3),
+        "parabolic": lambda: run_parabolic(mesh, 0.02, init, 0.06)}[kind]
+    real = kernels.interface_fluxes
+    sweeps = []
+
+    def poisoned(code, par, crit, fcrit, u_ext, out):
+        real(code, par, crit, fcrit, u_ext, out)
+        sweeps.append(1)  # both LWR roads share one sweep per step
+        if len(sweeps) == 20:
+            out[(1, cell + 1) if kind == "batch" else cell + 1] = math.nan
+
+    monkeypatch.setattr(kernels, "interface_fluxes", poisoned)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConsistencyError,
+                           match=rf"^{'run 1: ' if kind == 'batch' else ''}"
+                                 rf"step 20: road 0 cell {cell} holds nan, "):
+            march()
+    assert caught == []
+    # the parabolic junction value takes a NaN state with no error
+    assert len(sweeps) == (20 if cell == 98 and kind != "parabolic" else
+                           39 if kind == "batch" else 40)
 
 
 @functools.cache
@@ -1151,8 +1278,9 @@ def test_batch_errors_name_the_run(monkeypatch):
                        match=r"^run 1: step 5: road 0 cell 2 holds nan, "):
         scheme.run_batch(config, initials)
     monkeypatch.undo()
-    # the second block's mass of run 2 at its 6th level: a block holds
-    # _MASS_BLOCK bytes, 26 levels of the three runs' 2 x 50 cells here
+    # the second block's mass of run 2 at its 6th level: the first block
+    # holds _MASS_BLOCK bytes, 26 levels of the three runs' 2 x 50 cells
+    # here, and the second 52
     rows = scheme._MASS_BLOCK // (3 * mesh._layout.slots * 8)
     _spy_blocks(monkeypatch, poison_row=5 * 3 + 2)
     with pytest.raises(ConsistencyError, match=rf"^run 2: step "

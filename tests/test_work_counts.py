@@ -17,6 +17,10 @@ counts it. The solves are the rows that the stacked warm solve
 (``scheme.solve_junction``) that take the rest: in the batch of 10, the
 first step's 10, which have no hint, go one by one, and every later row is
 stacked, in both interpreters.
+
+A lean run writes every computed level into a row of the march's block,
+and flushes a pinned number of blocks (one ``kernels.row_sums`` call and
+one range guard, ``scheme._guard``, each), as spies count them.
 """
 
 import json
@@ -25,15 +29,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from junctionflow import scheme
+from junctionflow import (JunctionSpec, NetworkMesh, kernels, quadratic_lwr,
+                          scheme, viscous)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # the run to t = 1 makes 112 steps and the run to t = 0.5 makes 56
 STEPS_BETWEEN = 56
-CALLS_BETWEEN = 2927  # 52.27 Python calls per computed step
+# 49.34 Python calls per computed step: the step writes its level into a
+# row of the march's block (no np.empty), the range guard's reductions run
+# once per block, not once per step, and the junction records fill a list
+# made up front (no append)
+CALLS_BETWEEN = 2763
 JUNCTION_SOLVES = 112
 BATCH = 10
 BATCH_SPLIT = {"scalar": 10, "stacked": 1110}  # of 10 x 112 solves
@@ -97,3 +107,66 @@ def test_a_batch_makes_one_update_per_step_and_a_solve_per_run(monkeypatch,
     assert [len(traj.dts) for traj in trajs] == [steps] * runs
     assert [traj.junction_solves for traj in trajs] == [JUNCTION_SOLVES] * runs
     assert len(updates) == steps
+
+
+def _spy_ring(monkeypatch):
+    """The march's ring, seen by spies: the buffer that ``scheme._update``
+    writes each computed level into, each block whose masses
+    ``kernels.row_sums`` takes, and the levels of each ``scheme._guard``
+    call, which makes two reductions."""
+    outs, blocks, guards = [], [], []
+    update, row_sums, guard = scheme._update, kernels.row_sums, scheme._guard
+
+    def spy_update(u, mesh, lam, gstar, out, *rest, **kwargs):
+        outs.append(out)
+        return update(u, mesh, lam, gstar, out, *rest, **kwargs)
+
+    def spy_sums(block, tops, skip):
+        blocks.append(block)
+        return row_sums(block, tops, skip)
+
+    def spy_guard(mesh, levels, step):
+        guards.append(len(levels))
+        return guard(mesh, levels, step)
+
+    for module in (scheme, viscous):  # the parabolic step calls its own
+        monkeypatch.setattr(module, "_update", spy_update)
+    monkeypatch.setattr(kernels, "row_sums", spy_sums)
+    monkeypatch.setattr(scheme, "_guard", spy_guard)
+    return outs, blocks, guards
+
+
+def _assert_written_into_the_ring(outs, blocks, steps):
+    # every computed level is written into a row of a block that the
+    # march flushes, and each row is flushed once
+    assert len(outs) == sum(map(len, blocks)) == steps
+    bases = {id(block.base) for block in blocks}
+    assert all(out.shape == out.base.shape[1:] and id(out.base) in bases
+               for out in outs)
+
+
+@pytest.mark.parametrize("case", ["parabolic", "fine"])
+def test_a_lean_run_flushes_a_pinned_number_of_blocks(monkeypatch, case):
+    # the blocks of a lean run: the first of 64 KB and at least 2 levels,
+    # each later one twice the one before, up to 64 levels or 1 MB. A
+    # 600-step parabolic run on 2 x 100 cells flushes 40, eight times 64,
+    # and 48 levels; the 4445-step fine run of tools/step_cost.py (3 x
+    # 4000 cells, 96 KB a level) 2, 4, 8, 443 times 10, and 1. Each flush
+    # is one row_sums call and one guard call, two reductions
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import step_cost
+
+    outs, blocks, guards = _spy_ring(monkeypatch)
+    if case == "parabolic":
+        spec = JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr(1.5)))
+        mesh = NetworkMesh(spec, 0.01, np.array([100, 100]))
+        steps = len(viscous.run_parabolic(mesh, 0.02, [0.3, 0.6], 599.5 * (
+            viscous.parabolic_timestep(mesh, 0.02))).dts)
+        heights = [40] + [64] * 8 + [48]
+    else:
+        config, data = step_cost.fine_baseline()
+        steps = len(scheme.run(config, data, keep_states=False).dts)
+        heights = [2, 4, 8] + [10] * 443 + [1]
+    assert steps == sum(heights)
+    assert [len(block) for block in blocks] == guards == heights
+    _assert_written_into_the_ring(outs, blocks, steps)

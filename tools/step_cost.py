@@ -16,17 +16,24 @@ prints:
 - Python calls per computed step: cProfile's call count of the run to
   t = 1 less that to t = 0.5, over the difference in steps.
 
-Times are the best of 7 repeats of 5 passes.
-
 The fine case runs the same junction and data shapes on 3 x 4000 cells
 (the speeds, CFL and horizon of the benchmark's ``fine_run``: dx = 1/4000,
-t = 0.25, 4445 steps) as a lean run, and prints the time of a step and of
-its parts: the Godunov sweeps, the whole ``_update``, the march's min/max
-guard and mass flush (a level's copy into the mass block and its
-``kernels.row_sums``), each over 16 buffers of the run, and a warm
-``solve_junction`` over every junction solve the run makes, hinted with
-the active set of the state before. Steps are the best of 3 runs, parts the best of 5 repeats of
-5 passes. Usage, from the repository root::
+t = 0.25, 4445 steps) as a lean run with 15 snapshots, and prints the time
+of a step and of the parts of a step, each per computed level and timed
+inside the march (``timed_parts``), on the buffers and the heap the march
+has: the junction solve (``solve_junction``, warm), the ring write
+(``scheme._update`` of a level into its row of a block; its Godunov
+sweeps also shown alone), the block guard (``scheme._guard``) and the
+block flush (``kernels.row_sums``). They add up to the step but for the
+march's own bookkeeping and the timers; the last line says where they
+miss it by more than 15%.
+
+Each step line is the median of 3 fresh processes, each the best of 7
+repeats of 5 passes (a coarse step) or of 3 runs (the fine step): one
+process alone reads a sustained slowdown of a shared machine as the
+step's cost. The other lines are the best of 7 repeats of 5 passes in
+this process, or of 3 runs (the fine parts). Usage, from the repository
+root::
 
     PYTHONPATH=src python3 tools/step_cost.py
 """
@@ -35,6 +42,9 @@ from __future__ import annotations
 
 import cProfile
 import pstats
+import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -44,8 +54,11 @@ from junctionflow import kernels, scheme
 from junctionflow.junction import _solve_stack, solve_junction
 
 REPEATS, PASSES = 7, 5
-FINE_CELLS, FINE_T, FINE_SAMPLES = 4000, 0.25, 16
+FINE_CELLS, FINE_T, FINE_SNAPSHOTS = 4000, 0.25, 16
 BATCH = 10
+PROCESSES = 3
+# the fine parts should add up to the step within this share of it
+PARTS_SLACK = 0.15
 
 
 def baseline(t_final: float = 1.0, cells: int = 25,
@@ -58,6 +71,13 @@ def baseline(t_final: float = 1.0, cells: int = 25,
     data = [np.linspace(0.1, 0.9, cells), np.linspace(0.8, 0.2, cells),
             np.linspace(0.3, 0.6, cells)]
     return RunConfig(mesh, 0.9, t_final, snapshot_times=snapshot_times), data
+
+
+def fine_baseline():
+    """(config, initial data) of the fine lean run, with 15 snapshots
+    between its ends."""
+    return baseline(FINE_T, FINE_CELLS, tuple(
+        np.linspace(0.0, FINE_T, FINE_SNAPSHOTS + 1)[1:-1].tolist()))
 
 
 def best_us(fn, count: int, repeats: int = REPEATS,
@@ -89,74 +109,82 @@ def calls_per_step() -> float:
     return (c_full - c_half) / (s_full - s_half)
 
 
-def solved_states(config, data) -> list[np.ndarray]:
-    """The junction state of every junction solve a lean run makes, in
-    order, read by wrapping the solve the march calls."""
-    states = []
+def step_us(name: str) -> float:
+    """One process's time of the step line ``name``, in µs per step."""
+    if name == "fine":
+        config, data = fine_baseline()
+        steps = len(scheme.run(config, data, keep_states=False).dts)
+        return best_us(lambda: scheme.run(config, data, keep_states=False),
+                       steps, 3, 1)
+    config, data = baseline()
+    steps = len(scheme.run(config, data).dts)
+    if name == "run":
+        return best_us(lambda: scheme.run(config, data), steps)
+    return best_us(lambda: scheme.run_batch(config, [data] * BATCH),
+                   BATCH * steps)
 
-    def record(spec, state, hint=None):
-        states.append(state.copy())
-        return solve_junction(spec, state, hint)
 
-    scheme.solve_junction = record
-    try:
-        scheme.run(config, data, keep_states=False)
-    finally:
-        scheme.solve_junction = solve_junction
-    return states
+def median_step_us(name: str) -> float:
+    """The median of ``step_us(name)`` over fresh processes, which
+    inherit this one's environment and directory."""
+    return statistics.median(float(subprocess.run(
+        [sys.executable, __file__, "--step", name], capture_output=True,
+        text=True, check=True).stdout) for _ in range(PROCESSES))
+
+
+# the parts of a fine step: (owner, the name the march calls, label)
+PARTS = ((scheme, "solve_junction", "junction solve (us)"),
+         (scheme, "_update", "ring write (us)"),
+         (scheme, "_guard", "block guard (us)"),
+         (kernels, "row_sums", "block flush (us)"),
+         (kernels, "interface_fluxes", "  of the write, sweeps (us)"))
+
+
+def timed_parts(config, data) -> dict[str, float]:
+    """The time one lean run spends in each part, in µs per computed
+    level, read by wrapping each function at the name the march calls it
+    by; the run with the least time in its parts, of 3."""
+    best = None
+    for _ in range(3):
+        spent = {label: 0.0 for _, _, label in PARTS}
+        real = [getattr(owner, name) for owner, name, _ in PARTS]
+
+        def timer(fn, label):
+            def timed(*args):
+                start = time.perf_counter()
+                try:
+                    return fn(*args)
+                finally:
+                    spent[label] += time.perf_counter() - start
+            return timed
+
+        for (owner, name, label), fn in zip(PARTS, real):
+            setattr(owner, name, timer(fn, label))
+        try:
+            steps = len(scheme.run(config, data, keep_states=False).dts)
+        finally:
+            for (owner, name, _), fn in zip(PARTS, real):
+                setattr(owner, name, fn)
+        got = {label: 1e6 * t / steps for label, t in spent.items()}
+        if best is None or sum(got.values()) < sum(best.values()):
+            best = got
+    return best
 
 
 def fine() -> None:
-    config, data = baseline(FINE_T, FINE_CELLS, tuple(
-        np.linspace(0.0, FINE_T, FINE_SAMPLES + 1)[1:-1].tolist()))
-    mesh = config.mesh
-    spec, layout = mesh.spec, mesh._layout
+    config, data = fine_baseline()
     traj = scheme.run(config, data, keep_states=False)
-    steps = len(traj.dts)
-    buffers = traj.buffers[:FINE_SAMPLES]
-    dt = float(traj.dts[0])
-    gstars = [solve_junction(spec, u[layout.adj]).fluxes for u in buffers]
-    tops = [max(-float(u.min()), float(u.max())) for u in buffers]
-    fgrid = np.empty(layout.slots - 1)
-    block = np.empty((1, layout.slots))
-
-    def sweeps():
-        for u in buffers:
-            for first, stop, code, par, crit, fcrit in layout.sweeps:
-                kernels.interface_fluxes(code, par, crit, fcrit,
-                                         u[first:stop], fgrid[first:stop - 1])
-
-    def guard():
-        for u in buffers:
-            float(np.minimum.reduce(u)), float(np.maximum.reduce(u))
-
-    def flush():  # the guard's bound is the block's top, as in the march
-        for u, top in zip(buffers, tops):
-            block[0] = u
-            block[:, layout.ghosts] = -0.0
-            block[:, layout.pad] = -0.0
-            kernels.row_sums(block, [top])
-
-    states = solved_states(config, data)
-    hints = [None] + [solve_junction(spec, s).active for s in states[:-1]]
-    count = len(buffers)
-    figures = {
-        "run step (us)": best_us(
-            lambda: scheme.run(config, data, keep_states=False), steps, 3, 1),
-        "sweeps (us)": best_us(sweeps, count, 5),
-        "_update (us)": best_us(
-            lambda: [scheme._update(u, mesh, dt, g)
-                     for u, g in zip(buffers, gstars)], count, 5),
-        "guard (us)": best_us(guard, count, 5),
-        "mass flush (us)": best_us(flush, count, 5),
-        "warm solve_junction (us)": best_us(
-            lambda: [solve_junction(spec, s, h)
-                     for s, h in zip(states, hints)], len(states), 5),
-    }
+    step = median_step_us("fine")
+    parts = timed_parts(config, data)
     print(f"2-1 LWR, 3 x {FINE_CELLS} cells, CFL 0.9, t = {FINE_T}: "
-          f"{steps} steps, {traj.junction_solves} junction solves")
-    for name, value in figures.items():
+          f"{len(traj.dts)} steps, {traj.junction_solves} junction solves")
+    for name, value in {"run step (us)": step, **parts}.items():
         print(f"{name:<28} {value:8.2f}")
+    share = sum(list(parts.values())[:-1]) / step  # the sweeps are written
+    print(f"{'parts / step':<28} {share:8.2f}"
+          + ("" if abs(share - 1.0) <= PARTS_SLACK else
+             f"   the parts miss the step by more than "
+             f"{PARTS_SLACK:.0%}"))
 
 
 def coarse() -> None:
@@ -167,16 +195,17 @@ def coarse() -> None:
     spec, adj = mesh.spec, mesh._layout.adj
     states = [u[adj] for u in traj.buffers[:-1]]
     hints = [None] + [solve_junction(spec, s).active for s in states[:-1]]
-    pairs = list(zip(traj.buffers[:-1], traj.dts.tolist(),
-                     [solve_junction(spec, s).fluxes for s in states]))
+    outs = [np.empty_like(u) for u in traj.buffers[:-1]]
+    updates = list(zip(traj.buffers[:-1], (traj.dts / mesh.dx).tolist(),
+                       [solve_junction(spec, s).fluxes for s in states],
+                       outs))
     # the batch's stacks: every state but the first has a hint
     stacks = [(np.tile(s, (BATCH, 1)), [h] * BATCH)
               for s, h in zip(states[1:], hints[1:])]
 
     figures = {
-        "run step (us)": best_us(lambda: scheme.run(config, data), steps),
-        f"batch of {BATCH}, run-step (us)": best_us(
-            lambda: scheme.run_batch(config, [data] * BATCH), BATCH * steps),
+        "run step (us)": median_step_us("run"),
+        f"batch of {BATCH}, run-step (us)": median_step_us("batch"),
         "warm solve_junction (us)": best_us(
             lambda: [solve_junction(spec, s, h)
                      for s, h in zip(states, hints)], steps),
@@ -186,8 +215,8 @@ def coarse() -> None:
         "cold solve_junction (us)": best_us(
             lambda: [solve_junction(spec, s) for s in states], steps),
         "_update (us)": best_us(
-            lambda: [scheme._update(u, mesh, dt, g) for u, dt, g in pairs],
-            steps),
+            lambda: [scheme._update(u, mesh, lam, g, out)
+                     for u, lam, g, out in updates], steps),
         "python calls per step": calls_per_step(),
     }
     print(f"2-1 LWR, 3 x 25 cells, CFL 0.9, t = 1: {steps} steps, "
@@ -197,6 +226,9 @@ def coarse() -> None:
 
 
 def main() -> None:
+    if sys.argv[1:2] == ["--step"]:
+        print(step_us(sys.argv[2]))
+        return
     coarse()
     fine()
 
