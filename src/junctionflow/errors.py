@@ -28,7 +28,12 @@ class ConfigError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """An internal invariant that should hold in exact arithmetic was violated."""
+    """An internal invariant that should hold in exact arithmetic was
+    violated, in the run of a batch that ``run`` names, where known."""
+
+    def __init__(self, message: str, run: int | None = None):
+        super().__init__(message)
+        self.run = run
 
 
 class PreconditionError(ValueError):

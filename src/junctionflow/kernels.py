@@ -74,9 +74,6 @@ _ONE = np.array(1.0)
 # or of the balance
 _WARM_REACH = 2.0 ** -20
 _WARM_MARGIN = 2.0 ** -30
-# the cells but the last, and but the first, of one row or of every row of a
-# stack; made once, they index faster than a slice written out each time
-_LEFT, _RIGHT = np.s_[..., :-1], np.s_[..., 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +165,13 @@ def interface_fluxes(code, par, crit, fcrit, u_ext, out):
     crest flux and takes f where the cell lies on its branch; supply
     overwrites f with the crest flux where the cell does not lie on its
     branch, so a NaN cell reads as the crest on both sides, as in
-    ``godunov_scalar``. u_ext and out may be stacks of rows, shape (rows,
-    cells), which share par, crit and fcrit."""
+    ``godunov_scalar``."""
     f = flux_array(code, par, u_ext)
-    if f.ndim == 1:
-        d = fcrit.copy()
-    else:  # the crest flux on every row
-        d = np.empty(f.shape)
-        d[...] = fcrit
+    d = fcrit.copy()
     np.copyto(d, f, where=u_ext <= crit)
     off = u_ext >= crit
     np.copyto(f, fcrit, where=np.logical_not(off, out=off))
-    np.minimum(d[_LEFT], f[_RIGHT], out=out)
+    np.minimum(d[:-1], f[1:], out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -675,15 +667,15 @@ def row_sums(block: np.ndarray, tops, skip=slice(0)) -> list[float]:
     sums = list(map(math.fsum, zip(parts, rests, repeat(-bound))))
     for i, high in enumerate(map(math.fsum, zip(parts, rests, repeat(bound)))):
         if sums[i] != high:
-            sums[i] = math.fsum(_cells(block[i], skip).tolist())
+            sums[i] = math.fsum(_cells(block[i:i + 1], skip)[0].tolist())
     return sums
 
 
 def _cells(x: np.ndarray, skip) -> np.ndarray:
-    """A copy of the rows x, or of the row x, with its columns skip at
-    -0.0, which adds nothing to any sum, ``math.fsum``'s included."""
+    """A copy of the rows x with their columns skip at -0.0, which adds
+    nothing to any sum, ``math.fsum``'s included."""
     x = x.copy()
-    x[..., skip] = -0.0
+    x[:, skip] = -0.0
     return x
 
 

@@ -28,7 +28,7 @@ checked by the verification suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
 
@@ -43,15 +43,10 @@ _GAUSS_OFFSET = math.sqrt(0.6) / 2.0
 _GAUSS_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 # cells and steps stay below this count, so they index and time exactly
 _MAX_COUNT = 2**53
-# the march's first block of levels fills this many bytes, and at least two
-# levels; each block that fills up doubles the next, up to 64 levels or
-# _MASS_BLOCK_MAX bytes, whichever is smaller (see ``_march``)
-_MASS_BLOCK = 65536
+# a block of the march's ring holds 64 levels or _MASS_BLOCK_MAX bytes of
+# them, whichever is fewer, and at least two (see ``_march``)
 _MASS_BLOCK_MAX = 1 << 20
 _MASS_BLOCK_LEVELS = 64
-# slices of the slot axis, of one buffer or of every buffer of a stack;
-# made once, they index faster than a slice written out each time
-_INNER, _LEFT, _RIGHT = np.s_[..., 1:-1], np.s_[..., :-1], np.s_[..., 1:]
 
 
 def _cell_count(name: str, length: float, dx: float) -> int:
@@ -101,9 +96,8 @@ class NetworkMesh:
 @dataclass(frozen=True, eq=False)
 class _Layout:
     """Where each road lives in the network buffer (see the module
-    docstring); road-indexed arrays list incoming roads first. ``stacked``
-    is the same layout for a stack of buffers, shape (runs, slots): each of
-    its slot indices has an Ellipsis before it (see ``run_batch``)."""
+    docstring); road-indexed arrays list incoming roads first. A batch of
+    R runs lays its buffers end to end, with the layout ``runs(R)``."""
 
     slots: int
     cells: tuple[slice, ...]
@@ -118,7 +112,9 @@ class _Layout:
     # sweep; params is Flux.params, or (per-slot v, R[, -1/R]) for LWR
     # roads and (per-slot h,) for symmetric-quadratic ones
     sweeps: tuple
-    stacked: _Layout | None = None
+    # the layouts of ``runs`` by their buffers' length, one run's a copy of
+    # this one (a layout that held itself would outlive its mesh)
+    by_length: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, spec: JunctionSpec, counts: np.ndarray) -> _Layout:
@@ -157,17 +153,41 @@ class _Layout:
                            family, params, np.array(crit),
                            np.repeat([roads[h][3] for h in run], each)))
         pad = int(stops[spec.m - 1] - 1)
-        index = dict(
-            cells=tuple(map(slice, first.tolist(), (last + 1).tolist())),
-            ghosts=ghosts, ends=ends, pad=pad, beside_pad=pad - 1,
-            adj=np.where(incoming, last, first),
-            junc=np.where(incoming, last, first - 1),
-            outer=np.where(incoming, ghosts, ends))
-        stacked = {name: (..., at) for name, at in index.items()}
-        stacked["cells"] = tuple((..., at) for at in index["cells"])
-        slots, sweeps = int(stops[-1]), tuple(sweeps)
-        return cls(slots, **index, sweeps=sweeps,
-                   stacked=cls(slots, **stacked, sweeps=sweeps))
+        layout = cls(int(stops[-1]),
+                     tuple(map(slice, first.tolist(), (last + 1).tolist())),
+                     ghosts, ends, pad, pad - 1,
+                     np.where(incoming, last, first),
+                     np.where(incoming, last, first - 1),
+                     np.where(incoming, ghosts, ends), tuple(sweeps))
+        layout.by_length[layout.slots] = replace(layout, by_length={})
+        return layout
+
+    def runs(self, count: int) -> _Layout:
+        """The layout of ``count`` network buffers end to end, made once
+        per count (one run's is this layout): slot j of run r is slot
+        r * slots + j, ``adj``, ``junc``, ``ghosts`` and ``ends`` hold a
+        row per run, ``outer`` each run's in turn, and ``cells`` none (each
+        run is viewed with this layout). A single sweep (all roads in one
+        group, its first param per slot) becomes one over all runs; its
+        interface between two runs lies between two ghosts, which ``fill``
+        rewrites, so nothing reads it. More sweeps repeat per run."""
+        size = count * self.slots
+        if size not in self.by_length:
+            at = self.slots * np.arange(count)
+            rows = at[:, None]
+            if len(self.sweeps) == 1:
+                (_, _, code, par, crit, fcrit), = self.sweeps
+                sweeps = ((0, size, code, (np.tile(par[0], count), *par[1:]),
+                           crit, np.tile(fcrit, count)),)
+            else:
+                sweeps = tuple((first + r, stop + r, *rest)
+                               for r in at.tolist()
+                               for first, stop, *rest in self.sweeps)
+            self.by_length[size] = _Layout(
+                size, (), self.ghosts + rows, self.ends + rows, self.pad + at,
+                self.beside_pad + at, self.adj + rows, self.junc + rows,
+                (self.outer + rows).reshape(-1), sweeps)
+        return self if count == 1 else self.by_length[size]
 
     @cached_property
     def skip(self) -> np.ndarray:
@@ -180,7 +200,8 @@ class _Layout:
 
     def fill(self, u: np.ndarray, ghosts=None) -> None:
         """Ghost cells copy the end cells (absorbing, ``ghosts`` None) or
-        hold ``ghosts[h]`` (Dirichlet); the pad copies its neighbour."""
+        hold ``ghosts[h]`` (Dirichlet, the same for every run); the pad
+        copies its neighbour."""
         u[self.ghosts] = u[self.ends] if ghosts is None else ghosts
         u[self.pad] = u[self.beside_pad]
 
@@ -313,20 +334,15 @@ def _flux_grid(u: np.ndarray, mesh: NetworkMesh, gstar,
                eps: float = 0.0) -> np.ndarray:
     """The flux at every interface of the network buffer u: Godunov
     interface fluxes, less eps times the discrete gradient, and the junction
-    fluxes ``gstar`` at x = 0. For a stack of buffers, shape (runs, slots),
-    each row has its own row of ``gstar``, and the grid has a row per
-    buffer."""
-    if u.ndim == 1:
-        layout = mesh._layout
-        fgrid = np.empty(layout.slots - 1)
-    else:
-        layout = mesh._layout.stacked
-        fgrid = np.empty((u.shape[0], layout.slots - 1))
+    fluxes ``gstar`` at x = 0. u may hold R buffers end to end, with the
+    layout ``_Layout.runs(R)`` made; ``gstar`` then holds a row per run."""
+    layout = mesh._layout.by_length[u.size]
+    fgrid = np.empty(layout.slots - 1)
     for first, stop, code, par, crit, fcrit in layout.sweeps:
-        kernels.interface_fluxes(code, par, crit, fcrit, u[..., first:stop],
-                                 fgrid[..., first:stop - 1])
+        kernels.interface_fluxes(code, par, crit, fcrit, u[first:stop],
+                                 fgrid[first:stop - 1])
     if eps > 0:  # eps * (u[1:] - u[:-1]) / dx, in one temporary
-        grad = np.subtract(u[_RIGHT], u[_LEFT])
+        grad = np.subtract(u[1:], u[:-1])
         grad *= eps
         grad /= mesh.dx
         fgrid -= grad
@@ -336,16 +352,16 @@ def _flux_grid(u: np.ndarray, mesh: NetworkMesh, gstar,
 
 def _update(u: np.ndarray, mesh: NetworkMesh, lam, gstar, out: np.ndarray,
             ghosts=None, eps: float = 0.0):
-    """One conservative update of the network buffer u, or of each buffer
-    of a stack, with the fluxes of ``_flux_grid`` and lam = dt / dx (a
-    float, or a 0-d array, which numpy pairs with an array faster),
+    """One conservative update of the network buffer u, or of the buffers
+    it holds end to end, with the fluxes of ``_flux_grid`` and lam = dt /
+    dx (a float, or a 0-d array, which numpy pairs with an array faster),
     written into out, of u's shape and not overlapping it. Returns (out,
-    its ghosts and pad filled, per-road outer boundary flux)."""
-    layout = mesh._layout if u.ndim == 1 else mesh._layout.stacked
+    its ghosts and pad filled, each run's outer boundary fluxes in turn)."""
+    layout = mesh._layout.by_length[u.size]
     fgrid = _flux_grid(u, mesh, gstar, eps)
-    inner = np.subtract(fgrid[_RIGHT], fgrid[_LEFT], out=out[_INNER])
+    inner = np.subtract(fgrid[1:], fgrid[:-1], out=out[1:-1])
     inner *= lam
-    np.subtract(u[_INNER], inner, out=inner)
+    np.subtract(u[1:-1], inner, out=inner)
     layout.fill(out, ghosts)
     return out, fgrid[layout.outer]
 
@@ -388,33 +404,33 @@ def _step_count(t_final: float, dt0: float) -> int:
 def _range_error(mesh: NetworkMesh, u: np.ndarray,
                  step: int) -> ConsistencyError:
     """The error for a buffer that failed the march's range guard, naming
-    the first road with a cell outside [A, B] or a NaN one; for a stack of
-    buffers, the first run with one, by its row."""
+    the first road with a cell outside [A, B] or a NaN one; of R buffers
+    end to end, the first run with a slot out of range, as its ``run``."""
     spec = mesh.spec
     lo, hi = spec._bounds
-    if u.ndim > 1:
-        r = int(((u >= lo) & (u <= hi)).all(axis=1).argmin())
-        return ConsistencyError(f"run {r}: {_range_error(mesh, u[r], step)}")
-    for h, cells in enumerate(mesh._layout.views(u)):
+    slots = mesh._layout.slots
+    run = int(((u >= lo) & (u <= hi)).argmin()) // slots
+    roads = mesh._layout.views(u[run * slots:(run + 1) * slots])
+    for h, cells in enumerate(roads):
         inside = (cells >= lo) & (cells <= hi)
         if not inside.all():
             k = int(inside.argmin())
             return ConsistencyError(
                 f"step {step}: road {h} cell {k} holds {float(cells[k])!r}, "
-                f"outside [{spec.rho_min}, {spec.rho_max}]")
+                f"outside [{spec.rho_min}, {spec.rho_max}]", run)
     # ghosts and the pad copy cells or hold validated Dirichlet values
     return ConsistencyError(f"step {step}: a ghost or pad slot leaves "
-                            f"[{spec.rho_min}, {spec.rho_max}]")
+                            f"[{spec.rho_min}, {spec.rho_max}]", run)
 
 
 def _guard(mesh: NetworkMesh, levels: np.ndarray, step: int) -> float:
-    """The march's range guard over a block of levels, shape (levels,
-    slots) or, of a stack, (levels, runs, slots), the first of them that of
-    ``step``: one min and one max over the block. A slot outside [A, B]
-    (beyond the slack of 1e-12 of the span that ``JunctionSpec.candidate``
-    allows) or a NaN one raises the ConsistencyError of ``_range_error``
-    for the first level that has one. Returns max|x| over the block, a
-    bound of every row that ``kernels.row_sums`` takes."""
+    """The march's range guard over a block of levels, one row each, the
+    first of them that of ``step``: one min and one max over the block. A
+    slot outside [A, B] (beyond the slack of 1e-12 of the span that
+    ``JunctionSpec.candidate`` allows) or a NaN one raises the
+    ConsistencyError of ``_range_error`` for the first level that has one.
+    Returns max|x| over the block, a bound of every row that
+    ``kernels.row_sums`` takes."""
     low = float(np.minimum.reduce(levels, axis=None))
     high = float(np.maximum.reduce(levels, axis=None))
     lo, hi = mesh.spec._bounds
@@ -427,48 +443,40 @@ def _guard(mesh: NetworkMesh, levels: np.ndarray, step: int) -> float:
 
 def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
            advance, keep_states: bool = True, snapshot_times=()):
-    """The time loop of every run from the network buffer u: steps of dt0,
-    the last one shortened to land exactly on t_final. ``advance(u, lam,
-    out)`` writes the level after u into out, a buffer of u's shape, with
-    lam = dt / dx (of a full step, a 0-d array made once per run), and
-    returns (out, per-road outer boundary flux, junction record, never
-    None).
-
-    u may be a stack of buffers, shape (runs, slots), of independent runs
-    on one mesh (see ``run_batch``): ``advance`` then steps every row at
-    once and returns one boundary row per run. Every per-level figure
-    below is then taken per run, and one guard, one hold and one block
-    serve the whole stack.
+    """The time loop of every run from u, the network buffers of R >= 1
+    independent runs on one mesh end to end (see ``run_batch``): steps of
+    dt0, the last one shortened to land exactly on t_final. ``advance(u,
+    lam, out)`` writes the level after u into out, a buffer of u's shape,
+    with lam = dt / dx (of a full step, a 0-d array made once per run),
+    and returns (out, each run's outer boundary fluxes in turn, junction
+    record, never None). Figures are taken per run; one guard, one hold
+    and one block serve all runs.
 
     The computed levels live in a ring, a block of level buffers that
-    ``advance`` writes each level into, a row per level (and run); the
-    level it reads is the row before, or the last row of the block
-    before. The first block fills ``_MASS_BLOCK`` bytes (64 KB: 40 levels
-    of 2 x 100 cells, 10 of 2 x 400) and holds at least two levels. Each
-    block that fills up doubles the next, up to 64 levels or
-    ``_MASS_BLOCK_MAX`` bytes (1 MB, 10 levels of 3 x 4000 cells),
-    whichever is smaller, and to no more levels than steps are left: a
-    short run pays for a small block, a long one for few flushes. The
-    levels waiting in a block are flushed when it is full, when a hold
+    ``advance`` writes each level into, a row per level; the level it
+    reads is the row before, or the block's last row. A block holds 64
+    levels or ``_MASS_BLOCK_MAX`` bytes of them (1 MB, 10 levels of
+    3 x 4000 cells), whichever is fewer, at least two and at most the
+    steps. Its waiting levels are flushed when it is full, when a hold
     starts (held levels repeat that mass) and at the end:
 
     - the maximum-principle guard (``_guard``) takes one min and one max
       over the waiting levels: a slot outside [A, B] or a NaN stops the run
-      with a ConsistencyError that names the first such step and the road
-      (and the run, of a stack);
+      with a ConsistencyError that names the first such step and the road,
+      with the run as its ``run``;
     - one ``kernels.row_sums`` call takes the masses of all waiting
-      levels, with the guard's bound, which spares it a max|x| pass, and
-      less the ghost and pad columns: each mass is dx times ``math.fsum``
-      of its level's cells, bit for bit, as ``GridState.total_mass`` gives
-      the first level's. A non-finite mass stops the run, naming its own
-      step.
+      levels, a row per level and run, with the guard's bound, which
+      spares it a max|x| pass, and less the ghost and pad columns: each
+      mass is dx times ``math.fsum`` of its level's cells, bit for bit, as
+      ``GridState.total_mass`` gives the first level's. A non-finite mass
+      stops the run, naming its own step.
 
     The steps after a bad level, up to the flush, are computed from it,
     with numpy's floating-point warnings off. An exception from
     ``advance`` first runs the guard over the waiting levels, so the error
     of an earlier step wins; a ConsistencyError of a junction solve in
-    ``advance`` gets the step, and the run that ``advance`` names as its
-    ``run``, before it. The first level was validated by ``_pack``.
+    ``advance`` gets the step before it, and keeps its ``run``. The first
+    level was validated by ``_pack``.
 
     ``advance`` must be a pure function of the bytes of u and lam. A
     full-length step that returns its input bitwise, with the junction
@@ -482,13 +490,12 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     levels share one buffer; a ``GridState`` is built, after the loop,
     only for the levels kept (see the README's "Mass ledger" for the
     cost). Returns (states, buffers, times, dts, boundary_net, masses,
-    records). ``states`` keeps every level if ``keep_states``, else the
-    first, the last and those nearest ``snapshot_times``, each once and in
-    order; ``buffers`` holds the buffer each kept level views. Of a stack,
-    ``states`` and ``buffers`` hold one such list per run, and
-    ``boundary_net`` and ``masses`` one column per run.
+    records), with a list of states and one of the buffers they view, and
+    a column of ``boundary_net`` and of ``masses``, per run. The states
+    are every level if ``keep_states``, else the first, the last and those
+    nearest ``snapshot_times``, each once and in order.
     """
-    m = mesh.spec.m
+    m, k = mesh.spec.m, mesh.spec.m + mesh.spec.n
     n_steps = _step_count(t_final, dt0)
 
     # time levels are known up front, so the kept ones can be too
@@ -498,29 +505,22 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     kept = {n_steps, *(int(np.abs(times - t).argmin())
                        for t in snapshot_times)}
 
-    layout = mesh._layout
-    views = layout.views
-    batch = u.ndim > 1
-    runs = u.shape[:-1]  # () for one run, (R,) for a stack of R
-    width = len(u) if batch else 1
-    firsts = [GridState(0, 0.0, views(row)) for row in (u if batch else [u])]
-    masses = np.empty((n_steps + 1, *runs))
-    masses[0] = np.reshape([state.total_mass(mesh.dx) for state in firsts],
-                           runs)
+    views, slots = mesh._layout.views, mesh._layout.slots
+    runs = u.shape[0] // slots
+    starts = range(0, runs * k, k)  # where each run's boundary fluxes start
+    masses = np.empty((n_steps + 1, runs))
     every_mass = masses.reshape(-1)  # level by level, run by run
-    # the kept levels and their buffers
+    # the kept levels and the buffers they view, all runs' in one
     steps = range(n_steps + 1) if keep_states else [0, *sorted(kept - {0})]
     buffers = [u]
-    cap = max(2, min(_MASS_BLOCK_LEVELS, _MASS_BLOCK_MAX // u.nbytes))
     lam = np.array(dt0 / mesh.dx)
 
-    def ring(height):
-        # a block of height levels: its rows, and the same rows by level
-        block = np.empty((height * width, layout.slots))
-        return block, block.reshape(height, *runs, layout.slots)
-
-    # the levels waiting to be flushed are rows start .. start + waiting - 1
-    block, levels = ring(min(n_steps, max(2, _MASS_BLOCK // u.nbytes)))
+    # the ring, a row per level, and as a row per level and run; the levels
+    # waiting to be flushed are rows start .. start + waiting - 1
+    height = min(n_steps, max(2, min(_MASS_BLOCK_LEVELS,
+                                     _MASS_BLOCK_MAX // u.nbytes)))
+    levels = np.empty((height, u.shape[0]))
+    block = levels.reshape(height * runs, slots)
     start = waiting = 0
 
     def flush(stop):
@@ -528,18 +528,17 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
         first = stop + 1 - waiting
         top = _guard(mesh, levels[start:start + waiting], first)
         got = [mesh.dx * total for total in kernels.row_sums(
-            block[start * width:(start + waiting) * width],
-            [top] * (waiting * width), layout.skip)]
-        every_mass[first * width:(stop + 1) * width] = got
+            block[start * runs:(start + waiting) * runs],
+            [top] * (waiting * runs), mesh._layout.skip)]
+        every_mass[first * runs:(stop + 1) * runs] = got
         if not all(map(math.isfinite, got)):  # name the first that is not
             level, r = divmod(list(map(math.isfinite, got)).index(False),
-                              width)
-            raise ConsistencyError(
-                f"{f'run {r}: ' if batch else ''}step {first + level}: "
-                f"total mass is {got[level * width + r]}")
+                              runs)
+            raise ConsistencyError(f"step {first + level}: total mass is "
+                                   f"{got[level * runs + r]}", r)
 
     dts = [dt0] * n_steps
-    bnet = [0.0] * n_steps
+    bnet = [0.0] * (n_steps * runs)  # step by step, run by run
     records = [None] * n_steps
     record = None
     held = False
@@ -560,33 +559,29 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
                                s + 1 - waiting)
                     if not isinstance(exc, ConsistencyError):
                         raise
-                    run = getattr(exc, "run", None)  # a junction solve's
-                    raise ConsistencyError(
-                        f"{'' if run is None else f'run {run}: '}"
-                        f"step {s + 1}: {exc}") from exc
+                    raise ConsistencyError(f"step {s + 1}: {exc}",
+                                           exc.run) from exc
                 # compare bytes, so that -0.0 and 0.0 stay apart
                 held = (dt == dt0 and record is last
                         and out.tobytes() == u.tobytes())
                 flows = boundary.tolist()
-                net = ([math.fsum(f[m:]) - math.fsum(f[:m]) for f in flows]
-                       if batch
-                       else math.fsum(flows[m:]) - math.fsum(flows[:m]))
+                at = s * runs
+                for r in starts:
+                    bnet[at] = (math.fsum(flows[r + m:r + k])
+                                - math.fsum(flows[r:r + m]))
+                    at += 1
                 u, copy = out, None
                 waiting += 1
-                dts[s], records[s], bnet[s] = dt, record, net
-                if held or start + waiting == len(levels):
+                dts[s], records[s] = dt, record
+                if held or start + waiting == height:
                     flush(s + 1)
                     if held:  # held levels repeat this step's figures
                         masses[s + 2:] = masses[s + 1]
                         records[s + 1:] = [record] * (n_steps - s - 1)
-                        bnet[s + 1:] = [net] * (n_steps - s - 1)
-                        # the last step writes past the held row
-                        start = (start + waiting) % len(levels)
-                    else:
-                        start = 0
-                        grown = min(2 * len(levels), cap, n_steps - s - 1)
-                        if grown > len(levels):
-                            block, levels = ring(grown)
+                        bnet[at:] = bnet[at - runs:at] * (n_steps - s - 1)
+                    # a held level keeps its row, which the last step
+                    # writes past
+                    start = (start + waiting) % height if held else 0
                     waiting = 0
             if keep_states or s + 1 in kept:
                 if copy is None:
@@ -595,27 +590,27 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     if waiting:
         flush(n_steps)
 
-    def kept_levels(first, rows):
-        # one run's GridStates over the buffers of its kept levels; held
-        # levels share one buffer, and so one values tuple
-        states, last = [first], rows[0]
-        for s, row in zip(steps[1:], rows[1:]):
-            if row is not last:
-                last, values = row, views(row)
-            states.append(GridState(s, times[s], values))
-        return states
+    def kept_levels(at):
+        # one run's buffers, slots at .. at + slots of each kept level's,
+        # and its GridStates; held levels share one buffer, and so one
+        # values tuple
+        last = buffers[0]
+        row = last[at:at + slots]
+        values = views(row)
+        rows = [row] * len(steps)
+        states = [GridState(0, 0.0, values)] * len(steps)
+        for i, s in enumerate(steps[1:], 1):
+            if buffers[i] is not last:
+                last = buffers[i]
+                row = last[at:at + slots]
+                values = views(row)
+            rows[i], states[i] = row, GridState(s, times[s], values)
+        return rows, states
 
-    if batch:  # each kept stack split into its rows, a held one's once
-        split = []
-        for k, stack in enumerate(buffers):
-            split.append(split[-1] if k and stack is buffers[k - 1]
-                         else list(stack))
-        buffers = [list(rows) for rows in zip(*split)]
-        states = list(map(kept_levels, firsts, buffers))
-    else:
-        states = kept_levels(firsts[0], buffers)
-    return (states, buffers, times, np.array(dts),
-            np.array(bnet).reshape(n_steps, *runs), masses, records)
+    rows, states = zip(*map(kept_levels, range(0, runs * slots, slots)))
+    masses[0] = [run_states[0].total_mass(mesh.dx) for run_states in states]
+    return (states, rows, times, np.array(dts),
+            np.array(bnet).reshape(n_steps, runs), masses, records)
 
 
 @dataclass(eq=False)
@@ -651,17 +646,17 @@ class Trajectory:
         return self.config.mesh
 
 
-def _trajectory(config: RunConfig, states, buffers, times, dts, bnet, masses,
-                sols, solves: int) -> Trajectory:
-    """One run's Trajectory from what ``_march`` returned for it and the
-    junction solution of every step."""
-    return Trajectory(config, states, buffers, times, dts,
+def _trajectory(config: RunConfig, r: int, states, buffers, times, dts, bnet,
+                masses, sols, solves: int) -> Trajectory:
+    """Run r's Trajectory from what ``_march`` returned and the junction
+    solution of each of its steps."""
+    return Trajectory(config, states[r], buffers[r], times.copy(), dts.copy(),
                       np.array([sol.p_min for sol in sols]),
                       np.array([sol.p_max for sol in sols]),
                       np.array([sol.fluxes for sol in sols]).reshape(
                           len(sols), config.mesh.spec.m + config.mesh.spec.n),
-                      np.array([sol.total for sol in sols]), bnet, masses,
-                      solves)
+                      np.array([sol.total for sol in sols]),
+                      bnet[:, r].copy(), masses[:, r].copy(), solves)
 
 
 def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
@@ -698,25 +693,25 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
         mesh, _pack(mesh, initial, ghosts),
         cfl_timestep(mesh, config.cfl_number), config.t_final, advance,
         keep_states, config.snapshot_times)
-    return _trajectory(config, *marched, sols, solves)
+    return _trajectory(config, 0, *marched, sols, solves)
 
 
 def run_batch(config: RunConfig, initials,
               keep_states: bool = True) -> list[Trajectory]:
     """``[run(config, x, keep_states) for x in initials]``, every
-    Trajectory bit for bit the same, marched as one stack of buffers,
-    shape (runs, slots): each step makes one sweep per family group and
-    one update for all runs at once, and each block of levels one range
-    guard and one mass sum. It pays where many independent runs share one
-    mesh and one config: the fixed cost of a step on a coarse mesh is then
-    shared, and what is left per run is mostly its junction solve. ``run``
-    marches its one buffer.
+    Trajectory bit for bit the same, marched as one: the runs' network
+    buffers lie end to end in one (``_Layout.runs``), so each step makes
+    its sweeps and one update for all runs at once, and each block of
+    levels one range guard and one mass sum. It pays where many
+    independent runs share one mesh and one config: the fixed cost of a
+    step on a coarse mesh is then shared, and what is left per run is
+    mostly its junction solve. ``run`` keeps its own advance.
 
     Each run keeps its own bytewise reuse of the last solution, its own
     warm hint and its own solve count, as in ``run``; the runs whose
     junction state changed go to one stacked warm solve
     (``junction._solve_stack``), and the rows it leaves to
-    ``solve_junction`` one by one. The stack holds a bitwise fixed point
+    ``solve_junction`` one by one. The batch holds a bitwise fixed point
     only once every run repeats its input (see ``_march``); a run that
     settles earlier is recomputed, which gives the same bits and makes no
     solve. An invalid initial datum raises ValueError naming its run, and a
@@ -725,7 +720,6 @@ def run_batch(config: RunConfig, initials,
     mesh = config.mesh
     spec = mesh.spec
     ghosts = config.dirichlet_values
-    adj = mesh._layout.adj
     packed = []
     for r, initial in enumerate(as_sequence("initials", initials,
                                             empty=True)):
@@ -736,6 +730,7 @@ def run_batch(config: RunConfig, initials,
     if not packed:
         return []
     count = len(packed)
+    adj = mesh._layout.runs(count).adj.reshape(count, -1)  # a row per run
     keys, known, solves = [None] * count, [None] * count, [0] * count
     hints = [None] * count  # each run's last active set found
     gstar = np.empty((count, spec.m + spec.n))
@@ -747,7 +742,7 @@ def run_batch(config: RunConfig, initials,
         # that solve go to one stacked warm solve, and what it leaves to
         # the scalar solve, one by one
         nonlocal stack_key, record
-        junction = u[:, adj]
+        junction = u[adj]
         if (seen := junction.tobytes()) != stack_key:
             stack_key = seen
             rows = []
@@ -762,7 +757,7 @@ def run_batch(config: RunConfig, initials,
                     try:
                         sol = solve_junction(spec, junction[r])
                     except ConsistencyError as exc:
-                        exc.run = r  # _march names the run and the step
+                        exc.run = r
                         raise
                 known[r] = sol
                 hints[r] = sol.active or hints[r]
@@ -771,11 +766,14 @@ def run_batch(config: RunConfig, initials,
             record = tuple(known)
         return *_update(u, mesh, lam, gstar, out, ghosts), record
 
-    states, buffers, times, dts, bnet, masses, records = _march(
-        mesh, np.stack(packed), cfl_timestep(mesh, config.cfl_number),
-        config.t_final, advance, keep_states, config.snapshot_times)
-    return [_trajectory(config, states[r], buffers[r], times.copy(),
-                        dts.copy(), bnet[:, r].copy(), masses[:, r].copy(),
+    dt0 = cfl_timestep(mesh, config.cfl_number)
+    try:
+        *marched, records = _march(mesh, np.concatenate(packed), dt0,
+                                   config.t_final, advance, keep_states,
+                                   config.snapshot_times)
+    except ConsistencyError as exc:  # the march names the step and the road
+        raise ConsistencyError(f"run {exc.run}: {exc}", exc.run) from exc
+    return [_trajectory(config, r, *marched,
                         [record[r] for record in records], solves[r])
             for r in range(count)]
 

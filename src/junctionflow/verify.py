@@ -158,31 +158,33 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
     # the junction point weighs x0, as do the cells on either side of it
     rise[layout.junc] = 0.0
 
-    # the levels go through in stacks of up to 64: each stack's max and min
-    # states, flux grids and q are one numpy call each, for every level in
-    # it, and its junction solves are ``_level_solves``
-    stacked = layout.stacked
+    # the levels go through in stacks of up to 64, end to end in one buffer
+    # (``_Layout.runs``): a stack's max and min states, flux grids and q are
+    # one numpy call each, and its junction solves are ``_level_solves``
+    slots = layout.slots
     terms = []
     dts = dts.tolist()
     hints = None
     for start in range(1, len(times) - 1, 64):
         steps = range(start, min(start + 64, len(times) - 1))
-        ua = np.array([levels_a[s] for s in steps])
-        ub = np.array([levels_b[s] for s in steps])
+        stack = layout.runs(len(steps))
+        ua = np.concatenate([levels_a[s] for s in steps])
+        ub = np.concatenate([levels_b[s] for s in steps])
         hi, lo = np.maximum(ua, ub), np.minimum(ua, ub)
-        stacked.fill(hi)
-        stacked.fill(lo)
-        chains, hints = _level_solves(
-            spec, np.stack((hi[:, adj], lo[:, adj])), hints)
+        stack.fill(hi)
+        stack.fill(lo)
+        chains, hints = _level_solves(spec, np.stack((
+            hi[stack.adj], lo[stack.adj])).reshape(2, len(steps), -1), hints)
         g_hi, g_lo = np.array([[sol.fluxes for sol in chain]
                                for chain in chains])
         q = _flux_grid(hi, mesh, g_hi) - _flux_grid(lo, mesh, g_lo)
-        q[stacked.outer] = np.abs(q[stacked.outer])
-        gaps = np.abs(ua - ub)
-        for row, s in enumerate(steps):  # one dot per level
+        q[stack.outer] = np.abs(q[stack.outer])
+        gaps = np.abs(ua - ub)  # a dot per level; q between two is unread
+        for at, s in zip(range(0, gaps.shape[0], slots), steps):
             terms.append(-mesh.dx * (tv[s + 1] - tv[s])
-                         * float(np.dot(gaps[row], weight)))
-            terms.append(-dts[s] * tv[s + 1] * float(np.dot(q[row], rise)))
+                         * float(np.dot(gaps[at:at + slots], weight)))
+            terms.append(-dts[s] * tv[s + 1]
+                         * float(np.dot(q[at:at + slots - 1], rise)))
     return math.fsum(terms)
 
 

@@ -419,8 +419,8 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
 
     states, _, times, dts, bnet, masses, wlog = _march(
         mesh, u0, dt0, t_final, advance, keep_states=False)
-    return ParabolicTrajectory(mesh, float(epsilon), states, times, dts,
-                               np.array(wlog), bnet, masses)
+    return ParabolicTrajectory(mesh, float(epsilon), states[0], times, dts,
+                               np.array(wlog), bnet[:, 0], masses[:, 0])
 
 
 def initial_smoothing(data, epsilon: float, dx: float | None = None,

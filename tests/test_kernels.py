@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from junctionflow import (JunctionSpec, NetworkMesh, RunConfig, cfl_timestep,
                           custom_polynomial, quadratic_lwr, run, run_parabolic,
                           symmetric_quadratic, tabulated)
-from junctionflow import kernels, scheme
+from junctionflow import kernels
 
 RNG = np.random.default_rng(99)
 
@@ -597,11 +597,11 @@ def _block_row(rng, n, kind):
 @example(n=203, seed=1, height=1.0, scale=1.0, kinds=list(ROW_KINDS))
 @example(n=4, seed=2, height=0.0, scale=1.0, kinds=["tie"])
 def test_row_sums_match_fsum_row_by_row(n, seed, height, scale, kinds):
-    # blocks from one row to as many as fill the march's block, each row
-    # of some kind; the tops are max|row|, or 2**20 times it (any bound
-    # gives the same sums)
+    # blocks from one row to as many as fill 64 KB, each row of some kind;
+    # the tops are max|row|, or 2**20 times it (any bound gives the same
+    # sums)
     rng = np.random.default_rng(seed)
-    rows = 1 + round(height * (scheme._MASS_BLOCK // (8 * n) - 1))
+    rows = 1 + round(height * (65536 // (8 * n) - 1))
     block = np.array([_block_row(rng, n, kinds[i % len(kinds)])
                       for i in range(rows)])
     tops = (np.abs(block).max(axis=1) * scale).tolist()

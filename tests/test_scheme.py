@@ -559,6 +559,64 @@ def test_network_update_matches_road_by_road(seed, m, n, symmetric,
     assert boundary.tobytes() == want_boundary.tobytes()
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 5),
+       m=st.integers(1, 3), n=st.integers(1, 3),
+       family=st.sampled_from(["lwr", "symq", "cubic", "table"]),
+       dirichlet=st.booleans(), eps=st.sampled_from([0.0, 1e-3, 0.05]))
+@example(seed=5, runs=3, m=2, n=2, family="table", dirichlet=True, eps=0.05)
+def test_runs_end_to_end_update_as_separate_buffers(seed, runs, m, n, family,
+                                                    dirichlet, eps):
+    # R network buffers laid end to end (``_Layout.runs``) take one update
+    # that equals R updates of one buffer each, byte for byte: each run's
+    # new level, ghosts and pad, and its boundary fluxes. LWR roads of
+    # several speeds, or symmetric quadratics, make one sweep over all R
+    # runs; a cubic or a table road among LWR ones makes several sweeps, a
+    # call per run and sweep. The output starts as NaN, so every slot of
+    # it is written
+    rng = np.random.default_rng(seed)
+    roads = m + n
+    if family == "symq":
+        fluxes = [symmetric_quadratic(float(rng.uniform(0.25, 3.0)))
+                  for _ in range(roads)]
+    else:
+        fluxes = [quadratic_lwr(float(rng.uniform(0.25, 2.0)))
+                  for _ in range(roads)]
+        if family == "cubic":
+            fluxes[rng.integers(roads)] = custom_polynomial(
+                [0.0, 1.0, 0.0, -1.0], 0.0, 1.0, 1 / math.sqrt(3))
+        elif family == "table":
+            fluxes[rng.integers(roads)] = MIXED_TOPOLOGIES[
+                "1-2-mixed"].fluxes[2]
+    spec = JunctionSpec(m, n, tuple(fluxes))
+    lo, hi = spec.rho_min, spec.rho_max
+    mesh = NetworkMesh(spec, float(rng.uniform(0.01, 0.1)),
+                       rng.integers(1, 7, roads))
+    one, layout = mesh._layout, mesh._layout.runs(runs)
+    assert (layout is one) == (runs == 1)
+    assert len(layout.sweeps) == (1 if family in ("lwr", "symq")
+                                  else runs * len(one.sweeps))
+    ghosts = rng.uniform(lo, hi, roads) if dirichlet else None
+    packed = [scheme._pack(mesh, tuple(rng.uniform(lo, hi, c)
+                                       for c in mesh.cells_per_road), ghosts)
+              for _ in range(runs)]
+    gstar = rng.uniform(0.0, 1.0, (runs, roads)) * np.array(
+        [r[3] for r in spec._roads])
+    lam = 0.9 * cfl_timestep(mesh, 1.0) / mesh.dx
+    u = np.concatenate(packed)
+    out = np.full(u.shape, math.nan)
+    got, boundary = scheme._update(u, mesh, lam, gstar, out, ghosts, eps)
+    assert got is out and boundary.shape == (runs * roads,)
+    for r, buffer in enumerate(packed):
+        want, want_boundary = scheme._update(
+            buffer, mesh, lam, gstar[r], np.full(buffer.shape, math.nan),
+            ghosts, eps)
+        at = r * one.slots
+        assert got[at:at + one.slots].tobytes() == want.tobytes()
+        assert (boundary[r * roads:(r + 1) * roads].tobytes()
+                == want_boundary.tobytes())
+
+
 @pytest.mark.parametrize("bc", ["absorbing", "dirichlet", "parabolic"])
 def test_single_steps_replay_the_run(monkeypatch, bc):
     # step by step, the single-step API gives every level of a run bitwise;
@@ -965,12 +1023,12 @@ def test_hold_tells_signed_zeros_apart(monkeypatch):
 
 
 def test_shortened_step_never_overwrites_the_held_level(monkeypatch):
-    # the run above on 3 x 800 cells, whose first block holds 3 levels: the
-    # hold starts at step 4, in the first row of the second block, and the
-    # shortened last step is written into another row, never into the
-    # held level it reads
-    mesh = small_mesh(SYMQ21, dx=0.02, cells=800)
-    assert scheme._MASS_BLOCK // (mesh._layout.slots * 8) == 3
+    # the run above on 3 x 9000 cells (216 KB a level), whose block holds
+    # 4 levels: the hold starts at step 4, in the last row of the block,
+    # and the shortened last step is written into its first row, never
+    # into the held level it reads
+    mesh = small_mesh(SYMQ21, dx=0.02, cells=9000)
+    assert scheme._MASS_BLOCK_MAX // (mesh._layout.slots * 8) == 4
     adj = int(mesh._layout.adj[0])
     heights = _spy_blocks(monkeypatch)
     real = scheme._update
@@ -987,7 +1045,7 @@ def test_shortened_step_never_overwrites_the_held_level(monkeypatch):
     monkeypatch.setattr(scheme, "_update", flip)
     traj = run(RunConfig(mesh, 0.9, 10.5 * cfl_timestep(mesh, 0.9)),
                [0.0, 0.0, 0.0])
-    assert len(steps) == 5 and heights == [3, 1, 1]
+    assert len(steps) == 5 and heights == [4, 1]
     assert traj.final.values[0][-1].tobytes() == np.array(-0.0).tobytes()
 
 
@@ -1034,41 +1092,39 @@ def _spy_blocks(monkeypatch, poison_row=None):
 
 
 def test_block_masses_are_those_of_the_replayed_levels(monkeypatch):
-    # a parabolic run of a full first block of 40 levels, two full blocks
-    # of 64 (40 doubled, up to 64 levels) and a partial one, and a
-    # hyperbolic run whose hold starts mid-block: every mass is
-    # GridState.total_mass of its level, replayed step by step, bitwise
+    # a 185-step parabolic run of two full blocks of 64 levels (1 MB would
+    # hold 645 of these) and a partial one, and a hyperbolic run whose
+    # hold starts mid-block: every mass is GridState.total_mass of its
+    # level, replayed step by step, bitwise
     mesh = NetworkMesh(LWR11, 0.01, np.array([100, 100]))
-    rows = scheme._MASS_BLOCK // mesh._layout.slots // 8
-    assert rows == 40 and scheme._MASS_BLOCK_LEVELS == 64
+    assert scheme._MASS_BLOCK_MAX // (mesh._layout.slots * 8) == 645
+    assert scheme._MASS_BLOCK_LEVELS == 64
     heights = _spy_blocks(monkeypatch)
     eps = 0.02
     init = [np.linspace(0.1, 0.4, 100), np.linspace(0.9, 0.5, 100)]
     traj = run_parabolic(mesh, eps, init,
-                         (rows + 2 * 64 + 16.5) * parabolic_timestep(mesh,
-                                                                     eps))
-    assert heights == [rows, 64, 64, 17]
+                         184.5 * parabolic_timestep(mesh, eps))
+    assert heights == [64, 64, 57]
     state = discretize_initial(mesh, init)
     masses = [state.total_mass(mesh.dx)]
     for dt in traj.dts:
         state = parabolic_step(state, mesh, eps, dt)
         masses.append(state.total_mass(mesh.dx))
     assert traj.masses.tobytes() == np.array(masses).tobytes()
-    # the 2-1 settling run below holds from step 284 on: a full block of
-    # 53 levels, three of 64, 39 more when the hold starts, and the
-    # shortened step
+    # the 2-1 settling run below holds from step 284 on: four full blocks
+    # of 64 levels, 28 more when the hold starts, and the shortened step
     heights.clear()
     mesh = NetworkMesh(JunctionSpec(2, 1, (quadratic_lwr(),) * 3), 0.01, 50)
     traj = run(RunConfig(mesh, 0.9, 300.5 * cfl_timestep(mesh, 0.9)),
                [0.02, 0.81, 0.91])
-    assert heights == [53] + [64] * 3 + [39, 1]
+    assert heights == [64] * 4 + [28, 1]
     _assert_step_replay(traj, [0.02, 0.81, 0.91])
-    # a level larger than the first block's bytes makes a block of two
-    # rows; the third step, the last, is flushed alone
+    # a level larger than half of 1 MB makes a block of two rows; the
+    # third step, the last, is flushed alone
     heights.clear()
-    mesh = NetworkMesh(LWR11, 1e-3, np.array([4100, 4100]))
-    assert mesh._layout.slots * 8 > scheme._MASS_BLOCK
-    init = [np.linspace(0.1, 0.4, 4100), np.linspace(0.9, 0.5, 4100)]
+    mesh = NetworkMesh(LWR11, 1e-3, np.array([33000, 33000]))
+    assert 2 * mesh._layout.slots * 8 > scheme._MASS_BLOCK_MAX
+    init = [np.linspace(0.1, 0.4, 33000), np.linspace(0.9, 0.5, 33000)]
     traj = run(RunConfig(mesh, 0.9, 2.5 * cfl_timestep(mesh, 0.9)), init)
     assert heights == [2, 1]
     _assert_step_replay(traj, init)
@@ -1079,27 +1135,28 @@ def test_non_finite_block_mass_names_its_own_step(monkeypatch):
     # run when the block is summed, at the step of that level
     mesh = NetworkMesh(LWR11, 0.01, np.array([100, 100]))
     init = [np.linspace(0.1, 0.4, 100), np.linspace(0.9, 0.5, 100)]
-    # the second block is 64 levels of the 167-step run, and the 60 left
+    # the second block is 64 levels of the 167-step run, and the 36 left
     # of the 100-step parabolic one
     for march, second in (
             (lambda: run(RunConfig(mesh, 0.9, 0.5), init), 64),
-            (lambda: run_parabolic(mesh, 0.02, init, 0.12), 60)):
+            (lambda: run_parabolic(mesh, 0.02, init, 0.12), 36)):
         heights = _spy_blocks(monkeypatch, poison_row=5)
         with pytest.raises(ConsistencyError,
-                           match=r"^step 46: total mass is inf$"):
+                           match=r"^step 70: total mass is inf$"):
             march()
-        assert heights == [40, second]
+        assert heights == [64, second]
 
 
 @pytest.mark.parametrize("kind", ["run", "batch", "parabolic"])
 @pytest.mark.parametrize("cell", [2, 98])
 def test_mid_block_guard_names_the_first_bad_step(monkeypatch, kind, cell):
     # a NaN flux at step 20 between cells cell and cell + 1 of road 0 (of
-    # run 1 in a batch of three): the level of step 20 waits in the middle
-    # of a block, the first of 40 levels of a run, the second of 26 (steps
-    # 14 to 39) of the batch. Far from the node (cell 2) the march goes on
-    # from it with no warning, and the guard names step 20 when the block
-    # is flushed; next to the node (cell 98) the junction solve of step 21
+    # run 1 in a batch of three, whose interfaces run after run make one
+    # sweep): the level of step 20 waits in the middle of the first block,
+    # of 64 levels of the 67-step run and batch, and of all 50 of the
+    # parabolic run. Far from the node (cell 2) the march goes on from it
+    # with no warning, and the guard names step 20 when the block is
+    # flushed; next to the node (cell 98) the junction solve of step 21
     # (of a hyperbolic run) reads the NaN first and raises, and the
     # guard's error for step 20 wins over the solve's
     mesh = NetworkMesh(LWR11, 0.01, np.array([100, 100]))
@@ -1116,7 +1173,8 @@ def test_mid_block_guard_names_the_first_bad_step(monkeypatch, kind, cell):
         real(code, par, crit, fcrit, u_ext, out)
         sweeps.append(1)  # both LWR roads share one sweep per step
         if len(sweeps) == 20:
-            out[(1, cell + 1) if kind == "batch" else cell + 1] = math.nan
+            out[(mesh._layout.slots if kind == "batch" else 0)
+                + cell + 1] = math.nan
 
     monkeypatch.setattr(kernels, "interface_fluxes", poisoned)
     with warnings.catch_warnings(record=True) as caught:
@@ -1128,7 +1186,7 @@ def test_mid_block_guard_names_the_first_bad_step(monkeypatch, kind, cell):
     assert caught == []
     # the parabolic junction value takes a NaN state with no error
     assert len(sweeps) == (20 if cell == 98 and kind != "parabolic" else
-                           39 if kind == "batch" else 40)
+                           50 if kind == "parabolic" else 64)
 
 
 @functools.cache
@@ -1259,8 +1317,9 @@ def test_batch_of_runs_that_settle_apart(monkeypatch):
 
 def test_batch_errors_name_the_run(monkeypatch):
     # a NaN that one run's sweep makes at step 5 stops the batch there,
-    # naming that run and the road; so does a non-finite mass of one run's
-    # level, and an invalid datum names its run before any step
+    # naming that run and the road, in a batch of one too; so does a
+    # non-finite mass of one run's level, and an invalid datum names its
+    # run before any step
     mesh = small_mesh()
     config = RunConfig(mesh, 0.9, 0.1)
     initials = [[0.3, 0.6], [0.2, 0.7], [0.4, 0.5]]
@@ -1270,18 +1329,22 @@ def test_batch_errors_name_the_run(monkeypatch):
     def poisoned(code, par, crit, fcrit, u_ext, out):
         real(code, par, crit, fcrit, u_ext, out)
         calls.append(1)
-        if len(calls) == 5:  # one sweep per step serves the whole stack
-            out[1, 3] = math.nan  # between cells 2 and 3 of run 1's road 0
+        if len(calls) == 5:  # one sweep per step serves the whole batch
+            out[poke] = math.nan
 
     monkeypatch.setattr(kernels, "interface_fluxes", poisoned)
-    with pytest.raises(ConsistencyError,
-                       match=r"^run 1: step 5: road 0 cell 2 holds nan, "):
-        scheme.run_batch(config, initials)
+    # between cells 2 and 3 of road 0 of run 1, and of the one run
+    for r, batch in ((1, initials), (0, initials[:1])):
+        calls.clear()
+        poke = r * mesh._layout.slots + 3
+        with pytest.raises(ConsistencyError,
+                           match=rf"^run {r}: step 5: road 0 cell 2 holds "
+                                 rf"nan, "):
+            scheme.run_batch(config, batch)
     monkeypatch.undo()
-    # the second block's mass of run 2 at its 6th level: the first block
-    # holds _MASS_BLOCK bytes, 26 levels of the three runs' 2 x 50 cells
-    # here, and the second 52
-    rows = scheme._MASS_BLOCK // (3 * mesh._layout.slots * 8)
+    # the second block's mass of run 2 at its 6th level: a block holds 64
+    # levels of the three runs' 2 x 50 cells here (1 MB would hold 424)
+    rows = scheme._MASS_BLOCK_LEVELS
     _spy_blocks(monkeypatch, poison_row=5 * 3 + 2)
     with pytest.raises(ConsistencyError, match=rf"^run 2: step "
                                                rf"{rows + 6}: total mass "

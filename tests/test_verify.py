@@ -219,6 +219,30 @@ def test_audit_matches_per_road_reference(spec):
         assert abs(residual + ref) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("steps", [66, 67])
+@pytest.mark.parametrize("spec", (LWR11, AUDIT_TOPOLOGIES[3]),
+                         ids=["1-1", "1-2-mixed"])
+def test_audit_in_stacks_of_64_levels_matches_the_reference(spec, steps):
+    # the audited levels 1 .. steps - 1 go through in stacks of up to 64,
+    # laid end to end in one buffer: 64 levels and then 1 (or 2), on a
+    # network of one sweep and on one of several
+    roads = spec.m + spec.n
+    lo, hi = spec.rho_min, spec.rho_max
+    mesh = NetworkMesh(spec, 0.05, np.full(roads, 12))
+    dt = cfl_timestep(mesh, 0.9)
+    config = RunConfig(mesh, 0.9, steps * dt)
+    xi = bump_test_function(1.5 * dt, (steps - 0.5) * dt, reach=1.0,
+                            plateau=0.05)
+    rng = np.random.default_rng(steps)
+    ta, tb = (run(config, [lo + (hi - lo) * rng.random(12)
+                           for _ in range(roads)]) for _ in range(2))
+    assert len(ta.times) == steps + 1
+    ref, scale = _per_road_audit(mesh, ta.states, tb.states, ta.times,
+                                 ta.dts, xi)
+    assert scale > 0.0
+    assert abs(kato_audit(ta, tb, xi).value - ref) <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("spec", (LWR21, AUDIT_TOPOLOGIES[3]),
                          ids=["2-1-lwr", "1-2-mixed"])
 def test_audit_of_march_buffers_equals_packed_levels(spec):

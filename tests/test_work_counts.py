@@ -39,11 +39,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the run to t = 1 makes 112 steps and the run to t = 0.5 makes 56
 STEPS_BETWEEN = 56
-# 49.34 Python calls per computed step: the step writes its level into a
+# 47.34 Python calls per computed step: the step writes its level into a
 # row of the march's block (no np.empty), the range guard's reductions run
-# once per block, not once per step, and the junction records fill a list
-# made up front (no append)
-CALLS_BETWEEN = 2763
+# once per block, not once per step, the junction records and the kept
+# GridStates fill lists made up front (no append), and the block's height
+# is one number (no len)
+CALLS_BETWEEN = 2651
 JUNCTION_SOLVES = 112
 BATCH = 10
 BATCH_SPLIT = {"scalar": 10, "stacked": 1110}  # of 10 x 112 solves
@@ -147,12 +148,12 @@ def _assert_written_into_the_ring(outs, blocks, steps):
 
 @pytest.mark.parametrize("case", ["parabolic", "fine"])
 def test_a_lean_run_flushes_a_pinned_number_of_blocks(monkeypatch, case):
-    # the blocks of a lean run: the first of 64 KB and at least 2 levels,
-    # each later one twice the one before, up to 64 levels or 1 MB. A
-    # 600-step parabolic run on 2 x 100 cells flushes 40, eight times 64,
-    # and 48 levels; the 4445-step fine run of tools/step_cost.py (3 x
-    # 4000 cells, 96 KB a level) 2, 4, 8, 443 times 10, and 1. Each flush
-    # is one row_sums call and one guard call, two reductions
+    # the blocks of a lean run: each holds 64 levels or 1 MB of them,
+    # whichever is fewer, and at least 2. A 600-step parabolic run on
+    # 2 x 100 cells flushes nine times 64 and 24 levels; the 4445-step fine
+    # run of tools/step_cost.py (3 x 4000 cells, 96 KB a level) 444 times
+    # 10, and 5. Each flush is one row_sums call and one guard call, two
+    # reductions
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import step_cost
 
@@ -162,11 +163,11 @@ def test_a_lean_run_flushes_a_pinned_number_of_blocks(monkeypatch, case):
         mesh = NetworkMesh(spec, 0.01, np.array([100, 100]))
         steps = len(viscous.run_parabolic(mesh, 0.02, [0.3, 0.6], 599.5 * (
             viscous.parabolic_timestep(mesh, 0.02))).dts)
-        heights = [40] + [64] * 8 + [48]
+        heights = [64] * 9 + [24]
     else:
         config, data = step_cost.fine_baseline()
         steps = len(scheme.run(config, data, keep_states=False).dts)
-        heights = [2, 4, 8] + [10] * 443 + [1]
+        heights = [10] * 444 + [5]
     assert steps == sum(heights)
     assert [len(block) for block in blocks] == guards == heights
     _assert_written_into_the_ring(outs, blocks, steps)

@@ -6,7 +6,9 @@ from linspace(0.1, 0.9), linspace(0.8, 0.2) and linspace(0.3, 0.6), and
 prints:
 
 - the time of a ``run`` step, and of a run-step of the same run marched
-  as a batch of 10 by ``run_batch`` (the batch's step time over 10);
+  by ``run_batch`` as a batch of 1 and as a batch of 10 (the batch's step
+  time over its runs): the batch of 1 shows what the batch's own advance
+  costs beside ``run``'s;
 - the one warm certificate (``kernels.warm_roots``) on one row, as a
   ``solve_junction`` hinted with the active set of the state before, and
   stacked over 10 rows, as the batch of 10 runs it
@@ -120,8 +122,9 @@ def step_us(name: str) -> float:
     steps = len(scheme.run(config, data).dts)
     if name == "run":
         return best_us(lambda: scheme.run(config, data), steps)
-    return best_us(lambda: scheme.run_batch(config, [data] * BATCH),
-                   BATCH * steps)
+    runs = int(name.removeprefix("batch"))  # "batch1", "batch10"
+    return best_us(lambda: scheme.run_batch(config, [data] * runs),
+                   runs * steps)
 
 
 def median_step_us(name: str) -> float:
@@ -205,7 +208,8 @@ def coarse() -> None:
 
     figures = {
         "run step (us)": median_step_us("run"),
-        f"batch of {BATCH}, run-step (us)": median_step_us("batch"),
+        "batch of 1, run-step (us)": median_step_us("batch1"),
+        f"batch of {BATCH}, run-step (us)": median_step_us(f"batch{BATCH}"),
         "warm solve_junction (us)": best_us(
             lambda: [solve_junction(spec, s, h)
                      for s, h in zip(states, hints)], steps),
