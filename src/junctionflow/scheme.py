@@ -28,7 +28,7 @@ checked by the verification suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
@@ -112,9 +112,6 @@ class _Layout:
     # sweep; params is Flux.params, or (per-slot v, R[, -1/R]) for LWR
     # roads and (per-slot h,) for symmetric-quadratic ones
     sweeps: tuple
-    # the layouts of ``runs`` by their buffers' length, one run's a copy of
-    # this one (a layout that held itself would outlive its mesh)
-    by_length: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, spec: JunctionSpec, counts: np.ndarray) -> _Layout:
@@ -153,41 +150,39 @@ class _Layout:
                            family, params, np.array(crit),
                            np.repeat([roads[h][3] for h in run], each)))
         pad = int(stops[spec.m - 1] - 1)
-        layout = cls(int(stops[-1]),
-                     tuple(map(slice, first.tolist(), (last + 1).tolist())),
-                     ghosts, ends, pad, pad - 1,
-                     np.where(incoming, last, first),
-                     np.where(incoming, last, first - 1),
-                     np.where(incoming, ghosts, ends), tuple(sweeps))
-        layout.by_length[layout.slots] = replace(layout, by_length={})
-        return layout
+        return cls(int(stops[-1]),
+                   tuple(map(slice, first.tolist(), (last + 1).tolist())),
+                   ghosts, ends, pad, pad - 1,
+                   np.where(incoming, last, first),
+                   np.where(incoming, last, first - 1),
+                   np.where(incoming, ghosts, ends), tuple(sweeps))
 
     def runs(self, count: int) -> _Layout:
-        """The layout of ``count`` network buffers end to end, made once
-        per count (one run's is this layout): slot j of run r is slot
+        """The layout of ``count`` network buffers end to end, made anew
+        on each call (one run's is this layout): slot j of run r is slot
         r * slots + j, ``adj``, ``junc``, ``ghosts`` and ``ends`` hold a
         row per run, ``outer`` each run's in turn, and ``cells`` none (each
         run is viewed with this layout). A single sweep (all roads in one
-        group, its first param per slot) becomes one over all runs; its
-        interface between two runs lies between two ghosts, which ``fill``
-        rewrites, so nothing reads it. More sweeps repeat per run."""
+        group, its first param per slot) becomes one over all runs, whose
+        interface between two runs nothing reads (``fill`` rewrites both
+        ghosts); more sweeps repeat per run."""
+        if count == 1:
+            return self
         size = count * self.slots
-        if size not in self.by_length:
-            at = self.slots * np.arange(count)
-            rows = at[:, None]
-            if len(self.sweeps) == 1:
-                (_, _, code, par, crit, fcrit), = self.sweeps
-                sweeps = ((0, size, code, (np.tile(par[0], count), *par[1:]),
-                           crit, np.tile(fcrit, count)),)
-            else:
-                sweeps = tuple((first + r, stop + r, *rest)
-                               for r in at.tolist()
-                               for first, stop, *rest in self.sweeps)
-            self.by_length[size] = _Layout(
-                size, (), self.ghosts + rows, self.ends + rows, self.pad + at,
-                self.beside_pad + at, self.adj + rows, self.junc + rows,
-                (self.outer + rows).reshape(-1), sweeps)
-        return self if count == 1 else self.by_length[size]
+        at = self.slots * np.arange(count)
+        rows = at[:, None]
+        if len(self.sweeps) == 1:
+            (_, _, code, par, crit, fcrit), = self.sweeps
+            sweeps = ((0, size, code, (np.tile(par[0], count), *par[1:]),
+                       crit, np.tile(fcrit, count)),)
+        else:
+            sweeps = tuple((first + r, stop + r, *rest)
+                           for r in at.tolist()
+                           for first, stop, *rest in self.sweeps)
+        return _Layout(size, (), self.ghosts + rows, self.ends + rows,
+                       self.pad + at, self.beside_pad + at, self.adj + rows,
+                       self.junc + rows, (self.outer + rows).reshape(-1),
+                       sweeps)
 
     @cached_property
     def skip(self) -> np.ndarray:
@@ -330,14 +325,18 @@ def _pack(mesh: NetworkMesh, data, ghosts=None) -> np.ndarray:
     return u
 
 
-def _flux_grid(u: np.ndarray, mesh: NetworkMesh, gstar,
-               eps: float = 0.0) -> np.ndarray:
+def _flux_grid(u: np.ndarray, mesh: NetworkMesh, gstar, eps: float = 0.0,
+               layout: _Layout | None = None) -> np.ndarray:
     """The flux at every interface of the network buffer u: Godunov
     interface fluxes, less eps times the discrete gradient, and the junction
-    fluxes ``gstar`` at x = 0. u may hold R buffers end to end, with the
-    layout ``_Layout.runs(R)`` made; ``gstar`` then holds a row per run."""
-    layout = mesh._layout.by_length[u.size]
-    fgrid = np.empty(layout.slots - 1)
+    fluxes ``gstar`` at x = 0. u may hold R buffers end to end, with
+    ``layout`` their ``mesh._layout.runs(R)`` (the mesh's layout by
+    default); ``gstar`` then holds a row per run."""
+    layout = layout or mesh._layout
+    # one run's sweeps abut at junction interfaces; several sweeps of runs
+    # end to end leave the interface between two runs unwritten: zero it
+    fgrid = (np.empty if len(layout.sweeps) == 1 else np.zeros)(
+        layout.slots - 1)
     for first, stop, code, par, crit, fcrit in layout.sweeps:
         kernels.interface_fluxes(code, par, crit, fcrit, u[first:stop],
                                  fgrid[first:stop - 1])
@@ -351,14 +350,15 @@ def _flux_grid(u: np.ndarray, mesh: NetworkMesh, gstar,
 
 
 def _update(u: np.ndarray, mesh: NetworkMesh, lam, gstar, out: np.ndarray,
-            ghosts=None, eps: float = 0.0):
+            ghosts=None, eps: float = 0.0, layout: _Layout | None = None):
     """One conservative update of the network buffer u, or of the buffers
-    it holds end to end, with the fluxes of ``_flux_grid`` and lam = dt /
-    dx (a float, or a 0-d array, which numpy pairs with an array faster),
-    written into out, of u's shape and not overlapping it. Returns (out,
-    its ghosts and pad filled, each run's outer boundary fluxes in turn)."""
-    layout = mesh._layout.by_length[u.size]
-    fgrid = _flux_grid(u, mesh, gstar, eps)
+    it holds end to end, with the fluxes of ``_flux_grid`` (and its
+    ``layout``) and lam = dt / dx (a float, or a 0-d array, which numpy
+    pairs with an array faster), written into out, of u's shape and not
+    overlapping it. Returns (out, its ghosts and pad filled, each run's
+    outer boundary fluxes in turn)."""
+    layout = layout or mesh._layout
+    fgrid = _flux_grid(u, mesh, gstar, eps, layout)
     inner = np.subtract(fgrid[1:], fgrid[:-1], out=out[1:-1])
     inner *= lam
     np.subtract(u[1:-1], inner, out=inner)
@@ -532,10 +532,9 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
             [top] * (waiting * runs), mesh._layout.skip)]
         every_mass[first * runs:(stop + 1) * runs] = got
         if not all(map(math.isfinite, got)):  # name the first that is not
-            level, r = divmod(list(map(math.isfinite, got)).index(False),
-                              runs)
-            raise ConsistencyError(f"step {first + level}: total mass is "
-                                   f"{got[level * runs + r]}", r)
+            i = list(map(math.isfinite, got)).index(False)
+            raise ConsistencyError(f"step {first + i // runs}: total mass "
+                                   f"is {got[i]}", i % runs)
 
     dts = [dt0] * n_steps
     bnet = [0.0] * (n_steps * runs)  # step by step, run by run
@@ -730,7 +729,8 @@ def run_batch(config: RunConfig, initials,
     if not packed:
         return []
     count = len(packed)
-    adj = mesh._layout.runs(count).adj.reshape(count, -1)  # a row per run
+    layout = mesh._layout.runs(count)
+    adj = layout.adj.reshape(count, -1)  # a row per run
     keys, known, solves = [None] * count, [None] * count, [0] * count
     hints = [None] * count  # each run's last active set found
     gstar = np.empty((count, spec.m + spec.n))
@@ -764,7 +764,7 @@ def run_batch(config: RunConfig, initials,
                 solves[r] += 1
                 gstar[r] = sol.fluxes
             record = tuple(known)
-        return *_update(u, mesh, lam, gstar, out, ghosts), record
+        return *_update(u, mesh, lam, gstar, out, ghosts, 0.0, layout), record
 
     dt0 = cfl_timestep(mesh, config.cfl_number)
     try:

@@ -164,10 +164,11 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
     slots = layout.slots
     terms = []
     dts = dts.tolist()
-    hints = None
+    hints = stack = None
     for start in range(1, len(times) - 1, 64):
         steps = range(start, min(start + 64, len(times) - 1))
-        stack = layout.runs(len(steps))
+        if stack is None or stack.slots != len(steps) * slots:
+            stack = layout.runs(len(steps))  # of 64 levels, then the rest
         ua = np.concatenate([levels_a[s] for s in steps])
         ub = np.concatenate([levels_b[s] for s in steps])
         hi, lo = np.maximum(ua, ub), np.minimum(ua, ub)
@@ -177,7 +178,8 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
             hi[stack.adj], lo[stack.adj])).reshape(2, len(steps), -1), hints)
         g_hi, g_lo = np.array([[sol.fluxes for sol in chain]
                                for chain in chains])
-        q = _flux_grid(hi, mesh, g_hi) - _flux_grid(lo, mesh, g_lo)
+        q = (_flux_grid(hi, mesh, g_hi, layout=stack)
+             - _flux_grid(lo, mesh, g_lo, layout=stack))
         q[stack.outer] = np.abs(q[stack.outer])
         gaps = np.abs(ua - ub)  # a dot per level; q between two is unread
         for at, s in zip(range(0, gaps.shape[0], slots), steps):

@@ -605,8 +605,17 @@ def test_runs_end_to_end_update_as_separate_buffers(seed, runs, m, n, family,
     lam = 0.9 * cfl_timestep(mesh, 1.0) / mesh.dx
     u = np.concatenate(packed)
     out = np.full(u.shape, math.nan)
-    got, boundary = scheme._update(u, mesh, lam, gstar, out, ghosts, eps)
+    got, boundary = scheme._update(u, mesh, lam, gstar, out, ghosts, eps,
+                                   layout)
     assert got is out and boundary.shape == (runs * roads,)
+    # the interface between two runs, which nothing reads, is never left
+    # unwritten: one sweep computes it from their ghosts, and under several
+    # it starts at zero, less the viscous term
+    seams = np.arange(one.slots - 1, u.size - 1, one.slots)
+    if len(layout.sweeps) > 1:
+        grad = (u[seams + 1] - u[seams]) * eps / mesh.dx
+        assert (scheme._flux_grid(u, mesh, gstar, eps, layout)[seams].tobytes()
+                == (0.0 - grad).tobytes())
     for r, buffer in enumerate(packed):
         want, want_boundary = scheme._update(
             buffer, mesh, lam, gstar[r], np.full(buffer.shape, math.nan),
@@ -1023,12 +1032,12 @@ def test_hold_tells_signed_zeros_apart(monkeypatch):
 
 
 def test_shortened_step_never_overwrites_the_held_level(monkeypatch):
-    # the run above on 3 x 9000 cells (216 KB a level), whose block holds
-    # 4 levels: the hold starts at step 4, in the last row of the block,
-    # and the shortened last step is written into its first row, never
-    # into the held level it reads
-    mesh = small_mesh(SYMQ21, dx=0.02, cells=9000)
-    assert scheme._MASS_BLOCK_MAX // (mesh._layout.slots * 8) == 4
+    # the run above on 3 x 12,000 cells (288 KB a level), whose block
+    # holds 3 levels: the hold starts at step 4, in the first row of the
+    # second block, and the shortened last step is written into another
+    # row, never into the held level it reads
+    mesh = small_mesh(SYMQ21, dx=0.02, cells=12000)
+    assert scheme._MASS_BLOCK_MAX // (mesh._layout.slots * 8) == 3
     adj = int(mesh._layout.adj[0])
     heights = _spy_blocks(monkeypatch)
     real = scheme._update
@@ -1045,7 +1054,7 @@ def test_shortened_step_never_overwrites_the_held_level(monkeypatch):
     monkeypatch.setattr(scheme, "_update", flip)
     traj = run(RunConfig(mesh, 0.9, 10.5 * cfl_timestep(mesh, 0.9)),
                [0.0, 0.0, 0.0])
-    assert len(steps) == 5 and heights == [4, 1]
+    assert len(steps) == 5 and heights == [3, 1, 1]
     assert traj.final.values[0][-1].tobytes() == np.array(-0.0).tobytes()
 
 

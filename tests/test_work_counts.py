@@ -39,12 +39,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the run to t = 1 makes 112 steps and the run to t = 0.5 makes 56
 STEPS_BETWEEN = 56
-# 47.34 Python calls per computed step: the step writes its level into a
+# 48.34 Python calls per computed step: the step writes its level into a
 # row of the march's block (no np.empty), the range guard's reductions run
 # once per block, not once per step, the junction records and the kept
 # GridStates fill lists made up front (no append), and the block's height
-# is one number (no len)
-CALLS_BETWEEN = 2651
+# is one number (no len); the flux grid's allocator is chosen by the
+# number of sweeps (one len)
+CALLS_BETWEEN = 2707
 JUNCTION_SOLVES = 112
 BATCH = 10
 BATCH_SPLIT = {"scalar": 10, "stacked": 1110}  # of 10 x 112 solves
