@@ -190,36 +190,36 @@ def _solve_stack(spec: JunctionSpec, states: np.ndarray,
     or a plateau's), one whose piece has degree 0 or above 2 or whose
     certificate fails, and one whose fluxes fail the balance check.
 
-    The stack is checked once against [A, B] widened as
+    The stack is checked value by value against [A, B] widened as
     ``JunctionSpec.candidate`` widens it, which refuses a bad row by its
     own message. ``kernels.warm_roots`` solves every row from its hint's
     piece, computed once per distinct hint (``JunctionSpec._warm``); the
     fluxes at the root, their totals and the balance check are
-    ``solve_junction``'s, and every solution's fluxes are a read-only row
-    of one array."""
+    ``solve_junction``'s, and every solution's fluxes a read-only array of
+    their own."""
     lo, hi = spec._bounds
-    if not (lo <= np.minimum.reduce(states, axis=None, initial=hi)
-            and np.maximum.reduce(states, axis=None, initial=lo) <= hi):
-        for state in states:
-            spec.candidate(state)
+    values = states.tolist()
+    for row in values:
+        for v in row:  # on a step's few rows, cheaper than numpy's min
+            if not lo <= v <= hi:  # NaN fails this too; min() skips it
+                for state in states:
+                    spec.candidate(state)
     roads, m = spec._roads, spec.m
-    solved, rows = [], []
-    for i, got in enumerate(kernels.warm_roots(
-            spec._warm, states.tolist(), hints, [0.0] * len(hints))):
-        if got is None:
-            continue
-        r, fluxes = got  # the road constants, overwritten in place
-        kernels.fill_junction_fluxes(roads, m, fluxes, r + 0.5 * (r - r),
-                                     fluxes)
-        total_in, total_out = math.fsum(fluxes[:m]), math.fsum(fluxes[m:])
-        if abs(total_in - total_out) <= 1e-12 * max(1.0, abs(total_in)):
-            solved.append((i, r, total_in))
-            rows.append(fluxes)
-    out: list[JunctionSolution | None] = [None] * len(hints)
-    block = np.array(rows)
-    block.setflags(write=False)  # a run hands a solution to every repeat
-    for (i, r, total), fluxes in zip(solved, block):
-        out[i] = JunctionSolution(r, r, fluxes, total, hints[i])
+    out: list[JunctionSolution | None] = []
+    for got, hint in zip(kernels.warm_roots(spec._warm, values, hints,
+                                            [0.0] * len(values)), hints):
+        if got is not None:
+            r, fluxes = got  # the road constants, overwritten in place
+            kernels.fill_junction_fluxes(roads, m, fluxes, r + 0.5 * (r - r),
+                                         fluxes)
+            total_in = math.fsum(fluxes[:m])
+            total_out = math.fsum(fluxes[m:])
+            if abs(total_in - total_out) <= 1e-12 * max(1.0, abs(total_in)):
+                fluxes = np.array(fluxes)
+                fluxes.setflags(write=False)  # a run reuses a solution
+                out.append(JunctionSolution(r, r, fluxes, total_in, hint))
+                continue
+        out.append(None)
     return out
 
 

@@ -28,9 +28,11 @@ checked by the verification suite.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from operator import is_not, itemgetter
 
 import numpy as np
 
@@ -190,15 +192,23 @@ class _Layout:
         ``kernels.row_sums`` leaves out of a level's mass."""
         return np.append(self.ghosts, self.pad)
 
-    def views(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(map(u.__getitem__, self.cells))
+    @cached_property
+    def views(self):  # u -> its roads' cells in one call (2 roads or more)
+        return itemgetter(*self.cells)
+
+    @cached_property
+    def copied(self) -> np.ndarray:  # what absorbing ``skip`` slots copy
+        return np.append(self.ends, self.beside_pad)
 
     def fill(self, u: np.ndarray, ghosts=None) -> None:
         """Ghost cells copy the end cells (absorbing, ``ghosts`` None) or
         hold ``ghosts[h]`` (Dirichlet, the same for every run); the pad
-        copies its neighbour."""
-        u[self.ghosts] = u[self.ends] if ghosts is None else ghosts
-        u[self.pad] = u[self.beside_pad]
+        copies its neighbour, a cell."""
+        if ghosts is None:
+            u[self.skip] = u[self.copied]
+        else:
+            u[self.ghosts] = ghosts
+            u[self.pad] = u[self.beside_pad]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -521,6 +531,7 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
                                      _MASS_BLOCK_MAX // u.nbytes)))
     levels = np.empty((height, u.shape[0]))
     block = levels.reshape(height * runs, slots)
+    ring = list(levels)  # a view of each row, made once
     start = waiting = 0
 
     def flush(stop):
@@ -536,8 +547,8 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
             raise ConsistencyError(f"step {first + i // runs}: total mass "
                                    f"is {got[i]}", i % runs)
 
-    dts = [dt0] * n_steps
-    bnet = [0.0] * (n_steps * runs)  # step by step, run by run
+    dts = array("d", [dt0]) * n_steps  # typed: no float kept per step
+    bnet = array("d", bytes(8 * n_steps * runs))  # step by step, run by run
     records = [None] * n_steps
     record = None
     held = False
@@ -549,7 +560,7 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
                 if dt != dt0:
                     lam = dt / mesh.dx
                 last = record
-                out = levels[start + waiting]
+                out = ring[start + waiting]
                 try:
                     _, boundary, record = advance(u, lam, out)
                 except Exception as exc:
@@ -608,8 +619,8 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
 
     rows, states = zip(*map(kept_levels, range(0, runs * slots, slots)))
     masses[0] = [run_states[0].total_mass(mesh.dx) for run_states in states]
-    return (states, rows, times, np.array(dts),
-            np.array(bnet).reshape(n_steps, runs), masses, records)
+    return (states, rows, times, np.frombuffer(dts),
+            np.frombuffer(bnet).reshape(n_steps, runs), masses, records)
 
 
 @dataclass(eq=False)
@@ -645,17 +656,79 @@ class Trajectory:
         return self.config.mesh
 
 
-def _trajectory(config: RunConfig, r: int, states, buffers, times, dts, bnet,
-                masses, sols, solves: int) -> Trajectory:
-    """Run r's Trajectory from what ``_march`` returned and the junction
-    solution of each of its steps."""
-    return Trajectory(config, states[r], buffers[r], times.copy(), dts.copy(),
-                      np.array([sol.p_min for sol in sols]),
-                      np.array([sol.p_max for sol in sols]),
-                      np.array([sol.fluxes for sol in sols]).reshape(
-                          len(sols), config.mesh.spec.m + config.mesh.spec.n),
-                      np.array([sol.total for sol in sols]),
-                      bnet[:, r].copy(), masses[:, r].copy(), solves)
+def _runs(config: RunConfig, u: np.ndarray,
+          keep_states: bool) -> list[Trajectory]:
+    """The Trajectory of a run from each network buffer that u holds end
+    to end (``_pack``'s), marched as one (see ``run_batch``). A run reuses
+    its last solution while its junction state repeats bitwise (the bytes
+    keep -0.0 and 0.0 apart); the runs whose state changed go to one
+    stacked warm solve (``junction._solve_stack``), each hinted with the
+    last active set it found (a plateau's solve finds none), and the rows
+    it leaves to ``solve_junction`` one by one, cold. A hint spares the
+    scan but changes no result. A broken invariant raises the march's
+    ConsistencyError, with the run as its ``run``."""
+    mesh = config.mesh
+    spec = mesh.spec
+    ghosts = config.dirichlet_values
+    count, k = u.shape[0] // mesh._layout.slots, spec.m + spec.n
+    layout = mesh._layout.runs(count)
+    adj = layout.adj.reshape(count, k)  # a row per run
+    # each run and its span of the junction state's bytes, its key
+    cuts = [(r, 8 * k * r, 8 * k * (r + 1)) for r in range(count)]
+    keys, hints = [None] * count, [None] * count
+    found = [[] for _ in range(count)]  # each run's distinct solutions
+    at = [-1] * count  # the index of each run's solution in found
+    table = array("q")  # ``at`` after each step that solves, flat
+    record = None  # the last solution found
+    gstar = np.empty((count, k))
+    flat = gstar.reshape(layout.junc.shape)
+
+    def advance(u, lam, out):
+        # a step on which no run solves returns the record of the step
+        # before, the same object; one that solves, its last solution
+        nonlocal record
+        junction = u[adj]
+        seen = junction.tobytes()
+        rows = []
+        for r, start, stop in cuts:
+            if (key := seen[start:stop]) != keys[r]:
+                keys[r] = key
+                rows.append(r)
+        if rows:
+            every = len(rows) == count
+            for r, sol in zip(rows, _solve_stack(
+                    spec, junction if every else junction[rows],
+                    hints if every else [hints[r] for r in rows])):
+                if sol is None:  # the stack has tried the hint: cold
+                    try:
+                        sol = solve_junction(spec, junction[r])
+                    except ConsistencyError as exc:
+                        exc.run = r
+                        raise
+                found[r].append(sol)
+                at[r] += 1
+                hints[r] = sol.active or hints[r]
+                gstar[r] = sol.fluxes
+            record = sol
+            table.fromlist(at)
+        return *_update(u, mesh, lam, flat, out, ghosts, 0.0, layout), record
+
+    states, buffers, times, dts, bnet, masses, records = _march(
+        mesh, u, cfl_timestep(mesh, config.cfl_number),
+        config.t_final, advance, keep_states, config.snapshot_times)
+    # each step's row of table: that of the last step up to it that solved
+    new = np.fromiter(map(is_not, records, [None, *records[:-1]]), np.intp,
+                      len(records))
+    index = np.frombuffer(table, np.int64).reshape(-1, count)[
+        new.cumsum() - 1]
+    return [Trajectory(config, states[r], buffers[r], times.copy(),
+                       dts.copy(), np.array([s.p_min for s in sols]).take(i),
+                       np.array([s.p_max for s in sols]).take(i),
+                       np.array([s.fluxes for s in sols]).reshape(
+                           len(sols), k).take(i, axis=0),
+                       np.array([s.total for s in sols]).take(i),
+                       bnet[:, r].copy(), masses[:, r].copy(), len(sols))
+            for r, sols, i in zip(range(count), found, index.T)]
 
 
 def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
@@ -665,117 +738,43 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
     ``discretize_initial``. The final step is shortened to land exactly on
     t_final. All time levels are kept unless ``keep_states`` is False;
     then, to bound memory on fine meshes, ``states`` keeps the first level,
-    the last and those nearest ``config.snapshot_times``, each once.
+    the last and those nearest ``config.snapshot_times``, each once. A
+    batch of one (``run_batch``) whose errors name no run.
     """
-    mesh = config.mesh
-    ghosts = config.dirichlet_values
-    adj = mesh._layout.adj
-    key = known = hint = None
-    solves = 0
-
-    def advance(u, lam, out):
-        # solve_junction is a pure function of the junction state, so a step
-        # whose state repeats the previous one bitwise (an equilibrium, or
-        # once the waves have left the node) reuses its solution; the bytes
-        # keep -0.0 and 0.0 apart. Any other step hands the last active set
-        # found on as a hint (a plateau's solve finds none), which spares
-        # the scan but changes no result.
-        nonlocal key, known, hint, solves
-        state = u[adj]
-        if (seen := state.tobytes()) != key:
-            key, known = seen, solve_junction(mesh.spec, state, hint)
-            hint = known.active or hint
-            solves += 1
-        return *_update(u, mesh, lam, known.fluxes, out, ghosts), known
-
-    *marched, sols = _march(
-        mesh, _pack(mesh, initial, ghosts),
-        cfl_timestep(mesh, config.cfl_number), config.t_final, advance,
-        keep_states, config.snapshot_times)
-    return _trajectory(config, 0, *marched, sols, solves)
+    u = _pack(config.mesh, initial, config.dirichlet_values)
+    return _runs(config, u, keep_states)[0]
 
 
 def run_batch(config: RunConfig, initials,
               keep_states: bool = True) -> list[Trajectory]:
     """``[run(config, x, keep_states) for x in initials]``, every
-    Trajectory bit for bit the same, marched as one: the runs' network
-    buffers lie end to end in one (``_Layout.runs``), so each step makes
-    its sweeps and one update for all runs at once, and each block of
-    levels one range guard and one mass sum. It pays where many
-    independent runs share one mesh and one config: the fixed cost of a
-    step on a coarse mesh is then shared, and what is left per run is
-    mostly its junction solve. ``run`` keeps its own advance.
+    Trajectory bit for bit the same, marched as one (``_runs``): the runs'
+    network buffers lie end to end in one (``_Layout.runs``), so each step
+    makes its sweeps and one update for all runs at once, and each block of
+    levels one range guard and one mass sum. It pays where many independent
+    runs share one mesh and one config: the fixed cost of a step on a
+    coarse mesh is then shared, and what is left per run is mostly its
+    junction solve. ``run`` is a batch of one.
 
-    Each run keeps its own bytewise reuse of the last solution, its own
-    warm hint and its own solve count, as in ``run``; the runs whose
-    junction state changed go to one stacked warm solve
-    (``junction._solve_stack``), and the rows it leaves to
-    ``solve_junction`` one by one. The batch holds a bitwise fixed point
-    only once every run repeats its input (see ``_march``); a run that
-    settles earlier is recomputed, which gives the same bits and makes no
-    solve. An invalid initial datum raises ValueError naming its run, and a
-    broken invariant ConsistencyError naming the run, the step and the road
-    or the junction flux."""
-    mesh = config.mesh
-    spec = mesh.spec
-    ghosts = config.dirichlet_values
+    The batch holds a bitwise fixed point only once every run repeats its
+    input (see ``_march``); a run that settles earlier is recomputed, which
+    gives the same bits and makes no solve. An invalid initial datum raises
+    ValueError naming its run, and a broken invariant ConsistencyError
+    naming the run, the step and the road or the junction flux."""
     packed = []
     for r, initial in enumerate(as_sequence("initials", initials,
                                             empty=True)):
         try:
-            packed.append(_pack(mesh, initial, ghosts))
+            packed.append(_pack(config.mesh, initial,
+                                config.dirichlet_values))
         except ValueError as exc:
             raise ValueError(f"run {r}: {exc}") from None
     if not packed:
         return []
-    count = len(packed)
-    layout = mesh._layout.runs(count)
-    adj = layout.adj.reshape(count, -1)  # a row per run
-    keys, known, solves = [None] * count, [None] * count, [0] * count
-    hints = [None] * count  # each run's last active set found
-    gstar = np.empty((count, spec.m + spec.n))
-    stack_key = record = None
-
-    def advance(u, lam, out):
-        # run's reuse and hints, run by run; a step on which no run solves
-        # returns the record of the step before, the same object. The runs
-        # that solve go to one stacked warm solve, and what it leaves to
-        # the scalar solve, one by one
-        nonlocal stack_key, record
-        junction = u[adj]
-        if (seen := junction.tobytes()) != stack_key:
-            stack_key = seen
-            rows = []
-            for r, state in enumerate(junction):
-                if (key := state.tobytes()) != keys[r]:
-                    keys[r] = key
-                    rows.append(r)
-            for r, sol in zip(rows, _solve_stack(
-                    spec, junction if len(rows) == count else junction[rows],
-                    [hints[r] for r in rows])):
-                if sol is None:  # the stack has tried the hint: cold
-                    try:
-                        sol = solve_junction(spec, junction[r])
-                    except ConsistencyError as exc:
-                        exc.run = r
-                        raise
-                known[r] = sol
-                hints[r] = sol.active or hints[r]
-                solves[r] += 1
-                gstar[r] = sol.fluxes
-            record = tuple(known)
-        return *_update(u, mesh, lam, gstar, out, ghosts, 0.0, layout), record
-
-    dt0 = cfl_timestep(mesh, config.cfl_number)
     try:
-        *marched, records = _march(mesh, np.concatenate(packed), dt0,
-                                   config.t_final, advance, keep_states,
-                                   config.snapshot_times)
+        return _runs(config, np.concatenate(packed), keep_states)
     except ConsistencyError as exc:  # the march names the step and the road
         raise ConsistencyError(f"run {exc.run}: {exc}", exc.run) from exc
-    return [_trajectory(config, r, *marched,
-                        [record[r] for record in records], solves[r])
-            for r in range(count)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -828,31 +828,50 @@ def test_run_solves_each_new_junction_state(monkeypatch, bc, label):
 
 
 def test_moving_run_warm_starts_the_junction_bracket(monkeypatch):
-    # a 2-1 LWR run whose junction state moves at every step: each solve
-    # starts from the last active set and solves its piece with no gap
-    # evaluation, where a cold solve takes m + n + 2 = 5
+    # a 2-1 LWR run whose junction state moves at every step: every step
+    # after the first offers the stacked solve the last active set found as
+    # its hint, and solves its piece with no gap evaluation, where a cold
+    # solve (of the first step, or of a row the stack leaves) takes
+    # m + n + 2 = 5
     spec = JunctionSpec(2, 1, (quadratic_lwr(), quadratic_lwr(),
                                quadratic_lwr(2.0)))
     mesh = NetworkMesh(spec, 1.0 / 200, 200)
     rng = np.random.default_rng(5)
     init = [np.repeat(rng.random(10), 20) for _ in range(3)]
-    gaps, per_solve = [0], []
-    real_gap, real_solve = kernels.balance_gap, scheme.solve_junction
+    gaps, per_solve, offered, actives = [0], [], [], []
+    real_gap = kernels.balance_gap
+    real_solve, real_stack = scheme.solve_junction, scheme._solve_stack
 
     def gap(*args):
         gaps[0] += 1
         return real_gap(*args)
 
+    def solved(sol, before):
+        per_solve.append(gaps[0] - before)
+        actives.append(sol.active)
+        return sol
+
+    def stack(spec, states, hints):
+        assert len(states) == len(hints) == 1  # one run, one row a step
+        offered.extend(hints)
+        before = gaps[0]
+        sols = real_stack(spec, states, hints)
+        return [sol and solved(sol, before) for sol in sols]
+
     def solve(*args):
         before = gaps[0]
-        sol = real_solve(*args)
-        per_solve.append(gaps[0] - before)
-        return sol
+        return solved(real_solve(*args), before)
 
     monkeypatch.setattr(kernels, "balance_gap", gap)
     monkeypatch.setattr(scheme, "solve_junction", solve)
+    monkeypatch.setattr(scheme, "_solve_stack", stack)
     traj = run(RunConfig(mesh, 0.9, 0.25), init, keep_states=False)
-    assert traj.junction_solves == len(per_solve) > 100
+    assert traj.junction_solves == len(per_solve) == len(offered) > 100
+    last = None  # the last active set found before each step
+    for hint, active in zip(offered, actives):
+        assert hint is last
+        last = active or last
+    assert offered[0] is None and None not in offered[1:]
     assert sum(k == 0 for k in per_solve) >= 0.95 * len(per_solve)
 
 

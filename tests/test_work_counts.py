@@ -2,10 +2,10 @@
 shows without a timer.
 
 The baseline run of ``tools/step_cost.py`` (2-1 LWR, v = 1, 1, 2, on
-3 x 25 cells, CFL 0.9, to t = 1) makes a fixed number of junction solves
-and a fixed number of Python calls per computed step, as cProfile counts
-them: the calls of the run to t = 1 less those of the run to t = 0.5, over
-the difference in steps. Each count is taken twice in each of two fresh
+3 x 25 cells, CFL 0.9, to t = 1), a batch of one (``scheme.run``), makes
+a fixed number of junction solves and a fixed number of Python calls per
+computed step, as cProfile counts them: the calls of the run to t = 1 less
+those of the run to t = 0.5, over the difference in steps. Each count is taken twice in each of two fresh
 interpreters with different ``PYTHONHASHSEED`` values; all must agree with
 the pins. A change that moves a count updates its pin and says why.
 
@@ -39,13 +39,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the run to t = 1 makes 112 steps and the run to t = 0.5 makes 56
 STEPS_BETWEEN = 56
-# 48.34 Python calls per computed step: the step writes its level into a
+# 51.34 Python calls per computed step: the step writes its level into a
 # row of the march's block (no np.empty), the range guard's reductions run
 # once per block, not once per step, the junction records and the kept
 # GridStates fill lists made up front (no append), and the block's height
 # is one number (no len); the flux grid's allocator is chosen by the
-# number of sweeps (one len)
-CALLS_BETWEEN = 2707
+# number of sweeps (one len). The run marches as a batch of one: its
+# junction state goes to the stacked solve (``_solve_stack`` in place of
+# ``solve_junction`` and its ``candidate``, and one tolist fewer), whose
+# bookkeeping adds three appends (the rows that solve, the run's distinct
+# solutions, the stack's results), two lens and the solve table's
+# fromlist; a kept level's road views are one itemgetter call (no
+# ``views``)
+CALLS_BETWEEN = 2875
 JUNCTION_SOLVES = 112
 BATCH = 10
 BATCH_SPLIT = {"scalar": 10, "stacked": 1110}  # of 10 x 112 solves

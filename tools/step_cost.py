@@ -5,10 +5,9 @@ CFL 0.9, to t = 1 (112 computed steps, one junction solve each, no hold),
 from linspace(0.1, 0.9), linspace(0.8, 0.2) and linspace(0.3, 0.6), and
 prints:
 
-- the time of a ``run`` step, and of a run-step of the same run marched
-  by ``run_batch`` as a batch of 1 and as a batch of 10 (the batch's step
-  time over its runs): the batch of 1 shows what the batch's own advance
-  costs beside ``run``'s;
+- the time of a ``run`` step (``run`` marches a batch of one), and of a
+  run-step of the same run marched by ``run_batch`` as a batch of 10 (the
+  batch's step time over its runs);
 - the one warm certificate (``kernels.warm_roots``) on one row, as a
   ``solve_junction`` hinted with the active set of the state before, and
   stacked over 10 rows, as the batch of 10 runs it
@@ -23,8 +22,9 @@ The fine case runs the same junction and data shapes on 3 x 4000 cells
 t = 0.25, 4445 steps) as a lean run with 15 snapshots, and prints the time
 of a step and of the parts of a step, each per computed level and timed
 inside the march (``timed_parts``), on the buffers and the heap the march
-has: the junction solve (``solve_junction``, warm), the ring write
-(``scheme._update`` of a level into its row of a block; its Godunov
+has: the junction solve (``junction._solve_stack`` on the run's one row,
+warm, and ``solve_junction``, cold, where the stack leaves it), the ring
+write (``scheme._update`` of a level into its row of a block; its Godunov
 sweeps also shown alone), the block guard (``scheme._guard``) and the
 block flush (``kernels.row_sums``). They add up to the step but for the
 march's own bookkeeping and the timers; the last line says where they
@@ -122,7 +122,7 @@ def step_us(name: str) -> float:
     steps = len(scheme.run(config, data).dts)
     if name == "run":
         return best_us(lambda: scheme.run(config, data), steps)
-    runs = int(name.removeprefix("batch"))  # "batch1", "batch10"
+    runs = int(name.removeprefix("batch"))  # "batch10"
     return best_us(lambda: scheme.run_batch(config, [data] * runs),
                    runs * steps)
 
@@ -135,8 +135,10 @@ def median_step_us(name: str) -> float:
         text=True, check=True).stdout) for _ in range(PROCESSES))
 
 
-# the parts of a fine step: (owner, the name the march calls, label)
-PARTS = ((scheme, "solve_junction", "junction solve (us)"),
+# the parts of a fine step: (owner, the name the march calls, label); a
+# run solves its junction stacked, and cold where the stack leaves a row
+PARTS = ((scheme, "_solve_stack", "junction solve (us)"),
+         (scheme, "solve_junction", "junction solve (us)"),
          (scheme, "_update", "ring write (us)"),
          (scheme, "_guard", "block guard (us)"),
          (kernels, "row_sums", "block flush (us)"),
@@ -208,7 +210,6 @@ def coarse() -> None:
 
     figures = {
         "run step (us)": median_step_us("run"),
-        "batch of 1, run-step (us)": median_step_us("batch1"),
         f"batch of {BATCH}, run-step (us)": median_step_us(f"batch{BATCH}"),
         "warm solve_junction (us)": best_us(
             lambda: [solve_junction(spec, s, h)
