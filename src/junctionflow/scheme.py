@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from operator import is_not, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -336,12 +337,14 @@ def _pack(mesh: NetworkMesh, data, ghosts=None) -> np.ndarray:
 
 
 def _flux_grid(u: np.ndarray, mesh: NetworkMesh, gstar, eps: float = 0.0,
-               layout: _Layout | None = None) -> np.ndarray:
+               layout: _Layout | None = None, dx=None) -> np.ndarray:
     """The flux at every interface of the network buffer u: Godunov
-    interface fluxes, less eps times the discrete gradient, and the junction
-    fluxes ``gstar`` at x = 0. u may hold R buffers end to end, with
-    ``layout`` their ``mesh._layout.runs(R)`` (the mesh's layout by
-    default); ``gstar`` then holds a row per run."""
+    interface fluxes, less eps >= 0 times the discrete gradient, and the
+    junction fluxes ``gstar`` at x = 0. u may hold R buffers end to end,
+    with ``layout`` their ``mesh._layout.runs(R)`` (the mesh's layout by
+    default); ``gstar`` then holds a row per run. eps, and dx (``mesh.dx``
+    by default), may be 0-d arrays, which numpy pairs with an array faster
+    than a float."""
     layout = layout or mesh._layout
     # one run's sweeps abut at junction interfaces; several sweeps of runs
     # end to end leave the interface between two runs unwritten: zero it
@@ -350,25 +353,26 @@ def _flux_grid(u: np.ndarray, mesh: NetworkMesh, gstar, eps: float = 0.0,
     for first, stop, code, par, crit, fcrit in layout.sweeps:
         kernels.interface_fluxes(code, par, crit, fcrit, u[first:stop],
                                  fgrid[first:stop - 1])
-    if eps > 0:  # eps * (u[1:] - u[:-1]) / dx, in one temporary
+    if eps:  # eps * (u[1:] - u[:-1]) / dx, in one temporary
         grad = np.subtract(u[1:], u[:-1])
         grad *= eps
-        grad /= mesh.dx
+        grad /= mesh.dx if dx is None else dx
         fgrid -= grad
     fgrid[layout.junc] = gstar
     return fgrid
 
 
 def _update(u: np.ndarray, mesh: NetworkMesh, lam, gstar, out: np.ndarray,
-            ghosts=None, eps: float = 0.0, layout: _Layout | None = None):
+            ghosts=None, eps: float = 0.0, layout: _Layout | None = None,
+            dx=None):
     """One conservative update of the network buffer u, or of the buffers
-    it holds end to end, with the fluxes of ``_flux_grid`` (and its
-    ``layout``) and lam = dt / dx (a float, or a 0-d array, which numpy
-    pairs with an array faster), written into out, of u's shape and not
-    overlapping it. Returns (out, its ghosts and pad filled, each run's
+    it holds end to end, with the fluxes of ``_flux_grid`` (and its eps,
+    ``layout`` and dx) and lam = dt / dx (a float, or a 0-d array, which
+    numpy pairs with an array faster), written into out, of u's shape and
+    not overlapping it. Returns (out, its ghosts and pad filled, each run's
     outer boundary fluxes in turn)."""
     layout = layout or mesh._layout
-    fgrid = _flux_grid(u, mesh, gstar, eps, layout)
+    fgrid = _flux_grid(u, mesh, gstar, eps, layout, dx)
     inner = np.subtract(fgrid[1:], fgrid[:-1], out=out[1:-1])
     inner *= lam
     np.subtract(u[1:-1], inner, out=inner)
@@ -459,12 +463,15 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     lam, out)`` writes the level after u into out, a buffer of u's shape,
     with lam = dt / dx (of a full step, a 0-d array made once per run),
     and returns (out, each run's outer boundary fluxes in turn, junction
-    record, never None). Figures are taken per run; one guard, one hold
-    and one block serve all runs.
+    record, whether out's junction-adjacent cells repeat u's bit for bit).
+    It is called on u, then on each level it wrote, in turn, so it can
+    read a level's junction state once, right after writing it. Figures
+    are taken per run; one guard, one hold and one block serve all runs.
 
     The computed levels live in a ring, a block of level buffers that
-    ``advance`` writes each level into, a row per level; the level it
-    reads is the row before, or the block's last row. A block holds 64
+    ``advance`` writes each level into, a row per level (its view made
+    the first time it is written); the level it reads is the row before,
+    or the block's last row. A block holds 64
     levels or ``_MASS_BLOCK_MAX`` bytes of them (1 MB, 10 levels of
     3 x 4000 cells), whichever is fewer, at least two and at most the
     steps. Its waiting levels are flushed when it is full, when a hold
@@ -489,15 +496,19 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     level was validated by ``_pack``.
 
     ``advance`` must be a pure function of the bytes of u and lam. A
-    full-length step that returns its input bitwise, with the junction
-    record of the step before, is then a fixed point: it would return the
-    same buffer, boundary flux and record at every later full-length step.
-    From there on the march holds that buffer and repeats the step's mass
-    and boundary sum instead of advancing. The shortened last step is
-    always computed, into a row other than the held level's.
+    full-length step that returns its input bitwise is then a fixed point:
+    it would return the same buffer, boundary flux and record at every
+    later full-length step. The march holds it at the first such step. It
+    compares the buffers, as bytes (so -0.0 and 0.0 stay apart), only
+    after a step that reports its junction state repeated, so a run whose
+    junction state moves pays nothing for the hold. A hold repeats the
+    step's mass, boundary sum and record over the held levels with slice
+    assignments, and jumps to the shortened last step, which is always
+    computed, into a row other than the held level's, or to the end.
 
-    A kept level is copied out of the ring, a held one once, so held
-    levels share one buffer; a ``GridState`` is built, after the loop,
+    A kept level is copied out of the ring, a held one once (the held
+    tail's kept levels are added with one ``extend``), so held levels
+    share one buffer; a ``GridState`` is built, after the loop,
     only for the levels kept (see the README's "Mass ledger" for the
     cost). Returns (states, buffers, times, dts, boundary_net, masses,
     records), with a list of states and one of the buffers they view, and
@@ -514,6 +525,10 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
         times[-1] = t_final
     kept = {n_steps, *(int(np.abs(times - t).argmin())
                        for t in snapshot_times)}
+    # the last step's dt, and the last level that a hold repeats: the one
+    # before a shortened last step, else the last
+    last_dt = times[-1] - (n_steps - 1) * dt0
+    end = n_steps - (last_dt != dt0)
 
     views, slots = mesh._layout.views, mesh._layout.slots
     runs = u.shape[0] // slots
@@ -531,7 +546,7 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
                                      _MASS_BLOCK_MAX // u.nbytes)))
     levels = np.empty((height, u.shape[0]))
     block = levels.reshape(height * runs, slots)
-    ring = list(levels)  # a view of each row, made once
+    ring = [None] * height  # a view of each row, made when first written
     start = waiting = 0
 
     def flush(stop):
@@ -550,53 +565,57 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     dts = array("d", [dt0]) * n_steps  # typed: no float kept per step
     bnet = array("d", bytes(8 * n_steps * runs))  # step by step, run by run
     records = [None] * n_steps
-    record = None
-    held = False
-    copy = None  # what buffers holds of u, once it is kept
+    s = 0  # the step to compute, from level s to level s + 1
     with np.errstate(all="ignore"):  # a bad level is the guard's to report
-        for s in range(n_steps):
-            dt = times[s + 1] - s * dt0 if s == n_steps - 1 else dt0
-            if not held or dt != dt0:
-                if dt != dt0:
-                    lam = dt / mesh.dx
-                last = record
-                out = ring[start + waiting]
-                try:
-                    _, boundary, record = advance(u, lam, out)
-                except Exception as exc:
-                    if waiting:  # the error of a bad level before wins
-                        _guard(mesh, levels[start:start + waiting],
-                               s + 1 - waiting)
-                    if not isinstance(exc, ConsistencyError):
-                        raise
-                    raise ConsistencyError(f"step {s + 1}: {exc}",
-                                           exc.run) from exc
-                # compare bytes, so that -0.0 and 0.0 stay apart
-                held = (dt == dt0 and record is last
-                        and out.tobytes() == u.tobytes())
-                flows = boundary.tolist()
-                at = s * runs
-                for r in starts:
-                    bnet[at] = (math.fsum(flows[r + m:r + k])
-                                - math.fsum(flows[r:r + m]))
-                    at += 1
-                u, copy = out, None
-                waiting += 1
-                dts[s], records[s] = dt, record
-                if held or start + waiting == height:
-                    flush(s + 1)
-                    if held:  # held levels repeat this step's figures
-                        masses[s + 2:] = masses[s + 1]
-                        records[s + 1:] = [record] * (n_steps - s - 1)
-                        bnet[at:] = bnet[at - runs:at] * (n_steps - s - 1)
-                    # a held level keeps its row, which the last step
-                    # writes past
-                    start = (start + waiting) % height if held else 0
-                    waiting = 0
-            if keep_states or s + 1 in kept:
-                if copy is None:
-                    copy = u.copy()
+        while s < n_steps:
+            dt = dt0 if s < n_steps - 1 else last_dt
+            if dt != dt0:
+                lam = dt / mesh.dx
+            out = ring[start + waiting]
+            if out is None:
+                out = ring[start + waiting] = levels[start + waiting]
+            try:
+                _, boundary, record, repeats = advance(u, lam, out)
+            except Exception as exc:
+                if waiting:  # the error of a bad level before wins
+                    _guard(mesh, levels[start:start + waiting],
+                           s + 1 - waiting)
+                if not isinstance(exc, ConsistencyError):
+                    raise
+                raise ConsistencyError(f"step {s + 1}: {exc}",
+                                       exc.run) from exc
+            # compare bytes, so that -0.0 and 0.0 stay apart
+            held = repeats and dt == dt0 and out.tobytes() == u.tobytes()
+            flows = boundary.tolist()
+            at = s * runs
+            for r in starts:
+                bnet[at] = (math.fsum(flows[r + m:r + k])
+                            - math.fsum(flows[r:r + m]))
+                at += 1
+            u, copy = out, None
+            waiting += 1
+            dts[s], records[s] = dt, record
+            s += 1
+            if keep_states or s in kept:
+                copy = u.copy()
                 buffers.append(copy)
+            if held or start + waiting == height:
+                flush(s)
+                # a held level keeps its row, which the last step writes
+                # past
+                start = (start + waiting) % height if held else 0
+                waiting = 0
+                if held and s < end:
+                    # levels s + 1 .. end repeat level s: its figures, and
+                    # its buffer where kept; the march goes on from end
+                    masses[s + 1:] = masses[s]
+                    records[s:] = [record] * (n_steps - s)
+                    bnet[at:] = bnet[at - runs:at] * (n_steps - s)
+                    tail = bisect_right(steps, end) - len(buffers)
+                    if tail:
+                        buffers += [copy if copy is not None
+                                    else u.copy()] * tail
+                    s = end
     if waiting:
         flush(n_steps)
 
@@ -664,9 +683,11 @@ def _runs(config: RunConfig, u: np.ndarray,
     keep -0.0 and 0.0 apart); the runs whose state changed go to one
     stacked warm solve (``junction._solve_stack``), each hinted with the
     last active set it found (a plateau's solve finds none), and the rows
-    it leaves to ``solve_junction`` one by one, cold. A hint spares the
-    scan but changes no result. A broken invariant raises the march's
-    ConsistencyError, with the run as its ``run``."""
+    it leaves to ``solve_junction`` one by one, cold. A step on which no
+    such run has a hint yet, as the first, solves them all cold, with no
+    stack. A hint spares the scan but changes no result. A broken
+    invariant raises the march's ConsistencyError, with the run as its
+    ``run``."""
     mesh = config.mesh
     spec = mesh.spec
     ghosts = config.dirichlet_values
@@ -679,26 +700,29 @@ def _runs(config: RunConfig, u: np.ndarray,
     found = [[] for _ in range(count)]  # each run's distinct solutions
     at = [-1] * count  # the index of each run's solution in found
     table = array("q")  # ``at`` after each step that solves, flat
-    record = None  # the last solution found
+    row = -1  # the row of table in force
     gstar = np.empty((count, k))
     flat = gstar.reshape(layout.junc.shape)
+    # the junction state of the level last written, and its bytes
+    junction = u[adj]
+    seen = junction.tobytes()
 
     def advance(u, lam, out):
-        # a step on which no run solves returns the record of the step
-        # before, the same object; one that solves, its last solution
-        nonlocal record
-        junction = u[adj]
-        seen = junction.tobytes()
-        rows = []
+        # the step's record is the row of table in force after it; the
+        # junction state of out is read once, here, for the next step
+        nonlocal row, junction, seen
+        rows, hinted = [], False
         for r, start, stop in cuts:
             if (key := seen[start:stop]) != keys[r]:
                 keys[r] = key
                 rows.append(r)
+                hinted = hinted or hints[r] is not None
         if rows:
             every = len(rows) == count
-            for r, sol in zip(rows, _solve_stack(
-                    spec, junction if every else junction[rows],
-                    hints if every else [hints[r] for r in rows])):
+            sols = (_solve_stack(spec, junction if every else junction[rows],
+                                 hints if every else [hints[r] for r in rows])
+                    if hinted else [None] * len(rows))
+            for r, sol in zip(rows, sols):
                 if sol is None:  # the stack has tried the hint: cold
                     try:
                         sol = solve_junction(spec, junction[r])
@@ -709,18 +733,18 @@ def _runs(config: RunConfig, u: np.ndarray,
                 at[r] += 1
                 hints[r] = sol.active or hints[r]
                 gstar[r] = sol.fluxes
-            record = sol
+            row += 1
             table.fromlist(at)
-        return *_update(u, mesh, lam, flat, out, ghosts, 0.0, layout), record
+        out, boundary = _update(u, mesh, lam, flat, out, ghosts, 0.0, layout)
+        junction = out[adj]
+        was, seen = seen, junction.tobytes()
+        return out, boundary, row, seen == was
 
-    states, buffers, times, dts, bnet, masses, records = _march(
+    states, buffers, times, dts, bnet, masses, rows = _march(
         mesh, u, cfl_timestep(mesh, config.cfl_number),
         config.t_final, advance, keep_states, config.snapshot_times)
-    # each step's row of table: that of the last step up to it that solved
-    new = np.fromiter(map(is_not, records, [None, *records[:-1]]), np.intp,
-                      len(records))
-    index = np.frombuffer(table, np.int64).reshape(-1, count)[
-        new.cumsum() - 1]
+    # each step's row of table, one index per run
+    index = np.frombuffer(table, np.int64).reshape(-1, count)[rows]
     return [Trajectory(config, states[r], buffers[r], times.copy(),
                        dts.copy(), np.array([s.p_min for s in sols]).take(i),
                        np.array([s.p_max for s in sols]).take(i),

@@ -344,7 +344,7 @@ def _visc_pieces(mesh: NetworkMesh, eps: float) -> kernels.WarmPieces:
 
 def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float, lam,
                        pieces: kernels.WarmPieces, out: np.ndarray,
-                       hint=None):
+                       hint=None, ustar=None, scales=None):
     """The junction value w, each road's Godunov plus diffusive flux to w,
     then the shared update with diffusion (``scheme._update``, lam = dt /
     dx) into out: (out, boundary flux, w, the active set of w's solve). w
@@ -360,9 +360,12 @@ def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float, lam,
     solve returns the road constants (each road's demand or supply) with
     w; ``kernels.fill_junction_fluxes`` takes them for each road's Godunov
     flux at w, less the diffusive term e (w - u_i) or e (u_j - w),
-    e = 2 eps / dx."""
+    e = 2 eps / dx. A run passes what it has made already: ``ustar``, the
+    junction-adjacent cells of u as a list, and ``scales``, eps and dx as
+    0-d arrays for the update's diffusive term."""
     roads, m = mesh.spec._roads, mesh.spec.m
-    ustar = u[mesh._layout.adj].tolist()
+    if ustar is None:
+        ustar = u[mesh._layout.adj].tolist()
     e = 2.0 * eps / mesh.dx
     w, consts, active = kernels.solve_visc_w(pieces, ustar, e * sum(ustar),
                                              hint)
@@ -370,7 +373,8 @@ def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float, lam,
     kernels.fill_junction_fluxes(roads, m, consts, w, gstar)
     for h, a in enumerate(ustar):
         gstar[h] -= e * (w - a) if h < m else e * (a - w)
-    return *_update(u, mesh, lam, gstar, out, eps=eps), w, active
+    eps, dx = scales or (eps, None)
+    return *_update(u, mesh, lam, gstar, out, eps=eps, dx=dx), w, active
 
 
 @dataclass(eq=False)
@@ -404,18 +408,29 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
     march's block (at most 64 levels or 1 MB) whatever its step count;
     ``parabolic_step`` replays every level bitwise from ``dts``.
     Each step hands the last active set its solves found to the next as a
-    hint.
+    hint, and reads the junction-adjacent cells of the level it wrote,
+    which the next step solves from; the march holds a level that repeats
+    its input bitwise, as ``run``'s does.
     """
     t_final = as_bounded("t_final", t_final, 0.0)
     u0, dt0 = _pack(mesh, initial), parabolic_timestep(mesh, epsilon)
     pieces, active = _visc_pieces(mesh, epsilon), None  # epsilon checked
+    adj, scales = mesh._layout.adj, (np.array(float(epsilon)),
+                                     np.array(mesh.dx))
+    junction = u0[adj]
+    ustar = junction.tolist()
 
     def advance(u, lam, out):
-        nonlocal active
-        *got, found = _parabolic_advance(u, mesh, epsilon, lam, pieces, out,
-                                         active)
+        nonlocal active, junction, ustar
+        was, before = junction, ustar
+        out, boundary, w, found = _parabolic_advance(
+            u, mesh, epsilon, lam, pieces, out, active, before, scales)
         active = found or active  # a kink's solve finds no set
-        return got
+        junction = out[adj]
+        ustar = junction.tolist()
+        # == first, as it is cheap; only the bytes tell -0.0 from 0.0
+        return out, boundary, w, (ustar == before
+                                  and junction.tobytes() == was.tobytes())
 
     states, _, times, dts, bnet, masses, wlog = _march(
         mesh, u0, dt0, t_final, advance, keep_states=False)

@@ -1,8 +1,10 @@
 """Network marching: discretization, CFL guard, conservation, monotonicity."""
 
+import cProfile
 import functools
 import hashlib
 import math
+import pstats
 import warnings
 from types import SimpleNamespace
 
@@ -828,11 +830,11 @@ def test_run_solves_each_new_junction_state(monkeypatch, bc, label):
 
 
 def test_moving_run_warm_starts_the_junction_bracket(monkeypatch):
-    # a 2-1 LWR run whose junction state moves at every step: every step
-    # after the first offers the stacked solve the last active set found as
-    # its hint, and solves its piece with no gap evaluation, where a cold
-    # solve (of the first step, or of a row the stack leaves) takes
-    # m + n + 2 = 5
+    # a 2-1 LWR run whose junction state moves at every step: the first
+    # step, which has no hint, solves cold with no stacked solve; every
+    # later step offers the stack the last active set found as its hint,
+    # and solves its piece with no gap evaluation, where a cold solve (of
+    # the first step, or of a row the stack leaves) takes m + n + 2 = 5
     spec = JunctionSpec(2, 1, (quadratic_lwr(), quadratic_lwr(),
                                quadratic_lwr(2.0)))
     mesh = NetworkMesh(spec, 1.0 / 200, 200)
@@ -866,12 +868,12 @@ def test_moving_run_warm_starts_the_junction_bracket(monkeypatch):
     monkeypatch.setattr(scheme, "solve_junction", solve)
     monkeypatch.setattr(scheme, "_solve_stack", stack)
     traj = run(RunConfig(mesh, 0.9, 0.25), init, keep_states=False)
-    assert traj.junction_solves == len(per_solve) == len(offered) > 100
+    assert traj.junction_solves == len(per_solve) == len(offered) + 1 > 100
     last = None  # the last active set found before each step
-    for hint, active in zip(offered, actives):
+    for hint, active in zip([None, *offered], actives):
         assert hint is last
         last = active or last
-    assert offered[0] is None and None not in offered[1:]
+    assert per_solve[0] > 0 and None not in offered
     assert sum(k == 0 for k in per_solve) >= 0.95 * len(per_solve)
 
 
@@ -921,10 +923,10 @@ def test_a_plateau_keeps_the_last_active_set_as_the_hint(monkeypatch):
 
 def test_signed_zero_is_a_new_junction_state(monkeypatch):
     # symmetric-quadratic roads held at their crest 0.0; turning the first
-    # road's junction cell to -0.0 after step 2 is a new state (held from
+    # road's junction cell to -0.0 in step 1 is a new state (held from
     # then on), which the bytes of the state tell apart and == does not.
-    # The march holds the fixed point from step 2 on, so the injection
-    # comes on the 2nd update; a later one would never run
+    # The march holds the fixed point from step 1 on, so the injection
+    # comes on the 1st update; a later one would never run
     mesh = small_mesh(SYMQ21)
     adj = int(mesh._layout.adj[0])
     real = scheme._update
@@ -933,7 +935,7 @@ def test_signed_zero_is_a_new_junction_state(monkeypatch):
     def flip(u, *args):
         new, boundary = real(u, *args)
         steps.append(None)
-        if len(steps) == 2:
+        if len(steps) == 1:
             assert new[adj] == 0.0
             new[adj] = -0.0
         return new, boundary
@@ -999,8 +1001,8 @@ def _assert_step_replay(traj, init):
 @pytest.mark.parametrize("label", sorted(MIXED_TOPOLOGIES))
 def test_held_equilibrium_is_updated_at_most_three_times(monkeypatch, bc,
                                                          label):
-    # steps 1 and 2 return their input bitwise, so the march holds from
-    # step 2 on and computes only the shortened last step again
+    # step 1 returns its input bitwise, so the march holds from step 1 on
+    # and computes only the shortened last step again
     spec = MIXED_TOPOLOGIES[label]
     mesh = small_mesh(spec)
     for k in germ_sampler(spec, 2, seed=41):
@@ -1009,9 +1011,59 @@ def test_held_equilibrium_is_updated_at_most_three_times(monkeypatch, bc,
         traj = run(RunConfig(mesh, 0.9, 200 * cfl_timestep(mesh, 0.9),
                              **extra), list(k))
         assert len(traj.dts) == 200
-        assert len(calls) <= 3
+        assert len(calls) <= 2
         monkeypatch.undo()
         _assert_step_replay(traj, list(k))
+
+
+def test_held_tail_costs_no_call_per_level(monkeypatch):
+    # a held equilibrium of 10,000 steps computes step 1 and the shortened
+    # last step and solves once; the march jumps the held tail, so it makes
+    # as many Python calls itself as for a held run of 1,000 steps, lean
+    # or keeping every level. Kept, the held levels share one buffer, and
+    # snapshots inside the held tail keep their step and time. 10-cell
+    # roads keep the replay short
+    spec = MIXED_TOPOLOGIES["1-1"]
+    mesh = small_mesh(spec, cells=10)
+    k = list(germ_sampler(spec, 1, seed=41)[0])
+    dt0 = cfl_timestep(mesh, 0.9)
+    configs = {steps: RunConfig(mesh, 0.9, (steps - 0.5) * dt0)
+               for steps in (1000, 10000)}
+
+    def march_calls(config, keep_states):
+        # the calls that _march makes itself, as cProfile counts them
+        run(config, k, keep_states)  # warm every cache first
+        prof = cProfile.Profile()
+        prof.enable()
+        run(config, k, keep_states)
+        prof.disable()
+        return sum(calls for *_, callers in pstats.Stats(prof).stats.values()
+                   for (_, _, name), (_, calls, *_) in callers.items()
+                   if name == "_march")
+
+    for keep_states in (False, True):
+        assert (march_calls(configs[10000], keep_states)
+                == march_calls(configs[1000], keep_states))
+    updates, solves = _spy_updates(monkeypatch), _spy_solves(monkeypatch)
+    traj = run(configs[10000], k)
+    assert len(traj.dts) == 10000 and traj.dts[-1] < dt0
+    assert len(updates) <= 2 and traj.junction_solves == len(solves) == 1
+    assert len(traj.states) == 10001
+    assert [s.time_step for s in traj.states] == list(range(10001))
+    assert [s.time for s in traj.states] == traj.times.tolist()
+    held = traj.buffers[1]
+    assert all(b is held for b in traj.buffers[1:-1])
+    assert all(s.values is traj.states[1].values for s in traj.states[1:-1])
+    snaps = (2500.2 * dt0, 7499.9 * dt0)
+    lean = run(RunConfig(mesh, 0.9, (10000 - 0.5) * dt0,
+                         snapshot_times=snaps), k, keep_states=False)
+    assert [s.time_step for s in lean.states] == [0, 2500, 7500, 10000]
+    assert [s.time for s in lean.states] == [traj.times[s] for s in (
+        0, 2500, 7500, 10000)]
+    assert lean.buffers[1] is lean.buffers[2]
+    assert lean.buffers[1].tobytes() == held.tobytes()
+    monkeypatch.undo()
+    _assert_step_replay(traj, k)
 
 
 def test_settling_run_holds_once_the_waves_have_left(monkeypatch):
@@ -1029,9 +1081,10 @@ def test_settling_run_holds_once_the_waves_have_left(monkeypatch):
 
 
 def test_hold_tells_signed_zeros_apart(monkeypatch):
-    # a -0.0 written after step 2 leaves the buffer == its input but not
-    # bitwise: steps 3 (a new junction state) and 4 (its first repeat) are
-    # computed before the march holds, and a shortened last step after
+    # a -0.0 written in step 1 leaves the buffer == its input but not
+    # bitwise: step 2 (a new junction state, its first repeat) is computed
+    # before the march holds, and a shortened last step after; had the
+    # hold compared values, it would start at step 1
     mesh = small_mesh(SYMQ21)
     adj = int(mesh._layout.adj[0])
     real = scheme._update
@@ -1040,21 +1093,22 @@ def test_hold_tells_signed_zeros_apart(monkeypatch):
     def flip(u, *args):
         new, boundary = real(u, *args)
         steps.append(None)
-        if len(steps) == 2:
+        if len(steps) == 1:
             new[adj] = -0.0
         return new, boundary
 
     monkeypatch.setattr(scheme, "_update", flip)
     traj = run(RunConfig(mesh, 0.9, 10 * cfl_timestep(mesh, 0.9)),
                [0.0, 0.0, 0.0])
-    assert len(steps) == 4 + (traj.dts[-1] != traj.dts[0])
+    assert len(steps) == 2 + (traj.dts[-1] != traj.dts[0])
 
 
 def test_shortened_step_never_overwrites_the_held_level(monkeypatch):
     # the run above on 3 x 12,000 cells (288 KB a level), whose block
-    # holds 3 levels: the hold starts at step 4, in the first row of the
-    # second block, and the shortened last step is written into another
-    # row, never into the held level it reads
+    # holds 3 levels, with the junction cell turned to -0.0, 0.0 and -0.0
+    # in steps 1 to 3, each a new junction state: the hold starts at step
+    # 4, in the first row of the second block, and the shortened last step
+    # is written into another row, never into the held level it reads
     mesh = small_mesh(SYMQ21, dx=0.02, cells=12000)
     assert scheme._MASS_BLOCK_MAX // (mesh._layout.slots * 8) == 3
     adj = int(mesh._layout.adj[0])
@@ -1066,8 +1120,8 @@ def test_shortened_step_never_overwrites_the_held_level(monkeypatch):
         assert not np.shares_memory(u, out)
         new, boundary = real(u, mesh, lam, gstar, out, *args)
         steps.append(None)
-        if len(steps) == 2:
-            new[adj] = -0.0
+        if len(steps) <= 3:
+            new[adj] = -0.0 if len(steps) % 2 else 0.0
         return new, boundary
 
     monkeypatch.setattr(scheme, "_update", flip)
@@ -1078,8 +1132,8 @@ def test_shortened_step_never_overwrites_the_held_level(monkeypatch):
 
 
 def test_parabolic_run_holds_an_empty_network(monkeypatch):
-    # on empty roads the junction value is rho_min itself, the same float
-    # object at every step, so the parabolic march holds as well
+    # on empty roads every level repeats its input bitwise, so the
+    # parabolic march holds as well
     mesh = small_mesh(dx=0.05, cells=20)
     keep_every_level(monkeypatch)
     calls = _spy_updates(monkeypatch, viscous)

@@ -21,6 +21,14 @@ stacked, in both interpreters.
 A lean run writes every computed level into a row of the march's block,
 and flushes a pinned number of blocks (one ``kernels.row_sums`` call and
 one range guard, ``scheme._guard``, each), as spies count them.
+
+A held ensemble (``step_cost.held_ensemble``: the four networks of the
+benchmark's ``well_balance``, three equilibria each, 200 steps on 50-cell
+roads) makes a pinned number of conservative updates, junction solves and
+``kernels.row_sums`` calls per network, counted in the same two
+interpreters. A run the march holds at once computes its first step and
+the shortened last one, solves once and flushes twice (at the hold and at
+the end).
 """
 
 import json
@@ -55,11 +63,30 @@ CALLS_BETWEEN = 2875
 JUNCTION_SOLVES = 112
 BATCH = 10
 BATCH_SPLIT = {"scalar": 10, "stacked": 1110}  # of 10 x 112 solves
+# (updates, junction solves, row_sums calls) of each network's three held
+# runs; on 1-2-mixed one run moves by a few ulps for 38 steps, and solves
+# 10 junction states, before the march holds it
+HELD = {"1-1": [6, 3, 6], "2-1-symq": [6, 3, 6], "2-3": [6, 3, 6],
+        "1-2-mixed": [44, 12, 6]}
 
 COUNT = """
 import json
 import step_cost
-from junctionflow import scheme
+from junctionflow import kernels, scheme
+held, got = {}, [0, 0, 0]
+update, row_sums = scheme._update, kernels.row_sums
+def counted(at, fn):
+    def count(*args):
+        got[at] += 1
+        return fn(*args)
+    return count
+scheme._update, kernels.row_sums = counted(0, update), counted(2, row_sums)
+for label, config, equilibria in step_cost.held_ensemble():
+    got[:] = [0, 0, 0]
+    got[1] = sum(scheme.run(config, k, keep_states=False).junction_solves
+                 for k in equilibria)
+    held[label] = got[:]
+scheme._update, kernels.row_sums = update, row_sums
 config, data = step_cost.baseline()
 split = {"scalar": 0, "stacked": 0}
 solve, stack = scheme.solve_junction, scheme._solve_stack
@@ -74,7 +101,8 @@ calls = [[*step_cost.calls(0.5), *step_cost.calls(1.0)] for _ in range(2)]
 solves = scheme.run(config, data).junction_solves
 scheme.solve_junction, scheme._solve_stack = scalar, stacked
 scheme.run_batch(config, [data] * %d)
-print(json.dumps({"calls": calls, "solves": solves, "split": split}))
+print(json.dumps({"calls": calls, "solves": solves, "split": split,
+                  "held": held}))
 """ % BATCH
 
 
@@ -88,15 +116,24 @@ def _counts(hash_seed: int) -> dict:
     return json.loads(done.stdout)
 
 
-def test_a_coarse_step_makes_a_pinned_number_of_calls_and_solves():
-    for hash_seed in (0, 4099):
-        got = _counts(hash_seed)
+@pytest.fixture(scope="module")
+def counts() -> list[dict]:
+    return [_counts(hash_seed) for hash_seed in (0, 4099)]
+
+
+def test_a_coarse_step_makes_a_pinned_number_of_calls_and_solves(counts):
+    for got in counts:
         assert got["solves"] == JUNCTION_SOLVES
         assert got["split"] == BATCH_SPLIT
         for c_half, s_half, c_full, s_full in got["calls"]:
             assert (c_full - c_half, s_full - s_half) == (CALLS_BETWEEN,
                                                          STEPS_BETWEEN)
     assert CALLS_BETWEEN <= 60 * STEPS_BETWEEN
+
+
+def test_a_held_ensemble_makes_pinned_updates_solves_and_flushes(counts):
+    for got in counts:
+        assert got["held"] == HELD
 
 
 @pytest.mark.parametrize("runs", [1, 3, 10])

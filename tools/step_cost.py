@@ -15,7 +15,11 @@ prints:
   the run's junction states and hints; and a cold ``solve_junction``;
 - ``scheme._update`` over the run's buffers;
 - Python calls per computed step: cProfile's call count of the run to
-  t = 1 less that to t = 0.5, over the difference in steps.
+  t = 1 less that to t = 0.5, over the difference in steps;
+- the time of one held run and its ledger: a 200-step lean run on 50-cell
+  roads of the 2-3 LWR network of ``held_ensemble`` (the benchmark's
+  ``well_balance`` networks), from a road-wise constant equilibrium, which
+  the march holds after its first step, and ``scheme.mass_ledger`` of it.
 
 The fine case runs the same junction and data shapes on 3 x 4000 cells
 (the speeds, CFL and horizon of the benchmark's ``fine_run``: dx = 1/4000,
@@ -30,12 +34,12 @@ block flush (``kernels.row_sums``). They add up to the step but for the
 march's own bookkeeping and the timers; the last line says where they
 miss it by more than 15%.
 
-Each step line is the median of 3 fresh processes, each the best of 7
-repeats of 5 passes (a coarse step) or of 3 runs (the fine step): one
-process alone reads a sustained slowdown of a shared machine as the
-step's cost. The other lines are the best of 7 repeats of 5 passes in
-this process, or of 3 runs (the fine parts). Usage, from the repository
-root::
+Each step line, and the held run's, is the median of 3 fresh processes,
+each the best of 7 repeats of 5 passes (a coarse step or a held run) or
+of 3 runs (the fine step): one process alone reads a sustained slowdown
+of a shared machine as the step's cost. The other lines are the best of
+7 repeats of 5 passes in this process, or of 3 runs (the fine parts).
+Usage, from the repository root::
 
     PYTHONPATH=src python3 tools/step_cost.py
 """
@@ -43,6 +47,7 @@ root::
 from __future__ import annotations
 
 import cProfile
+import math
 import pstats
 import statistics
 import subprocess
@@ -51,12 +56,16 @@ import time
 
 import numpy as np
 
-from junctionflow import JunctionSpec, NetworkMesh, RunConfig, quadratic_lwr
+from junctionflow import (JunctionSpec, NetworkMesh, RunConfig,
+                          custom_polynomial, quadratic_lwr,
+                          symmetric_quadratic, tabulated)
 from junctionflow import kernels, scheme
 from junctionflow.junction import _solve_stack, solve_junction
+from junctionflow.verify import germ_sampler
 
 REPEATS, PASSES = 7, 5
 FINE_CELLS, FINE_T, FINE_SNAPSHOTS = 4000, 0.25, 16
+HELD_CELLS, HELD_STEPS = 50, 200
 BATCH = 10
 PROCESSES = 3
 # the fine parts should add up to the step within this share of it
@@ -80,6 +89,32 @@ def fine_baseline():
     between its ends."""
     return baseline(FINE_T, FINE_CELLS, tuple(
         np.linspace(0.0, FINE_T, FINE_SNAPSHOTS + 1)[1:-1].tolist()))
+
+
+def held_ensemble(per_network: int = 3, seed: int = 0):
+    """[(label, config, equilibria)] of held runs on the four networks of
+    the benchmark's ``well_balance`` (1-1 and 2-3 LWR, 2-1 symmetric
+    quadratic, and 1-2 with LWR, cubic and tabulated roads): 50-cell roads,
+    CFL 0.9, 200 steps, and ``per_network`` seeded equilibria each."""
+    cubic = custom_polynomial([0.0, 1.0, 0.0, -1.0], 0.0, 1.0,
+                              1.0 / math.sqrt(3.0))
+    table = tabulated(np.linspace(0.0, 1.0, 9),
+                      [0.0, 0.22, 0.38, 0.47, 0.5, 0.44, 0.33, 0.18, 0.0])
+    networks = (
+        ("1-1", JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr()))),
+        ("2-1-symq", JunctionSpec(2, 1, tuple(map(symmetric_quadratic,
+                                                  (1.0, 2.0, 3.0))))),
+        ("2-3", JunctionSpec(2, 3, tuple(map(quadratic_lwr, (
+            1.0, 1.5, 1.0, 0.75, 1.25))))),
+        ("1-2-mixed", JunctionSpec(1, 2, (quadratic_lwr(), cubic, table))))
+    out = []
+    for label, spec in networks:
+        mesh = NetworkMesh(spec, 1.0 / HELD_CELLS,
+                           np.full(spec.m + spec.n, HELD_CELLS))
+        config = RunConfig(mesh, 0.9,
+                           HELD_STEPS * scheme.cfl_timestep(mesh, 0.9))
+        out.append((label, config, germ_sampler(spec, per_network, seed)))
+    return out
 
 
 def best_us(fn, count: int, repeats: int = REPEATS,
@@ -122,6 +157,10 @@ def step_us(name: str) -> float:
     steps = len(scheme.run(config, data).dts)
     if name == "run":
         return best_us(lambda: scheme.run(config, data), steps)
+    if name == "held":  # µs per run
+        _, config, (k,) = held_ensemble(1)[2]  # the 2-3 network
+        return best_us(lambda: scheme.mass_ledger(
+            scheme.run(config, k, keep_states=False)), 1)
     runs = int(name.removeprefix("batch"))  # "batch10"
     return best_us(lambda: scheme.run_batch(config, [data] * runs),
                    runs * steps)
@@ -211,6 +250,7 @@ def coarse() -> None:
     figures = {
         "run step (us)": median_step_us("run"),
         f"batch of {BATCH}, run-step (us)": median_step_us(f"batch{BATCH}"),
+        "held run (us)": median_step_us("held"),
         "warm solve_junction (us)": best_us(
             lambda: [solve_junction(spec, s, h)
                      for s, h in zip(states, hints)], steps),
