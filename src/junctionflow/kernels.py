@@ -74,6 +74,9 @@ _ONE = np.array(1.0)
 # or of the balance
 _WARM_REACH = 2.0 ** -20
 _WARM_MARGIN = 2.0 ** -30
+# ``row_sums`` extracts a few rows at a time, through a scratch buffer of
+# at most this many bytes, or of one row where a row is larger
+_SUM_SCRATCH = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -637,33 +640,41 @@ def row_sums(block: np.ndarray, tops, skip=slice(0)) -> list[float]:
     is not finite (inf or NaN, as max|x| gives it). The skipped columns
     read 0 in the temporaries below, and block itself is only read.
 
-    One error-free extraction takes the whole block at once, on the sigma
-    grid of a row of that length and the largest bound (``_grid``), so the
-    row sums of the parts are exact. The row sums of the remainders then
-    settle each row's rounding (Rump, Ogita & Oishi, part II, SIAM J. Sci.
-    Comput. 31, 2008): the part is exact and the rest lies within bound of
-    the remainders' exact sum, so where part + rest - bound and
+    One error-free extraction takes the whole block, on the sigma grid of
+    a row of that length and the largest bound (``_grid``), so the row
+    sums of the parts are exact. It runs over slices of a few rows, one
+    at a time, through a scratch buffer of at most ``_SUM_SCRATCH`` bytes,
+    or of one row where a row is larger, so a call never holds a second
+    copy of its block. The row sums of the remainders then settle each
+    row's rounding (Rump, Ogita & Oishi, part II, SIAM J. Sci. Comput. 31,
+    2008): the part is exact and the rest lies within bound of the
+    remainders' exact sum, so where part + rest - bound and
     part + rest + bound round alike, the exact sum, between them, rounds
-    the same way. Every numpy call serves all rows. ``math.fsum`` itself
-    sums every row the test does not settle (an exact zero, which never
-    passes as bound > 0, a sum within the bound of a rounding boundary, a
-    row with a NaN, whose test compares NaNs, or every row where the bound
-    lies below the normal range), and every row of a block whose largest
-    top is not finite or whose sigma would overflow. ``max`` may skip a
-    NaN top, but never an inf one.
+    the same way. Every numpy call serves all rows of a slice.
+    ``math.fsum`` itself sums every row the test does not settle (an exact
+    zero, which never passes as bound > 0, a sum within the bound of a
+    rounding boundary, a row with a NaN, whose test compares NaNs, or
+    every row where the bound lies below the normal range), and every row
+    of a block whose largest top is not finite or whose sigma would
+    overflow. ``max`` may skip a NaN top, but never an inf one.
     """
     grid = _grid(block.shape[1], max(tops, default=0.0))
     if grid is None or grid[1] < _TINY:
         return list(map(math.fsum, _cells(block, skip).tolist()))
     e, bound = grid
     sigma = math.ldexp(1.0, e)
-    q = block + sigma
-    q -= sigma
-    q[:, skip] = 0.0
-    parts = np.add.reduce(q, axis=1).tolist()
-    rest = np.subtract(block, q, out=q)
-    rest[:, skip] = 0.0
-    rests = np.add.reduce(rest, axis=1).tolist()
+    height = max(1, _SUM_SCRATCH // (8 * block.shape[1] or 1))  # a slice
+    parts, rests = [], []
+    for i in range(0, block.shape[0], height):
+        rows = block[i:i + height]
+        q = rows + sigma
+        q -= sigma
+        q[:, skip] = 0.0
+        parts += np.add.reduce(q, axis=1).tolist()
+        np.subtract(rows, q, out=q)  # the remainders, in q's place
+        q[:, skip] = 0.0
+        rests += np.add.reduce(q, axis=1).tolist()
+        del q  # one slice's scratch at a time
     sums = list(map(math.fsum, zip(parts, rests, repeat(-bound))))
     for i, high in enumerate(map(math.fsum, zip(parts, rests, repeat(bound)))):
         if sums[i] != high:

@@ -463,7 +463,8 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     lam, out)`` writes the level after u into out, a buffer of u's shape,
     with lam = dt / dx (of a full step, a 0-d array made once per run),
     and returns (out, each run's outer boundary fluxes in turn, junction
-    record, whether out's junction-adjacent cells repeat u's bit for bit).
+    record, a float, whether out's junction-adjacent cells repeat u's bit
+    for bit).
     It is called on u, then on each level it wrote, in turn, so it can
     read a level's junction state once, right after writing it. Figures
     are taken per run; one guard, one hold and one block serve all runs.
@@ -514,7 +515,10 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     records), with a list of states and one of the buffers they view, and
     a column of ``boundary_net`` and of ``masses``, per run. The states
     are every level if ``keep_states``, else the first, the last and those
-    nearest ``snapshot_times``, each once and in order.
+    nearest ``snapshot_times``, each once and in order. The per-step logs
+    are typed (``records`` an ``array("d")``), so the march keeps no
+    object per step: a lean run's memory is its block, its kept levels
+    and 8 bytes per step and log.
     """
     m, k = mesh.spec.m, mesh.spec.m + mesh.spec.n
     n_steps = _step_count(t_final, dt0)
@@ -562,9 +566,9 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
             raise ConsistencyError(f"step {first + i // runs}: total mass "
                                    f"is {got[i]}", i % runs)
 
-    dts = array("d", [dt0]) * n_steps  # typed: no float kept per step
+    dts = array("d", [dt0]) * n_steps  # typed: no object kept per step
     bnet = array("d", bytes(8 * n_steps * runs))  # step by step, run by run
-    records = [None] * n_steps
+    records = array("d", bytes(8 * n_steps))
     s = 0  # the step to compute, from level s to level s + 1
     with np.errstate(all="ignore"):  # a bad level is the guard's to report
         while s < n_steps:
@@ -609,7 +613,7 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
                     # levels s + 1 .. end repeat level s: its figures, and
                     # its buffer where kept; the march goes on from end
                     masses[s + 1:] = masses[s]
-                    records[s:] = [record] * (n_steps - s)
+                    records[s:] = array("d", [record]) * (n_steps - s)
                     bnet[at:] = bnet[at - runs:at] * (n_steps - s)
                     tail = bisect_right(steps, end) - len(buffers)
                     if tail:
@@ -679,13 +683,15 @@ def _runs(config: RunConfig, u: np.ndarray,
           keep_states: bool) -> list[Trajectory]:
     """The Trajectory of a run from each network buffer that u holds end
     to end (``_pack``'s), marched as one (see ``run_batch``). A run reuses
-    its last solution while its junction state repeats bitwise (the bytes
-    keep -0.0 and 0.0 apart); the runs whose state changed go to one
-    stacked warm solve (``junction._solve_stack``), each hinted with the
-    last active set it found (a plateau's solve finds none), and the rows
-    it leaves to ``solve_junction`` one by one, cold. A step on which no
-    such run has a hint yet, as the first, solves them all cold, with no
-    stack. A hint spares the scan but changes no result. A broken
+    its last solution's fluxes while its junction state repeats bitwise
+    (the bytes keep -0.0 and 0.0 apart). It logs each solution it finds
+    as one typed row, from which its Trajectory's junction arrays are
+    taken, and keeps no solution object. The runs whose state changed go
+    to one stacked warm solve (``junction._solve_stack``), each hinted
+    with the last active set it found (a plateau's solve finds none), and
+    the rows it leaves to ``solve_junction`` one by one, cold. A step on
+    which no such run has a hint yet, as the first, solves them all cold,
+    with no stack. A hint spares the scan but changes no result. A broken
     invariant raises the march's ConsistencyError, with the run as its
     ``run``."""
     mesh = config.mesh
@@ -697,8 +703,10 @@ def _runs(config: RunConfig, u: np.ndarray,
     # each run and its span of the junction state's bytes, its key
     cuts = [(r, 8 * k * r, 8 * k * (r + 1)) for r in range(count)]
     keys, hints = [None] * count, [None] * count
-    found = [[] for _ in range(count)]  # each run's distinct solutions
-    at = [-1] * count  # the index of each run's solution in found
+    # each run's distinct solutions, a typed row of (p_min, p_max, total,
+    # the m + n fluxes) each, and the index of its last row
+    solved = [array("d") for _ in range(count)]
+    at = [-1] * count
     table = array("q")  # ``at`` after each step that solves, flat
     row = -1  # the row of table in force
     gstar = np.empty((count, k))
@@ -729,7 +737,9 @@ def _runs(config: RunConfig, u: np.ndarray,
                     except ConsistencyError as exc:
                         exc.run = r
                         raise
-                found[r].append(sol)
+                log = solved[r]
+                log.extend((sol.p_min, sol.p_max, sol.total))
+                log.frombytes(sol.fluxes.tobytes())
                 at[r] += 1
                 hints[r] = sol.active or hints[r]
                 gstar[r] = sol.fluxes
@@ -744,15 +754,17 @@ def _runs(config: RunConfig, u: np.ndarray,
         mesh, u, cfl_timestep(mesh, config.cfl_number),
         config.t_final, advance, keep_states, config.snapshot_times)
     # each step's row of table, one index per run
-    index = np.frombuffer(table, np.int64).reshape(-1, count)[rows]
-    return [Trajectory(config, states[r], buffers[r], times.copy(),
-                       dts.copy(), np.array([s.p_min for s in sols]).take(i),
-                       np.array([s.p_max for s in sols]).take(i),
-                       np.array([s.fluxes for s in sols]).reshape(
-                           len(sols), k).take(i, axis=0),
-                       np.array([s.total for s in sols]).take(i),
-                       bnet[:, r].copy(), masses[:, r].copy(), len(sols))
-            for r, sols, i in zip(range(count), found, index.T)]
+    index = np.frombuffer(table, np.int64).reshape(-1, count)[
+        np.frombuffer(rows).astype(np.intp)]
+    trajs = []
+    for r, i in enumerate(index.T):
+        log = np.frombuffer(solved[r]).reshape(-1, 3 + k)
+        trajs.append(Trajectory(
+            config, states[r], buffers[r], times.copy(), dts.copy(),
+            log[:, 0].take(i), log[:, 1].take(i), log[:, 3:].take(i, axis=0),
+            log[:, 2].take(i), bnet[:, r].copy(), masses[:, r].copy(),
+            len(log)))
+    return trajs
 
 
 def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
@@ -762,8 +774,10 @@ def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
     ``discretize_initial``. The final step is shortened to land exactly on
     t_final. All time levels are kept unless ``keep_states`` is False;
     then, to bound memory on fine meshes, ``states`` keeps the first level,
-    the last and those nearest ``config.snapshot_times``, each once. A
-    batch of one (``run_batch``) whose errors name no run.
+    the last and those nearest ``config.snapshot_times``, each once, and
+    the run grows by its per-step logs only, typed arrays of about 100
+    bytes per step on 3 roads (see ``_march``). A batch of one
+    (``run_batch``) whose errors name no run.
     """
     u = _pack(config.mesh, initial, config.dirichlet_values)
     return _runs(config, u, keep_states)[0]

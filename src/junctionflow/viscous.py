@@ -405,7 +405,8 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
     ``discretize_initial``. The time loop is ``scheme.run``'s: the last
     step is shortened to land on t_final exactly. Only the first and last
     levels are kept, so a run holds one or two network buffers and the
-    march's block (at most 64 levels or 1 MB) whatever its step count;
+    march's block (at most 64 levels or 1 MB) whatever its step count,
+    and its logs one typed float per step each, w's included;
     ``parabolic_step`` replays every level bitwise from ``dts``.
     Each step hands the last active set its solves found to the next as a
     hint, and reads the junction-adjacent cells of the level it wrote,
@@ -435,7 +436,7 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
     states, _, times, dts, bnet, masses, wlog = _march(
         mesh, u0, dt0, t_final, advance, keep_states=False)
     return ParabolicTrajectory(mesh, float(epsilon), states[0], times, dts,
-                               np.array(wlog), bnet[:, 0], masses[:, 0])
+                               np.frombuffer(wlog), bnet[:, 0], masses[:, 0])
 
 
 def initial_smoothing(data, epsilon: float, dx: float | None = None,

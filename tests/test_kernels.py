@@ -4,6 +4,7 @@ exact row sums are fsum's bit for bit, and the ledger's prefix layers are
 exact and its row rounding is fsum's wherever it does not flag a row."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -629,6 +630,35 @@ def test_row_sums_leave_unsettled_rows_to_fsum(monkeypatch):
     got, fallback = _fallback(monkeypatch, block)
     assert len(fallback) == 5 and fallback[2:] == block[3:].tolist()
     assert math.isnan(got[2])
+
+
+@pytest.mark.parametrize("width", [8_000, 40_000])
+def test_row_sums_take_a_large_block_in_slices(width):
+    # a block several times the scratch bound, of rows of 64 KB (a few to a
+    # slice, the last slice short) or 320 KB (one row, over the bound, to a
+    # slice), with skipped columns that hold large values: every sum is
+    # fsum's of the row's other cells, an exact zero and a near tie in
+    # different slices included, and the call never holds a second copy
+    # of the block
+    rng = np.random.default_rng(width)
+    kinds = ["plain", "cancel", "sum zero", "plain", "near tie", "tie"]
+    rows = 4 * kernels._SUM_SCRATCH // (8 * width) + 7
+    block = np.array([_block_row(rng, width, kinds[i % len(kinds)])
+                      for i in range(rows)])
+    skip = np.array([0, width // 2, width - 1])
+    block[:, skip] = 1e6
+    assert block.nbytes >= 4 * kernels._SUM_SCRATCH
+    tops = np.abs(block).max(axis=1).tolist()
+    tracemalloc.start()
+    try:
+        got = kernels.row_sums(block, tops, skip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = [math.fsum(np.delete(row, skip).tolist()) for row in block]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    assert got[2] == 0.0 and got[5] == 1.0
+    assert peak < block.nbytes
 
 
 # ---------------------------------------------------------------------------

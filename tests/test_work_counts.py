@@ -22,6 +22,14 @@ A lean run writes every computed level into a row of the march's block,
 and flushes a pinned number of blocks (one ``kernels.row_sums`` call and
 one range guard, ``scheme._guard``, each), as spies count them.
 
+A lean run's memory grows by its per-step logs only: tracemalloc's peak
+during the lean baseline run on 3 x 200 cells to t = 2 (1,778 steps)
+exceeds that to t = 0.5 (445 steps) by at most 128 B per added step
+(``step_cost.peak_growth``), by the same count in both interpreters. A
+typed float or index per step in each log (steps, boundary flows,
+masses, records, the solve table) and one typed row per distinct solve
+come to about 100 B; an object per step would exceed the bound.
+
 A held ensemble (``step_cost.held_ensemble``: the four networks of the
 benchmark's ``well_balance``, three equilibria each, 200 steps on 50-cell
 roads) makes a pinned number of conservative updates, junction solves and
@@ -47,7 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the run to t = 1 makes 112 steps and the run to t = 0.5 makes 56
 STEPS_BETWEEN = 56
-# 51.34 Python calls per computed step: the step writes its level into a
+# 53.36 Python calls per computed step: the step writes its level into a
 # row of the march's block (no np.empty), the range guard's reductions run
 # once per block, not once per step, the junction records and the kept
 # GridStates fill lists made up front (no append), and the block's height
@@ -58,8 +66,12 @@ STEPS_BETWEEN = 56
 # bookkeeping adds three appends (the rows that solve, the run's distinct
 # solutions, the stack's results), two lens and the solve table's
 # fromlist; a kept level's road views are one itemgetter call (no
-# ``views``)
-CALLS_BETWEEN = 2875
+# ``views``). Each distinct solve writes a typed row of its run's solve
+# log (an extend, and a frombytes of the fluxes' tobytes) in place of
+# keeping the solution (an append), two calls more per solving step, and
+# ``kernels.row_sums`` sets up its slices, one call more in all (the run
+# to t = 1 flushes once more than the run to t = 0.5)
+CALLS_BETWEEN = 2988
 JUNCTION_SOLVES = 112
 BATCH = 10
 BATCH_SPLIT = {"scalar": 10, "stacked": 1110}  # of 10 x 112 solves
@@ -98,11 +110,12 @@ def stacked(spec, states, hints):
     split["stacked"] += sum(sol is not None for sol in sols)
     return sols
 calls = [[*step_cost.calls(0.5), *step_cost.calls(1.0)] for _ in range(2)]
+growth = step_cost.peak_growth(200, 0.5, 2.0)
 solves = scheme.run(config, data).junction_solves
 scheme.solve_junction, scheme._solve_stack = scalar, stacked
 scheme.run_batch(config, [data] * %d)
 print(json.dumps({"calls": calls, "solves": solves, "split": split,
-                  "held": held}))
+                  "held": held, "growth": growth}))
 """ % BATCH
 
 
@@ -129,6 +142,13 @@ def test_a_coarse_step_makes_a_pinned_number_of_calls_and_solves(counts):
             assert (c_full - c_half, s_full - s_half) == (CALLS_BETWEEN,
                                                          STEPS_BETWEEN)
     assert CALLS_BETWEEN <= 60 * STEPS_BETWEEN
+
+
+def test_a_lean_run_grows_by_its_logs_not_by_an_object_per_step(counts):
+    growth, steps = counts[0]["growth"]
+    assert steps == 1778 - 445
+    assert growth <= 128 * steps
+    assert counts[1]["growth"] == counts[0]["growth"]
 
 
 def test_a_held_ensemble_makes_pinned_updates_solves_and_flushes(counts):

@@ -31,8 +31,12 @@ warm, and ``solve_junction``, cold, where the stack leaves it), the ring
 write (``scheme._update`` of a level into its row of a block; its Godunov
 sweeps also shown alone), the block guard (``scheme._guard``) and the
 block flush (``kernels.row_sums``). They add up to the step but for the
-march's own bookkeeping and the timers; the last line says where they
-miss it by more than 15%.
+march's own bookkeeping and the timers; a line says where they miss it
+by more than 15%. Its last two lines are the fine run's memory, as
+tracemalloc traces it (``lean_peak``): its peak in KB, and the growth of
+that peak in bytes per step from the run to t = 0.125 to the one to
+t = 0.25, without snapshots (``peak_growth``). Both repeat to within a
+few bytes from process to process, so each is one run's.
 
 Each step line, and the held run's, is the median of 3 fresh processes,
 each the best of 7 repeats of 5 passes (a coarse step or a held run) or
@@ -53,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -89,6 +94,27 @@ def fine_baseline():
     between its ends."""
     return baseline(FINE_T, FINE_CELLS, tuple(
         np.linspace(0.0, FINE_T, FINE_SNAPSHOTS + 1)[1:-1].tolist()))
+
+
+def lean_peak(config, data) -> tuple[int, int]:
+    """(tracemalloc's peak in bytes during one lean run, its computed
+    steps), after an untraced run has warmed every cache."""
+    scheme.run(config, data, keep_states=False)
+    tracemalloc.start()
+    try:
+        steps = len(scheme.run(config, data, keep_states=False).dts)
+        return tracemalloc.get_traced_memory()[1], steps
+    finally:
+        tracemalloc.stop()
+
+
+def peak_growth(cells: int, short: float, long: float) -> tuple[int, int]:
+    """(the growth of ``lean_peak`` in bytes, the steps added) from the
+    lean baseline run to ``short`` to the one to ``long``, on roads of
+    ``cells`` cells."""
+    (low, s_short), (high, s_long) = (lean_peak(*baseline(t, cells))
+                                      for t in (short, long))
+    return high - low, s_long - s_short
 
 
 def held_ensemble(per_network: int = 3, seed: int = 0):
@@ -229,6 +255,9 @@ def fine() -> None:
           + ("" if abs(share - 1.0) <= PARTS_SLACK else
              f"   the parts miss the step by more than "
              f"{PARTS_SLACK:.0%}"))
+    growth, added = peak_growth(FINE_CELLS, FINE_T / 2, FINE_T)
+    print(f"{'traced peak (KB)':<28} {lean_peak(config, data)[0] / 1024:8.2f}")
+    print(f"{'traced growth (B/step)':<28} {growth / added:8.2f}")
 
 
 def coarse() -> None:
