@@ -133,8 +133,9 @@ class JunctionSolution:
             p_min, p_max, fluxes, total, active)
 
 
-def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
-    """Locate the coupling interval and evaluate the junction fluxes.
+def solve_junction(spec: JunctionSpec, u) -> JunctionSolution:
+    """Locate the coupling interval and evaluate the junction fluxes: the
+    cold solve.
 
     The interval is the zero set of the balance gap, which falls from sum
     d_i at rho_min to -sum s_j at rho_max by the structure of demand and
@@ -142,61 +143,67 @@ def solve_junction(spec: JunctionSpec, u, hint=None) -> JunctionSolution:
     over the roads' kinks and the ends, reading an end's sign only where a
     bisection reaches it, and solves the bracketing piece exactly. The
     fluxes are evaluated at its midpoint and must balance to 1e-12; a flux
-    that is not finite fails, naming its road. ``hint``, the ``active`` set
-    of an earlier solution, is tried first, as the stacked solve tries it
-    (``kernels.warm_roots``): it can spare the bisections but never changes
-    the result.
+    that is not finite fails, naming its road. A solve hinted with the
+    ``active`` set of an earlier one is a stack of one (``_solve_stack``).
     """
     roads, m = spec._roads, spec.m
-    ustar = spec.candidate(u).tolist()
-    got = None if hint is None else kernels.warm_roots(
-        spec._warm, [ustar], [hint], [0.0])[0]
-    if got is not None:
-        p_min = p_max = got[0]
-        consts, active = got[1], hint
-    else:
-        consts = kernels.road_constants(roads, m, ustar)
-        # the line is +0.0: with -0.0 a sum of symmetric quadratics' c[1]
-        # stays -0.0 and flips the branch of the quadratic formula
-        p_min, p_max, active = kernels.coupling_interval(
-            roads, m, consts, 0.0, 0.0, spec.rho_min, spec.rho_max,
-            spec._zero)
-
-    # Inside a plateau every road takes its own demand or supply, so the
-    # midpoint gives exact fluxes there and held equilibria do not drift.
-    p_eval = p_min + 0.5 * (p_max - p_min)
-    fluxes = consts[:]  # overwritten: a list is cheaper to fill and sum
-    kernels.fill_junction_fluxes(roads, m, consts, p_eval, fluxes)
-    total_in, total_out = math.fsum(fluxes[:m]), math.fsum(fluxes[m:])
-    if not abs(total_in - total_out) <= 1e-12 * max(1.0, abs(total_in)):
-        for h, f in enumerate(fluxes):  # NaN fails the test above too
+    consts = kernels.road_constants(roads, m, spec.candidate(u).tolist())
+    # the line is +0.0: with -0.0 a sum of symmetric quadratics' c[1]
+    # stays -0.0 and flips the branch of the quadratic formula
+    p_min, p_max, active = kernels.coupling_interval(
+        roads, m, consts, 0.0, 0.0, spec.rho_min, spec.rho_max, spec._zero)
+    sol = _solution(spec, consts, float(p_min), float(p_max), active)
+    if sol is None:  # consts now hold the fluxes
+        for h, f in enumerate(consts):  # NaN fails the balance check too
             if not math.isfinite(f):
                 raise ConsistencyError(f"junction flux of road {h} is {f!r}")
         raise ConsistencyError(
-            f"junction fluxes do not balance: in={total_in!r} out={total_out!r}")
-    fluxes = np.array(fluxes)
+            f"junction fluxes do not balance: in={math.fsum(consts[:m])!r} "
+            f"out={math.fsum(consts[m:])!r}")
+    return sol
+
+
+def _solution(spec: JunctionSpec, consts: list, p_min: float, p_max: float,
+              active) -> JunctionSolution | None:
+    """The solution on the coupling interval [p_min, p_max] of a state
+    with these road constants, which are overwritten with its fluxes; None
+    where the fluxes fail the balance check of 1e-12."""
+    m = spec.m
+    # Inside a plateau every road takes its own demand or supply, so the
+    # midpoint gives exact fluxes there and held equilibria do not drift.
+    kernels.fill_junction_fluxes(spec._roads, m, consts,
+                                 p_min + 0.5 * (p_max - p_min), consts)
+    total_in = math.fsum(consts[:m])  # a list is cheaper to fill and sum
+    if not abs(total_in - math.fsum(consts[m:])) <= 1e-12 * max(
+            1.0, abs(total_in)):
+        return None
+    fluxes = np.array(consts)
     # a run hands one solution to every step that repeats its state
     fluxes.setflags(write=False)
-    return JunctionSolution(float(p_min), float(p_max), fluxes, total_in,
-                            active)
+    return JunctionSolution(p_min, p_max, fluxes, total_in, active)
 
 
 def _solve_stack(spec: JunctionSpec, states: np.ndarray,
-                 hints) -> list[JunctionSolution | None]:
-    """``solve_junction(spec, state, hint)`` for every row of the stack of
-    junction states, shape (rows, m + n), and its hint, where the hinted
-    piece certifies the row: the solution, bit for bit, else None, which
-    the caller solves one by one. None stands for a row with no hint (None,
-    or a plateau's), one whose piece has degree 0 or above 2 or whose
-    certificate fails, and one whose fluxes fail the balance check.
+                 hints) -> list[JunctionSolution]:
+    """``solve_junction(spec, state)`` for every row of the stack of
+    junction states, shape (rows, m + n), bit for bit, hinted with the
+    row's entry of ``hints``: an earlier solution's ``active`` set, or
+    None. Each row is solved by the first of these that holds:
 
-    The stack is checked value by value against [A, B] widened as
-    ``JunctionSpec.candidate`` widens it, which refuses a bad row by its
-    own message. ``kernels.warm_roots`` solves every row from its hint's
-    piece, computed once per distinct hint (``JunctionSpec._warm``); the
-    fluxes at the root, their totals and the balance check are
-    ``solve_junction``'s, and every solution's fluxes a read-only array of
-    their own."""
+    1. warm from its hint's piece: ``kernels.warm_roots``, run once over
+       the stack, with the piece computed once per distinct hint
+       (``JunctionSpec._warm``), where the piece certifies the row's root
+       and the fluxes there balance;
+    2. warm, in the same way, from the last active set that the rows
+       before it found, where that differs from the row's hint;
+    3. cold, by ``solve_junction``, looked up as this module's attribute.
+
+    A solution found warm has the set it was found from as its ``active``.
+    A hint never changes a result, only the work. The stack is checked
+    value by value against [A, B] widened as ``JunctionSpec.candidate``
+    widens it, which refuses a bad row by its own message; the
+    ConsistencyError of a row names the row as its ``run``. Every
+    solution's fluxes are a read-only array of their own."""
     lo, hi = spec._bounds
     values = states.tolist()
     for row in values:
@@ -204,22 +211,23 @@ def _solve_stack(spec: JunctionSpec, states: np.ndarray,
             if not lo <= v <= hi:  # NaN fails this too; min() skips it
                 for state in states:
                     spec.candidate(state)
-    roads, m = spec._roads, spec.m
-    out: list[JunctionSolution | None] = []
-    for got, hint in zip(kernels.warm_roots(spec._warm, values, hints,
-                                            [0.0] * len(values)), hints):
-        if got is not None:
-            r, fluxes = got  # the road constants, overwritten in place
-            kernels.fill_junction_fluxes(roads, m, fluxes, r + 0.5 * (r - r),
-                                         fluxes)
-            total_in = math.fsum(fluxes[:m])
-            total_out = math.fsum(fluxes[m:])
-            if abs(total_in - total_out) <= 1e-12 * max(1.0, abs(total_in)):
-                fluxes = np.array(fluxes)
-                fluxes.setflags(write=False)  # a run reuses a solution
-                out.append(JunctionSolution(r, r, fluxes, total_in, hint))
-                continue
-        out.append(None)
+    warm = spec._warm
+    out = []
+    before = None  # the last active set that the rows so far found
+    for k, (got, hint) in enumerate(zip(kernels.warm_roots(
+            warm, values, hints, [0.0] * states.shape[0]), hints)):
+        sol = got and _solution(spec, got[1], got[0], got[0], hint)
+        if sol is None and before is not None and before != hint:
+            got = kernels.warm_roots(warm, [values[k]], [before], [0.0])[0]
+            sol = got and _solution(spec, got[1], got[0], got[0], before)
+        if sol is None:
+            try:
+                sol = solve_junction(spec, states[k])
+            except ConsistencyError as exc:
+                exc.run = k
+                raise
+        out.append(sol)
+        before = sol.active or before
     return out
 
 

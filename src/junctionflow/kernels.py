@@ -8,10 +8,11 @@ which gives the coupling interval and, with the diffusive line, the
 viscous junction value (``solve_visc_w``). It brackets the root with two
 bisections over the kinks and ends, whose signs at the ends follow from
 the structure of demand and supply, and solves one piece exactly. Every
-hinted solve, of one junction state or of a stack of them, first runs
-``warm_roots``: the piece of an earlier solve's active set, with what the
-hint fixes computed once (``WarmPieces``), kept only where a certificate
-shows the cold solve would take the same root; plus
+hinted solve, the coupling's stacked one (``junction._solve_stack``) and
+the viscous value's, first runs ``warm_roots``: the piece of an earlier
+solve's active set, with what the hint fixes computed once
+(``WarmPieces``), kept only where a certificate shows the cold solve
+would take the same root; plus
 (c) the exact sums behind the mass audit: ``row_sums`` takes the masses of
 a block of levels, the march's ring of level buffers, less their ghost
 and pad columns, with one extraction and a certified rounding, and
@@ -445,7 +446,7 @@ class WarmPieces(dict):
     its term is its constant, its signed piece constant, whether its probe
     is the right end of the reach, and a table panel's nodes (else None).
     A hint whose piece has degree 0 or above 2 has no piece (None), nor has
-    a plateau's hint, None: such rows are solved cold."""
+    a plateau's hint, None: ``warm_roots`` leaves such rows unsolved."""
 
     def __init__(self, roads, m, lo, hi, slope=0.0):
         super().__init__({None: None})

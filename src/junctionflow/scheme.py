@@ -687,13 +687,11 @@ def _runs(config: RunConfig, u: np.ndarray,
     (the bytes keep -0.0 and 0.0 apart). It logs each solution it finds
     as one typed row, from which its Trajectory's junction arrays are
     taken, and keeps no solution object. The runs whose state changed go
-    to one stacked warm solve (``junction._solve_stack``), each hinted
-    with the last active set it found (a plateau's solve finds none), and
-    the rows it leaves to ``solve_junction`` one by one, cold. A step on
-    which no such run has a hint yet, as the first, solves them all cold,
-    with no stack. A hint spares the scan but changes no result. A broken
-    invariant raises the march's ConsistencyError, with the run as its
-    ``run``."""
+    to one stacked solve (``junction._solve_stack``), each hinted with the
+    last active set it found (a plateau's solve finds none, and a run has
+    none before its first): a hint spares the scan but changes no result.
+    A broken invariant raises the march's ConsistencyError, with the run as
+    its ``run``."""
     mesh = config.mesh
     spec = mesh.spec
     ghosts = config.dirichlet_values
@@ -719,24 +717,21 @@ def _runs(config: RunConfig, u: np.ndarray,
         # the step's record is the row of table in force after it; the
         # junction state of out is read once, here, for the next step
         nonlocal row, junction, seen
-        rows, hinted = [], False
+        rows = []
         for r, start, stop in cuts:
             if (key := seen[start:stop]) != keys[r]:
                 keys[r] = key
                 rows.append(r)
-                hinted = hinted or hints[r] is not None
         if rows:
             every = len(rows) == count
-            sols = (_solve_stack(spec, junction if every else junction[rows],
-                                 hints if every else [hints[r] for r in rows])
-                    if hinted else [None] * len(rows))
+            try:
+                sols = _solve_stack(
+                    spec, junction if every else junction[rows],
+                    hints if every else [hints[r] for r in rows])
+            except ConsistencyError as exc:  # it names the row
+                exc.run = rows[exc.run]
+                raise
             for r, sol in zip(rows, sols):
-                if sol is None:  # the stack has tried the hint: cold
-                    try:
-                        sol = solve_junction(spec, junction[r])
-                    except ConsistencyError as exc:
-                        exc.run = r
-                        raise
                 log = solved[r]
                 log.extend((sol.p_min, sol.p_max, sol.total))
                 log.frombytes(sol.fluxes.tobytes())
@@ -756,13 +751,16 @@ def _runs(config: RunConfig, u: np.ndarray,
     # each step's row of table, one index per run
     index = np.frombuffer(table, np.int64).reshape(-1, count)[
         np.frombuffer(rows).astype(np.intp)]
+    # a batch of one hands its run the march's arrays, a larger one each
+    # run a copy of its own
+    own = np.asarray if count == 1 else np.copy
     trajs = []
     for r, i in enumerate(index.T):
         log = np.frombuffer(solved[r]).reshape(-1, 3 + k)
         trajs.append(Trajectory(
-            config, states[r], buffers[r], times.copy(), dts.copy(),
+            config, states[r], buffers[r], own(times), own(dts),
             log[:, 0].take(i), log[:, 1].take(i), log[:, 3:].take(i, axis=0),
-            log[:, 2].take(i), bnet[:, r].copy(), masses[:, r].copy(),
+            log[:, 2].take(i), own(bnet[:, r]), own(masses[:, r]),
             len(log)))
     return trajs
 

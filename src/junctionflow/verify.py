@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (ConfigError, ConsistencyError, PreconditionError,
                      as_bounded, as_count, as_positive, as_sequence)
 from .fluxes import quadratic_lwr
+# solve_junction is not called here: perfbench's tracer and its test read it
 from .junction import (JunctionSpec, _solve_stack, is_germ_member,
                        is_strict_germ_member, riemann_solve, solve_junction)
 from .scheme import (NetworkMesh, RunConfig, Trajectory, _cell_count,
@@ -164,7 +165,7 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
     slots = layout.slots
     terms = []
     dts = dts.tolist()
-    hints = stack = None
+    hints, stack = [None, None], None
     for start in range(1, len(times) - 1, 64):
         steps = range(start, min(start + 64, len(times) - 1))
         if stack is None or stack.slots != len(steps) * slots:
@@ -174,10 +175,10 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
         hi, lo = np.maximum(ua, ub), np.minimum(ua, ub)
         stack.fill(hi)
         stack.fill(lo)
-        chains, hints = _level_solves(spec, np.stack((
+        sols, hints = _level_solves(spec, np.stack((
             hi[stack.adj], lo[stack.adj])).reshape(2, len(steps), -1), hints)
-        g_hi, g_lo = np.array([[sol.fluxes for sol in chain]
-                               for chain in chains])
+        g_hi, g_lo = np.array([sol.fluxes for sol in sols]).reshape(
+            2, len(steps), -1)
         q = (_flux_grid(hi, mesh, g_hi, layout=stack)
              - _flux_grid(lo, mesh, g_lo, layout=stack))
         q[stack.outer] = np.abs(q[stack.outer])
@@ -192,35 +193,18 @@ def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
 
 def _level_solves(spec: JunctionSpec, states: np.ndarray, hints):
     """The junction solution of every level of each chain of states, shape
-    (chains, levels, m + n), the audit's max states and its min states:
-    ``solve_junction(spec, state, hint)`` hinted with the last active set
-    its chain has found (a plateau's solve finds none), bit for bit, and
-    each chain's hint after its last level. ``hints`` holds each chain's
-    hint before the first level, or is None at the first audited level,
-    which is solved cold.
-
-    Rows of one stacked solve (``junction._solve_stack``) cannot chain, so
-    every later level is hinted with its chain's hint before the first;
-    the rows it leaves are solved one by one, in order, hinted by the last
-    set found where that is not the set the stack tried."""
-    if hints is None:
-        sols = [[solve_junction(spec, chain[0])] for chain in states]
-        hints = [chain[0].active for chain in sols]
-        states = states[:, 1:]
-    else:
-        sols = [[] for _ in hints]
+    (chains, levels, m + n), the audit's max states and its min states, in
+    chain-major order, and each chain's hint after its last level: one
+    stacked solve (``junction._solve_stack``), every row hinted with its
+    chain's hint before the first level, ``hints`` (None before any is
+    found); the last active set a chain's solves found, or that hint, is
+    its hint after."""
     levels = states.shape[1]
-    got = _solve_stack(spec, states.reshape(-1, states.shape[2]),
-                       [hint for hint in hints for _ in range(levels)])
-    for c, chain in enumerate(sols):
-        tried = hint = hints[c]
-        for k, sol in enumerate(got[c * levels:(c + 1) * levels]):
-            if sol is None:  # the stack has tried its hint
-                sol = solve_junction(spec, states[c, k],
-                                     None if hint == tried else hint)
-            chain.append(sol)
-            hint = sol.active or hint
-        hints[c] = hint
+    sols = _solve_stack(spec, states.reshape(-1, states.shape[2]),
+                        [hint for hint in hints for _ in range(levels)])
+    for c, at in enumerate(range(0, len(sols), levels)):
+        for sol in sols[at:at + levels]:
+            hints[c] = sol.active or hints[c]
     return sols, hints
 
 

@@ -31,7 +31,7 @@ from junctionflow import (
     symmetric_quadratic,
     tabulated,
 )
-from junctionflow import kernels
+from junctionflow import junction, kernels
 from junctionflow.junction import _solve_stack, _strict_margins_hold
 from junctionflow.verify import germ_sampler, nonstrict_germ_sampler
 
@@ -466,6 +466,11 @@ def _solution_bits(sol):
             sol.total.hex(), sol.active)
 
 
+def _hinted(spec, u, hint):
+    """The solve of u hinted with an active set: a stack of one."""
+    return _solve_stack(spec, np.array([u], dtype=float), [hint])[0]
+
+
 def _warm_junction(seed, m, n, symmetric):
     """(rng, spec, state): symmetric quadratics, with states at the crest
     or an end, or else ``random_junction``'s LWR, cubic and table roads."""
@@ -488,7 +493,7 @@ def _warm_junction(seed, m, n, symmetric):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
        symmetric=st.booleans())
 def test_warm_started_solve_equals_the_cold_one(seed, m, n, symmetric):
-    # the hinted solve, which runs the stack's certificate
+    # the hinted solve, a stack of one, which runs the certificate
     # (kernels.warm_roots), against the cold one: the hint is the state's
     # own active set (true), that of the state solved before (stale) or a
     # random one, on all four families: LWR, the cubic and tables, or
@@ -511,7 +516,7 @@ def test_warm_started_solve_equals_the_cold_one(seed, m, n, symmetric):
                      _stale_active_set(rng, spec)):
             if hint is None:
                 continue
-            assert _solution_bits(solve_junction(spec, u, hint)) == ref
+            assert _solution_bits(_hinted(spec, u, hint)) == ref
         stale = own if own is not None else stale
 
 
@@ -520,14 +525,19 @@ def test_warm_started_solve_equals_the_cold_one(seed, m, n, symmetric):
        symmetric=st.booleans(), rows=st.sampled_from([1, 2, 10, 64]))
 def test_stacked_solve_equals_the_solve_one_by_one(seed, m, n, symmetric,
                                                    rows):
-    # every row the stacked solve certifies is the cold solve's solution
-    # of that row, bit for bit, its active set the row's hint; the rest
-    # come back None. Rows are fresh states (at a crest, an end, a node or
-    # a plateau among them) or small moves of three base states, on all
-    # four families (the cubic is above degree 2, tables have a piece per
+    # every row of the stacked solve is the cold solve's solution of that
+    # row, bit for bit (float.hex, and the fluxes' bytes), whether its hint
+    # certifies it, the last set that the rows before it found does, or
+    # neither and it is solved cold (``junction.solve_junction``, counted
+    # here); a row solved warm has the set it was solved from as its
+    # active set. Rows are fresh states (at a crest, an end, a node or a
+    # plateau among them) or small moves of three base states, on all four
+    # families (the cubic is above degree 2, tables have a piece per
     # panel); each row's hint is None, its own active set, its base's
     # (stale), a random one, or its own with a table panel moved to its
-    # neighbour, whose line extended can have a root just beyond the panel
+    # neighbour, whose line extended can have a root just beyond the
+    # panel. Where the fluxes at one row's coupling value are not finite,
+    # the stack raises for the first row at that value, naming it
     rng, spec, state = _warm_junction(seed, m, n, symmetric)
 
     def neighbour(active):
@@ -552,14 +562,37 @@ def test_stacked_solve_equals_the_solve_one_by_one(seed, m, n, symmetric,
         hints.append([None, own, solve_junction(spec, base).active,
                       _stale_active_set(rng, spec),
                       neighbour(own)][int(rng.integers(5))])
-    sols = _solve_stack(spec, np.array(states), hints)
+    states = np.array(states)
+    real_solve = junction.solve_junction
+    real_fill = kernels.fill_junction_fluxes
+    cold = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(junction, "solve_junction",
+                      lambda spec, u: cold.append(1) or real_solve(spec, u))
+        sols = _solve_stack(spec, states, hints)
     assert len(sols) == rows
+    found, warm = None, 0
     for u, hint, sol in zip(states, hints, sols):
-        if sol is not None:
-            assert hint is not None
-            assert _solution_bits(sol) == _solution_bits(
-                solve_junction(spec, u))
-            assert sol.active is hint
+        assert _solution_bits(sol) == _solution_bits(solve_junction(spec, u))
+        warm += sol.active is not None and (sol.active is hint
+                                            or sol.active is found)
+        found = sol.active or found
+    assert len(cold) == rows - warm
+
+    mids = [sol.p_min + 0.5 * (sol.p_max - sol.p_min) for sol in sols]
+    bad = mids[int(rng.integers(rows))]
+
+    def poisoned(roads, m, consts, p, out):
+        real_fill(roads, m, consts, p, out)
+        if p == bad:
+            out[0] = math.nan
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "fill_junction_fluxes", poisoned)
+        with pytest.raises(ConsistencyError,
+                           match=r"^junction flux of road 0 is nan$") as err:
+            _solve_stack(spec, states, hints)
+    assert err.value.run == mids.index(bad)
 
 
 def test_stacked_solve_keeps_a_panel_to_its_nodes():
@@ -567,7 +600,7 @@ def test_stacked_solve_keeps_a_panel_to_its_nodes():
     # either side meet: a hint naming either panel finds its line's root
     # there and balanced fluxes, but the solve reads an exact zero at the
     # node and reports no active set, so the panel bounds of the
-    # certificate must refuse both hints
+    # certificate must refuse both hints, and each row is solved cold
     table = tabulated([0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
                       [0.0, 0.3, 0.5, 0.6, 0.35, 0.0])
     spec = JunctionSpec(1, 1, (table, table))
@@ -575,40 +608,47 @@ def test_stacked_solve_keeps_a_panel_to_its_nodes():
     want = solve_junction(spec, u)
     assert (want.p_min, want.p_max, want.active) == (0.2, 0.2, None)
     hints = [(-1, 0), (-1, 1)]
-    assert _solve_stack(spec, np.array([u, u]), hints) == [None, None]
-    assert [solve_junction(spec, u, hint).active for hint in hints] \
-        == [None, None]
+    assert [_solution_bits(sol) for sol in _solve_stack(
+        spec, np.array([u, u]), hints)] == [_solution_bits(want)] * 2
+    assert [_hinted(spec, u, hint).active for hint in hints] == [None, None]
 
 
 def test_stacked_solve_leaves_bad_rows_to_the_solve_one_by_one(monkeypatch):
-    # 10 rows of one 2-3 junction, each hinted with its own active set: the
-    # stack certifies all; where the fluxes of row 4 fail the balance check
-    # it comes back None, and the solve one by one raises for it. A row
-    # outside [A, B] is refused by the state check's own message
+    # 10 rows of one 2-3 junction: each hinted with its own active set, the
+    # stack certifies all; with no hints, row 0 is solved cold
+    # (``junction.solve_junction``) and every later row warm from the set
+    # that the row before found. Where the fluxes of row 4 fail the
+    # balance check, its hint and that set fail too, and its cold solve
+    # raises, naming row 4 as its run. A row outside [A, B] is refused by
+    # the state check's own message
     spec = LWR23
     states = np.array([[0.2 + 0.01 * i, 0.9, 0.6, 0.55, 0.1]
                        for i in range(10)])
     hints = [solve_junction(spec, u).active for u in states]
-    want = [_solution_bits(solve_junction(spec, u, h))
-            for u, h in zip(states, hints)]
-    assert [_solution_bits(sol) for sol in _solve_stack(spec, states, hints)] \
-        == want
-    real = kernels.fill_junction_fluxes
-    bad = solve_junction(spec, states[4]).p_min
+    want = [_solution_bits(solve_junction(spec, u)) for u in states]
+    real_solve = junction.solve_junction
+    real_fill = kernels.fill_junction_fluxes
+    cold = []
+    monkeypatch.setattr(junction, "solve_junction",
+                        lambda spec, u: cold.append(u.copy())
+                        or real_solve(spec, u))
+    for hinted in (hints, [None] * 10):
+        assert [_solution_bits(sol) for sol in _solve_stack(
+            spec, states, hinted)] == want
+    assert len(cold) == 1 and cold[0].tobytes() == states[0].tobytes()
+    bad = real_solve(spec, states[4]).p_min
 
     def poisoned(roads, m, consts, p, out):
-        real(roads, m, consts, p, out)
+        real_fill(roads, m, consts, p, out)
         if p == bad:
             out[1] = math.nan
 
     monkeypatch.setattr(kernels, "fill_junction_fluxes", poisoned)
-    sols = _solve_stack(spec, states, hints)
-    assert sols[4] is None
-    assert [_solution_bits(sol) for k, sol in enumerate(sols) if k != 4] \
-        == want[:4] + want[5:]
-    with pytest.raises(ConsistencyError,
-                       match=r"^junction flux of road 1 is nan$"):
-        solve_junction(spec, states[4], hints[4])
+    for hinted in (hints, [None] * 10):
+        with pytest.raises(ConsistencyError,
+                           match=r"^junction flux of road 1 is nan$") as err:
+            _solve_stack(spec, states, hinted)
+        assert err.value.run == 4
     states[7, 2] = math.nan
     with pytest.raises(ValueError, match=r"^junction state must be 5 finite"):
         _solve_stack(spec, states, hints)
@@ -640,7 +680,7 @@ def test_coupling_sees_a_state_only_through_demands_and_supplies(
         for v in (u, moved):
             assert _solution_bits(solve_junction(spec, v)) == want
             if cold.active is not None:
-                got = solve_junction(spec, v, cold.active)
+                got = _hinted(spec, v, cold.active)
                 assert _solution_bits(got) == want
 
 
@@ -666,7 +706,7 @@ def test_an_end_off_by_rounding_is_the_coupling_interval(spec, u, end):
     assert abs(sol.fluxes[0] - sol.fluxes[1]) <= 1e-12
     want = _solution_bits(sol)
     for hint in ((-1, -1), (-1, 0), (0, -1), (0, 0)):
-        assert _solution_bits(solve_junction(spec, u, hint)) == want
+        assert _solution_bits(_hinted(spec, u, hint)) == want
 
 
 def test_run_from_an_empty_road_into_a_table_end_off_zero():

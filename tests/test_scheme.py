@@ -757,22 +757,15 @@ def test_mixed_family_run_bit_identical(label):
 # reuse of the junction solution
 
 def _spy_solves(monkeypatch):
-    """Record the state of every junction solve the march makes: one by
-    one, or as a row that a batch's stacked solve certifies."""
-    real, real_stack = scheme.solve_junction, scheme._solve_stack
+    """Record the state of every junction solve the march makes, a row of
+    its stacked solve each."""
+    real_stack = scheme._solve_stack
     calls = []
 
-    def spy(spec, u, *hint):
-        calls.append(np.array(u, dtype=float))
-        return real(spec, u, *hint)
-
     def spy_stack(spec, states, hints):
-        sols = real_stack(spec, states, hints)
-        calls.extend(np.array(u, dtype=float)
-                     for u, sol in zip(states, sols) if sol is not None)
-        return sols
+        calls.extend(np.array(u, dtype=float) for u in states)
+        return real_stack(spec, states, hints)
 
-    monkeypatch.setattr(scheme, "solve_junction", spy)
     monkeypatch.setattr(scheme, "_solve_stack", spy_stack)
     return calls
 
@@ -831,10 +824,10 @@ def test_run_solves_each_new_junction_state(monkeypatch, bc, label):
 
 def test_moving_run_warm_starts_the_junction_bracket(monkeypatch):
     # a 2-1 LWR run whose junction state moves at every step: the first
-    # step, which has no hint, solves cold with no stacked solve; every
+    # step, which has no hint, is solved cold by its stacked solve; every
     # later step offers the stack the last active set found as its hint,
     # and solves its piece with no gap evaluation, where a cold solve (of
-    # the first step, or of a row the stack leaves) takes m + n + 2 = 5
+    # the first step, or of a row the hint leaves) takes m + n + 2 = 5
     spec = JunctionSpec(2, 1, (quadratic_lwr(), quadratic_lwr(),
                                quadratic_lwr(2.0)))
     mesh = NetworkMesh(spec, 1.0 / 200, 200)
@@ -842,38 +835,30 @@ def test_moving_run_warm_starts_the_junction_bracket(monkeypatch):
     init = [np.repeat(rng.random(10), 20) for _ in range(3)]
     gaps, per_solve, offered, actives = [0], [], [], []
     real_gap = kernels.balance_gap
-    real_solve, real_stack = scheme.solve_junction, scheme._solve_stack
+    real_stack = scheme._solve_stack
 
     def gap(*args):
         gaps[0] += 1
         return real_gap(*args)
-
-    def solved(sol, before):
-        per_solve.append(gaps[0] - before)
-        actives.append(sol.active)
-        return sol
 
     def stack(spec, states, hints):
         assert len(states) == len(hints) == 1  # one run, one row a step
         offered.extend(hints)
         before = gaps[0]
         sols = real_stack(spec, states, hints)
-        return [sol and solved(sol, before) for sol in sols]
-
-    def solve(*args):
-        before = gaps[0]
-        return solved(real_solve(*args), before)
+        per_solve.append(gaps[0] - before)
+        actives.extend(sol.active for sol in sols)
+        return sols
 
     monkeypatch.setattr(kernels, "balance_gap", gap)
-    monkeypatch.setattr(scheme, "solve_junction", solve)
     monkeypatch.setattr(scheme, "_solve_stack", stack)
     traj = run(RunConfig(mesh, 0.9, 0.25), init, keep_states=False)
-    assert traj.junction_solves == len(per_solve) == len(offered) + 1 > 100
+    assert traj.junction_solves == len(per_solve) == len(offered) > 100
     last = None  # the last active set found before each step
-    for hint, active in zip([None, *offered], actives):
+    for hint, active in zip(offered, actives):
         assert hint is last
         last = active or last
-    assert per_solve[0] > 0 and None not in offered
+    assert per_solve[0] > 0 and None not in offered[1:]
     assert sum(k == 0 for k in per_solve) >= 0.95 * len(per_solve)
 
 
@@ -882,21 +867,20 @@ def test_a_plateau_keeps_the_last_active_set_as_the_hint(monkeypatch):
     # runs of the test above reach none, so every 10th solution here has
     # its set taken away, as a plateau's would be; the solve after it
     # still starts from the last set found, and only the first solve of
-    # each run is cold (kernels.coupling_interval), alone and in a batch.
-    # A hint never changes a result
+    # each run alone is cold (kernels.coupling_interval). In a batch only
+    # the first run's is: the second run's first row is solved warm from
+    # the set that the row before it found. A hint never changes a result
     spec = JunctionSpec(2, 1, (quadratic_lwr(), quadratic_lwr(),
                                quadratic_lwr(2.0)))
     config = RunConfig(NetworkMesh(spec, 1.0 / 200, 200), 0.9, 0.1)
     initials = [[np.repeat(rng.random(10), 20) for _ in range(3)]
                 for rng in map(np.random.default_rng, (5, 6))]
     want = [run(config, init) for init in initials]
-    real_solve, real_stack = scheme.solve_junction, scheme._solve_stack
+    real_stack = scheme._solve_stack
     real_interval = kernels.coupling_interval
     solves, cold = [], []
 
     def flat(sol):
-        if sol is None:  # a row the stack leaves to the solve one by one
-            return sol
         solves.append(sol)
         if len(solves) % 10:
             return sol
@@ -906,8 +890,6 @@ def test_a_plateau_keeps_the_last_active_set_as_the_hint(monkeypatch):
         cold.append(1)
         return real_interval(*args)
 
-    monkeypatch.setattr(scheme, "solve_junction",
-                        lambda *args: flat(real_solve(*args)))
     monkeypatch.setattr(scheme, "_solve_stack",
                         lambda *args: list(map(flat, real_stack(*args))))
     monkeypatch.setattr(kernels, "coupling_interval", interval)
@@ -918,7 +900,7 @@ def test_a_plateau_keeps_the_last_active_set_as_the_hint(monkeypatch):
     solves.clear(), cold.clear()
     for got, ref in zip(scheme.run_batch(config, initials), want):
         _assert_same_run(got, ref)
-    assert len(solves) == 2 * 89 and len(cold) == 2
+    assert len(solves) == 2 * 89 and len(cold) == 1
 
 
 def test_signed_zero_is_a_new_junction_state(monkeypatch):

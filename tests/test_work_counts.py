@@ -12,11 +12,16 @@ the pins. A change that moves a count updates its pin and says why.
 A batch of R baseline runs (``scheme.run_batch``) makes R junction solves
 per step, one per run, as ``Trajectory.junction_solves`` counts them, and
 one conservative update per step for all R, as a spy on ``scheme._update``
-counts it. The solves are the rows that the stacked warm solve
-(``junction._solve_stack``) certifies and the solves one by one
-(``scheme.solve_junction``) that take the rest: in the batch of 10, the
-first step's 10, which have no hint, go one by one, and every later row is
-stacked, in both interpreters.
+counts it. The solves are the rows of the stacked solve
+(``junction._solve_stack``): warm, from a row's hint or from the last set
+that the rows before it found, or else cold (``junction.solve_junction``,
+counted by a spy). In the batch of 10 only the first step's first row,
+which has no set to start from, is cold, in both interpreters.
+
+One ``verify --seed 0`` pass, run in the same two interpreters, makes a
+pinned number of cold coupling solves (``kernels.coupling_interval``
+calls): the audit's stacked solves start each level's row warm from the
+last set found before it, so few of its rows are cold.
 
 A lean run writes every computed level into a row of the march's block,
 and flushes a pinned number of blocks (one ``kernels.row_sums`` call and
@@ -24,11 +29,14 @@ one range guard, ``scheme._guard``, each), as spies count them.
 
 A lean run's memory grows by its per-step logs only: tracemalloc's peak
 during the lean baseline run on 3 x 200 cells to t = 2 (1,778 steps)
-exceeds that to t = 0.5 (445 steps) by at most 128 B per added step
+exceeds that to t = 0.5 (445 steps), and on 3 x 25 cells to t = 16
+exceeds that to t = 4, by at most 128 B per added step
 (``step_cost.peak_growth``), by the same count in both interpreters. A
 typed float or index per step in each log (steps, boundary flows,
 masses, records, the solve table) and one typed row per distinct solve
-come to about 100 B; an object per step would exceed the bound.
+come to about 100 B; an object per step, or a copy of a log for the
+Trajectory of a batch of one, would exceed the bound on 3 x 25 cells,
+where a level is small.
 
 A held ensemble (``step_cost.held_ensemble``: the four networks of the
 benchmark's ``well_balance``, three equilibria each, 200 steps on 50-cell
@@ -64,17 +72,21 @@ STEPS_BETWEEN = 56
 # junction state goes to the stacked solve (``_solve_stack`` in place of
 # ``solve_junction`` and its ``candidate``, and one tolist fewer), whose
 # bookkeeping adds three appends (the rows that solve, the run's distinct
-# solutions, the stack's results), two lens and the solve table's
-# fromlist; a kept level's road views are one itemgetter call (no
-# ``views``). Each distinct solve writes a typed row of its run's solve
-# log (an extend, and a frombytes of the fluxes' tobytes) in place of
-# keeping the solution (an append), two calls more per solving step, and
-# ``kernels.row_sums`` sets up its slices, one call more in all (the run
-# to t = 1 flushes once more than the run to t = 0.5)
+# solutions, the stack's results), one len, the call of its per-row
+# ``_solution`` (the stack's zero bases are counted by its shape, with no
+# len) and the solve table's fromlist; a kept level's road views are one
+# itemgetter call (no ``views``). Each distinct solve writes a typed row
+# of its run's solve log (an extend, and a frombytes of the fluxes'
+# tobytes) in place of keeping the solution (an append), two calls more
+# per solving step, and ``kernels.row_sums`` sets up its slices, one call
+# more in all (the run to t = 1 flushes once more than the run to t = 0.5)
 CALLS_BETWEEN = 2988
 JUNCTION_SOLVES = 112
 BATCH = 10
-BATCH_SPLIT = {"scalar": 10, "stacked": 1110}  # of 10 x 112 solves
+BATCH_SPLIT = {"cold": 1, "warm": 1119}  # of 10 x 112 solves
+# cold coupling solves of one ``verify --seed 0`` pass; 509 where a row
+# whose hint fails is not retried from the set the rows before it found
+VERIFY_COLD = 185
 # (updates, junction solves, row_sums calls) of each network's three held
 # runs; on 1-2-mixed one run moves by a few ulps for 38 steps, and solves
 # 10 junction states, before the march holds it
@@ -82,9 +94,12 @@ HELD = {"1-1": [6, 3, 6], "2-1-symq": [6, 3, 6], "2-3": [6, 3, 6],
         "1-2-mixed": [44, 12, 6]}
 
 COUNT = """
+import contextlib
+import io
 import json
+import tempfile
 import step_cost
-from junctionflow import kernels, scheme
+from junctionflow import cli, junction, kernels, scheme
 held, got = {}, [0, 0, 0]
 update, row_sums = scheme._update, kernels.row_sums
 def counted(at, fn):
@@ -100,22 +115,33 @@ for label, config, equilibria in step_cost.held_ensemble():
     held[label] = got[:]
 scheme._update, kernels.row_sums = update, row_sums
 config, data = step_cost.baseline()
-split = {"scalar": 0, "stacked": 0}
-solve, stack = scheme.solve_junction, scheme._solve_stack
-def scalar(*args):
-    split["scalar"] += 1
+split = {"cold": 0, "warm": 0}
+solve, stack = junction.solve_junction, scheme._solve_stack
+def cold(*args):
+    split["cold"] += 1
     return solve(*args)
 def stacked(spec, states, hints):
-    sols = stack(spec, states, hints)
-    split["stacked"] += sum(sol is not None for sol in sols)
-    return sols
+    split["warm"] += len(states)
+    return stack(spec, states, hints)
 calls = [[*step_cost.calls(0.5), *step_cost.calls(1.0)] for _ in range(2)]
-growth = step_cost.peak_growth(200, 0.5, 2.0)
+growth = [step_cost.peak_growth(200, 0.5, 2.0),
+          step_cost.peak_growth(25, 4.0, 16.0)]
 solves = scheme.run(config, data).junction_solves
-scheme.solve_junction, scheme._solve_stack = scalar, stacked
+junction.solve_junction, scheme._solve_stack = cold, stacked
 scheme.run_batch(config, [data] * %d)
+split["warm"] -= split["cold"]
+junction.solve_junction, scheme._solve_stack = solve, stack
+# the cold coupling solves of one verify pass, which runs no viscous solve
+interval, audit = kernels.coupling_interval, [0]
+def counted_interval(*args):
+    audit[0] += 1
+    return interval(*args)
+kernels.coupling_interval = counted_interval
+with tempfile.TemporaryDirectory() as out, \
+        contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["verify", "--seed", "0", "--out", out])
 print(json.dumps({"calls": calls, "solves": solves, "split": split,
-                  "held": held, "growth": growth}))
+                  "held": held, "growth": growth, "verify": audit[0]}))
 """ % BATCH
 
 
@@ -144,10 +170,16 @@ def test_a_coarse_step_makes_a_pinned_number_of_calls_and_solves(counts):
     assert CALLS_BETWEEN <= 60 * STEPS_BETWEEN
 
 
+def test_a_verify_pass_makes_a_pinned_number_of_cold_solves(counts):
+    for got in counts:
+        assert got["verify"] == VERIFY_COLD
+
+
 def test_a_lean_run_grows_by_its_logs_not_by_an_object_per_step(counts):
-    growth, steps = counts[0]["growth"]
-    assert steps == 1778 - 445
-    assert growth <= 128 * steps
+    # 3 x 200 cells from t = 0.5 to 2, and 3 x 25 cells from t = 4 to 16
+    for growth, steps in counts[0]["growth"]:
+        assert steps == 1778 - 445
+        assert growth <= 128 * steps
     assert counts[1]["growth"] == counts[0]["growth"]
 
 

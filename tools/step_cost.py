@@ -8,11 +8,11 @@ prints:
 - the time of a ``run`` step (``run`` marches a batch of one), and of a
   run-step of the same run marched by ``run_batch`` as a batch of 10 (the
   batch's step time over its runs);
-- the one warm certificate (``kernels.warm_roots``) on one row, as a
-  ``solve_junction`` hinted with the active set of the state before, and
-  stacked over 10 rows, as the batch of 10 runs it
-  (``junction._solve_stack``, each state stacked 10 times, per row), over
-  the run's junction states and hints; and a cold ``solve_junction``;
+- the hinted junction solve (``junction._solve_stack``) on a stack of
+  one row, hinted with the active set of the state before, as a run
+  makes it, and on a stack of 10 rows, as the batch of 10 makes it (each
+  state stacked 10 times, per row), over the run's junction states and
+  hints; and a cold ``solve_junction``;
 - ``scheme._update`` over the run's buffers;
 - Python calls per computed step: cProfile's call count of the run to
   t = 1 less that to t = 0.5, over the difference in steps;
@@ -27,8 +27,8 @@ t = 0.25, 4445 steps) as a lean run with 15 snapshots, and prints the time
 of a step and of the parts of a step, each per computed level and timed
 inside the march (``timed_parts``), on the buffers and the heap the march
 has: the junction solve (``junction._solve_stack`` on the run's one row,
-warm, and ``solve_junction``, cold, where the stack leaves it), the ring
-write (``scheme._update`` of a level into its row of a block; its Godunov
+warm, or cold where the row's hint fails), the ring write
+(``scheme._update`` of a level into its row of a block; its Godunov
 sweeps also shown alone), the block guard (``scheme._guard``) and the
 block flush (``kernels.row_sums``). They add up to the step but for the
 march's own bookkeeping and the timers; a line says where they miss it
@@ -201,9 +201,8 @@ def median_step_us(name: str) -> float:
 
 
 # the parts of a fine step: (owner, the name the march calls, label); a
-# run solves its junction stacked, and cold where the stack leaves a row
+# run solves its junction stacked, its cold rows too
 PARTS = ((scheme, "_solve_stack", "junction solve (us)"),
-         (scheme, "solve_junction", "junction solve (us)"),
          (scheme, "_update", "ring write (us)"),
          (scheme, "_guard", "block guard (us)"),
          (kernels, "row_sums", "block flush (us)"),
@@ -272,7 +271,9 @@ def coarse() -> None:
     updates = list(zip(traj.buffers[:-1], (traj.dts / mesh.dx).tolist(),
                        [solve_junction(spec, s).fluxes for s in states],
                        outs))
-    # the batch's stacks: every state but the first has a hint
+    # a run's stacks of one, and the batch's stacks: every state but the
+    # first has a hint
+    ones = [(s.reshape(1, -1), [h]) for s, h in zip(states, hints)]
     stacks = [(np.tile(s, (BATCH, 1)), [h] * BATCH)
               for s, h in zip(states[1:], hints[1:])]
 
@@ -280,9 +281,8 @@ def coarse() -> None:
         "run step (us)": median_step_us("run"),
         f"batch of {BATCH}, run-step (us)": median_step_us(f"batch{BATCH}"),
         "held run (us)": median_step_us("held"),
-        "warm solve_junction (us)": best_us(
-            lambda: [solve_junction(spec, s, h)
-                     for s, h in zip(states, hints)], steps),
+        "warm solve, stack of 1 (us)": best_us(
+            lambda: [_solve_stack(spec, *one) for one in ones], steps),
         f"stacked warm x{BATCH} (us/row)": best_us(
             lambda: [_solve_stack(spec, *stack) for stack in stacks],
             BATCH * len(stacks)),
