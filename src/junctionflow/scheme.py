@@ -460,14 +460,14 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     """The time loop of every run from u, the network buffers of R >= 1
     independent runs on one mesh end to end (see ``run_batch``): steps of
     dt0, the last one shortened to land exactly on t_final. ``advance(u,
-    lam, out)`` writes the level after u into out, a buffer of u's shape,
-    with lam = dt / dx (of a full step, a 0-d array made once per run),
-    and returns (out, each run's outer boundary fluxes in turn, junction
-    record, a float, whether out's junction-adjacent cells repeat u's bit
-    for bit).
-    It is called on u, then on each level it wrote, in turn, so it can
-    read a level's junction state once, right after writing it. Figures
-    are taken per run; one guard, one hold and one block serve all runs.
+    junction, key, lam, out)`` writes the level after u into out, a
+    buffer of u's shape, with lam = dt / dx (of a full step, a 0-d array
+    made once per run), and returns (each run's outer boundary fluxes in
+    turn, junction record, a float). ``junction`` is u's junction state,
+    its junction-adjacent cells with a row per run, shape (R, m + n), and
+    ``key`` its bytes: the march gathers them once per level, from the
+    first level and from each level that ``advance`` writes. Figures are
+    taken per run; one guard, one hold and one block serve all runs.
 
     The computed levels live in a ring, a block of level buffers that
     ``advance`` writes each level into, a row per level (its view made
@@ -501,8 +501,8 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     it would return the same buffer, boundary flux and record at every
     later full-length step. The march holds it at the first such step. It
     compares the buffers, as bytes (so -0.0 and 0.0 stay apart), only
-    after a step that reports its junction state repeated, so a run whose
-    junction state moves pays nothing for the hold. A hold repeats the
+    after a step whose level's junction key equals its input's, so a run
+    whose junction state moves pays nothing for the hold. A hold repeats the
     step's mass, boundary sum and record over the held levels with slice
     assignments, and jumps to the shortened last step, which is always
     computed, into a row other than the held level's, or to the end.
@@ -537,6 +537,11 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
     views, slots = mesh._layout.views, mesh._layout.slots
     runs = u.shape[0] // slots
     starts = range(0, runs * k, k)  # where each run's boundary fluxes start
+    # the junction-adjacent cells, a row per run; the state of the level
+    # the next step reads from, and its bytes
+    adj = mesh._layout.adj + np.arange(0, runs * slots, slots)[:, None]
+    junction = u[adj]
+    key = junction.tobytes()
     masses = np.empty((n_steps + 1, runs))
     every_mass = masses.reshape(-1)  # level by level, run by run
     # the kept levels and the buffers they view, all runs' in one
@@ -579,7 +584,7 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
             if out is None:
                 out = ring[start + waiting] = levels[start + waiting]
             try:
-                _, boundary, record, repeats = advance(u, lam, out)
+                boundary, record = advance(u, junction, key, lam, out)
             except Exception as exc:
                 if waiting:  # the error of a bad level before wins
                     _guard(mesh, levels[start:start + waiting],
@@ -588,8 +593,10 @@ def _march(mesh: NetworkMesh, u: np.ndarray, dt0: float, t_final: float,
                     raise
                 raise ConsistencyError(f"step {s + 1}: {exc}",
                                        exc.run) from exc
+            junction = out[adj]
+            was, key = key, junction.tobytes()
             # compare bytes, so that -0.0 and 0.0 stay apart
-            held = repeats and dt == dt0 and out.tobytes() == u.tobytes()
+            held = key == was and dt == dt0 and out.tobytes() == u.tobytes()
             flows = boundary.tolist()
             at = s * runs
             for r in starts:
@@ -682,14 +689,16 @@ class Trajectory:
 def _runs(config: RunConfig, u: np.ndarray,
           keep_states: bool) -> list[Trajectory]:
     """The Trajectory of a run from each network buffer that u holds end
-    to end (``_pack``'s), marched as one (see ``run_batch``). A run reuses
-    its last solution's fluxes while its junction state repeats bitwise
-    (the bytes keep -0.0 and 0.0 apart). It logs each solution it finds
-    as one typed row, from which its Trajectory's junction arrays are
-    taken, and keeps no solution object. The runs whose state changed go
-    to one stacked solve (``junction._solve_stack``), each hinted with the
-    last active set it found (a plateau's solve finds none, and a run has
-    none before its first): a hint spares the scan but changes no result.
+    to end (``_pack``'s), marched as one (see ``run_batch``). Its advance
+    only steps: the march hands it each level's junction state and key
+    (see ``_march``). A run reuses its last solution's fluxes while its
+    span of the key repeats (the bytes keep -0.0 and 0.0 apart). It logs
+    each solution it finds as one typed row, from which its Trajectory's
+    junction arrays are taken, and keeps no solution object. The runs
+    whose state changed go, as their rows of the junction state, to one
+    stacked solve (``junction._solve_stack``), each hinted with the last
+    active set it found (a plateau's solve finds none, and a run has none
+    before its first): a hint spares the scan but changes no result.
     A broken invariant raises the march's ConsistencyError, with the run as
     its ``run``."""
     mesh = config.mesh
@@ -697,8 +706,7 @@ def _runs(config: RunConfig, u: np.ndarray,
     ghosts = config.dirichlet_values
     count, k = u.shape[0] // mesh._layout.slots, spec.m + spec.n
     layout = mesh._layout.runs(count)
-    adj = layout.adj.reshape(count, k)  # a row per run
-    # each run and its span of the junction state's bytes, its key
+    # each run and its span of the march's key, the bytes of its row
     cuts = [(r, 8 * k * r, 8 * k * (r + 1)) for r in range(count)]
     keys, hints = [None] * count, [None] * count
     # each run's distinct solutions, a typed row of (p_min, p_max, total,
@@ -709,18 +717,14 @@ def _runs(config: RunConfig, u: np.ndarray,
     row = -1  # the row of table in force
     gstar = np.empty((count, k))
     flat = gstar.reshape(layout.junc.shape)
-    # the junction state of the level last written, and its bytes
-    junction = u[adj]
-    seen = junction.tobytes()
 
-    def advance(u, lam, out):
-        # the step's record is the row of table in force after it; the
-        # junction state of out is read once, here, for the next step
-        nonlocal row, junction, seen
+    def advance(u, junction, key, lam, out):
+        # the step's record is the row of table in force after it
+        nonlocal row
         rows = []
         for r, start, stop in cuts:
-            if (key := seen[start:stop]) != keys[r]:
-                keys[r] = key
+            if (own := key[start:stop]) != keys[r]:
+                keys[r] = own
                 rows.append(r)
         if rows:
             every = len(rows) == count
@@ -740,10 +744,7 @@ def _runs(config: RunConfig, u: np.ndarray,
                 gstar[r] = sol.fluxes
             row += 1
             table.fromlist(at)
-        out, boundary = _update(u, mesh, lam, flat, out, ghosts, 0.0, layout)
-        junction = out[adj]
-        was, seen = seen, junction.tobytes()
-        return out, boundary, row, seen == was
+        return _update(u, mesh, lam, flat, out, ghosts, 0.0, layout)[1], row
 
     states, buffers, times, dts, bnet, masses, rows = _march(
         mesh, u, cfl_timestep(mesh, config.cfl_number),

@@ -327,10 +327,12 @@ def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
     _check_timestep(dt, _parabolic_bound(mesh,
                                          as_positive("epsilon", epsilon)))
     u = _pack(mesh, state)
-    u = _parabolic_advance(u, mesh, epsilon, dt / mesh.dx,
-                           _visc_pieces(mesh, epsilon), np.empty_like(u))[0]
+    out = np.empty_like(u)
+    _parabolic_advance(u, mesh, epsilon, dt / mesh.dx,
+                       _visc_pieces(mesh, epsilon), out,
+                       u[mesh._layout.adj].tolist())
     return GridState(state.time_step + 1, state.time + dt,
-                     mesh._layout.views(u))
+                     mesh._layout.views(out))
 
 
 def _visc_pieces(mesh: NetworkMesh, eps: float) -> kernels.WarmPieces:
@@ -344,28 +346,27 @@ def _visc_pieces(mesh: NetworkMesh, eps: float) -> kernels.WarmPieces:
 
 def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float, lam,
                        pieces: kernels.WarmPieces, out: np.ndarray,
-                       hint=None, ustar=None, scales=None):
+                       ustar: list, hint=None, scales=None):
     """The junction value w, each road's Godunov plus diffusive flux to w,
     then the shared update with diffusion (``scheme._update``, lam = dt /
-    dx) into out: (out, boundary flux, w, the active set of w's solve). w
-    comes from ``kernels.solve_visc_w``, the junction solver's own solve
-    with the diffusive line added to the balance gap, its slope held by
-    ``pieces`` (``_visc_pieces``): the hint's piece where the warm
-    certificate holds, else two bisections over the kinks and ends, then
-    the exact root of one piece. The hint spares work, never changes a
-    result.
+    dx) into out: (boundary flux, w, the active set of w's solve). ``ustar``
+    is u's junction state, its junction-adjacent cells as a list, which
+    the caller reads: ``parabolic_step`` gathers it, and a run takes its
+    row of the march's. w comes from ``kernels.solve_visc_w``, the
+    junction solver's own solve with the diffusive line added to the
+    balance gap, its slope held by ``pieces`` (``_visc_pieces``): the
+    hint's piece where the warm certificate holds, else two bisections
+    over the kinks and ends, then the exact root of one piece. The hint
+    spares work, never changes a result.
 
     u must lie in [A, B], where the fluxes are defined: ``_pack`` checks
     the first level of a run and ``_march``'s guard every later one. The
     solve returns the road constants (each road's demand or supply) with
     w; ``kernels.fill_junction_fluxes`` takes them for each road's Godunov
     flux at w, less the diffusive term e (w - u_i) or e (u_j - w),
-    e = 2 eps / dx. A run passes what it has made already: ``ustar``, the
-    junction-adjacent cells of u as a list, and ``scales``, eps and dx as
-    0-d arrays for the update's diffusive term."""
+    e = 2 eps / dx. A run passes ``scales``, eps and dx as 0-d arrays made
+    once, for the update's diffusive term."""
     roads, m = mesh.spec._roads, mesh.spec.m
-    if ustar is None:
-        ustar = u[mesh._layout.adj].tolist()
     e = 2.0 * eps / mesh.dx
     w, consts, active = kernels.solve_visc_w(pieces, ustar, e * sum(ustar),
                                              hint)
@@ -374,7 +375,7 @@ def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float, lam,
     for h, a in enumerate(ustar):
         gstar[h] -= e * (w - a) if h < m else e * (a - w)
     eps, dx = scales or (eps, None)
-    return *_update(u, mesh, lam, gstar, out, eps=eps, dx=dx), w, active
+    return _update(u, mesh, lam, gstar, out, eps=eps, dx=dx)[1], w, active
 
 
 @dataclass(eq=False)
@@ -409,29 +410,23 @@ def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
     and its logs one typed float per step each, w's included;
     ``parabolic_step`` replays every level bitwise from ``dts``.
     Each step hands the last active set its solves found to the next as a
-    hint, and reads the junction-adjacent cells of the level it wrote,
-    which the next step solves from; the march holds a level that repeats
-    its input bitwise, as ``run``'s does.
+    hint, and solves from the junction state that the march reads from
+    each level; the march holds a level that repeats its input bitwise,
+    as ``run``'s does.
     """
     t_final = as_bounded("t_final", t_final, 0.0)
     u0, dt0 = _pack(mesh, initial), parabolic_timestep(mesh, epsilon)
     pieces, active = _visc_pieces(mesh, epsilon), None  # epsilon checked
-    adj, scales = mesh._layout.adj, (np.array(float(epsilon)),
-                                     np.array(mesh.dx))
-    junction = u0[adj]
-    ustar = junction.tolist()
+    scales = np.array(float(epsilon)), np.array(mesh.dx)
 
-    def advance(u, lam, out):
-        nonlocal active, junction, ustar
-        was, before = junction, ustar
-        out, boundary, w, found = _parabolic_advance(
-            u, mesh, epsilon, lam, pieces, out, active, before, scales)
+    def advance(u, junction, key, lam, out):
+        nonlocal active
+        # the run's one row as a list; tolist() then [0] makes no row view
+        boundary, w, found = _parabolic_advance(
+            u, mesh, epsilon, lam, pieces, out, junction.tolist()[0], active,
+            scales)
         active = found or active  # a kink's solve finds no set
-        junction = out[adj]
-        ustar = junction.tolist()
-        # == first, as it is cheap; only the bytes tell -0.0 from 0.0
-        return out, boundary, w, (ustar == before
-                                  and junction.tobytes() == was.tobytes())
+        return boundary, w
 
     states, _, times, dts, bnet, masses, wlog = _march(
         mesh, u0, dt0, t_final, advance, keep_states=False)

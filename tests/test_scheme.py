@@ -1062,27 +1062,68 @@ def test_settling_run_holds_once_the_waves_have_left(monkeypatch):
     _assert_step_replay(traj, init)
 
 
-def test_hold_tells_signed_zeros_apart(monkeypatch):
+@pytest.mark.parametrize("marched", ["run", "run_parabolic"])
+def test_hold_tells_signed_zeros_apart(monkeypatch, marched):
     # a -0.0 written in step 1 leaves the buffer == its input but not
     # bitwise: step 2 (a new junction state, its first repeat) is computed
     # before the march holds, and a shortened last step after; had the
-    # hold compared values, it would start at step 1
+    # hold compared values, it would start at step 1. The parabolic run
+    # shares the march, and so its hold
     mesh = small_mesh(SYMQ21)
     adj = int(mesh._layout.adj[0])
-    real = scheme._update
+    module = scheme if marched == "run" else viscous
+    real = module._update
     steps = []
 
-    def flip(u, *args):
-        new, boundary = real(u, *args)
+    def flip(u, *args, **kwargs):
+        new, boundary = real(u, *args, **kwargs)
         steps.append(None)
         if len(steps) == 1:
             new[adj] = -0.0
         return new, boundary
 
-    monkeypatch.setattr(scheme, "_update", flip)
-    traj = run(RunConfig(mesh, 0.9, 10 * cfl_timestep(mesh, 0.9)),
-               [0.0, 0.0, 0.0])
+    monkeypatch.setattr(module, "_update", flip)
+    if marched == "run":
+        traj = run(RunConfig(mesh, 0.9, 10 * cfl_timestep(mesh, 0.9)),
+                   [0.0, 0.0, 0.0])
+    else:
+        traj = run_parabolic(mesh, 0.02, [0.0, 0.0, 0.0],
+                             10 * parabolic_timestep(mesh, 0.02))
     assert len(steps) == 2 + (traj.dts[-1] != traj.dts[0])
+    assert math.copysign(1.0, traj.final.values[0][-1]) == -1.0
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_march_hands_each_step_its_junction_state(runs):
+    # a stub advance on a 2-1 mesh: each call gets the junction-adjacent
+    # cells of the u it is handed, a row per run, and their bytes as its
+    # key. Step 1 writes its input back with a 0.0 junction cell turned to
+    # -0.0, equal by value but a new key, so it is not held; step 2 writes
+    # its input back bitwise and is held, with no step after it
+    mesh = small_mesh(SYMQ21, cells=4)
+    slots = mesh._layout.slots
+    rng = np.random.default_rng(runs)
+    u = np.concatenate([scheme._pack(mesh, [rng.random(4) for _ in range(3)])
+                        for _ in range(runs)])
+    adj = (mesh._layout.adj + slots * np.arange(runs)[:, None]).reshape(-1)
+    u[adj[-1]] = 0.0
+    calls = []
+
+    def advance(u, junction, key, lam, out):
+        assert junction.shape == (runs, 3)
+        assert junction.tobytes() == u[adj].tobytes()
+        assert key == junction.tobytes()
+        calls.append(key)
+        out[:] = u
+        if len(calls) == 1:
+            out[adj[-1]] = -0.0
+        return np.zeros(3 * runs), float(len(calls))
+
+    states, *_, records = scheme._march(mesh, u, 0.25, 2.5, advance,
+                                        keep_states=False)
+    assert len(calls) == 2 and calls[0] != calls[1]
+    assert list(records) == [1.0] + [2.0] * 9
+    assert math.copysign(1.0, states[-1][-1].values[-1][0]) == -1.0
 
 
 def test_shortened_step_never_overwrites_the_held_level(monkeypatch):

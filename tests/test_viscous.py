@@ -437,9 +437,11 @@ def test_parabolic_bound_is_sharp():
 
     def advance(values, dt):  # the step without its guard
         u = scheme._pack(mesh, GridState(0, 0.0, tuple(values)))
-        return viscous._parabolic_advance(u, mesh, eps, dt / mesh.dx,
-                                          viscous._visc_pieces(mesh, eps),
-                                          np.empty_like(u))[0]
+        out = np.empty_like(u)
+        viscous._parabolic_advance(u, mesh, eps, dt / mesh.dx,
+                                   viscous._visc_pieces(mesh, eps), out,
+                                   u[mesh._layout.adj].tolist())
+        return out
 
     for seed, dt in ((523, 1.1 * bound), (1470, 1.3 * bound),
                      (1470, 1.0 / (1.5 / 0.01 + 2.0 * eps / 0.01**2))):
