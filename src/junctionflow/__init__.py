@@ -4,9 +4,9 @@ A star-shaped network of m incoming and n outgoing roads meets at a single
 point. Each road carries a bell-shaped flux; the junction couples them
 through one density value chosen so that total inflow matches total
 outflow. The package provides the coupled Riemann solver, the equilibrium
-(germ) predicates, a well-balanced Godunov marching scheme, stationary
-viscous profiles with an explicit parabolic cross-check, and a
-verification harness with entropy audits and convergence studies.
+(germ) predicates, a well-balanced Godunov marching scheme that also
+marches the viscous system as a cross-check, stationary viscous profiles,
+and a verification harness with entropy audits and convergence studies.
 """
 
 from .errors import ConfigError, ConsistencyError, PreconditionError
@@ -22,9 +22,8 @@ from .verify import (ContractionReport, ConvergenceReport, KatoReport,
                      RiemannProblem, TestFunction, adapted_entropy_residual,
                      bump_test_function, convergence_study, germ_sampler,
                      kato_audit, l1_contraction_check, nonstrict_germ_sampler)
-from .viscous import (ParabolicTrajectory, ViscousProfile, initial_smoothing,
-                      parabolic_step, parabolic_timestep, road_profile,
-                      run_parabolic, stationary_profile)
+from .viscous import (ViscousProfile, initial_smoothing, parabolic_timestep,
+                      road_profile, run_parabolic, stationary_profile)
 
 __version__ = "0.1.0"
 
@@ -42,8 +41,7 @@ __all__ = [
     "RiemannProblem", "TestFunction", "adapted_entropy_residual",
     "bump_test_function", "convergence_study", "germ_sampler",
     "kato_audit", "l1_contraction_check", "nonstrict_germ_sampler",
-    "ParabolicTrajectory", "ViscousProfile",
-    "initial_smoothing", "parabolic_step", "parabolic_timestep",
+    "ViscousProfile", "initial_smoothing", "parabolic_timestep",
     "road_profile", "run_parabolic", "stationary_profile",
     "__version__",
 ]

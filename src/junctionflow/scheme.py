@@ -22,7 +22,11 @@ bitwise fixed point share one buffer.
 
 The scheme is monotone under the CFL bound dt <= dx / (2 max_h L_h), which
 gives the maximum principle, order preservation, and discrete L1 contraction
-checked by the verification suite.
+checked by the verification suite. With ``RunConfig.epsilon`` > 0 the same
+march, advance and update take the viscous system u_t + f_h(u)_x =
+epsilon u_xx: interface fluxes less epsilon times the discrete gradient,
+and one junction value w per step (``_visc_node``), monotone under
+``_parabolic_bound``.
 """
 
 from __future__ import annotations
@@ -240,18 +244,23 @@ class RunConfig:
     The outer ends are absorbing while ``dirichlet_values`` is None; values
     given are the Dirichlet data of the roads' ghosts, one per road in
     [A, B]. ``snapshot_times`` name the levels a lean run keeps (see
-    ``run``)."""
+    ``run``). ``epsilon`` > 0 marches the viscous system u_t + f_h(u)_x =
+    epsilon u_xx (see ``_visc_node``), at ``cfl_number`` times
+    ``_parabolic_bound``; at 0, the hyperbolic scheme at ``cfl_timestep``.
+    """
 
     mesh: NetworkMesh
     cfl_number: float
     t_final: float
     dirichlet_values: np.ndarray | None = None
     snapshot_times: tuple[float, ...] = ()
+    epsilon: float = 0.0
 
     def __post_init__(self):
         self.cfl_number = as_positive("cfl_number", self.cfl_number, 1.0)
         self.t_final = as_bounded("t_final", self.t_final, 0.0)
-        _step_count(self.t_final, cfl_timestep(self.mesh, self.cfl_number))
+        self.epsilon = as_bounded("epsilon", self.epsilon, 0.0)
+        _step_count(self.t_final, _timestep(self))
         if self.dirichlet_values is not None:
             self.dirichlet_values = self.mesh.spec.candidate(
                 self.dirichlet_values)
@@ -324,6 +333,39 @@ def cfl_timestep(mesh: NetworkMesh, cfl_number: float) -> float:
     return cfl_number * mesh.dx / (2.0 * mesh.spec.lipschitz_max)
 
 
+def _parabolic_bound(mesh: NetworkMesh, epsilon: float) -> float:
+    """Largest step that keeps the viscous update monotone:
+    1 / (L / dx + 3 eps / dx^2), L the largest Lipschitz constant.
+
+    With lam = dt / dx and mu = eps dt / dx^2, a cell's new value is its
+    old one less what its interfaces take, and the update is monotone when
+    every weight is nonnegative (Crandall & Majda, Math. Comp. 34, 1980).
+    The Godunov flux F(a, b) = min(D(a), S(b)) moves with a only through D
+    below the crest and with b only through S above it, so of a cell's two
+    convective interfaces at most one moves with the cell, and they take
+    at most lam L of its weight. Diffusion takes 2 mu inside a road and
+    3 mu at the junction-adjacent cell, whose junction side has
+    e = 2 eps / dx. The balance R is strictly decreasing in w, so w is
+    nondecreasing in every adjacent state, and the junction fluxes add only
+    nonnegative weights. An absorbing ghost copies its end cell: the outer
+    flux f(u) and the inner interface take at most lam L of that cell
+    together, and no diffusive flux crosses the outer end (a Dirichlet
+    ghost's takes mu, as an inner interface does). A weight is then at
+    least 1 - lam L - 3 mu, which is nonnegative up to this bound; order
+    breaks a little above it (``test_parabolic_bound_is_sharp``)."""
+    dx = mesh.dx
+    return 1.0 / (mesh.spec.lipschitz_max / dx + 3.0 * epsilon / (dx * dx))
+
+
+def _timestep(config: RunConfig) -> float:
+    """The full step of a run: ``cfl_number`` times ``_parabolic_bound``
+    where epsilon > 0, else ``cfl_timestep``."""
+    if config.epsilon:
+        return config.cfl_number * _parabolic_bound(config.mesh,
+                                                    config.epsilon)
+    return cfl_timestep(config.mesh, config.cfl_number)
+
+
 def _pack(mesh: NetworkMesh, data, ghosts=None) -> np.ndarray:
     """Initial data, validated as ``discretize_initial`` validates it, in a
     fresh network buffer with its ghosts and pad filled."""
@@ -387,20 +429,57 @@ def _check_timestep(dt: float, limit: float) -> None:
 
 
 def step(state: GridState, mesh: NetworkMesh, dt: float,
-         dirichlet_values=None) -> GridState:
+         dirichlet_values=None, epsilon: float = 0.0) -> GridState:
     """Advance one time level, with absorbing outer ends or, given
-    ``dirichlet_values``, Dirichlet ones as in ``RunConfig``. Raises
-    ConfigError if dt violates the CFL bound, ValueError (naming the road)
-    on a state or Dirichlet values run would reject."""
-    _check_timestep(dt, cfl_timestep(mesh, 1.0))
+    ``dirichlet_values``, Dirichlet ones, of the scheme that ``epsilon``
+    picks, all as in ``RunConfig``: a run's every level, bit for bit. The
+    junction is solved cold. Raises ConfigError if dt exceeds the scheme's
+    stability bound (``cfl_timestep`` at CFL 1, or ``_parabolic_bound``),
+    ValueError (naming the road) on a state or Dirichlet values run would
+    reject."""
+    epsilon = as_bounded("epsilon", epsilon, 0.0)
+    _check_timestep(dt, _parabolic_bound(mesh, epsilon) if epsilon
+                    else cfl_timestep(mesh, 1.0))
     ghosts = (None if dirichlet_values is None
               else mesh.spec.candidate(dirichlet_values))
     u = _pack(mesh, state, ghosts)
-    sol = solve_junction(mesh.spec, u[mesh._layout.adj])
-    u, _ = _update(u, mesh, dt / mesh.dx, sol.fluxes, np.empty_like(u),
-                   ghosts)
+    junction = u[mesh._layout.adj]
+    gstar = (_visc_node(_visc_pieces(mesh, epsilon), 2.0 * epsilon / mesh.dx,
+                        junction.tolist(), None)[1] if epsilon
+             else solve_junction(mesh.spec, junction).fluxes)
+    u, _ = _update(u, mesh, dt / mesh.dx, gstar, np.empty_like(u), ghosts,
+                   epsilon)
     return GridState(state.time_step + 1, state.time + dt,
                      mesh._layout.views(u))
+
+
+def _visc_pieces(mesh: NetworkMesh, epsilon: float) -> kernels.WarmPieces:
+    """The warm pieces of the viscous junction value: the junction's roads
+    with the diffusive line's slope -e (m + n), e = 2 eps / dx."""
+    spec = mesh.spec
+    return kernels.WarmPieces(spec._roads, spec.m, spec.rho_min,
+                              spec.rho_max,
+                              -(2.0 * epsilon / mesh.dx) * (spec.m + spec.n))
+
+
+def _visc_node(pieces: kernels.WarmPieces, e: float, ustar: list, hint):
+    """(w, fluxes, active) of the viscous node at the junction state
+    ustar, a list (Coclite & Garavello, SIAM J. Math. Anal. 42, 2010): the
+    one junction value w, each road's Godunov flux at w less its diffusive
+    term e (w - u_i) or e (u_j - w), e = 2 eps / dx, as a list, and the
+    active set of w's piece, the next solve's hint, which spares work but
+    changes no result. w comes from ``kernels.solve_visc_w``, looked up as
+    that module's attribute, with the slope of ``pieces``
+    (``_visc_pieces``); its road constants become the Godunov fluxes in
+    place. ustar must lie in [A, B]: ``_pack`` checks a first level, and
+    ``_march``'s guard every later one."""
+    w, fluxes, active = kernels.solve_visc_w(pieces, ustar, e * sum(ustar),
+                                             hint)
+    m = pieces.m
+    kernels.fill_junction_fluxes(pieces.roads, m, fluxes, w, fluxes)
+    for h, a in enumerate(ustar):
+        fluxes[h] -= e * (w - a) if h < m else e * (a - w)
+    return w, fluxes, active
 
 
 def _step_count(t_final: float, dt0: float) -> int:
@@ -662,7 +741,12 @@ class Trajectory:
     junction state repeats the previous step's bitwise reuses its solution.
     ``buffers[s]`` is the network buffer (ghosts and pad filled) whose cells
     ``states[s].values`` view; levels held at a bitwise fixed point (see
-    ``_march``) share one. Treat every buffer and values as read-only."""
+    ``_march``) share one. Treat every buffer and values as read-only;
+    ``times`` and ``dts`` are, and a batch's runs share them. A viscous
+    run (``RunConfig.epsilon`` > 0) logs its junction value w as ``p_min``
+    and ``p_max``, each road's flux to the node (Godunov at w less the
+    diffusive term, see ``_visc_node``) as ``junction_fluxes``, and their
+    incoming sum as ``totals``."""
 
     config: RunConfig
     states: list[GridState]
@@ -689,23 +773,34 @@ class Trajectory:
 def _runs(config: RunConfig, u: np.ndarray,
           keep_states: bool) -> list[Trajectory]:
     """The Trajectory of a run from each network buffer that u holds end
-    to end (``_pack``'s), marched as one (see ``run_batch``). Its advance
-    only steps: the march hands it each level's junction state and key
-    (see ``_march``). A run reuses its last solution's fluxes while its
-    span of the key repeats (the bytes keep -0.0 and 0.0 apart). It logs
-    each solution it finds as one typed row, from which its Trajectory's
-    junction arrays are taken, and keeps no solution object. The runs
-    whose state changed go, as their rows of the junction state, to one
-    stacked solve (``junction._solve_stack``), each hinted with the last
-    active set it found (a plateau's solve finds none, and a run has none
-    before its first): a hint spares the scan but changes no result.
-    A broken invariant raises the march's ConsistencyError, with the run as
+    to end (``_pack``'s), marched as one (see ``run_batch``) by the one
+    advance of every run, hyperbolic or viscous. It only steps: the march
+    hands it each level's junction state and key (see ``_march``). A run
+    reuses its last junction fluxes while its span of the key repeats (the
+    bytes keep -0.0 and 0.0 apart; a batch of one compares the whole key).
+    Each run whose state changed is solved, hinted with the last active
+    set it found (a plateau's or a kink's solve finds none): a hint spares
+    work but changes no result. At epsilon = 0 their rows of the junction
+    state go to one stacked solve (``junction._solve_stack``), at epsilon
+    > 0 each row to ``_visc_node``, and the update takes epsilon and dx as
+    0-d arrays made once.
+
+    A run logs each solution it finds as one typed row (p_min, p_max,
+    total, the m + n fluxes), from which its Trajectory's junction arrays
+    are taken; a viscous row's total, the incoming sum, is taken after the
+    march, by numpy. Every run gets the march's ``times`` and ``dts``,
+    read-only, and its own column of ``boundary_net`` and ``masses``. A
+    broken invariant raises the march's ConsistencyError, with the run as
     its ``run``."""
     mesh = config.mesh
     spec = mesh.spec
-    ghosts = config.dirichlet_values
-    count, k = u.shape[0] // mesh._layout.slots, spec.m + spec.n
+    ghosts, eps = config.dirichlet_values, config.epsilon
+    count, m, k = u.shape[0] // mesh._layout.slots, spec.m, spec.m + spec.n
     layout = mesh._layout.runs(count)
+    eps_arg, dx_arg = 0.0, None  # the update's, 0-d arrays where eps > 0
+    if eps:
+        pieces, e = _visc_pieces(mesh, eps), 2.0 * eps / mesh.dx
+        eps_arg, dx_arg = np.array(eps), np.array(mesh.dx)
     # each run and its span of the march's key, the bytes of its row
     cuts = [(r, 8 * k * r, 8 * k * (r + 1)) for r in range(count)]
     keys, hints = [None] * count, [None] * count
@@ -721,53 +816,71 @@ def _runs(config: RunConfig, u: np.ndarray,
     def advance(u, junction, key, lam, out):
         # the step's record is the row of table in force after it
         nonlocal row
-        rows = []
-        for r, start, stop in cuts:
-            if (own := key[start:stop]) != keys[r]:
-                keys[r] = own
-                rows.append(r)
+        if count == 1:
+            rows = () if key == keys[0] else (0,)
+            keys[0] = key
+        else:
+            rows = []
+            for r, start, stop in cuts:
+                if (own := key[start:stop]) != keys[r]:
+                    keys[r] = own
+                    rows.append(r)
         if rows:
-            every = len(rows) == count
-            try:
-                sols = _solve_stack(
-                    spec, junction if every else junction[rows],
-                    hints if every else [hints[r] for r in rows])
-            except ConsistencyError as exc:  # it names the row
-                exc.run = rows[exc.run]
-                raise
-            for r, sol in zip(rows, sols):
-                log = solved[r]
-                log.extend((sol.p_min, sol.p_max, sol.total))
-                log.frombytes(sol.fluxes.tobytes())
-                at[r] += 1
-                hints[r] = sol.active or hints[r]
-                gstar[r] = sol.fluxes
+            if eps:
+                states = junction.tolist()
+                for r in rows:
+                    w, fluxes, active = _visc_node(pieces, e, states[r],
+                                                   hints[r])
+                    solved[r].fromlist([w, w, 0.0, *fluxes])
+                    at[r] += 1
+                    hints[r] = active or hints[r]
+                    gstar[r] = fluxes
+            else:
+                every = len(rows) == count
+                try:
+                    sols = _solve_stack(
+                        spec, junction if every else junction[rows],
+                        hints if every else [hints[r] for r in rows])
+                except ConsistencyError as exc:  # it names the row
+                    exc.run = rows[exc.run]
+                    raise
+                for r, sol in zip(rows, sols):
+                    log = solved[r]
+                    log.extend((sol.p_min, sol.p_max, sol.total))
+                    log.frombytes(sol.fluxes.tobytes())
+                    at[r] += 1
+                    hints[r] = sol.active or hints[r]
+                    gstar[r] = sol.fluxes
             row += 1
             table.fromlist(at)
-        return _update(u, mesh, lam, flat, out, ghosts, 0.0, layout)[1], row
+        return _update(u, mesh, lam, flat, out, ghosts, eps_arg, layout,
+                       dx_arg)[1], row
 
     states, buffers, times, dts, bnet, masses, rows = _march(
-        mesh, u, cfl_timestep(mesh, config.cfl_number),
-        config.t_final, advance, keep_states, config.snapshot_times)
+        mesh, u, _timestep(config), config.t_final, advance, keep_states,
+        config.snapshot_times)
     # each step's row of table, one index per run
     index = np.frombuffer(table, np.int64).reshape(-1, count)[
         np.frombuffer(rows).astype(np.intp)]
-    # a batch of one hands its run the march's arrays, a larger one each
-    # run a copy of its own
-    own = np.asarray if count == 1 else np.copy
+    times.setflags(write=False)
+    dts.setflags(write=False)
     trajs = []
     for r, i in enumerate(index.T):
         log = np.frombuffer(solved[r]).reshape(-1, 3 + k)
+        if eps:  # the incoming sums, once per distinct solve
+            log[:, 2] = log[:, 3:3 + m].sum(axis=1)
         trajs.append(Trajectory(
-            config, states[r], buffers[r], own(times), own(dts),
-            log[:, 0].take(i), log[:, 1].take(i), log[:, 3:].take(i, axis=0),
-            log[:, 2].take(i), own(bnet[:, r]), own(masses[:, r]),
-            len(log)))
+            config, states[r], buffers[r], times, dts, log[:, 0].take(i),
+            log[:, 1].take(i), log[:, 3:].take(i, axis=0), log[:, 2].take(i),
+            np.ascontiguousarray(bnet[:, r]),
+            np.ascontiguousarray(masses[:, r]), len(log)))
     return trajs
 
 
 def run(config: RunConfig, initial, keep_states: bool = True) -> Trajectory:
-    """March from t=0 to t_final with a fixed CFL time step.
+    """March from t=0 to t_final with the fixed time step of ``config``
+    (a CFL step, or at ``epsilon`` > 0 the viscous system's, see
+    ``RunConfig``).
 
     ``initial`` is either a GridState or per-road data accepted by
     ``discretize_initial``. The final step is shortened to land exactly on
@@ -791,7 +904,7 @@ def run_batch(config: RunConfig, initials,
     levels one range guard and one mass sum. It pays where many independent
     runs share one mesh and one config: the fixed cost of a step on a
     coarse mesh is then shared, and what is left per run is mostly its
-    junction solve. ``run`` is a batch of one.
+    junction solve, hyperbolic or viscous. ``run`` is a batch of one.
 
     The batch holds a bitwise fixed point only once every run repeats its
     input (see ``_march``); a run that settles earlier is recomputed, which

@@ -116,6 +116,14 @@ def _all_levels(what: str, *trajs: Trajectory) -> None:
         raise ConfigError(f"{what} needs all time levels recorded")
 
 
+def _hyperbolic(what: str, *trajs: Trajectory) -> None:
+    """PreconditionError for a viscous run (``RunConfig.epsilon`` > 0): an
+    audit assembles the hyperbolic scheme's flux grid."""
+    if any(traj.config.epsilon > 0 for traj in trajs):
+        raise PreconditionError(f"{what} audits the hyperbolic scheme, not "
+                                f"a viscous run (epsilon > 0)")
+
+
 def _assemble_audit(mesh: NetworkMesh, levels_a, levels_b, times, dts,
                     xi: TestFunction) -> float:
     """The summed form over the network buffers of two runs' time levels
@@ -215,8 +223,10 @@ def _mass_scale(mesh: NetworkMesh) -> float:
 def kato_audit(traj_a: Trajectory, traj_b: Trajectory,
                xi: TestFunction) -> KatoReport:
     """Audit two trajectories against each other; the assembled form must be
-    nonpositive up to 1e-10 of the mass scale dx * (B - A) * total cells."""
+    nonpositive up to 1e-10 of the mass scale dx * (B - A) * total cells.
+    Both must be hyperbolic runs that kept every level."""
     mesh = _shared_mesh(traj_a, traj_b)
+    _hyperbolic("kato_audit", traj_a, traj_b)
     _all_levels("audit", traj_a, traj_b)
     tol = 1e-10 * _mass_scale(mesh)
     value = _assemble_audit(mesh, traj_a.buffers, traj_b.buffers,
@@ -229,10 +239,12 @@ def adapted_entropy_residual(traj: Trajectory, k, xi: TestFunction) -> float:
 
     Equals minus the two-solution audit value with the second trajectory
     frozen at k (an exact steady state of the scheme), so admissible output
-    must keep it above -1e-10 times the mass scale.
+    must keep it above -1e-10 times the mass scale. The run must be
+    hyperbolic and keep every level.
     """
     mesh = traj.mesh
     spec = mesh.spec
+    _hyperbolic("adapted_entropy_residual", traj)
     k = spec.candidate(k)
     if not is_germ_member(spec, k):
         raise PreconditionError(

@@ -1,23 +1,20 @@
 """Viscous counterparts of the junction model.
 
-Two independent tools live here. ``stationary_profile`` solves the steady
-balance epsilon * rho' = f_h(rho) - f_h(k_h) out of the junction on every
-road, which connects a strict equilibrium state k to its coupling value p;
-these profiles exist exactly when the strict chord inequalities hold, and
-decay to k_h away from the junction as inverses of distance integrals.
+``stationary_profile`` solves the steady balance
+epsilon * rho' = f_h(rho) - f_h(k_h) out of the junction on every road,
+which connects a strict equilibrium state k to its coupling value p; these
+profiles exist exactly when the strict chord inequalities hold, and decay
+to k_h away from the junction as inverses of distance integrals.
 
-``parabolic_step`` / ``run_parabolic`` march the epsilon-regularized network
-system (Godunov convection plus centered diffusion) with a single junction
-value w per step chosen so the total convective+diffusive flux balances
-(Coclite & Garavello, "Vanishing viscosity for traffic on networks", 2010).
-Each road meets w as a neighbouring cell (Godunov plus diffusive flux), so
-w is unique and the step monotone on every mesh, coarse ones too, for
-dt <= 1 / (L/dx + 3 eps/dx^2) (``_parabolic_bound``). The schemes share
-the time loop (with its [A, B] guard on every computed level), network
-buffer, update and GridState; only the junction fluxes differ. Each step's
-solve starts from the previous step's active piece.
-The parabolic solver is used as a cross-check of the hyperbolic scheme as
-epsilon shrinks, not as a production solver.
+The epsilon-regularized network system itself (Godunov convection plus
+centered diffusion, with one junction value w per step: Coclite &
+Garavello, "Vanishing viscosity for traffic on networks", 2010) is a run
+of ``scheme``: ``RunConfig.epsilon`` > 0, marched by ``run``,
+``run_batch`` and ``step`` like any other. ``parabolic_timestep`` is 0.9
+of its step bound, and ``run_parabolic`` a lean run of it at that step,
+the entry the benchmark calls. The parabolic solver is used as a
+cross-check of the hyperbolic scheme as epsilon shrinks, not as a
+production solver. ``initial_smoothing`` mollifies cell data for it.
 """
 
 from __future__ import annotations
@@ -33,8 +30,8 @@ from .errors import (PreconditionError, as_bounded, as_count, as_positive,
                      as_reals, as_road)
 from .fluxes import conjugate
 from .junction import JunctionSpec, _strict_margins_hold, strict_witness
-from .scheme import (_MAX_COUNT, GridState, NetworkMesh, _check_timestep,
-                     _march, _pack, _update)
+from .scheme import (_MAX_COUNT, NetworkMesh, RunConfig, _pack,
+                     _parabolic_bound, _runs)
 
 _DECAY_CUTOFF = 1e-12
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
@@ -289,149 +286,19 @@ def stationary_profile(spec: JunctionSpec, k, epsilon: float, window: float,
 
 
 # ---------------------------------------------------------------------------
-# explicit parabolic solver
-
-def _parabolic_bound(mesh: NetworkMesh, epsilon: float) -> float:
-    """Largest step that keeps the explicit update monotone:
-    1 / (L / dx + 3 eps / dx^2), L the largest Lipschitz constant.
-
-    With lam = dt / dx and mu = eps dt / dx^2, a cell's new value is its
-    old one less what its interfaces take, and the update is monotone when
-    every weight is nonnegative (Crandall & Majda, Math. Comp. 34, 1980).
-    The Godunov flux F(a, b) = min(D(a), S(b)) moves with a only through D
-    below the crest and with b only through S above it, so of a cell's two
-    convective interfaces at most one moves with the cell, and they take
-    at most lam L of its weight. Diffusion takes 2 mu inside a road and
-    3 mu at the junction-adjacent cell, whose junction side has
-    e = 2 eps / dx. The balance R is strictly decreasing in w, so w is
-    nondecreasing in every adjacent state, and the junction fluxes add only
-    nonnegative weights. An absorbing ghost copies its end cell: the outer
-    flux f(u) and the inner interface take at most lam L of that cell
-    together, and no diffusive flux crosses the outer end. A weight is
-    then at least 1 - lam L - 3 mu, which is nonnegative up to this bound;
-    order breaks a little above it (``test_parabolic_bound_is_sharp``)."""
-    dx = mesh.dx
-    return 1.0 / (mesh.spec.lipschitz_max / dx + 3.0 * epsilon / (dx * dx))
-
+# the viscous system is a run: RunConfig.epsilon
 
 def parabolic_timestep(mesh: NetworkMesh, epsilon: float) -> float:
     """The explicit step: 0.9 of the monotonicity bound
-    1 / (L / dx + 3 eps / dx^2) of ``_parabolic_bound``."""
+    1 / (L / dx + 3 eps / dx^2) (``scheme._parabolic_bound``)."""
     return 0.9 * _parabolic_bound(mesh, as_positive("epsilon", epsilon))
 
 
-def parabolic_step(state: GridState, mesh: NetworkMesh, epsilon: float,
-                   dt: float) -> GridState:
-    """One explicit update of the epsilon-regularized network system.
-    Raises ConfigError if dt exceeds the monotonicity bound."""
-    _check_timestep(dt, _parabolic_bound(mesh,
-                                         as_positive("epsilon", epsilon)))
-    u = _pack(mesh, state)
-    out = np.empty_like(u)
-    _parabolic_advance(u, mesh, epsilon, dt / mesh.dx,
-                       _visc_pieces(mesh, epsilon), out,
-                       u[mesh._layout.adj].tolist())
-    return GridState(state.time_step + 1, state.time + dt,
-                     mesh._layout.views(out))
-
-
-def _visc_pieces(mesh: NetworkMesh, eps: float) -> kernels.WarmPieces:
-    """The warm pieces of the viscous junction value: the junction's roads
-    with the diffusive line's slope -e (m + n), e = 2 eps / dx."""
-    spec = mesh.spec
-    return kernels.WarmPieces(spec._roads, spec.m, spec.rho_min,
-                              spec.rho_max,
-                              -(2.0 * eps / mesh.dx) * (spec.m + spec.n))
-
-
-def _parabolic_advance(u: np.ndarray, mesh: NetworkMesh, eps: float, lam,
-                       pieces: kernels.WarmPieces, out: np.ndarray,
-                       ustar: list, hint=None, scales=None):
-    """The junction value w, each road's Godunov plus diffusive flux to w,
-    then the shared update with diffusion (``scheme._update``, lam = dt /
-    dx) into out: (boundary flux, w, the active set of w's solve). ``ustar``
-    is u's junction state, its junction-adjacent cells as a list, which
-    the caller reads: ``parabolic_step`` gathers it, and a run takes its
-    row of the march's. w comes from ``kernels.solve_visc_w``, the
-    junction solver's own solve with the diffusive line added to the
-    balance gap, its slope held by ``pieces`` (``_visc_pieces``): the
-    hint's piece where the warm certificate holds, else two bisections
-    over the kinks and ends, then the exact root of one piece. The hint
-    spares work, never changes a result.
-
-    u must lie in [A, B], where the fluxes are defined: ``_pack`` checks
-    the first level of a run and ``_march``'s guard every later one. The
-    solve returns the road constants (each road's demand or supply) with
-    w; ``kernels.fill_junction_fluxes`` takes them for each road's Godunov
-    flux at w, less the diffusive term e (w - u_i) or e (u_j - w),
-    e = 2 eps / dx. A run passes ``scales``, eps and dx as 0-d arrays made
-    once, for the update's diffusive term."""
-    roads, m = mesh.spec._roads, mesh.spec.m
-    e = 2.0 * eps / mesh.dx
-    w, consts, active = kernels.solve_visc_w(pieces, ustar, e * sum(ustar),
-                                             hint)
-    gstar = [0.0] * len(ustar)
-    kernels.fill_junction_fluxes(roads, m, consts, w, gstar)
-    for h, a in enumerate(ustar):
-        gstar[h] -= e * (w - a) if h < m else e * (a - w)
-    eps, dx = scales or (eps, None)
-    return _update(u, mesh, lam, gstar, out, eps=eps, dx=dx)[1], w, active
-
-
-@dataclass(eq=False)
-class ParabolicTrajectory:
-    """Record of one parabolic run. ``states`` holds the initial and the
-    final level only; the per-step logs (``times``, ``dts``, ``masses``,
-    ``boundary_net``, ``junction_values``) cover every step."""
-
-    mesh: NetworkMesh
-    epsilon: float
-    states: list[GridState]
-    times: np.ndarray
-    dts: np.ndarray
-    junction_values: np.ndarray
-    boundary_net: np.ndarray
-    masses: np.ndarray
-
-    @property
-    def final(self) -> GridState:
-        return self.states[-1]
-
-
-def run_parabolic(mesh: NetworkMesh, epsilon: float, initial,
-                  t_final: float) -> ParabolicTrajectory:
-    """March the parabolic system to t_final with absorbing outer ends.
-
-    ``initial`` is a GridState or per-road data accepted by
-    ``discretize_initial``. The time loop is ``scheme.run``'s: the last
-    step is shortened to land on t_final exactly. Only the first and last
-    levels are kept, so a run holds one or two network buffers and the
-    march's block (at most 64 levels or 1 MB) whatever its step count,
-    and its logs one typed float per step each, w's included;
-    ``parabolic_step`` replays every level bitwise from ``dts``.
-    Each step hands the last active set its solves found to the next as a
-    hint, and solves from the junction state that the march reads from
-    each level; the march holds a level that repeats its input bitwise,
-    as ``run``'s does.
-    """
-    t_final = as_bounded("t_final", t_final, 0.0)
-    u0, dt0 = _pack(mesh, initial), parabolic_timestep(mesh, epsilon)
-    pieces, active = _visc_pieces(mesh, epsilon), None  # epsilon checked
-    scales = np.array(float(epsilon)), np.array(mesh.dx)
-
-    def advance(u, junction, key, lam, out):
-        nonlocal active
-        # the run's one row as a list; tolist() then [0] makes no row view
-        boundary, w, found = _parabolic_advance(
-            u, mesh, epsilon, lam, pieces, out, junction.tolist()[0], active,
-            scales)
-        active = found or active  # a kink's solve finds no set
-        return boundary, w
-
-    states, _, times, dts, bnet, masses, wlog = _march(
-        mesh, u0, dt0, t_final, advance, keep_states=False)
-    return ParabolicTrajectory(mesh, float(epsilon), states[0], times, dts,
-                               np.frombuffer(wlog), bnet[:, 0], masses[:, 0])
+def run_parabolic(mesh: NetworkMesh, epsilon: float, initial, t_final):
+    """A lean ``run`` of ``RunConfig(mesh, 0.9, t_final, epsilon)``."""
+    config = RunConfig(mesh, 0.9, t_final, epsilon=as_positive("epsilon",
+                                                               epsilon))
+    return _runs(config, _pack(mesh, initial), False)[0]
 
 
 def initial_smoothing(data, epsilon: float, dx: float | None = None,

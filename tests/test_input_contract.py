@@ -101,7 +101,7 @@ CONTRACT = {
     "RunConfig": [call(jf.RunConfig,
                        {"cfl_number": "positive", "t_final": "bounded",
                         "dirichlet_values": "state",
-                        "snapshot_times": "times"},
+                        "snapshot_times": "times", "epsilon": "bounded"},
                        mesh=MESH, cfl_number=0.9, t_final=0.3)],
     "Trajectory": [],
     "cfl_timestep": [call(jf.cfl_timestep, {"cfl_number": "positive"},
@@ -116,7 +116,8 @@ CONTRACT = {
         config, [(0.2, 0.7), initial]), {"initial": "state"}, config=CONFIG,
         initial=[0.3, 0.6])],
     "step": [call(jf.step, {"state": "state", "dt": "positive",
-                            "dirichlet_values": "state"},
+                            "dirichlet_values": "state",
+                            "epsilon": "bounded"},
                   state=STATE, mesh=MESH, dt=0.01)],
     "ContractionReport": [], "ConvergenceReport": [], "KatoReport": [],
     "RiemannProblem": [call(jf.RiemannProblem,
@@ -144,17 +145,12 @@ CONTRACT = {
     "nonstrict_germ_sampler": [call(jf.nonstrict_germ_sampler,
                                     {"count": "count", "seed": "seed"},
                                     count=2, seed=1)],
-    "ParabolicTrajectory": [],
     "ViscousProfile": [call(PROFILE.evaluate, {"road": "road", "x": "finite"},
                             road=0, x=-0.1)],
     "initial_smoothing": [call(jf.initial_smoothing,
                                {"epsilon": "bounded", "dx": "positive",
                                 "width": "seed"},
                                data=np.zeros(5), epsilon=0.1, dx=0.01)],
-    "parabolic_step": [call(jf.parabolic_step,
-                            {"state": "state", "epsilon": "positive",
-                             "dt": "positive"},
-                            state=STATE, mesh=MESH, epsilon=0.02, dt=0.001)],
     "parabolic_timestep": [call(jf.parabolic_timestep,
                                 {"epsilon": "positive"}, mesh=MESH,
                                 epsilon=0.02)],

@@ -32,13 +32,13 @@ from junctionflow import (
     symmetric_quadratic,
     tabulated,
 )
-from junctionflow import kernels, scheme, viscous
+from junctionflow import kernels, scheme
 from junctionflow.junction import JunctionSolution
 from junctionflow.scheme import Trajectory
 from junctionflow.verify import germ_sampler
-from junctionflow.viscous import parabolic_step, parabolic_timestep
+from junctionflow.viscous import parabolic_timestep
 from test_junction import random_junction
-from test_viscous import keep_every_level
+from test_viscous import viscous_run
 
 RNG = np.random.default_rng(2718)
 
@@ -218,15 +218,15 @@ def _bad_states():
 @pytest.mark.parametrize("case", ["nan", "outside", "short"])
 @pytest.mark.parametrize("advance", ["step", "parabolic_step"])
 def test_single_step_rejects_invalid_states(case, advance):
-    # the single-step API validates its state as run validates initial data
+    # the single-step API validates its state as run validates initial
+    # data, of either scheme (parabolic_step: epsilon > 0)
     mesh = small_mesh()
     state = GridState(0, 0.0, _bad_states()[case])
     with pytest.raises(ValueError, match="^road 0: "):
         if advance == "step":
             step(state, mesh, cfl_timestep(mesh, 0.9))
         else:
-            parabolic_step(state, mesh, 0.02,
-                           parabolic_timestep(mesh, 0.02))
+            step(state, mesh, parabolic_timestep(mesh, 0.02), epsilon=0.02)
 
 
 def test_step_conserves_mass_with_boundary_accounting():
@@ -481,10 +481,10 @@ def test_step_above_the_stability_bound_stops_the_run(monkeypatch):
     # guard
     mesh = small_mesh(JunctionSpec(1, 1, (quadratic_lwr(), quadratic_lwr())))
     init = [np.repeat([0.5, 0.9], 25), np.repeat([0.95, 0.1], 25)]
-    cfl, parabolic = scheme.cfl_timestep, viscous.parabolic_timestep
+    cfl, parabolic = scheme.cfl_timestep, scheme._parabolic_bound
     monkeypatch.setattr(scheme, "cfl_timestep",
                         lambda mesh, number: 3.0 * cfl(mesh, number))
-    monkeypatch.setattr(viscous, "parabolic_timestep",
+    monkeypatch.setattr(scheme, "_parabolic_bound",
                         lambda mesh, eps: 3.0 * parabolic(mesh, eps))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -639,10 +639,9 @@ def test_single_steps_replay_the_run(monkeypatch, bc):
     rng = np.random.default_rng(7)
     init = [rng.uniform(0.0, 1.0, 20) for _ in range(3)]
     if bc == "parabolic":
-        keep_every_level(monkeypatch)
-        traj = run_parabolic(mesh, 0.02, init,
-                             25.5 * parabolic_timestep(mesh, 0.02))
-        advance = lambda state, dt: parabolic_step(state, mesh, 0.02, dt)
+        traj = viscous_run(mesh, 0.02, init,
+                           25.5 * parabolic_timestep(mesh, 0.02))
+        advance = lambda state, dt: step(state, mesh, dt, epsilon=0.02)
     else:
         extra = ({} if bc == "absorbing" else
                  {"dirichlet_values": np.array([0.8, 0.05, 0.9])})
@@ -936,37 +935,44 @@ def test_signed_zero_is_a_new_junction_state(monkeypatch):
 # ---------------------------------------------------------------------------
 # holding a bitwise fixed point
 
-def _spy_updates(monkeypatch, module=scheme):
+def _spy_updates(monkeypatch):
     """Count the conservative updates the march computes."""
-    real = module._update
+    real = scheme._update
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "_update", spy)
+    monkeypatch.setattr(scheme, "_update", spy)
     return calls
 
 
 def _assert_step_replay(traj, init):
     # every kept level, mass, boundary sum and junction flux of a run, as
-    # the single-step API and a fresh junction solve per step give them
+    # the single-step API and a fresh junction solve per step give them;
+    # of a viscous run also w, its p_min and p_max
     mesh, config = traj.mesh, traj.config
     spec, layout = mesh.spec, mesh._layout
-    ghosts = config.dirichlet_values
+    ghosts, eps = config.dirichlet_values, config.epsilon
     state = discretize_initial(mesh, init)
     levels = [[v.copy() for v in state.values]]
     masses = [state.total_mass(mesh.dx)]
-    bnet, fluxes = [], []
+    bnet, fluxes, ws = [], [], []
     for dt in traj.dts:
         u = scheme._pack(mesh, state, ghosts)
-        sol = solve_junction(spec, u[layout.adj])
-        boundary = scheme._flux_grid(u, mesh, sol.fluxes)[layout.outer]
+        if eps:
+            w, gstar, _ = scheme._visc_node(
+                scheme._visc_pieces(mesh, eps), 2.0 * eps / mesh.dx,
+                u[layout.adj].tolist(), None)
+            ws.append(w)
+        else:
+            gstar = solve_junction(spec, u[layout.adj]).fluxes
+        boundary = scheme._flux_grid(u, mesh, gstar, eps)[layout.outer]
         bnet.append(math.fsum(boundary[spec.m:].tolist())
                     - math.fsum(boundary[:spec.m].tolist()))
-        fluxes.append(sol.fluxes)
-        state = step(state, mesh, dt, ghosts)
+        fluxes.append(gstar)
+        state = step(state, mesh, dt, ghosts, eps)
         levels.append([v.copy() for v in state.values])
         masses.append(state.total_mass(mesh.dx))
     assert len(traj.states) == len(levels)
@@ -977,6 +983,9 @@ def _assert_step_replay(traj, init):
     assert traj.boundary_net.tobytes() == np.array(bnet).tobytes()
     assert (traj.junction_fluxes.tobytes()
             == np.array(fluxes).reshape(traj.junction_fluxes.shape).tobytes())
+    if eps:
+        assert traj.p_min.tobytes() == traj.p_max.tobytes() == np.array(
+            ws).tobytes()
 
 
 @pytest.mark.parametrize("bc", ["absorbing", "dirichlet"])
@@ -1068,11 +1077,10 @@ def test_hold_tells_signed_zeros_apart(monkeypatch, marched):
     # bitwise: step 2 (a new junction state, its first repeat) is computed
     # before the march holds, and a shortened last step after; had the
     # hold compared values, it would start at step 1. The parabolic run
-    # shares the march, and so its hold
+    # is a run, and so has its hold
     mesh = small_mesh(SYMQ21)
     adj = int(mesh._layout.adj[0])
-    module = scheme if marched == "run" else viscous
-    real = module._update
+    real = scheme._update
     steps = []
 
     def flip(u, *args, **kwargs):
@@ -1082,7 +1090,7 @@ def test_hold_tells_signed_zeros_apart(monkeypatch, marched):
             new[adj] = -0.0
         return new, boundary
 
-    monkeypatch.setattr(module, "_update", flip)
+    monkeypatch.setattr(scheme, "_update", flip)
     if marched == "run":
         traj = run(RunConfig(mesh, 0.9, 10 * cfl_timestep(mesh, 0.9)),
                    [0.0, 0.0, 0.0])
@@ -1158,17 +1166,16 @@ def test_parabolic_run_holds_an_empty_network(monkeypatch):
     # on empty roads every level repeats its input bitwise, so the
     # parabolic march holds as well
     mesh = small_mesh(dx=0.05, cells=20)
-    keep_every_level(monkeypatch)
-    calls = _spy_updates(monkeypatch, viscous)
-    traj = run_parabolic(mesh, 0.02, [0.0, 0.0],
-                         30.5 * parabolic_timestep(mesh, 0.02))
+    calls = _spy_updates(monkeypatch)
+    traj = viscous_run(mesh, 0.02, [0.0, 0.0],
+                       30.5 * parabolic_timestep(mesh, 0.02))
     assert len(traj.dts) == 31
     assert len(calls) < len(traj.dts)
     monkeypatch.undo()
     state = discretize_initial(mesh, [0.0, 0.0])
     masses = [state.total_mass(mesh.dx)]
     for kept, dt in zip(traj.states[1:], traj.dts):
-        state = parabolic_step(state, mesh, 0.02, dt)
+        state = step(state, mesh, dt, epsilon=0.02)
         masses.append(state.total_mass(mesh.dx))
         for got, ref in zip(kept.values, state.values):
             assert got.tobytes() == ref.tobytes()
@@ -1213,7 +1220,7 @@ def test_block_masses_are_those_of_the_replayed_levels(monkeypatch):
     state = discretize_initial(mesh, init)
     masses = [state.total_mass(mesh.dx)]
     for dt in traj.dts:
-        state = parabolic_step(state, mesh, eps, dt)
+        state = step(state, mesh, dt, epsilon=eps)
         masses.append(state.total_mass(mesh.dx))
     assert traj.masses.tobytes() == np.array(masses).tobytes()
     # the 2-1 settling run below holds from step 284 on: four full blocks
@@ -1352,15 +1359,19 @@ def _assert_same_run(got, want):
        bc=st.sampled_from(["absorbing", "held", "random"]),
        lean=st.booleans(), seed=st.integers(0, 2**32 - 1),
        outer=st.lists(st.integers(0, 6), min_size=1, max_size=5),
-       n_steps=st.integers(0, 120), tail=st.sampled_from([0.0, 0.5]))
+       n_steps=st.integers(0, 120), tail=st.sampled_from([0.0, 0.5]),
+       viscous=st.booleans())
 def test_batch_matches_single_runs(label, bc, lean, seed, outer, n_steps,
-                                   tail):
+                                   tail, viscous):
     # sampled equilibria with 0 to 6 random outer cells of 6, one run per
     # entry of outer, under absorbing ends or Dirichlet data: a run with
     # none is held from step 2 on, one with a few settles once its waves
     # have left, and one with all six random may not settle at all, so the
     # runs of one batch repeat their input from different steps on, or
-    # never. Each Trajectory of the batch is that of its own run
+    # never. Each Trajectory of the batch is that of its own run. A
+    # viscous batch (epsilon = 0.02) holds no sampled equilibrium, so it
+    # gets one more run, empty roads (A everywhere, with A as the "held"
+    # Dirichlet data), which it holds from step 2 on
     spec = MIXED_TOPOLOGIES[label]
     roads = spec.m + spec.n
     mesh = small_mesh(spec, dx=0.05, cells=6)
@@ -1373,16 +1384,83 @@ def test_batch_matches_single_runs(label, bc, lean, seed, outer, n_steps,
             v[slice(0, count) if h < spec.m else slice(6 - count, 6)] = (
                 rng.uniform(spec.rho_min, spec.rho_max, count))
         initials.append(init)
+    held = np.full(roads, spec.rho_min) if viscous else _germs(label)[0]
     extra = ({} if bc == "absorbing" else
-             {"dirichlet_values": _germs(label)[0] if bc == "held" else
+             {"dirichlet_values": held if bc == "held" else
               rng.uniform(spec.rho_min, spec.rho_max, roads)})
-    dt0 = cfl_timestep(mesh, 0.9)
+    if viscous:
+        initials.append(list(held))
+        extra["epsilon"] = 0.02
+    dt0 = (parabolic_timestep(mesh, 0.02) if viscous
+           else cfl_timestep(mesh, 0.9))
     config = RunConfig(mesh, 0.9, (n_steps + tail) * dt0,
                        snapshot_times=(0.5 * n_steps * dt0,), **extra)
     batch = scheme.run_batch(config, initials, keep_states=not lean)
     assert len(batch) == len(initials)
     for got, init in zip(batch, initials):
         _assert_same_run(got, run(config, init, keep_states=not lean))
+
+
+def test_batch_shares_its_times_and_dts_read_only():
+    # every run of a batch reads the march's times and dts, one read-only
+    # array each, and holds a copy of its own column of boundary_net and
+    # masses; a batch of one holds the march's arrays
+    mesh = small_mesh(SYMQ21, cells=10)
+    config = RunConfig(mesh, 0.9, 20.5 * cfl_timestep(mesh, 0.9))
+    rng = np.random.default_rng(3)
+    batch = scheme.run_batch(config, [[rng.random(10) - 0.5
+                                       for _ in range(3)] for _ in range(3)])
+    for traj in batch:
+        assert traj.times is batch[0].times and traj.dts is batch[0].dts
+        for name in ("boundary_net", "masses"):
+            column = getattr(traj, name)
+            assert column.flags.c_contiguous and column.base is None
+    for logged in (batch[0].times, batch[0].dts):
+        assert not logged.flags.writeable
+        with pytest.raises(ValueError):
+            logged[0] = 0.0
+    one = run(config, [0.1, -0.2, 0.3])
+    assert not one.times.flags.writeable and not one.dts.flags.writeable
+
+
+@pytest.mark.parametrize("label", sorted(MIXED_TOPOLOGIES))
+def test_viscous_run_with_snapshots_and_dirichlet_ends_replays(label):
+    # a viscous run (RunConfig.epsilon > 0) is a run: with Dirichlet ends
+    # it keeps every level, or when lean its snapshots, and replays bit for
+    # bit through step(..., dirichlet_values, epsilon): levels, masses,
+    # boundary flows, junction fluxes and w (its p_min and p_max). Every
+    # level stays in [A, B], the node balances and the ledger closes
+    spec = MIXED_TOPOLOGIES[label]
+    roads = spec.m + spec.n
+    mesh = small_mesh(spec, dx=0.05, cells=12)
+    rng = np.random.default_rng(31)
+    init = [rng.uniform(spec.rho_min, spec.rho_max, 12) for _ in range(roads)]
+    dt0 = parabolic_timestep(mesh, 0.01)
+    config = RunConfig(mesh, 0.9, 40.5 * dt0,
+                       dirichlet_values=rng.uniform(spec.rho_min,
+                                                    spec.rho_max, roads),
+                       snapshot_times=(10.2 * dt0, 30.7 * dt0), epsilon=0.01)
+    traj = run(config, init)
+    assert len(traj.dts) == 41 and traj.junction_solves == 41
+    _assert_step_replay(traj, init)
+    for buffer in traj.buffers:
+        assert spec.rho_min <= buffer.min() and buffer.max() <= spec.rho_max
+    inflow = traj.junction_fluxes[:, :spec.m]
+    assert traj.totals.tobytes() == inflow.sum(axis=1).tobytes()
+    assert np.abs(traj.totals
+                  - traj.junction_fluxes[:, spec.m:].sum(axis=1)).max() \
+        <= 1e-12
+    assert mass_ledger(traj).max_abs_defect <= 1e-12
+    lean = run(config, init, keep_states=False)
+    assert [s.time_step for s in lean.states] == [0, 10, 31, 41]
+    for kept in lean.states:
+        full = traj.states[kept.time_step]
+        assert kept.time == full.time
+        assert [v.tobytes() for v in kept.values] == [
+            v.tobytes() for v in full.values]
+    for name in ("dts", "p_min", "p_max", "junction_fluxes", "totals",
+                 "boundary_net", "masses"):
+        assert getattr(lean, name).tobytes() == getattr(traj, name).tobytes()
 
 
 def test_batch_of_runs_that_settle_apart(monkeypatch):

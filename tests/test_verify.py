@@ -352,6 +352,26 @@ def test_kato_needs_two_recorded_steps():
         kato_audit(ta, tb, xi)
 
 
+def test_audits_refuse_a_viscous_run():
+    # the audits assemble the hyperbolic scheme's flux grid, so a viscous
+    # run, which keeps every level and buffer as a run does, is refused
+    # rather than audited against the wrong scheme; the L1 check reads
+    # only the kept levels and takes it
+    mesh = NetworkMesh(LWR11, 0.05, np.array([20, 20]))
+    config = RunConfig(mesh, 0.9, 0.2, epsilon=0.01)
+    init = [np.full(20, 0.35), np.full(20, 0.65)]
+    ta = run(config, init)
+    tb = run(config, [np.full(20, 0.3), np.full(20, 0.6)])
+    assert len(ta.buffers) == len(ta.times) > 3
+    xi = bump_test_function(0.03, 0.18, reach=0.4, plateau=0.05)
+    with pytest.raises(PreconditionError, match="viscous"):
+        kato_audit(ta, tb, xi)
+    k = germ_sampler(LWR11, 1, seed=4)[0]
+    with pytest.raises(PreconditionError, match="viscous"):
+        adapted_entropy_residual(ta, k, xi)
+    assert l1_contraction_check(ta, tb, 0.3).passed
+
+
 # ---------------------------------------------------------------------------
 # entropy residual against an equilibrium
 

@@ -1,4 +1,4 @@
-"""Viscous layer: standing profiles, the parabolic marcher, data smoothing."""
+"""Viscous layer: standing profiles, viscous runs, data smoothing."""
 
 import hashlib
 import math
@@ -16,18 +16,20 @@ from junctionflow import (
     JunctionSpec,
     NetworkMesh,
     PreconditionError,
+    RunConfig,
     custom_polynomial,
     initial_smoothing,
-    parabolic_step,
     parabolic_timestep,
     quadratic_lwr,
     road_profile,
+    run,
     run_parabolic,
     stationary_profile,
+    step,
     symmetric_quadratic,
     tabulated,
 )
-from junctionflow import kernels, scheme, viscous
+from junctionflow import kernels, scheme
 from junctionflow.fluxes import Flux
 from junctionflow.verify import germ_sampler, nonstrict_germ_sampler
 from test_junction import random_junction
@@ -315,14 +317,13 @@ def test_profiles_require_strict_equilibrium():
 
 
 # ---------------------------------------------------------------------------
-# parabolic marching
+# viscous runs: RunConfig.epsilon > 0
 
-def keep_every_level(monkeypatch):
-    """Make ``run_parabolic`` keep every level, for tests that read them
-    all; a run keeps its first and last level only."""
-    monkeypatch.setattr(viscous, "_march", lambda *args, **kwargs:
-                        scheme._march(*args, **{**kwargs,
-                                                "keep_states": True}))
+def viscous_run(mesh, epsilon, initial, t_final):
+    """A viscous run at 0.9 of its step bound that keeps every level, for
+    tests that read them all (``run_parabolic`` keeps its first and last
+    level only)."""
+    return run(RunConfig(mesh, 0.9, t_final, epsilon=epsilon), initial)
 
 
 def test_parabolic_timestep_bounds():
@@ -341,15 +342,15 @@ def test_parabolic_step_guards_timestep():
     state = GridState(0, 0.0, (np.full(50, 0.3), np.full(50, 0.6)))
     limit = 1.0 / (1.0 / 0.01 + 3 * 0.02 / 0.01**2)
     with pytest.raises(ConfigError) as err:
-        parabolic_step(state, mesh, 0.02, 1.01 * limit)
+        step(state, mesh, 1.01 * limit, epsilon=0.02)
     assert err.value.kind == "cfl"
     for bad_dt in (0.0, math.nan):
         with pytest.raises(ValueError):
-            parabolic_step(state, mesh, 0.02, bad_dt)
-    for bad_eps in (0.0, math.nan):
-        with pytest.raises(ValueError):
-            parabolic_step(state, mesh, bad_eps, 0.9 * limit)
-    out = parabolic_step(state, mesh, 0.02, 0.9 * limit)
+            step(state, mesh, bad_dt, epsilon=0.02)
+    for bad_eps in (-0.02, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^epsilon must be"):
+            step(state, mesh, 0.9 * limit, epsilon=bad_eps)
+    out = step(state, mesh, 0.9 * limit, epsilon=0.02)
     assert out.time == pytest.approx(0.9 * limit)
     assert out.time_step == 1
 
@@ -364,8 +365,8 @@ def test_parabolic_step_preserves_order_up_to_its_bound():
     bound = 1.0 / (1.5 / 0.01 + 3.0 * eps / 0.01**2)
     state = GridState(0, 0.0, tuple(np.full(10, 0.5) for _ in range(5)))
     with pytest.raises(ConfigError) as err:
-        parabolic_step(state, mesh, eps, 0.99 * min(0.01 / 3.0,
-                                                    0.01**2 / (4 * eps)))
+        step(state, mesh, 0.99 * min(0.01 / 3.0, 0.01**2 / (4 * eps)),
+             epsilon=eps)
     assert err.value.kind == "cfl"
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -374,10 +375,9 @@ def test_parabolic_step_preserves_order_up_to_its_bound():
         raised = [np.full(10, kh) for kh in k]
         raised[h][-1 if h < 2 else 0] += 0.5 * (1.0 - k[h])
         for dt in (bound, 0.9 * bound):
-            lo = parabolic_step(GridState(0, 0.0, tuple(
-                np.full(10, kh) for kh in k)), mesh, eps, dt)
-            hi = parabolic_step(GridState(0, 0.0, tuple(raised)), mesh, eps,
-                                dt)
+            lo = step(GridState(0, 0.0, tuple(
+                np.full(10, kh) for kh in k)), mesh, dt, epsilon=eps)
+            hi = step(GridState(0, 0.0, tuple(raised)), mesh, dt, epsilon=eps)
             for a, b in zip(lo.values, hi.values):
                 assert (a <= b).all()
 
@@ -403,7 +403,7 @@ def test_parabolic_step_is_monotone_at_its_bound(seed, m, n, symmetric,
     eps, dx = 10.0**log_eps, 10.0**log_dx
     cells = rng.integers(1, 7, m + n)
     mesh = NetworkMesh(spec, dx, cells)
-    dt = viscous._parabolic_bound(mesh, eps)
+    dt = scheme._parabolic_bound(mesh, eps)
     lo, hi = spec.rho_min, spec.rho_max
     for _ in range(3):
         low = []
@@ -417,8 +417,8 @@ def test_parabolic_step_is_monotone_at_its_bound(seed, m, n, symmetric,
         i = int(rng.integers(cells[h]))
         high[h][i] += (1.0 if rng.random() < 0.2 else rng.random()) * (
             hi - high[h][i])
-        a = parabolic_step(GridState(0, 0.0, tuple(low)), mesh, eps, dt)
-        b = parabolic_step(GridState(0, 0.0, tuple(high)), mesh, eps, dt)
+        a = step(GridState(0, 0.0, tuple(low)), mesh, dt, epsilon=eps)
+        b = step(GridState(0, 0.0, tuple(high)), mesh, dt, epsilon=eps)
         for va, vb in zip(a.values, b.values):
             assert (va <= vb).all()
             for v in (va, vb):
@@ -432,16 +432,16 @@ def test_parabolic_bound_is_sharp():
     # diffusive weight; the step refuses each of these dt
     mesh = NetworkMesh(LWR23, 0.01, np.full(5, 10))
     eps = 0.0075
-    bound = viscous._parabolic_bound(mesh, eps)
+    bound = scheme._parabolic_bound(mesh, eps)
     assert bound == 1.0 / (1.5 / 0.01 + 3.0 * eps / 0.01**2)
 
     def advance(values, dt):  # the step without its guard
         u = scheme._pack(mesh, GridState(0, 0.0, tuple(values)))
-        out = np.empty_like(u)
-        viscous._parabolic_advance(u, mesh, eps, dt / mesh.dx,
-                                   viscous._visc_pieces(mesh, eps), out,
-                                   u[mesh._layout.adj].tolist())
-        return out
+        gstar = scheme._visc_node(scheme._visc_pieces(mesh, eps),
+                                  2.0 * eps / mesh.dx,
+                                  u[mesh._layout.adj].tolist(), None)[1]
+        return scheme._update(u, mesh, dt / mesh.dx, gstar,
+                              np.empty_like(u), eps=eps)[0]
 
     for seed, dt in ((523, 1.1 * bound), (1470, 1.3 * bound),
                      (1470, 1.0 / (1.5 / 0.01 + 2.0 * eps / 0.01**2))):
@@ -453,7 +453,7 @@ def test_parabolic_bound_is_sharp():
         raised[h][-1 if h < 2 else 0] += 0.5 * (1.0 - k[h])
         assert (advance(raised, dt) - advance(low, dt)).min() < -1e-6
         with pytest.raises(ConfigError):
-            parabolic_step(GridState(0, 0.0, tuple(low)), mesh, eps, dt)
+            step(GridState(0, 0.0, tuple(low)), mesh, dt, epsilon=eps)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -483,8 +483,8 @@ def test_parabolic_step_keeps_order_and_range(seed, m, n, symmetric, coarse):
         low = [lo + spec.span * rng.random(cells) for _ in range(m + n)]
         high = [v + rng.random(cells) * (rng.random(cells) < 0.5) * (hi - v)
                 for v in low]
-        a = parabolic_step(GridState(0, 0.0, tuple(low)), mesh, eps, dt)
-        b = parabolic_step(GridState(0, 0.0, tuple(high)), mesh, eps, dt)
+        a = step(GridState(0, 0.0, tuple(low)), mesh, dt, epsilon=eps)
+        b = step(GridState(0, 0.0, tuple(high)), mesh, dt, epsilon=eps)
         for va, vb in zip(a.values, b.values):
             assert (va <= vb).all()
             for v in (va, vb):
@@ -501,7 +501,7 @@ def test_coarse_mesh_parabolic_runs_stay_in_range():
     rng = np.random.default_rng(0)
     for _ in range(500):
         state = GridState(0, 0.0, tuple(rng.random(10) for _ in range(5)))
-        out = np.concatenate(parabolic_step(state, mesh, eps, dt).values)
+        out = np.concatenate(step(state, mesh, dt, epsilon=eps).values)
         assert out.min() >= 0.0 and out.max() <= 1.0
     mesh = NetworkMesh(LWR23, 0.01, np.full(5, 50))
     rng = np.random.default_rng(10)
@@ -509,8 +509,7 @@ def test_coarse_mesh_parabolic_runs_stay_in_range():
     assert traj.final.time == 0.05
 
 
-def test_parabolic_max_principle_and_mass(monkeypatch):
-    keep_every_level(monkeypatch)
+def test_parabolic_max_principle_and_mass():
     for spec in (LWR11, JunctionSpec(2, 1, (symmetric_quadratic(1),
                                             symmetric_quadratic(2),
                                             symmetric_quadratic(3)))):
@@ -518,7 +517,7 @@ def test_parabolic_max_principle_and_mass(monkeypatch):
         mesh = NetworkMesh(spec, 0.02, np.full(roads, 50))
         lo, hi = spec.rho_min, spec.rho_max
         init = [lo + (hi - lo) * RNG.random(50) for _ in range(roads)]
-        traj = run_parabolic(mesh, 0.02, init, t_final=0.1)
+        traj = viscous_run(mesh, 0.02, init, 0.1)
         for st in traj.states:
             for v in st.values:
                 assert v.min() >= lo - 1e-12
@@ -530,17 +529,16 @@ def test_parabolic_max_principle_and_mass(monkeypatch):
         assert defect <= 1e-12
 
 
-def test_parabolic_l1_contraction_interior(monkeypatch):
+def test_parabolic_l1_contraction_interior():
     # identical far fields, different interiors: distance cannot grow while
     # the differences stay away from the outer ends
-    keep_every_level(monkeypatch)
     mesh = NetworkMesh(LWR11, 0.02, np.array([50, 50]))
     a = [np.full(50, 0.45), np.full(50, 0.55)]
     b = [v.copy() for v in a]
     b[0][30:] = RNG.uniform(0.2, 0.8, 20)
     b[1][:20] = RNG.uniform(0.2, 0.8, 20)
-    ta = run_parabolic(mesh, 0.02, a, t_final=0.05)
-    tb = run_parabolic(mesh, 0.02, b, t_final=0.05)
+    ta = viscous_run(mesh, 0.02, a, 0.05)
+    tb = viscous_run(mesh, 0.02, b, 0.05)
     dists = [sum(mesh.dx * np.abs(sa.values[h] - sb.values[h]).sum()
                  for h in range(2))
              for sa, sb in zip(ta.states, tb.states)]
@@ -624,13 +622,14 @@ def test_parabolic_equilibrium_junction_value():
     prof = stationary_profile(LWR11, (0.2, 0.8), eps, window=1.0)
     init = [prof.evaluate(h, mesh.centers(h)) for h in range(2)]
     traj = run_parabolic(mesh, eps, init, t_final=0.02)
-    w = np.asarray(traj.junction_values)
-    assert np.abs(w - 0.5).max() <= 1e-3
+    assert (traj.p_max == traj.p_min).all()
+    assert np.abs(traj.p_min - 0.5).max() <= 1e-3
 
 
 # SHA-256 of a parabolic run's outputs with the upwinded junction closure:
 # every road takes the Godunov flux between its adjacent cell and the
-# junction value w plus the diffusive term, w the exact piecewise root
+# junction value w plus the diffusive term, w the exact piecewise root,
+# logged as p_min and p_max
 PINNED_PARABOLIC = {
     "final": "d17821be8a3d95f8dbcfa95b1b30a7562734b9b173ea3ecb33219431ad7ea27b",
     "masses": "b5c4523e37d3049dc01f66c5ba740d19d3841d301fe4c53e410e7520a2b6d3e2",
@@ -660,9 +659,10 @@ def test_parabolic_run_bit_identical():
     assert len(traj.dts) == 12
     assert _sha(np.concatenate(traj.final.values)) == PINNED_PARABOLIC["final"]
     assert _sha(traj.masses) == PINNED_PARABOLIC["masses"]
-    assert _sha(traj.junction_values) == PINNED_PARABOLIC["junction_values"]
+    assert _sha(traj.p_min) == PINNED_PARABOLIC["junction_values"]
+    assert traj.p_max.tobytes() == traj.p_min.tobytes()
     bisected = [float.fromhex(w) for w in BISECTED_JUNCTION_VALUES]
-    assert np.abs(traj.junction_values - bisected).max() <= 4e-15
+    assert np.abs(traj.p_min - bisected).max() <= 4e-15
 
 
 # ---------------------------------------------------------------------------

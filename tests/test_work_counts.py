@@ -5,9 +5,14 @@ The baseline run of ``tools/step_cost.py`` (2-1 LWR, v = 1, 1, 2, on
 3 x 25 cells, CFL 0.9, to t = 1), a batch of one (``scheme.run``), makes
 a fixed number of junction solves and a fixed number of Python calls per
 computed step, as cProfile counts them: the calls of the run to t = 1 less
-those of the run to t = 0.5, over the difference in steps. Each count is taken twice in each of two fresh
-interpreters with different ``PYTHONHASHSEED`` values; all must agree with
-the pins. A change that moves a count updates its pin and says why.
+those of the run to t = 0.5, over the difference in steps. Each count is
+taken twice in each of two fresh interpreters with different
+``PYTHONHASHSEED`` values; all must agree with the pins. A change that
+moves a count updates its pin and says why. The same network as a lean
+viscous run (``step_cost.viscous_baseline``, epsilon = 0.02) makes a
+pinned number of Python calls per step, the 201-step run's less the
+101-step run's, and its 201-step run a pinned number of cold viscous
+solves (``kernels._kinks`` calls).
 
 A batch of R baseline runs (``scheme.run_batch``) makes R junction solves
 per step, one per run, as ``Trajectory.junction_solves`` counts them, and
@@ -79,8 +84,17 @@ STEPS_BETWEEN = 56
 # of its run's solve log (an extend, and a frombytes of the fluxes'
 # tobytes) in place of keeping the solution (an append), two calls more
 # per solving step, and ``kernels.row_sums`` sets up its slices, one call
-# more in all (the run to t = 1 flushes once more than the run to t = 0.5)
-CALLS_BETWEEN = 2988
+# more in all (the run to t = 1 flushes once more than the run to t = 0.5).
+# 52.36 since a batch of one compares its whole key: no append of the row
+# that solves
+CALLS_BETWEEN = 2932
+# 39.4 Python calls per lean viscous step, 38.4 when the viscous run had
+# an advance of its own, which logged w alone: the run's advance logs each
+# solve as one typed row (a fromlist, and the solve table's) and sizes no
+# flux list (one len fewer); the node helper (``scheme._visc_node``) takes
+# the old advance's place
+VISCOUS_CALLS_BETWEEN = 3940
+VISCOUS_COLD = 1  # of the 201-step run; every later solve is warm
 JUNCTION_SOLVES = 112
 BATCH = 10
 BATCH_SPLIT = {"cold": 1, "warm": 1119}  # of 10 x 112 solves
@@ -123,7 +137,19 @@ def cold(*args):
 def stacked(spec, states, hints):
     split["warm"] += len(states)
     return stack(spec, states, hints)
-calls = [[*step_cost.calls(0.5), *step_cost.calls(1.0)] for _ in range(2)]
+calls = [[*step_cost.calls(*step_cost.baseline(0.5)),
+          *step_cost.calls(*step_cost.baseline(1.0))] for _ in range(2)]
+viscous = [[*step_cost.calls(*step_cost.viscous_baseline(101)),
+            *step_cost.calls(*step_cost.viscous_baseline(201))]
+           for _ in range(2)]
+kinks, cold_visc = kernels._kinks, [0]
+def counted_kinks(*args):
+    cold_visc[0] += 1
+    return kinks(*args)
+kernels._kinks = counted_kinks
+config_v, data_v = step_cost.viscous_baseline(201)
+assert len(scheme.run(config_v, data_v, keep_states=False).dts) == 201
+kernels._kinks = kinks
 growth = [step_cost.peak_growth(200, 0.5, 2.0),
           step_cost.peak_growth(25, 4.0, 16.0)]
 solves = scheme.run(config, data).junction_solves
@@ -141,7 +167,8 @@ with tempfile.TemporaryDirectory() as out, \
         contextlib.redirect_stdout(io.StringIO()):
     cli.main(["verify", "--seed", "0", "--out", out])
 print(json.dumps({"calls": calls, "solves": solves, "split": split,
-                  "held": held, "growth": growth, "verify": audit[0]}))
+                  "held": held, "growth": growth, "verify": audit[0],
+                  "viscous": viscous, "cold_visc": cold_visc[0]}))
 """ % BATCH
 
 
@@ -168,6 +195,14 @@ def test_a_coarse_step_makes_a_pinned_number_of_calls_and_solves(counts):
             assert (c_full - c_half, s_full - s_half) == (CALLS_BETWEEN,
                                                          STEPS_BETWEEN)
     assert CALLS_BETWEEN <= 60 * STEPS_BETWEEN
+
+
+def test_a_viscous_step_makes_a_pinned_number_of_calls_and_solves(counts):
+    for got in counts:
+        for c_short, s_short, c_long, s_long in got["viscous"]:
+            assert (s_short, s_long) == (101, 201)
+            assert c_long - c_short == VISCOUS_CALLS_BETWEEN
+        assert got["cold_visc"] == VISCOUS_COLD
 
 
 def test_a_verify_pass_makes_a_pinned_number_of_cold_solves(counts):
@@ -226,8 +261,7 @@ def _spy_ring(monkeypatch):
         guards.append(len(levels))
         return guard(mesh, levels, step)
 
-    for module in (scheme, viscous):  # the parabolic step calls its own
-        monkeypatch.setattr(module, "_update", spy_update)
+    monkeypatch.setattr(scheme, "_update", spy_update)
     monkeypatch.setattr(kernels, "row_sums", spy_sums)
     monkeypatch.setattr(scheme, "_guard", spy_guard)
     return outs, blocks, guards

@@ -19,7 +19,11 @@ prints:
 - the time of one held run and its ledger: a 200-step lean run on 50-cell
   roads of the 2-3 LWR network of ``held_ensemble`` (the benchmark's
   ``well_balance`` networks), from a road-wise constant equilibrium, which
-  the march holds after its first step, and ``scheme.mass_ledger`` of it.
+  the march holds after its first step, and ``scheme.mass_ledger`` of it;
+- the viscous run (``viscous_baseline``: the same network and data at
+  epsilon = 0.02, ``RunConfig.epsilon``, 201 steps of 0.9 of its bound,
+  lean): the time of a step, and Python calls per computed step, the
+  201-step run's less the 101-step run's, over the 100 steps between.
 
 The fine case runs the same junction and data shapes on 3 x 4000 cells
 (the speeds, CFL and horizon of the benchmark's ``fine_run``: dx = 1/4000,
@@ -65,12 +69,14 @@ from junctionflow import (JunctionSpec, NetworkMesh, RunConfig,
                           custom_polynomial, quadratic_lwr,
                           symmetric_quadratic, tabulated)
 from junctionflow import kernels, scheme
+from junctionflow.viscous import parabolic_timestep
 from junctionflow.junction import _solve_stack, solve_junction
 from junctionflow.verify import germ_sampler
 
 REPEATS, PASSES = 7, 5
 FINE_CELLS, FINE_T, FINE_SNAPSHOTS = 4000, 0.25, 16
 HELD_CELLS, HELD_STEPS = 50, 200
+VISCOUS_EPS, VISCOUS_STEPS = 0.02, 201
 BATCH = 10
 PROCESSES = 3
 # the fine parts should add up to the step within this share of it
@@ -87,6 +93,15 @@ def baseline(t_final: float = 1.0, cells: int = 25,
     data = [np.linspace(0.1, 0.9, cells), np.linspace(0.8, 0.2, cells),
             np.linspace(0.3, 0.6, cells)]
     return RunConfig(mesh, 0.9, t_final, snapshot_times=snapshot_times), data
+
+
+def viscous_baseline(steps: int = VISCOUS_STEPS):
+    """(config, initial data) of the baseline as a viscous run at epsilon
+    = VISCOUS_EPS, to ``steps`` steps of ``parabolic_timestep``."""
+    config, data = baseline()
+    mesh = config.mesh
+    return RunConfig(mesh, 0.9, steps * parabolic_timestep(mesh, VISCOUS_EPS),
+                     epsilon=VISCOUS_EPS), data
 
 
 def fine_baseline():
@@ -156,20 +171,22 @@ def best_us(fn, count: int, repeats: int = REPEATS,
     return 1e6 * best / (passes * count)
 
 
-def calls(t_final: float) -> tuple[int, int]:
-    """(Python calls, computed steps) of one baseline run to t_final."""
-    config, data = baseline(t_final)
-    scheme.run(config, data)  # warm every cache before counting
+def calls(config, data) -> tuple[int, int]:
+    """(Python calls, computed steps) of one run of config from data, lean
+    where viscous."""
+    keep = not config.epsilon
+    scheme.run(config, data, keep)  # warm every cache before counting
     prof = cProfile.Profile()
     prof.enable()
-    traj = scheme.run(config, data)
+    traj = scheme.run(config, data, keep)
     prof.disable()
     return pstats.Stats(prof).total_calls, len(traj.dts)
 
 
-def calls_per_step() -> float:
-    (c_half, s_half), (c_full, s_full) = calls(0.5), calls(1.0)
-    return (c_full - c_half) / (s_full - s_half)
+def calls_per_step(short, long) -> float:
+    """Python calls per step between two runs, each (config, data)."""
+    (c_short, s_short), (c_long, s_long) = calls(*short), calls(*long)
+    return (c_long - c_short) / (s_long - s_short)
 
 
 def step_us(name: str) -> float:
@@ -187,6 +204,10 @@ def step_us(name: str) -> float:
         _, config, (k,) = held_ensemble(1)[2]  # the 2-3 network
         return best_us(lambda: scheme.mass_ledger(
             scheme.run(config, k, keep_states=False)), 1)
+    if name == "viscous":
+        config, data = viscous_baseline()
+        return best_us(lambda: scheme.run(config, data, keep_states=False),
+                       VISCOUS_STEPS)
     runs = int(name.removeprefix("batch"))  # "batch10"
     return best_us(lambda: scheme.run_batch(config, [data] * runs),
                    runs * steps)
@@ -281,6 +302,7 @@ def coarse() -> None:
         "run step (us)": median_step_us("run"),
         f"batch of {BATCH}, run-step (us)": median_step_us(f"batch{BATCH}"),
         "held run (us)": median_step_us("held"),
+        "viscous run step (us)": median_step_us("viscous"),
         "warm solve, stack of 1 (us)": best_us(
             lambda: [_solve_stack(spec, *one) for one in ones], steps),
         f"stacked warm x{BATCH} (us/row)": best_us(
@@ -291,7 +313,9 @@ def coarse() -> None:
         "_update (us)": best_us(
             lambda: [scheme._update(u, mesh, lam, g, out)
                      for u, lam, g, out in updates], steps),
-        "python calls per step": calls_per_step(),
+        "python calls per step": calls_per_step(baseline(0.5), baseline()),
+        "python calls per viscous step": calls_per_step(
+            viscous_baseline(101), viscous_baseline()),
     }
     print(f"2-1 LWR, 3 x 25 cells, CFL 0.9, t = 1: {steps} steps, "
           f"{traj.junction_solves} junction solves")
